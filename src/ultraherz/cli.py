@@ -12,7 +12,8 @@ Subcommands:
 Exit codes: 0 on success, 2 when a claim's hypotheses are violated, 1 for
 any other error (bad input files, divergent norms requested strictly,
 usage mistakes). Randomized subcommands take ``--seed``; when the flag is
-absent the ``ULTRAHERZ_SEED`` environment variable is consulted.
+absent the ``ULTRAHERZ_SEED`` environment variable is consulted, and the
+seed is 0 when neither is set.
 """
 
 from __future__ import annotations
@@ -51,13 +52,13 @@ from .serialize import (
 )
 
 
-def _resolve_seed(value: int | None) -> int | None:
-    """CLI flag wins; otherwise fall back to the ULTRAHERZ_SEED variable."""
+def _resolve_seed(value: int | None) -> int:
+    """CLI flag wins; otherwise the ULTRAHERZ_SEED variable; otherwise 0."""
     if value is not None:
         return value
     env = os.environ.get("ULTRAHERZ_SEED")
     if env is None:
-        return None
+        return 0
     try:
         return int(env)
     except ValueError:
@@ -97,7 +98,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
             f, u, MorreyHerzParams(args.beta, args.m, args.lam, args.mh_base)
         )
     else:
-        result = cmo_norm(f, u, literal=args.cmo_literal, rel_tol=args.rel_tol)
+        result = cmo_norm(f, u, rel_tol=args.rel_tol)
     _print_json(_norm_payload(result))
     return 0
 
@@ -120,7 +121,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 def _cmd_cmo(args: argparse.Namespace) -> int:
     b = load_function(args.symbol)
     u = load_exponent(args.exponent)
-    result = cmo_norm(b, u, literal=args.literal, rel_tol=args.rel_tol)
+    result = cmo_norm(b, u, rel_tol=args.rel_tol)
     _print_json(_norm_payload(result))
     return 0
 
@@ -190,8 +191,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             sys.stdout.write(text)
         return 0
     sizes = None if args.sizes is None else _parse_sizes(args.sizes)
-    seed = _resolve_seed(args.seed)
-    result = sweep(config, sizes=sizes, count=args.count, seed=0 if seed is None else seed)
+    result = sweep(config, sizes=sizes, count=args.count, seed=_resolve_seed(args.seed))
     text = result.to_csv()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -206,8 +206,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
-    reports = check_lemmas(args.which, args.trials, 0 if seed is None else seed)
+    reports = check_lemmas(args.which, args.trials, _resolve_seed(args.seed))
     failed = False
     for report in reports:
         verdict = "pass" if report.satisfied else "FAIL"
@@ -262,11 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     norm.add_argument("--m", type=float, default=1.0)
     norm.add_argument("--lambda", dest="lam", type=float, default=0.0)
     norm.add_argument("--mh-base", type=float, default=None)
-    norm.add_argument(
-        "--cmo-literal",
-        action="store_true",
-        help="use the unrestricted supremum reading of the oscillation norm",
-    )
     norm.add_argument("--rel-tol", type=float, default=1e-10)
     norm.set_defaults(handler=_cmd_norm)
 
@@ -287,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmo = sub.add_parser("cmo", help="mean-oscillation norm of a symbol")
     cmo.add_argument("--symbol", required=True, help="symbol JSON file")
     _add_exponent_arg(cmo)
-    cmo.add_argument("--literal", action="store_true")
     cmo.add_argument("--rel-tol", type=float, default=1e-10)
     cmo.set_defaults(handler=_cmd_cmo)
 

@@ -31,6 +31,7 @@ from .radial import (
     ExponentFunction,
     RadialStepFunction,
     _integral_parts,
+    _unit_mass,
     ball_integral,
     ball_mean,
 )
@@ -106,11 +107,6 @@ def _require_same_ctx(f: RadialStepFunction, u: ExponentFunction) -> None:
         raise DomainError("function and exponent live in different contexts")
 
 
-def _unit_mass(ctx: PadicContext) -> float:
-    """|S_0| = 1 - p**(-n) as a correctly rounded float."""
-    return float(1 - Fraction(ctx.p) ** (-ctx.n))
-
-
 def _union_window(
     f: RadialStepFunction, u: ExponentFunction
 ) -> tuple[int, int]:
@@ -124,41 +120,56 @@ def _union_window(
 # Modular and Luxemburg norm
 
 
-def _modular_value(f: RadialStepFunction, u: ExponentFunction, lam: float) -> float:
-    """rho(f/lam), with math.inf when a tail series diverges.
+def _modular_terms(
+    f: RadialStepFunction,
+    u: ExponentFunction,
+    shift: float = 0.0,
+    top: int | None = None,
+) -> tuple[list[tuple[float, float]], float] | None:
+    """The modular of (f - shift) restricted to B_top, as power-sum terms.
 
-    Convergence does not depend on lam: each tail contributes the series
-    sum_k (|A|/lam)**c * p**(k*(rate*c + n)) with a lam-free ratio, so one
-    divergent configuration is divergent for every lam.
+    Returns (terms, bound) with rho((f - shift) chi_{B_top} / lam) equal to
+    sum w * lam**(-e) over the (w, e) terms, up to ``bound`` (nonzero only
+    for a mixed inner sum, see :func:`_mixed_inner_sum`): one term per shell
+    of the window and one closed-form term per tail. ``top`` None means the
+    whole space and needs shift 0 (the outer-tail term ignores the shift).
+    Returns None when a tail series diverges; convergence does not depend
+    on lam, since each tail ratio is lam-free.
     """
-    p, n = f.ctx.p, f.ctx.n
-    mass = _unit_mass(f.ctx)
+    ctx = f.ctx
+    p, n = ctx.p, ctx.n
+    mass = _unit_mass(ctx)
     w_lo, w_hi = _union_window(f, u)
-    total = 0.0
-    for k in range(w_lo, w_hi + 1):
-        v = abs(f.evaluate(k))
-        if v == 0.0:
-            continue
-        total += (v / lam) ** u.evaluate(k) * mass * ppow(p, n * k)
+    terms: list[tuple[float, float]] = []
+    for k in range(w_lo, (w_hi if top is None else top) + 1):
+        v = abs(f.evaluate(k) - shift)
+        if v != 0.0:
+            e = u.evaluate(k)
+            terms.append((v**e * mass * ppow(p, n * k), e))
 
     amplitude, rate = f.inner_tail
-    if amplitude != 0.0:
-        c = u.u_inner
-        s = rate * c + n
-        if s <= 0:
-            return math.inf
-        amp = (abs(amplitude) / lam) ** c
-        total += amp * mass * ppow(p, s * w_lo) / (ppow(p, s) - 1.0)
+    upto = w_lo - 1 if top is None else min(top, w_lo - 1)
+    psi, bound = _mixed_inner_sum(ctx, amplitude, rate, shift, u.u_inner, upto)
+    if not math.isfinite(psi):
+        return None
+    if psi != 0.0:
+        terms.append((psi, u.u_inner))
 
     amplitude, rate = f.outer_tail
-    if amplitude != 0.0:
+    if top is None and amplitude != 0.0:
         c = u.u_infinity
         s = rate * c + n
         if s >= 0:
-            return math.inf
-        amp = (abs(amplitude) / lam) ** c
-        total += amp * mass * ppow(p, s * (w_hi + 1)) / (1.0 - ppow(p, s))
-    return total
+            return None
+        terms.append(
+            (abs(amplitude) ** c * mass * ppow(p, s * (w_hi + 1)) / (1.0 - ppow(p, s)), c)
+        )
+    return terms, bound
+
+
+def _modular_value(terms: list[tuple[float, float]], lam: float) -> float:
+    """Sum of w * lam**(-e) over (w, e) terms: rho(f/lam) for the terms of f."""
+    return sum((w * math.pow(lam, -e) for w, e in terms), 0.0)
 
 
 def modular(f: RadialStepFunction, u: ExponentFunction) -> NormResult:
@@ -171,7 +182,8 @@ def modular(f: RadialStepFunction, u: ExponentFunction) -> NormResult:
         0.5
     """
     _require_same_ctx(f, u)
-    value = _modular_value(f, u, 1.0)
+    built = _modular_terms(f, u)
+    value = math.inf if built is None else _modular_value(built[0], 1.0)
     return NormResult(value, math.isfinite(value), 0.0, _union_window(f, u))
 
 
@@ -234,9 +246,11 @@ def luxemburg_norm(
     _require_same_ctx(f, u)
     _check_rel_tol(rel_tol)
     window = _union_window(f, u)
-    if not math.isfinite(_modular_value(f, u, 1.0)):
+    built = _modular_terms(f, u)
+    if built is None or not math.isfinite(_modular_value(built[0], 1.0)):
         return NormResult(math.inf, False, 0.0, window)
-    value, half = _solve_luxemburg(lambda lam: _modular_value(f, u, lam), rel_tol)
+    terms = built[0]
+    value, half = _solve_luxemburg(lambda lam: _modular_value(terms, lam), rel_tol)
     if not math.isfinite(value):
         return NormResult(math.inf, False, 0.0, window)
     return NormResult(value, True, half, window)
@@ -288,10 +302,7 @@ def ball_indicator_norm(
         e = exponents.pop()
         return NormResult(ppow(p, n * gamma / e), True, 0.0, (inner_top, gamma))
 
-    def grouped_modular(lam: float) -> float:
-        return sum(w * math.pow(lam, -e) for w, e in pieces)
-
-    value, half = _solve_luxemburg(grouped_modular, rel_tol)
+    value, half = _solve_luxemburg(lambda lam: _modular_value(pieces, lam), rel_tol)
     if not math.isfinite(value):
         return NormResult(math.inf, False, 0.0, (inner_top, gamma))
     return NormResult(value, True, half, (inner_top, gamma))
@@ -520,8 +531,6 @@ def _mixed_inner_sum(
         return 0.0, 0.0
     if amplitude == 0.0:
         return abs(shift) ** exponent * ppow(p, n * upto), 0.0
-    if rate == 0.0:
-        return abs(amplitude - shift) ** exponent * ppow(p, n * upto), 0.0
     if shift == 0.0:
         s = rate * exponent + n
         if s <= 0:
@@ -533,6 +542,8 @@ def _mixed_inner_sum(
             / (ppow(p, s) - 1.0),
             0.0,
         )
+    if rate == 0.0:
+        return abs(amplitude - shift) ** exponent * ppow(p, n * upto), 0.0
 
     total = 0.0
     k = upto
@@ -577,65 +588,19 @@ def _shifted_norm(
     b: RadialStepFunction,
     u: ExponentFunction,
     shift: float,
-    gamma: int | None,
+    gamma: int,
     rel_tol: float,
 ) -> tuple[float, float]:
-    """Luxemburg norm of (b - shift) restricted to B_gamma (whole space if None).
+    """Luxemburg norm of (b - shift) restricted to B_gamma.
 
     Returns (value, bound); the value is math.inf when the modular diverges
     for every lam.
     """
-    ctx = b.ctx
-    p, n = ctx.p, ctx.n
-    mass = _unit_mass(ctx)
-    w_lo = min(b.window[0], u.window[0])
-    w_hi = max(b.window[1], u.window[1])
-
-    top = w_hi if gamma is None else gamma
-    terms: list[tuple[float, float]] = []
-    for k in range(w_lo, top + 1):
-        v = abs(b.evaluate(k) - shift)
-        if v != 0.0:
-            terms.append((v ** u.evaluate(k) * mass * ppow(p, n * k), u.evaluate(k)))
-
-    psi, psi_bound = _mixed_inner_sum(
-        ctx,
-        b.inner_tail.amplitude,
-        b.inner_tail.rate,
-        shift,
-        u.u_inner,
-        min(top, w_lo - 1),
-    )
-    if not math.isfinite(psi):
+    built = _modular_terms(b, u, shift, gamma)
+    if built is None:
         return math.inf, 0.0
-
-    outer_term: tuple[float, float] | None = None
-    if gamma is None:
-        amplitude, rate = b.outer_tail
-        constant_part = (amplitude - shift) if rate == 0.0 else -shift
-        power_amp = 0.0 if rate == 0.0 else amplitude
-        if constant_part != 0.0:
-            # A nonzero constant over infinite measure: divergent.
-            return math.inf, 0.0
-        if power_amp != 0.0:
-            c = u.u_infinity
-            s = rate * c + n
-            if s >= 0:
-                return math.inf, 0.0
-            outer_term = (
-                abs(power_amp) ** c * mass * ppow(p, s * (w_hi + 1)) / (1.0 - ppow(p, s)),
-                c,
-            )
-
-    def modular_at(lam: float) -> float:
-        total = sum(w * math.pow(lam, -e) for w, e in terms)
-        if psi != 0.0:
-            total += psi * math.pow(lam, -u.u_inner)
-        if outer_term is not None:
-            total += outer_term[0] * math.pow(lam, -outer_term[1])
-        return total
-
-    value, half = _solve_luxemburg(modular_at, rel_tol)
+    terms, psi_bound = built
+    value, half = _solve_luxemburg(lambda lam: _modular_value(terms, lam), rel_tol)
     return value, half + psi_bound
 
 
@@ -644,10 +609,9 @@ def _cmo_candidate(
     u: ExponentFunction,
     gamma: int,
     rel_tol: float,
-    literal: bool,
 ) -> float:
     mean = ball_mean(b, gamma) if abs(gamma) <= b.ctx.shell_limit else _wide_mean(b, gamma)
-    numerator, _ = _shifted_norm(b, u, mean, None if literal else gamma, rel_tol)
+    numerator, _ = _shifted_norm(b, u, mean, gamma, rel_tol)
     if not math.isfinite(numerator):
         return math.inf
     if numerator == 0.0:
@@ -752,16 +716,10 @@ def _cmo_envelope_terms(
 def cmo_norm(
     b: RadialStepFunction,
     u: ExponentFunction,
-    literal: bool = False,
     rel_tol: float = 1e-10,
 ) -> NormResult:
     """Central mean-oscillation norm: sup over gamma of
     ||(b - mean(b, B_gamma)) chi_{B_gamma}|| / ||chi_{B_gamma}||.
-
-    With ``literal=True`` the oscillation is measured over the whole space
-    instead of the ball (no chi_{B_gamma} in the numerator), which is
-    infinite for every nonconstant b in this class: away from the support
-    the shifted function is a nonzero constant over infinite measure.
 
     The supremum scan is certified on both sides. Below the combined window
     the candidates obey an exact self-similar law c * p**(gamma * e_in)
@@ -797,16 +755,6 @@ def cmo_norm(
         # p**(gamma*n/u_infinity), so the candidates diverge.
         return NormResult(math.inf, False, 0.0, (w_lo - 1, w_hi + 1))
 
-    if literal:
-        scan = range(w_lo - 2, w_hi + 2)
-        best = 0.0
-        for gamma in scan:
-            candidate = _cmo_candidate(b, u, gamma, rel_tol, literal=True)
-            if not math.isfinite(candidate):
-                return NormResult(math.inf, False, 0.0, (scan.start, scan.stop - 1))
-            best = max(best, candidate)
-        return NormResult(best, True, 0.0, (scan.start, scan.stop - 1))
-
     if amplitude_in != 0.0 and rate_in < 0.0:
         # Below the window the candidates equal c * p**(gamma * rate_in) with
         # c > 0, which grows without bound as gamma decreases.
@@ -815,7 +763,7 @@ def cmo_norm(
     best = 0.0
     scan_lo = w_lo - 1
     for gamma in range(scan_lo, w_hi + 2):
-        candidate = _cmo_candidate(b, u, gamma, rel_tol, literal=False)
+        candidate = _cmo_candidate(b, u, gamma, rel_tol)
         if not math.isfinite(candidate):
             return NormResult(math.inf, False, 0.0, (scan_lo, gamma))
         best = max(best, candidate)
@@ -840,7 +788,7 @@ def cmo_norm(
         if steps > _SCAN_CAP:
             tail_bound = envelope
             break
-        candidate = _cmo_candidate(b, u, gamma, rel_tol, literal=False)
+        candidate = _cmo_candidate(b, u, gamma, rel_tol)
         if not math.isfinite(candidate):
             return NormResult(math.inf, False, 0.0, (scan_lo, gamma))
         best = max(best, candidate)

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ClassClosureError, DomainError
 from .padic import ppow
-from .radial import RadialStepFunction, Tail, ball_integral, combine
+from .radial import RadialStepFunction, Tail, _unit_mass, ball_integral, combine
 
 _KINDS = ("hardy", "adjoint", "commutator", "maximal")
 
@@ -83,10 +82,6 @@ def _require_integrable_inner(f: RadialStepFunction) -> None:
             f"inner tail rate {rate} is not integrable in dimension {f.ctx.n}; "
             f"ball integrals through the origin diverge"
         )
-
-
-def _unit_mass(ctx) -> float:
-    return float(1 - Fraction(ctx.p) ** (-ctx.n))
 
 
 def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:

@@ -256,12 +256,6 @@ class PadicPoint:
             u //= p
         return tuple(out)
 
-    def __add__(self, other: "PadicPoint") -> "PadicPoint":
-        if self.ctx != other.ctx:
-            raise DomainError("cannot add points from different contexts")
-        coords = tuple(a + b for a, b in zip(self.coords, other.coords))
-        return PadicPoint(self.ctx, coords, max(self.resolution, other.resolution))
-
     def scale_by_p_power(self, a: int) -> "PadicPoint":
         """Multiply every coordinate by p^a; the norm scales by p^(-a)."""
         factor = Fraction(self.ctx.p) ** a

@@ -215,6 +215,16 @@ def combine(
     return RadialStepFunction(f.ctx, (j_min, j_max), coeffs, inner, outer, vz)
 
 
+def _exact_unit_mass(ctx: PadicContext) -> Fraction:
+    """|S_0| = 1 - p**(-n), exactly."""
+    return 1 - Fraction(ctx.p) ** (-ctx.n)
+
+
+def _unit_mass(ctx: PadicContext) -> float:
+    """|S_0| = 1 - p**(-n) as a correctly rounded float."""
+    return float(_exact_unit_mass(ctx))
+
+
 def _inner_tail_integral(f: RadialStepFunction, upto: int) -> tuple[Fraction, float]:
     """Sum of tail_value(k) * |S_k| over shells k <= upto of the inner law.
 
@@ -232,7 +242,7 @@ def _inner_tail_integral(f: RadialStepFunction, upto: int) -> tuple[Fraction, fl
             f"inner tail rate {rate} is not integrable in dimension {n} "
             f"(needs rate > {-n})"
         )
-    unit_mass = 1 - Fraction(p) ** (-n)
+    unit_mass = _exact_unit_mass(f.ctx)
     if float(s).is_integer():
         r = Fraction(p) ** int(s)
         total = Fraction(amplitude) * unit_mass * r ** (upto + 1) / (r - 1)
@@ -253,7 +263,7 @@ def _outer_tail_integral(f: RadialStepFunction, beyond: int) -> tuple[Fraction, 
             f"outer tail rate {rate} is not integrable in dimension {n} "
             f"(needs rate < {-n})"
         )
-    unit_mass = 1 - Fraction(p) ** (-n)
+    unit_mass = _exact_unit_mass(f.ctx)
     if float(s).is_integer():
         r = Fraction(p) ** int(s)
         total = Fraction(amplitude) * unit_mass * r ** (beyond + 1) / (1 - r)
@@ -457,34 +467,17 @@ def sobolev_shift(u: ExponentFunction, alpha: float) -> ExponentFunction:
     return u.map_pieces(lambda v: 1.0 / (1.0 / v - alpha / n))
 
 
-def exponent_at(u: ExponentFunction, x_shell: int | None, k: int) -> float:
-    """The two-scale exponent used by ball-norm estimates.
-
-    For a ball of radius p**k around a point x, the relevant exponent is
-    u(x) when k < 0 (small balls see the local value) and u(infinity) when
-    k >= 0 (large balls see the value at infinity). ``x_shell`` is the shell
-    of x, or None for the origin.
-    """
-    if k >= 0:
-        return u.u_infinity
-    if x_shell is None:
-        return u.u_inner
-    return u.evaluate(x_shell)
-
-
 @dataclass(frozen=True)
 class RegularityReport:
     """Outcome of a regularity-class scan.
 
     ``constant`` is the extremal constant found over the scanned structure
     and ``witness`` the shell configuration achieving it (empty when the
-    constant is 0). A ``satisfied`` verdict certifies the constant over the
-    scanned shells; the windowed exponent class stabilizes outside its
-    window, so the scan is exhaustive for these inputs.
+    constant is 0). A windowed exponent is constant outside its window, so
+    the scan is exhaustive and the constant exact for these inputs.
     """
 
     mode: str
-    verdict: str
     constant: float
     witness: tuple[int, ...]
 
@@ -494,9 +487,7 @@ def _log_weight(p: int, shell: int) -> float:
     return math.log(p + ppow(p, shell), p)
 
 
-def check_regularity(
-    u: ExponentFunction, mode: str, witness_budget: int = 8
-) -> RegularityReport:
+def check_regularity(u: ExponentFunction, mode: str) -> RegularityReport:
     """Scan a variable exponent against one of the regularity classes.
 
     Modes:
@@ -510,22 +501,19 @@ def check_regularity(
             two distinct shells contain points at distance exactly
             p**max(j1,j2), which makes that the binding modulus.
 
-    ``witness_budget`` widens the scanned shell range beyond the window on
-    both sides. Values stabilize outside the window, so any budget >= 1
-    already gives the exact extremal constant; larger budgets re-confirm
-    stabilization. The verdict is ``"violated"`` only when the scan finds
-    the constant still growing at its boundary, which the windowed class
-    rules out for any single exponent; families with growing windows reveal
-    unbounded constants through the reported values instead.
+    The Winfty and Lipschitz scans cover the window plus one shell on each
+    side: u is constant below and above the window, so those two shells
+    already reach every value pair, at the largest weight below the window
+    and the smallest modulus above it, and the constant is exact. A single
+    windowed exponent always has a finite constant; families with growing
+    windows reveal unbounded constants through the reported values.
     """
-    if witness_budget < 1:
-        raise DomainError("witness_budget must be >= 1")
     if mode == "W0":
         return _check_w0(u)
     if mode == "Winfty":
-        return _check_winfty(u, witness_budget)
+        return _check_winfty(u)
     if mode == "Lipschitz":
-        return _check_lipschitz(u, witness_budget)
+        return _check_lipschitz(u)
     raise DomainError(f"mode must be 'W0', 'Winfty' or 'Lipschitz', got {mode!r}")
 
 
@@ -543,20 +531,19 @@ def _check_w0(u: ExponentFunction) -> RegularityReport:
         if candidate > best:
             best = candidate
             witness = (gamma,)
-    return RegularityReport("W0", "satisfied", best, witness)
+    return RegularityReport("W0", best, witness)
 
 
-def _scan_shells(u: ExponentFunction, budget: int) -> range:
+def _scan_shells(u: ExponentFunction) -> range:
     j_min, j_max = u.window
-    return range(j_min - budget, j_max + budget + 1)
+    return range(j_min - 1, j_max + 2)
 
 
-def _check_winfty(u: ExponentFunction, budget: int) -> RegularityReport:
-    shells = _scan_shells(u, budget)
+def _check_winfty(u: ExponentFunction) -> RegularityReport:
+    shells = _scan_shells(u)
     p = u.ctx.p
     best = 0.0
     witness: tuple[int, ...] = ()
-    boundary_growth = 0.0
     for j1 in shells:
         weight = _log_weight(p, j1)
         for j2 in shells:
@@ -566,14 +553,11 @@ def _check_winfty(u: ExponentFunction, budget: int) -> RegularityReport:
             if candidate > best:
                 best = candidate
                 witness = (j1, j2)
-            if j1 > u.window[1]:
-                boundary_growth = max(boundary_growth, candidate)
-    verdict = "violated" if boundary_growth > 0.0 else "satisfied"
-    return RegularityReport("Winfty", verdict, best, witness)
+    return RegularityReport("Winfty", best, witness)
 
 
-def _check_lipschitz(u: ExponentFunction, budget: int) -> RegularityReport:
-    shells = _scan_shells(u, budget)
+def _check_lipschitz(u: ExponentFunction) -> RegularityReport:
+    shells = _scan_shells(u)
     p = u.ctx.p
     best = 0.0
     witness: tuple[int, ...] = ()
@@ -588,4 +572,4 @@ def _check_lipschitz(u: ExponentFunction, budget: int) -> RegularityReport:
             if candidate > best:
                 best = candidate
                 witness = (j1, j2)
-    return RegularityReport("Lipschitz", "satisfied", best, witness)
+    return RegularityReport("Lipschitz", best, witness)

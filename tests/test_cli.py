@@ -128,6 +128,19 @@ def test_oracle_operator_task_requires_a_shell(files, capsys):
     assert "--shell" in capsys.readouterr().err
 
 
+def test_oracle_without_a_seed_defaults_to_seed_zero(files, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ULTRAHERZ_SEED", raising=False)
+    steps = tmp_path / "steps.json"
+    save_function(RadialStepFunction(CTX, (-3, 0), (1.0, 2.0, 3.0, 5.0)), str(steps))
+    argv = ["oracle", "-i", str(steps), "--task", "integral", "--gamma", "0",
+            "--samples", "2000", "--naive"]
+    outputs = []
+    for extra in ([], [], ["--seed", "0"]):
+        assert main(argv + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_validate_satisfied_claim(files, capsys):
     assert main(["validate", "--config", files["tc"]]) == 0
     out = capsys.readouterr().out
@@ -212,9 +225,10 @@ def test_check_all_lemmas_prints_one_line_each(capsys):
     assert [line.split(":")[0] for line in lines] == ["L1", "L3", "L5"]
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(files, capsys):
     assert main(["no-such-command"]) == 1
     assert main(["norm"]) == 1
+    assert main(["cmo", "--symbol", files["f"], "-u", files["u"], "--literal"]) == 1
     capsys.readouterr()
 
 

@@ -231,14 +231,6 @@ def test_cmo_constant_is_zero():
     assert cmo_norm(RadialStepFunction.constant(CTX, 3.0), U2).value == 0.0
 
 
-def test_cmo_literal_reading_collapses():
-    """The unrestricted supremum is zero for constants and infinite otherwise."""
-    assert cmo_norm(RadialStepFunction.constant(CTX, 3.0), U2, literal=True).value == 0.0
-    literal = cmo_norm(RadialStepFunction.indicator_ball(CTX, 0), U2, literal=True)
-    assert math.isinf(literal.value)
-    assert not literal.convergent
-
-
 def test_cmo_shift_invariance():
     """Adding a constant to the symbol leaves its oscillation unchanged."""
     rng = random.Random(1221)
