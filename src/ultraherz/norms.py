@@ -30,10 +30,9 @@ from .padic import PadicContext, ppow
 from .radial import (
     ExponentFunction,
     RadialStepFunction,
-    _integral_parts,
+    _mean_of_parts,
+    _running_parts,
     _unit_mass,
-    ball_integral,
-    ball_mean,
 )
 
 #: Classification band for critically balanced geometric ratios. Ratios
@@ -608,9 +607,11 @@ def _cmo_candidate(
     b: RadialStepFunction,
     u: ExponentFunction,
     gamma: int,
+    parts: tuple[Fraction, float],
     rel_tol: float,
 ) -> float:
-    mean = ball_mean(b, gamma) if abs(gamma) <= b.ctx.shell_limit else _wide_mean(b, gamma)
+    mean_of = _mean_of_parts if abs(gamma) <= b.ctx.shell_limit else _wide_mean
+    mean = mean_of(parts, gamma, b.ctx)
     numerator, _ = _shifted_norm(b, u, mean, gamma, rel_tol)
     if not math.isfinite(numerator):
         return math.inf
@@ -620,10 +621,10 @@ def _cmo_candidate(
     return numerator / denominator
 
 
-def _wide_mean(b: RadialStepFunction, gamma: int) -> float:
+def _wide_mean(parts: tuple[Fraction, float], gamma: int, ctx: PadicContext) -> float:
     """Ball mean for scan radii beyond the context shell limit."""
-    exact, inexact = _integral_parts(b, gamma)
-    scale = Fraction(b.ctx.p) ** (b.ctx.n * gamma)
+    exact, inexact = parts
+    scale = Fraction(ctx.p) ** (ctx.n * gamma)
     return float(exact / scale) + float(Fraction(inexact) / scale if inexact else 0.0)
 
 
@@ -652,6 +653,7 @@ def _cmo_envelope_terms(
     b: RadialStepFunction,
     u: ExponentFunction,
     ref: int,
+    ref_integral: float,
     rel_tol: float,
 ) -> list[_GeoTerm]:
     """Closed-form bounds on the CMO candidates above the scan window.
@@ -659,7 +661,8 @@ def _cmo_envelope_terms(
     For gamma > ref the candidate ratio is at most
     ||(b - L) chi_{B_gamma}|| / ||chi_{B_gamma}|| + |mean_gamma - L|, where L
     is the value of b at infinity. Each piece of that bound is a geometric
-    (or shell-linear times geometric) expression in gamma.
+    (or shell-linear times geometric) expression in gamma. ``ref_integral``
+    is the integral of b over B_ref.
     """
     ctx = b.ctx
     p, n = ctx.p, ctx.n
@@ -671,7 +674,7 @@ def _cmo_envelope_terms(
     limit = amplitude if (amplitude != 0.0 and rate == 0.0) else 0.0
 
     near_norm, _ = _shifted_norm(b, u, limit, ref, rel_tol)
-    near_integral = abs(ball_integral(b, ref) - limit * ppow(p, n * ref))
+    near_integral = abs(ref_integral - limit * ppow(p, n * ref))
 
     rho_chi = ppow(p, -n / u_inf)
     rho_mass = ppow(p, -n)
@@ -762,14 +765,17 @@ def cmo_norm(
 
     best = 0.0
     scan_lo = w_lo - 1
+    integrals = _running_parts(b, scan_lo)
     for gamma in range(scan_lo, w_hi + 2):
-        candidate = _cmo_candidate(b, u, gamma, rel_tol)
+        parts = next(integrals)
+        candidate = _cmo_candidate(b, u, gamma, parts, rel_tol)
         if not math.isfinite(candidate):
             return NormResult(math.inf, False, 0.0, (scan_lo, gamma))
         best = max(best, candidate)
 
     ref = w_hi + 1
-    terms = _cmo_envelope_terms(b, u, ref, rel_tol)
+    exact, inexact = parts
+    terms = _cmo_envelope_terms(b, u, ref, float(exact) + inexact, rel_tol)
     gamma_mono = max(term.monotone_from() for term in terms)
     floor = 1e-13 * max(
         best, sum(term.value(ref + 1) for term in terms), 1e-280
@@ -788,7 +794,7 @@ def cmo_norm(
         if steps > _SCAN_CAP:
             tail_bound = envelope
             break
-        candidate = _cmo_candidate(b, u, gamma, rel_tol)
+        candidate = _cmo_candidate(b, u, gamma, next(integrals), rel_tol)
         if not math.isfinite(candidate):
             return NormResult(math.inf, False, 0.0, (scan_lo, gamma))
         best = max(best, candidate)

@@ -34,10 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import ClassClosureError, DomainError
 from .padic import ppow
-from .radial import RadialStepFunction, Tail, _unit_mass, ball_integral, combine
+from .radial import RadialStepFunction, Tail, _running_parts, _unit_mass
+from .radial import ball_integral, combine
 
 _KINDS = ("hardy", "adjoint", "commutator", "maximal")
 
@@ -112,9 +114,9 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
     j_min, j_max = f.window
 
     lo, hi = j_min - 1, j_max + 1
-    coeffs = tuple(
-        ppow(p, k * (alpha - n)) * ball_integral(f, k) for k in range(lo, hi + 1)
-    )
+    parts = islice(_running_parts(f, lo), hi - lo + 1)
+    integrals = [float(exact) + inexact for exact, inexact in parts]
+    coeffs = tuple(ppow(p, k * (alpha - n)) * v for k, v in enumerate(integrals, lo))
 
     amplitude, rate = f.inner_tail
     if amplitude == 0.0:
@@ -122,8 +124,8 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
     else:
         scale = _unit_mass(ctx) / (1.0 - ppow(p, -(rate + n)))
         inner = Tail(amplitude * scale, rate + alpha)
-    total = ball_integral(f, j_max)
-    outer = Tail(total, alpha - n)
+    # The outer tail vanishes, so B_hi already holds the total integral.
+    outer = Tail(integrals[-1], alpha - n)
     return RadialStepFunction(ctx, (lo, hi), coeffs, inner, outer)
 
 

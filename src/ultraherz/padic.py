@@ -41,10 +41,10 @@ DEFAULT_SHELL_LIMIT = 64
 def ppow(p: int, exponent: float) -> float:
     """p**exponent as a float, exact for integer exponents.
 
-    Integer exponents are evaluated in exact rational arithmetic before the
-    final float conversion, so powers of p round-trip bit-exactly against the
-    Haar measure fractions. Overflow saturates to ``math.inf`` and extreme
-    negative exponents underflow to 0.0.
+    Integer exponents are evaluated in integer arithmetic with one correctly
+    rounded conversion (int to float, or int / int), so powers of p round-trip
+    bit-exactly against the Haar measure fractions. Overflow saturates to
+    ``math.inf`` and extreme negative exponents underflow to 0.0.
     """
     if float(exponent).is_integer():
         e = int(exponent)
@@ -53,7 +53,7 @@ def ppow(p: int, exponent: float) -> float:
         if e <= -1100:
             return 0.0
         try:
-            return float(Fraction(p) ** e)
+            return float(p**e) if e >= 0 else 1 / p**-e
         except OverflowError:
             return math.inf
     try:

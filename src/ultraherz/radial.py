@@ -19,7 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from functools import lru_cache
+from itertools import count
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError, HypothesisViolationError, TailCombinationError
 from .padic import (
@@ -58,7 +60,7 @@ class RadialStepFunction:
 
     A finitely-supported function is the special case of two zero tails.
     Tails with zero amplitude are normalized to rate 0 so that equal
-    functions compare equal.
+    functions compare equal. NaN coefficients or tails raise DomainError.
     """
 
     ctx: PadicContext
@@ -79,6 +81,8 @@ class RadialStepFunction:
             )
         object.__setattr__(self, "window", (int(j_min), int(j_max)))
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if any(math.isnan(c) for c in self.coeffs):
+            raise DomainError("shell coefficients must not be NaN")
         inner = _normalize_tail(self.inner_tail)
         outer = _normalize_tail(self.outer_tail)
         object.__setattr__(self, "inner_tail", inner)
@@ -167,6 +171,8 @@ def _normalize_tail(tail) -> Tail:
     amplitude, rate = tail
     amplitude = float(amplitude)
     rate = float(rate)
+    if math.isnan(amplitude) or math.isnan(rate):
+        raise DomainError("tail amplitude and rate must not be NaN")
     if amplitude == 0.0:
         return ZERO_TAIL
     return Tail(amplitude, rate)
@@ -215,11 +221,13 @@ def combine(
     return RadialStepFunction(f.ctx, (j_min, j_max), coeffs, inner, outer, vz)
 
 
+@lru_cache(maxsize=None)
 def _exact_unit_mass(ctx: PadicContext) -> Fraction:
     """|S_0| = 1 - p**(-n), exactly."""
     return 1 - Fraction(ctx.p) ** (-ctx.n)
 
 
+@lru_cache(maxsize=None)
 def _unit_mass(ctx: PadicContext) -> float:
     """|S_0| = 1 - p**(-n) as a correctly rounded float."""
     return float(_exact_unit_mass(ctx))
@@ -272,31 +280,49 @@ def _outer_tail_integral(f: RadialStepFunction, beyond: int) -> tuple[Fraction, 
     return Fraction(0), amplitude * float(unit_mass) * ppow(p, s * (beyond + 1)) / (1.0 - r)
 
 
+def _running_parts(f: RadialStepFunction, gamma: int) -> Iterator[tuple[Fraction, float]]:
+    """Integrals of f over B_k for k = gamma, gamma + 1, ... as (exact, inexact) pairs.
+
+    Each step adds one shell, so n pairs cost O(n + W) for a window of W
+    shells. Non-integer-rate outer-tail terms enter the float slot left to
+    right, so every pair equals a fresh shell sum bit for bit.
+    """
+    ctx = f.ctx
+    p, q = ctx.p, ctx.p**ctx.n
+    j_min, j_max = f.window
+    k = gamma
+    while k < j_min:
+        yield _inner_tail_integral(f, k)
+        k += 1
+    exact, inexact = _inner_tail_integral(f, j_min - 1)
+    measure = _sphere_measure_unchecked(j_min, ctx)
+    for j, c in enumerate(f.coeffs, j_min):
+        exact += Fraction(c) * measure
+        measure *= q
+        if j >= k:
+            yield exact, inexact
+    amplitude, rate = f.outer_tail
+    if amplitude == 0.0:
+        while True:
+            yield exact, inexact
+    if float(rate).is_integer():
+        term = Fraction(amplitude) * Fraction(p) ** (int(rate) * (j_max + 1)) * measure
+        ratio = Fraction(p) ** int(rate) * q
+        for j in count(j_max + 1):
+            exact += term
+            term *= ratio
+            if j >= k:
+                yield exact, inexact
+    for j in count(j_max + 1):
+        inexact += amplitude * ppow(p, j * rate) * float(measure)
+        measure *= q
+        if j >= k:
+            yield exact, inexact
+
+
 def _integral_parts(f: RadialStepFunction, gamma: int) -> tuple[Fraction, float]:
     """Integral of f over B_gamma as an (exact, inexact) pair."""
-    j_min, j_max = f.window
-    exact, inexact = _inner_tail_integral(f, min(gamma, j_min - 1))
-    for k in range(j_min, min(gamma, j_max) + 1):
-        exact += Fraction(f.coeffs[k - j_min]) * _sphere_measure_unchecked(k, f.ctx)
-    amplitude, rate = f.outer_tail
-    if amplitude != 0.0 and gamma > j_max:
-        p = f.ctx.p
-        if float(rate).is_integer():
-            step = Fraction(p) ** int(rate)
-            for k in range(j_max + 1, gamma + 1):
-                exact += (
-                    Fraction(amplitude)
-                    * step**k
-                    * _sphere_measure_unchecked(k, f.ctx)
-                )
-        else:
-            for k in range(j_max + 1, gamma + 1):
-                inexact += (
-                    amplitude
-                    * ppow(p, k * rate)
-                    * float(_sphere_measure_unchecked(k, f.ctx))
-                )
-    return exact, inexact
+    return next(_running_parts(f, gamma))
 
 
 def ball_integral(f: RadialStepFunction, gamma: int) -> float:
@@ -327,8 +353,13 @@ def ball_mean(f: RadialStepFunction, gamma: int) -> float:
         0.5
     """
     f.ctx.check_shell(gamma, "ball index")
-    measure = ball_measure(gamma, f.ctx)
-    exact, inexact = _integral_parts(f, gamma)
+    return _mean_of_parts(_integral_parts(f, gamma), gamma, f.ctx)
+
+
+def _mean_of_parts(parts: tuple[Fraction, float], gamma: int, ctx: PadicContext) -> float:
+    """Mean over B_gamma from the (exact, inexact) integral of f over it."""
+    exact, inexact = parts
+    measure = ball_measure(gamma, ctx)
     if inexact == 0.0:
         return float(exact / measure)
     return float(exact / measure) + inexact / float(measure)

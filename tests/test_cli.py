@@ -232,6 +232,17 @@ def test_usage_errors_exit_one(files, capsys):
     capsys.readouterr()
 
 
+def test_norm_rejects_a_nan_coefficient(files, tmp_path, capsys):
+    payload = json.loads(Path(files["f"]).read_text())
+    payload["coeffs"] = ["nan"]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(payload))
+    assert main(["norm", "-i", str(path), "-u", files["u"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "NaN" in captured.err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -1,0 +1,173 @@
+"""Property tests: the running ball-integral sum and the exact powers of p
+against direct references written out here."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import islice
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ultraherz import (
+    ExponentFunction,
+    PadicContext,
+    RadialStepFunction,
+    Tail,
+    ball_indicator_norm,
+    ball_integral,
+    ball_mean,
+    cmo_norm,
+    hardy,
+    ppow,
+)
+from ultraherz.norms import _shifted_norm
+from ultraherz.radial import _inner_tail_integral, _running_parts
+
+PRIMES = st.sampled_from([2, 3, 5, 7])
+COEFF = st.one_of(
+    st.sampled_from([0.0, 1.0, -2.0, 0.5]),
+    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def contexts(draw):
+    return PadicContext(draw(PRIMES), draw(st.integers(1, 3)))
+
+
+@st.composite
+def step_functions(draw, ctx, outer=True):
+    """A radial step function with optional integrable tails at integer or
+    non-integer rates."""
+    n = ctx.n
+    j_min = draw(st.integers(-6, 6))
+    coeffs = draw(st.lists(COEFF, min_size=1, max_size=8))
+    inner = outer_tail = Tail(0.0, 0.0)
+    if draw(st.booleans()):
+        rate = draw(
+            st.one_of(
+                st.integers(1 - n, 3).map(float),
+                st.floats(0.05 - n, 3.0, allow_nan=False),
+            )
+        )
+        inner = Tail(draw(COEFF), rate)
+    if outer and draw(st.booleans()):
+        rate = draw(
+            st.one_of(
+                st.integers(-n - 4, -n - 1).map(float),
+                st.floats(-n - 4.0, -n - 0.05, allow_nan=False),
+            )
+        )
+        outer_tail = Tail(draw(COEFF), rate)
+    return RadialStepFunction(ctx, (j_min, j_min + len(coeffs) - 1), coeffs, inner, outer_tail)
+
+
+def _direct_parts(f: RadialStepFunction, gamma: int) -> tuple[Fraction, float]:
+    """Integral of f over B_gamma from a fresh shell-by-shell sum: the inner
+    tail in closed form, then every shell of B_gamma above it, with the
+    non-integer-rate outer terms added left to right as floats."""
+    p, n = f.ctx.p, f.ctx.n
+    j_min, j_max = f.window
+    exact, inexact = _inner_tail_integral(f, min(gamma, j_min - 1))
+    amplitude, rate = f.outer_tail
+    for k in range(j_min, gamma + 1):
+        sphere = Fraction(p) ** (n * k) * (1 - Fraction(p) ** -n)
+        if k <= j_max:
+            exact += Fraction(f.coeffs[k - j_min]) * sphere
+        elif amplitude == 0.0:
+            break
+        elif rate.is_integer():
+            exact += Fraction(amplitude) * Fraction(p) ** (k * int(rate)) * sphere
+        else:
+            inexact += amplitude * ppow(p, k * rate) * float(sphere)
+    return exact, inexact
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_running_parts_match_a_direct_shell_sum_at_every_step(data):
+    f = data.draw(contexts().flatmap(step_functions))
+    j_min, j_max = f.window
+    gamma = data.draw(st.integers(j_min - 5, j_max + 5))
+    steps = data.draw(st.integers(1, 12))
+    running = list(islice(_running_parts(f, gamma), steps))
+    expected = [_direct_parts(f, gamma + i) for i in range(steps)]
+    assert running == expected
+    # repr also tells -0.0 from 0.0 in the float slot
+    assert [repr(x) for _, x in running] == [repr(x) for _, x in expected]
+
+
+@settings(max_examples=100)
+@given(data=st.data(), alpha=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+def test_hardy_coefficients_are_weighted_ball_integrals(data, alpha):
+    f = data.draw(contexts().flatmap(lambda ctx: step_functions(ctx, outer=False)))
+    p, n = f.ctx.p, f.ctx.n
+    image = hardy(f, alpha)
+    lo, hi = image.window
+    assert (lo, hi) == (f.window[0] - 1, f.window[1] + 1)
+    assert image.coeffs == tuple(
+        ppow(p, k * (alpha - n)) * ball_integral(f, k) for k in range(lo, hi + 1)
+    )
+    total = ball_integral(f, f.window[1])
+    assert image.outer_tail == (Tail(total, alpha - n) if total else Tail(0.0, 0.0))
+
+
+def _cmo_candidate_by_ball_mean(b, u, gamma, rel_tol):
+    """The CMO ratio at B_gamma, with the mean recomputed by ``ball_mean``."""
+    numerator, _ = _shifted_norm(b, u, ball_mean(b, gamma), gamma, rel_tol)
+    if not math.isfinite(numerator):
+        return math.inf
+    if numerator == 0.0:
+        return 0.0
+    return numerator / ball_indicator_norm(u, gamma, rel_tol).value
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_cmo_norm_equals_a_per_ball_mean_recomputation(data):
+    ctx = data.draw(contexts())
+    j_min = data.draw(st.integers(-4, 4))
+    coeffs = data.draw(st.lists(COEFF, min_size=1, max_size=5))
+    limit = data.draw(COEFF)
+    outer = Tail(data.draw(COEFF), data.draw(st.sampled_from([0.0, -1.5, -3.0])))
+    b = RadialStepFunction(
+        ctx, (j_min, j_min + len(coeffs) - 1), coeffs, Tail(limit, 0.0), outer
+    )
+    values = data.draw(
+        st.lists(st.floats(1.1, 4.0, allow_nan=False), min_size=1, max_size=3)
+    )
+    u_lo = data.draw(st.integers(-3, 3))
+    u = ExponentFunction(
+        ctx,
+        (u_lo, u_lo + len(values) - 1),
+        values,
+        data.draw(st.floats(1.1, 4.0)),
+        data.draw(st.floats(1.1, 4.0)),
+    )
+    result = cmo_norm(b, u)
+    scan_lo, scan_end = result.work_window
+    if not result.convergent:
+        return
+    # every shell below the end of the reported work window was scanned
+    candidates = [
+        _cmo_candidate_by_ball_mean(b, u, gamma, 1e-10) for gamma in range(scan_lo, scan_end)
+    ]
+    assert result.value == max([0.0, *candidates])
+
+
+@given(p=st.sampled_from([2, 3, 5, 7, 11, 13, 101, 997]), e=st.integers(-1099, 1099))
+@example(p=2, e=1023).via("largest finite power of two")
+@example(p=2, e=1024).via("first overflowing power of two")
+@example(p=2, e=-1074).via("smallest subnormal")
+@example(p=2, e=-1075).via("underflow to zero")
+@example(p=997, e=-1099)
+@example(p=997, e=1099)
+def test_integer_ppow_is_the_correctly_rounded_fraction(p, e):
+    try:
+        expected = float(Fraction(p) ** e)
+    except OverflowError:
+        expected = math.inf
+    assert ppow(p, e) == expected
+    assert ppow(p, float(e)) == expected

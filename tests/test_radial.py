@@ -74,6 +74,19 @@ def test_window_must_be_ordered_and_match_coeffs():
         RadialStepFunction(CTX, (0, 1), (1.0,))
 
 
+def test_nan_coefficients_and_tails_are_rejected():
+    nan = math.nan
+    with pytest.raises(DomainError):
+        RadialStepFunction(CTX, (0, 1), (1.0, nan))
+    with pytest.raises(DomainError):
+        RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(nan, 1.0))
+    with pytest.raises(DomainError):
+        RadialStepFunction(CTX, (0, 0), (1.0,), outer_tail=Tail(1.0, nan))
+    # a NaN rate is rejected even where a zero amplitude would drop the tail
+    with pytest.raises(DomainError):
+        RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(0.0, nan))
+
+
 def test_inner_tail_integrability_guard():
     fat = RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(1.0, -1.5))
     with pytest.raises(DomainError):
