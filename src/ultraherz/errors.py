@@ -11,6 +11,14 @@ class DomainError(UltraherzError):
     """A mathematical precondition was violated (non-integrable tail, bad prime, ...)."""
 
 
+class NumericOverflowError(UltraherzError):
+    """A finite quantity left the float range while it was being computed.
+
+    Not a divergence: the exact value is finite, but it or an intermediate
+    term is larger than the largest float.
+    """
+
+
 class TailCombinationError(UltraherzError):
     """Two tails with different power-law rates cannot be added exactly.
 

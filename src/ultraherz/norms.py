@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import DomainError
+from .errors import DomainError, NumericOverflowError
 from .padic import PadicContext, ppow
 from .radial import (
     ExponentFunction,
@@ -330,13 +330,23 @@ def _herz_tail_amplitude(amplitude: float, exponent: float, mass: float) -> floa
     return abs(amplitude) * math.pow(mass, 1.0 / exponent)
 
 
+def _herz_overflow(space: str, m: float, window: tuple[int, int]) -> NumericOverflowError:
+    return NumericOverflowError(
+        f"{space} sum with m={m} overflows the float range on shells "
+        f"[{window[0]}, {window[1]}]: a finite norm too large for this "
+        "summation, not a divergent one"
+    )
+
+
 def herz_norm(
     f: RadialStepFunction, u: ExponentFunction, hp: HerzParams
 ) -> NormResult:
     """The Herz norm ( sum_l (p**(l*beta) * ||f restricted to S_l||)**m )**(1/m).
 
     Single-shell norms are exact closed forms, the window part is summed
-    termwise and both tails are geometric series in the shell index.
+    termwise and both tails are geometric series in the shell index. A
+    divergent tail gives an infinite, non-convergent result; a sum that
+    leaves the float range for a convergent one raises NumericOverflowError.
 
     Examples:
         >>> ctx = PadicContext(2, 1)
@@ -351,23 +361,25 @@ def herz_norm(
     w_lo, w_hi = _union_window(f, u)
     m, beta = hp.m, hp.beta
 
-    total = 0.0
-    for shell in range(w_lo, w_hi + 1):
-        t = ppow(p, shell * beta) * single_shell_norm(f.evaluate(shell), shell, u)
-        if t != 0.0:
-            total += t**m
-
     s_in, s_out = _herz_slopes(f, u, beta)
-    if f.inner_tail.amplitude != 0.0:
-        if s_in <= 0:
-            return NormResult(math.inf, False, 0.0, (w_lo, w_hi))
-        c = _herz_tail_amplitude(f.inner_tail.amplitude, u.u_inner, mass)
-        total += c**m * ppow(p, m * s_in * w_lo) / (ppow(p, m * s_in) - 1.0)
-    if f.outer_tail.amplitude != 0.0:
-        if s_out >= 0:
-            return NormResult(math.inf, False, 0.0, (w_lo, w_hi))
-        c = _herz_tail_amplitude(f.outer_tail.amplitude, u.u_infinity, mass)
-        total += c**m * ppow(p, m * s_out * (w_hi + 1)) / (1.0 - ppow(p, m * s_out))
+    inner, outer = f.inner_tail.amplitude != 0.0, f.outer_tail.amplitude != 0.0
+    if (inner and s_in <= 0) or (outer and s_out >= 0):
+        return NormResult(math.inf, False, 0.0, (w_lo, w_hi))
+
+    total = 0.0
+    try:
+        for shell in range(w_lo, w_hi + 1):
+            t = ppow(p, shell * beta) * single_shell_norm(f.evaluate(shell), shell, u)
+            if t != 0.0:
+                total += t**m
+        if inner:
+            c = _herz_tail_amplitude(f.inner_tail.amplitude, u.u_inner, mass)
+            total += c**m * ppow(p, m * s_in * w_lo) / (ppow(p, m * s_in) - 1.0)
+        if outer:
+            c = _herz_tail_amplitude(f.outer_tail.amplitude, u.u_infinity, mass)
+            total += c**m * ppow(p, m * s_out * (w_hi + 1)) / (1.0 - ppow(p, m * s_out))
+    except OverflowError as exc:
+        raise _herz_overflow("Herz", m, (w_lo, w_hi)) from exc
 
     value = math.pow(total, 1.0 / m) if math.isfinite(total) else math.inf
     return NormResult(value, math.isfinite(value), 0.0, (w_lo, w_hi))
@@ -383,7 +395,8 @@ def morrey_herz_norm(
     to the full sum, so the sup is the Herz value exactly). For lam > 0 the
     finite scan over k0 is certified: outside it the candidate sequence is
     dominated by closed-form geometric envelopes whose monotone decay bounds
-    every unscanned cutoff.
+    every unscanned cutoff. Divergence and overflow are reported as by
+    :func:`herz_norm`.
     """
     _require_same_ctx(f, u)
     if mhp.lam == 0:
@@ -405,88 +418,92 @@ def morrey_herz_norm(
     def prefactor_m(k0: int) -> float:
         return math.exp(-k0 * lam * m * log_base)
 
+    # Divergence first, so that an overflow below is never a divergence.
+    # Below the window, candidates grow without bound as k0 decreases when
+    # drift_in < 0; above it, as k0 increases when drift_out > 0.
+    inner, outer = f.inner_tail.amplitude != 0.0, f.outer_tail.amplitude != 0.0
+    drift_in = s_in * math.log(p) - lam * log_base
+    drift_out = s_out * math.log(p) - lam * log_base
+    if (inner and (s_in <= 0 or drift_in < -_CRITICAL_BAND)) or (
+        outer and drift_out > _CRITICAL_BAND
+    ):
+        return NormResult(math.inf, False, 0.0, (w_lo, w_hi))
+
     best_gm = 0.0
     scan_hi = w_hi
+    try:
+        # Region below the window: partial sums are pure inner-tail geometrics,
+        # so the candidate at k0 is a constant times (p**s_in / base**lam)**k0.
+        inner_block = 0.0
+        if inner:
+            c = _herz_tail_amplitude(f.inner_tail.amplitude, u.u_inner, mass)
+            inner_block = c**m * ppow(p, m * s_in * w_lo) / (ppow(p, m * s_in) - 1.0)
+            # Candidates below the window form a geometric sequence with ratio
+            # p**s_in / base**lam >= 1, so the largest sits at k0 = w_lo - 1.
+            best_gm = max(best_gm, prefactor_m(w_lo - 1) * inner_block)
 
-    # Region below the window: partial sums are pure inner-tail geometrics,
-    # so the candidate at k0 is a constant times (p**s_in / base**lam)**k0.
-    inner_block = 0.0
-    if f.inner_tail.amplitude != 0.0:
-        if s_in <= 0:
-            return NormResult(math.inf, False, 0.0, (w_lo, w_hi))
-        c = _herz_tail_amplitude(f.inner_tail.amplitude, u.u_inner, mass)
-        inner_block = c**m * ppow(p, m * s_in * w_lo) / (ppow(p, m * s_in) - 1.0)
-        drift = s_in * math.log(p) - lam * log_base
-        if drift < -_CRITICAL_BAND:
-            # Candidates grow without bound as k0 decreases.
-            return NormResult(math.inf, False, 0.0, (w_lo, w_hi))
-        # Candidates below the window form a geometric sequence with ratio
-        # p**s_in / base**lam >= 1, so the largest sits at k0 = w_lo - 1.
-        best_gm = max(best_gm, prefactor_m(w_lo - 1) * inner_block)
+        # Window region: explicit partial sums.
+        partial = inner_block
+        for k0 in range(w_lo, w_hi + 1):
+            partial += tau(k0)
+            best_gm = max(best_gm, prefactor_m(k0) * partial)
+        partial_hi = partial
 
-    # Window region: explicit partial sums.
-    partial = inner_block
-    for k0 in range(w_lo, w_hi + 1):
-        partial += tau(k0)
-        best_gm = max(best_gm, prefactor_m(k0) * partial)
-    partial_hi = partial
-
-    # Region above the window.
-    tail_bound = 0.0
-    if f.outer_tail.amplitude != 0.0:
-        t_first = tau(w_hi + 1)
-        rho = ppow(p, m * s_out)
-        drift = s_out * math.log(p) - lam * log_base
-        if drift > _CRITICAL_BAND:
-            return NormResult(math.inf, False, 0.0, (w_lo, w_hi))
-        if abs(drift) <= _CRITICAL_BAND:
-            # Candidates increase or decrease monotonically toward a finite
-            # limit; the limit and the first cutoff bracket the supremum.
-            scan_hi = w_hi + 1
-            best_gm = max(best_gm, prefactor_m(w_hi + 1) * (partial_hi + t_first))
-            limit_gm = prefactor_m(w_hi) * t_first / (rho - 1.0)
-            best_gm = max(best_gm, limit_gm)
-        elif abs(rho - 1.0) <= _CRITICAL_BAND:
-            # Balanced outer terms: partial sums grow linearly, and the
-            # candidate profile is unimodal with a closed-form peak.
-            peak = w_hi + (t_first / (lam * m * log_base) - partial_hi) / t_first
-            k_candidates = {w_hi + 1, math.floor(peak), math.ceil(peak)}
-            for k0 in sorted(k_candidates):
-                if k0 < w_hi + 1:
-                    continue
-                scan_hi = max(scan_hi, k0)
-                gm = prefactor_m(k0) * (partial_hi + t_first * (k0 - w_hi))
-                best_gm = max(best_gm, gm)
-        else:
-            # Strictly unbalanced outer terms. The exact partial sums give
-            # gm(k0) in closed form; past the scan the candidates are
-            # dominated by decreasing geometric envelopes: the saturated sum
-            # P_inf for rho < 1, and P_hi plus the shifted geometric for
-            # rho > 1 (where q2 = (p**s_out / base**lam)**m < 1).
-            geo = t_first / (rho - 1.0)
-            q2 = rho * math.exp(-lam * m * log_base)
-            p_sat = partial_hi + t_first / (1.0 - rho) if rho < 1.0 else 0.0
-            k0 = w_hi
-            steps = 0
-            floor_gm = 1e-280
-            while True:
-                k0 += 1
-                steps += 1
-                gm = prefactor_m(k0) * (partial_hi - geo) + (
-                    geo * math.pow(q2, k0 - w_hi) * prefactor_m(w_hi)
-                )
-                best_gm = max(best_gm, gm)
-                if rho < 1.0:
-                    envelope = prefactor_m(k0) * p_sat
-                else:
-                    envelope = prefactor_m(k0) * partial_hi + geo * math.pow(
-                        q2, k0 - w_hi
-                    ) * prefactor_m(w_hi)
-                if envelope <= max(best_gm, floor_gm) or steps > _SCAN_CAP:
-                    if envelope > best_gm:
-                        tail_bound = envelope
-                    break
-            scan_hi = k0
+        # Region above the window.
+        tail_bound = 0.0
+        if outer:
+            t_first = tau(w_hi + 1)
+            rho = ppow(p, m * s_out)
+            if abs(drift_out) <= _CRITICAL_BAND:
+                # Candidates increase or decrease monotonically toward a finite
+                # limit; the limit and the first cutoff bracket the supremum.
+                scan_hi = w_hi + 1
+                best_gm = max(best_gm, prefactor_m(w_hi + 1) * (partial_hi + t_first))
+                limit_gm = prefactor_m(w_hi) * t_first / (rho - 1.0)
+                best_gm = max(best_gm, limit_gm)
+            elif abs(rho - 1.0) <= _CRITICAL_BAND:
+                # Balanced outer terms: partial sums grow linearly, and the
+                # candidate profile is unimodal with a closed-form peak.
+                peak = w_hi + (t_first / (lam * m * log_base) - partial_hi) / t_first
+                k_candidates = {w_hi + 1, math.floor(peak), math.ceil(peak)}
+                for k0 in sorted(k_candidates):
+                    if k0 < w_hi + 1:
+                        continue
+                    scan_hi = max(scan_hi, k0)
+                    gm = prefactor_m(k0) * (partial_hi + t_first * (k0 - w_hi))
+                    best_gm = max(best_gm, gm)
+            else:
+                # Strictly unbalanced outer terms. The exact partial sums give
+                # gm(k0) in closed form; past the scan the candidates are
+                # dominated by decreasing geometric envelopes: the saturated sum
+                # P_inf for rho < 1, and P_hi plus the shifted geometric for
+                # rho > 1 (where q2 = (p**s_out / base**lam)**m < 1).
+                geo = t_first / (rho - 1.0)
+                q2 = rho * math.exp(-lam * m * log_base)
+                p_sat = partial_hi + t_first / (1.0 - rho) if rho < 1.0 else 0.0
+                k0 = w_hi
+                steps = 0
+                floor_gm = 1e-280
+                while True:
+                    k0 += 1
+                    steps += 1
+                    gm = prefactor_m(k0) * (partial_hi - geo) + (
+                        geo * math.pow(q2, k0 - w_hi) * prefactor_m(w_hi)
+                    )
+                    best_gm = max(best_gm, gm)
+                    if rho < 1.0:
+                        envelope = prefactor_m(k0) * p_sat
+                    else:
+                        envelope = prefactor_m(k0) * partial_hi + geo * math.pow(
+                            q2, k0 - w_hi
+                        ) * prefactor_m(w_hi)
+                    if envelope <= max(best_gm, floor_gm) or steps > _SCAN_CAP:
+                        if envelope > best_gm:
+                            tail_bound = envelope
+                        break
+                scan_hi = k0
+    except OverflowError as exc:
+        raise _herz_overflow("Morrey-Herz", m, (w_lo, w_hi)) from exc
 
     value = math.pow(best_gm, 1.0 / m) if best_gm > 0.0 else 0.0
     if tail_bound > 0.0:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .errors import DomainError
 from .norms import _solve_luxemburg
@@ -98,12 +99,17 @@ def _allocate(total: int, weights: list[float]) -> list[int]:
 def _stratum_stats(
     values: list[float],
 ) -> tuple[float, float]:
-    """Sample mean and variance (zero variance below two points)."""
+    """Sample mean and variance (zero variance below two points).
+
+    Each squared deviation is computed once per distinct value and summed
+    in sample order: a stratum holds only a few distinct values.
+    """
     k = len(values)
     mean = sum(values) / k
     if k < 2:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (k - 1)
+    squares = {v: (v - mean) ** 2 for v in set(values)}
+    var = sum(map(squares.__getitem__, values)) / (k - 1)
     return mean, var
 
 
@@ -206,18 +212,27 @@ def mc_luxemburg(
         strata.append(("sphere", j, mass * ppow(p, n * j), u.evaluate(j)))
 
     counts = _allocate(config.samples, [w for _, _, w, _ in strata])
-    drawn: list[tuple[float, float, list[float], int]] = []
+    drawn: list[tuple[float, float, list[float], set[float], int]] = []
     total = 0
     for (region, j, measure, exponent), count in zip(strata, counts):
         sampled = sample_shells(region, j, count, ctx, config.resolution, rng)
-        drawn.append((measure, exponent, [abs(v) for v in _values_at(f, sampled)], count))
+        magnitudes = [abs(v) for v in _values_at(f, sampled)]
+        drawn.append((measure, exponent, magnitudes, set(magnitudes), count))
         total += count
+
+    def terms_at(
+        lam: float, exponent: float, magnitudes: list[float], distinct: set[float]
+    ) -> Iterator[float]:
+        """(a / lam) ** exponent for every draw in draw order, each power
+        evaluated once per distinct magnitude of the stratum."""
+        table = {a: (a / lam) ** exponent for a in distinct}
+        return map(table.__getitem__, magnitudes)
 
     def modular_hat(lam: float) -> float:
         acc = 0.0
-        for measure, exponent, magnitudes, _ in drawn:
+        for measure, exponent, magnitudes, distinct, _ in drawn:
             acc += measure * sum(
-                (a / lam) ** exponent for a in magnitudes
+                terms_at(lam, exponent, magnitudes, distinct)
             ) / len(magnitudes)
         return acc
 
@@ -243,8 +258,8 @@ def mc_luxemburg(
 
     root, half = _solve_luxemburg(modular_hat, rel_tol)
     variance = 0.0
-    for measure, exponent, magnitudes, count in drawn:
-        _, var = _stratum_stats([(a / root) ** exponent for a in magnitudes])
+    for measure, exponent, magnitudes, distinct, count in drawn:
+        _, var = _stratum_stats(list(terms_at(root, exponent, magnitudes, distinct)))
         variance += measure**2 * var / count
     sigma_mod = math.sqrt(variance)
     if bias_at is not None:

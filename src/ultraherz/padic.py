@@ -23,8 +23,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
-from typing import Iterator
 
 from .errors import DomainError
 
@@ -285,24 +283,54 @@ def _check_region(region: str, gamma: int, ctx: PadicContext) -> None:
     ctx.check_shell(gamma, "region index")
 
 
-def _accepted_draws(
-    region: str, ctx: PadicContext, resolution: int, rng: random.Random
-) -> Iterator[list[int]]:
-    """Endless stream of accepted digit vectors z in [0, p^(resolution+1))^n.
+def _draw(
+    region: str,
+    gamma: int,
+    count: int,
+    ctx: PadicContext,
+    resolution: int,
+    rng: random.Random,
+) -> tuple[list[int | None], list[int]]:
+    """Draw ``count`` accepted digit vectors z in [0, p^(resolution+1))^n.
 
-    A point of the region is p^(-gamma) * z. Each draw takes n values from
-    ``rng.randrange``; the sphere rejects vectors whose every coordinate is
-    divisible by p (no coordinate on the outermost shell).
+    A point of the region is p^(-gamma) * z. Each coordinate is drawn as
+    ``rng.randrange(limit)`` draws it (``getrandbits`` of the limit's bit
+    length, redrawn while out of range), so the stream and the generator's
+    final state are those of n ``randrange`` calls per draw. The sphere
+    rejects vectors whose every coordinate is divisible by p, i.e. p | gcd(z).
+
+    Returns the shell of every accepted draw, gamma - v_p(gcd(z)) with None
+    for the origin, and the coordinates of the last draw.
     """
     p, n = ctx.p, ctx.n
     limit = _unit_range(p, resolution)
-    randrange = rng.randrange
+    bits = limit.bit_length()
+    getrandbits = rng.getrandbits
+    gcd = math.gcd
     sphere = region == "sphere"
-    while True:
-        zs = [randrange(limit) for _ in range(n)]
-        if sphere and all(z % p == 0 for z in zs):
+    coords = range(n)
+    zs = [0] * n
+    shells: list[int | None] = []
+    append = shells.append
+    drawn = 0
+    while drawn < count:
+        g = 0
+        for i in coords:
+            z = getrandbits(bits)
+            while z >= limit:
+                z = getrandbits(bits)
+            zs[i] = z
+            g = gcd(g, z)
+        if g % p:
+            append(gamma)
+        elif sphere:
             continue
-        yield zs
+        elif g:
+            append(gamma - _int_valuation(g, p))
+        else:
+            append(None)
+        drawn += 1
+    return shells, zs
 
 
 def sample_uniform(
@@ -338,7 +366,7 @@ def sample_uniform(
         raise DomainError("pass either rng or seed, not both")
 
     scale = _scale_fraction(ctx.p, -gamma)
-    zs = next(_accepted_draws(region, ctx, resolution, rng))
+    _, zs = _draw(region, gamma, 1, ctx, resolution, rng)
     return PadicPoint(ctx, tuple(z * scale for z in zs), resolution)
 
 
@@ -363,9 +391,4 @@ def sample_shells(
         [0, 0, -4, -1, 0, -1]
     """
     _check_region(region, gamma, ctx)
-    p = ctx.p
-    shells: list[int | None] = []
-    for zs in islice(_accepted_draws(region, ctx, resolution, rng), count):
-        g = math.gcd(*zs)
-        shells.append(None if g == 0 else gamma - _int_valuation(g, p))
-    return shells
+    return _draw(region, gamma, count, ctx, resolution, rng)[0]

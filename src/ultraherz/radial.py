@@ -60,7 +60,8 @@ class RadialStepFunction:
 
     A finitely-supported function is the special case of two zero tails.
     Tails with zero amplitude are normalized to rate 0 so that equal
-    functions compare equal. NaN coefficients or tails raise DomainError.
+    functions compare equal. Non-finite (NaN or inf) coefficients or tails
+    raise DomainError; ``value_at_zero`` may be inf, as ``maximal`` sets it.
     """
 
     ctx: PadicContext
@@ -81,8 +82,8 @@ class RadialStepFunction:
             )
         object.__setattr__(self, "window", (int(j_min), int(j_max)))
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if any(math.isnan(c) for c in self.coeffs):
-            raise DomainError("shell coefficients must not be NaN")
+        if not all(map(math.isfinite, self.coeffs)):
+            raise DomainError("shell coefficients must be finite (not NaN or inf)")
         inner = _normalize_tail(self.inner_tail)
         outer = _normalize_tail(self.outer_tail)
         object.__setattr__(self, "inner_tail", inner)
@@ -171,8 +172,8 @@ def _normalize_tail(tail) -> Tail:
     amplitude, rate = tail
     amplitude = float(amplitude)
     rate = float(rate)
-    if math.isnan(amplitude) or math.isnan(rate):
-        raise DomainError("tail amplitude and rate must not be NaN")
+    if not (math.isfinite(amplitude) and math.isfinite(rate)):
+        raise DomainError("tail amplitude and rate must be finite (not NaN or inf)")
     if amplitude == 0.0:
         return ZERO_TAIL
     return Tail(amplitude, rate)

@@ -243,6 +243,30 @@ def test_norm_rejects_a_nan_coefficient(files, tmp_path, capsys):
     assert "NaN" in captured.err
 
 
+def test_norm_rejects_an_infinite_coefficient(files, tmp_path, capsys):
+    payload = json.loads(Path(files["f"]).read_text())
+    payload["coeffs"] = ["inf"]
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(payload))
+    assert main(["norm", "-i", str(path), "-u", files["u"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "inf" in captured.err
+
+
+def test_herz_norm_overflow_exits_one(files, tmp_path, capsys):
+    path = tmp_path / "far.json"
+    save_function(RadialStepFunction(CTX, (1100, 1100), (1.0,)), str(path))
+    code = main(
+        ["norm", "--space", "herz", "--beta", "0", "--m", "2",
+         "-u", files["u"], "-i", str(path)]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflows" in captured.err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

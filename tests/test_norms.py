@@ -12,6 +12,7 @@ from ultraherz import (
     ExponentFunction,
     HerzParams,
     MorreyHerzParams,
+    NumericOverflowError,
     PadicContext,
     RadialStepFunction,
     Tail,
@@ -178,6 +179,19 @@ def test_herz_divergence_with_heavy_weight():
     result = herz_norm(f, U2, HerzParams(2.0, 1.0))
     assert math.isinf(result.value)
     assert not result.convergent
+
+
+def test_herz_overflow_is_a_typed_error_not_a_divergence():
+    """chi(S_1100) at p = 2 has a finite norm (about 2.6e165), but its one
+    Herz term squared leaves the float range."""
+    far = RadialStepFunction(CTX, (1100, 1100), (1.0,))
+    with pytest.raises(NumericOverflowError, match="overflow"):
+        herz_norm(far, U2, HerzParams(0.0, 2.0))
+    with pytest.raises(NumericOverflowError, match="overflow"):
+        morrey_herz_norm(far, U2, MorreyHerzParams(0.0, 2.0, 0.5))
+    # a divergent tail is still reported as divergence, not as an overflow
+    heavy = RadialStepFunction(CTX, (1100, 1100), (1.0,), outer_tail=Tail(1.0, -0.25))
+    assert not herz_norm(heavy, U2, HerzParams(0.0, 2.0)).convergent
 
 
 def test_morrey_herz_lambda_zero_equals_herz_exactly():

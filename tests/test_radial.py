@@ -87,6 +87,21 @@ def test_nan_coefficients_and_tails_are_rejected():
         RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(0.0, nan))
 
 
+def test_infinite_coefficients_and_tails_are_rejected():
+    for inf in (math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            RadialStepFunction(CTX, (0, 1), (1.0, inf))
+        with pytest.raises(DomainError):
+            RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(inf, 1.0))
+        with pytest.raises(DomainError):
+            RadialStepFunction(CTX, (0, 0), (1.0,), outer_tail=Tail(1.0, inf))
+        with pytest.raises(DomainError):
+            RadialStepFunction(CTX, (0, 0), (1.0,), outer_tail=Tail(0.0, inf))
+    # the value at the origin may be infinite: the maximal operator sets it
+    f = RadialStepFunction(CTX, (0, 0), (1.0,), value_at_zero=math.inf)
+    assert f.value_at_zero == math.inf
+
+
 def test_inner_tail_integrability_guard():
     fat = RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(1.0, -1.5))
     with pytest.raises(DomainError):
