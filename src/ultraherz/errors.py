@@ -19,6 +19,14 @@ class NumericOverflowError(UltraherzError):
     """
 
 
+class NumericUnderflowError(UltraherzError):
+    """A nonzero quantity fell below the float range while it was being computed.
+
+    Not a zero: the exact value is positive, but every term it is built from
+    rounded to 0.0, or the result lies below the smallest normal float.
+    """
+
+
 class TailCombinationError(UltraherzError):
     """Two tails with different power-law rates cannot be added exactly.
 

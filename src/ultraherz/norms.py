@@ -8,24 +8,28 @@ F(k) on the sphere S_k and a radial exponent u(.), the modular is
 with both infinite tails summed analytically as geometric series (the tail
 rates of f and the tail values of u are constant, so each tail contributes
 a single geometric series). The Luxemburg norm inverts the strictly
-decreasing map lam -> rho(f/lam) by bracketing and bisection. Herz and
+decreasing map lam -> rho(f/lam): the terms are grouped by exponent, and a
+safeguarded Newton iteration on the convex function log rho(f/e**t) closes
+a bracket whose ends are both checked against the modular. Herz and
 Morrey-Herz norms are weighted l^m sums of exact single-shell norms, again
 with analytic tails; the Morrey-Herz supremum over the cutoff index is
 certified by closed-form envelopes outside a finite scan. The central
 mean-oscillation norm runs a certified scan over ball radii.
 
 Divergence is reported through ``NormResult.convergent`` rather than
-exceptions: an infinite norm is a meaningful answer here, not a bug.
+exceptions: an infinite norm is a meaningful answer here, not a bug. A
+finite norm whose terms leave the float range raises NumericOverflowError,
+and a nonzero one whose terms all round to 0.0 raises NumericUnderflowError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from .errors import DomainError, NumericOverflowError
+from .errors import DomainError, NumericOverflowError, NumericUnderflowError
 from .padic import PadicContext, ppow
 from .radial import (
     ExponentFunction,
@@ -44,6 +48,10 @@ _CRITICAL_BAND = 1e-12
 _MIXED_TOL = 1e-13
 
 _SCAN_CAP = 400_000
+
+_MIN_NORMAL = sys.float_info.min
+_LOG_MIN_NORMAL = math.log(_MIN_NORMAL)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -89,8 +97,9 @@ class NormResult:
 
     ``value`` is finite exactly when ``convergent`` is true (divergence is
     reported as ``math.inf``). ``tail_remainder_bound`` bounds whatever the
-    finite computation could not pin down exactly: the bisection bracket
-    half-width for Luxemburg-type norms, the leftover scan envelope for
+    finite computation could not pin down exactly: the half-width of the
+    solver's final bracket for Luxemburg-type norms (0.0 when all terms share
+    one exponent and the root is closed-form), the leftover scan envelope for
     certified suprema, 0.0 for fully analytic sums. ``work_window`` is the
     shell range the computation actually touched.
     """
@@ -133,37 +142,61 @@ def _modular_terms(
     of the window and one closed-form term per tail. ``top`` None means the
     whole space and needs shift 0 (the outer-tail term ignores the shift).
     Returns None when a tail series diverges; convergence does not depend
-    on lam, since each tail ratio is lam-free.
+    on lam, since each tail ratio is lam-free. Every nonzero piece of the
+    function gets a term, even one whose weight rounded to 0.0, so the
+    solver can tell an underflow from the zero function. A power that
+    overflows raises NumericOverflowError; a product that does is left inf.
     """
     ctx = f.ctx
     p, n = ctx.p, ctx.n
     mass = _unit_mass(ctx)
     w_lo, w_hi = _union_window(f, u)
     terms: list[tuple[float, float]] = []
-    for k in range(w_lo, (w_hi if top is None else top) + 1):
-        v = abs(f.evaluate(k) - shift)
-        if v != 0.0:
-            e = u.evaluate(k)
-            terms.append((v**e * mass * ppow(p, n * k), e))
+    try:
+        for k in range(w_lo, (w_hi if top is None else top) + 1):
+            v = abs(f.evaluate(k) - shift)
+            if v != 0.0:
+                e = u.evaluate(k)
+                terms.append((v**e * mass * ppow(p, n * k), e))
 
-    amplitude, rate = f.inner_tail
-    upto = w_lo - 1 if top is None else min(top, w_lo - 1)
-    psi, bound = _mixed_inner_sum(ctx, amplitude, rate, shift, u.u_inner, upto)
-    if not math.isfinite(psi):
-        return None
-    if psi != 0.0:
-        terms.append((psi, u.u_inner))
-
-    amplitude, rate = f.outer_tail
-    if top is None and amplitude != 0.0:
-        c = u.u_infinity
-        s = rate * c + n
-        if s >= 0:
+        amplitude, rate = f.inner_tail
+        upto = w_lo - 1 if top is None else min(top, w_lo - 1)
+        inner = _mixed_inner_sum(ctx, amplitude, rate, shift, u.u_inner, upto)
+        if inner is None:
             return None
-        terms.append(
-            (abs(amplitude) ** c * mass * ppow(p, s * (w_hi + 1)) / (1.0 - ppow(p, s)), c)
-        )
+        psi, bound = inner
+        # |amplitude * p**(k*rate) - shift| vanishes identically only when
+        # amplitude == shift and the tail is flat or zero
+        if psi != 0.0 or amplitude != shift or (amplitude != 0.0 and rate != 0.0):
+            terms.append((psi, u.u_inner))
+
+        amplitude, rate = f.outer_tail
+        if top is None and amplitude != 0.0:
+            c = u.u_infinity
+            s = rate * c + n
+            if s >= 0:
+                return None
+            terms.append(
+                (abs(amplitude) ** c * mass * ppow(p, s * (w_hi + 1)) / (1.0 - ppow(p, s)), c)
+            )
+    except OverflowError as exc:
+        raise _norm_overflow() from exc
     return terms, bound
+
+
+def _norm_overflow() -> NumericOverflowError:
+    return NumericOverflowError(
+        "a modular term or the Luxemburg norm overflows the float range: a "
+        "finite norm too large for this computation, not a divergent one"
+    )
+
+
+def _norm_underflow() -> NumericUnderflowError:
+    return NumericUnderflowError(
+        "every modular term rounds to 0.0 or the Luxemburg norm lies below the "
+        "normal float range: a nonzero norm too small for this computation, "
+        "not a zero one"
+    )
 
 
 def _modular_value(terms: list[tuple[float, float]], lam: float) -> float:
@@ -181,9 +214,14 @@ def modular(f: RadialStepFunction, u: ExponentFunction) -> NormResult:
         0.5
     """
     _require_same_ctx(f, u)
+    window = _union_window(f, u)
     built = _modular_terms(f, u)
-    value = math.inf if built is None else _modular_value(built[0], 1.0)
-    return NormResult(value, math.isfinite(value), 0.0, _union_window(f, u))
+    if built is None:
+        return NormResult(math.inf, False, 0.0, window)
+    value = _modular_value(built[0], 1.0)
+    if not math.isfinite(value):
+        raise _norm_overflow()
+    return NormResult(value, True, 0.0, window)
 
 
 def _check_rel_tol(rel_tol: float) -> None:
@@ -192,42 +230,104 @@ def _check_rel_tol(rel_tol: float) -> None:
 
 
 def _solve_luxemburg(
-    modular_at: Callable[[float], float], rel_tol: float
+    terms: list[tuple[float, float]], rel_tol: float
 ) -> tuple[float, float]:
-    """Invert the decreasing map lam -> modular_at(lam) at level 1.
+    """Solve sum w * lam**(-e) = 1 over the (w, e) terms for lam.
 
-    Returns (root estimate, bracket half-width). Brackets by doubling and
-    halving from lam = 1, then bisects; the map is strictly decreasing and
-    continuous wherever it is positive on this class.
+    Returns (root estimate, bracket half-width); no terms is the zero
+    function, (0.0, 0.0). The weights are summed per distinct exponent
+    first. One exponent has the closed form lam = W**(1/e), polished by one
+    correction step in lam. Otherwise phi(t) = log sum W_e * exp(-e*t) is
+    convex and decreasing in t = log lam, so a Newton step from the lower
+    end never passes the root, and the root lies at most phi / min(e) above
+    it. The bracket comes straight from the weights, [max log(W_e)/e,
+    max log(N*W_e)/e] for N groups; a step that would leave it bisects
+    instead. Every returned bracket end is a point where the modular was
+    evaluated in lam (above 1 at the lower end, at most 1 at the upper), and
+    the solve stops once hi - lo <= rel_tol * hi.
+
+    Raises NumericOverflowError when a weight or the root exceeds the float
+    range, and NumericUnderflowError when every weight rounded to 0.0 or the
+    root lies below the smallest normal float.
     """
-    g = modular_at(1.0)
-    if g == 0.0:
+    if not terms:
         return 0.0, 0.0
-    if g <= 1.0:
-        hi = 1.0
-        lo = 0.5
-        while modular_at(lo) <= 1.0:
-            hi = lo
-            lo *= 0.5
-            if lo < 1e-300:
-                return 0.0, lo
+    weights: dict[float, float] = {}
+    for w, e in terms:
+        weights[e] = weights.get(e, 0.0) + w
+    if not all(w < math.inf for w in weights.values()):
+        raise _norm_overflow()
+    groups = [(w, e, -0.5 * e) for e, w in weights.items() if w > 0.0]
+    if not groups:
+        raise _norm_underflow()
+
+    def modular_at(lam: float) -> tuple[float, float]:
+        """rho(lam) and sum e * W_e * lam**(-e); lam**(-e/2) squared keeps a
+        dominant term's power inside the float range."""
+        total = slope = 0.0
+        for w, e, half_e in groups:
+            h = math.pow(lam, half_e)
+            x = w * h * h
+            total += x
+            slope += e * x
+        return total, slope
+
+    if len(groups) == 1:
+        w, e, _ = groups[0]
+        lam = math.pow(w, 1.0 / e)
+        lam *= math.exp(math.log(modular_at(lam)[0]) / e)
+        if lam < _MIN_NORMAL:
+            raise _norm_underflow()
+        if lam == math.inf:
+            raise _norm_overflow()
+        return lam, 0.0
+
+    log_n = math.log(len(groups))
+    t_lo = max(math.log(w) / e for w, e, _ in groups)
+    # the margin keeps this unchecked end from ever being returned
+    t_hi = max((math.log(w) + log_n) / e for w, e, _ in groups) + 2e-3
+    if t_lo > _LOG_MAX:
+        raise _norm_overflow()
+    if t_hi < _LOG_MIN_NORMAL:
+        raise _norm_underflow()
+    lo = math.exp(t_lo) if t_lo > _LOG_MIN_NORMAL else _MIN_NORMAL
+    if t_hi < _LOG_MAX:
+        hi = math.exp(t_hi)
     else:
-        lo = 1.0
-        hi = 2.0
-        while modular_at(hi) > 1.0:
-            lo = hi
-            hi *= 2.0
-            if hi > 1e300:
-                return math.inf, math.inf
+        hi = sys.float_info.max
+        if modular_at(hi)[0] > 1.0:
+            raise _norm_overflow()
+
+    rho_lo, slope_lo = modular_at(lo)
+    shrink = 2.0**-40
+    while rho_lo <= 1.0:
+        # rounding in the logarithms put the lower end at or past the root
+        if lo <= _MIN_NORMAL:
+            raise _norm_underflow()
+        hi = lo
+        lo *= 1.0 - shrink
+        shrink *= 2.0
+        rho_lo, slope_lo = modular_at(lo)
+
+    e_min = min(e for _, e, _ in groups)
     for _ in range(200):
         if hi - lo <= rel_tol * hi:
             break
-        mid = 0.5 * (lo + hi)
-        if modular_at(mid) > 1.0:
-            lo = mid
+        log_rho = math.log(rho_lo)
+        finish = lo * (1.0 + 0.5 * rel_tol)
+        if lo * math.exp(log_rho / e_min) <= finish:
+            probe = finish
         else:
-            hi = mid
-    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+            probe = lo * math.exp(log_rho * rho_lo / slope_lo)
+        if not lo < probe < hi:
+            probe = lo + 0.5 * (hi - lo)
+        rho, slope = modular_at(probe)
+        if rho > 1.0:
+            lo, rho_lo, slope_lo = probe, rho, slope
+        else:
+            hi = probe
+    half = 0.5 * (hi - lo)
+    return lo + half, half
 
 
 def luxemburg_norm(
@@ -246,12 +346,9 @@ def luxemburg_norm(
     _check_rel_tol(rel_tol)
     window = _union_window(f, u)
     built = _modular_terms(f, u)
-    if built is None or not math.isfinite(_modular_value(built[0], 1.0)):
+    if built is None:
         return NormResult(math.inf, False, 0.0, window)
-    terms = built[0]
-    value, half = _solve_luxemburg(lambda lam: _modular_value(terms, lam), rel_tol)
-    if not math.isfinite(value):
-        return NormResult(math.inf, False, 0.0, window)
+    value, half = _solve_luxemburg(built[0], rel_tol)
     return NormResult(value, True, half, window)
 
 
@@ -278,9 +375,10 @@ def ball_indicator_norm(
 ) -> NormResult:
     """Norm of the ball indicator chi(B_gamma) in the variable Lebesgue space.
 
-    The modular groups into one weight per distinct exponent piece, so it is
-    evaluated in closed form; a constant exponent gives |B_gamma|**(1/u)
-    directly, otherwise the grouped modular is bisected.
+    The modular is one measure-weighted term per exponent piece: the
+    inner ball, each window shell of B_gamma and the rest of B_gamma beyond
+    the window. The solver groups them by exponent, so a constant exponent
+    gives |B_gamma|**(1/u) in closed form.
     """
     _check_rel_tol(rel_tol)
     ctx = u.ctx
@@ -295,15 +393,7 @@ def ball_indicator_norm(
         pieces.append((mass * ppow(p, n * k), u.evaluate(k)))
     if gamma > j_max:
         pieces.append((ppow(p, n * gamma) - ppow(p, n * j_max), u.u_infinity))
-
-    exponents = {e for _, e in pieces}
-    if len(exponents) == 1:
-        e = exponents.pop()
-        return NormResult(ppow(p, n * gamma / e), True, 0.0, (inner_top, gamma))
-
-    value, half = _solve_luxemburg(lambda lam: _modular_value(pieces, lam), rel_tol)
-    if not math.isfinite(value):
-        return NormResult(math.inf, False, 0.0, (inner_top, gamma))
+    value, half = _solve_luxemburg(pieces, rel_tol)
     return NormResult(value, True, half, (inner_top, gamma))
 
 
@@ -338,6 +428,31 @@ def _herz_overflow(space: str, m: float, window: tuple[int, int]) -> NumericOver
     )
 
 
+def _herz_value(
+    total: float, f: RadialStepFunction, space: str, m: float, window: tuple[int, int]
+) -> float:
+    """total**(1/m) for a convergent sum, never inf or a false 0.0.
+
+    Divergence is ruled out before summing, so an infinite (or NaN) total
+    is an overflow; a zero total for a nonzero f means every term underflowed.
+    """
+    try:
+        value = math.pow(total, 1.0 / m)
+    except OverflowError as exc:
+        raise _herz_overflow(space, m, window) from exc
+    if not math.isfinite(value):
+        raise _herz_overflow(space, m, window)
+    if value == 0.0 and (
+        any(f.coeffs) or f.inner_tail.amplitude != 0.0 or f.outer_tail.amplitude != 0.0
+    ):
+        raise NumericUnderflowError(
+            f"{space} sum with m={m} underflows to 0.0 on shells "
+            f"[{window[0]}, {window[1]}]: a nonzero norm too small for this "
+            "summation, not a zero one"
+        )
+    return value
+
+
 def herz_norm(
     f: RadialStepFunction, u: ExponentFunction, hp: HerzParams
 ) -> NormResult:
@@ -346,7 +461,9 @@ def herz_norm(
     Single-shell norms are exact closed forms, the window part is summed
     termwise and both tails are geometric series in the shell index. A
     divergent tail gives an infinite, non-convergent result; a sum that
-    leaves the float range for a convergent one raises NumericOverflowError.
+    leaves the float range for a convergent one raises NumericOverflowError,
+    and one whose terms all round to 0.0 for a nonzero f raises
+    NumericUnderflowError.
 
     Examples:
         >>> ctx = PadicContext(2, 1)
@@ -380,9 +497,8 @@ def herz_norm(
             total += c**m * ppow(p, m * s_out * (w_hi + 1)) / (1.0 - ppow(p, m * s_out))
     except OverflowError as exc:
         raise _herz_overflow("Herz", m, (w_lo, w_hi)) from exc
-
-    value = math.pow(total, 1.0 / m) if math.isfinite(total) else math.inf
-    return NormResult(value, math.isfinite(value), 0.0, (w_lo, w_hi))
+    value = _herz_value(total, f, "Herz", m, (w_lo, w_hi))
+    return NormResult(value, True, 0.0, (w_lo, w_hi))
 
 
 def morrey_herz_norm(
@@ -395,8 +511,8 @@ def morrey_herz_norm(
     to the full sum, so the sup is the Herz value exactly). For lam > 0 the
     finite scan over k0 is certified: outside it the candidate sequence is
     dominated by closed-form geometric envelopes whose monotone decay bounds
-    every unscanned cutoff. Divergence and overflow are reported as by
-    :func:`herz_norm`.
+    every unscanned cutoff. Divergence, overflow and underflow are reported
+    as by :func:`herz_norm`.
     """
     _require_same_ctx(f, u)
     if mhp.lam == 0:
@@ -448,11 +564,15 @@ def morrey_herz_norm(
             partial += tau(k0)
             best_gm = max(best_gm, prefactor_m(k0) * partial)
         partial_hi = partial
+        if not math.isfinite(partial_hi):
+            raise _herz_overflow("Morrey-Herz", m, (w_lo, w_hi))
 
         # Region above the window.
         tail_bound = 0.0
         if outer:
             t_first = tau(w_hi + 1)
+            if not math.isfinite(t_first):
+                raise _herz_overflow("Morrey-Herz", m, (w_lo, w_hi))
             rho = ppow(p, m * s_out)
             if abs(drift_out) <= _CRITICAL_BAND:
                 # Candidates increase or decrease monotonically toward a finite
@@ -505,7 +625,7 @@ def morrey_herz_norm(
     except OverflowError as exc:
         raise _herz_overflow("Morrey-Herz", m, (w_lo, w_hi)) from exc
 
-    value = math.pow(best_gm, 1.0 / m) if best_gm > 0.0 else 0.0
+    value = _herz_value(best_gm, f, "Morrey-Herz", m, (w_lo, w_hi))
     if tail_bound > 0.0:
         remainder = math.pow(best_gm + tail_bound, 1.0 / m) - value
     else:
@@ -532,14 +652,14 @@ def _mixed_inner_sum(
     shift: float,
     exponent: float,
     upto: int,
-) -> tuple[float, float]:
+) -> tuple[float, float] | None:
     """Certified sum of |amplitude * p**(k*rate) - shift|**exponent * |S_k| over k <= upto.
 
     Pure-power and pure-constant cases have closed forms. Mixed cases walk
     shells downward until one summand is negligible against the other, then
     bound the remainder between the two extreme readings of the dominated
     term; the returned pair is (midpoint value, half-width bound). Returns
-    (math.inf, 0.0) when the sum diverges.
+    None when the sum diverges; an infinite value is an overflow.
     """
     p, n = ctx.p, ctx.n
     mass = _unit_mass(ctx)
@@ -550,7 +670,7 @@ def _mixed_inner_sum(
     if shift == 0.0:
         s = rate * exponent + n
         if s <= 0:
-            return math.inf, 0.0
+            return None
         return (
             abs(amplitude) ** exponent
             * mass
@@ -581,7 +701,7 @@ def _mixed_inner_sum(
 
     s = rate * exponent + n
     if s <= 0:
-        return math.inf, 0.0
+        return None
     while abs(shift) > _MIXED_TOL * abs(amplitude) * ppow(p, k * rate):
         total += (
             abs(amplitude * ppow(p, k * rate) - shift) ** exponent
@@ -616,7 +736,7 @@ def _shifted_norm(
     if built is None:
         return math.inf, 0.0
     terms, psi_bound = built
-    value, half = _solve_luxemburg(lambda lam: _modular_value(terms, lam), rel_tol)
+    value, half = _solve_luxemburg(terms, rel_tol)
     return value, half + psi_bound
 
 

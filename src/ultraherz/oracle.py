@@ -26,10 +26,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import DomainError
-from .norms import _solve_luxemburg
 from .operators import OperatorSpec
 from .padic import PadicContext, ppow, sample_shells
 from .radial import ExponentFunction, RadialStepFunction, combine
@@ -111,6 +110,46 @@ def _stratum_stats(
     squares = {v: (v - mean) ** 2 for v in set(values)}
     var = sum(map(squares.__getitem__, values)) / (k - 1)
     return mean, var
+
+
+def _bisect_luxemburg(
+    modular_at: Callable[[float], float], rel_tol: float
+) -> tuple[float, float]:
+    """Invert the decreasing map lam -> modular_at(lam) at level 1.
+
+    Returns (root estimate, bracket half-width). Brackets by doubling and
+    halving from lam = 1, then bisects; the map is strictly decreasing and
+    continuous wherever it is positive on this class. The oracle keeps this
+    solver to itself, so it shares no root finder with the closed forms.
+    """
+    g = modular_at(1.0)
+    if g == 0.0:
+        return 0.0, 0.0
+    if g <= 1.0:
+        hi = 1.0
+        lo = 0.5
+        while modular_at(lo) <= 1.0:
+            hi = lo
+            lo *= 0.5
+            if lo < 1e-300:
+                return 0.0, lo
+    else:
+        lo = 1.0
+        hi = 2.0
+        while modular_at(hi) > 1.0:
+            lo = hi
+            hi *= 2.0
+            if hi > 1e300:
+                return math.inf, math.inf
+    for _ in range(200):
+        if hi - lo <= rel_tol * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if modular_at(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
 def _values_at(f: RadialStepFunction, shells: list[int | None]) -> list[float]:
@@ -256,7 +295,7 @@ def mc_luxemburg(
                 / (1.0 - ppow(p, s))
             )
 
-    root, half = _solve_luxemburg(modular_hat, rel_tol)
+    root, half = _bisect_luxemburg(modular_hat, rel_tol)
     variance = 0.0
     for measure, exponent, magnitudes, distinct, count in drawn:
         _, var = _stratum_stats(list(terms_at(root, exponent, magnitudes, distinct)))

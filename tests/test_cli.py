@@ -267,6 +267,26 @@ def test_herz_norm_overflow_exits_one(files, tmp_path, capsys):
     assert "overflows" in captured.err
 
 
+@pytest.mark.parametrize(
+    "shell, space, message",
+    [
+        (-1100, [], "rounds to 0.0"),
+        (1100, [], "overflows"),
+        (1100, ["--space", "herz", "--beta", "0.5", "--m", "2"], "overflows"),
+    ],
+    ids=["lebesgue-underflow", "lebesgue-overflow", "herz-overflow"],
+)
+def test_extreme_shell_norms_exit_one(files, tmp_path, capsys, shell, space, message):
+    """At p = 2 and u = 2, chi(S_-1100) (norm about 1.9e-166) must not print
+    0.0, and chi(S_1100) (norm about 2.6e165) must not print a divergence."""
+    path = tmp_path / "shell.json"
+    save_function(RadialStepFunction(CTX, (shell, shell), (1.0,)), str(path))
+    assert main(["norm", *space, "-u", files["u"], "-i", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

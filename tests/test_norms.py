@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +15,7 @@ from ultraherz import (
     HerzParams,
     MorreyHerzParams,
     NumericOverflowError,
+    NumericUnderflowError,
     PadicContext,
     RadialStepFunction,
     Tail,
@@ -192,6 +195,82 @@ def test_herz_overflow_is_a_typed_error_not_a_divergence():
     # a divergent tail is still reported as divergence, not as an overflow
     heavy = RadialStepFunction(CTX, (1100, 1100), (1.0,), outer_tail=Tail(1.0, -0.25))
     assert not herz_norm(heavy, U2, HerzParams(0.0, 2.0)).convergent
+
+
+def test_extreme_shell_norms_raise_typed_errors():
+    """At p = 2 and u = 2, chi(S_-1100) has norm about 1.9e-166 but a modular
+    weight 2**-1101 that rounds to 0.0, and chi(S_1100) has norm about
+    2.6e165 but a modular weight that overflows: neither is a zero norm or
+    a divergence."""
+    near = RadialStepFunction(CTX, (-1100, -1100), (1.0,))
+    far = RadialStepFunction(CTX, (1100, 1100), (1.0,))
+    with pytest.raises(NumericUnderflowError, match="0.0"):
+        luxemburg_norm(near, U2)
+    with pytest.raises(NumericOverflowError, match="overflow"):
+        luxemburg_norm(far, U2)
+    with pytest.raises(NumericOverflowError, match="overflow"):
+        modular(far, U2)
+    weighted = HerzParams(0.5, 2.0)
+    with pytest.raises(NumericOverflowError, match="overflow"):
+        herz_norm(far, U2, weighted)
+    with pytest.raises(NumericUnderflowError, match="underflow"):
+        herz_norm(near, U2, weighted)
+    with pytest.raises(NumericOverflowError, match="overflow"):
+        morrey_herz_norm(far, U2, MorreyHerzParams(0.5, 2.0, 0.25))
+    with pytest.raises(NumericUnderflowError, match="underflow"):
+        morrey_herz_norm(near, U2, MorreyHerzParams(0.5, 2.0, 0.25))
+    # a coefficient whose square overflows, raised before this as a bare OverflowError
+    big = RadialStepFunction(CTX, (0, 0), (1e200,))
+    with pytest.raises(NumericOverflowError, match="overflow"):
+        luxemburg_norm(big, U2)
+    with pytest.raises(NumericOverflowError, match="overflow"):
+        modular(big, U2)
+    # an inner tail whose whole sum rounds to 0.0 is not the zero function
+    deep = RadialStepFunction(CTX, (-1200, -1200), (0.0,), inner_tail=Tail(1.0, 0.0))
+    with pytest.raises(NumericUnderflowError):
+        luxemburg_norm(deep, U2)
+
+
+def test_partial_underflow_keeps_the_norm():
+    """A term that rounds to 0.0 next to a normal one is negligible."""
+    f = RadialStepFunction(CTX, (-1100, 0), (1.0,) + (0.0,) * 1099 + (1.0,))
+    result = luxemburg_norm(f, U2)
+    assert abs(result.value - math.sqrt(0.5)) <= result.tail_remainder_bound + 1e-15
+    u = ExponentFunction(CTX, (0, 1), (2.0, 3.0), 2.0, 3.0)
+    two = RadialStepFunction(CTX, (-1100, 1), (1.0,) + (0.0,) * 1099 + (1.0, 1.0))
+    without = RadialStepFunction(CTX, (0, 1), (1.0, 1.0))
+    assert luxemburg_norm(two, u) == dataclasses.replace(
+        luxemburg_norm(without, u), work_window=(-1100, 1)
+    )
+    assert herz_norm(f, U2, HerzParams(0.5, 2.0)).value == pytest.approx(
+        math.sqrt(0.5), rel=1e-15
+    )
+
+
+def _quadratic_root(w1: Fraction, w2: Fraction) -> Fraction:
+    """The positive root of w1/lam + w2/lam**2 = 1, i.e. (w1 + sqrt(w1**2 +
+    4*w2)) / 2, to about 2**-190 relative precision."""
+    disc = w1 * w1 + 4 * w2
+    k = 200 - (disc.numerator.bit_length() - disc.denominator.bit_length()) // 2
+    return (w1 + Fraction(math.isqrt(math.floor(disc * Fraction(4) ** k))) / Fraction(2) ** k) / 2
+
+
+@pytest.mark.parametrize("c", [1e150, 1e-150, 3.0])
+def test_finest_tolerance_is_met_at_extreme_magnitudes(c):
+    """At the finest admissible rel_tol (just above 1e-14) the bracket
+    half-width stays below rel_tol * lam even at lam near 1e+-150, where one
+    ulp of log(lam) is already about 5.7e-14 of lam, and the bracket holds
+    the exact root."""
+    f = RadialStepFunction(CTX, (0, 1), (c, c))
+    u = ExponentFunction(CTX, (0, 1), (1.0, 2.0), 1.0, 2.0)
+    rel_tol = math.nextafter(1e-14, 1.0)
+    result = luxemburg_norm(f, u, rel_tol=rel_tol)
+    assert result.tail_remainder_bound <= rel_tol * result.value
+    # shell 0 carries c * |S_0| with u = 1; shell 1 carries c**2 * |S_1| with u = 2
+    root = _quadratic_root(Fraction(c) / 2, Fraction(c) ** 2)
+    slack = Fraction(result.tail_remainder_bound) + Fraction(math.ulp(result.value))
+    assert abs(Fraction(result.value) - root) <= slack
+    assert result.value / c == pytest.approx(1.2807764064, rel=1e-10)
 
 
 def test_morrey_herz_lambda_zero_equals_herz_exactly():

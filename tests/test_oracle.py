@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -27,6 +29,7 @@ from ultraherz import (
     mc_operator_probe,
     sample_uniform,
 )
+from ultraherz import norms, oracle
 from ultraherz.oracle import MCEstimate
 from ultraherz.padic import sample_shells
 
@@ -80,6 +83,21 @@ def test_mc_luxemburg_brackets_the_bisection_value():
     est = mc_luxemburg(f, u, OracleConfig(samples=2000, seed=8))
     exact = luxemburg_norm(f, u).value
     assert abs(est.value - exact) <= max(3.0 * est.std_error, 1e-8 * exact)
+
+
+def test_oracle_shares_no_solver_with_norms():
+    """``mc_luxemburg`` inverts its sampled modular with the oracle's own
+    bisection, so a bug in the closed-form solver cannot pass on both sides."""
+    imported = {
+        node.module
+        for node in ast.walk(ast.parse(inspect.getsource(oracle)))
+        if isinstance(node, ast.ImportFrom)
+    }
+    assert "norms" not in imported
+    assert [
+        name for name, obj in vars(oracle).items()
+        if getattr(obj, "__module__", None) == norms.__name__
+    ] == []
 
 
 def test_operator_probe_hardy_matches_closed_form():

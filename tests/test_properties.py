@@ -1,5 +1,6 @@
-"""Property tests: the running ball-integral sum and the exact powers of p
-against direct references written out here."""
+"""Property tests: the running ball-integral sum, the exact powers of p and
+the Luxemburg solver against direct references and norm laws written out
+here."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from ultraherz import (
     ExponentFunction,
+    NumericUnderflowError,
     PadicContext,
     RadialStepFunction,
     Tail,
@@ -20,6 +22,8 @@ from ultraherz import (
     ball_mean,
     cmo_norm,
     hardy,
+    luxemburg_norm,
+    modular,
     ppow,
 )
 from ultraherz.norms import _shifted_norm
@@ -171,3 +175,135 @@ def test_integer_ppow_is_the_correctly_rounded_fraction(p, e):
         expected = math.inf
     assert ppow(p, e) == expected
     assert ppow(p, float(e)) == expected
+
+
+# ---------------------------------------------------------------------------
+# The Luxemburg solver
+
+#: Tolerances from the coarsest to the finest admissible one.
+REL_TOLS = st.sampled_from([1e-4, 1e-10, math.nextafter(1e-14, 1.0)])
+
+#: Float rounding allowed when a modular is recomputed at a bracket end.
+MODULAR_SLACK = 1e-13
+
+EXPONENT = st.one_of(
+    st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    st.floats(1.0, 4.0, allow_nan=False),
+)
+
+
+@st.composite
+def exponents(draw, ctx):
+    """A piecewise exponent; the small fixed set makes pieces share values."""
+    values = draw(st.lists(EXPONENT, min_size=1, max_size=4))
+    lo = draw(st.integers(-6, 6))
+    return ExponentFunction(
+        ctx, (lo, lo + len(values) - 1), values, draw(EXPONENT), draw(EXPONENT)
+    )
+
+
+@st.composite
+def norm_inputs(draw):
+    ctx = draw(contexts())
+    return draw(step_functions(ctx)), draw(exponents(ctx))
+
+
+def _solved(f, u, rel_tol=1e-10):
+    """luxemburg_norm, or None when every modular term of f rounds to 0.0
+    (a tiny coefficient to a large power), the one case it refuses."""
+    try:
+        return luxemburg_norm(f, u, rel_tol)
+    except NumericUnderflowError:
+        assert modular(f, u).value == 0.0
+        return None
+
+
+@settings(max_examples=150)
+@given(inputs=norm_inputs(), rel_tol=REL_TOLS)
+def test_luxemburg_bracket_straddles_the_unit_modular(inputs, rel_tol):
+    """rho(f/(lam+h)) <= 1 <= rho(f/(lam-h)) for the returned (lam, h)."""
+    f, u = inputs
+    result = _solved(f, u, rel_tol)
+    if result is None:
+        return
+    if not result.convergent:
+        assert not modular(f, u).convergent
+        return
+    lam, h = result.value, result.tail_remainder_bound
+    if lam == 0.0:
+        assert modular(f, u).value == 0.0
+        return
+    assert 0.0 <= h <= rel_tol * lam
+    assert modular(f.scale(1.0 / (lam + h)), u).value <= 1.0 + MODULAR_SLACK
+    assert modular(f.scale(1.0 / (lam - h)), u).value >= 1.0 - MODULAR_SLACK
+
+
+@settings(max_examples=100)
+@given(
+    inputs=norm_inputs(),
+    c=st.one_of(st.sampled_from([-1.0, 2.0, -0.5]), st.floats(-1e3, 1e3)).filter(
+        lambda c: abs(c) >= 1e-3
+    ),
+)
+def test_luxemburg_norm_is_homogeneous(inputs, c):
+    """||c f|| = |c| ||f|| within the two certificates."""
+    f, u = inputs
+    base, scaled = _solved(f, u), _solved(f.scale(c), u)
+    if base is None or scaled is None or not base.convergent:
+        return
+    bound = scaled.tail_remainder_bound + abs(c) * base.tail_remainder_bound
+    assert abs(scaled.value - abs(c) * base.value) <= bound + 1e-13 * scaled.value
+
+
+@settings(max_examples=100)
+@given(inputs=norm_inputs())
+def test_norm_lies_between_the_modular_powers(inputs):
+    """min(rho**(1/u-), rho**(1/u+)) <= ||f|| <= max(rho**(1/u-), rho**(1/u+))
+    (Cruz-Uribe and Fiorenza, Variable Lebesgue Spaces, 2013)."""
+    f, u = inputs
+    result = _solved(f, u)
+    if result is None or not result.convergent:
+        return
+    rho = modular(f, u).value
+    powers = [rho ** (1.0 / u.u_minus), rho ** (1.0 / u.u_plus)]
+    h = result.tail_remainder_bound
+    assert min(powers) * (1.0 - 1e-13) - h <= result.value
+    assert result.value <= max(powers) * (1.0 + 1e-13) + h
+
+
+def _fraction_sqrt(x: Fraction) -> Fraction:
+    """sqrt(x) to about 2**-190 relative precision."""
+    k = 200 - (x.numerator.bit_length() - x.denominator.bit_length()) // 2
+    return Fraction(math.isqrt(math.floor(x * Fraction(4) ** k))) / Fraction(2) ** k
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_quadratic_norm_matches_an_exact_square_root(data):
+    """For u = 2 the norm is sqrt(rho(f)); with integer tail rates rho(f) is
+    a rational sum, written out here shell by shell and tail by tail."""
+    ctx = data.draw(contexts())
+    p, n = ctx.p, ctx.n
+    j_min = data.draw(st.integers(-8, 8))
+    coeffs = data.draw(st.lists(COEFF, min_size=1, max_size=8))
+    j_max = j_min + len(coeffs) - 1
+    inner = Tail(data.draw(COEFF), float(data.draw(st.integers(0, 2))))
+    outer = Tail(data.draw(COEFF), float(data.draw(st.integers(-n - 2, -n))))
+    f = RadialStepFunction(ctx, (j_min, j_max), coeffs, inner, outer)
+    result = _solved(f, ExponentFunction.constant(ctx, 2.0))
+    if result is None:
+        return
+
+    mass = 1 - Fraction(p) ** -n
+    rho = sum(
+        (Fraction(c) ** 2 * mass * Fraction(p) ** (n * k) for k, c in enumerate(coeffs, j_min)),
+        Fraction(0),
+    )
+    q_in = Fraction(p) ** (2 * int(inner.rate) + n)  # ratio of the inner tail, > 1
+    rho += Fraction(inner.amplitude) ** 2 * mass * q_in ** (j_min - 1) / (1 - 1 / q_in)
+    q_out = Fraction(p) ** (2 * int(outer.rate) + n)  # ratio of the outer tail, < 1
+    rho += Fraction(outer.amplitude) ** 2 * mass * q_out ** (j_max + 1) / (1 - q_out)
+
+    reference = _fraction_sqrt(rho)
+    error = abs(Fraction(result.value) - reference)
+    assert error <= Fraction(result.tail_remainder_bound) + 32 * Fraction(math.ulp(float(reference)))
