@@ -34,6 +34,7 @@ from .padic import PadicContext, ppow
 from .radial import (
     ExponentFunction,
     RadialStepFunction,
+    _geometric_tail,
     _mean_of_parts,
     _running_parts,
     _unit_mass,
@@ -173,12 +174,12 @@ def _modular_terms(
         amplitude, rate = f.outer_tail
         if top is None and amplitude != 0.0:
             c = u.u_infinity
-            s = rate * c + n
-            if s >= 0:
-                return None
-            terms.append(
-                (abs(amplitude) ** c * mass * ppow(p, s * (w_hi + 1)) / (1.0 - ppow(p, s)), c)
+            outer = _geometric_tail(
+                abs(amplitude) ** c * mass, p, rate * c + n, w_hi + 1, below=False
             )
+            if outer is None:
+                return None
+            terms.append((outer, c))
     except OverflowError as exc:
         raise _norm_overflow() from exc
     return terms, bound
@@ -480,7 +481,8 @@ def herz_norm(
 
     s_in, s_out = _herz_slopes(f, u, beta)
     inner, outer = f.inner_tail.amplitude != 0.0, f.outer_tail.amplitude != 0.0
-    if (inner and s_in <= 0) or (outer and s_out >= 0):
+    # the tail kernel's own divergence test, so no tail sum below is None
+    if (inner and m * s_in <= 0) or (outer and m * s_out >= 0):
         return NormResult(math.inf, False, 0.0, (w_lo, w_hi))
 
     total = 0.0
@@ -491,10 +493,10 @@ def herz_norm(
                 total += t**m
         if inner:
             c = _herz_tail_amplitude(f.inner_tail.amplitude, u.u_inner, mass)
-            total += c**m * ppow(p, m * s_in * w_lo) / (ppow(p, m * s_in) - 1.0)
+            total += _geometric_tail(c**m, p, m * s_in, w_lo, below=True)
         if outer:
             c = _herz_tail_amplitude(f.outer_tail.amplitude, u.u_infinity, mass)
-            total += c**m * ppow(p, m * s_out * (w_hi + 1)) / (1.0 - ppow(p, m * s_out))
+            total += _geometric_tail(c**m, p, m * s_out, w_hi + 1, below=False)
     except OverflowError as exc:
         raise _herz_overflow("Herz", m, (w_lo, w_hi)) from exc
     value = _herz_value(total, f, "Herz", m, (w_lo, w_hi))
@@ -540,7 +542,7 @@ def morrey_herz_norm(
     inner, outer = f.inner_tail.amplitude != 0.0, f.outer_tail.amplitude != 0.0
     drift_in = s_in * math.log(p) - lam * log_base
     drift_out = s_out * math.log(p) - lam * log_base
-    if (inner and (s_in <= 0 or drift_in < -_CRITICAL_BAND)) or (
+    if (inner and (m * s_in <= 0 or drift_in < -_CRITICAL_BAND)) or (
         outer and drift_out > _CRITICAL_BAND
     ):
         return NormResult(math.inf, False, 0.0, (w_lo, w_hi))
@@ -553,7 +555,7 @@ def morrey_herz_norm(
         inner_block = 0.0
         if inner:
             c = _herz_tail_amplitude(f.inner_tail.amplitude, u.u_inner, mass)
-            inner_block = c**m * ppow(p, m * s_in * w_lo) / (ppow(p, m * s_in) - 1.0)
+            inner_block = _geometric_tail(c**m, p, m * s_in, w_lo, below=True)
             # Candidates below the window form a geometric sequence with ratio
             # p**s_in / base**lam >= 1, so the largest sits at k0 = w_lo - 1.
             best_gm = max(best_gm, prefactor_m(w_lo - 1) * inner_block)
@@ -667,17 +669,11 @@ def _mixed_inner_sum(
         return 0.0, 0.0
     if amplitude == 0.0:
         return abs(shift) ** exponent * ppow(p, n * upto), 0.0
+    s = rate * exponent + n
     if shift == 0.0:
-        s = rate * exponent + n
-        if s <= 0:
-            return None
-        return (
-            abs(amplitude) ** exponent
-            * mass
-            * ppow(p, s * (upto + 1))
-            / (ppow(p, s) - 1.0),
-            0.0,
-        )
+        coef = abs(amplitude) ** exponent * mass
+        tail = _geometric_tail(coef, p, s, upto + 1, below=True)
+        return None if tail is None else (tail, 0.0)
     if rate == 0.0:
         return abs(amplitude - shift) ** exponent * ppow(p, n * upto), 0.0
 
@@ -699,7 +695,6 @@ def _mixed_inner_sum(
         lo = (abs(shift) * (1.0 - _MIXED_TOL)) ** exponent * ppow(p, n * k)
         return total + 0.5 * (hi + lo), 0.5 * (hi - lo)
 
-    s = rate * exponent + n
     if s <= 0:
         return None
     while abs(shift) > _MIXED_TOL * abs(amplitude) * ppow(p, k * rate):
@@ -712,9 +707,7 @@ def _mixed_inner_sum(
         steps += 1
         if steps > _SCAN_CAP:
             raise DomainError("mixed tail sum failed to localize (rate too small)")
-    geometric = (
-        abs(amplitude) ** exponent * mass * ppow(p, s * (k + 1)) / (ppow(p, s) - 1.0)
-    )
+    geometric = _geometric_tail(abs(amplitude) ** exponent * mass, p, s, k + 1, below=True)
     hi = geometric * (1.0 + _MIXED_TOL) ** exponent
     lo = geometric * (1.0 - _MIXED_TOL) ** exponent
     return total + 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -815,41 +808,28 @@ def _cmo_envelope_terms(
 
     rho_chi = ppow(p, -n / u_inf)
     rho_mass = ppow(p, -n)
+    chi_at_ref = chi_unit * ppow(p, ref * n / u_inf)
+    mass_at_ref = ppow(p, n * ref)
     terms = [
-        _GeoTerm(near_norm / (chi_unit * ppow(p, ref * n / u_inf)), rho_chi, False, ref),
-        _GeoTerm(near_integral / ppow(p, n * ref), rho_mass, False, ref),
+        _GeoTerm(near_norm / chi_at_ref, rho_chi, False, ref),
+        _GeoTerm(near_integral / mass_at_ref, rho_mass, False, ref),
     ]
     if amplitude != 0.0 and rate < 0.0:
-        sigma = rate + n / u_inf
-        c_norm = abs(amplitude) * chi_unit
-        if sigma < 0:
-            bulk = c_norm * ppow(p, (ref + 1) * sigma) / (1.0 - ppow(p, sigma))
-            terms.append(
-                _GeoTerm(bulk / (chi_unit * ppow(p, ref * n / u_inf)), rho_chi, False, ref)
-            )
-        elif sigma == 0:
-            terms.append(
-                _GeoTerm(
-                    c_norm / (chi_unit * ppow(p, ref * n / u_inf)), rho_chi, True, ref
-                )
-            )
-        else:
-            grown = c_norm * ppow(p, sigma) / (ppow(p, sigma) - 1.0)
-            terms.append(
-                _GeoTerm(
-                    grown * ppow(p, ref * rate) / chi_unit, ppow(p, rate), False, ref
-                )
-            )
-        s2 = rate + n
-        c_int = abs(amplitude) * mass
-        if s2 < 0:
-            bulk = c_int * ppow(p, (ref + 1) * s2) / (1.0 - ppow(p, s2))
-            terms.append(_GeoTerm(bulk / ppow(p, n * ref), rho_mass, False, ref))
-        elif s2 == 0:
-            terms.append(_GeoTerm(c_int / ppow(p, n * ref), rho_mass, True, ref))
-        else:
-            grown = c_int * ppow(p, s2) / (ppow(p, s2) - 1.0)
-            terms.append(_GeoTerm(grown * ppow(p, ref * rate), ppow(p, rate), False, ref))
+        # (coefficient, rate, scale at ref, unit scale, ratio): the tail's
+        # norm part, then its integral part
+        pieces = (
+            (abs(amplitude) * chi_unit, rate + n / u_inf, chi_at_ref, chi_unit, rho_chi),
+            (abs(amplitude) * mass, rate + n, mass_at_ref, 1.0, rho_mass),
+        )
+        for c, s, at_ref, unit, rho in pieces:
+            if s < 0:
+                bulk = _geometric_tail(c, p, s, ref + 1, below=False)
+                terms.append(_GeoTerm(bulk / at_ref, rho, False, ref))
+            elif s == 0:
+                terms.append(_GeoTerm(c / at_ref, rho, True, ref))
+            else:
+                grown = _geometric_tail(c, p, s, 1, below=True) * ppow(p, ref * rate)
+                terms.append(_GeoTerm(grown / unit, ppow(p, rate), False, ref))
     return terms
 
 

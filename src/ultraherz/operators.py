@@ -38,8 +38,14 @@ from itertools import islice
 
 from .errors import ClassClosureError, DomainError
 from .padic import ppow
-from .radial import RadialStepFunction, Tail, _running_parts, _unit_mass
-from .radial import ball_integral, combine
+from .radial import (
+    RadialStepFunction,
+    Tail,
+    _geometric_tail,
+    _running_parts,
+    _unit_mass,
+    combine,
+)
 
 _KINDS = ("hardy", "adjoint", "commutator", "maximal")
 
@@ -152,29 +158,27 @@ def hardy_adjoint(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
             "accumulated mass would ride a constant on top of a power; widen "
             "the explicit window instead"
         )
-    amplitude, rate = f.outer_tail
-    if amplitude != 0.0 and rate + alpha >= 0:
-        raise DomainError(
-            f"outer tail rate {rate} with order {alpha} makes the defining "
-            f"integral divergent (needs rate + alpha < 0)"
-        )
     mass = _unit_mass(ctx)
     j_min, j_max = f.window
     lo, hi = j_min - 1, j_max + 1
 
+    amplitude, rate = f.outer_tail
+    outer, value = Tail(0.0, 0.0), 0.0
     if amplitude != 0.0:
         s = rate + alpha
-        outer_amp = amplitude * mass * ppow(p, s) / (1.0 - ppow(p, s))
+        # above the window the image is outer_amp * p**(k*s): the tail's
+        # weighted mass summed over the shells j > k
+        outer_amp = _geometric_tail(amplitude * mass, p, s, 1, below=False)
+        if outer_amp is None:
+            raise DomainError(
+                f"outer tail rate {rate} with order {alpha} makes the defining "
+                f"integral divergent (needs rate + alpha < 0)"
+            )
         outer = Tail(outer_amp, s)
-        j_top = hi
         value = outer_amp * ppow(p, hi * s)
-    else:
-        outer = Tail(0.0, 0.0)
-        j_top = hi
-        value = 0.0
 
-    values: dict[int, float] = {j_top: value}
-    for k in range(j_top - 1, lo - 1, -1):
+    values: dict[int, float] = {hi: value}
+    for k in range(hi - 1, lo - 1, -1):
         value = value + mass * f.evaluate(k + 1) * ppow(p, (k + 1) * alpha)
         values[k] = value
     coeffs = tuple(values[k] for k in range(lo, hi + 1))
@@ -217,17 +221,15 @@ def maximal(f: RadialStepFunction) -> RadialStepFunction:
     j_min, j_max = f.window
     mass = _unit_mass(ctx)
 
-    total = ball_integral(g, j_max)
-    integrals: dict[int, float] = {}
-    running = ball_integral(g, j_min - 1)
-    for k in range(j_min, j_max + 1):
-        running += g.evaluate(k) * mass * ppow(p, n * k)
-        integrals[k] = running
+    parts = islice(_running_parts(g, j_min), j_max - j_min + 1)
+    integrals = [float(exact) + inexact for exact, inexact in parts]
+    # The outer tail vanishes, so B_j_max already holds the total integral.
+    total = integrals[-1]
 
     suffix = total * ppow(p, -n * (j_max + 1))
     suffix_at: dict[int, float] = {}
     for k in range(j_max, j_min - 1, -1):
-        suffix = max(integrals[k] * ppow(p, -n * k), suffix)
+        suffix = max(integrals[k - j_min] * ppow(p, -n * k), suffix)
         suffix_at[k] = suffix
     s_window = suffix_at[j_min]
 
@@ -312,18 +314,14 @@ def shell_diagonal(f: RadialStepFunction, g: RadialStepFunction, alpha: float) -
         if term != 0.0:
             total += term * ppow(p, k * (alpha - n)) * (mass * ppow(p, n * k)) ** 2
 
-    a_f, e_f = f.inner_tail
-    a_g, e_g = g.inner_tail
-    if a_f != 0.0 and a_g != 0.0:
-        s = e_f + e_g + alpha + n
-        if s <= 0:
-            raise DomainError("shell diagonal diverges at the origin")
-        total += a_f * a_g * mass**2 * ppow(p, s * w_lo) / (ppow(p, s) - 1.0)
-    a_f, e_f = f.outer_tail
-    a_g, e_g = g.outer_tail
-    if a_f != 0.0 and a_g != 0.0:
-        s = e_f + e_g + alpha + n
-        if s >= 0:
-            raise DomainError("shell diagonal diverges at infinity")
-        total += a_f * a_g * mass**2 * ppow(p, s * (w_hi + 1)) / (1.0 - ppow(p, s))
+    for (a_f, e_f), (a_g, e_g), start, below, where in (
+        (f.inner_tail, g.inner_tail, w_lo, True, "at the origin"),
+        (f.outer_tail, g.outer_tail, w_hi + 1, False, "at infinity"),
+    ):
+        if a_f != 0.0 and a_g != 0.0:
+            s = e_f + e_g + alpha + n
+            tail = _geometric_tail(a_f * a_g * mass**2, p, s, start, below)
+            if tail is None:
+                raise DomainError(f"shell diagonal diverges {where}")
+            total += tail
     return total

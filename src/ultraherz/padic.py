@@ -12,8 +12,9 @@ Conventions used throughout the package:
   ``|B_k| = p^(n k)`` and ``|S_k| = p^(n k) (1 - p^(-n))``, returned as exact
   ``fractions.Fraction`` values.
 
-Sampled points are stored as exact rational coordinates truncated to a digit
-resolution, so norms, shells and arithmetic on sampled points are all exact.
+The sampler draws Haar-uniform points of a ball or sphere as integer digit
+vectors truncated to a digit resolution and returns only their shells, which
+it reads off the vectors exactly in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from .errors import DomainError
 
 #: Shell indices are plain ints; k labels the sphere S_k.
 Shell = int
-
-#: Default number of base-p digits kept per coordinate when sampling (d_0..d_L).
-DEFAULT_RESOLUTION = 24
 
 #: Default guard on shell indices accepted at the public API boundary.
 DEFAULT_SHELL_LIMIT = 64
@@ -137,11 +135,6 @@ def padic_valuation(numerator: int, denominator: int, ctx: PadicContext) -> int 
     return _int_valuation(numerator, ctx.p) - _int_valuation(denominator, ctx.p)
 
 
-def fraction_valuation(x: Fraction, ctx: PadicContext) -> int | float:
-    """Valuation of an exact rational; ``math.inf`` for zero."""
-    return padic_valuation(x.numerator, x.denominator, ctx)
-
-
 def ball_measure(gamma: int, ctx: PadicContext) -> Fraction:
     """Haar measure of the ball B_gamma, exactly p^(n gamma).
 
@@ -173,201 +166,10 @@ def _sphere_measure_unchecked(gamma: int, ctx: PadicContext) -> Fraction:
     return Fraction(ctx.p) ** (ctx.n * gamma) * (1 - 1 / q)
 
 
-@dataclass(frozen=True)
-class PadicPoint:
-    """A point of Q_p^n with exact rational coordinates.
-
-    Coordinates are rationals truncated to ``resolution + 1`` base-p digits
-    when produced by the sampler; arbitrary rationals are accepted. The shell
-    index, vector norm, digit expansions and arithmetic are all exact.
-    """
-
-    ctx: PadicContext
-    coords: tuple[Fraction, ...]
-    resolution: int = DEFAULT_RESOLUTION
-
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.ctx.n:
-            raise DomainError(
-                f"expected {self.ctx.n} coordinates, got {len(self.coords)}"
-            )
-        if self.resolution < 1:
-            raise DomainError("resolution must be >= 1")
-        object.__setattr__(
-            self,
-            "coords",
-            tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords),
-        )
-
-    @classmethod
-    def from_rationals(
-        cls,
-        ctx: PadicContext,
-        values,
-        resolution: int = DEFAULT_RESOLUTION,
-    ) -> "PadicPoint":
-        return cls(ctx, tuple(Fraction(v) for v in values), resolution)
-
-    def coordinate_valuations(self) -> tuple[int | float, ...]:
-        """Per-coordinate valuations; ``math.inf`` marks a zero coordinate."""
-        return tuple(fraction_valuation(c, self.ctx) for c in self.coords)
-
-    @property
-    def shell(self) -> int | None:
-        """Shell index k with |x|_p = p^k, or None for the zero vector."""
-        p = self.ctx.p
-        best: int | None = None
-        for c in self.coords:
-            if c == 0:
-                continue
-            k = _int_valuation(c.denominator, p) - _int_valuation(c.numerator, p)
-            if best is None or k > best:
-                best = k
-        return best
-
-    def vector_norm(self) -> Fraction:
-        """Max of coordinate norms; an exact power of p, or 0 for the origin."""
-        k = self.shell
-        if k is None:
-            return Fraction(0)
-        return Fraction(self.ctx.p) ** k
-
-    def digits(self, i: int) -> tuple[int, ...]:
-        """Base-p digits (d_0, ..., d_L) of coordinate i's unit part.
-
-        Writing the coordinate as p^v * s / t with p dividing neither s nor t,
-        the digits are those of s * t^(-1) mod p^(L+1), so d_0 != 0. A zero
-        coordinate yields all-zero digits.
-        """
-        p, L = self.ctx.p, self.resolution
-        x = self.coords[i]
-        if x == 0:
-            return (0,) * (L + 1)
-        v = fraction_valuation(x, self.ctx)
-        unit = x / Fraction(p) ** int(v)
-        mod = p ** (L + 1)
-        s, t = unit.numerator % mod, unit.denominator % mod
-        u = (s * pow(t, -1, mod)) % mod
-        out = []
-        for _ in range(L + 1):
-            out.append(u % p)
-            u //= p
-        return tuple(out)
-
-    def scale_by_p_power(self, a: int) -> "PadicPoint":
-        """Multiply every coordinate by p^a; the norm scales by p^(-a)."""
-        factor = Fraction(self.ctx.p) ** a
-        return PadicPoint(self.ctx, tuple(c * factor for c in self.coords), self.resolution)
-
-
-def vector_norm(x: PadicPoint) -> Fraction:
-    """Module-level alias for :meth:`PadicPoint.vector_norm`."""
-    return x.vector_norm()
-
-
-@lru_cache(maxsize=256)
-def _scale_fraction(p: int, exponent: int) -> Fraction:
-    """p**exponent as an exact Fraction, cached (samplers hit this per point)."""
-    return Fraction(p) ** exponent
-
-
 @lru_cache(maxsize=256)
 def _unit_range(p: int, resolution: int) -> int:
     """p^(resolution+1), the size of the truncated digit space of Z_p."""
     return p ** (resolution + 1)
-
-
-def _check_region(region: str, gamma: int, ctx: PadicContext) -> None:
-    if region not in ("ball", "sphere"):
-        raise DomainError(f"region must be 'ball' or 'sphere', got {region!r}")
-    ctx.check_shell(gamma, "region index")
-
-
-def _draw(
-    region: str,
-    gamma: int,
-    count: int,
-    ctx: PadicContext,
-    resolution: int,
-    rng: random.Random,
-) -> tuple[list[int | None], list[int]]:
-    """Draw ``count`` accepted digit vectors z in [0, p^(resolution+1))^n.
-
-    A point of the region is p^(-gamma) * z. Each coordinate is drawn as
-    ``rng.randrange(limit)`` draws it (``getrandbits`` of the limit's bit
-    length, redrawn while out of range), so the stream and the generator's
-    final state are those of n ``randrange`` calls per draw. The sphere
-    rejects vectors whose every coordinate is divisible by p, i.e. p | gcd(z).
-
-    Returns the shell of every accepted draw, gamma - v_p(gcd(z)) with None
-    for the origin, and the coordinates of the last draw.
-    """
-    p, n = ctx.p, ctx.n
-    limit = _unit_range(p, resolution)
-    bits = limit.bit_length()
-    getrandbits = rng.getrandbits
-    gcd = math.gcd
-    sphere = region == "sphere"
-    coords = range(n)
-    zs = [0] * n
-    shells: list[int | None] = []
-    append = shells.append
-    drawn = 0
-    while drawn < count:
-        g = 0
-        for i in coords:
-            z = getrandbits(bits)
-            while z >= limit:
-                z = getrandbits(bits)
-            zs[i] = z
-            g = gcd(g, z)
-        if g % p:
-            append(gamma)
-        elif sphere:
-            continue
-        elif g:
-            append(gamma - _int_valuation(g, p))
-        else:
-            append(None)
-        drawn += 1
-    return shells, zs
-
-
-def sample_uniform(
-    region: str,
-    gamma: int,
-    ctx: PadicContext,
-    resolution: int = DEFAULT_RESOLUTION,
-    rng: random.Random | None = None,
-    seed: int | None = None,
-) -> PadicPoint:
-    """Draw one Haar-uniform point from a ball or sphere.
-
-    Args:
-        region: ``"ball"`` for B_gamma or ``"sphere"`` for S_gamma.
-        gamma: shell index of the region.
-        ctx: ambient space.
-        resolution: digits kept per coordinate; each coordinate is p^(-gamma)
-            times a uniform draw from Z_p truncated after resolution+1 digits.
-        rng: explicit generator state; advancing it across calls gives an
-            i.i.d. stream. Mutually exclusive with ``seed``.
-        seed: convenience one-shot seed (creates a fresh generator).
-
-    The sphere law is the ball law conditioned on the norm being exactly
-    p^gamma, realized by rejection (acceptance probability 1 - p^(-n)).
-    Coordinates are exact rationals, so the returned point's shell index is
-    exact. Mass below the digit resolution (probability p^(-(resolution+1))
-    per coordinate) collapses to exact zero.
-    """
-    _check_region(region, gamma, ctx)
-    if rng is None:
-        rng = random.Random(seed)
-    elif seed is not None:
-        raise DomainError("pass either rng or seed, not both")
-
-    scale = _scale_fraction(ctx.p, -gamma)
-    _, zs = _draw(region, gamma, 1, ctx, resolution, rng)
-    return PadicPoint(ctx, tuple(z * scale for z in zs), resolution)
 
 
 def sample_shells(
@@ -378,17 +180,63 @@ def sample_shells(
     resolution: int,
     rng: random.Random,
 ) -> list[int | None]:
-    """Shell indices of ``count`` points drawn as by :func:`sample_uniform`.
+    """Shell indices of ``count`` Haar-uniform points of a ball or sphere.
 
-    Consumes ``rng`` exactly as ``count`` calls of ``sample_uniform`` would
-    and returns their ``.shell`` values, but classifies each draw on
-    integers: the point p^(-gamma) * z lies on shell gamma - min_i v_p(z_i),
-    and min_i v_p(z_i) = v_p(gcd(z)); None marks the origin (every z_i = 0).
+    Args:
+        region: ``"ball"`` for B_gamma or ``"sphere"`` for S_gamma.
+        gamma: shell index of the region.
+        count: number of points to draw.
+        ctx: ambient space.
+        resolution: each coordinate is p^(-gamma) times a uniform draw from
+            Z_p truncated after resolution+1 base-p digits, so mass below the
+            resolution (probability p^(-(resolution+1)) per coordinate)
+            collapses to exact zero.
+        rng: generator state; advancing it across calls gives an i.i.d.
+            stream.
+
+    A point is p^(-gamma) * z for a digit vector z in [0, p^(resolution+1))^n.
+    Each coordinate is drawn as ``rng.randrange(limit)`` draws it
+    (``getrandbits`` of the limit's bit length, redrawn while out of range),
+    so the stream and the generator's final state are those of n
+    ``randrange`` calls per point. The sphere law is the ball law conditioned
+    on the norm being exactly p^gamma, realized by rejecting vectors whose
+    every coordinate is divisible by p (acceptance probability 1 - p^(-n)).
+    Each point is classified on integers: it lies on shell
+    gamma - min_i v_p(z_i) = gamma - v_p(gcd(z)), and None marks the origin
+    (every z_i = 0).
 
     Example:
         >>> ctx = PadicContext(2, 1)
         >>> sample_shells("ball", 0, 6, ctx, 24, random.Random(1))
         [0, 0, -4, -1, 0, -1]
     """
-    _check_region(region, gamma, ctx)
-    return _draw(region, gamma, count, ctx, resolution, rng)[0]
+    if region not in ("ball", "sphere"):
+        raise DomainError(f"region must be 'ball' or 'sphere', got {region!r}")
+    ctx.check_shell(gamma, "region index")
+    p, n = ctx.p, ctx.n
+    limit = _unit_range(p, resolution)
+    bits = limit.bit_length()
+    getrandbits = rng.getrandbits
+    gcd = math.gcd
+    sphere = region == "sphere"
+    coords = range(n)
+    shells: list[int | None] = []
+    append = shells.append
+    drawn = 0
+    while drawn < count:
+        g = 0
+        for _ in coords:
+            z = getrandbits(bits)
+            while z >= limit:
+                z = getrandbits(bits)
+            g = gcd(g, z)
+        if g % p:
+            append(gamma)
+        elif sphere:
+            continue
+        elif g:
+            append(gamma - _int_valuation(g, p))
+        else:
+            append(None)
+        drawn += 1
+    return shells

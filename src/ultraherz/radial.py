@@ -24,13 +24,7 @@ from itertools import count
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError, HypothesisViolationError, TailCombinationError
-from .padic import (
-    PadicContext,
-    PadicPoint,
-    _sphere_measure_unchecked,
-    ball_measure,
-    ppow,
-)
+from .padic import PadicContext, _sphere_measure_unchecked, ball_measure, ppow
 
 
 class Tail(NamedTuple):
@@ -61,7 +55,9 @@ class RadialStepFunction:
     A finitely-supported function is the special case of two zero tails.
     Tails with zero amplitude are normalized to rate 0 so that equal
     functions compare equal. Non-finite (NaN or inf) coefficients or tails
-    raise DomainError; ``value_at_zero`` may be inf, as ``maximal`` sets it.
+    raise DomainError; ``value_at_zero`` may be inf, as ``maximal`` sets it,
+    but not NaN, so a scale or combine that meets 0 * inf or inf - inf at
+    the origin raises DomainError too.
     """
 
     ctx: PadicContext
@@ -90,9 +86,14 @@ class RadialStepFunction:
         object.__setattr__(self, "outer_tail", outer)
         if self.value_at_zero is None:
             vz = inner.amplitude if inner.rate == 0.0 else 0.0
-            object.__setattr__(self, "value_at_zero", vz)
         else:
-            object.__setattr__(self, "value_at_zero", float(self.value_at_zero))
+            vz = float(self.value_at_zero)
+            if math.isnan(vz):
+                raise DomainError(
+                    "the value at the origin must not be NaN (as 0 * inf or "
+                    "inf - inf gives)"
+                )
+        object.__setattr__(self, "value_at_zero", vz)
 
     @classmethod
     def indicator_ball(cls, ctx: PadicContext, gamma: int) -> "RadialStepFunction":
@@ -136,13 +137,6 @@ class RadialStepFunction:
         if amplitude == 0.0:
             return 0.0
         return amplitude * ppow(self.ctx.p, k * rate)
-
-    def value_at(self, x: PadicPoint) -> float:
-        """Value at a point; the origin uses ``value_at_zero``."""
-        k = x.shell
-        if k is None:
-            return self.value_at_zero
-        return self.evaluate(k)
 
     def scale(self, c: float) -> "RadialStepFunction":
         """Pointwise scalar multiple c * f."""
@@ -234,51 +228,57 @@ def _unit_mass(ctx: PadicContext) -> float:
     return float(_exact_unit_mass(ctx))
 
 
-def _inner_tail_integral(f: RadialStepFunction, upto: int) -> tuple[Fraction, float]:
-    """Sum of tail_value(k) * |S_k| over shells k <= upto of the inner law.
+def _geometric_tail(
+    coef: float, p: int, s: float, start: int, below: bool
+) -> float | None:
+    """coef * sum of p**(s*k) over shells k < start (below) or k >= start (above).
+
+    Returns None when the series diverges: s <= 0 below, s >= 0 above.
+    Evaluated as coef * p**(s*start) / (p**s - 1), with the divisor negated
+    above, in that order, so callers that pass their coefficient already
+    multiplied out keep their bits.
+
+    Example:
+        >>> _geometric_tail(3.0, 2, -1.0, 1, below=False)
+        3.0
+    """
+    if below:
+        if s <= 0:
+            return None
+        return coef * ppow(p, s * start) / (ppow(p, s) - 1.0)
+    if s >= 0:
+        return None
+    return coef * ppow(p, s * start) / (1.0 - ppow(p, s))
+
+
+def _tail_integral(
+    f: RadialStepFunction, start: int, below: bool
+) -> tuple[Fraction, float]:
+    """Sum of tail_value(k) * |S_k| over shells k < start of the inner law
+    (below) or k >= start of the outer law.
 
     Returns an (exact, inexact) pair: the value lands in the exact slot when
     the geometric ratio is a rational power of p (integer rate), else in the
     float slot. Raises :class:`DomainError` for a non-integrable tail.
     """
-    amplitude, rate = f.inner_tail
+    amplitude, rate = f.inner_tail if below else f.outer_tail
     if amplitude == 0.0:
         return Fraction(0), 0.0
     p, n = f.ctx.p, f.ctx.n
     s = rate + n
-    if s <= 0:
-        raise DomainError(
-            f"inner tail rate {rate} is not integrable in dimension {n} "
-            f"(needs rate > {-n})"
-        )
     unit_mass = _exact_unit_mass(f.ctx)
+    tail = _geometric_tail(amplitude * float(unit_mass), p, s, start, below)
+    if tail is None:
+        side, bound = ("inner", ">") if below else ("outer", "<")
+        raise DomainError(
+            f"{side} tail rate {rate} is not integrable in dimension {n} "
+            f"(needs rate {bound} {-n})"
+        )
     if float(s).is_integer():
         r = Fraction(p) ** int(s)
-        total = Fraction(amplitude) * unit_mass * r ** (upto + 1) / (r - 1)
+        total = Fraction(amplitude) * unit_mass * r**start / (r - 1 if below else 1 - r)
         return total, 0.0
-    r = math.pow(p, s)
-    return Fraction(0), amplitude * float(unit_mass) * ppow(p, s * (upto + 1)) / (r - 1.0)
-
-
-def _outer_tail_integral(f: RadialStepFunction, beyond: int) -> tuple[Fraction, float]:
-    """Sum of tail_value(k) * |S_k| over shells k > beyond of the outer law."""
-    amplitude, rate = f.outer_tail
-    if amplitude == 0.0:
-        return Fraction(0), 0.0
-    p, n = f.ctx.p, f.ctx.n
-    s = rate + n
-    if s >= 0:
-        raise DomainError(
-            f"outer tail rate {rate} is not integrable in dimension {n} "
-            f"(needs rate < {-n})"
-        )
-    unit_mass = _exact_unit_mass(f.ctx)
-    if float(s).is_integer():
-        r = Fraction(p) ** int(s)
-        total = Fraction(amplitude) * unit_mass * r ** (beyond + 1) / (1 - r)
-        return total, 0.0
-    r = math.pow(p, s)
-    return Fraction(0), amplitude * float(unit_mass) * ppow(p, s * (beyond + 1)) / (1.0 - r)
+    return Fraction(0), tail
 
 
 def _running_parts(f: RadialStepFunction, gamma: int) -> Iterator[tuple[Fraction, float]]:
@@ -293,9 +293,9 @@ def _running_parts(f: RadialStepFunction, gamma: int) -> Iterator[tuple[Fraction
     j_min, j_max = f.window
     k = gamma
     while k < j_min:
-        yield _inner_tail_integral(f, k)
+        yield _tail_integral(f, k + 1, below=True)
         k += 1
-    exact, inexact = _inner_tail_integral(f, j_min - 1)
+    exact, inexact = _tail_integral(f, j_min, below=True)
     measure = _sphere_measure_unchecked(j_min, ctx)
     for j, c in enumerate(f.coeffs, j_min):
         exact += Fraction(c) * measure
@@ -335,7 +335,7 @@ def ball_integral(f: RadialStepFunction, gamma: int) -> float:
 def total_integral(f: RadialStepFunction) -> float:
     """Integral of f over the whole space; both tails summed analytically."""
     exact, inexact = _integral_parts(f, f.window[1])
-    exact2, inexact2 = _outer_tail_integral(f, f.window[1])
+    exact2, inexact2 = _tail_integral(f, f.window[1] + 1, below=False)
     return float(exact + exact2) + inexact + inexact2
 
 
@@ -431,13 +431,6 @@ class ExponentFunction:
         if k > j_max:
             return self.u_infinity
         return self.values[k - j_min]
-
-    def value_at(self, x: PadicPoint) -> float:
-        """Exponent at a point; the origin takes the inner value."""
-        k = x.shell
-        if k is None:
-            return self.u_inner
-        return self.evaluate(k)
 
     @property
     def u_minus(self) -> float:

@@ -243,6 +243,19 @@ def test_norm_rejects_a_nan_coefficient(files, tmp_path, capsys):
     assert "NaN" in captured.err
 
 
+def test_oracle_rejects_a_nan_value_at_zero(files, tmp_path, capsys):
+    payload = json.loads(Path(files["f"]).read_text())
+    payload["value_at_zero"] = "nan"
+    path = tmp_path / "nan_origin.json"
+    path.write_text(json.dumps(payload))
+    argv = ["oracle", "-i", str(path), "--task", "integral", "--gamma", "0", "--naive",
+            "--resolution", "1", "--samples", "1000", "--seed", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "NaN" in captured.err
+
+
 def test_norm_rejects_an_infinite_coefficient(files, tmp_path, capsys):
     payload = json.loads(Path(files["f"]).read_text())
     payload["coeffs"] = ["inf"]

@@ -27,7 +27,6 @@ from ultraherz import (
     mc_integrate,
     mc_luxemburg,
     mc_operator_probe,
-    sample_uniform,
 )
 from ultraherz import norms, oracle
 from ultraherz.oracle import MCEstimate
@@ -87,13 +86,23 @@ def test_mc_luxemburg_brackets_the_bisection_value():
 
 def test_oracle_shares_no_solver_with_norms():
     """``mc_luxemburg`` inverts its sampled modular with the oracle's own
-    bisection, so a bug in the closed-form solver cannot pass on both sides."""
-    imported = {
-        node.module
+    bisection, so a bug in the closed-form solver cannot pass on both sides.
+    Nor does it borrow a private helper (a tail kernel, a running sum) from
+    any package module: it reaches the closed forms only through public
+    names."""
+    imports = [
+        node
         for node in ast.walk(ast.parse(inspect.getsource(oracle)))
         if isinstance(node, ast.ImportFrom)
-    }
-    assert "norms" not in imported
+    ]
+    assert "norms" not in {node.module for node in imports}
+    assert [
+        (node.module, alias.name)
+        for node in imports
+        if node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ] == []
     assert [
         name for name, obj in vars(oracle).items()
         if getattr(obj, "__module__", None) == norms.__name__
@@ -162,25 +171,34 @@ def test_naive_and_stratified_share_the_target():
 @pytest.mark.parametrize("region", ["ball", "sphere"])
 @pytest.mark.parametrize("resolution", [1, 24])
 def test_shell_sampler_matches_the_point_sampler(p, n, region, resolution):
-    """The integer shell classification, gamma - v_p(gcd(z)), agrees with
-    ``PadicPoint.shell`` on exact rationals; at resolution 1 whole vectors
-    collapse to the origin (None). Both samplers share one draw loop, so the
-    stream itself is checked against ``_reference_draws`` below."""
+    """The integer shell classification, gamma - v_p(gcd(z)), agrees with the
+    shell of the point p^(-gamma) * z read off its exact rational coordinates
+    (the largest coordinate norm, written out here); at resolution 1 whole
+    vectors collapse to the origin (None)."""
     ctx = PadicContext(p, n)
     gamma, count, seed = 2, 400, 1000 * p + 10 * n + resolution
     shell_rng, point_rng = random.Random(seed), random.Random(seed)
     shells = sample_shells(region, gamma, count, ctx, resolution, shell_rng)
+    scale = Fraction(p) ** -gamma
     expected = [
-        sample_uniform(region, gamma, ctx, resolution=resolution, rng=point_rng).shell
-        for _ in range(count)
+        _point_shell([z * scale for z in zs], p)
+        for zs, _ in _reference_draws(region, gamma, count, ctx, resolution, point_rng)
     ]
     assert shells == expected
-    assert shell_rng.getstate() == point_rng.getstate()
     # a ball draw at resolution 1 is the origin with probability p^(-2n)
     if region == "ball" and resolution == 1 and count >= p ** (2 * n) / 4:
         assert None in shells
     if region == "sphere":
         assert set(shells) == {gamma}
+
+
+def _point_shell(coords: list[Fraction], p: int) -> int | None:
+    """Shell k with max_i |x_i|_p = p^k, where |x|_p = p^(v_p(den) - v_p(num));
+    None for the zero vector."""
+    norms = [
+        _valuation(x.denominator, p) - _valuation(x.numerator, p) for x in coords if x != 0
+    ]
+    return max(norms) if norms else None
 
 
 def _valuation(z: int, p: int) -> int:
@@ -213,24 +231,15 @@ def _reference_draws(region, gamma, count, ctx, resolution, rng):
 @pytest.mark.parametrize("region", ["ball", "sphere"])
 @pytest.mark.parametrize("resolution", [1, 24])
 def test_samplers_match_a_randrange_reference(p, n, region, resolution):
-    """Both samplers draw the stream of ``randrange`` and leave the generator
-    in the same state; ``sample_uniform`` returns p^(-gamma) * z exactly."""
+    """The shell sampler draws the stream of ``randrange`` and leaves the
+    generator in the same state."""
     ctx = PadicContext(p, n)
     gamma, count, seed = -1, 300, 7000 + 100 * p + 10 * n + resolution
-    ref_rng, shell_rng, point_rng = (random.Random(seed) for _ in range(3))
+    ref_rng, shell_rng = random.Random(seed), random.Random(seed)
     draws = _reference_draws(region, gamma, count, ctx, resolution, ref_rng)
     shells = sample_shells(region, gamma, count, ctx, resolution, shell_rng)
     assert shells == [shell for _, shell in draws]
     assert shell_rng.getstate() == ref_rng.getstate()
-    scale = Fraction(p) ** -gamma
-    points = [
-        sample_uniform(region, gamma, ctx, resolution=resolution, rng=point_rng)
-        for _ in range(count)
-    ]
-    assert [point.coords for point in points] == [
-        tuple(z * scale for z in zs) for zs, _ in draws
-    ]
-    assert point_rng.getstate() == ref_rng.getstate()
     if region == "ball" and resolution == 1 and count >= p ** (2 * n) / 4:
         assert None in shells
 

@@ -1,4 +1,4 @@
-"""Valuations, measures, and Haar sampling on the p-adic coordinate space."""
+"""Valuations, measures, and Haar shell sampling on the p-adic coordinate space."""
 
 import math
 import random
@@ -9,17 +9,12 @@ import pytest
 from ultraherz import (
     DomainError,
     PadicContext,
-    PadicPoint,
     ball_measure,
-    fraction_valuation,
     padic_valuation,
     ppow,
-    sample_uniform,
     sphere_measure,
 )
-
-# Upper 1% points of the chi-square distribution for the digit tests.
-CHI2_99 = {1: 6.635, 3: 11.345, 5: 15.086}
+from ultraherz.padic import sample_shells
 
 
 def test_ppow_integer_exponents_are_exact():
@@ -39,7 +34,7 @@ def test_padic_valuation_basics():
     assert padic_valuation(12, 1, ctx) == 2
     assert padic_valuation(1, 8, ctx) == -3
     assert padic_valuation(0, 1, ctx) == math.inf
-    assert fraction_valuation(Fraction(9, 2), PadicContext(3, 1)) == 2
+    assert padic_valuation(9, 2, PadicContext(3, 1)) == 2
 
 
 def test_measures_are_exact_fractions():
@@ -69,84 +64,40 @@ def test_context_rejects_bad_parameters():
         PadicContext(2, 0)
 
 
-def test_point_shell_and_norm():
-    ctx = PadicContext(2, 2)
-    x = PadicPoint.from_rationals(ctx, (Fraction(3, 4), Fraction(6)))
-    # valuations are -2 and 1, the max norm is 2**2
-    assert x.shell == 2
-    assert x.vector_norm() == Fraction(4)
-    zero = PadicPoint.from_rationals(ctx, (0, 0))
-    assert zero.shell is None
-    assert zero.vector_norm() == 0
-
-
-def test_scale_by_p_power_shifts_the_shell():
-    ctx = PadicContext(3, 1)
-    x = PadicPoint.from_rationals(ctx, (Fraction(2),))
-    assert x.shell == 0
-    assert x.scale_by_p_power(2).shell == -2
-    assert x.scale_by_p_power(-1).shell == 1
-
-
-def test_sample_uniform_respects_the_region():
+def test_sample_shells_respects_the_region():
     ctx = PadicContext(3, 2)
     rng = random.Random(101)
     for _ in range(200):
         gamma = rng.randint(-5, 5)
-        on_sphere = sample_uniform("sphere", gamma, ctx, rng=rng)
-        assert on_sphere.shell == gamma
-        in_ball = sample_uniform("ball", gamma, ctx, rng=rng)
-        assert in_ball.shell is None or in_ball.shell <= gamma
+        assert sample_shells("sphere", gamma, 1, ctx, 24, rng) == [gamma]
+        (in_ball,) = sample_shells("ball", gamma, 1, ctx, 24, rng)
+        assert in_ball is None or in_ball <= gamma
 
 
-def test_sample_uniform_seed_reproducibility():
+def test_sample_shells_seed_reproducibility():
     ctx = PadicContext(2, 1)
-    a = sample_uniform("ball", 0, ctx, seed=42)
-    b = sample_uniform("ball", 0, ctx, seed=42)
-    assert a.coords == b.coords
+    a = sample_shells("ball", 0, 50, ctx, 24, random.Random(42))
+    b = sample_shells("ball", 0, 50, ctx, 24, random.Random(42))
+    assert a == b
+    assert len(set(a)) > 1
+
+
+def test_sample_shells_rejects_an_unknown_region():
+    with pytest.raises(DomainError):
+        sample_shells("cube", 0, 1, PadicContext(2, 1), 24, random.Random(0))
 
 
 def test_sphere_mass_split_between_shells_inside_ball():
     """Ball draws land on shell j with probability |S_j| / |B_gamma|."""
     ctx = PadicContext(2, 1)
-    rng = random.Random(7)
     draws = 4000
     gamma = 0
-    hits = 0
-    for _ in range(draws):
-        x = sample_uniform("ball", gamma, ctx, rng=rng)
-        if x.shell == gamma:
-            hits += 1
+    shells = sample_shells("ball", gamma, draws, ctx, 24, random.Random(7))
+    hits = shells.count(gamma)
     expect = float(sphere_measure(gamma, ctx) / ball_measure(gamma, ctx))
     observed = hits / draws
     sigma = math.sqrt(expect * (1 - expect) / draws)
     assert abs(observed - expect) < 4 * sigma
-
-
-@pytest.mark.parametrize(
-    "p, digit_index, df",
-    [(2, 1, 1), (5, 0, 3), (7, 0, 5)],
-)
-def test_sphere_digit_uniformity(p, digit_index, df):
-    """Digits of sphere draws follow the uniform law their position demands.
-
-    The leading digit of the unit part is uniform over 1..p-1 and the later
-    digits over 0..p-1; a chi-square test at the 1% level catches a skewed
-    sampler. The seed is fixed, so the test is deterministic.
-    """
-    ctx = PadicContext(p, 1)
-    rng = random.Random(31 + p)
-    draws = 3000
-    counts: dict[int, int] = {}
-    for _ in range(draws):
-        x = sample_uniform("sphere", 0, ctx, rng=rng)
-        d = x.digits(0)[digit_index]
-        counts[d] = counts.get(d, 0) + 1
-    support = range(1, p) if digit_index == 0 else range(p)
-    assert set(counts) <= set(support)
-    expected = draws / len(support)
-    chi2 = sum((counts.get(d, 0) - expected) ** 2 / expected for d in support)
-    assert chi2 < CHI2_99[df]
 
 
 def test_check_shell_guards_the_truncation_limit():

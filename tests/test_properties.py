@@ -1,6 +1,6 @@
-"""Property tests: the running ball-integral sum, the exact powers of p and
-the Luxemburg solver against direct references and norm laws written out
-here."""
+"""Property tests: the running ball-integral sum, the geometric tail kernel,
+the exact powers of p, the maximal operator and the Luxemburg solver against
+direct references and norm laws written out here."""
 
 from __future__ import annotations
 
@@ -8,11 +8,13 @@ import math
 from fractions import Fraction
 from itertools import islice
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ultraherz import (
     ExponentFunction,
+    HerzParams,
+    NumericOverflowError,
     NumericUnderflowError,
     PadicContext,
     RadialStepFunction,
@@ -22,12 +24,14 @@ from ultraherz import (
     ball_mean,
     cmo_norm,
     hardy,
+    herz_norm,
     luxemburg_norm,
+    maximal,
     modular,
     ppow,
 )
 from ultraherz.norms import _shifted_norm
-from ultraherz.radial import _inner_tail_integral, _running_parts
+from ultraherz.radial import _geometric_tail, _running_parts, _tail_integral
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 COEFF = st.one_of(
@@ -74,7 +78,7 @@ def _direct_parts(f: RadialStepFunction, gamma: int) -> tuple[Fraction, float]:
     non-integer-rate outer terms added left to right as floats."""
     p, n = f.ctx.p, f.ctx.n
     j_min, j_max = f.window
-    exact, inexact = _inner_tail_integral(f, min(gamma, j_min - 1))
+    exact, inexact = _tail_integral(f, min(gamma, j_min - 1) + 1, below=True)
     amplitude, rate = f.outer_tail
     for k in range(j_min, gamma + 1):
         sphere = Fraction(p) ** (n * k) * (1 - Fraction(p) ** -n)
@@ -116,6 +120,65 @@ def test_hardy_coefficients_are_weighted_ball_integrals(data, alpha):
     )
     total = ball_integral(f, f.window[1])
     assert image.outer_tail == (Tail(total, alpha - n) if total else Tail(0.0, 0.0))
+
+
+@settings(max_examples=150)
+@given(
+    p=PRIMES,
+    s=st.one_of(st.sampled_from([1.0, 2.0, 0.5]), st.floats(1e-3, 4.0)),
+    start=st.integers(-30, 30),
+    terms=st.integers(1, 40),
+    coef=st.floats(-10.0, 10.0, allow_nan=False),
+)
+def test_geometric_tail_is_a_partial_sum_plus_its_remainder(p, s, start, terms, coef):
+    """Below: the tail over k < start is the direct sum over the last
+    ``terms`` shells plus the tail over k < start - terms; above, the same
+    with the first ``terms`` shells at rate -s. Any other ratio or offset in
+    the closed form breaks this identity."""
+    for rate, below, shells, rest in (
+        (s, True, range(start - terms, start), start - terms),
+        (-s, False, range(start, start + terms), start + terms),
+    ):
+        direct = coef * math.fsum(ppow(p, rate * k) for k in shells)
+        expected = direct + _geometric_tail(coef, p, rate, rest, below)
+        got = _geometric_tail(coef, p, rate, start, below)
+        assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-300)
+
+
+@given(
+    size=st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.0]), st.floats(1e-3, 4.0)),
+    below=st.booleans(),
+)
+def test_geometric_tail_is_none_exactly_when_it_diverges(size, below):
+    """None at every s <= 0 below (s >= 0 above), zeros of both signs and
+    subnormals included; a positive float on the convergent side. Convergent
+    rates stay at least 1e-3 from 0: closer, p**s - 1 cancels, and it rounds
+    to 0.0 (a ZeroDivisionError) once |s| is below about 1e-16."""
+    divergent = -size if below else size
+    for s in (divergent, -0.0 if below else 0.0):
+        assert _geometric_tail(1.0, 2, s, 0, below) is None
+    if size >= 1e-3:
+        assert _geometric_tail(1.0, 2, -divergent, 0, below) > 0.0
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_maximal_window_is_the_suffix_max_of_ball_means(data):
+    """On each window shell k of f, M f = max(|F(k)|, max over g >= k of
+    ball_integral(|f|, g) * p**(-n g)); past the window the ball integral is
+    the total, so g = j_max + 1 attains the max over g > j_max."""
+    f = data.draw(contexts().flatmap(lambda ctx: step_functions(ctx, outer=False)))
+    # maximal's crossover walk takes about log_p(ratio)/|rate| steps, so an
+    # inner rate near 0 hangs it (ROADMAP, "Fix first")
+    assume(f.inner_tail.rate == 0.0 or abs(f.inner_tail.rate) >= 1e-3)
+    p, n = f.ctx.p, f.ctx.n
+    j_min, j_max = f.window
+    image = maximal(f)
+    g = f.absolute()
+    means = {k: ball_integral(g, k) * ppow(p, -n * k) for k in range(j_min, j_max + 2)}
+    for k in range(j_min, j_max + 1):
+        suffix = max(means[i] for i in range(k, j_max + 2))
+        assert image.evaluate(k) == max(abs(f.evaluate(k)), suffix)
 
 
 def _cmo_candidate_by_ball_mean(b, u, gamma, rel_tol):
@@ -307,3 +370,54 @@ def test_quadratic_norm_matches_an_exact_square_root(data):
     reference = _fraction_sqrt(rho)
     error = abs(Fraction(result.value) - reference)
     assert error <= Fraction(result.tail_remainder_bound) + 32 * Fraction(math.ulp(float(reference)))
+
+
+def _dilated(f: RadialStepFunction, j: int) -> RadialStepFunction:
+    """x -> f(p**j x): every shell, window and tails, moved up by j."""
+    p = f.ctx.p
+    j_min, j_max = f.window
+    (a_in, e_in), (a_out, e_out) = f.inner_tail, f.outer_tail
+    return RadialStepFunction(
+        f.ctx,
+        (j_min + j, j_max + j),
+        f.coeffs,
+        Tail(a_in * ppow(p, -j * e_in), e_in),
+        Tail(a_out * ppow(p, -j * e_out), e_out),
+    )
+
+
+@settings(max_examples=120)
+@given(
+    data=st.data(),
+    j=st.integers(-30, 30),
+    u_value=EXPONENT,
+    beta=st.floats(-1.0, 1.0),
+    m=st.sampled_from([1.0, 2.0, 0.5, 3.0]),
+)
+def test_dilation_scales_the_lebesgue_and_herz_norms(data, j, u_value, beta, m):
+    """Moving f up by j shells, tails included, multiplies its constant-u
+    Luxemburg norm by p**(n j / u) and its Herz norm by p**(j (beta + n/u)),
+    since |S_(k+j)| = p**(n j) |S_k|."""
+    ctx = PadicContext(data.draw(st.sampled_from([2, 3, 5])), data.draw(st.integers(1, 2)))
+    p, n = ctx.p, ctx.n
+    f = data.draw(step_functions(ctx))
+    g = _dilated(f, j)
+    u = ExponentFunction.constant(ctx, u_value)
+
+    base, moved = _solved(f, u), _solved(g, u)
+    if base is not None and moved is not None:
+        assert moved.convergent == base.convergent
+        if base.convergent:
+            factor = ppow(p, n * j / u_value)
+            bound = moved.tail_remainder_bound + factor * base.tail_remainder_bound
+            assert abs(moved.value - factor * base.value) <= bound + 1e-11 * moved.value
+
+    hp = HerzParams(beta, m)
+    try:
+        base, moved = herz_norm(f, u, hp), herz_norm(g, u, hp)
+    except (NumericOverflowError, NumericUnderflowError):
+        return
+    assert moved.convergent == base.convergent
+    if base.convergent:
+        factor = ppow(p, j * (beta + n / u_value))
+        assert math.isclose(moved.value, factor * base.value, rel_tol=1e-11)

@@ -12,7 +12,6 @@ from ultraherz import (
     ExponentFunction,
     HypothesisViolationError,
     PadicContext,
-    PadicPoint,
     RadialStepFunction,
     Tail,
     TailCombinationError,
@@ -52,8 +51,6 @@ def test_value_at_zero_resolution_rules():
     assert flat.value_at_zero == 3.0
     explicit = RadialStepFunction(CTX, (0, 0), (1.0,), value_at_zero=9.0)
     assert explicit.value_at_zero == 9.0
-    x0 = PadicPoint.from_rationals(CTX, (0,))
-    assert explicit.value_at(x0) == 9.0
 
 
 def test_indicators_and_constant():
@@ -85,6 +82,8 @@ def test_nan_coefficients_and_tails_are_rejected():
     # a NaN rate is rejected even where a zero amplitude would drop the tail
     with pytest.raises(DomainError):
         RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(0.0, nan))
+    with pytest.raises(DomainError):
+        RadialStepFunction(CTX, (0, 0), (1.0,), value_at_zero=nan)
 
 
 def test_infinite_coefficients_and_tails_are_rejected():
@@ -100,6 +99,20 @@ def test_infinite_coefficients_and_tails_are_rejected():
     # the value at the origin may be infinite: the maximal operator sets it
     f = RadialStepFunction(CTX, (0, 0), (1.0,), value_at_zero=math.inf)
     assert f.value_at_zero == math.inf
+
+
+def test_origin_arithmetic_that_gives_nan_raises():
+    """inf at the origin survives scaling and sums of like sign, but 0 * inf
+    and inf - inf there would be NaN, which is rejected like a NaN input."""
+    f = RadialStepFunction(CTX, (0, 0), (1.0,), value_at_zero=math.inf)
+    assert f.scale(2.0).value_at_zero == math.inf
+    assert combine(f, f, "add").value_at_zero == math.inf
+    with pytest.raises(DomainError, match="origin"):
+        f.scale(0.0)
+    with pytest.raises(DomainError, match="origin"):
+        combine(f, f.scale(-1.0), "add")
+    with pytest.raises(DomainError, match="origin"):
+        combine(f, RadialStepFunction.indicator_sphere(CTX, 0), "multiply")
 
 
 def test_inner_tail_integrability_guard():
