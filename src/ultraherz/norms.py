@@ -13,8 +13,8 @@ safeguarded Newton iteration on the convex function log rho(f/e**t) closes
 a bracket whose ends are both checked against the modular. Herz and
 Morrey-Herz norms are weighted l^m sums of exact single-shell norms, again
 with analytic tails; the Morrey-Herz supremum over the cutoff index is
-certified by closed-form envelopes outside a finite scan. The central
-mean-oscillation norm runs a certified scan over ball radii.
+found in closed form. The central mean-oscillation norm runs a certified
+scan over ball radii.
 
 Divergence is reported through ``NormResult.convergent`` rather than
 exceptions: an infinite norm is a meaningful answer here, not a bug. A
@@ -100,9 +100,10 @@ class NormResult:
     reported as ``math.inf``). ``tail_remainder_bound`` bounds whatever the
     finite computation could not pin down exactly: the half-width of the
     solver's final bracket for Luxemburg-type norms (0.0 when all terms share
-    one exponent and the root is closed-form), the leftover scan envelope for
-    certified suprema, 0.0 for fully analytic sums. ``work_window`` is the
-    shell range the computation actually touched.
+    one exponent and the root is closed-form), the leftover scan envelope of
+    the CMO supremum (the one scan left), 0.0 for fully analytic sums and
+    the closed-form Morrey-Herz supremum. ``work_window`` is the shell range
+    the computation actually touched; for Morrey-Herz, the cutoffs evaluated.
     """
 
     value: float
@@ -417,8 +418,37 @@ def _herz_slopes(
     return s_in, s_out
 
 
-def _herz_tail_amplitude(amplitude: float, exponent: float, mass: float) -> float:
-    return abs(amplitude) * math.pow(mass, 1.0 / exponent)
+def _herz_terms(
+    f: RadialStepFunction, u: ExponentFunction, beta: float, m: float, top: int, outer: bool
+) -> tuple[list[float], float, float]:
+    """The Herz sum over l of t_l**m, t_l = p**(l*beta) * ||f on S_l||, in pieces.
+
+    Returns (terms, inner, outer): t_l**m for every shell l from the first of
+    the window up to ``top`` (0.0 where f vanishes), the closed-form sum over
+    the shells below the window and, if ``outer``, the one over the
+    shells above ``top``. A vanishing tail (or an unwanted outer one) gives
+    0.0; the caller has ruled out a divergent one. A power that overflows
+    raises OverflowError.
+    """
+    p = f.ctx.p
+    mass = _unit_mass(f.ctx)
+    w_lo = _union_window(f, u)[0]
+    s_in, s_out = _herz_slopes(f, u, beta)
+    terms = []
+    for shell in range(w_lo, top + 1):
+        t = ppow(p, shell * beta) * single_shell_norm(f.evaluate(shell), shell, u)
+        terms.append(t**m if t != 0.0 else 0.0)
+
+    def block(amplitude: float, exponent: float, s: float, start: int, below: bool) -> float:
+        if amplitude == 0.0:
+            return 0.0
+        c = abs(amplitude) * math.pow(mass, 1.0 / exponent)
+        return _geometric_tail(c**m, p, m * s, start, below)
+
+    inner = block(f.inner_tail.amplitude, u.u_inner, s_in, w_lo, True)
+    if not outer:
+        return terms, inner, 0.0
+    return terms, inner, block(f.outer_tail.amplitude, u.u_infinity, s_out, top + 1, False)
 
 
 def _herz_overflow(space: str, m: float, window: tuple[int, int]) -> NumericOverflowError:
@@ -474,12 +504,10 @@ def herz_norm(
         0.7071067812
     """
     _require_same_ctx(f, u)
-    p = f.ctx.p
-    mass = _unit_mass(f.ctx)
     w_lo, w_hi = _union_window(f, u)
-    m, beta = hp.m, hp.beta
+    m = hp.m
 
-    s_in, s_out = _herz_slopes(f, u, beta)
+    s_in, s_out = _herz_slopes(f, u, hp.beta)
     inner, outer = f.inner_tail.amplitude != 0.0, f.outer_tail.amplitude != 0.0
     # the tail kernel's own divergence test, so no tail sum below is None
     if (inner and m * s_in <= 0) or (outer and m * s_out >= 0):
@@ -487,16 +515,10 @@ def herz_norm(
 
     total = 0.0
     try:
-        for shell in range(w_lo, w_hi + 1):
-            t = ppow(p, shell * beta) * single_shell_norm(f.evaluate(shell), shell, u)
-            if t != 0.0:
-                total += t**m
-        if inner:
-            c = _herz_tail_amplitude(f.inner_tail.amplitude, u.u_inner, mass)
-            total += _geometric_tail(c**m, p, m * s_in, w_lo, below=True)
-        if outer:
-            c = _herz_tail_amplitude(f.outer_tail.amplitude, u.u_infinity, mass)
-            total += _geometric_tail(c**m, p, m * s_out, w_hi + 1, below=False)
+        terms, inner_block, outer_block = _herz_terms(f, u, hp.beta, m, w_hi, True)
+        # window shells first, then the tails: the order fixes the bits
+        for t in (*terms, inner_block, outer_block):
+            total += t
     except OverflowError as exc:
         raise _herz_overflow("Herz", m, (w_lo, w_hi)) from exc
     value = _herz_value(total, f, "Herz", m, (w_lo, w_hi))
@@ -511,27 +533,24 @@ def morrey_herz_norm(
 
     lam = 0 short-circuits to :func:`herz_norm` (the partial sums increase
     to the full sum, so the sup is the Herz value exactly). For lam > 0 the
-    finite scan over k0 is certified: outside it the candidate sequence is
-    dominated by closed-form geometric envelopes whose monotone decay bounds
-    every unscanned cutoff. Divergence, overflow and underflow are reported
-    as by :func:`herz_norm`.
+    supremum is closed-form: below the window the candidates are geometric
+    and peak at k0 = w_lo - 1; above it the m-th power of a candidate is
+    A * exp(-a*y) + geo * q2**y in y = k0 - w_hi (linear times exp(-a*y)
+    for balanced outer terms), with at most one stationary point, a maximum;
+    at critical drift the limit at infinity joins. ``tail_remainder_bound``
+    is 0.0 and ``work_window`` ends at the last cutoff evaluated.
+    Divergence, overflow and underflow are reported as by :func:`herz_norm`.
     """
     _require_same_ctx(f, u)
     if mhp.lam == 0:
         return herz_norm(f, u, HerzParams(mhp.beta, mhp.m))
 
-    ctx = f.ctx
-    p, n = ctx.p, ctx.n
+    p = f.ctx.p
     base = float(mhp.prefactor_base) if mhp.prefactor_base is not None else float(p)
-    mass = _unit_mass(ctx)
     m, beta, lam = mhp.m, mhp.beta, mhp.lam
     w_lo, w_hi = _union_window(f, u)
     s_in, s_out = _herz_slopes(f, u, beta)
     log_base = math.log(base)
-
-    def tau(shell: int) -> float:
-        t = ppow(p, shell * beta) * single_shell_norm(f.evaluate(shell), shell, u)
-        return t**m if t != 0.0 else 0.0
 
     def prefactor_m(k0: int) -> float:
         return math.exp(-k0 * lam * m * log_base)
@@ -550,89 +569,63 @@ def morrey_herz_norm(
     best_gm = 0.0
     scan_hi = w_hi
     try:
-        # Region below the window: partial sums are pure inner-tail geometrics,
-        # so the candidate at k0 is a constant times (p**s_in / base**lam)**k0.
-        inner_block = 0.0
+        terms, partial, _ = _herz_terms(f, u, beta, m, w_hi + 1 if outer else w_hi, False)
         if inner:
-            c = _herz_tail_amplitude(f.inner_tail.amplitude, u.u_inner, mass)
-            inner_block = _geometric_tail(c**m, p, m * s_in, w_lo, below=True)
             # Candidates below the window form a geometric sequence with ratio
             # p**s_in / base**lam >= 1, so the largest sits at k0 = w_lo - 1.
-            best_gm = max(best_gm, prefactor_m(w_lo - 1) * inner_block)
+            best_gm = prefactor_m(w_lo - 1) * partial
 
         # Window region: explicit partial sums.
-        partial = inner_block
-        for k0 in range(w_lo, w_hi + 1):
-            partial += tau(k0)
+        for k0, t in zip(range(w_lo, w_hi + 1), terms):
+            partial += t
             best_gm = max(best_gm, prefactor_m(k0) * partial)
-        partial_hi = partial
-        if not math.isfinite(partial_hi):
+        if not math.isfinite(partial):
             raise _herz_overflow("Morrey-Herz", m, (w_lo, w_hi))
 
-        # Region above the window.
-        tail_bound = 0.0
         if outer:
-            t_first = tau(w_hi + 1)
+            t_first = terms[-1]
             if not math.isfinite(t_first):
                 raise _herz_overflow("Morrey-Herz", m, (w_lo, w_hi))
             rho = ppow(p, m * s_out)
-            if abs(drift_out) <= _CRITICAL_BAND:
-                # Candidates increase or decrease monotonically toward a finite
-                # limit; the limit and the first cutoff bracket the supremum.
-                scan_hi = w_hi + 1
-                best_gm = max(best_gm, prefactor_m(w_hi + 1) * (partial_hi + t_first))
-                limit_gm = prefactor_m(w_hi) * t_first / (rho - 1.0)
-                best_gm = max(best_gm, limit_gm)
-            elif abs(rho - 1.0) <= _CRITICAL_BAND:
-                # Balanced outer terms: partial sums grow linearly, and the
-                # candidate profile is unimodal with a closed-form peak.
-                peak = w_hi + (t_first / (lam * m * log_base) - partial_hi) / t_first
-                k_candidates = {w_hi + 1, math.floor(peak), math.ceil(peak)}
-                for k0 in sorted(k_candidates):
-                    if k0 < w_hi + 1:
-                        continue
-                    scan_hi = max(scan_hi, k0)
-                    gm = prefactor_m(k0) * (partial_hi + t_first * (k0 - w_hi))
-                    best_gm = max(best_gm, gm)
+            a = lam * m * log_base
+            critical = abs(drift_out) <= _CRITICAL_BAND
+            balanced = rho == 1.0 or (abs(rho - 1.0) <= _CRITICAL_BAND and not critical)
+            if balanced:
+                # Balanced outer terms: the partial sums grow linearly.
+                def gm(k0: int) -> float:
+                    return prefactor_m(k0) * (partial + t_first * (k0 - w_hi))
             else:
-                # Strictly unbalanced outer terms. The exact partial sums give
-                # gm(k0) in closed form; past the scan the candidates are
-                # dominated by decreasing geometric envelopes: the saturated sum
-                # P_inf for rho < 1, and P_hi plus the shifted geometric for
-                # rho > 1 (where q2 = (p**s_out / base**lam)**m < 1).
+                # Geometric partial sums P_hi - geo + geo * rho**y.
                 geo = t_first / (rho - 1.0)
                 q2 = rho * math.exp(-lam * m * log_base)
-                p_sat = partial_hi + t_first / (1.0 - rho) if rho < 1.0 else 0.0
-                k0 = w_hi
-                steps = 0
-                floor_gm = 1e-280
-                while True:
-                    k0 += 1
-                    steps += 1
-                    gm = prefactor_m(k0) * (partial_hi - geo) + (
+
+                def gm(k0: int) -> float:
+                    return prefactor_m(k0) * (partial - geo) + (
                         geo * math.pow(q2, k0 - w_hi) * prefactor_m(w_hi)
                     )
-                    best_gm = max(best_gm, gm)
-                    if rho < 1.0:
-                        envelope = prefactor_m(k0) * p_sat
-                    else:
-                        envelope = prefactor_m(k0) * partial_hi + geo * math.pow(
-                            q2, k0 - w_hi
-                        ) * prefactor_m(w_hi)
-                    if envelope <= max(best_gm, floor_gm) or steps > _SCAN_CAP:
-                        if envelope > best_gm:
-                            tail_bound = envelope
-                        break
-                scan_hi = k0
+
+                if critical:
+                    # the candidates approach this limit as k0 grows
+                    best_gm = max(best_gm, prefactor_m(w_hi) * t_first / (rho - 1.0))
+            try:
+                if balanced:
+                    peak = w_hi + (t_first / a - partial) / t_first
+                else:
+                    b = -math.log(q2)
+                    peak = w_hi + math.log(-b * geo / (a * (partial - geo))) / (b - a)
+            except (ValueError, ZeroDivisionError):
+                peak = w_hi  # t_first = 0, A = 0 or no stationary point
+            cutoffs = {w_hi + 1}
+            if math.isfinite(peak):
+                cutoffs |= {k for k in (math.floor(peak), math.ceil(peak)) if k > w_hi}
+            for k0 in sorted(cutoffs):
+                best_gm = max(best_gm, gm(k0))
+            scan_hi = max(cutoffs)
     except OverflowError as exc:
         raise _herz_overflow("Morrey-Herz", m, (w_lo, w_hi)) from exc
 
     value = _herz_value(best_gm, f, "Morrey-Herz", m, (w_lo, w_hi))
-    if tail_bound > 0.0:
-        remainder = math.pow(best_gm + tail_bound, 1.0 / m) - value
-    else:
-        remainder = 0.0
-    return NormResult(value, True, remainder, (w_lo - 1, scan_hi))
+    return NormResult(value, True, 0.0, (w_lo - 1, scan_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +650,10 @@ def _mixed_inner_sum(
 ) -> tuple[float, float] | None:
     """Certified sum of |amplitude * p**(k*rate) - shift|**exponent * |S_k| over k <= upto.
 
-    Pure-power and pure-constant cases have closed forms. Mixed cases walk
-    shells downward until one summand is negligible against the other, then
+    Pure-power and pure-constant cases have closed forms. A nonzero shift
+    comes only from :func:`_shifted_norm`, whose caller :func:`cmo_norm` has
+    returned for a decaying inner tail, so the mixed case has rate > 0: walk
+    shells downward until the power is negligible against the shift, then
     bound the remainder between the two extreme readings of the dominated
     term; the returned pair is (midpoint value, half-width bound). Returns
     None when the sum diverges; an infinite value is an overflow.
@@ -669,10 +664,9 @@ def _mixed_inner_sum(
         return 0.0, 0.0
     if amplitude == 0.0:
         return abs(shift) ** exponent * ppow(p, n * upto), 0.0
-    s = rate * exponent + n
     if shift == 0.0:
         coef = abs(amplitude) ** exponent * mass
-        tail = _geometric_tail(coef, p, s, upto + 1, below=True)
+        tail = _geometric_tail(coef, p, rate * exponent + n, upto + 1, below=True)
         return None if tail is None else (tail, 0.0)
     if rate == 0.0:
         return abs(amplitude - shift) ** exponent * ppow(p, n * upto), 0.0
@@ -680,24 +674,7 @@ def _mixed_inner_sum(
     total = 0.0
     k = upto
     steps = 0
-    if rate > 0:
-        while abs(amplitude) * ppow(p, k * rate) > _MIXED_TOL * abs(shift):
-            total += (
-                abs(amplitude * ppow(p, k * rate) - shift) ** exponent
-                * mass
-                * ppow(p, n * k)
-            )
-            k -= 1
-            steps += 1
-            if steps > _SCAN_CAP:
-                raise DomainError("mixed tail sum failed to localize (rate too small)")
-        hi = (abs(shift) * (1.0 + _MIXED_TOL)) ** exponent * ppow(p, n * k)
-        lo = (abs(shift) * (1.0 - _MIXED_TOL)) ** exponent * ppow(p, n * k)
-        return total + 0.5 * (hi + lo), 0.5 * (hi - lo)
-
-    if s <= 0:
-        return None
-    while abs(shift) > _MIXED_TOL * abs(amplitude) * ppow(p, k * rate):
+    while abs(amplitude) * ppow(p, k * rate) > _MIXED_TOL * abs(shift):
         total += (
             abs(amplitude * ppow(p, k * rate) - shift) ** exponent
             * mass
@@ -707,9 +684,8 @@ def _mixed_inner_sum(
         steps += 1
         if steps > _SCAN_CAP:
             raise DomainError("mixed tail sum failed to localize (rate too small)")
-    geometric = _geometric_tail(abs(amplitude) ** exponent * mass, p, s, k + 1, below=True)
-    hi = geometric * (1.0 + _MIXED_TOL) ** exponent
-    lo = geometric * (1.0 - _MIXED_TOL) ** exponent
+    hi = (abs(shift) * (1.0 + _MIXED_TOL)) ** exponent * ppow(p, n * k)
+    lo = (abs(shift) * (1.0 - _MIXED_TOL)) ** exponent * ppow(p, n * k)
     return total + 0.5 * (hi + lo), 0.5 * (hi - lo)
 
 
@@ -720,15 +696,12 @@ def _shifted_norm(
     gamma: int,
     rel_tol: float,
 ) -> tuple[float, float]:
-    """Luxemburg norm of (b - shift) restricted to B_gamma.
+    """Luxemburg norm of (b - shift) restricted to B_gamma, as (value, bound).
 
-    Returns (value, bound); the value is math.inf when the modular diverges
-    for every lam.
+    Only :func:`cmo_norm` calls it, after returning for a decaying inner
+    tail, so no tail sum of the modular diverges.
     """
-    built = _modular_terms(b, u, shift, gamma)
-    if built is None:
-        return math.inf, 0.0
-    terms, psi_bound = built
+    terms, psi_bound = _modular_terms(b, u, shift, gamma)
     value, half = _solve_luxemburg(terms, rel_tol)
     return value, half + psi_bound
 
@@ -743,8 +716,6 @@ def _cmo_candidate(
     mean_of = _mean_of_parts if abs(gamma) <= b.ctx.shell_limit else _wide_mean
     mean = mean_of(parts, gamma, b.ctx)
     numerator, _ = _shifted_norm(b, u, mean, gamma, rel_tol)
-    if not math.isfinite(numerator):
-        return math.inf
     if numerator == 0.0:
         return 0.0
     denominator = ball_indicator_norm(u, gamma, rel_tol).value

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import ClassClosureError, DomainError
+from .norms import _SCAN_CAP
 from .padic import ppow
 from .radial import (
     RadialStepFunction,
@@ -128,7 +129,8 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
     if amplitude == 0.0:
         inner = Tail(0.0, 0.0)
     else:
-        scale = _unit_mass(ctx) / (1.0 - ppow(p, -(rate + n)))
+        # the tail integrates to amplitude * scale * p**(k*(rate + n)) over B_k
+        scale = _geometric_tail(_unit_mass(ctx), p, -(rate + n), 0, below=False)
         inner = Tail(amplitude * scale, rate + alpha)
     # The outer tail vanishes, so B_hi already holds the total integral.
     outer = Tail(integrals[-1], alpha - n)
@@ -239,56 +241,58 @@ def maximal(f: RadialStepFunction) -> RadialStepFunction:
 
     amplitude, rate = g.inner_tail
     lo = j_min
-    if amplitude == 0.0:
-        inner = Tail(s_window, 0.0)
-    elif rate == 0.0:
+    if amplitude == 0.0 or rate == 0.0:
         inner = Tail(max(amplitude, s_window), 0.0)
-    elif rate > 0.0:
-        mu_below = amplitude * mass / (1.0 - ppow(p, -(rate + n)))
-        s_const = max(mu_below * ppow(p, (j_min - 1) * rate), s_window)
-        k_star = _crossover(
-            lambda k: amplitude * ppow(p, k * rate) <= s_const, j_min - 1, rate
-        )
-        front = [
-            max(amplitude * ppow(p, k * rate), s_const)
-            for k in range(k_star + 1, j_min)
-        ]
-        coeffs = front + coeffs
-        lo = k_star + 1
-        inner = Tail(s_const, 0.0)
     else:
-        mu_scale = amplitude * mass / (1.0 - ppow(p, -(rate + n)))
-        k_dag = _crossover(
-            lambda k: mu_scale * ppow(p, k * rate) >= s_window, j_min - 1, rate
-        )
-        front = [s_window for _ in range(k_dag + 1, j_min)]
+        # below the window the mean of g over B_k is mu * p**(k*rate)
+        mu = _geometric_tail(amplitude * mass, p, -(rate + n), 0, below=False)
+        if rate > 0.0:
+            level = max(mu * ppow(p, (j_min - 1) * rate), s_window)
+            lo = _crossover(j_min - 1, p, amplitude, rate, level) + 1
+            front = [max(amplitude * ppow(p, k * rate), level) for k in range(lo, j_min)]
+            inner = Tail(level, 0.0)
+        else:
+            lo = _crossover(j_min - 1, p, mu, rate, s_window) + 1
+            front = [s_window] * (j_min - lo)
+            inner = Tail(mu, rate)
+            value_at_zero = math.inf
         coeffs = front + coeffs
-        lo = k_dag + 1
-        inner = Tail(mu_scale, rate)
-        value_at_zero = math.inf
 
     return RadialStepFunction(
         ctx, (lo, j_max), tuple(coeffs), inner, outer, value_at_zero=value_at_zero
     )
 
 
-def _crossover(holds_at, start: int, rate: float) -> int:
-    """Largest shell k <= start at which the monotone predicate holds.
+def _crossover(start: int, p: int, amplitude: float, rate: float, level: float) -> int:
+    """Largest shell k <= start at which amplitude * p**(k*rate) has crossed level.
 
-    The predicate compares two power laws, so it holds on a half-line of
-    shells; walk from ``start`` toward it and then confirm the boundary.
+    The power law lies at or below ``level`` there for rate > 0, at or above
+    it for rate < 0, so the crossover is the half-line
+    k <= log(level / amplitude) / (rate * log p). Start at that shell and
+    confirm the boundary by the comparison itself. A crossover more than
+    _SCAN_CAP shells below ``start`` raises DomainError.
     """
-    k = start
-    steps = 0
-    limit = max(1000, math.ceil(64.0 / abs(rate)) + 1000)
-    while not holds_at(k):
+
+    def crossed(k: int) -> bool:
+        value = amplitude * ppow(p, k * rate)
+        return value <= level if rate > 0 else value >= level
+
+    if crossed(start):
+        return start
+    try:
+        bound = (math.log(level) - math.log(amplitude)) / (rate * math.log(p))
+    except (ValueError, ZeroDivisionError):
+        bound = -math.inf
+    if not bound >= start - _SCAN_CAP:
+        raise DomainError(
+            f"maximal crossover lies more than {_SCAN_CAP} shells below the "
+            f"window; the inner tail rate {rate} is too close to zero"
+        )
+    k = start - 1 if bound >= start else math.floor(bound)
+    while not crossed(k):
         k -= 1
-        steps += 1
-        if steps > limit:
-            raise DomainError(
-                "maximal crossover search failed to localize; the inner tail "
-                "rate is too close to zero"
-            )
+    while k + 1 < start and crossed(k + 1):
+        k += 1
     return k
 
 

@@ -234,21 +234,21 @@ def _geometric_tail(
     """coef * sum of p**(s*k) over shells k < start (below) or k >= start (above).
 
     Returns None when the series diverges: s <= 0 below, s >= 0 above.
-    Evaluated as coef * p**(s*start) / (p**s - 1), with the divisor negated
-    above, in that order, so callers that pass their coefficient already
-    multiplied out keep their bits.
+    Evaluated as coef * p**(s*start) / (1 - p**s), with the divisor negated
+    below, in that order, so callers that pass their coefficient already
+    multiplied out keep their bits. A divisor below 2**-26 has lost more than
+    half of its bits to cancellation; -expm1(s * log p) replaces it.
 
     Example:
         >>> _geometric_tail(3.0, 2, -1.0, 1, below=False)
         3.0
     """
-    if below:
-        if s <= 0:
-            return None
-        return coef * ppow(p, s * start) / (ppow(p, s) - 1.0)
-    if s >= 0:
+    if (s <= 0) if below else (s >= 0):
         return None
-    return coef * ppow(p, s * start) / (1.0 - ppow(p, s))
+    divisor = 1.0 - ppow(p, s)
+    if abs(divisor) < 2.0**-26:
+        divisor = -math.expm1(s * math.log(p))
+    return coef * ppow(p, s * start) / (-divisor if below else divisor)
 
 
 def _tail_integral(

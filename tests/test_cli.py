@@ -3,10 +3,12 @@ out-of-process smoke tests of ``python -m ultraherz`` and the script)."""
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -26,10 +28,11 @@ from ultraherz import (
     save_function,
     save_theorem_config,
 )
-from ultraherz.cli import main
+from ultraherz.cli import build_parser, main
 
 CTX = PadicContext(2, 1)
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -225,6 +228,37 @@ def test_check_all_lemmas_prints_one_line_each(capsys):
     assert [line.split(":")[0] for line in lines] == ["L1", "L3", "L5"]
 
 
+def _readme_usage() -> dict[str, str]:
+    """The README's command-line block: each subcommand's lines, by name."""
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    usage: dict[str, str] = {}
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["ultraherz"]:
+            command = words[1]
+            usage[command] = ""
+        if words:
+            usage[command] += line + "\n"
+    return usage
+
+
+def test_readme_usage_block_lists_every_option():
+    """Every option of every subcommand appears, by one of its spellings, on
+    that subcommand's lines of the README's command-line block."""
+    usage = _readme_usage()
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(usage) == sorted(commands.choices)
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            assert any(
+                re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", usage[name])
+                for option in action.option_strings
+            ), f"README usage of {name!r} lacks {'/'.join(action.option_strings)}"
+
+
 def test_usage_errors_exit_one(files, capsys):
     assert main(["no-such-command"]) == 1
     assert main(["norm"]) == 1
@@ -335,7 +369,7 @@ def _project_script(name: str) -> str:
         return tomllib.load(handle)["project"]["scripts"][name]
 
 
-def _run_module(args: list[str], cwd) -> subprocess.CompletedProcess:
+def _run_module(args: list[str], cwd, timeout: float = 60) -> subprocess.CompletedProcess:
     """Run ``python -m ultraherz`` on the package this suite imported.
 
     The imported package's parent directory leads PYTHONPATH, so an
@@ -349,7 +383,7 @@ def _run_module(args: list[str], cwd) -> subprocess.CompletedProcess:
     )
     return subprocess.run(
         [sys.executable, "-m", "ultraherz", *args],
-        capture_output=True, text=True, timeout=60, cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=timeout, cwd=cwd, env=env,
     )
 
 
@@ -363,6 +397,16 @@ def test_console_script_smoke(files, tmp_path):
     assert "claim T31: hypotheses violated" in violated.stdout
     # the installed ``ultraherz`` script calls this very function
     assert pkgutil.resolve_name(_project_script("ultraherz")) is main
+
+
+def test_maximal_with_a_crossover_out_of_reach_exits_one(tmp_path):
+    """A subprocess with a timeout, so a crossover walk fails instead of hanging."""
+    path = tmp_path / "slow.json"
+    slow = RadialStepFunction(CTX, (0, 0), (5.0,), inner_tail=(1.0, -1e-300))
+    save_function(slow, str(path))
+    result = _run_module(["apply", "-i", str(path), "--operator", "maximal"], tmp_path, 10)
+    assert result.returncode == 1
+    assert "shells below the window" in result.stderr
 
 
 @pytest.mark.skipif(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -20,11 +21,14 @@ from ultraherz import (
     RadialStepFunction,
     Tail,
     ball_indicator_norm,
+    ball_integral,
     cmo_norm,
     combine,
     conjugate,
+    hardy,
     herz_norm,
     luxemburg_norm,
+    maximal,
     modular,
     morrey_herz_norm,
     ppow,
@@ -291,6 +295,59 @@ def test_morrey_herz_single_sphere_cutoff_sup():
     )
     # the cutoff supremum is attained at the smallest ball containing S_0
     assert result.value == pytest.approx(math.sqrt(0.5), rel=1e-12)
+
+
+def test_morrey_herz_slow_decay_is_found_in_closed_form():
+    """chi(S_0) plus the outer tail 2**(-3k) at beta = 2.5 - 1e-9, lambda = 1e-9.
+
+    With q = 2**-lambda and rho = 2**(beta - 2.5) the candidate at the
+    cutoff k >= 0 is sqrt(0.5) * q**k * (1 - rho**(k + 1)) / (1 - rho) for
+    m = 1, and it peaks about 1e9 shells above the window.
+    """
+    f = RadialStepFunction(CTX, (0, 0), (1.0,), outer_tail=Tail(1.0, -3.0))
+    beta, lam = 2.5 - 1e-9, 1e-9
+    once = morrey_herz_norm(f, U2, MorreyHerzParams(beta, 1.0, lam))
+    squared = morrey_herz_norm(f, U2, MorreyHerzParams(beta, 2.0, lam))
+    assert (once.value, squared.value) == (255034865.72935253, 9495.70636821773)
+    assert once.convergent and once.tail_remainder_bound == 0.0
+    assert squared.tail_remainder_bound == 0.0
+    assert once.work_window[0] == -1 and once.work_window[1] > 10**9 - 100
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        log_q = -Decimal(lam) * Decimal(2).ln()
+        log_rho = (Decimal(beta) - Decimal("2.5")) * Decimal(2).ln()
+
+        def candidate(k: int) -> Decimal:
+            decay = 1 - (log_rho * (k + 1)).exp()
+            return (log_q * k).exp() * decay / (1 - log_rho.exp()) * Decimal("0.5").sqrt()
+
+        # the continuous maximum sits where rho**(k + 1) = log q / (log q + log rho)
+        peak = int((log_q / (log_q + log_rho)).ln() / log_rho) - 1
+        exact = max(candidate(k) for k in range(peak - 2, peak + 3))
+    # 1 - rho = 7e-10 in floats costs about 30 bits of the value
+    assert once.value == pytest.approx(float(exact), rel=1e-7)
+
+
+def test_tails_at_a_rate_next_to_the_critical_one_keep_their_bits():
+    """At rate + n = 2**-53 the tail ratio p**(rate + n) rounds to 1.0."""
+    rate = -0.9999999999999999
+    f = RadialStepFunction(CTX, (0, 0), (3.0,), inner_tail=Tail(1.0, rate))
+    u1 = ExponentFunction.constant(CTX, 1.0)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ratio = ((Decimal(rate) + 1) * Decimal(2).ln()).exp()
+        # sum over k < 0 of 2**(k*rate) * |S_k|, and then the amplitude of
+        # the inner tail of both operator images
+        below = Decimal("0.5") / (ratio - 1)
+        total = float(below + Decimal("1.5"))
+        amplitude = float(Decimal("0.5") / (1 - 1 / ratio))
+    assert ball_integral(f, 0) == pytest.approx(total, rel=1e-14)
+    assert modular(f, u1).value == pytest.approx(total, rel=1e-14)
+    assert luxemburg_norm(f, u1).value == pytest.approx(total, rel=1e-14)
+    assert herz_norm(f, u1, HerzParams(0.0, 1.0)).value == pytest.approx(total, rel=1e-14)
+    assert hardy(f, 0.0).inner_tail.amplitude == pytest.approx(amplitude, rel=1e-14)
+    assert maximal(f).inner_tail.amplitude == pytest.approx(amplitude, rel=1e-14)
 
 
 def test_morrey_herz_positive_lambda_tames_divergent_weight():

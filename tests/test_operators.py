@@ -157,6 +157,21 @@ def test_maximal_is_the_suffix_supremum_of_means():
             assert image.evaluate(k) == pytest.approx(expected, rel=1e-12)
 
 
+def test_maximal_crossover_is_solved_not_walked():
+    """An integrable inner tail at a rate next to 0 crosses the window's mean
+    level about log_2(3) / |rate| shells below it."""
+    f = RadialStepFunction(CTX, (0, 0), (5.0,), inner_tail=Tail(1.0, -1e-300))
+    with pytest.raises(DomainError, match="400000 shells below"):
+        maximal(f)
+    near = RadialStepFunction(CTX, (0, 0), (5.0,), inner_tail=Tail(1.0, -1e-5))
+    image = maximal(near)
+    # from the crossover down the means mu * 2**(k*rate) reach the mean on B_0
+    level = ball_mean(near, 0)
+    assert image.window == (-158495, 0)
+    assert image.inner_tail.amplitude * ppow(2, -158496 * -1e-5) >= level
+    assert image.inner_tail.amplitude * ppow(2, -158495 * -1e-5) < level
+
+
 def test_maximal_dominates_the_averaging_operator():
     rng = random.Random(313)
     for _ in range(20):

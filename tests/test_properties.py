@@ -1,6 +1,7 @@
 """Property tests: the running ball-integral sum, the geometric tail kernel,
-the exact powers of p, the maximal operator and the Luxemburg solver against
-direct references and norm laws written out here."""
+the exact powers of p, the maximal operator, the Luxemburg solver, the CMO
+mixed tail walk and the Morrey-Herz supremum against direct references and
+norm laws written out here."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from ultraherz import (
     ExponentFunction,
     HerzParams,
+    MorreyHerzParams,
     NumericOverflowError,
     NumericUnderflowError,
     PadicContext,
@@ -28,9 +30,10 @@ from ultraherz import (
     luxemburg_norm,
     maximal,
     modular,
+    morrey_herz_norm,
     ppow,
 )
-from ultraherz.norms import _shifted_norm
+from ultraherz.norms import _mixed_inner_sum, _shifted_norm
 from ultraherz.radial import _geometric_tail, _running_parts, _tail_integral
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
@@ -421,3 +424,114 @@ def test_dilation_scales_the_lebesgue_and_herz_norms(data, j, u_value, beta, m):
     if base.convergent:
         factor = ppow(p, j * (beta + n / u_value))
         assert math.isclose(moved.value, factor * base.value, rel_tol=1e-11)
+
+
+@settings(max_examples=150)
+@given(
+    ctx=contexts(),
+    amplitude=st.floats(0.1, 10.0).flatmap(lambda a: st.sampled_from([a, -a])),
+    rate=st.floats(0.25, 3.0),
+    shift=st.floats(0.1, 10.0).flatmap(lambda c: st.sampled_from([c, -c])),
+    exponent=st.floats(1.0, 4.0),
+    upto=st.integers(-10, 10),
+)
+def test_mixed_inner_walk_matches_an_explicit_shell_sum(
+    ctx, amplitude, rate, shift, exponent, upto
+):
+    """The CMO walk over |amplitude * p**(k*rate) - shift|**exponent * |S_k|
+    (rising tail, nonzero shift) against every shell down to 400 below
+    ``upto``, where the power is far below the shift, plus |shift|**exponent
+    times the measure of the ball left under them."""
+    p, n = ctx.p, ctx.n
+    value, bound = _mixed_inner_sum(ctx, amplitude, rate, shift, exponent, upto)
+    mass = 1.0 - float(p) ** -n
+    shells = [
+        abs(amplitude * float(p) ** (k * rate) - shift) ** exponent * mass * float(p) ** (n * k)
+        for k in range(upto - 400, upto + 1)
+    ]
+    explicit = math.fsum(shells) + abs(shift) ** exponent * float(p) ** (n * (upto - 401))
+    assert abs(value - explicit) <= bound + 1e-11 * explicit
+
+
+def _log_abs_value(f: RadialStepFunction, k: int) -> float | None:
+    """log |F(k)| from the coefficient, or from the tail law in log form."""
+    j_min, j_max = f.window
+    if j_min <= k <= j_max:
+        c = f.coeffs[k - j_min]
+        return math.log(abs(c)) if c != 0.0 else None
+    amplitude, rate = f.inner_tail if k < j_min else f.outer_tail
+    if amplitude == 0.0:
+        return None
+    return math.log(abs(amplitude)) + k * rate * math.log(f.ctx.p)
+
+
+def _log_morrey_scan(f, u, beta, m, lam, base, lo, hi) -> float:
+    """log of the largest m-th power candidate over the cutoffs lo..hi.
+
+    Each shell's term m * log(p**(l*beta) * |F(l)| * |S_l|**(1/u(l))) is
+    built in log form and the partial sums are running log-sum-exps, so
+    shells whose values are subnormal in float keep their bits."""
+    p, n = f.ctx.p, f.ctx.n
+    log_p, log_mass = math.log(p), math.log1p(-float(p) ** -n)
+    running = best = -math.inf
+    for k in range(lo, hi + 1):
+        log_f = _log_abs_value(f, k)
+        if log_f is not None:
+            term = m * (k * beta * log_p + log_f + (log_mass + n * k * log_p) / u.evaluate(k))
+            top = max(running, term)
+            running = top + math.log(math.exp(running - top) + math.exp(term - top))
+        if running > -math.inf:
+            best = max(best, running - k * lam * m * math.log(base))
+    return best
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_morrey_herz_equals_a_log_space_scan_over_cutoffs(data):
+    """Both tails, with the outer terms drawn balanced (rho within 1e-12 of
+    1), at critical drift (within 1e-12), or decaying; the inner drift may be
+    critical too."""
+    ctx = PadicContext(data.draw(st.sampled_from([2, 3, 5])), data.draw(st.integers(1, 2)))
+    p, n = ctx.p, ctx.n
+    log_p = math.log(p)
+    j_min = data.draw(st.integers(-3, 3))
+    coeffs = data.draw(st.lists(st.sampled_from([0.0, 1.0, -2.5, 0.3]), min_size=1, max_size=5))
+    values = data.draw(st.lists(st.floats(1.0, 4.0), min_size=1, max_size=3))
+    u = ExponentFunction(
+        ctx, (j_min, j_min + len(values) - 1), values,
+        data.draw(st.floats(1.0, 4.0)), data.draw(st.floats(1.0, 4.0)),
+    )
+    beta = data.draw(st.floats(-1.0, 1.0))
+    m = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    lam = data.draw(st.floats(0.2, 1.5))
+    base = data.draw(st.sampled_from([None, 2.0, 4.5]))
+    base_value = base if base is not None else float(p)
+    log_base = math.log(base_value)
+    critical_slope = lam * log_base / log_p
+    tiny = st.floats(-1e-12, 1e-12)
+
+    s_in = critical_slope + data.draw(st.one_of(tiny, st.floats(0.05, 1.5)))
+    s_out = data.draw(
+        st.one_of(
+            tiny.map(lambda d: d / (m * log_p)),
+            tiny.map(lambda d: critical_slope + d / log_p),
+            st.floats(-2.0, critical_slope - 0.05),
+        )
+    )
+    amplitude = st.floats(0.2, 3.0).flatmap(lambda a: st.sampled_from([a, -a]))
+    f = RadialStepFunction(
+        ctx, (j_min, j_min + len(coeffs) - 1), coeffs,
+        Tail(data.draw(amplitude), s_in - beta - n / u.u_inner),
+        Tail(data.draw(amplitude), s_out - beta - n / u.u_infinity),
+    )
+    result = morrey_herz_norm(f, u, MorreyHerzParams(beta, m, lam, base))
+    assert result.convergent and result.tail_remainder_bound == 0.0
+
+    w_lo = min(f.window[0], u.window[0])
+    w_hi = max(f.window[1], u.window[1])
+    # far enough that the left-out inner terms and the candidates past the
+    # top end are below e**-45 of the ones kept
+    below = math.ceil(45.0 / (m * s_in * log_p)) + 1
+    above = math.ceil(60.0 / (lam * m * log_base)) + 10
+    scan = _log_morrey_scan(f, u, beta, m, lam, base_value, w_lo - below, w_hi + above)
+    assert abs(math.log(result.value) - scan / m) <= 1e-8
