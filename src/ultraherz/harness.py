@@ -5,7 +5,9 @@ operator (or its symbol commutator) between weighted shell-decomposition
 spaces. A claim is exercised numerically in three ways:
 
 * ``validate_hypotheses`` checks every stated parameter constraint and
-  reports them one by one;
+  reports them one by one, reading the claim's hypotheses from its row of
+  the shape table below; the commutator symbol needs bounded tails, which
+  within the radial class is exactly finite mean oscillation;
 * ``sweep`` draws random compactly-supported functions of growing window
   size and records target-norm/source-norm ratios, whose suprema should
   stabilize when the claimed bound holds;
@@ -14,8 +16,9 @@ spaces. A claim is exercised numerically in three ways:
   grow without bound.
 
 The claim ids are opaque tokens; the mapping below records, for each one,
-which operator it exercises, which space family it lives in, and how the
-target exponent derives from the source exponent.
+which operator it exercises, which space family it lives in, how the
+target exponent derives from the source exponent, and whether its beta
+interval moves up by lambda.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import DomainError, HypothesisViolationError, UltraherzError
+from .errors import DomainError, HypothesisViolationError
 from .norms import (
     HerzParams,
     MorreyHerzParams,
@@ -55,17 +58,18 @@ class _ClaimShape:
     operator: str  # "hardy" or "commutator"
     space: str  # "herz" or "morrey-herz"
     target: str  # "shift", "same" or "conjugate"
+    beta_moves: bool  # the beta interval moves up by lambda
 
 
 _SHAPES = {
-    "T31": _ClaimShape("hardy", "herz", "shift"),
-    "T32": _ClaimShape("commutator", "herz", "shift"),
-    "T41": _ClaimShape("hardy", "morrey-herz", "shift"),
-    "T42": _ClaimShape("commutator", "morrey-herz", "shift"),
-    "C31": _ClaimShape("hardy", "herz", "same"),
-    "C32": _ClaimShape("commutator", "herz", "conjugate"),
-    "C41": _ClaimShape("hardy", "morrey-herz", "same"),
-    "C42": _ClaimShape("commutator", "morrey-herz", "conjugate"),
+    "T31": _ClaimShape("hardy", "herz", "shift", False),
+    "T32": _ClaimShape("commutator", "herz", "shift", False),
+    "T41": _ClaimShape("hardy", "morrey-herz", "shift", True),
+    "T42": _ClaimShape("commutator", "morrey-herz", "shift", True),
+    "C31": _ClaimShape("hardy", "herz", "same", False),
+    "C32": _ClaimShape("commutator", "herz", "conjugate", False),
+    "C41": _ClaimShape("hardy", "morrey-herz", "same", False),
+    "C42": _ClaimShape("commutator", "morrey-herz", "conjugate", True),
 }
 
 
@@ -224,161 +228,89 @@ def _interval_check(
 def validate_hypotheses(config: TheoremConfig) -> HypothesisReport:
     """Check every stated parameter constraint of a claim, one by one.
 
-    Returns a report rather than raising so callers can show all failures
-    at once; ``require_hypotheses`` wraps this in an exception.
+    One pass over the claim's row of the shape table: the exponent and the
+    index order, alpha, lambda, the beta interval and, for commutators, the
+    symbol. Returns a report rather than raising so callers can show all
+    failures at once; ``require_hypotheses`` wraps this in an exception.
     """
-    u = config.u
-    ctx = config.ctx
-    n = ctx.n
-    shape = config.shape
-    checks: list[HypothesisCheck] = []
-
-    u_minus, u_plus = u.u_minus, u.u_plus
-    checks.append(
+    u, n, shape = config.u, config.ctx.n, config.shape
+    alpha, lam = config.alpha, config.lam
+    checks = [
         HypothesisCheck(
             "exponent-admissible",
-            u_minus > 1.0,
-            f"need 1 < u over all shells, have u in [{u_minus:.6g}, {u_plus:.6g}]",
-        )
-    )
-    checks.append(
+            u.u_minus > 1.0,
+            f"need 1 < u over all shells, have u in [{u.u_minus:.6g}, {u.u_plus:.6g}]",
+        ),
         HypothesisCheck(
             "index-order",
             0 < config.m1 <= config.m2,
             f"need 0 < m1 <= m2, have m1 = {config.m1:.6g}, m2 = {config.m2:.6g}",
-        )
-    )
-    if u_minus <= 1.0:
+        ),
+    ]
+    if u.u_minus <= 1.0:
         return HypothesisReport(config.theorem, tuple(checks))
-    u_conj = conjugate(u)
-    n_over_u_conj_minus = n / u_conj.u_plus  # n/u' at its smallest piece
 
+    # w is the exponent whose extremes bound beta from below: v for the
+    # shift claims, u for the others.
+    w = u
     if shape.target == "shift":
-        alpha_cap = n / u_plus
-        if not (0 < config.alpha < alpha_cap):
-            checks.append(
-                HypothesisCheck(
-                    "alpha-range",
-                    False,
-                    f"need 0 < alpha < n/u_plus = {alpha_cap:.6g}, "
-                    f"have alpha = {config.alpha:.6g}",
-                    bounds=(0.0, alpha_cap),
-                )
-            )
-            return HypothesisReport(config.theorem, tuple(checks))
-        v = sobolev_shift(u, config.alpha)
-        v_conj = conjugate(v)
-        alpha_cap2 = n / v_conj.u_plus
+        cap, label = n / u.u_plus, "n/u_plus"
+        shifted = 0 < alpha < cap
+        if shifted:
+            w = sobolev_shift(u, alpha)
+            cap, label = min(cap, n / conjugate(w).u_plus), "min(n/u_plus, n/v'_plus)"
         checks.append(
             HypothesisCheck(
                 "alpha-range",
-                config.alpha < min(alpha_cap, alpha_cap2),
-                f"need 0 < alpha < min(n/u_plus, n/v'_plus) = "
-                f"{min(alpha_cap, alpha_cap2):.6g}, have alpha = {config.alpha:.6g}",
-                bounds=(0.0, min(alpha_cap, alpha_cap2)),
+                0 < alpha < cap,
+                f"need 0 < alpha < {label} = {cap:.6g}, have alpha = {alpha:.6g}",
+                bounds=(0.0, cap),
             )
         )
-        if shape.space == "herz":
-            checks.append(
-                _interval_check(
-                    "beta-range", -n / v.u_plus, config.beta, n_over_u_conj_minus, "beta"
-                )
-            )
-        else:
-            checks.append(
-                HypothesisCheck(
-                    "lambda-range",
-                    config.lam >= 0,
-                    f"need lambda >= 0, have lambda = {config.lam:.6g}",
-                )
-            )
-            checks.append(
-                _interval_check(
-                    "beta-range",
-                    config.lam - n / v.u_minus,
-                    config.beta,
-                    n_over_u_conj_minus + config.lam,
-                    "beta",
-                )
-            )
+        if not shifted:  # without v nothing past alpha can be checked
+            return HypothesisReport(config.theorem, tuple(checks))
     else:
         checks.append(
             HypothesisCheck(
                 "alpha-zero",
-                config.alpha == 0.0,
-                f"this claim fixes alpha = 0, have alpha = {config.alpha:.6g}",
+                alpha == 0.0,
+                f"this claim fixes alpha = 0, have alpha = {alpha:.6g}",
             )
         )
-        if shape.space == "morrey-herz":
-            checks.append(
-                HypothesisCheck(
-                    "lambda-range",
-                    config.lam >= 0,
-                    f"need lambda >= 0, have lambda = {config.lam:.6g}",
-                )
-            )
-        if config.theorem == "C42":
-            checks.append(
-                _interval_check(
-                    "beta-range",
-                    config.lam - n / u.u_minus,
-                    config.beta,
-                    n_over_u_conj_minus + config.lam,
-                    "beta",
-                )
-            )
-        else:
-            checks.append(
-                _interval_check(
-                    "beta-range", -n / u_plus, config.beta, n_over_u_conj_minus, "beta"
-                )
-            )
 
-    if shape.space == "herz" and config.lam != 0.0:
+    if shape.space == "morrey-herz":
+        checks.append(
+            HypothesisCheck(
+                "lambda-range", lam >= 0, f"need lambda >= 0, have lambda = {lam:.6g}"
+            )
+        )
+    lo, hi = -n / w.u_plus, n / conjugate(u).u_plus
+    if shape.beta_moves:
+        lo, hi = lam - n / w.u_minus, hi + lam
+    checks.append(_interval_check("beta-range", lo, config.beta, hi, "beta"))
+    if shape.space == "herz" and lam != 0.0:
         checks.append(
             HypothesisCheck(
                 "lambda-unused",
                 False,
-                f"this claim has no cutoff scaling; leave lambda = 0, "
-                f"have lambda = {config.lam:.6g}",
+                "this claim has no cutoff scaling; leave lambda = 0, "
+                f"have lambda = {lam:.6g}",
             )
         )
 
     if shape.operator == "commutator":
+        # Within the radial class the mean oscillation is finite exactly when
+        # both tails stay bounded; a zero tail carries rate 0.
         symbol = config.effective_symbol()
-        try:
-            targets = [("u'", u_conj)]
-            if shape.target == "shift":
-                targets.append(("v", sobolev_shift(u, config.alpha)))
-            else:
-                targets.append(("u", u))
-            values = []
-            ok = True
-            for label, w in targets:
-                result = cmo_norm(symbol, w)
-                values.append(f"cmo[{label}] = {result.value:.6g}")
-                ok = ok and result.convergent
-            checks.append(
-                HypothesisCheck(
-                    "symbol-oscillation",
-                    ok,
-                    "symbol needs finite mean oscillation in both exponents: "
-                    + ", ".join(values),
-                )
+        inner, outer = symbol.inner_tail.rate, symbol.outer_tail.rate
+        checks.append(
+            HypothesisCheck(
+                "symbol-oscillation",
+                inner >= 0 and outer <= 0,
+                "symbol needs bounded tails for finite mean oscillation: need inner "
+                f"rate >= 0 and outer rate <= 0, have {inner:.6g} and {outer:.6g}",
             )
-        except UltraherzError as exc:
-            checks.append(HypothesisCheck("symbol-oscillation", False, str(exc)))
-        if shape.target == "shift":
-            for mode in ("W0", "Winfty"):
-                report = check_regularity(u, mode)
-                checks.append(
-                    HypothesisCheck(
-                        f"exponent-regularity-{mode}",
-                        True,
-                        f"{mode} scan: constant {report.constant:.6g}",
-                    )
-                )
-
+        )
     return HypothesisReport(config.theorem, tuple(checks))
 
 

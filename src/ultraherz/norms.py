@@ -34,6 +34,7 @@ from .padic import PadicContext, ppow
 from .radial import (
     ExponentFunction,
     RadialStepFunction,
+    _float_value,
     _geometric_tail,
     _mean_of_parts,
     _running_parts,
@@ -713,20 +714,12 @@ def _cmo_candidate(
     parts: tuple[Fraction, float],
     rel_tol: float,
 ) -> float:
-    mean_of = _mean_of_parts if abs(gamma) <= b.ctx.shell_limit else _wide_mean
-    mean = mean_of(parts, gamma, b.ctx)
+    mean = _mean_of_parts(parts, gamma, b.ctx)
     numerator, _ = _shifted_norm(b, u, mean, gamma, rel_tol)
     if numerator == 0.0:
         return 0.0
     denominator = ball_indicator_norm(u, gamma, rel_tol).value
     return numerator / denominator
-
-
-def _wide_mean(parts: tuple[Fraction, float], gamma: int, ctx: PadicContext) -> float:
-    """Ball mean for scan radii beyond the context shell limit."""
-    exact, inexact = parts
-    scale = Fraction(ctx.p) ** (ctx.n * gamma)
-    return float(exact / scale) + float(Fraction(inexact) / scale if inexact else 0.0)
 
 
 class _GeoTerm:
@@ -862,8 +855,7 @@ def cmo_norm(
         best = max(best, candidate)
 
     ref = w_hi + 1
-    exact, inexact = parts
-    terms = _cmo_envelope_terms(b, u, ref, float(exact) + inexact, rel_tol)
+    terms = _cmo_envelope_terms(b, u, ref, _float_value(*parts), rel_tol)
     gamma_mono = max(term.monotone_from() for term in terms)
     floor = 1e-13 * max(
         best, sum(term.value(ref + 1) for term in terms), 1e-280

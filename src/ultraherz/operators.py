@@ -42,6 +42,7 @@ from .padic import ppow
 from .radial import (
     RadialStepFunction,
     Tail,
+    _float_value,
     _geometric_tail,
     _running_parts,
     _unit_mass,
@@ -122,7 +123,7 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
 
     lo, hi = j_min - 1, j_max + 1
     parts = islice(_running_parts(f, lo), hi - lo + 1)
-    integrals = [float(exact) + inexact for exact, inexact in parts]
+    integrals = [_float_value(*part) for part in parts]
     coeffs = tuple(ppow(p, k * (alpha - n)) * v for k, v in enumerate(integrals, lo))
 
     amplitude, rate = f.inner_tail
@@ -224,7 +225,7 @@ def maximal(f: RadialStepFunction) -> RadialStepFunction:
     mass = _unit_mass(ctx)
 
     parts = islice(_running_parts(g, j_min), j_max - j_min + 1)
-    integrals = [float(exact) + inexact for exact, inexact in parts]
+    integrals = [_float_value(*part) for part in parts]
     # The outer tail vanishes, so B_j_max already holds the total integral.
     total = integrals[-1]
 

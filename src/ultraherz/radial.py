@@ -23,8 +23,13 @@ from functools import lru_cache
 from itertools import count
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import DomainError, HypothesisViolationError, TailCombinationError
-from .padic import PadicContext, _sphere_measure_unchecked, ball_measure, ppow
+from .errors import (
+    DomainError,
+    HypothesisViolationError,
+    NumericOverflowError,
+    TailCombinationError,
+)
+from .padic import PadicContext, _ball_measure_unchecked, _sphere_measure_unchecked, ppow
 
 
 class Tail(NamedTuple):
@@ -326,17 +331,35 @@ def _integral_parts(f: RadialStepFunction, gamma: int) -> tuple[Fraction, float]
     return next(_running_parts(f, gamma))
 
 
+def _float_value(exact: Fraction, *inexact: float) -> float:
+    """float(exact) plus the inexact terms, added left to right.
+
+    Raises :class:`NumericOverflowError` when the exact part does not fit in
+    a float or the sum is not finite: the integrals these pairs hold are
+    finite, so an infinite float can only be an overflow.
+    """
+    try:
+        value = sum(inexact, float(exact))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericOverflowError(
+            "a ball integral overflows the float range: a finite integral too "
+            "large for this computation, not a divergent one"
+        )
+    return value
+
+
 def ball_integral(f: RadialStepFunction, gamma: int) -> float:
     """Integral of f over the ball B_gamma, with the inner tail summed analytically."""
-    exact, inexact = _integral_parts(f, gamma)
-    return float(exact) + inexact
+    return _float_value(*_integral_parts(f, gamma))
 
 
 def total_integral(f: RadialStepFunction) -> float:
     """Integral of f over the whole space; both tails summed analytically."""
     exact, inexact = _integral_parts(f, f.window[1])
     exact2, inexact2 = _tail_integral(f, f.window[1] + 1, below=False)
-    return float(exact + exact2) + inexact + inexact2
+    return _float_value(exact + exact2, inexact, inexact2)
 
 
 def ball_mean(f: RadialStepFunction, gamma: int) -> float:
@@ -358,12 +381,17 @@ def ball_mean(f: RadialStepFunction, gamma: int) -> float:
 
 
 def _mean_of_parts(parts: tuple[Fraction, float], gamma: int, ctx: PadicContext) -> float:
-    """Mean over B_gamma from the (exact, inexact) integral of f over it."""
+    """Mean over B_gamma from the (exact, inexact) integral of f over it.
+
+    Both parts are divided by the exact measure, so any radius works, the
+    ones beyond the context's shell limit included. An infinite inexact part
+    is an overflowed integral and raises NumericOverflowError.
+    """
     exact, inexact = parts
-    measure = ball_measure(gamma, ctx)
-    if inexact == 0.0:
-        return float(exact / measure)
-    return float(exact / measure) + inexact / float(measure)
+    measure = _ball_measure_unchecked(gamma, ctx)
+    if inexact and math.isfinite(inexact):
+        inexact = float(Fraction(inexact) / measure)
+    return _float_value(exact / measure, inexact)
 
 
 @dataclass(frozen=True)

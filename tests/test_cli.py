@@ -409,6 +409,28 @@ def test_maximal_with_a_crossover_out_of_reach_exits_one(tmp_path):
     assert "shells below the window" in result.stderr
 
 
+def test_hardy_of_an_overflowing_ball_integral_exits_one(tmp_path):
+    """Out of process, so a traceback on stderr would show."""
+    path = tmp_path / "far.json"
+    save_function(RadialStepFunction(CTX, (1100, 1100), (1.0,)), str(path))
+    for operator in ("hardy", "maximal"):
+        result = _run_module(["apply", "-i", str(path), "--operator", operator], tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:")
+        assert "overflow" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+def test_validate_passes_a_bounded_symbol_with_an_exponent_next_to_one(tmp_path, capsys):
+    path = tmp_path / "c32.json"
+    u = ExponentFunction.constant(CTX, 1.002)
+    save_theorem_config(TheoremConfig("C32", u), str(path))
+    assert main(["validate", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "ok   symbol-oscillation" in out
+    assert out.strip().endswith("claim C32: hypotheses satisfied")
+
+
 @pytest.mark.skipif(
     shutil.which("ultraherz") is None, reason="ultraherz script not installed"
 )

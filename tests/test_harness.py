@@ -79,8 +79,6 @@ def test_commutator_theorems_check_symbol_and_regularity():
     report = validate_hypotheses(TheoremConfig("T32", U2, alpha=0.25, symbol=b))
     names = [c.name for c in report.checks]
     assert "symbol-oscillation" in names
-    assert "exponent-regularity-W0" in names
-    assert "exponent-regularity-Winfty" in names
     assert report.satisfied
 
 
@@ -106,6 +104,84 @@ def test_beta_bounds_match_independent_recomputation():
     expected_hi = ctx.n / conjugate(u).summary().u_plus + lam
     assert lo == pytest.approx(expected_lo, abs=1e-12)
     assert hi == pytest.approx(expected_hi, abs=1e-12)
+
+
+def _table_ranges(
+    theorem: str, pieces: list[float], n: int, alpha: float, lam: float
+) -> tuple[float | None, tuple[float, float]]:
+    """The alpha cap and the beta interval as the README's claim table states them.
+
+    v is the Sobolev shift of u (1/v = 1/u - alpha/n), u' the conjugate of
+    u, and the subscripts - and + the least and largest value over all
+    shells. The C-claims fix alpha = 0, so they have no cap.
+    """
+    conj = [w / (w - 1.0) for w in pieces]
+    cap = None
+    weights = pieces
+    if theorem[0] == "T":
+        weights = [1.0 / (1.0 / w - alpha / n) for w in pieces]
+        cap = min(n / max(pieces), n / max(v / (v - 1.0) for v in weights))
+    if theorem in ("T41", "T42", "C42"):
+        return cap, (lam - n / min(weights), n / max(conj) + lam)
+    return cap, (-n / max(weights), n / max(conj))
+
+
+@pytest.mark.parametrize("theorem", ["T31", "T32", "T41", "T42", "C31", "C32", "C41", "C42"])
+def test_alpha_cap_and_beta_interval_follow_the_claim_table(theorem):
+    rng = random.Random(f"ranges-{theorem}")
+    for _ in range(40):
+        ctx = PadicContext(rng.choice((2, 3, 5)), rng.randint(1, 3))
+        values = tuple(rng.uniform(1.1, 5.0) for _ in range(rng.randint(1, 4)))
+        j_min = rng.randint(-4, 2)
+        u = ExponentFunction(
+            ctx, (j_min, j_min + len(values) - 1), values,
+            rng.uniform(1.1, 5.0), rng.uniform(1.1, 5.0),
+        )
+        pieces = [u.u_inner, *values, u.u_infinity]
+        alpha = 0.0
+        if theorem[0] == "T":
+            alpha = rng.uniform(0.02, 0.98) * ctx.n / max(pieces)
+        lam = rng.uniform(0.01, 2.0)
+        cap, (lo, hi) = _table_ranges(theorem, pieces, ctx.n, alpha, lam)
+        beta = rng.uniform(lo - 1.0, hi + 1.0)
+        report = validate_hypotheses(
+            TheoremConfig(theorem, u, alpha=alpha, beta=beta, lam=lam)
+        )
+        if cap is None:
+            assert report.check("alpha-zero").satisfied
+        else:
+            assert report.check("alpha-range").bounds == pytest.approx((0.0, cap), rel=1e-12)
+            assert report.check("alpha-range").satisfied == (alpha < cap)
+        check = report.check("beta-range")
+        assert check.bounds == pytest.approx((lo, hi), rel=1e-12, abs=1e-12)
+        assert check.satisfied == (lo < beta < hi)
+
+
+def test_a_bounded_symbol_passes_with_an_exponent_next_to_one():
+    """At p = 2 and u = 1.002 the conjugate exponent is about 501, which
+    must not make a bounded symbol fail its check."""
+    u = ExponentFunction.constant(CTX, 1.002)
+    report = validate_hypotheses(TheoremConfig("C32", u))
+    assert report.check("symbol-oscillation").satisfied
+    assert report.satisfied
+
+
+@pytest.mark.parametrize(
+    "inner, outer, bounded",
+    [
+        (Tail(1.0, 0.5), Tail(2.0, -1.0), True),
+        (Tail(1.0, 0.0), Tail(-1.0, 0.0), True),
+        (Tail(0.0, -0.5), Tail(0.0, 3.0), True),
+        (Tail(1.0, -0.5), Tail(0.0, 0.0), False),
+        (Tail(1.0, -1.5), Tail(0.0, 0.0), False),
+        (Tail(0.0, 0.0), Tail(1.0, 0.25), False),
+    ],
+    ids=["decaying", "constant", "zero", "inner-rising", "inner-non-integrable", "outer-rising"],
+)
+def test_symbol_check_needs_both_tails_bounded(inner, outer, bounded):
+    b = RadialStepFunction(CTX, (-1, 1), (0.5, -1.0, 2.0), inner, outer)
+    report = validate_hypotheses(TheoremConfig("C42", U2, symbol=b))
+    assert report.check("symbol-oscillation").satisfied == bounded
 
 
 def test_report_check_accessor_rejects_unknown_names():

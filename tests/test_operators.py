@@ -9,6 +9,7 @@ import pytest
 from ultraherz import (
     ClassClosureError,
     DomainError,
+    NumericOverflowError,
     OperatorSpec,
     PadicContext,
     RadialStepFunction,
@@ -214,3 +215,29 @@ def test_apply_operator_dispatch():
     assert apply_operator(OperatorSpec("maximal"), f).evaluate(2) == maximal(f).evaluate(2)
     with pytest.raises(DomainError):
         OperatorSpec("mystery")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: hardy(f, 0.0),
+        maximal,
+        lambda f: ball_integral(f, 1100),
+        total_integral,
+    ],
+    ids=["hardy", "maximal", "ball_integral", "total_integral"],
+)
+def test_ball_integrals_beyond_the_float_range_raise_a_typed_error(call):
+    """At p = 2 the integral of chi(S_1100) is 2**1099, larger than any float."""
+    with pytest.raises(NumericOverflowError, match="overflow"):
+        call(RadialStepFunction(CTX, (1100, 1100), (1.0,)))
+
+
+def test_a_ball_mean_over_an_overflowing_integral_raises_a_typed_error():
+    """The float part of the integral over B_64 sums past the float range, so
+    the mean must not come back as inf."""
+    f = RadialStepFunction(CTX, (0, 0), (1.0,), outer_tail=Tail(1e307, -0.5))
+    with pytest.raises(NumericOverflowError, match="overflow"):
+        ball_mean(f, 64)
+    with pytest.raises(NumericOverflowError, match="overflow"):
+        ball_integral(f, 64)
