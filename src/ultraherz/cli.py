@@ -170,7 +170,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _parse_sizes(text: str) -> tuple[int, ...]:
     parts = [part.strip() for part in text.split(",") if part.strip()]
     try:
-        return tuple(int(part) for part in parts)
+        return tuple([int(part) for part in parts])
     except ValueError:
         raise DomainError(f"--sizes must be comma-separated integers, got {text!r}") from None
 
@@ -241,15 +241,7 @@ def _add_claim_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ultraherz",
-        description="norms, operators and boundedness checks for radial step "
-        "functions over an ultrametric field",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    norm = sub.add_parser("norm", help="evaluate a space norm")
+def _norm_args(norm: argparse.ArgumentParser) -> None:
     _add_function_arg(norm)
     _add_exponent_arg(norm)
     norm.add_argument(
@@ -264,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     norm.add_argument("--rel-tol", type=float, default=1e-10)
     norm.set_defaults(handler=_cmd_norm)
 
-    apply_parser = sub.add_parser("apply", help="apply an operator to a function")
+
+def _apply_args(apply_parser: argparse.ArgumentParser) -> None:
     _add_function_arg(apply_parser)
     apply_parser.add_argument(
         "--operator",
@@ -278,13 +271,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     apply_parser.set_defaults(handler=_cmd_apply)
 
-    cmo = sub.add_parser("cmo", help="mean-oscillation norm of a symbol")
+
+def _cmo_args(cmo: argparse.ArgumentParser) -> None:
     cmo.add_argument("--symbol", required=True, help="symbol JSON file")
     _add_exponent_arg(cmo)
     cmo.add_argument("--rel-tol", type=float, default=1e-10)
     cmo.set_defaults(handler=_cmd_cmo)
 
-    oracle = sub.add_parser("oracle", help="Monte Carlo estimates")
+
+def _oracle_args(oracle: argparse.ArgumentParser) -> None:
     _add_function_arg(oracle)
     oracle.add_argument(
         "--task", choices=("integral", "norm", "operator"), default="integral"
@@ -316,11 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--rel-tol", type=float, default=1e-10)
     oracle.set_defaults(handler=_cmd_oracle)
 
-    validate = sub.add_parser("validate", help="check a claim's hypotheses")
+
+def _validate_args(validate: argparse.ArgumentParser) -> None:
     _add_claim_args(validate)
     validate.set_defaults(handler=_cmd_validate)
 
-    sweep_parser = sub.add_parser("sweep", help="ratio sweep for a claim")
+
+def _sweep_args(sweep_parser: argparse.ArgumentParser) -> None:
     _add_claim_args(sweep_parser)
     sweep_parser.add_argument(
         "--sizes",
@@ -348,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.set_defaults(handler=_cmd_sweep)
 
-    check = sub.add_parser("check", help="run the structural lemma checks")
+
+def _check_args(check: argparse.ArgumentParser) -> None:
     check.add_argument(
         "--which",
         choices=("L1", "L3", "L5", "all"),
@@ -364,13 +362,45 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=None)
     check.set_defaults(handler=_cmd_check)
 
+
+#: subcommand name -> (help line, function that adds its arguments)
+_SUBCOMMANDS = {
+    "norm": ("evaluate a space norm", _norm_args),
+    "apply": ("apply an operator to a function", _apply_args),
+    "cmo": ("mean-oscillation norm of a symbol", _cmo_args),
+    "oracle": ("Monte Carlo estimates", _oracle_args),
+    "validate": ("check a claim's hypotheses", _validate_args),
+    "sweep": ("ratio sweep for a claim", _sweep_args),
+    "check": ("run the structural lemma checks", _check_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with every subcommand or only ``command``.
+
+    ``main`` passes the subcommand it runs, so a call does not pay for
+    building the six it does not use.
+    """
+    parser = argparse.ArgumentParser(
+        prog="ultraherz",
+        description="norms, operators and boundedness checks for radial step "
+        "functions over an ultrametric field",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args) in _SUBCOMMANDS.items():
+        if command is None or name == command:
+            add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # anything but a subcommand name first (none, an option, a typo) gets
+    # the full parser, for the full help or usage error
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; this tool reserves 2 for
         # hypothesis violations, so usage problems map to 1.

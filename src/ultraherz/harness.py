@@ -84,7 +84,7 @@ def default_symbol(ctx: PadicContext) -> RadialStepFunction:
     return RadialStepFunction(
         ctx,
         (-3, 3),
-        tuple(float(j) for j in range(-3, 4)),
+        tuple([float(j) for j in range(-3, 4)]),
         inner_tail=Tail(-3.0, 0.0),
         outer_tail=Tail(3.0, 0.0),
     )
@@ -104,7 +104,7 @@ class FamilySpec:
     count: int = 200
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(size) for size in self.sizes)
+        sizes = tuple([int(size) for size in self.sizes])
         object.__setattr__(self, "sizes", sizes)
         for size in sizes:
             if size < 0:
@@ -204,7 +204,7 @@ class HypothesisReport:
         return all(check.satisfied for check in self.checks)
 
     def failures(self) -> tuple[HypothesisCheck, ...]:
-        return tuple(check for check in self.checks if not check.satisfied)
+        return tuple([check for check in self.checks if not check.satisfied])
 
     def check(self, name: str) -> HypothesisCheck:
         for item in self.checks:
@@ -543,7 +543,7 @@ def _random_exponent(ctx: PadicContext, rng: random.Random) -> ExponentFunction:
         return ExponentFunction.constant(ctx, rng.uniform(1.2, 4.0))
     start = rng.randint(-3, 1)
     window = (start, start + jumps - 1)
-    values = tuple(rng.uniform(1.2, 4.0) for _ in range(jumps))
+    values = tuple([rng.uniform(1.2, 4.0) for _ in range(jumps)])
     return ExponentFunction(
         ctx, window, values, rng.uniform(1.2, 4.0), rng.uniform(1.2, 4.0)
     )
@@ -553,7 +553,7 @@ def _random_symbol(ctx: PadicContext, rng: random.Random) -> RadialStepFunction:
     """A bounded random symbol with frozen tails (values in [-2, 2])."""
     lo = rng.randint(-4, 1)
     hi = lo + rng.randint(0, 4)
-    coeffs = tuple(rng.uniform(-2.0, 2.0) for _ in range(hi - lo + 1))
+    coeffs = tuple([rng.uniform(-2.0, 2.0) for _ in range(hi - lo + 1)])
     return RadialStepFunction(
         ctx,
         (lo, hi),
@@ -582,7 +582,7 @@ def _lemma_smoothness(rng: random.Random, cases: int) -> LemmaReport:
         j_min = rng.randint(-6, -2)
         u0 = rng.uniform(1.2, 3.0)
         c = rng.uniform(0.1, 1.0)
-        values = tuple(u0 + c * ppow(p, j) for j in range(j_min, 0))
+        values = tuple([u0 + c * ppow(p, j) for j in range(j_min, 0)])
         u = ExponentFunction(ctx, (j_min, -1), values, u0, u0 + c * ppow(p, -1))
         report = check_regularity(u, "W0")
         expected = max(abs(g) * c * ppow(p, g) for g in range(j_min, 0))

@@ -124,7 +124,7 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
     lo, hi = j_min - 1, j_max + 1
     parts = islice(_running_parts(f, lo), hi - lo + 1)
     integrals = [_float_value(*part) for part in parts]
-    coeffs = tuple(ppow(p, k * (alpha - n)) * v for k, v in enumerate(integrals, lo))
+    coeffs = tuple([ppow(p, k * (alpha - n)) * v for k, v in enumerate(integrals, lo)])
 
     amplitude, rate = f.inner_tail
     if amplitude == 0.0:
@@ -184,7 +184,7 @@ def hardy_adjoint(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
     for k in range(hi - 1, lo - 1, -1):
         value = value + mass * f.evaluate(k + 1) * ppow(p, (k + 1) * alpha)
         values[k] = value
-    coeffs = tuple(values[k] for k in range(lo, hi + 1))
+    coeffs = tuple([values[k] for k in range(lo, hi + 1)])
     inner = Tail(values[lo], 0.0)
     return RadialStepFunction(ctx, (lo, hi), coeffs, inner, outer)
 

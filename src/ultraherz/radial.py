@@ -82,7 +82,7 @@ class RadialStepFunction:
                 f"coefficients, got {len(self.coeffs)}"
             )
         object.__setattr__(self, "window", (int(j_min), int(j_max)))
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple([float(c) for c in self.coeffs]))
         if not all(map(math.isfinite, self.coeffs)):
             raise DomainError("shell coefficients must be finite (not NaN or inf)")
         inner = _normalize_tail(self.inner_tail)
@@ -149,7 +149,7 @@ class RadialStepFunction:
         return RadialStepFunction(
             self.ctx,
             self.window,
-            tuple(c * v for v in self.coeffs),
+            tuple([c * v for v in self.coeffs]),
             Tail(c * self.inner_tail.amplitude, self.inner_tail.rate),
             Tail(c * self.outer_tail.amplitude, self.outer_tail.rate),
             c * self.value_at_zero,
@@ -160,7 +160,7 @@ class RadialStepFunction:
         return RadialStepFunction(
             self.ctx,
             self.window,
-            tuple(abs(v) for v in self.coeffs),
+            tuple([abs(v) for v in self.coeffs]),
             Tail(abs(self.inner_tail.amplitude), self.inner_tail.rate),
             Tail(abs(self.outer_tail.amplitude), self.outer_tail.rate),
             abs(self.value_at_zero),
@@ -213,10 +213,10 @@ def combine(
     j_min = min(f.window[0], g.window[0])
     j_max = max(f.window[1], g.window[1])
     if op == "add":
-        coeffs = tuple(f.evaluate(k) + g.evaluate(k) for k in range(j_min, j_max + 1))
+        coeffs = tuple([f.evaluate(k) + g.evaluate(k) for k in range(j_min, j_max + 1)])
         vz = f.value_at_zero + g.value_at_zero
     else:
-        coeffs = tuple(f.evaluate(k) * g.evaluate(k) for k in range(j_min, j_max + 1))
+        coeffs = tuple([f.evaluate(k) * g.evaluate(k) for k in range(j_min, j_max + 1)])
         vz = f.value_at_zero * g.value_at_zero
     return RadialStepFunction(f.ctx, (j_min, j_max), coeffs, inner, outer, vz)
 
@@ -320,7 +320,13 @@ def _running_parts(f: RadialStepFunction, gamma: int) -> Iterator[tuple[Fraction
             if j >= k:
                 yield exact, inexact
     for j in count(j_max + 1):
-        inexact += amplitude * ppow(p, j * rate) * float(measure)
+        try:
+            inexact += amplitude * ppow(p, j * rate) * float(measure)
+        except OverflowError:
+            raise NumericOverflowError(
+                f"the measure of shell {j} overflows the float range in an "
+                "outer-tail integral"
+            ) from None
         measure *= q
         if j >= k:
             yield exact, inexact
@@ -430,7 +436,7 @@ class ExponentFunction:
                 f"values, got {len(self.values)}"
             )
         object.__setattr__(self, "window", (int(j_min), int(j_max)))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple([float(v) for v in self.values]))
         object.__setattr__(self, "u_inner", float(self.u_inner))
         object.__setattr__(self, "u_infinity", float(self.u_infinity))
         for shell, value in self._pieces():
@@ -481,7 +487,7 @@ class ExponentFunction:
         return ExponentFunction(
             self.ctx,
             self.window,
-            tuple(fn(v) for v in self.values),
+            tuple([fn(v) for v in self.values]),
             fn(self.u_inner),
             fn(self.u_infinity),
         )

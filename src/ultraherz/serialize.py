@@ -93,7 +93,7 @@ def _decode_reals(value: Any, field: str, path: str | None) -> tuple[float, ...]
     if not isinstance(value, (list, tuple)):
         raise SerializationError("expected a list of real numbers", path, field)
     return tuple(
-        decode_real(item, f"{field}[{i}]", path) for i, item in enumerate(value)
+        [decode_real(item, f"{field}[{i}]", path) for i, item in enumerate(value)]
     )
 
 
@@ -254,7 +254,7 @@ def _family_from_dict(data: Any, path: str | None) -> FamilySpec:
         if not isinstance(raw, (list, tuple)):
             raise SerializationError("expected a list of integers", path, "family.sizes")
         sizes = tuple(
-            _decode_int(item, f"family.sizes[{i}]", path) for i, item in enumerate(raw)
+            [_decode_int(item, f"family.sizes[{i}]", path) for i, item in enumerate(raw)]
         )
     count = spec.count
     if "count" in data:

@@ -21,7 +21,9 @@ from ultraherz import (
     ExponentFunction,
     PadicContext,
     RadialStepFunction,
+    Tail,
     TheoremConfig,
+    conjugate,
     function_from_dict,
     hardy,
     save_exponent,
@@ -339,6 +341,63 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _signature(parser: argparse.ArgumentParser) -> list[tuple]:
+    return [
+        (
+            tuple(action.option_strings),
+            action.dest,
+            action.default,
+            action.type,
+            action.choices,
+            action.required,
+            action.nargs,
+        )
+        for action in parser._actions
+    ]
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers(build_parser())))
+def test_one_command_parser_matches_the_full_parser(command):
+    """``main`` builds only the subcommand it runs; that subparser must take
+    the same options, defaults and handler as in the full parser."""
+    full = _subparsers(build_parser())[command]
+    alone = _subparsers(build_parser(command))
+    assert list(alone) == [command]
+    assert _signature(alone[command]) == _signature(full)
+    assert alone[command]._defaults == full._defaults
+
+
+def test_no_command_or_an_unknown_one_exits_one(capsys):
+    assert main([]) == 1
+    assert main(["no-such-command"]) == 1
+    assert main(["--no-such-option"]) == 1
+    capsys.readouterr()
+
+
+def test_help_lists_every_subcommand(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    for command in _subparsers(build_parser()):
+        assert re.search(rf"^\s+{command}\s", out, re.MULTILINE), command
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers(build_parser())))
+def test_subcommand_help_exits_zero(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: ultraherz {command} ")
+
+
+def test_main_reads_sys_argv_without_an_argument(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["ultraherz", "sweep", "--help"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("usage: ultraherz sweep ")
+
+
 def test_missing_input_file_exits_one(files, capsys):
     code = main(["norm", "-i", "/nonexistent/f.json", "-u", files["u"]])
     assert code == 1
@@ -419,6 +478,25 @@ def test_hardy_of_an_overflowing_ball_integral_exits_one(tmp_path):
         assert result.stderr.startswith("error:")
         assert "overflow" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+def test_cmo_scan_past_the_float_range_exits_one(tmp_path):
+    """Out of process, so a traceback on stderr would show."""
+    ctx = PadicContext(2, 3)
+    b = RadialStepFunction(
+        ctx,
+        (-4, -1),
+        (1.3897349477489307, 1.0550984759064561, -0.9797238970423132, -0.018259651632236196),
+        outer_tail=Tail(-1.828178779437994, -0.5),
+    )
+    u = conjugate(ExponentFunction(ctx, (0, 0), (2.0,), 2.0, 1.0005))
+    save_function(b, str(tmp_path / "b.json"))
+    save_exponent(u, str(tmp_path / "u.json"))
+    result = _run_module(["cmo", "--symbol", "b.json", "-u", "u.json"], tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "overflow" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_validate_passes_a_bounded_symbol_with_an_exponent_next_to_one(tmp_path, capsys):

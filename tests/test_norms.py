@@ -381,6 +381,21 @@ def test_cmo_constant_is_zero():
     assert cmo_norm(RadialStepFunction.constant(CTX, 3.0), U2).value == 0.0
 
 
+def test_cmo_scan_past_the_float_range_raises_a_typed_error():
+    """A bounded symbol whose CMO envelope scan runs past shell 341 at p = 2,
+    n = 3, where the sphere measure 2**(3j) no longer fits in a float."""
+    ctx = PadicContext(2, 3)
+    b = RadialStepFunction(
+        ctx,
+        (-4, -1),
+        (1.3897349477489307, 1.0550984759064561, -0.9797238970423132, -0.018259651632236196),
+        outer_tail=Tail(-1.828178779437994, -0.5),
+    )
+    u = conjugate(ExponentFunction(ctx, (0, 0), (2.0,), 2.0, 1.0005))
+    with pytest.raises(NumericOverflowError, match="overflow"):
+        cmo_norm(b, u)
+
+
 def test_cmo_shift_invariance():
     """Adding a constant to the symbol leaves its oscillation unchanged."""
     rng = random.Random(1221)

@@ -1,5 +1,5 @@
-"""The runtime depends on nothing outside the standard library, and every
-module uses what it imports."""
+"""The runtime depends on nothing outside the standard library, every
+module uses what it imports, and no tuple is built from a generator."""
 
 from __future__ import annotations
 
@@ -58,3 +58,32 @@ def test_every_module_uses_its_imports():
     modules = [path for path in SOURCES if path.name != "__init__.py"]
     assert modules
     assert [entry for path in modules for entry in _unused_imports(path)] == []
+
+
+def _tuple_of_generator_calls(path: Path) -> list[str]:
+    """``tuple(<generator expression>)`` calls in the file, as ``file:line``."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "tuple"
+        and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
+    ]
+
+
+def test_no_tuple_is_built_from_a_generator():
+    """Build tuples from a list (``tuple([...])``), never from a generator.
+
+    CPython keeps freed small tuples on one freelist per length (up to 2000
+    each), and only a full (generation 2) garbage collection empties them.
+    ``tuple(<generator>)`` cannot know the length in advance: it allocates a
+    guessed 10 slots and reallocates to the final length with
+    ``_PyTuple_Resize``, so it never takes a tuple from the freelist of that
+    length, while the tuple, once freed, goes onto it. Each call in a hot
+    constructor so leaves one more free tuple behind, and the process's peak
+    memory tracks how rarely full collections run rather than what the
+    program holds. A tuple built from a list is allocated at its length and
+    reuses a free one.
+    """
+    assert [entry for path in SOURCES for entry in _tuple_of_generator_calls(path)] == []
