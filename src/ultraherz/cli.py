@@ -25,6 +25,7 @@ import sys
 
 from .errors import DomainError, HypothesisViolationError, UltraherzError
 from .harness import (
+    LEMMA_IDS,
     THEOREM_IDS,
     check_lemmas,
     require_hypotheses,
@@ -349,7 +350,7 @@ def _sweep_args(sweep_parser: argparse.ArgumentParser) -> None:
 def _check_args(check: argparse.ArgumentParser) -> None:
     check.add_argument(
         "--which",
-        choices=("L1", "L3", "L5", "all"),
+        choices=(*LEMMA_IDS, "all"),
         default="all",
         help="which structural check to run",
     )

@@ -45,7 +45,6 @@ from .radial import (
     RadialStepFunction,
     Tail,
     ball_mean,
-    check_regularity,
     conjugate,
     sobolev_shift,
 )
@@ -411,14 +410,12 @@ class RatioReport:
     The CSV uses repr() for the floating-point columns, so a fixed seed
     reproduces the file byte for byte. ``supremum`` is the running maximum
     over every non-skipped row; an empty family (or one whose samples were
-    all skipped) leaves it nan, the undefined-supremum flag. ``csv_path``
-    records where the CSV was written when a writer chose to save it.
+    all skipped) leaves it nan, the undefined-supremum flag.
     """
 
     theorem: str
     rows: tuple[SweepRow, ...]
     params: dict[str, object]
-    csv_path: str | None = None
 
     @property
     def supremum(self) -> float:
@@ -567,37 +564,6 @@ def _random_ctx(rng: random.Random) -> PadicContext:
     return PadicContext(rng.choice((2, 3, 5)), rng.choice((1, 2)))
 
 
-def _lemma_smoothness(rng: random.Random, cases: int) -> LemmaReport:
-    """Exponents with a power-law modulus of continuity pass the W0 scan.
-
-    Uses the family u(j) = u0 + c * p**min(j, 0), whose oscillation over the
-    ball of radius p**gamma is exactly c * p**gamma, so the expected scan
-    constant is max over gamma of |gamma| * c * p**gamma in closed form.
-    """
-    worst = 0.0
-    ok = True
-    for _ in range(cases):
-        ctx = _random_ctx(rng)
-        p = ctx.p
-        j_min = rng.randint(-6, -2)
-        u0 = rng.uniform(1.2, 3.0)
-        c = rng.uniform(0.1, 1.0)
-        values = tuple([u0 + c * ppow(p, j) for j in range(j_min, 0)])
-        u = ExponentFunction(ctx, (j_min, -1), values, u0, u0 + c * ppow(p, -1))
-        report = check_regularity(u, "W0")
-        expected = max(abs(g) * c * ppow(p, g) for g in range(j_min, 0))
-        deviation = abs(report.constant - expected) / (1.0 + expected)
-        worst = max(worst, deviation)
-        ok = ok and deviation <= 1e-9
-    return LemmaReport(
-        "L1",
-        ok,
-        cases,
-        worst,
-        f"W0 constants match the closed form to {worst:.3g} relative",
-    )
-
-
 def _lemma_mean_drift(rng: random.Random, cases: int) -> LemmaReport:
     """Changing the averaging ball moves the mean by at most the oscillation norm.
 
@@ -674,11 +640,13 @@ def _lemma_ball_norm(rng: random.Random, cases: int) -> LemmaReport:
     )
 
 
-_LEMMAS: dict[str, tuple[int, Callable[[random.Random, int], LemmaReport]]] = {
-    "L1": (25, _lemma_smoothness),
-    "L3": (500, _lemma_mean_drift),
-    "L5": (20, _lemma_ball_norm),
+#: lemma id -> (seed offset, default case count, check). The offsets are
+#: fixed, so retiring one check moves no other check's random stream.
+_LEMMAS: dict[str, tuple[int, int, Callable[[random.Random, int], LemmaReport]]] = {
+    "L3": (1, 500, _lemma_mean_drift),
+    "L5": (2, 20, _lemma_ball_norm),
 }
+LEMMA_IDS = tuple(_LEMMAS)
 
 
 def check_lemmas(
@@ -686,22 +654,22 @@ def check_lemmas(
 ) -> tuple[LemmaReport, ...]:
     """Run structural lemma checks with a seeded generator.
 
-    ``which`` selects a single check by its id token (L1, L3 or L5) or all
-    of them. ``trials`` overrides the per-check default case count (25, 500
-    and 20 respectively). Each check derives its generator from the seed
-    and its own position, so a single check reproduces exactly the report
-    it would get inside a full run.
+    ``which`` selects a single check by its id token (L3 or L5) or all of
+    them. ``trials`` overrides the per-check default case count (500 and 20
+    respectively). Each check derives its generator from the seed and its
+    own fixed offset, so a single check reproduces exactly the report it
+    would get inside a full run.
     """
     if which != "all" and which not in _LEMMAS:
         raise DomainError(
-            f"unknown lemma id {which!r}; supported: {', '.join(_LEMMAS)}, all"
+            f"unknown lemma id {which!r}; supported: {', '.join(LEMMA_IDS)}, all"
         )
     if trials is not None and trials < 1:
         raise DomainError(f"trials must be positive, got {trials}")
     reports = []
-    for index, (token, (default_cases, runner)) in enumerate(_LEMMAS.items()):
+    for token, (offset, default_cases, runner) in _LEMMAS.items():
         if which not in ("all", token):
             continue
         cases = default_cases if trials is None else trials
-        reports.append(runner(random.Random(seed * 1_000_003 + index), cases))
+        reports.append(runner(random.Random(seed * 1_000_003 + offset), cases))
     return tuple(reports)

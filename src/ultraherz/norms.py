@@ -34,6 +34,7 @@ from .padic import PadicContext, ppow
 from .radial import (
     ExponentFunction,
     RadialStepFunction,
+    _cancels,
     _float_value,
     _geometric_tail,
     _mean_of_parts,
@@ -160,7 +161,15 @@ def _modular_terms(
             v = abs(f.evaluate(k) - shift)
             if v != 0.0:
                 e = u.evaluate(k)
-                terms.append((v**e * mass * ppow(p, n * k), e))
+                power = v**e
+                if power < _MIN_NORMAL:
+                    # a subnormal power has lost bits that the measure scales
+                    # back up; multiply in logs when the product is normal
+                    log_weight = e * math.log(v) + math.log(mass) + n * k * math.log(p)
+                    if log_weight >= _LOG_MIN_NORMAL:
+                        terms.append((math.exp(log_weight), e))
+                        continue
+                terms.append((power * mass * ppow(p, n * k), e))
 
         amplitude, rate = f.inner_tail
         upto = w_lo - 1 if top is None else min(top, w_lo - 1)
@@ -596,23 +605,30 @@ def morrey_herz_norm(
                 def gm(k0: int) -> float:
                     return prefactor_m(k0) * (partial + t_first * (k0 - w_hi))
             else:
-                # Geometric partial sums P_hi - geo + geo * rho**y.
-                geo = t_first / (rho - 1.0)
+                # Geometric partial sums P_hi - geo + geo * rho**y. Near rho = 1
+                # rho - 1, rho**y - 1 and b come from log rho, not from rho.
+                near_one = _cancels(rho)
+                log_rho = m * s_out * math.log(p)
+                rho_m1 = math.expm1(log_rho) if near_one else rho - 1.0
+                geo = t_first / rho_m1
                 q2 = rho * math.exp(-lam * m * log_base)
 
                 def gm(k0: int) -> float:
+                    y = k0 - w_hi
+                    if near_one:
+                        return prefactor_m(k0) * (partial + geo * math.expm1(y * log_rho))
                     return prefactor_m(k0) * (partial - geo) + (
-                        geo * math.pow(q2, k0 - w_hi) * prefactor_m(w_hi)
+                        geo * math.pow(q2, y) * prefactor_m(w_hi)
                     )
 
                 if critical:
                     # the candidates approach this limit as k0 grows
-                    best_gm = max(best_gm, prefactor_m(w_hi) * t_first / (rho - 1.0))
+                    best_gm = max(best_gm, prefactor_m(w_hi) * t_first / rho_m1)
             try:
                 if balanced:
                     peak = w_hi + (t_first / a - partial) / t_first
                 else:
-                    b = -math.log(q2)
+                    b = a - log_rho if near_one else -math.log(q2)
                     peak = w_hi + math.log(-b * geo / (a * (partial - geo))) / (b - a)
             except (ValueError, ZeroDivisionError):
                 peak = w_hi  # t_first = 0, A = 0 or no stationary point

@@ -10,8 +10,7 @@ every norm in this package an exact shell sum plus analytic geometric tails.
 
 A :class:`ExponentFunction` is a radial variable exponent u(.) with window
 values, a single value below the window, and a single value u(infinity)
-above it. Derived exponents (conjugate, Sobolev shift) and the regularity
-checkers for the log-Holder-type classes live here as well.
+above it. Derived exponents (conjugate, Sobolev shift) live here as well.
 """
 
 from __future__ import annotations
@@ -233,6 +232,11 @@ def _unit_mass(ctx: PadicContext) -> float:
     return float(_exact_unit_mass(ctx))
 
 
+def _cancels(ratio: float) -> bool:
+    """True when 1 - ratio loses over half of its bits; use expm1 of the log."""
+    return abs(1.0 - ratio) < 2.0**-26
+
+
 def _geometric_tail(
     coef: float, p: int, s: float, start: int, below: bool
 ) -> float | None:
@@ -241,8 +245,8 @@ def _geometric_tail(
     Returns None when the series diverges: s <= 0 below, s >= 0 above.
     Evaluated as coef * p**(s*start) / (1 - p**s), with the divisor negated
     below, in that order, so callers that pass their coefficient already
-    multiplied out keep their bits. A divisor below 2**-26 has lost more than
-    half of its bits to cancellation; -expm1(s * log p) replaces it.
+    multiplied out keep their bits. A divisor that :func:`_cancels` is
+    replaced by -expm1(s * log p).
 
     Example:
         >>> _geometric_tail(3.0, 2, -1.0, 1, below=False)
@@ -250,9 +254,8 @@ def _geometric_tail(
     """
     if (s <= 0) if below else (s >= 0):
         return None
-    divisor = 1.0 - ppow(p, s)
-    if abs(divisor) < 2.0**-26:
-        divisor = -math.expm1(s * math.log(p))
+    ratio = ppow(p, s)
+    divisor = -math.expm1(s * math.log(p)) if _cancels(ratio) else 1.0 - ratio
     return coef * ppow(p, s * start) / (-divisor if below else divisor)
 
 
@@ -524,111 +527,3 @@ def sobolev_shift(u: ExponentFunction, alpha: float) -> ExponentFunction:
             f"(largest exponent {failing[1]} at {failing[0]})"
         )
     return u.map_pieces(lambda v: 1.0 / (1.0 / v - alpha / n))
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    """Outcome of a regularity-class scan.
-
-    ``constant`` is the extremal constant found over the scanned structure
-    and ``witness`` the shell configuration achieving it (empty when the
-    constant is 0). A windowed exponent is constant outside its window, so
-    the scan is exhaustive and the constant exact for these inputs.
-    """
-
-    mode: str
-    constant: float
-    witness: tuple[int, ...]
-
-
-def _log_weight(p: int, shell: int) -> float:
-    """log_p(p + p**shell), the decay weight at the norm scale p**shell."""
-    return math.log(p + ppow(p, shell), p)
-
-
-def check_regularity(u: ExponentFunction, mode: str) -> RegularityReport:
-    """Scan a variable exponent against one of the regularity classes.
-
-    Modes:
-        ``"W0"``: oscillation of u over small central balls B_gamma
-            (gamma <= -1) weighted by |gamma|; off-center small balls sit
-            inside a single sphere where a radial exponent is constant, so
-            central balls are the only contributors.
-        ``"Winfty"``: |u(j1) - u(j2)| weighted by log_p(p + p**min(j1,j2))
-            over shell pairs.
-        ``"Lipschitz"``: minimal L with |u(j1) - u(j2)| <= L * p**max(j1,j2);
-            two distinct shells contain points at distance exactly
-            p**max(j1,j2), which makes that the binding modulus.
-
-    The Winfty and Lipschitz scans cover the window plus one shell on each
-    side: u is constant below and above the window, so those two shells
-    already reach every value pair, at the largest weight below the window
-    and the smallest modulus above it, and the constant is exact. A single
-    windowed exponent always has a finite constant; families with growing
-    windows reveal unbounded constants through the reported values.
-    """
-    if mode == "W0":
-        return _check_w0(u)
-    if mode == "Winfty":
-        return _check_winfty(u)
-    if mode == "Lipschitz":
-        return _check_lipschitz(u)
-    raise DomainError(f"mode must be 'W0', 'Winfty' or 'Lipschitz', got {mode!r}")
-
-
-def _check_w0(u: ExponentFunction) -> RegularityReport:
-    j_min = u.window[0]
-    best = 0.0
-    witness: tuple[int, ...] = ()
-    running_min = u.u_inner
-    running_max = u.u_inner
-    for gamma in range(j_min, 0):
-        value = u.evaluate(gamma)
-        running_min = min(running_min, value)
-        running_max = max(running_max, value)
-        candidate = abs(gamma) * (running_max - running_min)
-        if candidate > best:
-            best = candidate
-            witness = (gamma,)
-    return RegularityReport("W0", best, witness)
-
-
-def _scan_shells(u: ExponentFunction) -> range:
-    j_min, j_max = u.window
-    return range(j_min - 1, j_max + 2)
-
-
-def _check_winfty(u: ExponentFunction) -> RegularityReport:
-    shells = _scan_shells(u)
-    p = u.ctx.p
-    best = 0.0
-    witness: tuple[int, ...] = ()
-    for j1 in shells:
-        weight = _log_weight(p, j1)
-        for j2 in shells:
-            if j2 <= j1:
-                continue
-            candidate = abs(u.evaluate(j1) - u.evaluate(j2)) * weight
-            if candidate > best:
-                best = candidate
-                witness = (j1, j2)
-    return RegularityReport("Winfty", best, witness)
-
-
-def _check_lipschitz(u: ExponentFunction) -> RegularityReport:
-    shells = _scan_shells(u)
-    p = u.ctx.p
-    best = 0.0
-    witness: tuple[int, ...] = ()
-    for j1 in shells:
-        for j2 in shells:
-            if j2 <= j1:
-                continue
-            gap = abs(u.evaluate(j1) - u.evaluate(j2))
-            if gap == 0.0:
-                continue
-            candidate = gap / ppow(p, j2)
-            if candidate > best:
-                best = candidate
-                witness = (j1, j2)
-    return RegularityReport("Lipschitz", best, witness)

@@ -1,5 +1,6 @@
 """The runtime depends on nothing outside the standard library, every
-module uses what it imports, and no tuple is built from a generator."""
+module uses what it imports, every private module-level name is used, and
+no tuple is built from a generator."""
 
 from __future__ import annotations
 
@@ -58,6 +59,48 @@ def test_every_module_uses_its_imports():
     modules = [path for path in SOURCES if path.name != "__init__.py"]
     assert modules
     assert [entry for path in modules for entry in _unused_imports(path)] == []
+
+
+def _private_names(node: ast.stmt) -> list[str]:
+    """Private names a module-level function, class or assignment defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        return []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _referenced_names(node: ast.stmt) -> set[str]:
+    """Names the statement reads, as bare names or as attributes."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+    return names
+
+
+def test_every_private_module_level_name_is_referenced():
+    """A private function, class or constant that no other statement under
+    ``src/`` reads is dead code; a reference from inside its own definition
+    (recursion) or from a doctest does not count."""
+    statements = [
+        (path, node, _referenced_names(node))
+        for path in SOURCES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    unreferenced = [
+        f"{path.name}:{node.lineno} {name}"
+        for path, node, _ in statements
+        for name in _private_names(node)
+        if not any(name in names for _, other, names in statements if other is not node)
+    ]
+    assert unreferenced == []
 
 
 def _tuple_of_generator_calls(path: Path) -> list[str]:

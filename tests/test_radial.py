@@ -17,7 +17,6 @@ from ultraherz import (
     TailCombinationError,
     ball_integral,
     ball_mean,
-    check_regularity,
     combine,
     conjugate,
     ppow,
@@ -222,43 +221,6 @@ def test_sobolev_shift_values_and_guard():
     assert v.evaluate(0) == pytest.approx(4.0, rel=1e-12)
     with pytest.raises(HypothesisViolationError):
         sobolev_shift(u, 0.5)
-
-
-def test_regularity_constant_exponent_is_free():
-    u = ExponentFunction.constant(CTX, 2.0)
-    for mode in ("W0", "Winfty"):
-        report = check_regularity(u, mode)
-        assert report.constant == 0.0
-
-
-def test_regularity_w0_power_law_constant():
-    """The family u0 + c*p**j has scan constant max |gamma| c p**gamma."""
-    p = 3
-    ctx = PadicContext(p, 1)
-    c, u0, j_min = 0.5, 2.0, -5
-    values = tuple(u0 + c * ppow(p, j) for j in range(j_min, 0))
-    u = ExponentFunction(ctx, (j_min, -1), values, u0, values[-1])
-    report = check_regularity(u, "W0")
-    expected = max(abs(g) * c * ppow(p, g) for g in range(j_min, 0))
-    assert report.constant == pytest.approx(expected, rel=1e-12)
-
-
-def test_regularity_winfty_growth_across_alternating_family():
-    """Exponents that keep alternating far out have unbounded pairing constants.
-
-    Any single windowed exponent passes the scan, because its values freeze
-    outside the window; the class violation surfaces as scan constants that
-    grow linearly with the window length across the family.
-    """
-    constants = []
-    for top in (3, 7, 15, 31):
-        values = tuple(2.0 if k % 2 == 0 else 3.5 for k in range(top + 1))
-        u = ExponentFunction(CTX, (0, top), values, 2.0, 2.0)
-        report = check_regularity(u, "Winfty")
-        assert report.witness is not None
-        constants.append(report.constant)
-    assert constants == sorted(constants)
-    assert constants[-1] > 2.0 * constants[0]
 
 
 def test_map_pieces_applies_everywhere():
