@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -299,6 +300,34 @@ def test_sweep_supremum_is_stable_under_family_growth():
     config = _t31()
     report = sweep(config, sizes=(5, 10, 20), count=40, seed=7)
     assert report.sup_ratio(20) <= 1.1 * report.sup_ratio(10)
+
+
+#: SHA-256 of sweep CSVs at a fixed seed, for the constant exponent u = 2 and
+#: the piecewise exponent of the sweep benchmark: a change to the ball
+#: integrals, the Hardy images, the norms or their summation order moves them.
+SWEEP_DIGESTS = {
+    "T31 u=2": (
+        lambda: TheoremConfig("T31", U2, alpha=0.25, m1=1.0, m2=2.0),
+        "5af863e96a8a3f68a59e1b7943b25f11d7f0c994b05318c9b01b6c258225f60d",
+    ),
+    "C32 piecewise": (
+        lambda: TheoremConfig(
+            "C32",
+            ExponentFunction(CTX, (-1, 1), (2.0, 2.5, 3.0), 2.0, 2.5),
+            alpha=0.0,
+            m1=2.0,
+            m2=2.0,
+        ),
+        "9eff876843eefc8caba79b2043d3dbf1917856d0c6e71ac4b9a88974732fc757",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
+def test_sweep_csv_bytes_are_pinned(name):
+    config, expected = SWEEP_DIGESTS[name]
+    csv = sweep(config(), sizes=(5, 10, 20, 40), count=40, seed=2402).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == expected
 
 
 # --- sharpness probe ---------------------------------------------------------
