@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, NumericOverflowError, NumericUnderflowError
 from .padic import PadicContext, ppow
@@ -211,6 +210,14 @@ def _norm_underflow() -> NumericUnderflowError:
     )
 
 
+def _weight_underflow() -> NumericUnderflowError:
+    return NumericUnderflowError(
+        "a modular weight below the normal float range carries more than "
+        "rel_tol of the modular at the root: the norm would rest on the few "
+        "bits that weight keeps"
+    )
+
+
 def _modular_value(terms: list[tuple[float, float]], lam: float) -> float:
     """Sum of w * lam**(-e) over (w, e) terms: rho(f/lam) for the terms of f."""
     return sum((w * math.pow(lam, -e) for w, e in terms), 0.0)
@@ -259,8 +266,9 @@ def _solve_luxemburg(
     the solve stops once hi - lo <= rel_tol * hi.
 
     Raises NumericOverflowError when a weight or the root exceeds the float
-    range, and NumericUnderflowError when every weight rounded to 0.0 or the
-    root lies below the smallest normal float.
+    range, and NumericUnderflowError when every weight rounded to 0.0, the
+    root lies below the smallest normal float, or a subnormal weight carries
+    more than rel_tol of the modular at the root.
     """
     if not terms:
         return 0.0, 0.0
@@ -284,8 +292,12 @@ def _solve_luxemburg(
             slope += e * x
         return total, slope
 
+    subnormal = [(w, e) for w, e, _ in groups if w < _MIN_NORMAL]
+
     if len(groups) == 1:
         w, e, _ = groups[0]
+        if subnormal:
+            raise _weight_underflow()
         lam = math.pow(w, 1.0 / e)
         lam *= math.exp(math.log(modular_at(lam)[0]) / e)
         if lam < _MIN_NORMAL:
@@ -339,7 +351,14 @@ def _solve_luxemburg(
         else:
             hi = probe
     half = 0.5 * (hi - lo)
-    return lo + half, half
+    root = lo + half
+    if subnormal:
+        rho = modular_at(root)[0]
+        for w, e in subnormal:
+            h = math.pow(root, -0.5 * e)
+            if w * h * h > rel_tol * rho:
+                raise _weight_underflow()
+    return root, half
 
 
 def luxemburg_norm(
@@ -727,7 +746,7 @@ def _cmo_candidate(
     b: RadialStepFunction,
     u: ExponentFunction,
     gamma: int,
-    parts: tuple[Fraction, float],
+    parts: tuple[int, int, float],
     rel_tol: float,
 ) -> float:
     mean = _mean_of_parts(parts, gamma, b.ctx)

@@ -143,7 +143,7 @@ def ball_measure(gamma: int, ctx: PadicContext) -> Fraction:
         Fraction(9, 1)
     """
     ctx.check_shell(gamma, "ball index")
-    return _ball_measure_unchecked(gamma, ctx)
+    return Fraction(ctx.p) ** (ctx.n * gamma)
 
 
 def sphere_measure(gamma: int, ctx: PadicContext) -> Fraction:
@@ -154,16 +154,7 @@ def sphere_measure(gamma: int, ctx: PadicContext) -> Fraction:
         Fraction(1, 2)
     """
     ctx.check_shell(gamma, "sphere index")
-    return _sphere_measure_unchecked(gamma, ctx)
-
-
-def _ball_measure_unchecked(gamma: int, ctx: PadicContext) -> Fraction:
-    return Fraction(ctx.p) ** (ctx.n * gamma)
-
-
-def _sphere_measure_unchecked(gamma: int, ctx: PadicContext) -> Fraction:
-    q = Fraction(ctx.p) ** ctx.n
-    return Fraction(ctx.p) ** (ctx.n * gamma) * (1 - 1 / q)
+    return Fraction(ctx.p) ** (ctx.n * gamma) * (1 - Fraction(ctx.p) ** -ctx.n)
 
 
 @lru_cache(maxsize=256)

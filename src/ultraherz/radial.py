@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from typing import Callable, Iterator, NamedTuple
@@ -28,7 +27,7 @@ from .errors import (
     NumericOverflowError,
     TailCombinationError,
 )
-from .padic import PadicContext, _ball_measure_unchecked, _sphere_measure_unchecked, ppow
+from .padic import PadicContext, ppow
 
 
 class Tail(NamedTuple):
@@ -221,15 +220,10 @@ def combine(
 
 
 @lru_cache(maxsize=None)
-def _exact_unit_mass(ctx: PadicContext) -> Fraction:
-    """|S_0| = 1 - p**(-n), exactly."""
-    return 1 - Fraction(ctx.p) ** (-ctx.n)
-
-
-@lru_cache(maxsize=None)
 def _unit_mass(ctx: PadicContext) -> float:
     """|S_0| = 1 - p**(-n) as a correctly rounded float."""
-    return float(_exact_unit_mass(ctx))
+    q = ctx.p**ctx.n
+    return (q - 1) / q
 
 
 def _cancels(ratio: float) -> bool:
@@ -261,94 +255,132 @@ def _geometric_tail(
 
 def _tail_integral(
     f: RadialStepFunction, start: int, below: bool
-) -> tuple[Fraction, float]:
+) -> tuple[int, int, float]:
     """Sum of tail_value(k) * |S_k| over shells k < start of the inner law
     (below) or k >= start of the outer law.
 
-    Returns an (exact, inexact) pair: the value lands in the exact slot when
-    the geometric ratio is a rational power of p (integer rate), else in the
-    float slot. Raises :class:`DomainError` for a non-integrable tail.
+    Returns a (numerator, denominator, inexact) triple: the value is
+    numerator / denominator exactly when the geometric ratio is an integer
+    power of p (integer rate), else the float inexact over an exact 0 / 1.
+    Raises :class:`DomainError` for a non-integrable tail.
     """
     amplitude, rate = f.inner_tail if below else f.outer_tail
     if amplitude == 0.0:
-        return Fraction(0), 0.0
+        return 0, 1, 0.0
     p, n = f.ctx.p, f.ctx.n
     s = rate + n
-    unit_mass = _exact_unit_mass(f.ctx)
-    tail = _geometric_tail(amplitude * float(unit_mass), p, s, start, below)
+    tail = _geometric_tail(amplitude * _unit_mass(f.ctx), p, s, start, below)
     if tail is None:
         side, bound = ("inner", ">") if below else ("outer", "<")
         raise DomainError(
             f"{side} tail rate {rate} is not integrable in dimension {n} "
             f"(needs rate {bound} {-n})"
         )
-    if float(s).is_integer():
-        r = Fraction(p) ** int(s)
-        total = Fraction(amplitude) * unit_mass * r**start / (r - 1 if below else 1 - r)
-        return total, 0.0
-    return Fraction(0), tail
+    if not float(s).is_integer():
+        return 0, 1, tail
+    # amplitude * (p**n - 1) * p**e / (p**|s| - 1): the ratio p**s is > 1
+    # below and < 1 above, where p**-s clears it from the divisor
+    s = int(s)
+    e = s * (start if below else start - 1) - n
+    num, den = amplitude.as_integer_ratio()
+    num *= p**n - 1
+    den *= p ** abs(s) - 1
+    if e >= 0:
+        return num * p**e, den, 0.0
+    return num, den * p**-e, 0.0
 
 
-def _running_parts(f: RadialStepFunction, gamma: int) -> Iterator[tuple[Fraction, float]]:
-    """Integrals of f over B_k for k = gamma, gamma + 1, ... as (exact, inexact) pairs.
+def _running_parts(f: RadialStepFunction, gamma: int) -> Iterator[tuple[int, int, float]]:
+    """Integrals of f over B_k for k = gamma, gamma + 1, ... as (numerator,
+    denominator, inexact) triples: numerator / denominator, never reduced,
+    is the exact part and inexact a float.
 
-    Each step adds one shell, so n pairs cost O(n + W) for a window of W
-    shells. Non-integer-rate outer-tail terms enter the float slot left to
-    right, so every pair equals a fresh shell sum bit for bit.
+    Each step adds one shell, so n triples cost O(n + W) for a window of W
+    shells. From the window on, the exact part is an integer numerator over
+    a denominator fixed for the pass: the inner tail's denominator times the
+    largest power-of-2 denominator of the coefficients (and of an
+    integer-rate outer amplitude) times the power of p that clears the
+    measure of the lowest window shell, so each window shell adds an
+    integer and no gcd is taken. Above the window an integer-rate outer tail
+    scales numerator and denominator by p**-(rate + n) per shell, so each of
+    its shells adds the same integer. Non-integer-rate outer-tail terms
+    enter the float slot left to right, so every triple equals a fresh
+    shell sum bit for bit.
     """
     ctx = f.ctx
-    p, q = ctx.p, ctx.p**ctx.n
+    p, n = ctx.p, ctx.n
+    q = p**n
     j_min, j_max = f.window
     k = gamma
     while k < j_min:
         yield _tail_integral(f, k + 1, below=True)
         k += 1
-    exact, inexact = _tail_integral(f, j_min, below=True)
-    measure = _sphere_measure_unchecked(j_min, ctx)
-    for j, c in enumerate(f.coeffs, j_min):
-        exact += Fraction(c) * measure
-        measure *= q
-        if j >= k:
-            yield exact, inexact
+    num, den, inexact = _tail_integral(f, j_min, below=True)
+    ratios = [c.as_integer_ratio() for c in f.coeffs]
     amplitude, rate = f.outer_tail
+    integer_rate = float(rate).is_integer()
+    # powers of 2, so the largest is a multiple of every other
+    pow2 = max([d for _, d in ratios])
+    if integer_rate:
+        pow2 = max(pow2, amplitude.as_integer_ratio()[1])
+    # unit = den * |S_j| = den * (q - 1) * p**(n*(j - 1)), an integer for j >= j_min
+    unit = den * pow2 * (q - 1) * p ** max(0, n * (j_min - 1))
+    clear = pow2 * p ** max(0, n * (1 - j_min))
+    num *= clear
+    den *= clear
+    for j, (a, d) in enumerate(ratios, j_min):
+        num += a * (unit // d)
+        unit *= q
+        if j >= k:
+            yield num, den, inexact
     if amplitude == 0.0:
         while True:
-            yield exact, inexact
-    if float(rate).is_integer():
-        term = Fraction(amplitude) * Fraction(p) ** (int(rate) * (j_max + 1)) * measure
-        ratio = Fraction(p) ** int(rate) * q
+            yield num, den, inexact
+    if integer_rate:
+        a, d = amplitude.as_integer_ratio()
+        term = a * (unit // d)
+        e = int(rate) * (j_max + 1)
+        if e >= 0:
+            term *= p**e
+        else:
+            num *= p**-e
+            den *= p**-e
+        ratio = p ** -(int(rate) + n)
         for j in count(j_max + 1):
-            exact += term
-            term *= ratio
+            num += term
             if j >= k:
-                yield exact, inexact
+                yield num, den, inexact
+            num *= ratio
+            den *= ratio
     for j in count(j_max + 1):
         try:
-            inexact += amplitude * ppow(p, j * rate) * float(measure)
+            inexact += amplitude * ppow(p, j * rate) * (unit / den)
         except OverflowError:
             raise NumericOverflowError(
                 f"the measure of shell {j} overflows the float range in an "
                 "outer-tail integral"
             ) from None
-        measure *= q
+        unit *= q
         if j >= k:
-            yield exact, inexact
+            yield num, den, inexact
 
 
-def _integral_parts(f: RadialStepFunction, gamma: int) -> tuple[Fraction, float]:
-    """Integral of f over B_gamma as an (exact, inexact) pair."""
+def _integral_parts(f: RadialStepFunction, gamma: int) -> tuple[int, int, float]:
+    """Integral of f over B_gamma as a (numerator, denominator, inexact) triple."""
     return next(_running_parts(f, gamma))
 
 
-def _float_value(exact: Fraction, *inexact: float) -> float:
-    """float(exact) plus the inexact terms, added left to right.
+def _float_value(num: int, den: int, *inexact: float) -> float:
+    """num / den plus the inexact terms, added left to right.
 
-    Raises :class:`NumericOverflowError` when the exact part does not fit in
-    a float or the sum is not finite: the integrals these pairs hold are
-    finite, so an infinite float can only be an overflow.
+    int / int true division rounds the exact rational once, correctly, as
+    ``float(Fraction(num, den))`` does. Raises :class:`NumericOverflowError`
+    when the exact part does not fit in a float or the sum is not finite:
+    the integrals these triples hold are finite, so an infinite float can
+    only be an overflow.
     """
     try:
-        value = sum(inexact, float(exact))
+        value = sum(inexact, num / den)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -366,9 +398,9 @@ def ball_integral(f: RadialStepFunction, gamma: int) -> float:
 
 def total_integral(f: RadialStepFunction) -> float:
     """Integral of f over the whole space; both tails summed analytically."""
-    exact, inexact = _integral_parts(f, f.window[1])
-    exact2, inexact2 = _tail_integral(f, f.window[1] + 1, below=False)
-    return _float_value(exact + exact2, inexact, inexact2)
+    num, den, inexact = _integral_parts(f, f.window[1])
+    num2, den2, inexact2 = _tail_integral(f, f.window[1] + 1, below=False)
+    return _float_value(num * den2 + num2 * den, den * den2, inexact, inexact2)
 
 
 def ball_mean(f: RadialStepFunction, gamma: int) -> float:
@@ -389,18 +421,29 @@ def ball_mean(f: RadialStepFunction, gamma: int) -> float:
     return _mean_of_parts(_integral_parts(f, gamma), gamma, f.ctx)
 
 
-def _mean_of_parts(parts: tuple[Fraction, float], gamma: int, ctx: PadicContext) -> float:
-    """Mean over B_gamma from the (exact, inexact) integral of f over it.
+def _mean_of_parts(parts: tuple[int, int, float], gamma: int, ctx: PadicContext) -> float:
+    """Mean over B_gamma from the (numerator, denominator, inexact) integral
+    of f over it.
 
-    Both parts are divided by the exact measure, so any radius works, the
-    ones beyond the context's shell limit included. An infinite inexact part
-    is an overflowed integral and raises NumericOverflowError.
+    Both parts are divided by the exact measure p**(n*gamma), which scales
+    the denominator for gamma >= 0 and the numerator below, so any radius
+    works, the ones beyond the context's shell limit included. An infinite
+    inexact part is an overflowed integral and raises NumericOverflowError,
+    as does a finite one whose quotient leaves the float range.
     """
-    exact, inexact = parts
-    measure = _ball_measure_unchecked(gamma, ctx)
+    num, den, inexact = parts
+    measure = ctx.p ** (ctx.n * abs(gamma))
     if inexact and math.isfinite(inexact):
-        inexact = float(Fraction(inexact) / measure)
-    return _float_value(exact / measure, inexact)
+        a, d = inexact.as_integer_ratio()
+        try:
+            inexact = a / (d * measure) if gamma >= 0 else a * measure / d
+        except OverflowError:
+            inexact = math.inf
+    if gamma >= 0:
+        den *= measure
+    else:
+        num *= measure
+    return _float_value(num, den, inexact)
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,13 @@ from ultraherz import (
     conjugate,
     function_from_dict,
     hardy,
+    load_function,
     save_exponent,
     save_function,
     save_theorem_config,
 )
 from ultraherz.cli import build_parser, main
+from ultraherz.serialize import WINDOW_CAP
 
 CTX = PadicContext(2, 1)
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -337,6 +339,31 @@ def test_extreme_shell_norms_exit_one(files, tmp_path, capsys, shell, space, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_windows_past_the_decode_cap_exit_one(files, tmp_path, capsys):
+    """A window endpoint one shell past WINDOW_CAP is refused when the file
+    is read, before any work on it starts; the cap itself still decodes."""
+    far = WINDOW_CAP + 1
+    path = tmp_path / "far.json"
+    save_function(RadialStepFunction(CTX, (-far, -far), (1.0,)), str(path))
+    symbol = tmp_path / "b.json"
+    save_function(RadialStepFunction(CTX, (0, far), (1.0,) * (far + 1)), str(symbol))
+    u_far = tmp_path / "u_far.json"
+    save_exponent(ExponentFunction(CTX, (far, far), (2.0,), 2.0, 2.0), str(u_far))
+    for argv, field in [
+        (["norm", "-u", files["u"], "-i", str(path)], "window[0]"),
+        (["norm", "-u", str(u_far), "-i", files["f"]], "window[0]"),
+        (["apply", "-i", str(path), "--operator", "hardy"], "window[0]"),
+        (["cmo", "--symbol", str(symbol), "-u", files["u"]], "window[1]"),
+    ]:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert field in captured.err and str(WINDOW_CAP) in captured.err
+    save_function(RadialStepFunction(CTX, (-WINDOW_CAP, -WINDOW_CAP), (1.0,)), str(path))
+    assert load_function(str(path)).window == (-WINDOW_CAP, -WINDOW_CAP)
 
 
 def test_help_exits_zero(capsys):

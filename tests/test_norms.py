@@ -245,6 +245,27 @@ def test_a_subnormal_power_keeps_its_bits_in_the_modular_weight():
     assert result.convergent and result.tail_remainder_bound == 0.0
 
 
+def test_a_subnormal_weight_that_carries_the_modular_is_refused():
+    """At p = 3, n = 2, u = 1.9203382811751333 the weight of
+    -2.5002632935065436e-164 * chi(S_5) is about exp(-711), a subnormal
+    float; the norm 7.176575909808679e-162 is normal, but the solver
+    returned 7.176575910109989e-162 (4.2e-11 off) with a zero certificate."""
+    ctx = PadicContext(3, 2)
+    u = ExponentFunction.constant(ctx, 1.9203382811751333)
+    f = RadialStepFunction(ctx, (5, 5), (-2.5002632935065436e-164,))
+    with pytest.raises(NumericUnderflowError, match="normal float range"):
+        luxemburg_norm(f, u)
+    # two exponent groups, both weights subnormal: the refusal holds past the
+    # closed form of a single group
+    u2 = ExponentFunction(CTX, (0, 1), (2.0, 3.0), 2.0, 3.0)
+    both = RadialStepFunction(CTX, (0, 1), (1.4e-155, 1e-103))
+    with pytest.raises(NumericUnderflowError, match="normal float range"):
+        luxemburg_norm(both, u2)
+    # a subnormal weight far below rel_tol of the modular does not count
+    result = luxemburg_norm(RadialStepFunction(CTX, (0, 1), (1.0, 1e-110)), u2)
+    assert result.value == pytest.approx(math.sqrt(0.5), rel=1e-10)
+
+
 def test_partial_underflow_keeps_the_norm():
     """A term that rounds to 0.0 next to a normal one is negligible."""
     f = RadialStepFunction(CTX, (-1100, 0), (1.0,) + (0.0,) * 1099 + (1.0,))

@@ -241,3 +241,7 @@ def test_a_ball_mean_over_an_overflowing_integral_raises_a_typed_error():
         ball_mean(f, 64)
     with pytest.raises(NumericOverflowError, match="overflow"):
         ball_integral(f, 64)
+    # a finite float part whose division by |B_-64| = 2**-64 leaves the range
+    g = RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(1e300, -0.5))
+    with pytest.raises(NumericOverflowError, match="overflow"):
+        ball_mean(g, -64)

@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 from itertools import islice
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,7 @@ from ultraherz import (
     ppow,
 )
 from ultraherz.norms import _mixed_inner_sum, _shifted_norm
-from ultraherz.radial import _geometric_tail, _running_parts, _tail_integral
+from ultraherz.radial import _float_value, _geometric_tail, _running_parts
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 COEFF = st.one_of(
@@ -48,43 +49,72 @@ def contexts(draw):
     return PadicContext(draw(PRIMES), draw(st.integers(1, 3)))
 
 
+#: Coefficients whose power-of-2 denominators reach 2**1074 and whose
+#: numerators reach 2**997, besides the everyday ones of COEFF.
+WIDE_COEFF = st.one_of(
+    COEFF,
+    st.sampled_from([5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]),
+    st.floats(-1e300, 1e300),
+)
+
+
 @st.composite
-def step_functions(draw, ctx, outer=True):
+def step_functions(draw, ctx, outer=True, coeff=COEFF, reach=6, int_rates=3):
     """A radial step function with optional integrable tails at integer or
-    non-integer rates."""
+    non-integer rates: j_min within ``reach`` of the origin, integer inner
+    rates up to ``int_rates`` and outer ones down to -n - 1 - int_rates."""
     n = ctx.n
-    j_min = draw(st.integers(-6, 6))
-    coeffs = draw(st.lists(COEFF, min_size=1, max_size=8))
+    j_min = draw(st.integers(-reach, reach))
+    coeffs = draw(st.lists(coeff, min_size=1, max_size=8))
     inner = outer_tail = Tail(0.0, 0.0)
     if draw(st.booleans()):
         rate = draw(
             st.one_of(
-                st.integers(1 - n, 3).map(float),
+                st.integers(1 - n, int_rates).map(float),
                 st.floats(0.05 - n, 3.0, allow_nan=False),
             )
         )
-        inner = Tail(draw(COEFF), rate)
+        inner = Tail(draw(coeff), rate)
     if outer and draw(st.booleans()):
         rate = draw(
             st.one_of(
-                st.integers(-n - 4, -n - 1).map(float),
+                st.integers(-n - 1 - int_rates, -n - 1).map(float),
                 st.floats(-n - 4.0, -n - 0.05, allow_nan=False),
             )
         )
-        outer_tail = Tail(draw(COEFF), rate)
+        outer_tail = Tail(draw(coeff), rate)
     return RadialStepFunction(ctx, (j_min, j_min + len(coeffs) - 1), coeffs, inner, outer_tail)
+
+
+def wide_step_functions(ctx):
+    """Step functions for the running-sum kernel: windows up to 60 shells
+    from the origin, so the measures carry large powers of p, coefficients
+    from 5e-324 to 1e300, and integer-rate tails up to 6 (the inner divisor
+    p**s - 1, the outer denominator growing by p**-(rate + n) per shell)."""
+    return step_functions(ctx, coeff=WIDE_COEFF, reach=60, int_rates=6)
 
 
 def _direct_parts(f: RadialStepFunction, gamma: int) -> tuple[Fraction, float]:
     """Integral of f over B_gamma from a fresh shell-by-shell sum: the inner
-    tail in closed form, then every shell of B_gamma above it, with the
-    non-integer-rate outer terms added left to right as floats."""
+    tail in closed form (as a Fraction at an integer rate), then every shell
+    of B_gamma above it, with the non-integer-rate outer terms added left
+    to right as floats."""
     p, n = f.ctx.p, f.ctx.n
     j_min, j_max = f.window
-    exact, inexact = _tail_integral(f, min(gamma, j_min - 1) + 1, below=True)
+    mass = 1 - Fraction(p) ** -n
+    exact, inexact = Fraction(0), 0.0
+    start = min(gamma, j_min - 1) + 1
+    amplitude, rate = f.inner_tail
+    if amplitude != 0.0:
+        s = rate + n
+        if s.is_integer():
+            r = Fraction(p) ** int(s)
+            exact = Fraction(amplitude) * mass * r**start / (r - 1)
+        else:
+            inexact = _geometric_tail(amplitude * float(mass), p, s, start, below=True)
     amplitude, rate = f.outer_tail
     for k in range(j_min, gamma + 1):
-        sphere = Fraction(p) ** (n * k) * (1 - Fraction(p) ** -n)
+        sphere = Fraction(p) ** (n * k) * mass
         if k <= j_max:
             exact += Fraction(f.coeffs[k - j_min]) * sphere
         elif amplitude == 0.0:
@@ -96,18 +126,28 @@ def _direct_parts(f: RadialStepFunction, gamma: int) -> tuple[Fraction, float]:
     return exact, inexact
 
 
-@settings(max_examples=150)
+@settings(max_examples=300)
 @given(data=st.data())
 def test_running_parts_match_a_direct_shell_sum_at_every_step(data):
-    f = data.draw(contexts().flatmap(step_functions))
+    f = data.draw(contexts().flatmap(wide_step_functions))
     j_min, j_max = f.window
     gamma = data.draw(st.integers(j_min - 5, j_max + 5))
     steps = data.draw(st.integers(1, 12))
     running = list(islice(_running_parts(f, gamma), steps))
     expected = [_direct_parts(f, gamma + i) for i in range(steps)]
-    assert running == expected
+    assert [Fraction(num, den) for num, den, _ in running] == [e for e, _ in expected]
     # repr also tells -0.0 from 0.0 in the float slot
-    assert [repr(x) for _, x in running] == [repr(x) for _, x in expected]
+    assert [repr(x) for *_, x in running] == [repr(x) for _, x in expected]
+    for part, (exact, inexact) in zip(running, expected):
+        try:
+            want = float(exact) + inexact
+        except OverflowError:
+            want = math.inf
+        if math.isfinite(want):
+            assert repr(_float_value(*part)) == repr(want)
+        else:
+            with pytest.raises(NumericOverflowError):
+                _float_value(*part)
 
 
 @settings(max_examples=100)
