@@ -3,7 +3,6 @@
 Subcommands:
     norm      evaluate a space norm of a radial step function
     apply     apply an operator and print the image function as JSON
-    cmo       evaluate the mean-oscillation norm of a symbol
     oracle    Monte Carlo estimates for integrals, norms and operator values
     validate  check the hypotheses of a boundedness claim
     sweep     ratio sweeps (and sharpness probes) for a boundedness claim
@@ -11,16 +10,14 @@ Subcommands:
 
 Exit codes: 0 on success, 2 when a claim's hypotheses are violated, 1 for
 any other error (bad input files, divergent norms requested strictly,
-usage mistakes). Randomized subcommands take ``--seed``; when the flag is
-absent the ``ULTRAHERZ_SEED`` environment variable is consulted, and the
-seed is 0 when neither is set.
+usage mistakes). Randomized subcommands take ``--seed``, which defaults
+to 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import DomainError, HypothesisViolationError, UltraherzError
@@ -53,19 +50,6 @@ from .serialize import (
 )
 
 
-def _resolve_seed(value: int | None) -> int:
-    """CLI flag wins; otherwise the ULTRAHERZ_SEED variable; otherwise 0."""
-    if value is not None:
-        return value
-    env = os.environ.get("ULTRAHERZ_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise DomainError(f"ULTRAHERZ_SEED must be an integer, got {env!r}") from None
-
-
 def _print_json(payload: dict) -> None:
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -95,9 +79,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     elif args.space == "herz":
         result = herz_norm(f, u, HerzParams(args.beta, args.m))
     elif args.space == "morrey-herz":
-        result = morrey_herz_norm(
-            f, u, MorreyHerzParams(args.beta, args.m, args.lam, args.mh_base)
-        )
+        result = morrey_herz_norm(f, u, MorreyHerzParams(args.beta, args.m, args.lam))
     else:
         result = cmo_norm(f, u, rel_tol=args.rel_tol)
     _print_json(_norm_payload(result))
@@ -119,21 +101,13 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cmo(args: argparse.Namespace) -> int:
-    b = load_function(args.symbol)
-    u = load_exponent(args.exponent)
-    result = cmo_norm(b, u, rel_tol=args.rel_tol)
-    _print_json(_norm_payload(result))
-    return 0
-
-
 def _cmd_oracle(args: argparse.Namespace) -> int:
     f = load_function(args.function)
     config = OracleConfig(
         samples=args.samples,
         resolution=args.resolution,
         truncation_window=(args.window[0], args.window[1]),
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
         stratified=not args.naive,
     )
     if args.task == "integral":
@@ -192,7 +166,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             sys.stdout.write(text)
         return 0
     sizes = None if args.sizes is None else _parse_sizes(args.sizes)
-    result = sweep(config, sizes=sizes, count=args.count, seed=_resolve_seed(args.seed))
+    result = sweep(config, sizes=sizes, count=args.count, seed=args.seed)
     text = result.to_csv()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -207,7 +181,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    reports = check_lemmas(args.which, args.trials, _resolve_seed(args.seed))
+    reports = check_lemmas(args.which, args.trials, args.seed)
     failed = False
     for report in reports:
         verdict = "pass" if report.satisfied else "FAIL"
@@ -253,7 +227,6 @@ def _norm_args(norm: argparse.ArgumentParser) -> None:
     norm.add_argument("--beta", type=float, default=0.0)
     norm.add_argument("--m", type=float, default=1.0)
     norm.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    norm.add_argument("--mh-base", type=float, default=None)
     norm.add_argument("--rel-tol", type=float, default=1e-10)
     norm.set_defaults(handler=_cmd_norm)
 
@@ -271,13 +244,6 @@ def _apply_args(apply_parser: argparse.ArgumentParser) -> None:
         "-o", "--out", help="write the image here instead of stdout"
     )
     apply_parser.set_defaults(handler=_cmd_apply)
-
-
-def _cmo_args(cmo: argparse.ArgumentParser) -> None:
-    cmo.add_argument("--symbol", required=True, help="symbol JSON file")
-    _add_exponent_arg(cmo)
-    cmo.add_argument("--rel-tol", type=float, default=1e-10)
-    cmo.set_defaults(handler=_cmd_cmo)
 
 
 def _oracle_args(oracle: argparse.ArgumentParser) -> None:
@@ -308,7 +274,7 @@ def _oracle_args(oracle: argparse.ArgumentParser) -> None:
         action="store_true",
         help="plain uniform sampling instead of per-shell stratification",
     )
-    oracle.add_argument("--seed", type=int, default=None)
+    oracle.add_argument("--seed", type=int, default=0)
     oracle.add_argument("--rel-tol", type=float, default=1e-10)
     oracle.set_defaults(handler=_cmd_oracle)
 
@@ -331,7 +297,7 @@ def _sweep_args(sweep_parser: argparse.ArgumentParser) -> None:
         default=None,
         help="samples per size (default: the config's family)",
     )
-    sweep_parser.add_argument("--seed", type=int, default=None)
+    sweep_parser.add_argument("--seed", type=int, default=0)
     sweep_parser.add_argument("-o", "--out", help="write CSV here instead of stdout")
     sweep_parser.add_argument(
         "--probe",
@@ -360,7 +326,7 @@ def _check_args(check: argparse.ArgumentParser) -> None:
         default=None,
         help="override the per-check default case count",
     )
-    check.add_argument("--seed", type=int, default=None)
+    check.add_argument("--seed", type=int, default=0)
     check.set_defaults(handler=_cmd_check)
 
 
@@ -368,7 +334,6 @@ def _check_args(check: argparse.ArgumentParser) -> None:
 _SUBCOMMANDS = {
     "norm": ("evaluate a space norm", _norm_args),
     "apply": ("apply an operator to a function", _apply_args),
-    "cmo": ("mean-oscillation norm of a symbol", _cmo_args),
     "oracle": ("Monte Carlo estimates", _oracle_args),
     "validate": ("check a claim's hypotheses", _validate_args),
     "sweep": ("ratio sweep for a claim", _sweep_args),
@@ -380,7 +345,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The argument parser, with every subcommand or only ``command``.
 
     ``main`` passes the subcommand it runs, so a call does not pay for
-    building the six it does not use.
+    building the five it does not use.
     """
     parser = argparse.ArgumentParser(
         prog="ultraherz",

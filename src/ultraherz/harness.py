@@ -120,9 +120,8 @@ class TheoremConfig:
     it per the claim shape. ``m1``/``m2`` are the source/target summation
     indices, ``beta`` the shell weight exponent, ``lam`` the cutoff scaling
     exponent (meaningful for the morrey-herz claims only), ``symbol`` the
-    commutator symbol (a default is supplied when omitted), ``mh_base``
-    the cutoff prefactor base (None means the prime p), and ``family`` the
-    random-family generator used by sweeps.
+    commutator symbol (a default is supplied when omitted), and ``family``
+    the random-family generator used by sweeps.
     """
 
     theorem: str
@@ -133,7 +132,6 @@ class TheoremConfig:
     m2: float = 1.0
     lam: float = 0.0
     symbol: RadialStepFunction | None = None
-    mh_base: float | None = None
     family: FamilySpec = FamilySpec()
 
     def __post_init__(self) -> None:
@@ -337,9 +335,7 @@ def _space_norm(
 ) -> NormResult:
     if config.shape.space == "herz":
         return herz_norm(f, w, HerzParams(config.beta, m))
-    return morrey_herz_norm(
-        f, w, MorreyHerzParams(config.beta, m, config.lam, config.mh_base)
-    )
+    return morrey_herz_norm(f, w, MorreyHerzParams(config.beta, m, config.lam))
 
 
 def boundedness_ratio(config: TheoremConfig, f: RadialStepFunction) -> RatioSample:
@@ -483,7 +479,6 @@ def sweep(
         "m1": config.m1,
         "m2": config.m2,
         "lambda": config.lam,
-        "exponent": config.u.summary(),
         "target": config.shape.target,
         "sizes": tuple(sizes),
         "count": count,

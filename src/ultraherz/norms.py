@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from .errors import DomainError, NumericOverflowError, NumericUnderflowError
 from .padic import PadicContext, ppow
 from .radial import (
+    _SCAN_CAP,
     ExponentFunction,
     RadialStepFunction,
     _cancels,
@@ -48,8 +49,6 @@ _CRITICAL_BAND = 1e-12
 #: Relative threshold below which one tail summand is dominated by the other
 #: in mixed power-plus-constant sums.
 _MIXED_TOL = 1e-13
-
-_SCAN_CAP = 400_000
 
 _MIN_NORMAL = sys.float_info.min
 _LOG_MIN_NORMAL = math.log(_MIN_NORMAL)
@@ -73,24 +72,19 @@ class MorreyHerzParams:
     """Morrey-Herz parameters.
 
     ``lam`` is the Morrey scaling exponent (lambda >= 0; 0 recovers the Herz
-    norm exactly). ``prefactor_base`` is the base of the cutoff prefactor
-    base**(-k0 * lam); None means the prime p of the ambient context.
+    norm exactly) of the cutoff prefactor p**(-k0 * lam), where p is the
+    prime of the ambient context.
     """
 
     beta: float
     m: float
     lam: float
-    prefactor_base: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.m > 0 and math.isfinite(self.m)):
             raise DomainError(f"Herz index m must be positive and finite, got {self.m}")
         if self.lam < 0:
             raise DomainError(f"lambda must be nonnegative, got {self.lam}")
-        if self.prefactor_base is not None and not self.prefactor_base > 1:
-            raise DomainError(
-                f"prefactor base must exceed 1, got {self.prefactor_base}"
-            )
 
 
 @dataclass(frozen=True)
@@ -558,7 +552,7 @@ def morrey_herz_norm(
     f: RadialStepFunction, u: ExponentFunction, mhp: MorreyHerzParams
 ) -> NormResult:
     """The Morrey-Herz norm sup over the cutoff k0 of
-    base**(-k0*lam) * ( sum_{l <= k0} (p**(l*beta) * ||f on S_l||)**m )**(1/m).
+    p**(-k0*lam) * ( sum_{l <= k0} (p**(l*beta) * ||f on S_l||)**m )**(1/m).
 
     lam = 0 short-circuits to :func:`herz_norm` (the partial sums increase
     to the full sum, so the sup is the Herz value exactly). For lam > 0 the
@@ -575,21 +569,20 @@ def morrey_herz_norm(
         return herz_norm(f, u, HerzParams(mhp.beta, mhp.m))
 
     p = f.ctx.p
-    base = float(mhp.prefactor_base) if mhp.prefactor_base is not None else float(p)
     m, beta, lam = mhp.m, mhp.beta, mhp.lam
     w_lo, w_hi = _union_window(f, u)
     s_in, s_out = _herz_slopes(f, u, beta)
-    log_base = math.log(base)
+    log_p = math.log(p)
 
     def prefactor_m(k0: int) -> float:
-        return math.exp(-k0 * lam * m * log_base)
+        return math.exp(-k0 * lam * m * log_p)
 
     # Divergence first, so that an overflow below is never a divergence.
     # Below the window, candidates grow without bound as k0 decreases when
     # drift_in < 0; above it, as k0 increases when drift_out > 0.
     inner, outer = f.inner_tail.amplitude != 0.0, f.outer_tail.amplitude != 0.0
-    drift_in = s_in * math.log(p) - lam * log_base
-    drift_out = s_out * math.log(p) - lam * log_base
+    drift_in = s_in * log_p - lam * log_p
+    drift_out = s_out * log_p - lam * log_p
     if (inner and (m * s_in <= 0 or drift_in < -_CRITICAL_BAND)) or (
         outer and drift_out > _CRITICAL_BAND
     ):
@@ -601,7 +594,7 @@ def morrey_herz_norm(
         terms, partial, _ = _herz_terms(f, u, beta, m, w_hi + 1 if outer else w_hi, False)
         if inner:
             # Candidates below the window form a geometric sequence with ratio
-            # p**s_in / base**lam >= 1, so the largest sits at k0 = w_lo - 1.
+            # p**s_in / p**lam >= 1, so the largest sits at k0 = w_lo - 1.
             best_gm = prefactor_m(w_lo - 1) * partial
 
         # Window region: explicit partial sums.
@@ -616,7 +609,7 @@ def morrey_herz_norm(
             if not math.isfinite(t_first):
                 raise _herz_overflow("Morrey-Herz", m, (w_lo, w_hi))
             rho = ppow(p, m * s_out)
-            a = lam * m * log_base
+            a = lam * m * log_p
             critical = abs(drift_out) <= _CRITICAL_BAND
             balanced = rho == 1.0 or (abs(rho - 1.0) <= _CRITICAL_BAND and not critical)
             if balanced:
@@ -627,10 +620,10 @@ def morrey_herz_norm(
                 # Geometric partial sums P_hi - geo + geo * rho**y. Near rho = 1
                 # rho - 1, rho**y - 1 and b come from log rho, not from rho.
                 near_one = _cancels(rho)
-                log_rho = m * s_out * math.log(p)
+                log_rho = m * s_out * log_p
                 rho_m1 = math.expm1(log_rho) if near_one else rho - 1.0
                 geo = t_first / rho_m1
-                q2 = rho * math.exp(-lam * m * log_base)
+                q2 = rho * math.exp(-lam * m * log_p)
 
                 def gm(k0: int) -> float:
                     y = k0 - w_hi

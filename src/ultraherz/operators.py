@@ -37,9 +37,9 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import ClassClosureError, DomainError
-from .norms import _SCAN_CAP
 from .padic import ppow
 from .radial import (
+    _SCAN_CAP,
     RadialStepFunction,
     Tail,
     _float_value,
@@ -85,15 +85,6 @@ def apply_operator(spec: OperatorSpec, f: RadialStepFunction) -> RadialStepFunct
     return maximal(f)
 
 
-def _require_integrable_inner(f: RadialStepFunction) -> None:
-    amplitude, rate = f.inner_tail
-    if amplitude != 0.0 and rate <= -f.ctx.n:
-        raise DomainError(
-            f"inner tail rate {rate} is not integrable in dimension {f.ctx.n}; "
-            f"ball integrals through the origin diverge"
-        )
-
-
 def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
     """The fractional Hardy operator H_alpha applied to f.
 
@@ -118,7 +109,6 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
             "integral would mix a constant with the tail's own growth; widen "
             "the explicit window instead"
         )
-    _require_integrable_inner(f)
     j_min, j_max = f.window
 
     lo, hi = j_min - 1, j_max + 1
@@ -219,7 +209,6 @@ def maximal(f: RadialStepFunction) -> RadialStepFunction:
             "maximal needs a vanishing outer tail: the suffix of ball means "
             "would mix two decay rates; widen the explicit window instead"
         )
-    _require_integrable_inner(f)
     g = f.absolute()
     j_min, j_max = f.window
     mass = _unit_mass(ctx)

@@ -43,13 +43,14 @@ class OracleConfig:
     ``truncation_window`` bounds the shells that stratified estimates
     resolve individually; everything below its lower edge is pooled into a
     single residual ball stratum, and analytic bias bounds cover mass above
-    the upper edge where applicable.
+    the upper edge where applicable. ``seed`` seeds the sampler, so equal
+    configurations give equal estimates.
     """
 
     samples: int = 10_000
     resolution: int = 24
     truncation_window: tuple[int, int] = (-32, 32)
-    seed: int | None = None
+    seed: int = 0
     stratified: bool = True
 
     def __post_init__(self) -> None:
@@ -73,9 +74,7 @@ class MCEstimate:
     samples: int
 
 
-def _child_seed(seed: int | None, index: int) -> int | None:
-    if seed is None:
-        return None
+def _child_seed(seed: int, index: int) -> int:
     return (seed * _SEED_STRIDE + index) % (2**63)
 
 

@@ -30,8 +30,8 @@ from .errors import DomainError
 #: Shell indices are plain ints; k labels the sphere S_k.
 Shell = int
 
-#: Default guard on shell indices accepted at the public API boundary.
-DEFAULT_SHELL_LIMIT = 64
+#: Largest |k| of a shell index accepted at the public API boundary.
+SHELL_LIMIT = 64
 
 
 def ppow(p: int, exponent: float) -> float:
@@ -75,35 +75,33 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class PadicContext:
-    """The ambient space: prime p, dimension n, and an API shell guard.
+    """The ambient space: prime p and dimension n.
 
     Args:
         p: prime defining the base field Q_p.
         n: dimension of the vector space, at least 1.
-        shell_limit: shell indices beyond ``[-shell_limit, shell_limit]`` are
-            rejected at public entry points to prevent silent magnitude blowups.
-            Internal scans may exceed it because all heavy arithmetic is exact.
+
+    :meth:`check_shell` rejects shell indices beyond ``[-SHELL_LIMIT,
+    SHELL_LIMIT]`` at public entry points to prevent silent magnitude
+    blowups. Internal scans may exceed it because all heavy arithmetic is
+    exact.
     """
 
     p: int
     n: int = 1
-    shell_limit: int = DEFAULT_SHELL_LIMIT
 
     def __post_init__(self) -> None:
         if not _is_prime(self.p):
             raise DomainError(f"p must be prime, got {self.p}")
         if self.n < 1:
             raise DomainError(f"dimension n must be >= 1, got {self.n}")
-        if self.shell_limit < 1:
-            raise DomainError("shell_limit must be >= 1")
 
     def check_shell(self, k: int, what: str = "shell index") -> int:
         if not isinstance(k, int):
             raise DomainError(f"{what} must be an integer, got {k!r}")
-        if abs(k) > self.shell_limit:
+        if abs(k) > SHELL_LIMIT:
             raise DomainError(
-                f"{what} {k} outside the allowed window "
-                f"[-{self.shell_limit}, {self.shell_limit}]"
+                f"{what} {k} outside the allowed window [-{SHELL_LIMIT}, {SHELL_LIMIT}]"
             )
         return k
 

@@ -29,6 +29,10 @@ from .errors import (
 )
 from .padic import PadicContext, ppow
 
+#: Most shells a shell-by-shell walk (a mixed tail sum, the CMO supremum
+#: scan, the maximal function's crossover search) takes before it stops.
+_SCAN_CAP = 400_000
+
 
 class Tail(NamedTuple):
     """One power-law tail: value ``amplitude * p**(k * rate)`` on shell k."""
@@ -447,16 +451,6 @@ def _mean_of_parts(parts: tuple[int, int, float], gamma: int, ctx: PadicContext)
 
 
 @dataclass(frozen=True)
-class ExponentSummary:
-    """Scalar summary of a variable exponent: extremes and value at infinity."""
-
-    u_minus: float
-    u_plus: float
-    u_infinity: float
-    admissible_for_conjugation: bool
-
-
-@dataclass(frozen=True)
 class ExponentFunction:
     """A radial variable exponent: window values plus two limiting values.
 
@@ -519,14 +513,6 @@ class ExponentFunction:
     @property
     def u_plus(self) -> float:
         return max(self.u_inner, self.u_infinity, max(self.values))
-
-    def summary(self) -> ExponentSummary:
-        return ExponentSummary(
-            u_minus=self.u_minus,
-            u_plus=self.u_plus,
-            u_infinity=self.u_infinity,
-            admissible_for_conjugation=self.u_minus > 1.0,
-        )
 
     def map_pieces(self, fn: Callable[[float], float]) -> "ExponentFunction":
         """Apply fn to every piece, keeping the window structure."""

@@ -29,7 +29,7 @@ Document shapes::
 In a claim configuration the exponent and the optional commutator symbol
 may be inlined as objects or named by file paths relative to the config
 file. Anything malformed raises SerializationError carrying the file path
-and the offending field.
+and the offending field; so does a key that is no longer read.
 """
 
 from __future__ import annotations
@@ -245,8 +245,6 @@ def theorem_config_to_dict(config: TheoremConfig) -> dict:
     }
     if config.symbol is not None:
         data["symbol"] = function_to_dict(config.symbol)
-    if config.mh_base is not None:
-        data["mh_base"] = encode_real(config.mh_base)
     return data
 
 
@@ -281,6 +279,15 @@ def _family_from_dict(data: Any, path: str | None) -> FamilySpec:
         raise SerializationError(str(exc), path, "family") from exc
 
 
+#: Claim-configuration keys that earlier versions read, with what to do
+#: instead. Unknown keys are ignored, so a dropped key would leave its file
+#: silently meaning something else; these are refused by name.
+_RETIRED_KEYS = {
+    "u": "give the exponent under 'exponent'",
+    "mh_base": "the Morrey-Herz cutoff prefactor base is always the prime p",
+}
+
+
 def theorem_config_from_dict(
     data: Any,
     path: str | None = None,
@@ -289,32 +296,28 @@ def theorem_config_from_dict(
 ) -> TheoremConfig:
     """Decode a claim configuration.
 
-    The exponent (key ``exponent``, or ``u`` for short) and the optional
-    ``symbol`` may each be inlined as objects or given as file paths,
-    resolved relative to ``base_dir``. A ``theorem`` argument overrides the
-    document's own id, which lets a command-line flag pick the claim while
-    the numeric parameters come from the file.
+    The ``exponent`` and the optional ``symbol`` may each be inlined as
+    objects or given as file paths, resolved relative to ``base_dir``. A
+    ``theorem`` argument overrides the document's own id, which lets a
+    command-line flag pick the claim while the numeric parameters come from
+    the file.
     """
     if not isinstance(data, dict):
         raise SerializationError("document root must be an object", path)
+    for key, hint in _RETIRED_KEYS.items():
+        if key in data:
+            raise SerializationError(f"field is no longer read; {hint}", path, key)
     if theorem is None:
         theorem = _require(data, "theorem", path)
         if not isinstance(theorem, str):
             raise SerializationError("theorem id must be a string", path, "theorem")
-    if "exponent" in data and "u" in data:
-        raise SerializationError(
-            "give the exponent as either 'exponent' or 'u', not both", path, "exponent"
-        )
-    raw_u = data.get("exponent", data.get("u"))
+    raw_u = data.get("exponent")
     if raw_u is None:
         raise SerializationError("missing required field", path, "exponent")
     u = exponent_from_dict(_resolve_nested(raw_u, base_dir), path)
     symbol = None
     if data.get("symbol") is not None:
         symbol = function_from_dict(_resolve_nested(data["symbol"], base_dir), path)
-    mh_base = None
-    if data.get("mh_base") is not None:
-        mh_base = decode_real(data["mh_base"], "mh_base", path)
     family = FamilySpec()
     if "family" in data:
         family = _family_from_dict(data["family"], path)
@@ -334,7 +337,6 @@ def theorem_config_from_dict(
             m2=real("m2", 1.0),
             lam=real("lambda", 0.0),
             symbol=symbol,
-            mh_base=mh_base,
             family=family,
         )
     except UltraherzError as exc:

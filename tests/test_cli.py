@@ -21,15 +21,18 @@ from ultraherz import (
     ExponentFunction,
     PadicContext,
     RadialStepFunction,
+    SerializationError,
     Tail,
     TheoremConfig,
     conjugate,
+    exponent_to_dict,
     function_from_dict,
     hardy,
     load_function,
     save_exponent,
     save_function,
     save_theorem_config,
+    theorem_config_from_dict,
 )
 from ultraherz.cli import build_parser, main
 from ultraherz.serialize import WINDOW_CAP
@@ -114,7 +117,7 @@ def test_apply_commutator_needs_a_symbol(files, capsys):
 def test_cmo_of_a_ball_indicator(files, tmp_path, capsys):
     ball = tmp_path / "ball.json"
     save_function(RadialStepFunction.indicator_ball(CTX, 0), str(ball))
-    assert main(["cmo", "--symbol", str(ball), "-u", files["u"]]) == 0
+    assert main(["norm", "--space", "cmo", "-i", str(ball), "-u", files["u"]]) == 0
     assert float(_json_out(capsys)["value"]) == pytest.approx(0.5, rel=1e-6)
 
 
@@ -135,8 +138,7 @@ def test_oracle_operator_task_requires_a_shell(files, capsys):
     assert "--shell" in capsys.readouterr().err
 
 
-def test_oracle_without_a_seed_defaults_to_seed_zero(files, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("ULTRAHERZ_SEED", raising=False)
+def test_oracle_without_a_seed_defaults_to_seed_zero(files, tmp_path, capsys):
     steps = tmp_path / "steps.json"
     save_function(RadialStepFunction(CTX, (-3, 0), (1.0, 2.0, 3.0, 5.0)), str(steps))
     argv = ["oracle", "-i", str(steps), "--task", "integral", "--gamma", "0",
@@ -268,7 +270,7 @@ def test_readme_usage_block_lists_every_option():
 def test_usage_errors_exit_one(files, capsys):
     assert main(["no-such-command"]) == 1
     assert main(["norm"]) == 1
-    assert main(["cmo", "--symbol", files["f"], "-u", files["u"], "--literal"]) == 1
+    assert main(["norm", "-i", files["f"], "-u", files["u"], "--literal"]) == 1
     assert main(["check", "--which", "L1"]) == 1  # a retired lemma id
     capsys.readouterr()
 
@@ -355,7 +357,7 @@ def test_windows_past_the_decode_cap_exit_one(files, tmp_path, capsys):
         (["norm", "-u", files["u"], "-i", str(path)], "window[0]"),
         (["norm", "-u", str(u_far), "-i", files["f"]], "window[0]"),
         (["apply", "-i", str(path), "--operator", "hardy"], "window[0]"),
-        (["cmo", "--symbol", str(symbol), "-u", files["u"]], "window[1]"),
+        (["norm", "--space", "cmo", "-i", str(symbol), "-u", files["u"]], "window[1]"),
     ]:
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -434,21 +436,32 @@ def test_missing_input_file_exits_one(files, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_seed_env_fallback_matches_the_flag(files, capsys, monkeypatch):
-    argv = ["sweep", "--config", files["tc"], "--sizes", "3", "--count", "4"]
-    monkeypatch.setenv("ULTRAHERZ_SEED", "11")
-    assert main(argv) == 0
-    via_env = capsys.readouterr().out
-    monkeypatch.delenv("ULTRAHERZ_SEED")
-    assert main(argv + ["--seed", "11"]) == 0
-    assert capsys.readouterr().out == via_env
-
-
-def test_bad_seed_env_is_rejected(files, capsys, monkeypatch):
-    monkeypatch.setenv("ULTRAHERZ_SEED", "eleven")
-    code = main(["sweep", "--config", files["tc"], "--count", "1"])
-    assert code == 1
-    assert "ULTRAHERZ_SEED" in capsys.readouterr().err
+def test_retired_inputs_fail_loudly(files, tmp_path, capsys):
+    """A claim config with a retired key is refused by name rather than read
+    as something else; the retired subcommand and flag are usage errors."""
+    exponent = exponent_to_dict(ExponentFunction.constant(CTX, 2.0))
+    for key, data in [
+        ("mh_base", {"theorem": "T41", "exponent": exponent, "mh_base": "2.0"}),
+        ("u", {"theorem": "T41", "u": exponent}),
+    ]:
+        with pytest.raises(SerializationError) as err:
+            theorem_config_from_dict(data)
+        assert err.value.field == key
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and f"'{key}'" in captured.err
+    for argv in (
+        ["cmo", "--symbol", files["f"], "-u", files["u"]],
+        ["norm", "--space", "morrey-herz", "--lambda", "0.2", "--mh-base", "2",
+         "-i", files["f"], "-u", files["u"]],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: ultraherz" in captured.err and "Traceback" not in captured.err
 
 
 def _project_script(name: str) -> str:
@@ -522,7 +535,8 @@ def test_cmo_scan_past_the_float_range_exits_one(tmp_path):
     u = conjugate(ExponentFunction(ctx, (0, 0), (2.0,), 2.0, 1.0005))
     save_function(b, str(tmp_path / "b.json"))
     save_exponent(u, str(tmp_path / "u.json"))
-    result = _run_module(["cmo", "--symbol", "b.json", "-u", "u.json"], tmp_path)
+    argv = ["norm", "--space", "cmo", "-i", "b.json", "-u", "u.json"]
+    result = _run_module(argv, tmp_path)
     assert result.returncode == 1
     assert result.stderr.startswith("error:")
     assert "overflow" in result.stderr

@@ -102,8 +102,8 @@ def test_beta_bounds_match_independent_recomputation():
     config = TheoremConfig("T41", u, alpha=alpha, lam=lam)
     lo, hi = validate_hypotheses(config).check("beta-range").bounds
     v = config.target_exponent()
-    expected_lo = lam - ctx.n / v.summary().u_minus
-    expected_hi = ctx.n / conjugate(u).summary().u_plus + lam
+    expected_lo = lam - ctx.n / v.u_minus
+    expected_hi = ctx.n / conjugate(u).u_plus + lam
     assert lo == pytest.approx(expected_lo, abs=1e-12)
     assert hi == pytest.approx(expected_hi, abs=1e-12)
 

@@ -61,6 +61,19 @@ def test_hardy_rejects_outer_tails():
         hardy(f, 0.2)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("excess", [0.0, 0.5])
+def test_a_non_integrable_inner_tail_is_refused(n, excess):
+    """An inner tail at rate -n or below has no ball integral through the
+    origin; hardy and maximal raise before computing anything."""
+    f = RadialStepFunction(
+        PadicContext(2, n), (0, 0), (1.0,), inner_tail=Tail(1.0, -n - excess)
+    )
+    for operator in (lambda g: hardy(g, 0.0), maximal):
+        with pytest.raises(DomainError, match="not integrable"):
+            operator(f)
+
+
 def test_adjoint_sphere_indicator_profile():
     image = hardy_adjoint(RadialStepFunction.indicator_sphere(CTX, 0), 0.5)
     # strict lower cutoff: the diagonal shell contributes nothing

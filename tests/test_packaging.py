@@ -1,6 +1,7 @@
-"""The runtime depends on nothing outside the standard library, every
-module uses what it imports, every private module-level name is used, and
-no tuple is built from a generator."""
+"""The runtime depends on nothing outside the standard library, modules
+import only from lower layers, every module uses what it imports, every
+private module-level name is used, and no tuple is built from a
+generator."""
 
 from __future__ import annotations
 
@@ -27,6 +28,52 @@ def test_the_package_imports_only_the_standard_library():
     assert SOURCES
     imported = set().union(*map(_absolute_imports, SOURCES))
     assert sorted(imported - sys.stdlib_module_names) == []
+
+
+#: The package's modules in layers, lowest first. A module may import only
+#: modules of earlier rows: none of its own row and none above it.
+LAYERS = (
+    ("errors",),
+    ("padic",),
+    ("radial",),
+    ("norms", "operators"),
+    ("oracle", "harness"),
+    ("serialize",),
+    ("cli",),
+)
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package's modules that the file imports, by relative or absolute
+    name (``from .x import``, ``from . import x``, ``ultraherz.x``)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ["ultraherz"] if node.level else []
+            base += node.module.split(".") if node.module else []
+            dotted = [base + [alias.name] for alias in node.names]
+        else:
+            continue
+        names.update(
+            parts[1] for parts in dotted if parts[0] == "ultraherz" and len(parts) > 1
+        )
+    return names
+
+
+def test_modules_import_only_from_lower_layers():
+    """``__init__`` and ``__main__`` sit on top and are exempt."""
+    row = {name: i for i, names in enumerate(LAYERS) for name in names}
+    modules = [path for path in SOURCES if path.stem not in ("__init__", "__main__")]
+    assert sorted(path.stem for path in modules) == sorted(row)
+    upward = [
+        f"{path.stem} imports {name}"
+        for path in modules
+        for name in sorted(_package_imports(path))
+        if name in row and row[name] >= row[path.stem]
+    ]
+    assert upward == []
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -14,7 +14,7 @@ from ultraherz import (
     ppow,
     sphere_measure,
 )
-from ultraherz.padic import sample_shells
+from ultraherz.padic import SHELL_LIMIT, sample_shells
 
 
 def test_ppow_integer_exponents_are_exact():
@@ -104,4 +104,5 @@ def test_check_shell_guards_the_truncation_limit():
     ctx = PadicContext(2, 1)
     assert ctx.check_shell(10) == 10
     with pytest.raises(DomainError):
-        ctx.check_shell(ctx.shell_limit + 1)
+        ctx.check_shell(SHELL_LIMIT + 1)
+    assert ctx.check_shell(-SHELL_LIMIT) == -SHELL_LIMIT

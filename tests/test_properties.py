@@ -505,7 +505,7 @@ def _log_abs_value(f: RadialStepFunction, k: int) -> float | None:
     return math.log(abs(amplitude)) + k * rate * math.log(f.ctx.p)
 
 
-def _log_morrey_scan(f, u, beta, m, lam, base, lo, hi) -> float:
+def _log_morrey_scan(f, u, beta, m, lam, lo, hi) -> float:
     """log of the largest m-th power candidate over the cutoffs lo..hi.
 
     Each shell's term m * log(p**(l*beta) * |F(l)| * |S_l|**(1/u(l))) is
@@ -521,7 +521,7 @@ def _log_morrey_scan(f, u, beta, m, lam, base, lo, hi) -> float:
             top = max(running, term)
             running = top + math.log(math.exp(running - top) + math.exp(term - top))
         if running > -math.inf:
-            best = max(best, running - k * lam * m * math.log(base))
+            best = max(best, running - k * lam * m * log_p)
     return best
 
 
@@ -544,10 +544,7 @@ def test_morrey_herz_equals_a_log_space_scan_over_cutoffs(data):
     beta = data.draw(st.floats(-1.0, 1.0))
     m = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
     lam = data.draw(st.floats(0.2, 1.5))
-    base = data.draw(st.sampled_from([None, 2.0, 4.5]))
-    base_value = base if base is not None else float(p)
-    log_base = math.log(base_value)
-    critical_slope = lam * log_base / log_p
+    critical_slope = lam
     tiny = st.floats(-1e-12, 1e-12)
 
     s_in = critical_slope + data.draw(st.one_of(tiny, st.floats(0.05, 1.5)))
@@ -564,7 +561,7 @@ def test_morrey_herz_equals_a_log_space_scan_over_cutoffs(data):
         Tail(data.draw(amplitude), s_in - beta - n / u.u_inner),
         Tail(data.draw(amplitude), s_out - beta - n / u.u_infinity),
     )
-    result = morrey_herz_norm(f, u, MorreyHerzParams(beta, m, lam, base))
+    result = morrey_herz_norm(f, u, MorreyHerzParams(beta, m, lam))
     assert result.convergent and result.tail_remainder_bound == 0.0
 
     w_lo = min(f.window[0], u.window[0])
@@ -572,6 +569,6 @@ def test_morrey_herz_equals_a_log_space_scan_over_cutoffs(data):
     # far enough that the left-out inner terms and the candidates past the
     # top end are below e**-45 of the ones kept
     below = math.ceil(45.0 / (m * s_in * log_p)) + 1
-    above = math.ceil(60.0 / (lam * m * log_base)) + 10
-    scan = _log_morrey_scan(f, u, beta, m, lam, base_value, w_lo - below, w_hi + above)
+    above = math.ceil(60.0 / (lam * m * log_p)) + 10
+    scan = _log_morrey_scan(f, u, beta, m, lam, w_lo - below, w_hi + above)
     assert abs(math.log(result.value) - scan / m) <= 1e-8

@@ -128,7 +128,7 @@ def test_theorem_config_round_trip():
     b = RadialStepFunction(CTX, (0, 1), (1.0, -1.0))
     config = TheoremConfig(
         "T42", u, alpha=0.125, beta=0.25, m1=1.0, m2=2.0, lam=0.5,
-        symbol=b, mh_base=2.0, family=FamilySpec((3, 6), 40),
+        symbol=b, family=FamilySpec((3, 6), 40),
     )
     assert theorem_config_from_dict(theorem_config_to_dict(config)) == config
 
@@ -141,16 +141,6 @@ def test_theorem_config_defaults_and_overrides():
     assert config.family == FamilySpec()
     overridden = theorem_config_from_dict(data, theorem="C41")
     assert overridden.theorem == "C41"
-
-
-def test_theorem_config_exponent_key_aliases():
-    u = ExponentFunction.constant(CTX, 2.0)
-    via_u = theorem_config_from_dict({"theorem": "C31", "u": exponent_to_dict(u)})
-    assert via_u.u == u
-    with pytest.raises(SerializationError):
-        theorem_config_from_dict(
-            {"theorem": "C31", "u": exponent_to_dict(u), "exponent": exponent_to_dict(u)}
-        )
 
 
 def test_theorem_config_nested_paths_resolve_relative(tmp_path):
