@@ -23,7 +23,6 @@ import sys
 from .errors import DomainError, HypothesisViolationError, UltraherzError
 from .harness import (
     LEMMA_IDS,
-    THEOREM_IDS,
     check_lemmas,
     require_hypotheses,
     sharpness_probe,
@@ -130,7 +129,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    config = load_theorem_config(args.config, theorem=args.theorem)
+    config = load_theorem_config(args.config)
     report = validate_hypotheses(config)
     for check in report.checks:
         mark = "ok  " if check.satisfied else "FAIL"
@@ -151,7 +150,7 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_theorem_config(args.config, theorem=args.theorem)
+    config = load_theorem_config(args.config)
     if args.probe:
         require_hypotheses(config)
         shells = range(1, args.probe_shells + 1)
@@ -165,8 +164,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    sizes = None if args.sizes is None else _parse_sizes(args.sizes)
-    result = sweep(config, sizes=sizes, count=args.count, seed=args.seed)
+    result = sweep(config, sizes=_parse_sizes(args.sizes), count=args.count, seed=args.seed)
     text = result.to_csv()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -202,17 +200,11 @@ def _add_exponent_arg(parser: argparse.ArgumentParser, required: bool = True) ->
     )
 
 
-def _add_claim_args(parser: argparse.ArgumentParser) -> None:
+def _add_config_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--config",
         required=True,
         help="claim configuration JSON file (exponent inlined or by path)",
-    )
-    parser.add_argument(
-        "--theorem",
-        choices=THEOREM_IDS,
-        default=None,
-        help="claim id; overrides the one in the config file",
     )
 
 
@@ -280,22 +272,19 @@ def _oracle_args(oracle: argparse.ArgumentParser) -> None:
 
 
 def _validate_args(validate: argparse.ArgumentParser) -> None:
-    _add_claim_args(validate)
+    _add_config_arg(validate)
     validate.set_defaults(handler=_cmd_validate)
 
 
 def _sweep_args(sweep_parser: argparse.ArgumentParser) -> None:
-    _add_claim_args(sweep_parser)
+    _add_config_arg(sweep_parser)
     sweep_parser.add_argument(
         "--sizes",
-        default=None,
-        help="comma-separated window bounds (default: the config's family)",
+        default="5,10,20",
+        help="comma-separated window bounds (default: %(default)s)",
     )
     sweep_parser.add_argument(
-        "--count",
-        type=int,
-        default=None,
-        help="samples per size (default: the config's family)",
+        "--count", type=int, default=200, help="samples per size (default: %(default)s)"
     )
     sweep_parser.add_argument("--seed", type=int, default=0)
     sweep_parser.add_argument("-o", "--out", help="write CSV here instead of stdout")

@@ -90,38 +90,15 @@ def default_symbol(ctx: PadicContext) -> RadialStepFunction:
 
 
 @dataclass(frozen=True)
-class FamilySpec:
-    """How to draw the random function family for a sweep.
-
-    ``sizes`` lists the window bounds N in the order they are swept;
-    ``count`` is the number of samples drawn per bound. An empty sizes
-    tuple (or a zero count) describes the empty family, which a sweep
-    reports as zero rows with an undefined supremum.
-    """
-
-    sizes: tuple[int, ...] = (5, 10, 20)
-    count: int = 200
-
-    def __post_init__(self) -> None:
-        sizes = tuple([int(size) for size in self.sizes])
-        object.__setattr__(self, "sizes", sizes)
-        for size in sizes:
-            if size < 0:
-                raise DomainError(f"family size bounds must be nonnegative, got {size}")
-        if self.count < 0:
-            raise DomainError(f"family count must be nonnegative, got {self.count}")
-
-
-@dataclass(frozen=True)
 class TheoremConfig:
     """Parameters of one boundedness claim.
 
     ``u`` is the source-space exponent; the target exponent is derived from
     it per the claim shape. ``m1``/``m2`` are the source/target summation
     indices, ``beta`` the shell weight exponent, ``lam`` the cutoff scaling
-    exponent (meaningful for the morrey-herz claims only), ``symbol`` the
-    commutator symbol (a default is supplied when omitted), and ``family``
-    the random-family generator used by sweeps.
+    exponent (meaningful for the morrey-herz claims only), and ``symbol``
+    the commutator symbol (a default is supplied when omitted). How large a
+    sweep runs is the caller's choice, an argument of :func:`sweep`.
     """
 
     theorem: str
@@ -132,7 +109,6 @@ class TheoremConfig:
     m2: float = 1.0
     lam: float = 0.0
     symbol: RadialStepFunction | None = None
-    family: FamilySpec = FamilySpec()
 
     def __post_init__(self) -> None:
         if self.theorem not in _SHAPES:
@@ -441,25 +417,21 @@ class RatioReport:
 
 def sweep(
     config: TheoremConfig,
-    sizes: Sequence[int] | None = None,
-    count: int | None = None,
+    sizes: Sequence[int] = (5, 10, 20),
+    count: int = 200,
     seed: int = 0,
 ) -> RatioReport:
     """Ratio sweep over seeded random families of growing window size.
 
     The hypotheses must hold before anything is drawn. For each size bound
-    N, ``count`` random functions are drawn and their source norm, target
-    norm and ratio recorded; ``sizes`` and ``count`` default to the
-    config's family spec. The whole family for a bound is drawn before any
-    sample is evaluated, and rows are merged in sample-id order, so the
-    result is deterministic for a given seed no matter how the evaluations
-    are scheduled.
+    N in ``sizes``, in order, ``count`` random functions are drawn and their
+    source norm, target norm and ratio recorded; no sizes or a zero count
+    give zero rows and an undefined (nan) supremum. The whole family for a
+    bound is drawn before any sample is evaluated, and rows are merged in
+    sample-id order, so the result is deterministic for a given seed no
+    matter how the evaluations are scheduled.
     """
     require_hypotheses(config)
-    if sizes is None:
-        sizes = config.family.sizes
-    if count is None:
-        count = config.family.count
     if count < 0:
         raise DomainError(f"count must be nonnegative, got {count}")
     rng = random.Random(seed)

@@ -130,14 +130,14 @@ def _modular_terms(
     u: ExponentFunction,
     shift: float = 0.0,
     top: int | None = None,
-) -> tuple[list[tuple[float, float]], float] | None:
+) -> list[tuple[float, float]] | None:
     """The modular of (f - shift) restricted to B_top, as power-sum terms.
 
-    Returns (terms, bound) with rho((f - shift) chi_{B_top} / lam) equal to
-    sum w * lam**(-e) over the (w, e) terms, up to ``bound`` (nonzero only
-    for a mixed inner sum, see :func:`_mixed_inner_sum`): one term per shell
-    of the window and one closed-form term per tail. ``top`` None means the
-    whole space and needs shift 0 (the outer-tail term ignores the shift).
+    rho((f - shift) chi_{B_top} / lam) is the sum of w * lam**(-e) over the
+    returned (w, e) terms (a mixed inner sum is its midpoint, see
+    :func:`_mixed_inner_sum`): one term per shell of the window and one
+    closed-form term per tail. ``top`` None means the whole space and needs
+    shift 0 (the outer-tail term ignores the shift).
     Returns None when a tail series diverges; convergence does not depend
     on lam, since each tail ratio is lam-free. Every nonzero piece of the
     function gets a term, even one whose weight rounded to 0.0, so the
@@ -169,7 +169,7 @@ def _modular_terms(
         inner = _mixed_inner_sum(ctx, amplitude, rate, shift, u.u_inner, upto)
         if inner is None:
             return None
-        psi, bound = inner
+        psi, _ = inner
         # |amplitude * p**(k*rate) - shift| vanishes identically only when
         # amplitude == shift and the tail is flat or zero
         if psi != 0.0 or amplitude != shift or (amplitude != 0.0 and rate != 0.0):
@@ -186,7 +186,7 @@ def _modular_terms(
             terms.append((outer, c))
     except OverflowError as exc:
         raise _norm_overflow() from exc
-    return terms, bound
+    return terms
 
 
 def _norm_overflow() -> NumericOverflowError:
@@ -228,10 +228,10 @@ def modular(f: RadialStepFunction, u: ExponentFunction) -> NormResult:
     """
     _require_same_ctx(f, u)
     window = _union_window(f, u)
-    built = _modular_terms(f, u)
-    if built is None:
+    terms = _modular_terms(f, u)
+    if terms is None:
         return NormResult(math.inf, False, 0.0, window)
-    value = _modular_value(built[0], 1.0)
+    value = _modular_value(terms, 1.0)
     if not math.isfinite(value):
         raise _norm_overflow()
     return NormResult(value, True, 0.0, window)
@@ -370,10 +370,10 @@ def luxemburg_norm(
     _require_same_ctx(f, u)
     _check_rel_tol(rel_tol)
     window = _union_window(f, u)
-    built = _modular_terms(f, u)
-    if built is None:
+    terms = _modular_terms(f, u)
+    if terms is None:
         return NormResult(math.inf, False, 0.0, window)
-    value, half = _solve_luxemburg(built[0], rel_tol)
+    value, half = _solve_luxemburg(terms, rel_tol)
     return NormResult(value, True, half, window)
 
 
@@ -724,15 +724,13 @@ def _shifted_norm(
     shift: float,
     gamma: int,
     rel_tol: float,
-) -> tuple[float, float]:
-    """Luxemburg norm of (b - shift) restricted to B_gamma, as (value, bound).
+) -> float:
+    """Luxemburg norm of (b - shift) restricted to B_gamma.
 
     Only :func:`cmo_norm` calls it, after returning for a decaying inner
     tail, so no tail sum of the modular diverges.
     """
-    terms, psi_bound = _modular_terms(b, u, shift, gamma)
-    value, half = _solve_luxemburg(terms, rel_tol)
-    return value, half + psi_bound
+    return _solve_luxemburg(_modular_terms(b, u, shift, gamma), rel_tol)[0]
 
 
 def _cmo_candidate(
@@ -743,7 +741,7 @@ def _cmo_candidate(
     rel_tol: float,
 ) -> float:
     mean = _mean_of_parts(parts, gamma, b.ctx)
-    numerator, _ = _shifted_norm(b, u, mean, gamma, rel_tol)
+    numerator = _shifted_norm(b, u, mean, gamma, rel_tol)
     if numerator == 0.0:
         return 0.0
     denominator = ball_indicator_norm(u, gamma, rel_tol).value
@@ -795,7 +793,7 @@ def _cmo_envelope_terms(
     amplitude, rate = b.outer_tail
     limit = amplitude if (amplitude != 0.0 and rate == 0.0) else 0.0
 
-    near_norm, _ = _shifted_norm(b, u, limit, ref, rel_tol)
+    near_norm = _shifted_norm(b, u, limit, ref, rel_tol)
     near_integral = abs(ref_integral - limit * ppow(p, n * ref))
 
     rho_chi = ppow(p, -n / u_inf)

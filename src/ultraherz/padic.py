@@ -23,12 +23,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError
-
-#: Shell indices are plain ints; k labels the sphere S_k.
-Shell = int
 
 #: Largest |k| of a shell index accepted at the public API boundary.
 SHELL_LIMIT = 64
@@ -155,12 +151,6 @@ def sphere_measure(gamma: int, ctx: PadicContext) -> Fraction:
     return Fraction(ctx.p) ** (ctx.n * gamma) * (1 - Fraction(ctx.p) ** -ctx.n)
 
 
-@lru_cache(maxsize=256)
-def _unit_range(p: int, resolution: int) -> int:
-    """p^(resolution+1), the size of the truncated digit space of Z_p."""
-    return p ** (resolution + 1)
-
-
 def sample_shells(
     region: str,
     gamma: int,
@@ -203,7 +193,7 @@ def sample_shells(
         raise DomainError(f"region must be 'ball' or 'sphere', got {region!r}")
     ctx.check_shell(gamma, "region index")
     p, n = ctx.p, ctx.n
-    limit = _unit_range(p, resolution)
+    limit = p ** (resolution + 1)  # size of the truncated digit space of Z_p
     bits = limit.bit_length()
     getrandbits = rng.getrandbits
     gcd = math.gcd

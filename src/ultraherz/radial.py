@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import count
 from typing import Callable, Iterator, NamedTuple
 
@@ -223,7 +222,6 @@ def combine(
     return RadialStepFunction(f.ctx, (j_min, j_max), coeffs, inner, outer, vz)
 
 
-@lru_cache(maxsize=None)
 def _unit_mass(ctx: PadicContext) -> float:
     """|S_0| = 1 - p**(-n) as a correctly rounded float."""
     q = ctx.p**ctx.n

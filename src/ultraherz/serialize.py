@@ -23,13 +23,13 @@ Document shapes::
     {"theorem": "T31",
      "exponent": "u.json",
      "alpha": "0.25", "beta": "0.0", "m1": "1.0", "m2": "1.0",
-     "lambda": "0.0",
-     "family": {"sizes": [5, 10, 20], "count": 200}}
+     "lambda": "0.0"}
 
 In a claim configuration the exponent and the optional commutator symbol
 may be inlined as objects or named by file paths relative to the config
-file. Anything malformed raises SerializationError carrying the file path
-and the offending field; so does a key that is no longer read.
+file. Each document (and each nested ``ctx`` and tail) has a fixed set of
+keys. Anything malformed, including a key outside that set, raises
+SerializationError carrying the file path and the offending field.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import os
 from typing import Any
 
 from .errors import SerializationError, UltraherzError
-from .harness import FamilySpec, TheoremConfig
+from .harness import TheoremConfig
 from .padic import PadicContext
 from .radial import ExponentFunction, RadialStepFunction, Tail
 
@@ -73,6 +73,18 @@ def _decode_int(value: Any, field: str, path: str | None) -> int:
             f"expected an integer, got {type(value).__name__}", path, field
         )
     return value
+
+
+def _check_keys(
+    data: dict, keys: tuple[str, ...], path: str | None, prefix: str = ""
+) -> None:
+    """Refuse a key outside ``keys``: it would otherwise be ignored, and the
+    document would silently mean something other than it says."""
+    for key in data:
+        if key not in keys:
+            raise SerializationError(
+                f"unknown field (known: {', '.join(keys)})", path, f"{prefix}{key}"
+            )
 
 
 def _require(data: dict, key: str, path: str | None) -> Any:
@@ -120,6 +132,7 @@ def context_to_dict(ctx: PadicContext) -> dict:
 def context_from_dict(data: Any, path: str | None = None) -> PadicContext:
     if not isinstance(data, dict):
         raise SerializationError("ctx must be an object", path, "ctx")
+    _check_keys(data, ("p", "n"), path, "ctx.")
     p = _decode_int(_require(data, "p", path), "ctx.p", path)
     n = _decode_int(_require(data, "n", path), "ctx.n", path)
     try:
@@ -135,9 +148,13 @@ def _tail_to_dict(tail: Tail) -> dict:
 def _tail_from_dict(data: Any, field: str, path: str | None) -> Tail:
     if not isinstance(data, dict):
         raise SerializationError("tail must be an object with keys A and e", path, field)
+    _check_keys(data, ("A", "e"), path, f"{field}.")
     amplitude = decode_real(_require(data, "A", path), f"{field}.A", path)
     rate = decode_real(_require(data, "e", path), f"{field}.e", path)
     return Tail(amplitude, rate)
+
+
+_FUNCTION_KEYS = ("ctx", "window", "coeffs", "inner_tail", "outer_tail", "value_at_zero")
 
 
 def function_to_dict(f: RadialStepFunction) -> dict:
@@ -156,6 +173,7 @@ def function_from_dict(data: Any, path: str | None = None) -> RadialStepFunction
     """Decode a radial step function; raises SerializationError when malformed."""
     if not isinstance(data, dict):
         raise SerializationError("document root must be an object", path)
+    _check_keys(data, _FUNCTION_KEYS, path)
     ctx = context_from_dict(_require(data, "ctx", path), path)
     window = _decode_window(_require(data, "window", path), "window", path)
     coeffs = _decode_reals(_require(data, "coeffs", path), "coeffs", path)
@@ -167,6 +185,9 @@ def function_from_dict(data: Any, path: str | None = None) -> RadialStepFunction
         return RadialStepFunction(ctx, window, coeffs, inner, outer, value_at_zero)
     except UltraherzError as exc:
         raise SerializationError(str(exc), path) from exc
+
+
+_EXPONENT_KEYS = ("ctx", "window", "values", "u_inner", "u_infinity")
 
 
 def exponent_to_dict(u: ExponentFunction) -> dict:
@@ -184,6 +205,7 @@ def exponent_from_dict(data: Any, path: str | None = None) -> ExponentFunction:
     """Decode an exponent law; raises SerializationError when malformed."""
     if not isinstance(data, dict):
         raise SerializationError("document root must be an object", path)
+    _check_keys(data, _EXPONENT_KEYS, path)
     ctx = context_from_dict(_require(data, "ctx", path), path)
     window = _decode_window(_require(data, "window", path), "window", path)
     values = _decode_reals(_require(data, "values", path), "values", path)
@@ -241,7 +263,6 @@ def theorem_config_to_dict(config: TheoremConfig) -> dict:
         "m1": encode_real(config.m1),
         "m2": encode_real(config.m2),
         "lambda": encode_real(config.lam),
-        "family": {"sizes": list(config.family.sizes), "count": config.family.count},
     }
     if config.symbol is not None:
         data["symbol"] = function_to_dict(config.symbol)
@@ -258,59 +279,25 @@ def _resolve_nested(value: Any, base_dir: str | None) -> Any:
     return _read_json(nested)
 
 
-def _family_from_dict(data: Any, path: str | None) -> FamilySpec:
-    if not isinstance(data, dict):
-        raise SerializationError("family must be an object", path, "family")
-    spec = FamilySpec()
-    sizes = spec.sizes
-    if "sizes" in data:
-        raw = data["sizes"]
-        if not isinstance(raw, (list, tuple)):
-            raise SerializationError("expected a list of integers", path, "family.sizes")
-        sizes = tuple(
-            [_decode_int(item, f"family.sizes[{i}]", path) for i, item in enumerate(raw)]
-        )
-    count = spec.count
-    if "count" in data:
-        count = _decode_int(data["count"], "family.count", path)
-    try:
-        return FamilySpec(sizes, count)
-    except UltraherzError as exc:
-        raise SerializationError(str(exc), path, "family") from exc
-
-
-#: Claim-configuration keys that earlier versions read, with what to do
-#: instead. Unknown keys are ignored, so a dropped key would leave its file
-#: silently meaning something else; these are refused by name.
-_RETIRED_KEYS = {
-    "u": "give the exponent under 'exponent'",
-    "mh_base": "the Morrey-Herz cutoff prefactor base is always the prime p",
-}
+_CLAIM_KEYS = ("theorem", "exponent", "symbol", "alpha", "beta", "m1", "m2", "lambda")
 
 
 def theorem_config_from_dict(
     data: Any,
     path: str | None = None,
-    theorem: str | None = None,
     base_dir: str | None = None,
 ) -> TheoremConfig:
     """Decode a claim configuration.
 
     The ``exponent`` and the optional ``symbol`` may each be inlined as
-    objects or given as file paths, resolved relative to ``base_dir``. A
-    ``theorem`` argument overrides the document's own id, which lets a
-    command-line flag pick the claim while the numeric parameters come from
-    the file.
+    objects or given as file paths, resolved relative to ``base_dir``.
     """
     if not isinstance(data, dict):
         raise SerializationError("document root must be an object", path)
-    for key, hint in _RETIRED_KEYS.items():
-        if key in data:
-            raise SerializationError(f"field is no longer read; {hint}", path, key)
-    if theorem is None:
-        theorem = _require(data, "theorem", path)
-        if not isinstance(theorem, str):
-            raise SerializationError("theorem id must be a string", path, "theorem")
+    _check_keys(data, _CLAIM_KEYS, path)
+    theorem = _require(data, "theorem", path)
+    if not isinstance(theorem, str):
+        raise SerializationError("theorem id must be a string", path, "theorem")
     raw_u = data.get("exponent")
     if raw_u is None:
         raise SerializationError("missing required field", path, "exponent")
@@ -318,9 +305,6 @@ def theorem_config_from_dict(
     symbol = None
     if data.get("symbol") is not None:
         symbol = function_from_dict(_resolve_nested(data["symbol"], base_dir), path)
-    family = FamilySpec()
-    if "family" in data:
-        family = _family_from_dict(data["family"], path)
 
     def real(key: str, default: float) -> float:
         if key not in data:
@@ -337,21 +321,18 @@ def theorem_config_from_dict(
             m2=real("m2", 1.0),
             lam=real("lambda", 0.0),
             symbol=symbol,
-            family=family,
         )
     except UltraherzError as exc:
         raise SerializationError(str(exc), path) from exc
 
 
-def load_theorem_config(path: str, theorem: str | None = None) -> TheoremConfig:
+def load_theorem_config(path: str) -> TheoremConfig:
     """Read a claim configuration from a JSON file.
 
     Nested exponent/symbol file references resolve relative to the config
     file's own directory.
     """
-    return theorem_config_from_dict(
-        _read_json(path), path, theorem=theorem, base_dir=os.path.dirname(path)
-    )
+    return theorem_config_from_dict(_read_json(path), path, base_dir=os.path.dirname(path))
 
 
 def save_theorem_config(config: TheoremConfig, path: str) -> None:

@@ -21,18 +21,18 @@ from ultraherz import (
     ExponentFunction,
     PadicContext,
     RadialStepFunction,
-    SerializationError,
     Tail,
     TheoremConfig,
     conjugate,
     exponent_to_dict,
     function_from_dict,
     hardy,
+    load_exponent,
     load_function,
+    load_theorem_config,
     save_exponent,
     save_function,
     save_theorem_config,
-    theorem_config_from_dict,
 )
 from ultraherz.cli import build_parser, main
 from ultraherz.serialize import WINDOW_CAP
@@ -132,6 +132,30 @@ def test_oracle_integral_task(files, capsys):
     assert payload["samples"] >= 2000
 
 
+def test_oracle_norm_task(files, capsys):
+    argv = ["oracle", "-i", files["f"], "--task", "norm", "--samples", "2000", "--seed", "3"]
+    assert main(argv + ["-u", files["u"]]) == 0
+    payload = _json_out(capsys)
+    spread = 5 * float(payload["std_error"]) + 1e-9
+    assert float(payload["value"]) == pytest.approx(math.sqrt(0.5), abs=spread)
+    assert main(argv) == 1
+    assert "needs --exponent" in capsys.readouterr().err
+
+
+def test_oracle_operator_task(files, tmp_path, capsys):
+    steps = RadialStepFunction(CTX, (-3, 0), (1.0, 2.0, 3.0, 5.0))
+    path = tmp_path / "steps.json"
+    save_function(steps, str(path))
+    code = main(
+        ["oracle", "-i", str(path), "--task", "operator", "--operator", "hardy",
+         "--shell", "1", "--alpha", "0.25", "--samples", "2000", "--seed", "3"]
+    )
+    assert code == 0
+    payload = _json_out(capsys)
+    spread = 5 * float(payload["std_error"]) + 1e-9
+    assert float(payload["value"]) == pytest.approx(hardy(steps, 0.25).evaluate(1), abs=spread)
+
+
 def test_oracle_operator_task_requires_a_shell(files, capsys):
     code = main(["oracle", "-i", files["f"], "--task", "operator"])
     assert code == 1
@@ -162,12 +186,6 @@ def test_validate_violated_claim(files, capsys):
     out = capsys.readouterr().out
     assert "FAIL alpha-range" in out
     assert "claim T31: hypotheses violated" in out
-
-
-def test_validate_theorem_flag_overrides_the_file(files, capsys):
-    code = main(["validate", "--config", files["tc"], "--theorem", "C31"])
-    assert code == 2
-    assert "alpha-zero" in capsys.readouterr().out
 
 
 def test_sweep_csv_on_stdout_is_seeded(files, capsys):
@@ -236,9 +254,11 @@ def test_check_all_lemmas_prints_one_line_each(capsys):
     ]
 
 
-def _readme_usage() -> dict[str, str]:
-    """The README's command-line block: each subcommand's lines, by name."""
-    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+def _readme_usage(block_index: int = 1) -> dict[str, str]:
+    """A code block of the README's command-line section (1 is the usage
+    block, 3 the examples): each subcommand's lines, by name."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```")[block_index].split("\n", 1)[1]  # past the fence tag
     usage: dict[str, str] = {}
     for line in block.splitlines():
         words = line.split()
@@ -252,7 +272,8 @@ def _readme_usage() -> dict[str, str]:
 
 def test_readme_usage_block_lists_every_option():
     """Every option of every subcommand appears, by one of its spellings, on
-    that subcommand's lines of the README's command-line block."""
+    that subcommand's lines of the README's command-line block, and those
+    lines (and the examples) name no option that the subcommand lacks."""
     usage = _readme_usage()
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -265,6 +286,24 @@ def test_readme_usage_block_lists_every_option():
                 re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", usage[name])
                 for option in action.option_strings
             ), f"README usage of {name!r} lacks {'/'.join(action.option_strings)}"
+    for lines in (usage, _readme_usage(3)):
+        for name, text in lines.items():
+            known = commands.choices[name]._option_string_actions
+            for option in re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", text):
+                assert option in known, f"README names {option} for {name!r}, which lacks it"
+
+
+def test_readme_input_file_examples_decode(tmp_path):
+    """The README's f.json, u.json and tc.json examples load through the
+    strict decoders, the claim config with its exponent named by path."""
+    section = README.read_text().split("## Input files", 1)[1].split("## Command line")[0]
+    for name in ("f.json", "u.json", "tc.json"):
+        example = section.split(f"`{name}`", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        (tmp_path / name).write_text(example)
+    assert load_function(str(tmp_path / "f.json")).evaluate(1) == 0.5
+    u = load_exponent(str(tmp_path / "u.json"))
+    config = load_theorem_config(str(tmp_path / "tc.json"))
+    assert config.u == u and config.theorem == "T31"
 
 
 def test_usage_errors_exit_one(files, capsys):
@@ -437,26 +476,38 @@ def test_missing_input_file_exits_one(files, capsys):
 
 
 def test_retired_inputs_fail_loudly(files, tmp_path, capsys):
-    """A claim config with a retired key is refused by name rather than read
-    as something else; the retired subcommand and flag are usage errors."""
+    """A file with a retired or misspelt key is refused by name rather than
+    read as something else; the retired subcommand and flags are usage
+    errors."""
     exponent = exponent_to_dict(ExponentFunction.constant(CTX, 2.0))
-    for key, data in [
-        ("mh_base", {"theorem": "T41", "exponent": exponent, "mh_base": "2.0"}),
-        ("u", {"theorem": "T41", "u": exponent}),
+    claim = {"theorem": "T41", "exponent": exponent}
+    f = json.loads(Path(files["f"]).read_text())
+    for key, command, data in [
+        ("family", "sweep", {**claim, "family": {"sizes": [3], "count": 2}}),
+        ("mh_base", "validate", {**claim, "mh_base": "2.0"}),
+        ("u", "validate", {"theorem": "T41", "u": exponent}),
+        ("lamda", "validate", {**claim, "lamda": "0.5"}),
+        ("coefs", "norm", {**f, "coefs": ["1"]}),
+        ("inner_tail.rate", "norm", {**f, "inner_tail": {"A": 1, "rate": 0}}),
+        ("ctx.dim", "norm", {**f, "ctx": {"p": 2, "n": 1, "dim": 1}}),
     ]:
-        with pytest.raises(SerializationError) as err:
-            theorem_config_from_dict(data)
-        assert err.value.field == key
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps(data))
-        assert main(["validate", "--config", str(path)]) == 1
+        if command == "norm":
+            argv = ["norm", "-i", str(path), "-u", files["u"]]
+        else:
+            argv = [command, "--config", str(path)]
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and f"'{key}'" in captured.err
+        assert "Traceback" not in captured.err
     for argv in (
         ["cmo", "--symbol", files["f"], "-u", files["u"]],
         ["norm", "--space", "morrey-herz", "--lambda", "0.2", "--mh-base", "2",
          "-i", files["f"], "-u", files["u"]],
+        ["validate", "--config", files["tc"], "--theorem", "T31"],
+        ["sweep", "--config", files["tc"], "--theorem", "T31"],
     ):
         assert main(argv) == 1
         captured = capsys.readouterr()

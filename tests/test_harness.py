@@ -11,7 +11,6 @@ import pytest
 from ultraherz import (
     DomainError,
     ExponentFunction,
-    FamilySpec,
     HypothesisViolationError,
     PadicContext,
     RadialStepFunction,
@@ -269,13 +268,6 @@ def test_sweep_report_contents():
     assert header == "sample_id,N,source_norm,target_norm,ratio"
 
 
-def test_sweep_defaults_come_from_the_config_family():
-    config = TheoremConfig("T31", U2, alpha=0.25, family=FamilySpec((2,), 3))
-    report = sweep(config, seed=1)
-    assert len(report.rows) == 3
-    assert report.sizes() == (2,)
-
-
 def test_empty_sweep_has_undefined_supremum():
     report = sweep(_t31(), sizes=(3,), count=0, seed=1)
     assert report.rows == ()
@@ -397,13 +389,6 @@ def test_lemma_arguments_are_validated():
 
 
 # --- configuration validation ------------------------------------------------
-
-
-def test_family_spec_rejects_negative_entries():
-    with pytest.raises(DomainError):
-        FamilySpec((3, -1))
-    with pytest.raises(DomainError):
-        FamilySpec((3,), -2)
 
 
 def test_theorem_config_rejects_bad_inputs():

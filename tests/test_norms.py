@@ -392,6 +392,16 @@ def test_morrey_herz_positive_lambda_tames_divergent_weight():
     assert math.isfinite(tamed.value)
 
 
+def test_morrey_herz_reports_divergence_at_either_end():
+    """Candidates that grow without bound past the window, above (outer
+    drift beyond lambda) or below (an inner tail too heavy for the weight),
+    give an infinite, non-convergent norm rather than a scan."""
+    params = MorreyHerzParams(0.0, 2.0, 0.25)
+    for tails in ({"outer_tail": Tail(1.0, 1.0)}, {"inner_tail": Tail(1.0, -0.5)}):
+        result = morrey_herz_norm(RadialStepFunction(CTX, (0, 0), (1.0,), **tails), U2, params)
+        assert result.value == math.inf and not result.convergent
+
+
 def test_ball_indicator_norm_matches_bisection():
     rng = random.Random(6006)
     for _ in range(25):
@@ -411,6 +421,15 @@ def test_cmo_ball_indicator_half():
 
 def test_cmo_constant_is_zero():
     assert cmo_norm(RadialStepFunction.constant(CTX, 3.0), U2).value == 0.0
+
+
+def test_cmo_of_an_unbounded_symbol_diverges():
+    """A growing outer tail, or an inner tail that blows up at the origin
+    while staying integrable (rate in (-n, 0)), has unbounded oscillation."""
+    for tails in ({"outer_tail": Tail(1.0, 0.5)}, {"inner_tail": Tail(1.0, -0.5)}):
+        b = RadialStepFunction(CTX, (0, 1), (1.0, 2.0), **tails)
+        result = cmo_norm(b, U2)
+        assert result.value == math.inf and not result.convergent
 
 
 def test_cmo_scan_past_the_float_range_raises_a_typed_error():

@@ -222,6 +222,34 @@ def test_duality_pairing_with_diagonal_correction():
     assert shell_diagonal(s, s, 0.0) == 0.25
 
 
+def test_duality_pairing_with_tails_on_the_same_side():
+    """Both functions carry an inner tail, so the diagonal correction sums
+    the product of the two tails in closed form. The adjoint needs a vanishing
+    inner tail, so it acts on g written out shell by shell down to -60, which
+    changes the pairing by about 2**-90."""
+    rng = random.Random(4242)
+    for _ in range(20):
+        f = RadialStepFunction(
+            CTX, (-1, 1), tuple(rng.uniform(-3.0, 3.0) for _ in range(3)),
+            inner_tail=Tail(rng.uniform(0.5, 2.0), rng.choice((0.0, 0.5, 1.0))),
+        )
+        g = RadialStepFunction(
+            CTX, (-2, 0), tuple(rng.uniform(-3.0, 3.0) for _ in range(3)),
+            inner_tail=Tail(rng.uniform(-2.0, 2.0), rng.choice((0.0, 0.5))),
+        )
+        g_written_out = RadialStepFunction(
+            CTX, (-60, 0), tuple(g.evaluate(k) for k in range(-60, 1))
+        )
+        alpha = rng.uniform(0.0, 0.9)
+        lhs = total_integral(combine(g, hardy(f, alpha), "multiply"))
+        rhs = total_integral(combine(f, hardy_adjoint(g_written_out, alpha), "multiply"))
+        diagonal = shell_diagonal(f, g, alpha)
+        assert lhs == pytest.approx(rhs + diagonal, rel=1e-9, abs=1e-12)
+        # the tail-by-tail term is part of the correction
+        window_only = shell_diagonal(f, RadialStepFunction(CTX, g.window, g.coeffs), alpha)
+        assert abs(diagonal - window_only) > 1e-6
+
+
 def test_apply_operator_dispatch():
     f = RadialStepFunction.indicator_ball(CTX, 0)
     assert apply_operator(OperatorSpec("hardy", 0.25), f).evaluate(0) == hardy(f, 0.25).evaluate(0)

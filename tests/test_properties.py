@@ -226,7 +226,7 @@ def test_maximal_window_is_the_suffix_max_of_ball_means(data):
 
 def _cmo_candidate_by_ball_mean(b, u, gamma, rel_tol):
     """The CMO ratio at B_gamma, with the mean recomputed by ``ball_mean``."""
-    numerator, _ = _shifted_norm(b, u, ball_mean(b, gamma), gamma, rel_tol)
+    numerator = _shifted_norm(b, u, ball_mean(b, gamma), gamma, rel_tol)
     if not math.isfinite(numerator):
         return math.inf
     if numerator == 0.0:

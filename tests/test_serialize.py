@@ -9,7 +9,6 @@ import pytest
 
 from ultraherz import (
     ExponentFunction,
-    FamilySpec,
     PadicContext,
     RadialStepFunction,
     SerializationError,
@@ -128,7 +127,7 @@ def test_theorem_config_round_trip():
     b = RadialStepFunction(CTX, (0, 1), (1.0, -1.0))
     config = TheoremConfig(
         "T42", u, alpha=0.125, beta=0.25, m1=1.0, m2=2.0, lam=0.5,
-        symbol=b, family=FamilySpec((3, 6), 40),
+        symbol=b,
     )
     assert theorem_config_from_dict(theorem_config_to_dict(config)) == config
 
@@ -138,9 +137,6 @@ def test_theorem_config_defaults_and_overrides():
     data = {"theorem": "C31", "exponent": exponent_to_dict(u)}
     config = theorem_config_from_dict(data)
     assert config.alpha == 0.0 and config.m1 == 1.0 and config.lam == 0.0
-    assert config.family == FamilySpec()
-    overridden = theorem_config_from_dict(data, theorem="C41")
-    assert overridden.theorem == "C41"
 
 
 def test_theorem_config_nested_paths_resolve_relative(tmp_path):
@@ -162,10 +158,35 @@ def test_theorem_config_bad_ids_are_serialization_errors(tmp_path):
 
 
 def test_theorem_config_family_validation():
+    """The sweep's sizes and count are the caller's arguments; a ``family``
+    block in the file is refused by name, not ignored."""
     u = ExponentFunction.constant(CTX, 2.0)
-    data = {"theorem": "C31", "exponent": exponent_to_dict(u), "family": {"sizes": [3, -1]}}
-    with pytest.raises(SerializationError):
+    data = {"theorem": "C31", "exponent": exponent_to_dict(u), "family": {"sizes": [3]}}
+    with pytest.raises(SerializationError) as err:
         theorem_config_from_dict(data)
+    assert err.value.field == "family"
+    assert "'family'" in str(err.value)
+
+
+def test_every_decoder_refuses_an_unknown_key_by_name():
+    """A retired or misspelt key is refused, never read as its default."""
+    u = exponent_to_dict(ExponentFunction.constant(CTX, 2.0))
+    f = function_to_dict(_sample_function())
+    claim = {"theorem": "T41", "exponent": u}
+    cases = [
+        (theorem_config_from_dict, {**claim, "lamda": "0.5"}, "lamda"),
+        (theorem_config_from_dict, {**claim, "mh_base": "2.0"}, "mh_base"),
+        (theorem_config_from_dict, {"theorem": "T41", "u": u}, "u"),
+        (theorem_config_from_dict, {**claim, "exponent": {**u, "u_inf": "2"}}, "u_inf"),
+        (exponent_from_dict, {**u, "ctx": {"p": 2, "n": 1, "dim": 1}}, "ctx.dim"),
+        (function_from_dict, {**f, "coefs": f["coeffs"]}, "coefs"),
+        (function_from_dict, {**f, "inner_tail": {"A": 1, "rate": 0}}, "inner_tail.rate"),
+        (function_from_dict, {**f, "outer_tail": {"A": 1, "e": -2, "B": 0}}, "outer_tail.B"),
+    ]
+    for decode, data, field in cases:
+        with pytest.raises(SerializationError) as err:
+            decode(data)
+        assert err.value.field == field
 
 
 def test_theorem_config_file_round_trip(tmp_path):
