@@ -330,11 +330,14 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with every subcommand or only ``command``.
+def build_parser() -> argparse.ArgumentParser:
+    """The full argument parser, with every subcommand.
 
-    ``main`` passes the subcommand it runs, so a call does not pay for
-    building the five it does not use.
+    ``main`` uses it only when the first argument names no subcommand (none,
+    an option such as ``--help``, or a typo), for the full help or usage
+    error. A known subcommand is parsed by a standalone parser that the
+    same argument builder fills, so it takes the same options and prints
+    the same help as that subcommand here.
     """
     parser = argparse.ArgumentParser(
         prog="ultraherz",
@@ -343,19 +346,24 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_args) in _SUBCOMMANDS.items():
-        if command is None or name == command:
-            add_args(sub.add_parser(name, help=help_text))
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # anything but a subcommand name first (none, an option, a typo) gets
-    # the full parser, for the full help or usage error
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        # a subcommand name first is parsed by that subcommand's parser
+        # alone: building the other five and the subparsers level would cost
+        # more than the parse, and a usage error then shows this
+        # subcommand's usage; anything else gets the full parser
+        if argv and argv[0] in _SUBCOMMANDS:
+            parser = argparse.ArgumentParser(prog=f"ultraherz {argv[0]}")
+            _SUBCOMMANDS[argv[0]][1](parser)
+            args = parser.parse_args(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; this tool reserves 2 for
         # hypothesis violations, so usage problems map to 1.

@@ -326,9 +326,20 @@ def boundedness_ratio(config: TheoremConfig, f: RadialStepFunction) -> RatioSamp
     samples come back with ``ratio = nan`` as a skip marker; sweep suprema
     ignore them.
     """
+    return _ratio(config, config.operator_spec(), config.target_exponent(), f)
+
+
+def _ratio(
+    config: TheoremConfig,
+    spec: OperatorSpec,
+    v: ExponentFunction,
+    f: RadialStepFunction,
+) -> RatioSample:
+    """``boundedness_ratio`` with the claim's operator and target exponent
+    given, so a sweep derives them once rather than once per function."""
     source = _space_norm(f, config.u, config, config.m1).value
-    image = apply_operator(config.operator_spec(), f)
-    target = _space_norm(image, config.target_exponent(), config, config.m2).value
+    image = apply_operator(spec, f)
+    target = _space_norm(image, v, config, config.m2).value
     if source == 0.0 or math.isinf(source):
         ratio = math.nan
     else:
@@ -435,11 +446,12 @@ def sweep(
     if count < 0:
         raise DomainError(f"count must be nonnegative, got {count}")
     rng = random.Random(seed)
+    spec, v = config.operator_spec(), config.target_exponent()
     rows: list[SweepRow] = []
     sample_id = 0
     for size_bound in sizes:
         for f in random_family(config.ctx, size_bound, count, rng):
-            sample = boundedness_ratio(config, f)
+            sample = _ratio(config, spec, v, f)
             rows.append(SweepRow(sample_id, size_bound, *sample))
             sample_id += 1
     params: dict[str, object] = {

@@ -87,9 +87,9 @@ def _check_keys(
             )
 
 
-def _require(data: dict, key: str, path: str | None) -> Any:
+def _require(data: dict, key: str, path: str | None, prefix: str = "") -> Any:
     if key not in data:
-        raise SerializationError("missing required field", path, key)
+        raise SerializationError("missing required field", path, f"{prefix}{key}")
     return data[key]
 
 
@@ -129,16 +129,20 @@ def context_to_dict(ctx: PadicContext) -> dict:
     return {"p": ctx.p, "n": ctx.n}
 
 
-def context_from_dict(data: Any, path: str | None = None) -> PadicContext:
+def context_from_dict(
+    data: Any, path: str | None = None, field: str = "ctx"
+) -> PadicContext:
+    """Decode a ``ctx`` object found at the dotted ``field`` of its file."""
     if not isinstance(data, dict):
-        raise SerializationError("ctx must be an object", path, "ctx")
-    _check_keys(data, ("p", "n"), path, "ctx.")
-    p = _decode_int(_require(data, "p", path), "ctx.p", path)
-    n = _decode_int(_require(data, "n", path), "ctx.n", path)
+        raise SerializationError("ctx must be an object", path, field)
+    pre = f"{field}."
+    _check_keys(data, ("p", "n"), path, pre)
+    p = _decode_int(_require(data, "p", path, pre), pre + "p", path)
+    n = _decode_int(_require(data, "n", path, pre), pre + "n", path)
     try:
         return PadicContext(p, n)
     except UltraherzError as exc:
-        raise SerializationError(str(exc), path, "ctx") from exc
+        raise SerializationError(str(exc), path, field) from exc
 
 
 def _tail_to_dict(tail: Tail) -> dict:
@@ -148,9 +152,10 @@ def _tail_to_dict(tail: Tail) -> dict:
 def _tail_from_dict(data: Any, field: str, path: str | None) -> Tail:
     if not isinstance(data, dict):
         raise SerializationError("tail must be an object with keys A and e", path, field)
-    _check_keys(data, ("A", "e"), path, f"{field}.")
-    amplitude = decode_real(_require(data, "A", path), f"{field}.A", path)
-    rate = decode_real(_require(data, "e", path), f"{field}.e", path)
+    pre = f"{field}."
+    _check_keys(data, ("A", "e"), path, pre)
+    amplitude = decode_real(_require(data, "A", path, pre), pre + "A", path)
+    rate = decode_real(_require(data, "e", path, pre), pre + "e", path)
     return Tail(amplitude, rate)
 
 
@@ -169,22 +174,30 @@ def function_to_dict(f: RadialStepFunction) -> dict:
     }
 
 
-def function_from_dict(data: Any, path: str | None = None) -> RadialStepFunction:
-    """Decode a radial step function; raises SerializationError when malformed."""
+def function_from_dict(
+    data: Any, path: str | None = None, field: str | None = None
+) -> RadialStepFunction:
+    """Decode a radial step function; raises SerializationError when malformed.
+
+    ``field`` is the dotted field of a function nested in a larger document,
+    such as ``symbol``; every field an error names starts with it.
+    """
     if not isinstance(data, dict):
-        raise SerializationError("document root must be an object", path)
-    _check_keys(data, _FUNCTION_KEYS, path)
-    ctx = context_from_dict(_require(data, "ctx", path), path)
-    window = _decode_window(_require(data, "window", path), "window", path)
-    coeffs = _decode_reals(_require(data, "coeffs", path), "coeffs", path)
-    inner = _tail_from_dict(data.get("inner_tail", {"A": 0, "e": 0}), "inner_tail", path)
-    outer = _tail_from_dict(data.get("outer_tail", {"A": 0, "e": 0}), "outer_tail", path)
+        raise SerializationError("document root must be an object", path, field)
+    pre = f"{field}." if field else ""
+    _check_keys(data, _FUNCTION_KEYS, path, pre)
+    ctx = context_from_dict(_require(data, "ctx", path, pre), path, pre + "ctx")
+    window = _decode_window(_require(data, "window", path, pre), pre + "window", path)
+    coeffs = _decode_reals(_require(data, "coeffs", path, pre), pre + "coeffs", path)
+    zero = {"A": 0, "e": 0}
+    inner = _tail_from_dict(data.get("inner_tail", zero), pre + "inner_tail", path)
+    outer = _tail_from_dict(data.get("outer_tail", zero), pre + "outer_tail", path)
     vz = data.get("value_at_zero")
-    value_at_zero = None if vz is None else decode_real(vz, "value_at_zero", path)
+    value_at_zero = None if vz is None else decode_real(vz, pre + "value_at_zero", path)
     try:
         return RadialStepFunction(ctx, window, coeffs, inner, outer, value_at_zero)
     except UltraherzError as exc:
-        raise SerializationError(str(exc), path) from exc
+        raise SerializationError(str(exc), path, field) from exc
 
 
 _EXPONENT_KEYS = ("ctx", "window", "values", "u_inner", "u_infinity")
@@ -201,20 +214,29 @@ def exponent_to_dict(u: ExponentFunction) -> dict:
     }
 
 
-def exponent_from_dict(data: Any, path: str | None = None) -> ExponentFunction:
-    """Decode an exponent law; raises SerializationError when malformed."""
+def exponent_from_dict(
+    data: Any, path: str | None = None, field: str | None = None
+) -> ExponentFunction:
+    """Decode an exponent law; raises SerializationError when malformed.
+
+    ``field`` is the dotted field of an exponent nested in a larger document,
+    such as ``exponent``; every field an error names starts with it.
+    """
     if not isinstance(data, dict):
-        raise SerializationError("document root must be an object", path)
-    _check_keys(data, _EXPONENT_KEYS, path)
-    ctx = context_from_dict(_require(data, "ctx", path), path)
-    window = _decode_window(_require(data, "window", path), "window", path)
-    values = _decode_reals(_require(data, "values", path), "values", path)
-    u_inner = decode_real(_require(data, "u_inner", path), "u_inner", path)
-    u_infinity = decode_real(_require(data, "u_infinity", path), "u_infinity", path)
+        raise SerializationError("document root must be an object", path, field)
+    pre = f"{field}." if field else ""
+    _check_keys(data, _EXPONENT_KEYS, path, pre)
+    ctx = context_from_dict(_require(data, "ctx", path, pre), path, pre + "ctx")
+    window = _decode_window(_require(data, "window", path, pre), pre + "window", path)
+    values = _decode_reals(_require(data, "values", path, pre), pre + "values", path)
+    u_inner = decode_real(_require(data, "u_inner", path, pre), pre + "u_inner", path)
+    u_infinity = decode_real(
+        _require(data, "u_infinity", path, pre), pre + "u_infinity", path
+    )
     try:
         return ExponentFunction(ctx, window, values, u_inner, u_infinity)
     except UltraherzError as exc:
-        raise SerializationError(str(exc), path) from exc
+        raise SerializationError(str(exc), path, field) from exc
 
 
 def _read_json(path: str) -> Any:
@@ -301,10 +323,11 @@ def theorem_config_from_dict(
     raw_u = data.get("exponent")
     if raw_u is None:
         raise SerializationError("missing required field", path, "exponent")
-    u = exponent_from_dict(_resolve_nested(raw_u, base_dir), path)
+    u = exponent_from_dict(_resolve_nested(raw_u, base_dir), path, "exponent")
     symbol = None
     if data.get("symbol") is not None:
-        symbol = function_from_dict(_resolve_nested(data["symbol"], base_dir), path)
+        raw_symbol = _resolve_nested(data["symbol"], base_dir)
+        symbol = function_from_dict(raw_symbol, path, "symbol")
 
     def real(key: str, default: float) -> float:
         if key not in data:

@@ -432,15 +432,49 @@ def _signature(parser: argparse.ArgumentParser) -> list[tuple]:
     ]
 
 
+def _parser_main_builds(command: str, monkeypatch) -> argparse.ArgumentParser:
+    """The parser that ``main([command])`` parses with, caught at parse time."""
+    built = []
+
+    def record(self, args=None, namespace=None):
+        built.append(self)
+        raise SystemExit(0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "parse_args", record)
+        assert main([command]) == 0
+    return built[0]
+
+
 @pytest.mark.parametrize("command", sorted(_subparsers(build_parser())))
-def test_one_command_parser_matches_the_full_parser(command):
-    """``main`` builds only the subcommand it runs; that subparser must take
-    the same options, defaults and handler as in the full parser."""
+def test_one_command_parser_matches_the_full_parser(command, monkeypatch):
+    """``main`` parses a subcommand with that subcommand's parser alone; it
+    must take the same options, defaults and handler, and print the same
+    help, as the subcommand in the full parser."""
+    alone = _parser_main_builds(command, monkeypatch)
     full = _subparsers(build_parser())[command]
-    alone = _subparsers(build_parser(command))
-    assert list(alone) == [command]
-    assert _signature(alone[command]) == _signature(full)
-    assert alone[command]._defaults == full._defaults
+    assert _signature(alone) == _signature(full)
+    assert alone._defaults == full._defaults
+    assert alone.format_help() == full.format_help()
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers(build_parser())))
+def test_a_known_command_builds_no_subparsers(command, monkeypatch, capsys):
+    def refuse(self, **kwargs):
+        raise AssertionError("main built a subparsers action")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", refuse)
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: ultraherz {command} ")
+
+
+def test_usage_error_after_a_command_shows_that_commands_usage(files, capsys):
+    assert main(["validate", "--config", files["tc"], "--theorem", "T31"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ultraherz validate [-h] --config CONFIG")
+    error = "ultraherz validate: error: unrecognized arguments: --theorem T31"
+    assert error in captured.err
 
 
 def test_no_command_or_an_unknown_one_exits_one(capsys):

@@ -322,6 +322,22 @@ def test_sweep_csv_bytes_are_pinned(name):
     assert hashlib.sha256(csv.encode()).hexdigest() == expected
 
 
+@pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
+def test_sweep_rows_match_boundedness_ratio(name):
+    """A sweep derives the operator and target exponent once; each row must
+    still equal ``boundedness_ratio`` on its function, compared by repr so a
+    row skipped as nan compares equal too."""
+    config = SWEEP_DIGESTS[name][0]()
+    sizes, count, seed = (5, 20), 20, 3
+    report = sweep(config, sizes=sizes, count=count, seed=seed)
+    rng = random.Random(seed)
+    family = [f for size in sizes for f in random_family(config.ctx, size, count, rng)]
+    assert len(report.rows) == len(family) == len(sizes) * count
+    for row, f in zip(report.rows, family):
+        expected = boundedness_ratio(config, f)
+        assert repr(tuple(row[2:])) == repr(tuple(expected))
+
+
 # --- sharpness probe ---------------------------------------------------------
 
 

@@ -177,7 +177,8 @@ def test_every_decoder_refuses_an_unknown_key_by_name():
         (theorem_config_from_dict, {**claim, "lamda": "0.5"}, "lamda"),
         (theorem_config_from_dict, {**claim, "mh_base": "2.0"}, "mh_base"),
         (theorem_config_from_dict, {"theorem": "T41", "u": u}, "u"),
-        (theorem_config_from_dict, {**claim, "exponent": {**u, "u_inf": "2"}}, "u_inf"),
+        (theorem_config_from_dict, {**claim, "exponent": {**u, "u_inf": "2"}},
+         "exponent.u_inf"),
         (exponent_from_dict, {**u, "ctx": {"p": 2, "n": 1, "dim": 1}}, "ctx.dim"),
         (function_from_dict, {**f, "coefs": f["coeffs"]}, "coefs"),
         (function_from_dict, {**f, "inner_tail": {"A": 1, "rate": 0}}, "inner_tail.rate"),
@@ -187,6 +188,35 @@ def test_every_decoder_refuses_an_unknown_key_by_name():
         with pytest.raises(SerializationError) as err:
             decode(data)
         assert err.value.field == field
+
+
+_U = exponent_to_dict(ExponentFunction.constant(PadicContext(2, 1), 2.0))
+_F = {"ctx": {"p": 2, "n": 1}, "window": [0, 0], "coeffs": [1]}
+_C32 = {"theorem": "C32", "exponent": _U}
+
+
+@pytest.mark.parametrize(
+    "decode, data, field",
+    [
+        (function_from_dict, {**_F, "ctx": {"n": 1}}, "ctx.p"),
+        (function_from_dict, {**_F, "inner_tail": {"e": 0}}, "inner_tail.A"),
+        (theorem_config_from_dict, {**_C32, "exponent": {**_U, "ctx": {"p": 2}}},
+         "exponent.ctx.n"),
+        (theorem_config_from_dict, {**_C32, "symbol": {**_F, "outer_tail": {"A": 0}}},
+         "symbol.outer_tail.e"),
+        (theorem_config_from_dict, {**_C32, "symbol": {**_F, "coefs": [1]}},
+         "symbol.coefs"),
+    ],
+    ids=["ctx.p", "inner_tail.A", "exponent.ctx.n",
+         "symbol.outer_tail.e", "symbol.coefs"],
+)
+def test_a_nested_field_is_named_by_its_full_path(decode, data, field):
+    """A missing or unknown key inside a nested object is named with its
+    parents (an unknown key of an inlined exponent is checked above)."""
+    with pytest.raises(SerializationError) as err:
+        decode(data)
+    assert err.value.field == field
+    assert f"at field '{field}'" in str(err.value)
 
 
 def test_theorem_config_file_round_trip(tmp_path):
