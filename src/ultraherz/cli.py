@@ -228,7 +228,7 @@ def _apply_args(apply_parser: argparse.ArgumentParser) -> None:
     apply_parser.add_argument(
         "--operator",
         required=True,
-        choices=("hardy", "adjoint", "commutator", "maximal"),
+        choices=("hardy", "adjoint", "commutator"),
     )
     apply_parser.add_argument("--alpha", type=float, default=0.0)
     apply_parser.add_argument("--symbol", help="commutator symbol JSON file")

@@ -19,15 +19,6 @@ applicability in practice.
 The commutator [b, H_a] f = b * H_a f - H_a (b f) is assembled from the
 pointwise algebra in :mod:`ultraherz.radial`, so tail-mismatch errors from
 there propagate unchanged.
-
-The maximal operator uses the ultrametric dichotomy: a ball containing x
-either contains the origin (a central ball B_g with g >= shell(x)) or sits
-inside the sphere of x, where a radial |f| is constant. Hence
-
-    (M f)(x) = max(|F(k)|, sup over g >= k of mean(|f|, B_g)),  k = shell(x),
-
-and the supremum is an exact suffix maximum because the ball means decay
-like p**(-n*g) above the support window.
 """
 
 from __future__ import annotations
@@ -39,7 +30,6 @@ from itertools import islice
 from .errors import ClassClosureError, DomainError
 from .padic import ppow
 from .radial import (
-    _SCAN_CAP,
     RadialStepFunction,
     Tail,
     _float_value,
@@ -49,7 +39,7 @@ from .radial import (
     combine,
 )
 
-_KINDS = ("hardy", "adjoint", "commutator", "maximal")
+_KINDS = ("hardy", "adjoint", "commutator")
 
 
 @dataclass(frozen=True)
@@ -69,8 +59,6 @@ class OperatorSpec:
             raise DomainError(f"operator order must be finite, got {self.alpha}")
         if self.kind == "commutator" and self.symbol is None:
             raise DomainError("commutator requires a symbol function")
-        if self.kind == "maximal" and self.alpha != 0.0:
-            raise DomainError("the maximal operator takes no order parameter")
 
 
 def apply_operator(spec: OperatorSpec, f: RadialStepFunction) -> RadialStepFunction:
@@ -79,10 +67,8 @@ def apply_operator(spec: OperatorSpec, f: RadialStepFunction) -> RadialStepFunct
         return hardy(f, spec.alpha)
     if spec.kind == "adjoint":
         return hardy_adjoint(f, spec.alpha)
-    if spec.kind == "commutator":
-        assert spec.symbol is not None
-        return commutator(spec.symbol, f, spec.alpha)
-    return maximal(f)
+    assert spec.symbol is not None
+    return commutator(spec.symbol, f, spec.alpha)
 
 
 def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
@@ -191,99 +177,6 @@ def commutator(
     left = combine(b, hardy(f, alpha), "multiply")
     right = hardy(combine(b, f, "multiply"), alpha)
     return combine(left, right.scale(-1.0), "add")
-
-
-def maximal(f: RadialStepFunction) -> RadialStepFunction:
-    """The central maximal function of f, exactly.
-
-    Above the support window the ball means decay like p**(-n*g), so the
-    suffix supremum is a backward recursion with an explicit seed. Below the
-    window the means follow the inner tail's power law; the output freezes
-    at the global mean level once the pointwise values drop beneath it, with
-    the window widened down to that crossover shell.
-    """
-    ctx = f.ctx
-    p, n = ctx.p, ctx.n
-    if f.outer_tail.amplitude != 0.0:
-        raise ClassClosureError(
-            "maximal needs a vanishing outer tail: the suffix of ball means "
-            "would mix two decay rates; widen the explicit window instead"
-        )
-    g = f.absolute()
-    j_min, j_max = f.window
-    mass = _unit_mass(ctx)
-
-    parts = islice(_running_parts(g, j_min), j_max - j_min + 1)
-    integrals = [_float_value(*part) for part in parts]
-    # The outer tail vanishes, so B_j_max already holds the total integral.
-    total = integrals[-1]
-
-    suffix = total * ppow(p, -n * (j_max + 1))
-    suffix_at: dict[int, float] = {}
-    for k in range(j_max, j_min - 1, -1):
-        suffix = max(integrals[k - j_min] * ppow(p, -n * k), suffix)
-        suffix_at[k] = suffix
-    s_window = suffix_at[j_min]
-
-    coeffs = [max(g.evaluate(k), suffix_at[k]) for k in range(j_min, j_max + 1)]
-    outer = Tail(total, -n)
-    value_at_zero: float | None = None
-
-    amplitude, rate = g.inner_tail
-    lo = j_min
-    if amplitude == 0.0 or rate == 0.0:
-        inner = Tail(max(amplitude, s_window), 0.0)
-    else:
-        # below the window the mean of g over B_k is mu * p**(k*rate)
-        mu = _geometric_tail(amplitude * mass, p, -(rate + n), 0, below=False)
-        if rate > 0.0:
-            level = max(mu * ppow(p, (j_min - 1) * rate), s_window)
-            lo = _crossover(j_min - 1, p, amplitude, rate, level) + 1
-            front = [max(amplitude * ppow(p, k * rate), level) for k in range(lo, j_min)]
-            inner = Tail(level, 0.0)
-        else:
-            lo = _crossover(j_min - 1, p, mu, rate, s_window) + 1
-            front = [s_window] * (j_min - lo)
-            inner = Tail(mu, rate)
-            value_at_zero = math.inf
-        coeffs = front + coeffs
-
-    return RadialStepFunction(
-        ctx, (lo, j_max), tuple(coeffs), inner, outer, value_at_zero=value_at_zero
-    )
-
-
-def _crossover(start: int, p: int, amplitude: float, rate: float, level: float) -> int:
-    """Largest shell k <= start at which amplitude * p**(k*rate) has crossed level.
-
-    The power law lies at or below ``level`` there for rate > 0, at or above
-    it for rate < 0, so the crossover is the half-line
-    k <= log(level / amplitude) / (rate * log p). Start at that shell and
-    confirm the boundary by the comparison itself. A crossover more than
-    _SCAN_CAP shells below ``start`` raises DomainError.
-    """
-
-    def crossed(k: int) -> bool:
-        value = amplitude * ppow(p, k * rate)
-        return value <= level if rate > 0 else value >= level
-
-    if crossed(start):
-        return start
-    try:
-        bound = (math.log(level) - math.log(amplitude)) / (rate * math.log(p))
-    except (ValueError, ZeroDivisionError):
-        bound = -math.inf
-    if not bound >= start - _SCAN_CAP:
-        raise DomainError(
-            f"maximal crossover lies more than {_SCAN_CAP} shells below the "
-            f"window; the inner tail rate {rate} is too close to zero"
-        )
-    k = start - 1 if bound >= start else math.floor(bound)
-    while not crossed(k):
-        k -= 1
-    while k + 1 < start and crossed(k + 1):
-        k += 1
-    return k
 
 
 def shell_diagonal(f: RadialStepFunction, g: RadialStepFunction, alpha: float) -> float:

@@ -155,12 +155,15 @@ def _values_at(f: RadialStepFunction, shells: list[int | None]) -> list[float]:
     """f at sampled points given their shells; None marks the origin.
 
     f is evaluated once per distinct shell: a tail value costs an exact
-    power of p, which would otherwise dominate the sampling itself.
+    power of p, which would otherwise dominate the sampling itself. The
+    origin, a point of measure zero, takes the inner tail's limit: its
+    amplitude when the inner rate is 0, else 0.
     """
     table: dict[int | None, float] = {
         k: f.evaluate(k) for k in set(shells) if k is not None
     }
-    table[None] = f.value_at_zero
+    amplitude, rate = f.inner_tail
+    table[None] = amplitude if rate == 0.0 else 0.0
     return [table[k] for k in shells]
 
 
@@ -317,10 +320,9 @@ def mc_operator_probe(
 ) -> MCEstimate:
     """Estimate (T f)(x) for |x| = p**shell by sampling the defining integral.
 
-    Supports the hardy, adjoint, and commutator kinds; the maximal operator
-    has no integral representation to sample and raises DomainError. The
-    commutator runs two sub-estimates with derived seeds and merges their
-    errors in quadrature.
+    Supports the hardy, adjoint, and commutator kinds. The commutator runs
+    two sub-estimates with derived seeds and merges their errors in
+    quadrature.
     """
     ctx = f.ctx
     ctx.check_shell(shell, what="probe shell")
@@ -364,22 +366,17 @@ def mc_operator_probe(
             drawn += count
         return MCEstimate(value, math.sqrt(variance) + bias, drawn)
 
-    if spec.kind == "commutator":
-        assert spec.symbol is not None
-        scale = ppow(p, shell * (alpha - n))
-        b_val = spec.symbol.evaluate(shell)
-        first = mc_integrate(
-            f, shell, replace(config, seed=_child_seed(config.seed, 1))
-        )
-        second = mc_integrate(
-            combine(spec.symbol, f, "multiply"),
-            shell,
-            replace(config, seed=_child_seed(config.seed, 2)),
-        )
-        value = scale * (b_val * first.value - second.value)
-        sigma = scale * math.hypot(b_val * first.std_error, second.std_error)
-        return MCEstimate(value, sigma, first.samples + second.samples)
-
-    raise DomainError(
-        "the maximal operator has no integral representation to probe"
+    assert spec.symbol is not None
+    scale = ppow(p, shell * (alpha - n))
+    b_val = spec.symbol.evaluate(shell)
+    first = mc_integrate(
+        f, shell, replace(config, seed=_child_seed(config.seed, 1))
     )
+    second = mc_integrate(
+        combine(spec.symbol, f, "multiply"),
+        shell,
+        replace(config, seed=_child_seed(config.seed, 2)),
+    )
+    value = scale * (b_val * first.value - second.value)
+    sigma = scale * math.hypot(b_val * first.std_error, second.std_error)
+    return MCEstimate(value, sigma, first.samples + second.samples)

@@ -29,7 +29,7 @@ from .errors import (
 from .padic import PadicContext, ppow
 
 #: Most shells a shell-by-shell walk (a mixed tail sum, the CMO supremum
-#: scan, the maximal function's crossover search) takes before it stops.
+#: scan) takes before it stops.
 _SCAN_CAP = 400_000
 
 
@@ -55,15 +55,11 @@ class RadialStepFunction:
             window.
         inner_tail: law on shells k < j_min.
         outer_tail: law on shells k > j_max.
-        value_at_zero: value at the origin (a measure-zero point). Defaults
-            to the inner-tail limit when the inner rate is 0, else 0.
 
     A finitely-supported function is the special case of two zero tails.
     Tails with zero amplitude are normalized to rate 0 so that equal
     functions compare equal. Non-finite (NaN or inf) coefficients or tails
-    raise DomainError; ``value_at_zero`` may be inf, as ``maximal`` sets it,
-    but not NaN, so a scale or combine that meets 0 * inf or inf - inf at
-    the origin raises DomainError too.
+    raise DomainError.
     """
 
     ctx: PadicContext
@@ -71,7 +67,6 @@ class RadialStepFunction:
     coeffs: tuple[float, ...]
     inner_tail: Tail = ZERO_TAIL
     outer_tail: Tail = ZERO_TAIL
-    value_at_zero: float | None = None
 
     def __post_init__(self) -> None:
         j_min, j_max = self.window
@@ -90,16 +85,6 @@ class RadialStepFunction:
         outer = _normalize_tail(self.outer_tail)
         object.__setattr__(self, "inner_tail", inner)
         object.__setattr__(self, "outer_tail", outer)
-        if self.value_at_zero is None:
-            vz = inner.amplitude if inner.rate == 0.0 else 0.0
-        else:
-            vz = float(self.value_at_zero)
-            if math.isnan(vz):
-                raise DomainError(
-                    "the value at the origin must not be NaN (as 0 * inf or "
-                    "inf - inf gives)"
-                )
-        object.__setattr__(self, "value_at_zero", vz)
 
     @classmethod
     def indicator_ball(cls, ctx: PadicContext, gamma: int) -> "RadialStepFunction":
@@ -153,7 +138,6 @@ class RadialStepFunction:
             tuple([c * v for v in self.coeffs]),
             Tail(c * self.inner_tail.amplitude, self.inner_tail.rate),
             Tail(c * self.outer_tail.amplitude, self.outer_tail.rate),
-            c * self.value_at_zero,
         )
 
     def absolute(self) -> "RadialStepFunction":
@@ -164,7 +148,6 @@ class RadialStepFunction:
             tuple([abs(v) for v in self.coeffs]),
             Tail(abs(self.inner_tail.amplitude), self.inner_tail.rate),
             Tail(abs(self.outer_tail.amplitude), self.outer_tail.rate),
-            abs(self.value_at_zero),
         )
 
 
@@ -215,11 +198,9 @@ def combine(
     j_max = max(f.window[1], g.window[1])
     if op == "add":
         coeffs = tuple([f.evaluate(k) + g.evaluate(k) for k in range(j_min, j_max + 1)])
-        vz = f.value_at_zero + g.value_at_zero
     else:
         coeffs = tuple([f.evaluate(k) * g.evaluate(k) for k in range(j_min, j_max + 1)])
-        vz = f.value_at_zero * g.value_at_zero
-    return RadialStepFunction(f.ctx, (j_min, j_max), coeffs, inner, outer, vz)
+    return RadialStepFunction(f.ctx, (j_min, j_max), coeffs, inner, outer)
 
 
 def _unit_mass(ctx: PadicContext) -> float:

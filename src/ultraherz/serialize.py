@@ -1,9 +1,10 @@
 """JSON encoding and decoding for radial functions and exponent laws.
 
 Real numbers are written as decimal strings produced by ``repr(float)`` so
-that a save/load round trip is bit-exact and non-finite values (``inf``)
-survive, which plain JSON numbers do not allow. Loaders accept either form:
-a JSON number or a decimal string.
+that a save/load round trip is bit-exact and an infinite value, such as the
+``value`` of a divergent norm in the command-line output, is written as
+``"inf"``, which plain JSON numbers do not allow. Loaders accept either
+form: a JSON number or a decimal string.
 
 Document shapes::
 
@@ -11,8 +12,7 @@ Document shapes::
      "window": [-1, 2],
      "coeffs": ["1.0", "0.5", "0.25", "0.0"],
      "inner_tail": {"A": "0.0", "e": "0.0"},
-     "outer_tail": {"A": "0.0", "e": "0.0"},
-     "value_at_zero": "1.0"}
+     "outer_tail": {"A": "0.0", "e": "0.0"}}
 
     {"ctx": {"p": 2, "n": 1},
      "window": [-2, 2],
@@ -159,7 +159,7 @@ def _tail_from_dict(data: Any, field: str, path: str | None) -> Tail:
     return Tail(amplitude, rate)
 
 
-_FUNCTION_KEYS = ("ctx", "window", "coeffs", "inner_tail", "outer_tail", "value_at_zero")
+_FUNCTION_KEYS = ("ctx", "window", "coeffs", "inner_tail", "outer_tail")
 
 
 def function_to_dict(f: RadialStepFunction) -> dict:
@@ -170,7 +170,6 @@ def function_to_dict(f: RadialStepFunction) -> dict:
         "coeffs": [encode_real(v) for v in f.coeffs],
         "inner_tail": _tail_to_dict(f.inner_tail),
         "outer_tail": _tail_to_dict(f.outer_tail),
-        "value_at_zero": encode_real(f.value_at_zero),
     }
 
 
@@ -192,10 +191,8 @@ def function_from_dict(
     zero = {"A": 0, "e": 0}
     inner = _tail_from_dict(data.get("inner_tail", zero), pre + "inner_tail", path)
     outer = _tail_from_dict(data.get("outer_tail", zero), pre + "outer_tail", path)
-    vz = data.get("value_at_zero")
-    value_at_zero = None if vz is None else decode_real(vz, pre + "value_at_zero", path)
     try:
-        return RadialStepFunction(ctx, window, coeffs, inner, outer, value_at_zero)
+        return RadialStepFunction(ctx, window, coeffs, inner, outer)
     except UltraherzError as exc:
         raise SerializationError(str(exc), path, field) from exc
 
@@ -291,14 +288,21 @@ def theorem_config_to_dict(config: TheoremConfig) -> dict:
     return data
 
 
-def _resolve_nested(value: Any, base_dir: str | None) -> Any:
-    """A nested document may be inlined or named by a (relative) file path."""
+def _resolve_nested(
+    value: Any, base_dir: str | None, path: str | None, field: str
+) -> tuple[Any, str | None, str | None]:
+    """A nested document may be inlined or named by a (relative) file path.
+
+    Returns the document with the file and field an error in it is reported
+    at: the config's ``path`` and ``field`` when inlined, the nested file
+    itself and no prefix when named by path.
+    """
     if not isinstance(value, str):
-        return value
+        return value, path, field
     nested = value
     if base_dir and not os.path.isabs(nested):
         nested = os.path.join(base_dir, nested)
-    return _read_json(nested)
+    return _read_json(nested), nested, None
 
 
 _CLAIM_KEYS = ("theorem", "exponent", "symbol", "alpha", "beta", "m1", "m2", "lambda")
@@ -323,11 +327,12 @@ def theorem_config_from_dict(
     raw_u = data.get("exponent")
     if raw_u is None:
         raise SerializationError("missing required field", path, "exponent")
-    u = exponent_from_dict(_resolve_nested(raw_u, base_dir), path, "exponent")
+    u = exponent_from_dict(*_resolve_nested(raw_u, base_dir, path, "exponent"))
     symbol = None
     if data.get("symbol") is not None:
-        raw_symbol = _resolve_nested(data["symbol"], base_dir)
-        symbol = function_from_dict(raw_symbol, path, "symbol")
+        symbol = function_from_dict(
+            *_resolve_nested(data["symbol"], base_dir, path, "symbol")
+        )
 
     def real(key: str, default: float) -> float:
         if key not in data:

@@ -273,12 +273,20 @@ def _readme_usage(block_index: int = 1) -> dict[str, str]:
 def test_readme_usage_block_lists_every_option():
     """Every option of every subcommand appears, by one of its spellings, on
     that subcommand's lines of the README's command-line block, and those
-    lines (and the examples) name no option that the subcommand lacks."""
+    lines (and the examples) name no option that the subcommand lacks. An
+    ``a|b|c`` list after an option there is that option's choices, in order,
+    and every option with choices has one."""
     usage = _readme_usage()
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(usage) == sorted(commands.choices)
     for name, sub in commands.choices.items():
+        listed = {
+            sub._option_string_actions[option]: choices.split("|")
+            for option, choices in re.findall(
+                r"(?<![\w-])(--?[A-Za-z][\w-]*) ([\w.-]+(?:\|[\w.-]+)+)", usage[name]
+            )
+        }
         for action in sub._actions:
             if isinstance(action, argparse._HelpAction):
                 continue
@@ -286,6 +294,10 @@ def test_readme_usage_block_lists_every_option():
                 re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", usage[name])
                 for option in action.option_strings
             ), f"README usage of {name!r} lacks {'/'.join(action.option_strings)}"
+            assert listed.pop(action, None) == (
+                list(action.choices) if action.choices else None
+            ), f"README lists stale choices for {name!r} {'/'.join(action.option_strings)}"
+        assert not listed
     for lines in (usage, _readme_usage(3)):
         for name, text in lines.items():
             known = commands.choices[name]._option_string_actions
@@ -320,19 +332,6 @@ def test_norm_rejects_a_nan_coefficient(files, tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(payload))
     assert main(["norm", "-i", str(path), "-u", files["u"]]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "NaN" in captured.err
-
-
-def test_oracle_rejects_a_nan_value_at_zero(files, tmp_path, capsys):
-    payload = json.loads(Path(files["f"]).read_text())
-    payload["value_at_zero"] = "nan"
-    path = tmp_path / "nan_origin.json"
-    path.write_text(json.dumps(payload))
-    argv = ["oracle", "-i", str(path), "--task", "integral", "--gamma", "0", "--naive",
-            "--resolution", "1", "--samples", "1000", "--seed", "1"]
-    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "NaN" in captured.err
@@ -542,6 +541,7 @@ def test_retired_inputs_fail_loudly(files, tmp_path, capsys):
          "-i", files["f"], "-u", files["u"]],
         ["validate", "--config", files["tc"], "--theorem", "T31"],
         ["sweep", "--config", files["tc"], "--theorem", "T31"],
+        ["apply", "-i", files["f"], "--operator", "maximal"],
     ):
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -586,26 +586,15 @@ def test_console_script_smoke(files, tmp_path):
     assert pkgutil.resolve_name(_project_script("ultraherz")) is main
 
 
-def test_maximal_with_a_crossover_out_of_reach_exits_one(tmp_path):
-    """A subprocess with a timeout, so a crossover walk fails instead of hanging."""
-    path = tmp_path / "slow.json"
-    slow = RadialStepFunction(CTX, (0, 0), (5.0,), inner_tail=(1.0, -1e-300))
-    save_function(slow, str(path))
-    result = _run_module(["apply", "-i", str(path), "--operator", "maximal"], tmp_path, 10)
-    assert result.returncode == 1
-    assert "shells below the window" in result.stderr
-
-
 def test_hardy_of_an_overflowing_ball_integral_exits_one(tmp_path):
     """Out of process, so a traceback on stderr would show."""
     path = tmp_path / "far.json"
     save_function(RadialStepFunction(CTX, (1100, 1100), (1.0,)), str(path))
-    for operator in ("hardy", "maximal"):
-        result = _run_module(["apply", "-i", str(path), "--operator", operator], tmp_path)
-        assert result.returncode == 1
-        assert result.stderr.startswith("error:")
-        assert "overflow" in result.stderr
-        assert "Traceback" not in result.stderr
+    result = _run_module(["apply", "-i", str(path), "--operator", "hardy"], tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "overflow" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_cmo_scan_past_the_float_range_exits_one(tmp_path):

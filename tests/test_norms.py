@@ -28,7 +28,6 @@ from ultraherz import (
     hardy,
     herz_norm,
     luxemburg_norm,
-    maximal,
     modular,
     morrey_herz_norm,
     ppow,
@@ -379,7 +378,6 @@ def test_tails_at_a_rate_next_to_the_critical_one_keep_their_bits():
     assert luxemburg_norm(f, u1).value == pytest.approx(total, rel=1e-14)
     assert herz_norm(f, u1, HerzParams(0.0, 1.0)).value == pytest.approx(total, rel=1e-14)
     assert hardy(f, 0.0).inner_tail.amplitude == pytest.approx(amplitude, rel=1e-14)
-    assert maximal(f).inner_tail.amplitude == pytest.approx(amplitude, rel=1e-14)
 
 
 def test_morrey_herz_positive_lambda_tames_divergent_weight():

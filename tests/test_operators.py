@@ -21,7 +21,6 @@ from ultraherz import (
     commutator,
     hardy,
     hardy_adjoint,
-    maximal,
     ppow,
     shell_diagonal,
     total_integral,
@@ -65,13 +64,12 @@ def test_hardy_rejects_outer_tails():
 @pytest.mark.parametrize("excess", [0.0, 0.5])
 def test_a_non_integrable_inner_tail_is_refused(n, excess):
     """An inner tail at rate -n or below has no ball integral through the
-    origin; hardy and maximal raise before computing anything."""
+    origin; hardy raises before computing anything."""
     f = RadialStepFunction(
         PadicContext(2, n), (0, 0), (1.0,), inner_tail=Tail(1.0, -n - excess)
     )
-    for operator in (lambda g: hardy(g, 0.0), maximal):
-        with pytest.raises(DomainError, match="not integrable"):
-            operator(f)
+    with pytest.raises(DomainError, match="not integrable"):
+        hardy(f, 0.0)
 
 
 def test_adjoint_sphere_indicator_profile():
@@ -143,59 +141,6 @@ def test_commutator_spec_requires_symbol():
         apply_operator(OperatorSpec("commutator", 0.2), RadialStepFunction.indicator_ball(CTX, 0))
 
 
-def test_maximal_ball_indicator_profile():
-    image = maximal(RadialStepFunction.indicator_ball(CTX, 0))
-    assert image.evaluate(0) == 1.0
-    assert image.evaluate(-4) == 1.0
-    assert image.evaluate(3) == 0.125
-
-
-def test_maximal_is_the_suffix_supremum_of_means():
-    """M f at shell k maximizes over the balls a point there can see.
-
-    Centered balls of radius p**gamma >= p**k coincide with the central
-    balls by the ultrametric inequality; smaller balls around the point
-    stay inside its own sphere, where a radial function is the constant
-    |f(k)|.
-    """
-    rng = random.Random(424242)
-    for _ in range(20):
-        f = _random_compact(rng)
-        image = maximal(f)
-        top = f.window[1] + 6
-        for k in range(f.window[0] - 4, f.window[1] + 4):
-            central = max(
-                ball_mean(f.absolute(), gamma) for gamma in range(k, top + 1)
-            )
-            expected = max(abs(f.evaluate(k)), central)
-            assert image.evaluate(k) == pytest.approx(expected, rel=1e-12)
-
-
-def test_maximal_crossover_is_solved_not_walked():
-    """An integrable inner tail at a rate next to 0 crosses the window's mean
-    level about log_2(3) / |rate| shells below it."""
-    f = RadialStepFunction(CTX, (0, 0), (5.0,), inner_tail=Tail(1.0, -1e-300))
-    with pytest.raises(DomainError, match="400000 shells below"):
-        maximal(f)
-    near = RadialStepFunction(CTX, (0, 0), (5.0,), inner_tail=Tail(1.0, -1e-5))
-    image = maximal(near)
-    # from the crossover down the means mu * 2**(k*rate) reach the mean on B_0
-    level = ball_mean(near, 0)
-    assert image.window == (-158495, 0)
-    assert image.inner_tail.amplitude * ppow(2, -158496 * -1e-5) >= level
-    assert image.inner_tail.amplitude * ppow(2, -158495 * -1e-5) < level
-
-
-def test_maximal_dominates_the_averaging_operator():
-    rng = random.Random(313)
-    for _ in range(20):
-        f = _random_compact(rng)
-        m_image = maximal(f)
-        h_image = hardy(f, 0.0)
-        for k in range(f.window[0] - 3, f.window[1] + 4):
-            assert abs(h_image.evaluate(k)) <= m_image.evaluate(k) * (1 + 1e-12)
-
-
 def test_shell_diagonal_single_sphere():
     f = RadialStepFunction.indicator_sphere(CTX, 0)
     assert shell_diagonal(f, f, 0.25) == 0.25
@@ -253,20 +198,19 @@ def test_duality_pairing_with_tails_on_the_same_side():
 def test_apply_operator_dispatch():
     f = RadialStepFunction.indicator_ball(CTX, 0)
     assert apply_operator(OperatorSpec("hardy", 0.25), f).evaluate(0) == hardy(f, 0.25).evaluate(0)
-    assert apply_operator(OperatorSpec("maximal"), f).evaluate(2) == maximal(f).evaluate(2)
-    with pytest.raises(DomainError):
-        OperatorSpec("mystery")
+    for retired in ("mystery", "maximal"):
+        with pytest.raises(DomainError):
+            OperatorSpec(retired)
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda f: hardy(f, 0.0),
-        maximal,
         lambda f: ball_integral(f, 1100),
         total_integral,
     ],
-    ids=["hardy", "maximal", "ball_integral", "total_integral"],
+    ids=["hardy", "ball_integral", "total_integral"],
 )
 def test_ball_integrals_beyond_the_float_range_raise_a_typed_error(call):
     """At p = 2 the integral of chi(S_1100) is 2**1099, larger than any float."""

@@ -150,10 +150,14 @@ def test_operator_probe_commutator_merges_two_runs():
     assert est == again
 
 
-def test_operator_probe_rejects_the_maximal_kind():
-    f = RadialStepFunction.indicator_ball(CTX, 0)
-    with pytest.raises(DomainError):
-        mc_operator_probe(OperatorSpec("maximal"), f, 0, OracleConfig(samples=1000, seed=1))
+def test_an_origin_draw_takes_the_inner_tail_limit():
+    """A point drawn at the origin (shell None) reads the inner tail's
+    amplitude when the inner rate is 0, and 0.0 for any other inner tail."""
+    flat = RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(3.0, 0.0))
+    assert oracle._values_at(flat, [None, 0, -2]) == [3.0, 1.0, 3.0]
+    for inner in (Tail(3.0, 1.0), Tail(3.0, -0.5), Tail(0.0, 0.0)):
+        f = RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=inner)
+        assert oracle._values_at(f, [None]) == [0.0]
 
 
 def test_naive_and_stratified_share_the_target():

@@ -1,6 +1,5 @@
 """Property tests: the running ball-integral sum, the geometric tail kernel,
-the exact powers of p, the maximal operator, the Luxemburg solver, the CMO
-mixed tail walk and the Morrey-Herz supremum against direct references and
+the exact powers of p, the Luxemburg solver, the CMO mixed tail walk and the Morrey-Herz supremum against direct references and
 norm laws written out here."""
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ultraherz import (
@@ -29,7 +28,6 @@ from ultraherz import (
     hardy,
     herz_norm,
     luxemburg_norm,
-    maximal,
     modular,
     morrey_herz_norm,
     ppow,
@@ -202,26 +200,6 @@ def test_geometric_tail_is_none_exactly_when_it_diverges(size, below):
         assert _geometric_tail(1.0, 2, s, 0, below) is None
     if size >= 1e-3:
         assert _geometric_tail(1.0, 2, -divergent, 0, below) > 0.0
-
-
-@settings(max_examples=150)
-@given(data=st.data())
-def test_maximal_window_is_the_suffix_max_of_ball_means(data):
-    """On each window shell k of f, M f = max(|F(k)|, max over g >= k of
-    ball_integral(|f|, g) * p**(-n g)); past the window the ball integral is
-    the total, so g = j_max + 1 attains the max over g > j_max."""
-    f = data.draw(contexts().flatmap(lambda ctx: step_functions(ctx, outer=False)))
-    # maximal's crossover walk takes about log_p(ratio)/|rate| steps, so an
-    # inner rate near 0 hangs it (ROADMAP, "Fix first")
-    assume(f.inner_tail.rate == 0.0 or abs(f.inner_tail.rate) >= 1e-3)
-    p, n = f.ctx.p, f.ctx.n
-    j_min, j_max = f.window
-    image = maximal(f)
-    g = f.absolute()
-    means = {k: ball_integral(g, k) * ppow(p, -n * k) for k in range(j_min, j_max + 2)}
-    for k in range(j_min, j_max + 1):
-        suffix = max(means[i] for i in range(k, j_max + 2))
-        assert image.evaluate(k) == max(abs(f.evaluate(k)), suffix)
 
 
 def _cmo_candidate_by_ball_mean(b, u, gamma, rel_tol):

@@ -41,26 +41,17 @@ def test_evaluate_window_tails_and_zero():
     # inner law 5 * 2**(1*k) below the window, outer law 7 * 2**(-2*k) above
     assert f.evaluate(-3) == 5.0 * ppow(2, -3)
     assert f.evaluate(4) == 7.0 * ppow(2, -8)
-    # a growing inner tail vanishes at the origin
-    assert f.value_at_zero == 0.0
-
-
-def test_value_at_zero_resolution_rules():
-    flat = RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(3.0, 0.0))
-    assert flat.value_at_zero == 3.0
-    explicit = RadialStepFunction(CTX, (0, 0), (1.0,), value_at_zero=9.0)
-    assert explicit.value_at_zero == 9.0
 
 
 def test_indicators_and_constant():
     ball = RadialStepFunction.indicator_ball(CTX, 2)
     assert ball.evaluate(2) == 1.0 and ball.evaluate(3) == 0.0
-    assert ball.evaluate(-7) == 1.0 and ball.value_at_zero == 1.0
+    assert ball.evaluate(-7) == 1.0
     sphere = RadialStepFunction.indicator_sphere(CTX, -1)
     assert sphere.evaluate(-1) == 1.0
     assert sphere.evaluate(0) == 0.0 and sphere.evaluate(-2) == 0.0
     const = RadialStepFunction.constant(CTX, 2.5)
-    assert const.evaluate(17) == 2.5 and const.value_at_zero == 2.5
+    assert const.evaluate(17) == 2.5
 
 
 def test_window_must_be_ordered_and_match_coeffs():
@@ -81,8 +72,6 @@ def test_nan_coefficients_and_tails_are_rejected():
     # a NaN rate is rejected even where a zero amplitude would drop the tail
     with pytest.raises(DomainError):
         RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(0.0, nan))
-    with pytest.raises(DomainError):
-        RadialStepFunction(CTX, (0, 0), (1.0,), value_at_zero=nan)
 
 
 def test_infinite_coefficients_and_tails_are_rejected():
@@ -95,23 +84,6 @@ def test_infinite_coefficients_and_tails_are_rejected():
             RadialStepFunction(CTX, (0, 0), (1.0,), outer_tail=Tail(1.0, inf))
         with pytest.raises(DomainError):
             RadialStepFunction(CTX, (0, 0), (1.0,), outer_tail=Tail(0.0, inf))
-    # the value at the origin may be infinite: the maximal operator sets it
-    f = RadialStepFunction(CTX, (0, 0), (1.0,), value_at_zero=math.inf)
-    assert f.value_at_zero == math.inf
-
-
-def test_origin_arithmetic_that_gives_nan_raises():
-    """inf at the origin survives scaling and sums of like sign, but 0 * inf
-    and inf - inf there would be NaN, which is rejected like a NaN input."""
-    f = RadialStepFunction(CTX, (0, 0), (1.0,), value_at_zero=math.inf)
-    assert f.scale(2.0).value_at_zero == math.inf
-    assert combine(f, f, "add").value_at_zero == math.inf
-    with pytest.raises(DomainError, match="origin"):
-        f.scale(0.0)
-    with pytest.raises(DomainError, match="origin"):
-        combine(f, f.scale(-1.0), "add")
-    with pytest.raises(DomainError, match="origin"):
-        combine(f, RadialStepFunction.indicator_sphere(CTX, 0), "multiply")
 
 
 def test_inner_tail_integrability_guard():

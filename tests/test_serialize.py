@@ -27,6 +27,8 @@ from ultraherz import (
     theorem_config_from_dict,
     theorem_config_to_dict,
 )
+from ultraherz.cli import main
+from ultraherz.serialize import decode_real, encode_real
 
 CTX = PadicContext(3, 2)
 
@@ -38,7 +40,6 @@ def _sample_function() -> RadialStepFunction:
         (1.0, 0.1 + 0.2, -3.5, 7.25),
         inner_tail=Tail(0.5, 1.0),
         outer_tail=Tail(2.0, -4.0),
-        value_at_zero=9.5,
     )
 
 
@@ -116,10 +117,17 @@ def test_constructor_violations_become_serialization_errors():
         )
 
 
-def test_infinity_survives_the_string_encoding():
-    f = RadialStepFunction(CTX, (0, 0), (1.0,), value_at_zero=math.inf)
-    restored = function_from_dict(function_to_dict(f))
-    assert math.isinf(restored.value_at_zero)
+def test_infinity_survives_the_string_encoding(tmp_path, capsys):
+    """A divergent norm prints its value as the string "inf", which plain
+    JSON numbers cannot hold, and that string decodes back to inf."""
+    save_function(RadialStepFunction.constant(CTX, 1.0), str(tmp_path / "f.json"))
+    save_exponent(ExponentFunction.constant(CTX, 2.0), str(tmp_path / "u.json"))
+    argv = ["norm", "-i", str(tmp_path / "f.json"), "-u", str(tmp_path / "u.json")]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["value"] == encode_real(math.inf) == "inf"
+    assert payload["convergent"] is False
+    assert decode_real(payload["value"], "value") == math.inf
 
 
 def test_theorem_config_round_trip():
@@ -183,6 +191,7 @@ def test_every_decoder_refuses_an_unknown_key_by_name():
         (function_from_dict, {**f, "coefs": f["coeffs"]}, "coefs"),
         (function_from_dict, {**f, "inner_tail": {"A": 1, "rate": 0}}, "inner_tail.rate"),
         (function_from_dict, {**f, "outer_tail": {"A": 1, "e": -2, "B": 0}}, "outer_tail.B"),
+        (function_from_dict, {**f, "value_at_zero": "0"}, "value_at_zero"),
     ]
     for decode, data, field in cases:
         with pytest.raises(SerializationError) as err:
@@ -217,6 +226,22 @@ def test_a_nested_field_is_named_by_its_full_path(decode, data, field):
         decode(data)
     assert err.value.field == field
     assert f"at field '{field}'" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "key, nested, field",
+    [("exponent", {**_U, "u_inf": "2"}, "u_inf"), ("symbol", {**_F, "coefs": [1]}, "coefs")],
+)
+def test_an_error_in_a_nested_file_names_that_file(tmp_path, key, nested, field):
+    """An exponent or symbol named by path is reported at its own file and
+    bare field, not at the config's file and a dotted field."""
+    (tmp_path / "nested.json").write_text(json.dumps(nested))
+    (tmp_path / "tc.json").write_text(json.dumps({**_C32, key: "nested.json"}))
+    with pytest.raises(SerializationError) as err:
+        load_theorem_config(str(tmp_path / "tc.json"))
+    assert err.value.path == str(tmp_path / "nested.json")
+    assert err.value.field == field
+    assert str(err.value).endswith(f"in {tmp_path / 'nested.json'} at field '{field}'")
 
 
 def test_theorem_config_file_round_trip(tmp_path):
