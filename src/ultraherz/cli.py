@@ -38,7 +38,7 @@ from .norms import (
     luxemburg_norm,
     morrey_herz_norm,
 )
-from .operators import OperatorSpec, apply_operator
+from .operators import _KINDS, OperatorSpec, apply_operator
 from .oracle import MCEstimate, OracleConfig, mc_integrate, mc_luxemburg, mc_operator_probe
 from .serialize import (
     encode_real,
@@ -225,11 +225,7 @@ def _norm_args(norm: argparse.ArgumentParser) -> None:
 
 def _apply_args(apply_parser: argparse.ArgumentParser) -> None:
     _add_function_arg(apply_parser)
-    apply_parser.add_argument(
-        "--operator",
-        required=True,
-        choices=("hardy", "adjoint", "commutator"),
-    )
+    apply_parser.add_argument("--operator", required=True, choices=_KINDS)
     apply_parser.add_argument("--alpha", type=float, default=0.0)
     apply_parser.add_argument("--symbol", help="commutator symbol JSON file")
     apply_parser.add_argument(
@@ -245,9 +241,7 @@ def _oracle_args(oracle: argparse.ArgumentParser) -> None:
     )
     oracle.add_argument("--gamma", type=int, help="ball index for the integral task")
     _add_exponent_arg(oracle, required=False)
-    oracle.add_argument(
-        "--operator", choices=("hardy", "adjoint", "commutator"), default="hardy"
-    )
+    oracle.add_argument("--operator", choices=_KINDS, default="hardy")
     oracle.add_argument("--alpha", type=float, default=0.0)
     oracle.add_argument("--symbol", help="commutator symbol JSON file")
     oracle.add_argument("--shell", type=int, help="evaluation shell for the operator task")

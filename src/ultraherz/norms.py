@@ -27,11 +27,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import DomainError, NumericOverflowError, NumericUnderflowError
 from .padic import PadicContext, ppow
 from .radial import (
-    _SCAN_CAP,
     ExponentFunction,
     RadialStepFunction,
     _cancels,
@@ -49,6 +49,10 @@ _CRITICAL_BAND = 1e-12
 #: Relative threshold below which one tail summand is dominated by the other
 #: in mixed power-plus-constant sums.
 _MIXED_TOL = 1e-13
+
+#: Most shells a shell-by-shell walk (a mixed tail sum, the CMO supremum
+#: scan) takes before it stops.
+_SCAN_CAP = 400_000
 
 _MIN_NORMAL = sys.float_info.min
 _LOG_MIN_NORMAL = math.log(_MIN_NORMAL)
@@ -727,46 +731,11 @@ def _shifted_norm(
 ) -> float:
     """Luxemburg norm of (b - shift) restricted to B_gamma.
 
-    Only :func:`cmo_norm` calls it, after returning for a decaying inner
-    tail, so no tail sum of the modular diverges.
+    Only :func:`cmo_norm` calls it, for a candidate ball and for its
+    envelope, after returning for a decaying inner tail, so no tail sum of
+    the modular diverges.
     """
     return _solve_luxemburg(_modular_terms(b, u, shift, gamma), rel_tol)[0]
-
-
-def _cmo_candidate(
-    b: RadialStepFunction,
-    u: ExponentFunction,
-    gamma: int,
-    parts: tuple[int, int, float],
-    rel_tol: float,
-) -> float:
-    mean = _mean_of_parts(parts, gamma, b.ctx)
-    numerator = _shifted_norm(b, u, mean, gamma, rel_tol)
-    if numerator == 0.0:
-        return 0.0
-    denominator = ball_indicator_norm(u, gamma, rel_tol).value
-    return numerator / denominator
-
-
-class _GeoTerm:
-    """One closed-form envelope term coef * rho**(g - ref) * (g - ref if linear)."""
-
-    __slots__ = ("coef", "rho", "linear", "ref")
-
-    def __init__(self, coef: float, rho: float, linear: bool, ref: int) -> None:
-        self.coef = coef
-        self.rho = rho
-        self.linear = linear
-        self.ref = ref
-
-    def value(self, gamma: int) -> float:
-        v = self.coef * math.pow(self.rho, gamma - self.ref)
-        return v * (gamma - self.ref) if self.linear else v
-
-    def monotone_from(self) -> int:
-        if not self.linear or self.coef == 0.0:
-            return self.ref
-        return self.ref + math.ceil(1.0 / math.log(1.0 / self.rho)) + 1
 
 
 def _cmo_envelope_terms(
@@ -775,14 +744,14 @@ def _cmo_envelope_terms(
     ref: int,
     ref_integral: float,
     rel_tol: float,
-) -> list[_GeoTerm]:
+) -> list[tuple[float, float, bool]]:
     """Closed-form bounds on the CMO candidates above the scan window.
 
     For gamma > ref the candidate ratio is at most
     ||(b - L) chi_{B_gamma}|| / ||chi_{B_gamma}|| + |mean_gamma - L|, where L
-    is the value of b at infinity. Each piece of that bound is a geometric
-    (or shell-linear times geometric) expression in gamma. ``ref_integral``
-    is the integral of b over B_ref.
+    is the value of b at infinity. Each piece of that bound is a term
+    (coef, rho, linear) worth coef * rho**(gamma - ref), times gamma - ref
+    if linear. ``ref_integral`` is the integral of b over B_ref.
     """
     ctx = b.ctx
     p, n = ctx.p, ctx.n
@@ -801,8 +770,8 @@ def _cmo_envelope_terms(
     chi_at_ref = chi_unit * ppow(p, ref * n / u_inf)
     mass_at_ref = ppow(p, n * ref)
     terms = [
-        _GeoTerm(near_norm / chi_at_ref, rho_chi, False, ref),
-        _GeoTerm(near_integral / mass_at_ref, rho_mass, False, ref),
+        (near_norm / chi_at_ref, rho_chi, False),
+        (near_integral / mass_at_ref, rho_mass, False),
     ]
     if amplitude != 0.0 and rate < 0.0:
         # (coefficient, rate, scale at ref, unit scale, ratio): the tail's
@@ -814,12 +783,12 @@ def _cmo_envelope_terms(
         for c, s, at_ref, unit, rho in pieces:
             if s < 0:
                 bulk = _geometric_tail(c, p, s, ref + 1, below=False)
-                terms.append(_GeoTerm(bulk / at_ref, rho, False, ref))
+                terms.append((bulk / at_ref, rho, False))
             elif s == 0:
-                terms.append(_GeoTerm(c / at_ref, rho, True, ref))
+                terms.append((c / at_ref, rho, True))
             else:
                 grown = _geometric_tail(c, p, s, 1, below=True) * ppow(p, ref * rate)
-                terms.append(_GeoTerm(grown / unit, ppow(p, rate), False, ref))
+                terms.append((grown / unit, ppow(p, rate), False))
     return terms
 
 
@@ -834,7 +803,8 @@ def cmo_norm(
     The supremum scan is certified on both sides. Below the combined window
     the candidates obey an exact self-similar law c * p**(gamma * e_in)
     (zero for constant-limit tails, divergent for growing ones); above it
-    they are dominated by monotone geometric envelopes.
+    they are dominated by monotone geometric envelopes, built once at the
+    first radius past the window and checked before each later candidate.
 
     Examples:
         >>> ctx = PadicContext(2, 1)
@@ -845,63 +815,55 @@ def cmo_norm(
     """
     _require_same_ctx(b, u)
     _check_rel_tol(rel_tol)
-    p, n = b.ctx.p, b.ctx.n
+    n = b.ctx.n
     amplitude_in, rate_in = b.inner_tail
     if amplitude_in != 0.0 and rate_in <= -n:
         raise DomainError(
             f"ball means are undefined: inner tail rate {rate_in} is not "
             f"integrable in dimension {n}"
         )
-    w_lo = min(b.window[0], u.window[0])
-    w_hi = max(b.window[1], u.window[1])
+    w_lo, w_hi = _union_window(b, u)
+    scan_lo, ref = w_lo - 1, w_hi + 1
 
     if _is_constant(b):
-        return NormResult(0.0, True, 0.0, (w_lo - 1, w_hi + 1))
+        return NormResult(0.0, True, 0.0, (scan_lo, ref))
 
     amplitude_out, rate_out = b.outer_tail
-    if amplitude_out != 0.0 and rate_out > 0.0:
-        # The oscillation on the outermost shell of B_gamma grows like the
-        # tail itself while the indicator norm grows only like
-        # p**(gamma*n/u_infinity), so the candidates diverge.
-        return NormResult(math.inf, False, 0.0, (w_lo - 1, w_hi + 1))
+    if (amplitude_out != 0.0 and rate_out > 0.0) or (amplitude_in != 0.0 and rate_in < 0.0):
+        # A growing outer tail makes the oscillation on the outermost shell
+        # of B_gamma grow like the tail itself, while the indicator norm grows
+        # only like p**(gamma*n/u_infinity). Below the window the candidates
+        # equal c * p**(gamma * rate_in) with c > 0, which grows without bound
+        # as gamma decreases for a decaying inner tail.
+        return NormResult(math.inf, False, 0.0, (scan_lo, ref))
 
-    if amplitude_in != 0.0 and rate_in < 0.0:
-        # Below the window the candidates equal c * p**(gamma * rate_in) with
-        # c > 0, which grows without bound as gamma decreases.
-        return NormResult(math.inf, False, 0.0, (w_lo - 1, w_hi + 1))
+    def envelope(gamma: int) -> float:
+        d = gamma - ref
+        return sum(coef * math.pow(rho, d) * (d if linear else 1) for coef, rho, linear in terms)
 
-    best = 0.0
-    scan_lo = w_lo - 1
+    best = tail_bound = 0.0
     integrals = _running_parts(b, scan_lo)
-    for gamma in range(scan_lo, w_hi + 2):
+    for gamma in count(scan_lo):
+        if gamma > ref:
+            bound = envelope(gamma)
+            if gamma >= gamma_mono and (bound <= best or bound <= floor):
+                tail_bound = bound if bound > best else 0.0
+                break
+            if gamma - ref > _SCAN_CAP:
+                tail_bound = bound
+                break
         parts = next(integrals)
-        candidate = _cmo_candidate(b, u, gamma, parts, rel_tol)
+        candidate = _shifted_norm(b, u, _mean_of_parts(parts, gamma, b.ctx), gamma, rel_tol)
+        if candidate != 0.0:
+            candidate /= ball_indicator_norm(u, gamma, rel_tol).value
         if not math.isfinite(candidate):
             return NormResult(math.inf, False, 0.0, (scan_lo, gamma))
         best = max(best, candidate)
-
-    ref = w_hi + 1
-    terms = _cmo_envelope_terms(b, u, ref, _float_value(*parts), rel_tol)
-    gamma_mono = max(term.monotone_from() for term in terms)
-    floor = 1e-13 * max(
-        best, sum(term.value(ref + 1) for term in terms), 1e-280
-    )
-    gamma = ref
-    tail_bound = 0.0
-    steps = 0
-    while True:
-        gamma += 1
-        steps += 1
-        envelope = sum(term.value(gamma) for term in terms)
-        if gamma >= gamma_mono and (envelope <= best or envelope <= floor):
-            if envelope > best:
-                tail_bound = envelope
-            break
-        if steps > _SCAN_CAP:
-            tail_bound = envelope
-            break
-        candidate = _cmo_candidate(b, u, gamma, next(integrals), rel_tol)
-        if not math.isfinite(candidate):
-            return NormResult(math.inf, False, 0.0, (scan_lo, gamma))
-        best = max(best, candidate)
+        if gamma == ref:
+            terms = _cmo_envelope_terms(b, u, ref, _float_value(*parts), rel_tol)
+            gamma_mono = max(
+                ref + math.ceil(1.0 / math.log(1.0 / rho)) + 1 if linear and coef != 0.0 else ref
+                for coef, rho, linear in terms
+            )
+            floor = 1e-13 * max(best, envelope(ref + 1), 1e-280)
     return NormResult(best, True, tail_bound, (scan_lo, gamma))

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 
-from .errors import ClassClosureError, DomainError
+from .errors import ClassClosureError, DomainError, NumericOverflowError
 from .padic import ppow
 from .radial import (
     RadialStepFunction,
@@ -78,7 +78,8 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
     integral of f over B_k. Below the input window that integral is a pure
     geometric tail, so the output tail has rate e_in + alpha; above it the
     integral is the constant total (the outer tail of f must vanish, or the
-    output would carry two growth rates at once).
+    output would carry two growth rates at once). An image coefficient that
+    leaves the float range raises NumericOverflowError.
 
     Examples:
         >>> from .padic import PadicContext
@@ -101,6 +102,12 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
     parts = islice(_running_parts(f, lo), hi - lo + 1)
     integrals = [_float_value(*part) for part in parts]
     coeffs = tuple([ppow(p, k * (alpha - n)) * v for k, v in enumerate(integrals, lo)])
+    for k, c in enumerate(coeffs, lo):
+        if not math.isfinite(c):
+            raise NumericOverflowError(
+                f"the hardy image coefficient on shell {k} overflows the float "
+                f"range: p**{k * (alpha - n)} times the integral over B_{k} is {c}"
+            )
 
     amplitude, rate = f.inner_tail
     if amplitude == 0.0:

@@ -28,11 +28,6 @@ from .errors import (
 )
 from .padic import PadicContext, ppow
 
-#: Most shells a shell-by-shell walk (a mixed tail sum, the CMO supremum
-#: scan) takes before it stops.
-_SCAN_CAP = 400_000
-
-
 class Tail(NamedTuple):
     """One power-law tail: value ``amplitude * p**(k * rate)`` on shell k."""
 

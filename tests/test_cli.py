@@ -597,6 +597,17 @@ def test_hardy_of_an_overflowing_ball_integral_exits_one(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_hardy_of_an_overflowing_image_coefficient_exits_one(tmp_path):
+    """Out of process, so a traceback on stderr would show."""
+    path = tmp_path / "near.json"
+    save_function(RadialStepFunction(CTX, (-1100, -1100), (1.0,)), str(path))
+    result = _run_module(["apply", "-i", str(path), "--operator", "hardy"], tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "overflow" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_cmo_scan_past_the_float_range_exits_one(tmp_path):
     """Out of process, so a traceback on stderr would show."""
     ctx = PadicContext(2, 3)

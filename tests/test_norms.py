@@ -453,3 +453,97 @@ def test_cmo_shift_invariance():
         base = cmo_norm(b, U2).value
         shifted = cmo_norm(combine(b, RadialStepFunction.constant(CTX, 4.2), "add"), U2).value
         assert shifted == pytest.approx(base, rel=1e-8, abs=1e-10)
+
+
+U_WIN = ExponentFunction(CTX, (-1, 1), (1.5, 2.5, 3.0), 2.2, 1.7)
+#: u_infinity = 2 puts the outer rate -0.5 exactly at -n/u_infinity (n = 1).
+U_HALF = ExponentFunction(CTX, (-1, 1), (1.5, 2.5, 3.0), 2.2, 2.0)
+CTX32 = PadicContext(3, 2)
+U32 = ExponentFunction(CTX32, (-2, 0), (1.8, 2.6, 1.6), 2.4, 2.9)
+
+
+def _symbol(coeffs, inner=(0.0, 0.0), outer=(0.0, 0.0), ctx=CTX):
+    return RadialStepFunction(ctx, (-2, 1), coeffs, Tail(*inner), Tail(*outer))
+
+
+_MIXED = (1.0, -0.5, 2.0, 0.25)
+_SMALL = (0.25, -0.25, 0.5, 0.0)
+
+#: The full NormResult of each call as its repr: a change to the norms layer
+#: that moves one bit of a value, certificate or work window fails here. The
+#: CMO cases cover each kind of envelope term and the mixed inner walk.
+NORMS_GOLDEN = {
+    "cmo flat tails, windowed u": (
+        lambda: cmo_norm(_symbol(_MIXED, (0.5, 0.0), (1.5, 0.0)), U_WIN),
+        "NormResult(value=0.9740393894068041, convergent=True, "
+        "tail_remainder_bound=0.0, work_window=(-3, 3))",
+    ),
+    "cmo flat tails, p=3 n=2": (
+        lambda: cmo_norm(_symbol(_MIXED, (0.75, 0.0), (-1.25, 0.0), CTX32), U32),
+        "NormResult(value=0.9647929000674652, convergent=True, "
+        "tail_remainder_bound=0.0, work_window=(-3, 3))",
+    ),
+    "cmo outer rate below -n/u_inf": (
+        lambda: cmo_norm(_symbol(_SMALL, outer=(3.0, -1.5)), U_HALF),
+        "NormResult(value=0.2965042738093875, convergent=True, "
+        "tail_remainder_bound=0.0, work_window=(-3, 6))",
+    ),
+    "cmo outer rate at -n/u_inf": (
+        lambda: cmo_norm(_symbol(_SMALL, outer=(3.0, -0.5)), U_HALF),
+        "NormResult(value=0.7200176097589402, convergent=True, "
+        "tail_remainder_bound=0.0, work_window=(-3, 12))",
+    ),
+    "cmo outer rate in (-n/u_inf, 0)": (
+        lambda: cmo_norm(_symbol(_SMALL, outer=(3.0, -0.25)), U_HALF),
+        "NormResult(value=1.0234530572012486, convergent=True, "
+        "tail_remainder_bound=0.0, work_window=(-3, 18))",
+    ),
+    "cmo rising inner tail": (
+        lambda: cmo_norm(_symbol(_MIXED, inner=(1.0, 0.5)), U_WIN),
+        "NormResult(value=1.0016613317904113, convergent=True, "
+        "tail_remainder_bound=0.0, work_window=(-3, 3))",
+    ),
+    "cmo growing outer tail": (
+        lambda: cmo_norm(_symbol(_MIXED, outer=(1.0, 0.5)), U_WIN),
+        "NormResult(value=inf, convergent=False, "
+        "tail_remainder_bound=0.0, work_window=(-3, 2))",
+    ),
+    "ball indicator": (
+        lambda: ball_indicator_norm(U_WIN, 3),
+        "NormResult(value=3.1110983457957886, convergent=True, "
+        "tail_remainder_bound=9.612954876558888e-11, work_window=(-2, 3))",
+    ),
+    "luxemburg u=2": (
+        lambda: luxemburg_norm(_symbol(_MIXED, (0.5, 0.5), (1.0, -1.0)), U2),
+        "NormResult(value=1.5819621255474692, convergent=True, "
+        "tail_remainder_bound=0.0, work_window=(-2, 1))",
+    ),
+    "luxemburg windowed u": (
+        lambda: luxemburg_norm(_symbol(_MIXED, (0.5, 0.5), (1.0, -1.0)), U_WIN),
+        "NormResult(value=1.7242876015027222, convergent=True, "
+        "tail_remainder_bound=1.1102230246251565e-16, work_window=(-2, 1))",
+    ),
+    "luxemburg p=3 n=2": (
+        lambda: luxemburg_norm(_symbol(_MIXED, (0.5, 0.5), (1.0, -2.0), CTX32), U32),
+        "NormResult(value=1.8927768325936958, convergent=True, "
+        "tail_remainder_bound=4.731937064406111e-11, work_window=(-2, 1))",
+    ),
+    "modular": (
+        lambda: modular(_symbol(_MIXED, (0.5, 0.5), (1.0, -1.0)), U_WIN),
+        "NormResult(value=3.5520899535642005, convergent=True, "
+        "tail_remainder_bound=0.0, work_window=(-2, 1))",
+    ),
+    "morrey-herz": (
+        lambda: morrey_herz_norm(
+            _symbol(_MIXED, outer=(1.0, -1.0)), U_WIN, MorreyHerzParams(0.5, 2.0, 0.25)
+        ),
+        "NormResult(value=1.5345474158644679, convergent=True, "
+        "tail_remainder_bound=0.0, work_window=(-3, 2))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORMS_GOLDEN))
+def test_norm_results_are_pinned(name):
+    run, expected = NORMS_GOLDEN[name]
+    assert repr(run()) == expected

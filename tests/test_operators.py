@@ -218,6 +218,17 @@ def test_ball_integrals_beyond_the_float_range_raise_a_typed_error(call):
         call(RadialStepFunction(CTX, (1100, 1100), (1.0,)))
 
 
+def test_a_hardy_image_coefficient_beyond_the_float_range_raises_a_typed_error():
+    """Below shell -1022 at p = 2 the image factor p**(k*(alpha - n)) on the
+    shell under the window is 2**1024 or more, so the coefficient there is
+    inf times an integral of 0.0, although the input is finite."""
+    for k in (-1023, -1100):
+        with pytest.raises(NumericOverflowError, match=f"shell {k - 1} overflows"):
+            hardy(RadialStepFunction(CTX, (k, k), (1.0,)), 0.0)
+    # the last shell whose factor fits keeps its bits
+    assert hardy(RadialStepFunction(CTX, (-1022, -1022), (1.0,)), 0.0).coeffs == (0.0, 0.5, 0.25)
+
+
 def test_a_ball_mean_over_an_overflowing_integral_raises_a_typed_error():
     """The float part of the integral over B_64 sums past the float range, so
     the mean must not come back as inf."""

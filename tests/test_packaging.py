@@ -1,7 +1,7 @@
 """The runtime depends on nothing outside the standard library, modules
 import only from lower layers, every module uses what it imports, every
-private module-level name is used, and no tuple is built from a
-generator."""
+private module-level name is used (a private constant in its own module),
+and no tuple is built from a generator."""
 
 from __future__ import annotations
 
@@ -148,6 +148,21 @@ def test_every_private_module_level_name_is_referenced():
         if not any(name in names for _, other, names in statements if other is not node)
     ]
     assert unreferenced == []
+
+
+def test_every_private_constant_is_read_in_its_own_module():
+    """A private UPPER_CASE constant that only other modules read belongs
+    next to its readers."""
+    unread = []
+    for path in SOURCES:
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        for node in body:
+            for name in _private_names(node):
+                if name.lstrip("_").isupper() and not any(
+                    name in _referenced_names(other) for other in body if other is not node
+                ):
+                    unread.append(f"{path.name}:{node.lineno} {name}")
+    assert unread == []
 
 
 def _tuple_of_generator_calls(path: Path) -> list[str]:
