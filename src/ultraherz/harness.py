@@ -39,7 +39,7 @@ from .norms import (
     morrey_herz_norm,
 )
 from .operators import OperatorSpec, apply_operator, hardy_adjoint
-from .padic import PadicContext, ppow
+from .padic import PadicContext, check_shell, ppow
 from .radial import (
     ExponentFunction,
     RadialStepFunction,
@@ -358,6 +358,7 @@ def random_family(
     """
     if size_bound < 0:
         raise DomainError(f"size bound must be nonnegative, got {size_bound}")
+    check_shell(size_bound, "size bound")
     family = []
     for _ in range(count):
         a = rng.randint(-size_bound, size_bound)

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
-from .errors import DomainError
+from .errors import DomainError, NumericOverflowError, NumericUnderflowError
 from .operators import OperatorSpec
-from .padic import PadicContext, ppow, sample_shells
+from .padic import PadicContext, check_shell, ppow, sample_shells
 from .radial import ExponentFunction, RadialStepFunction, combine
 
 _SEED_STRIDE = 1_000_003
@@ -61,6 +62,8 @@ class OracleConfig:
         if self.resolution < 1:
             raise DomainError("resolution must be a positive digit count")
         lo, hi = self.truncation_window
+        check_shell(lo, "truncation_window[0]")
+        check_shell(hi, "truncation_window[1]")
         if lo >= hi:
             raise DomainError(
                 f"truncation window {self.truncation_window} is empty"
@@ -78,11 +81,26 @@ def _child_seed(seed: int, index: int) -> int:
     return (seed * _SEED_STRIDE + index) % (2**63)
 
 
+def _scaled(coef: float, p: int, exponent: float, what: str) -> float:
+    """coef * p**exponent, as every stratum measure and shell scale is built.
+
+    A float-range error names it ``what`` unless it is a normal float: inf
+    would give a nan allocation, 0.0 or a subnormal a wrong estimate."""
+    value = coef * ppow(p, exponent)
+    if value > sys.float_info.max:
+        raise NumericOverflowError(f"{what} overflows the float range")
+    if value < sys.float_info.min:
+        raise NumericUnderflowError(f"{what} falls below the normal float range")
+    return value
+
+
 def _allocate(total: int, weights: list[float]) -> list[int]:
     """Largest-remainder allocation of ``total`` draws, at least one each."""
     mass = sum(weights)
     if mass <= 0.0:
         raise DomainError("stratified allocation needs positive total measure")
+    if mass > sys.float_info.max or total * max(weights) > sys.float_info.max:
+        raise NumericOverflowError("the stratum draw quotas overflow the float range")
     quotas = [total * w / mass for w in weights]
     counts = [int(q) for q in quotas]
     short = total - sum(counts)
@@ -180,12 +198,12 @@ def mc_integrate(
         1.0
     """
     ctx = f.ctx
-    ctx.check_shell(gamma, what="integration radius")
+    check_shell(gamma, "integration radius")
     p, n = ctx.p, ctx.n
     rng = random.Random(config.seed)
 
     if not config.stratified:
-        measure = ppow(p, n * gamma)
+        measure = _scaled(1.0, p, n * gamma, f"|B_{gamma}|")
         sampled = sample_shells("ball", gamma, config.samples, ctx, config.resolution, rng)
         values = _values_at(f, sampled)
         mean, var = _stratum_stats(values)
@@ -198,12 +216,12 @@ def mc_integrate(
     lo = min(config.truncation_window[0], f.window[0])
     strata: list[tuple[str, int, float]] = []
     if gamma >= lo:
-        strata.append(("ball", lo - 1, ppow(p, n * (lo - 1))))
+        strata.append(("ball", lo - 1, _scaled(1.0, p, n * (lo - 1), f"|B_{lo - 1}|")))
         mass = float(1 - (1 / p) ** n)
         for j in range(lo, gamma + 1):
-            strata.append(("sphere", j, mass * ppow(p, n * j)))
+            strata.append(("sphere", j, _scaled(mass, p, n * j, f"|S_{j}|")))
     else:
-        strata.append(("ball", gamma, ppow(p, n * gamma)))
+        strata.append(("ball", gamma, _scaled(1.0, p, n * gamma, f"|B_{gamma}|")))
 
     counts = _allocate(config.samples, [w for _, _, w in strata])
     value = 0.0
@@ -247,10 +265,10 @@ def mc_luxemburg(
     mass = float(1 - (1 / p) ** n)
 
     strata: list[tuple[str, int, float, float]] = [
-        ("ball", lo - 1, ppow(p, n * (lo - 1)), u.u_inner)
+        ("ball", lo - 1, _scaled(1.0, p, n * (lo - 1), f"|B_{lo - 1}|"), u.u_inner)
     ]
     for j in range(lo, hi + 1):
-        strata.append(("sphere", j, mass * ppow(p, n * j), u.evaluate(j)))
+        strata.append(("sphere", j, _scaled(mass, p, n * j, f"|S_{j}|"), u.evaluate(j)))
 
     counts = _allocate(config.samples, [w for _, _, w, _ in strata])
     drawn: list[tuple[float, float, list[float], set[float], int]] = []
@@ -325,14 +343,9 @@ def mc_operator_probe(
     quadrature.
     """
     ctx = f.ctx
-    ctx.check_shell(shell, what="probe shell")
+    check_shell(shell, "probe shell")
     p, n = ctx.p, ctx.n
     alpha = spec.alpha
-
-    if spec.kind == "hardy":
-        scale = ppow(p, shell * (alpha - n))
-        est = mc_integrate(f, shell, config)
-        return MCEstimate(scale * est.value, scale * est.std_error, est.samples)
 
     if spec.kind == "adjoint":
         rng = random.Random(config.seed)
@@ -351,14 +364,14 @@ def mc_operator_probe(
         shells = list(range(shell + 1, hi + 1))
         if not shells:
             return MCEstimate(0.0, bias, 0)
-        weights = [mass * ppow(p, n * j) for j in shells]
+        weights = [_scaled(mass, p, n * j, f"|S_{j}|") for j in shells]
         counts = _allocate(config.samples, weights)
         value = 0.0
         variance = 0.0
         drawn = 0
         for j, weight, count in zip(shells, weights, counts):
             sampled = sample_shells("sphere", j, count, ctx, config.resolution, rng)
-            factor = ppow(p, j * (alpha - n))
+            factor = _scaled(1.0, p, j * (alpha - n), f"the scale of shell {j}")
             values = [v * factor for v in _values_at(f, sampled)]
             mean, var = _stratum_stats(values)
             value += weight * mean
@@ -366,8 +379,12 @@ def mc_operator_probe(
             drawn += count
         return MCEstimate(value, math.sqrt(variance) + bias, drawn)
 
+    scale = _scaled(1.0, p, shell * (alpha - n), f"the scale of shell {shell}")
+    if spec.kind == "hardy":
+        est = mc_integrate(f, shell, config)
+        return MCEstimate(scale * est.value, scale * est.std_error, est.samples)
+
     assert spec.symbol is not None
-    scale = ppow(p, shell * (alpha - n))
     b_val = spec.symbol.evaluate(shell)
     first = mc_integrate(
         f, shell, replace(config, seed=_child_seed(config.seed, 1))

@@ -26,8 +26,19 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-#: Largest |k| of a shell index accepted at the public API boundary.
-SHELL_LIMIT = 64
+#: Largest |k| of a shell index anywhere in the package: of a window end of
+#: a function or an exponent (checked by their constructors), and of a radius
+#: whose cost grows with its distance from the origin (:func:`check_shell`).
+SHELL_LIMIT = 10_000
+
+
+def check_shell(k: int, what: str) -> None:
+    """Raise DomainError, calling k ``what``, unless k is an integer within
+    ``SHELL_LIMIT`` of 0."""
+    if not isinstance(k, int):
+        raise DomainError(f"{what} must be an integer, got {k!r}")
+    if abs(k) > SHELL_LIMIT:
+        raise DomainError(f"{what} {k} lies beyond the shell limit {SHELL_LIMIT}")
 
 
 def ppow(p: int, exponent: float) -> float:
@@ -76,11 +87,6 @@ class PadicContext:
     Args:
         p: prime defining the base field Q_p.
         n: dimension of the vector space, at least 1.
-
-    :meth:`check_shell` rejects shell indices beyond ``[-SHELL_LIMIT,
-    SHELL_LIMIT]`` at public entry points to prevent silent magnitude
-    blowups. Internal scans may exceed it because all heavy arithmetic is
-    exact.
     """
 
     p: int
@@ -91,15 +97,6 @@ class PadicContext:
             raise DomainError(f"p must be prime, got {self.p}")
         if self.n < 1:
             raise DomainError(f"dimension n must be >= 1, got {self.n}")
-
-    def check_shell(self, k: int, what: str = "shell index") -> int:
-        if not isinstance(k, int):
-            raise DomainError(f"{what} must be an integer, got {k!r}")
-        if abs(k) > SHELL_LIMIT:
-            raise DomainError(
-                f"{what} {k} outside the allowed window [-{SHELL_LIMIT}, {SHELL_LIMIT}]"
-            )
-        return k
 
 
 def _int_valuation(m: int, p: int) -> int:
@@ -136,7 +133,7 @@ def ball_measure(gamma: int, ctx: PadicContext) -> Fraction:
         >>> ball_measure(1, PadicContext(3, 2))
         Fraction(9, 1)
     """
-    ctx.check_shell(gamma, "ball index")
+    check_shell(gamma, "ball index")
     return Fraction(ctx.p) ** (ctx.n * gamma)
 
 
@@ -147,7 +144,7 @@ def sphere_measure(gamma: int, ctx: PadicContext) -> Fraction:
         >>> sphere_measure(0, PadicContext(2, 1))
         Fraction(1, 2)
     """
-    ctx.check_shell(gamma, "sphere index")
+    check_shell(gamma, "sphere index")
     return Fraction(ctx.p) ** (ctx.n * gamma) * (1 - Fraction(ctx.p) ** -ctx.n)
 
 
@@ -191,7 +188,7 @@ def sample_shells(
     """
     if region not in ("ball", "sphere"):
         raise DomainError(f"region must be 'ball' or 'sphere', got {region!r}")
-    ctx.check_shell(gamma, "region index")
+    check_shell(gamma, "region index")
     p, n = ctx.p, ctx.n
     limit = p ** (resolution + 1)  # size of the truncated digit space of Z_p
     bits = limit.bit_length()

@@ -26,7 +26,24 @@ from .errors import (
     NumericOverflowError,
     TailCombinationError,
 )
-from .padic import PadicContext, ppow
+from .padic import SHELL_LIMIT, PadicContext, check_shell, ppow
+
+
+def _set_window(obj, entries: tuple, what: str) -> None:
+    """Store obj.window as two ints once it is ordered, lies within
+    ``SHELL_LIMIT`` of the origin and carries one of ``entries`` per shell."""
+    j_min, j_max = obj.window
+    if not -SHELL_LIMIT <= j_min <= j_max <= SHELL_LIMIT:
+        check_shell(j_min, "window[0]")
+        check_shell(j_max, "window[1]")
+        raise DomainError(f"empty shell window [{j_min}, {j_max}]")
+    if len(entries) != j_max - j_min + 1:
+        raise DomainError(
+            f"window [{j_min}, {j_max}] needs {j_max - j_min + 1} "
+            f"{what}, got {len(entries)}"
+        )
+    object.__setattr__(obj, "window", (int(j_min), int(j_max)))
+
 
 class Tail(NamedTuple):
     """One power-law tail: value ``amplitude * p**(k * rate)`` on shell k."""
@@ -45,7 +62,7 @@ class RadialStepFunction:
     Args:
         ctx: ambient space.
         window: inclusive shell range ``(j_min, j_max)`` carrying explicit
-            coefficients.
+            coefficients, both ends within ``padic.SHELL_LIMIT`` of 0.
         coeffs: value on shell j_min + i at position i; length must match the
             window.
         inner_tail: law on shells k < j_min.
@@ -64,15 +81,7 @@ class RadialStepFunction:
     outer_tail: Tail = ZERO_TAIL
 
     def __post_init__(self) -> None:
-        j_min, j_max = self.window
-        if j_min > j_max:
-            raise DomainError(f"empty shell window [{j_min}, {j_max}]")
-        if len(self.coeffs) != j_max - j_min + 1:
-            raise DomainError(
-                f"window [{j_min}, {j_max}] needs {j_max - j_min + 1} "
-                f"coefficients, got {len(self.coeffs)}"
-            )
-        object.__setattr__(self, "window", (int(j_min), int(j_max)))
+        _set_window(self, self.coeffs, "coefficients")
         object.__setattr__(self, "coeffs", tuple([float(c) for c in self.coeffs]))
         if not all(map(math.isfinite, self.coeffs)):
             raise DomainError("shell coefficients must be finite (not NaN or inf)")
@@ -84,13 +93,11 @@ class RadialStepFunction:
     @classmethod
     def indicator_ball(cls, ctx: PadicContext, gamma: int) -> "RadialStepFunction":
         """Indicator of the ball B_gamma: 1 on shells k <= gamma, else 0."""
-        ctx.check_shell(gamma, "ball index")
         return cls(ctx, (gamma, gamma), (1.0,), inner_tail=Tail(1.0, 0.0))
 
     @classmethod
     def indicator_sphere(cls, ctx: PadicContext, gamma: int) -> "RadialStepFunction":
         """Indicator of the sphere S_gamma."""
-        ctx.check_shell(gamma, "sphere index")
         return cls(ctx, (gamma, gamma), (1.0,))
 
     @classmethod
@@ -371,6 +378,7 @@ def _float_value(num: int, den: int, *inexact: float) -> float:
 
 def ball_integral(f: RadialStepFunction, gamma: int) -> float:
     """Integral of f over the ball B_gamma, with the inner tail summed analytically."""
+    check_shell(gamma, "ball index")
     return _float_value(*_integral_parts(f, gamma))
 
 
@@ -395,7 +403,7 @@ def ball_mean(f: RadialStepFunction, gamma: int) -> float:
         >>> ball_mean(RadialStepFunction.indicator_sphere(ctx, 1), 1)
         0.5
     """
-    f.ctx.check_shell(gamma, "ball index")
+    check_shell(gamma, "ball index")
     return _mean_of_parts(_integral_parts(f, gamma), gamma, f.ctx)
 
 
@@ -405,9 +413,9 @@ def _mean_of_parts(parts: tuple[int, int, float], gamma: int, ctx: PadicContext)
 
     Both parts are divided by the exact measure p**(n*gamma), which scales
     the denominator for gamma >= 0 and the numerator below, so any radius
-    works, the ones beyond the context's shell limit included. An infinite
-    inexact part is an overflowed integral and raises NumericOverflowError,
-    as does a finite one whose quotient leaves the float range.
+    works. An infinite inexact part is an overflowed integral and raises
+    NumericOverflowError, as does a finite one whose quotient leaves the
+    float range.
     """
     num, den, inexact = parts
     measure = ctx.p ** (ctx.n * abs(gamma))
@@ -441,15 +449,7 @@ class ExponentFunction:
     u_infinity: float
 
     def __post_init__(self) -> None:
-        j_min, j_max = self.window
-        if j_min > j_max:
-            raise DomainError(f"empty shell window [{j_min}, {j_max}]")
-        if len(self.values) != j_max - j_min + 1:
-            raise DomainError(
-                f"window [{j_min}, {j_max}] needs {j_max - j_min + 1} "
-                f"values, got {len(self.values)}"
-            )
-        object.__setattr__(self, "window", (int(j_min), int(j_max)))
+        _set_window(self, self.values, "values")
         object.__setattr__(self, "values", tuple([float(v) for v in self.values]))
         object.__setattr__(self, "u_inner", float(self.u_inner))
         object.__setattr__(self, "u_infinity", float(self.u_infinity))

@@ -93,28 +93,11 @@ def _require(data: dict, key: str, path: str | None, prefix: str = "") -> Any:
     return data[key]
 
 
-#: Largest |j| a decoded window endpoint may have. The work on a function
-#: grows with its window's distance from the origin, so the decoder refuses
-#: endpoints beyond this shell, and every decoded input stays within a
-#: bounded cost.
-WINDOW_CAP = 10_000
-
-
 def _decode_window(value: Any, field: str, path: str | None) -> tuple[int, int]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise SerializationError("window must be a two-element list", path, field)
-    ends = []
-    for i, end in enumerate(value):
-        j = _decode_int(end, f"{field}[{i}]", path)
-        if abs(j) > WINDOW_CAP:
-            raise SerializationError(
-                f"window endpoint {j} lies beyond shell {WINDOW_CAP} from the "
-                "origin, the largest the decoder accepts",
-                path,
-                f"{field}[{i}]",
-            )
-        ends.append(j)
-    return ends[0], ends[1]
+    lo, hi = value
+    return _decode_int(lo, f"{field}[0]", path), _decode_int(hi, f"{field}[1]", path)
 
 
 def _decode_reals(value: Any, field: str, path: str | None) -> tuple[float, ...]:

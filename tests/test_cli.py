@@ -35,7 +35,7 @@ from ultraherz import (
     save_theorem_config,
 )
 from ultraherz.cli import build_parser, main
-from ultraherz.serialize import WINDOW_CAP
+from ultraherz.padic import SHELL_LIMIT
 
 CTX = PadicContext(2, 1)
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -382,28 +382,80 @@ def test_extreme_shell_norms_exit_one(files, tmp_path, capsys, shell, space, mes
 
 
 def test_windows_past_the_decode_cap_exit_one(files, tmp_path, capsys):
-    """A window endpoint one shell past WINDOW_CAP is refused when the file
-    is read, before any work on it starts; the cap itself still decodes."""
-    far = WINDOW_CAP + 1
-    path = tmp_path / "far.json"
-    save_function(RadialStepFunction(CTX, (-far, -far), (1.0,)), str(path))
-    symbol = tmp_path / "b.json"
-    save_function(RadialStepFunction(CTX, (0, far), (1.0,) * (far + 1)), str(symbol))
-    u_far = tmp_path / "u_far.json"
-    save_exponent(ExponentFunction(CTX, (far, far), (2.0,), 2.0, 2.0), str(u_far))
+    """A window endpoint one shell past SHELL_LIMIT is refused when the file
+    is read, before any work on it starts; the limit itself still decodes.
+    The constructors refuse such windows too, so the documents are written
+    as plain JSON."""
+    far = SHELL_LIMIT + 1
+    ctx = {"p": 2, "n": 1}
+    documents = {
+        "far.json": {"ctx": ctx, "window": [-far, -far], "coeffs": ["1"]},
+        "b.json": {"ctx": ctx, "window": [0, far], "coeffs": ["1"] * (far + 1)},
+        "u_far.json": {
+            "ctx": ctx, "window": [far, far], "values": ["2"],
+            "u_inner": "2", "u_infinity": "2",
+        },
+    }
+    for name, document in documents.items():
+        (tmp_path / name).write_text(json.dumps(document))
+    path, symbol, u_far = (str(tmp_path / name) for name in documents)
     for argv, field in [
-        (["norm", "-u", files["u"], "-i", str(path)], "window[0]"),
-        (["norm", "-u", str(u_far), "-i", files["f"]], "window[0]"),
-        (["apply", "-i", str(path), "--operator", "hardy"], "window[0]"),
-        (["norm", "--space", "cmo", "-i", str(symbol), "-u", files["u"]], "window[1]"),
+        (["norm", "-u", files["u"], "-i", path], "window[0]"),
+        (["norm", "-u", u_far, "-i", files["f"]], "window[0]"),
+        (["apply", "-i", path, "--operator", "hardy"], "window[0]"),
+        (["norm", "--space", "cmo", "-i", symbol, "-u", files["u"]], "window[1]"),
     ]:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
-        assert field in captured.err and str(WINDOW_CAP) in captured.err
-    save_function(RadialStepFunction(CTX, (-WINDOW_CAP, -WINDOW_CAP), (1.0,)), str(path))
-    assert load_function(str(path)).window == (-WINDOW_CAP, -WINDOW_CAP)
+        assert field in captured.err and str(SHELL_LIMIT) in captured.err
+    save_function(RadialStepFunction(CTX, (-SHELL_LIMIT, -SHELL_LIMIT), (1.0,)), path)
+    assert load_function(path).window == (-SHELL_LIMIT, -SHELL_LIMIT)
+
+
+def test_apply_refuses_an_image_past_the_shell_limit(tmp_path, capsys):
+    """The adjoint of chi(S_SHELL_LIMIT) lives on [SHELL_LIMIT - 1,
+    SHELL_LIMIT + 1]; apply refuses it rather than write a file that would
+    not decode again."""
+    path, out = tmp_path / "edge.json", tmp_path / "image.json"
+    save_function(RadialStepFunction(CTX, (SHELL_LIMIT, SHELL_LIMIT), (1.0,)), str(path))
+    argv = ["apply", "-i", str(path), "--operator", "adjoint", "-o", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "window[1]" in captured.err and str(SHELL_LIMIT) in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("shell", "task"),
+    [
+        (1100, ["--task", "norm"]),
+        (1020, ["--task", "norm"]),
+        (1100, ["--task", "operator", "--operator", "adjoint", "--shell", "0"]),
+        (-1100, ["--task", "norm"]),
+        (-1100, ["--task", "operator", "--operator", "hardy", "--shell", "-1000"]),
+        (0, ["--task", "integral", "--naive", "--gamma", "1200"]),
+    ],
+    ids=[
+        "norm-nan-allocation", "norm-overflowing-quota", "adjoint-nan-allocation",
+        "norm-underflow", "hardy-underflow", "naive-integral-overflow",
+    ],
+)
+def test_oracle_past_the_float_range_exits_one(files, tmp_path, capsys, shell, task):
+    """At p = 2 and u = 2, an oracle run whose stratum measure or shell scale
+    leaves the float range exits 1 with a typed error. Unchecked, the first
+    three crashed with a nan or infinite allocation, the next two printed
+    0.0 +- 0.0 for a positive value and the last printed nan."""
+    path = tmp_path / "shell.json"
+    save_function(RadialStepFunction(CTX, (shell, shell), (1.0,)), str(path))
+    assert main(["oracle", "-i", str(path), "-u", files["u"], *task]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "float range" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_help_exits_zero(capsys):

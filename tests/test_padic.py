@@ -8,13 +8,24 @@ import pytest
 
 from ultraherz import (
     DomainError,
+    ExponentFunction,
+    NumericOverflowError,
+    NumericUnderflowError,
+    OperatorSpec,
+    OracleConfig,
     PadicContext,
+    RadialStepFunction,
+    ball_integral,
+    ball_mean,
     ball_measure,
+    mc_integrate,
+    mc_operator_probe,
     padic_valuation,
     ppow,
+    random_family,
     sphere_measure,
 )
-from ultraherz.padic import SHELL_LIMIT, sample_shells
+from ultraherz.padic import SHELL_LIMIT, check_shell, sample_shells
 
 
 def test_ppow_integer_exponents_are_exact():
@@ -100,9 +111,50 @@ def test_sphere_mass_split_between_shells_inside_ball():
     assert abs(observed - expect) < 4 * sigma
 
 
-def test_check_shell_guards_the_truncation_limit():
-    ctx = PadicContext(2, 1)
-    assert ctx.check_shell(10) == 10
-    with pytest.raises(DomainError):
-        ctx.check_shell(SHELL_LIMIT + 1)
-    assert ctx.check_shell(-SHELL_LIMIT) == -SHELL_LIMIT
+_CTX = PadicContext(2, 1)
+_BALL = RadialStepFunction.indicator_ball(_CTX, 0)
+_CONFIG = OracleConfig(samples=1000)
+_HARDY = OperatorSpec("hardy")
+#: The oracle's measure or scale at shell +-SHELL_LIMIT leaves the float
+#: range, so there it raises a float-range error, and never a DomainError.
+_FLOAT_RANGE = (NumericOverflowError, NumericUnderflowError)
+
+
+@pytest.mark.parametrize(
+    ("call", "at_limit"),
+    [
+        (lambda k: check_shell(k, "shell"), None),
+        (lambda k: RadialStepFunction(_CTX, (k, k), (1.0,)), None),
+        (lambda k: ExponentFunction(_CTX, (k, k), (2.0,), 2.0, 2.0), None),
+        (lambda k: RadialStepFunction.indicator_ball(_CTX, k), None),
+        (lambda k: RadialStepFunction.indicator_sphere(_CTX, k), None),
+        (lambda k: ball_integral(_BALL, k), None),
+        (lambda k: ball_mean(_BALL, k), None),
+        (lambda k: ball_measure(k, _CTX), None),
+        (lambda k: sphere_measure(k, _CTX), None),
+        (lambda k: sample_shells("sphere", k, 3, _CTX, 24, random.Random(1)), None),
+        (lambda k: OracleConfig(truncation_window=(-abs(k), abs(k))), None),
+        (lambda k: random_family(_CTX, abs(k), 1, random.Random(1)), None),
+        (lambda k: mc_integrate(_BALL, k, _CONFIG), _FLOAT_RANGE),
+        (lambda k: mc_operator_probe(_HARDY, _BALL, k, _CONFIG), _FLOAT_RANGE),
+    ],
+    ids=[
+        "check_shell", "function", "exponent", "indicator_ball",
+        "indicator_sphere", "ball_integral", "ball_mean", "ball_measure",
+        "sphere_measure", "sample_shells", "truncation_window", "random_family",
+        "mc_integrate", "mc_operator_probe",
+    ],
+)
+def test_check_shell_guards_the_truncation_limit(call, at_limit):
+    """Every shell index the package takes in, as a window end or as a
+    radius whose cost grows with its distance from the origin, is accepted
+    at +-SHELL_LIMIT and refused one shell further out, naming the limit."""
+    for k in (SHELL_LIMIT, -SHELL_LIMIT):
+        if at_limit is None:
+            call(k)
+        else:
+            with pytest.raises(at_limit):
+                call(k)
+    for k in (SHELL_LIMIT + 1, -SHELL_LIMIT - 1):
+        with pytest.raises(DomainError, match=str(SHELL_LIMIT)):
+            call(k)
