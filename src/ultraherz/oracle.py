@@ -1,19 +1,21 @@
 """Monte Carlo cross-checks for shell integrals, norms, and operators.
 
 This module deliberately avoids the closed-form shell sums used everywhere
-else: it draws actual points (exact integer digit vectors, scaled by a power
-of p), classifies each one's shell exactly, evaluates functions there, and
-aggregates. Agreement with the analytic code is then a genuine end-to-end
-check of the geometry (shell classification, measures, sampling) rather than
-a reprint of the same formulas.
+else: it draws actual points of a ball (exact integer digit vectors, scaled
+by a power of p), classifies each one's shell exactly, evaluates functions
+there, and aggregates. Agreement with the analytic code is then a genuine
+end-to-end check of the geometry (shell classification, measures, sampling)
+rather than a reprint of the same formulas.
 
 Two regimes are supported. Stratified sampling (the default) allocates the
 budget proportionally to shell measures inside a truncation window, pooling
-everything below it into one residual ball stratum; for radial integrands
-each sphere stratum has zero variance, so the estimate is near-exact and
-the reported standard error collapses. Plain uniform sampling over the ball
-(``stratified=False``) has honest 1/sqrt(N) statistics and is what the
-3-sigma comparisons in the test-suite use.
+everything below it into one residual ball stratum. Only that ball stratum
+draws points: every point of a sphere stratum lies on its own shell, so its
+allocated points all take the value there without being drawn. For radial
+integrands each sphere stratum has zero variance, so the estimate is
+near-exact and the reported standard error collapses. Plain uniform sampling
+over the ball (``stratified=False``) has honest 1/sqrt(N) statistics and is
+what the 3-sigma comparisons in the test-suite use.
 
 Standard errors are computed from within-stratum sample variances and merged
 in quadrature. Strata that receive fewer than two points report zero
@@ -26,8 +28,9 @@ from __future__ import annotations
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import DomainError, NumericOverflowError, NumericUnderflowError
 from .operators import OperatorSpec
@@ -72,6 +75,9 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class MCEstimate:
+    """An estimate with its standard error; ``samples`` counts the points
+    allocated to its strata, drawn or not."""
+
     value: float
     std_error: float
     samples: int
@@ -110,6 +116,27 @@ def _allocate(total: int, weights: list[float]) -> list[int]:
     for i in by_remainder[:short]:
         counts[i] += 1
     return [max(1, c) for c in counts]
+
+
+def _stratify(
+    f: RadialStepFunction, top: int, spheres: range, config: OracleConfig
+) -> tuple[list[float], list[int], list[list[float]]]:
+    """Measures, allocated counts and values of f on the residual ball
+    B_top and on the spheres S_j, j in ``spheres``, in that order.
+
+    Only the ball is sampled, on a fresh ``Random(config.seed)``: a sphere's
+    points all lie on its shell, so its values are count copies of f there.
+    """
+    p, n = f.ctx.p, f.ctx.n
+    mass = float(1 - (1 / p) ** n)
+    measures = [_scaled(1.0, p, n * top, f"|B_{top}|")]
+    measures += [_scaled(mass, p, n * j, f"|S_{j}|") for j in spheres]
+    counts = _allocate(config.samples, measures)
+    rng = random.Random(config.seed)
+    sampled = sample_shells(top, counts[0], f.ctx, config.resolution, rng)
+    values = [_values_at(f, sampled)]
+    values += [[f.evaluate(j)] * c for j, c in zip(spheres, counts[1:])]
+    return measures, counts, values
 
 
 def _stratum_stats(
@@ -200,13 +227,12 @@ def mc_integrate(
     ctx = f.ctx
     check_shell(gamma, "integration radius")
     p, n = ctx.p, ctx.n
-    rng = random.Random(config.seed)
 
     if not config.stratified:
         measure = _scaled(1.0, p, n * gamma, f"|B_{gamma}|")
-        sampled = sample_shells("ball", gamma, config.samples, ctx, config.resolution, rng)
-        values = _values_at(f, sampled)
-        mean, var = _stratum_stats(values)
+        rng = random.Random(config.seed)
+        sampled = sample_shells(gamma, config.samples, ctx, config.resolution, rng)
+        mean, var = _stratum_stats(_values_at(f, sampled))
         return MCEstimate(
             measure * mean,
             measure * math.sqrt(var / config.samples),
@@ -214,27 +240,16 @@ def mc_integrate(
         )
 
     lo = min(config.truncation_window[0], f.window[0])
-    strata: list[tuple[str, int, float]] = []
-    if gamma >= lo:
-        strata.append(("ball", lo - 1, _scaled(1.0, p, n * (lo - 1), f"|B_{lo - 1}|")))
-        mass = float(1 - (1 / p) ** n)
-        for j in range(lo, gamma + 1):
-            strata.append(("sphere", j, _scaled(mass, p, n * j, f"|S_{j}|")))
-    else:
-        strata.append(("ball", gamma, _scaled(1.0, p, n * gamma, f"|B_{gamma}|")))
-
-    counts = _allocate(config.samples, [w for _, _, w in strata])
+    measures, counts, values = _stratify(
+        f, min(lo - 1, gamma), range(lo, gamma + 1), config
+    )
     value = 0.0
     variance = 0.0
-    drawn = 0
-    for (region, j, measure), count in zip(strata, counts):
-        sampled = sample_shells(region, j, count, ctx, config.resolution, rng)
-        values = _values_at(f, sampled)
-        mean, var = _stratum_stats(values)
+    for measure, count, stratum in zip(measures, counts, values):
+        mean, var = _stratum_stats(stratum)
         value += measure * mean
         variance += measure**2 * var / count
-        drawn += count
-    return MCEstimate(value, math.sqrt(variance), drawn)
+    return MCEstimate(value, math.sqrt(variance), sum(counts))
 
 
 def mc_luxemburg(
@@ -257,41 +272,26 @@ def mc_luxemburg(
     """
     if f.ctx != u.ctx:
         raise DomainError("function and exponent live in different contexts")
-    ctx = f.ctx
-    p, n = ctx.p, ctx.n
-    rng = random.Random(config.seed)
+    p, n = f.ctx.p, f.ctx.n
     lo = min(config.truncation_window[0], f.window[0], u.window[0])
     hi = max(config.truncation_window[1], f.window[1], u.window[1])
     mass = float(1 - (1 / p) ** n)
-
-    strata: list[tuple[str, int, float, float]] = [
-        ("ball", lo - 1, _scaled(1.0, p, n * (lo - 1), f"|B_{lo - 1}|"), u.u_inner)
-    ]
-    for j in range(lo, hi + 1):
-        strata.append(("sphere", j, _scaled(mass, p, n * j, f"|S_{j}|"), u.evaluate(j)))
-
-    counts = _allocate(config.samples, [w for _, _, w, _ in strata])
-    drawn: list[tuple[float, float, list[float], set[float], int]] = []
-    total = 0
-    for (region, j, measure, exponent), count in zip(strata, counts):
-        sampled = sample_shells(region, j, count, ctx, config.resolution, rng)
-        magnitudes = [abs(v) for v in _values_at(f, sampled)]
-        drawn.append((measure, exponent, magnitudes, set(magnitudes), count))
-        total += count
-
-    def terms_at(
-        lam: float, exponent: float, magnitudes: list[float], distinct: set[float]
-    ) -> Iterator[float]:
-        """(a / lam) ** exponent for every draw in draw order, each power
-        evaluated once per distinct magnitude of the stratum."""
-        table = {a: (a / lam) ** exponent for a in distinct}
-        return map(table.__getitem__, magnitudes)
+    spheres = range(lo, hi + 1)
+    measures, counts, values = _stratify(f, lo - 1, spheres, config)
+    exponents = [u.u_inner] + [u.evaluate(j) for j in spheres]
+    total = sum(counts)
+    drawn: list[tuple[float, float, list[float], Counter[float]]] = []
+    for measure, exponent, stratum in zip(measures, exponents, values):
+        magnitudes = [abs(v) for v in stratum]
+        drawn.append((measure, exponent, magnitudes, Counter(magnitudes)))
 
     def modular_hat(lam: float) -> float:
+        """The sampled modular: each stratum's mean of (a / lam) ** exponent,
+        one term per distinct magnitude a, weighted by how often it was drawn."""
         acc = 0.0
-        for measure, exponent, magnitudes, distinct, _ in drawn:
+        for measure, exponent, magnitudes, multiplicity in drawn:
             acc += measure * sum(
-                terms_at(lam, exponent, magnitudes, distinct)
+                c * (a / lam) ** exponent for a, c in multiplicity.items()
             ) / len(magnitudes)
         return acc
 
@@ -317,9 +317,10 @@ def mc_luxemburg(
 
     root, half = _bisect_luxemburg(modular_hat, rel_tol)
     variance = 0.0
-    for measure, exponent, magnitudes, distinct, count in drawn:
-        _, var = _stratum_stats(list(terms_at(root, exponent, magnitudes, distinct)))
-        variance += measure**2 * var / count
+    for measure, exponent, magnitudes, multiplicity in drawn:
+        term = {a: (a / root) ** exponent for a in multiplicity}
+        _, var = _stratum_stats([term[a] for a in magnitudes])
+        variance += measure**2 * var / len(magnitudes)
     sigma_mod = math.sqrt(variance)
     if bias_at is not None:
         sigma_mod += bias_at(root)
@@ -348,7 +349,6 @@ def mc_operator_probe(
     alpha = spec.alpha
 
     if spec.kind == "adjoint":
-        rng = random.Random(config.seed)
         hi = max(config.truncation_window[1], f.window[1])
         mass = float(1 - (1 / p) ** n)
         amplitude, rate = f.outer_tail
@@ -361,23 +361,20 @@ def mc_operator_probe(
                     f"defining integral divergent (needs rate + alpha < 0)"
                 )
             bias = abs(amplitude) * mass * ppow(p, s * (hi + 1)) / (1.0 - ppow(p, s))
-        shells = list(range(shell + 1, hi + 1))
+        # a shell where f vanishes adds exactly 0, so it gets no stratum
+        shells = [j for j in range(shell + 1, hi + 1) if f.evaluate(j) != 0.0]
         if not shells:
             return MCEstimate(0.0, bias, 0)
         weights = [_scaled(mass, p, n * j, f"|S_{j}|") for j in shells]
         counts = _allocate(config.samples, weights)
         value = 0.0
         variance = 0.0
-        drawn = 0
         for j, weight, count in zip(shells, weights, counts):
-            sampled = sample_shells("sphere", j, count, ctx, config.resolution, rng)
             factor = _scaled(1.0, p, j * (alpha - n), f"the scale of shell {j}")
-            values = [v * factor for v in _values_at(f, sampled)]
-            mean, var = _stratum_stats(values)
+            mean, var = _stratum_stats([f.evaluate(j) * factor] * count)
             value += weight * mean
             variance += weight**2 * var / count
-            drawn += count
-        return MCEstimate(value, math.sqrt(variance) + bias, drawn)
+        return MCEstimate(value, math.sqrt(variance) + bias, sum(counts))
 
     scale = _scaled(1.0, p, shell * (alpha - n), f"the scale of shell {shell}")
     if spec.kind == "hardy":

@@ -12,9 +12,9 @@ Conventions used throughout the package:
   ``|B_k| = p^(n k)`` and ``|S_k| = p^(n k) (1 - p^(-n))``, returned as exact
   ``fractions.Fraction`` values.
 
-The sampler draws Haar-uniform points of a ball or sphere as integer digit
-vectors truncated to a digit resolution and returns only their shells, which
-it reads off the vectors exactly in integer arithmetic.
+The sampler draws Haar-uniform points of a ball as integer digit vectors
+truncated to a digit resolution and returns only their shells, which it
+reads off the vectors exactly in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -149,18 +149,16 @@ def sphere_measure(gamma: int, ctx: PadicContext) -> Fraction:
 
 
 def sample_shells(
-    region: str,
     gamma: int,
     count: int,
     ctx: PadicContext,
     resolution: int,
     rng: random.Random,
 ) -> list[int | None]:
-    """Shell indices of ``count`` Haar-uniform points of a ball or sphere.
+    """Shell indices of ``count`` Haar-uniform points of the ball B_gamma.
 
     Args:
-        region: ``"ball"`` for B_gamma or ``"sphere"`` for S_gamma.
-        gamma: shell index of the region.
+        gamma: shell index of the ball.
         count: number of points to draw.
         ctx: ambient space.
         resolution: each coordinate is p^(-gamma) times a uniform draw from
@@ -174,32 +172,26 @@ def sample_shells(
     Each coordinate is drawn as ``rng.randrange(limit)`` draws it
     (``getrandbits`` of the limit's bit length, redrawn while out of range),
     so the stream and the generator's final state are those of n
-    ``randrange`` calls per point. The sphere law is the ball law conditioned
-    on the norm being exactly p^gamma, realized by rejecting vectors whose
-    every coordinate is divisible by p (acceptance probability 1 - p^(-n)).
-    Each point is classified on integers: it lies on shell
-    gamma - min_i v_p(z_i) = gamma - v_p(gcd(z)), and None marks the origin
-    (every z_i = 0).
+    ``randrange`` calls per point. Each point is classified on integers: it
+    lies on shell gamma - min_i v_p(z_i) = gamma - v_p(gcd(z)), and None
+    marks the origin (every z_i = 0). A sphere needs no sampler: every point
+    of S_gamma lies on shell gamma.
 
     Example:
         >>> ctx = PadicContext(2, 1)
-        >>> sample_shells("ball", 0, 6, ctx, 24, random.Random(1))
+        >>> sample_shells(0, 6, ctx, 24, random.Random(1))
         [0, 0, -4, -1, 0, -1]
     """
-    if region not in ("ball", "sphere"):
-        raise DomainError(f"region must be 'ball' or 'sphere', got {region!r}")
-    check_shell(gamma, "region index")
+    check_shell(gamma, "ball index")
     p, n = ctx.p, ctx.n
     limit = p ** (resolution + 1)  # size of the truncated digit space of Z_p
     bits = limit.bit_length()
     getrandbits = rng.getrandbits
     gcd = math.gcd
-    sphere = region == "sphere"
     coords = range(n)
     shells: list[int | None] = []
     append = shells.append
-    drawn = 0
-    while drawn < count:
+    for _ in range(count):
         g = 0
         for _ in coords:
             z = getrandbits(bits)
@@ -208,11 +200,8 @@ def sample_shells(
             g = gcd(g, z)
         if g % p:
             append(gamma)
-        elif sphere:
-            continue
         elif g:
             append(gamma - _int_valuation(g, p))
         else:
             append(None)
-        drawn += 1
     return shells

@@ -80,22 +80,16 @@ def test_sample_shells_respects_the_region():
     rng = random.Random(101)
     for _ in range(200):
         gamma = rng.randint(-5, 5)
-        assert sample_shells("sphere", gamma, 1, ctx, 24, rng) == [gamma]
-        (in_ball,) = sample_shells("ball", gamma, 1, ctx, 24, rng)
+        (in_ball,) = sample_shells(gamma, 1, ctx, 24, rng)
         assert in_ball is None or in_ball <= gamma
 
 
 def test_sample_shells_seed_reproducibility():
     ctx = PadicContext(2, 1)
-    a = sample_shells("ball", 0, 50, ctx, 24, random.Random(42))
-    b = sample_shells("ball", 0, 50, ctx, 24, random.Random(42))
+    a = sample_shells(0, 50, ctx, 24, random.Random(42))
+    b = sample_shells(0, 50, ctx, 24, random.Random(42))
     assert a == b
     assert len(set(a)) > 1
-
-
-def test_sample_shells_rejects_an_unknown_region():
-    with pytest.raises(DomainError):
-        sample_shells("cube", 0, 1, PadicContext(2, 1), 24, random.Random(0))
 
 
 def test_sphere_mass_split_between_shells_inside_ball():
@@ -103,7 +97,7 @@ def test_sphere_mass_split_between_shells_inside_ball():
     ctx = PadicContext(2, 1)
     draws = 4000
     gamma = 0
-    shells = sample_shells("ball", gamma, draws, ctx, 24, random.Random(7))
+    shells = sample_shells(gamma, draws, ctx, 24, random.Random(7))
     hits = shells.count(gamma)
     expect = float(sphere_measure(gamma, ctx) / ball_measure(gamma, ctx))
     observed = hits / draws
@@ -132,7 +126,7 @@ _FLOAT_RANGE = (NumericOverflowError, NumericUnderflowError)
         (lambda k: ball_mean(_BALL, k), None),
         (lambda k: ball_measure(k, _CTX), None),
         (lambda k: sphere_measure(k, _CTX), None),
-        (lambda k: sample_shells("sphere", k, 3, _CTX, 24, random.Random(1)), None),
+        (lambda k: sample_shells(k, 3, _CTX, 24, random.Random(1)), None),
         (lambda k: OracleConfig(truncation_window=(-abs(k), abs(k))), None),
         (lambda k: random_family(_CTX, abs(k), 1, random.Random(1)), None),
         (lambda k: mc_integrate(_BALL, k, _CONFIG), _FLOAT_RANGE),
