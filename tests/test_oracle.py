@@ -204,32 +204,32 @@ def test_naive_and_stratified_share_the_target():
     assert abs(layered.value - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
-#: The sampler draws ball points only; its test ids keep the "-ball" part
-#: they had when a region was a parameter, so each id stays comparable.
-_BALL_IDS = "{}-ball".format
-
-
 @pytest.mark.parametrize("p", [2, 3, 7])
 @pytest.mark.parametrize("n", [1, 3])
-@pytest.mark.parametrize("resolution", [1, 24], ids=_BALL_IDS)
-def test_shell_sampler_matches_the_point_sampler(p, n, resolution):
+@pytest.mark.parametrize("region", ["ball", "sphere"])
+@pytest.mark.parametrize("resolution", [1, 24])
+def test_shell_sampler_matches_the_point_sampler(p, n, region, resolution):
     """The integer shell classification, gamma - v_p(gcd(z)), agrees with the
     shell of the point p^(-gamma) * z read off its exact rational coordinates
     (the largest coordinate norm, written out here); at resolution 1 whole
-    vectors collapse to the origin (None)."""
+    vectors collapse to the origin (None). Every point of a sphere lies on
+    its shell, which is why the oracle gives sphere strata f(gamma) without
+    drawing them."""
     ctx = PadicContext(p, n)
     gamma, count, seed = 2, 400, 1000 * p + 10 * n + resolution
     shell_rng, point_rng = random.Random(seed), random.Random(seed)
-    shells = sample_shells(gamma, count, ctx, resolution, shell_rng)
+    shells = _draw_shells(region, gamma, count, ctx, resolution, shell_rng)
     scale = Fraction(p) ** -gamma
     expected = [
         _point_shell([z * scale for z in zs], p)
-        for zs, _ in _reference_draws(gamma, count, ctx, resolution, point_rng)
+        for zs, _ in _reference_draws(region, gamma, count, ctx, resolution, point_rng)
     ]
     assert shells == expected
     # a ball draw at resolution 1 is the origin with probability p^(-2n)
-    if resolution == 1 and count >= p ** (2 * n) / 4:
+    if region == "ball" and resolution == 1 and count >= p ** (2 * n) / 4:
         assert None in shells
+    if region == "sphere":
+        assert set(shells) == {gamma}
 
 
 def _point_shell(coords: list[Fraction], p: int) -> int | None:
@@ -249,15 +249,32 @@ def _valuation(z: int, p: int) -> int:
     return v
 
 
-def _reference_draws(gamma, count, ctx, resolution, rng):
-    """(digit vector, shell) of ``count`` draws, written out with
-    ``rng.randrange``: n integers below p^(resolution+1) per draw, and the
-    shell gamma - min v_p(z_i) over the nonzero z_i (None at the origin)."""
+def _draw_shells(region, gamma, count, ctx, resolution, rng):
+    """Shells of ``count`` points of B_gamma or S_gamma from ``sample_shells``.
+    S_gamma is B_gamma conditioned on shell gamma, so a sphere point is a
+    ball point drawn one at a time and redrawn while it lies off shell gamma."""
+    if region == "ball":
+        return sample_shells(gamma, count, ctx, resolution, rng)
+    shells = []
+    while len(shells) < count:
+        (shell,) = sample_shells(gamma, 1, ctx, resolution, rng)
+        if shell == gamma:
+            shells.append(shell)
+    return shells
+
+
+def _reference_draws(region, gamma, count, ctx, resolution, rng):
+    """(digit vector, shell) of ``count`` accepted draws, written out with
+    ``rng.randrange``: n integers below p^(resolution+1) per draw, a sphere
+    draw redrawn while every coordinate is divisible by p, and the shell
+    gamma - min v_p(z_i) over the nonzero z_i (None at the origin)."""
     p, n = ctx.p, ctx.n
     limit = p ** (resolution + 1)
     draws = []
     while len(draws) < count:
         zs = [rng.randrange(limit) for _ in range(n)]
+        if region == "sphere" and all(z % p == 0 for z in zs):
+            continue
         valuations = [_valuation(z, p) for z in zs if z != 0]
         draws.append((zs, gamma - min(valuations) if valuations else None))
     return draws
@@ -265,18 +282,20 @@ def _reference_draws(gamma, count, ctx, resolution, rng):
 
 @pytest.mark.parametrize("p", [2, 3, 7])
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("resolution", [1, 24], ids=_BALL_IDS)
-def test_samplers_match_a_randrange_reference(p, n, resolution):
+@pytest.mark.parametrize("region", ["ball", "sphere"])
+@pytest.mark.parametrize("resolution", [1, 24])
+def test_samplers_match_a_randrange_reference(p, n, region, resolution):
     """The shell sampler draws the stream of ``randrange`` and leaves the
-    generator in the same state."""
+    generator in the same state; conditioned on shell gamma, it accepts
+    exactly the draws a sphere reference accepts."""
     ctx = PadicContext(p, n)
     gamma, count, seed = -1, 300, 7000 + 100 * p + 10 * n + resolution
     ref_rng, shell_rng = random.Random(seed), random.Random(seed)
-    draws = _reference_draws(gamma, count, ctx, resolution, ref_rng)
-    shells = sample_shells(gamma, count, ctx, resolution, shell_rng)
+    draws = _reference_draws(region, gamma, count, ctx, resolution, ref_rng)
+    shells = _draw_shells(region, gamma, count, ctx, resolution, shell_rng)
     assert shells == [shell for _, shell in draws]
     assert shell_rng.getstate() == ref_rng.getstate()
-    if resolution == 1 and count >= p ** (2 * n) / 4:
+    if region == "ball" and resolution == 1 and count >= p ** (2 * n) / 4:
         assert None in shells
 
 
@@ -286,15 +305,16 @@ def test_samplers_match_a_randrange_reference(p, n, resolution):
     n=st.integers(1, 3),
     seed=st.integers(0, 2**64),
     count=st.integers(0, 60),
+    region=st.sampled_from(["ball", "sphere"]),
     resolution=st.sampled_from([1, 2, 24]),
 )
 def test_shell_sampler_matches_the_reference_for_any_seed(
-    p, n, seed, count, resolution
+    p, n, seed, count, region, resolution
 ):
     ctx = PadicContext(p, n)
     ref_rng, shell_rng = random.Random(seed), random.Random(seed)
-    draws = _reference_draws(3, count, ctx, resolution, ref_rng)
-    shells = sample_shells(3, count, ctx, resolution, shell_rng)
+    draws = _reference_draws(region, 3, count, ctx, resolution, ref_rng)
+    shells = _draw_shells(region, 3, count, ctx, resolution, shell_rng)
     assert shells == [shell for _, shell in draws]
     assert shell_rng.getstate() == ref_rng.getstate()
 
