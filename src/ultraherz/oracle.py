@@ -10,17 +10,17 @@ rather than a reprint of the same formulas.
 Two regimes are supported. Stratified sampling (the default) allocates the
 budget proportionally to shell measures inside a truncation window, pooling
 everything below it into one residual ball stratum. Only that ball stratum
-draws points: every point of a sphere stratum lies on its own shell, so its
-allocated points all take the value there without being drawn. For radial
-integrands each sphere stratum has zero variance, so the estimate is
-near-exact and the reported standard error collapses. Plain uniform sampling
-over the ball (``stratified=False``) has honest 1/sqrt(N) statistics and is
-what the 3-sigma comparisons in the test-suite use.
+draws points. Every point of a sphere stratum S_j lies on shell j, where a
+radial function is constant, so the sphere carries one exact value: its mean
+is f(j) and its variance 0. A stratified estimate therefore costs work in
+proportion to the number of strata plus the ball's draws, not to
+``samples``; ``MCEstimate.samples`` still counts every allocated point, drawn
+or not. Plain uniform sampling over the ball (``stratified=False``) has
+honest 1/sqrt(N) statistics and is what the 3-sigma comparisons in the
+test-suite use.
 
-Standard errors are computed from within-stratum sample variances and merged
-in quadrature. Strata that receive fewer than two points report zero
-variance; with the radial integrands used here those strata are constant,
-so nothing is lost.
+Standard errors come from the ball stratum's sample variance (zero below two
+points), plus an analytic bound for mass above the window where one applies.
 """
 
 from __future__ import annotations
@@ -120,12 +120,16 @@ def _allocate(total: int, weights: list[float]) -> list[int]:
 
 def _stratify(
     f: RadialStepFunction, top: int, spheres: range, config: OracleConfig
-) -> tuple[list[float], list[int], list[list[float]]]:
-    """Measures, allocated counts and values of f on the residual ball
-    B_top and on the spheres S_j, j in ``spheres``, in that order.
+) -> tuple[list[float], list[float], list[float], int]:
+    """The residual ball B_top and the spheres S_j, j in ``spheres``: their
+    measures, in that order; f at the points drawn from the ball; f on each
+    sphere; and the number of points allocated to them all.
 
-    Only the ball is sampled, on a fresh ``Random(config.seed)``: a sphere's
-    points all lie on its shell, so its values are count copies of f there.
+    ``_allocate`` sizes every stratum, but only the ball is sampled, on a
+    fresh ``Random(config.seed)``. A sphere's points all lie on its shell,
+    where f is constant, so the sphere carries one exact value: its mean is
+    f(j) and its variance 0. The work is one value per sphere plus the ball
+    draws, whatever ``config.samples`` allocates to the spheres.
     """
     p, n = f.ctx.p, f.ctx.n
     mass = float(1 - (1 / p) ** n)
@@ -134,15 +138,16 @@ def _stratify(
     counts = _allocate(config.samples, measures)
     rng = random.Random(config.seed)
     sampled = sample_shells(top, counts[0], f.ctx, config.resolution, rng)
-    values = [_values_at(f, sampled)]
-    values += [[f.evaluate(j)] * c for j, c in zip(spheres, counts[1:])]
-    return measures, counts, values
+    levels = [f.evaluate(j) for j in spheres]
+    return measures, _values_at(f, sampled), levels, sum(counts)
 
 
 def _stratum_stats(
     values: list[float],
 ) -> tuple[float, float]:
-    """Sample mean and variance (zero variance below two points).
+    """Sample mean and variance of a sampled stratum (zero variance below
+    two points). Sphere strata never come here: their mean is exact and
+    their variance 0.
 
     Each squared deviation is computed once per distinct value and summed
     in sample order: a stratum holds only a few distinct values.
@@ -163,37 +168,43 @@ def _bisect_luxemburg(
 
     Returns (root estimate, bracket half-width). Brackets by doubling and
     halving from lam = 1, then bisects; the map is strictly decreasing and
-    continuous wherever it is positive on this class. The oracle keeps this
-    solver to itself, so it shares no root finder with the closed forms.
+    continuous wherever it is positive on this class. The map must not be
+    identically 0: a modular that rounds to 0.0 at lam = 1 only says the
+    root lies lower. A root outside the normal float range raises a typed
+    error. The oracle keeps this solver to itself, so it shares no root
+    finder with the closed forms.
     """
-    g = modular_at(1.0)
-    if g == 0.0:
-        return 0.0, 0.0
-    if g <= 1.0:
+    if modular_at(1.0) <= 1.0:
         hi = 1.0
         lo = 0.5
         while modular_at(lo) <= 1.0:
+            if lo * 0.5 < sys.float_info.min:
+                raise NumericUnderflowError(
+                    "the sampled Luxemburg norm falls below the normal float range"
+                )
             hi = lo
             lo *= 0.5
-            if lo < 1e-300:
-                return 0.0, lo
     else:
         lo = 1.0
         hi = 2.0
         while modular_at(hi) > 1.0:
+            if hi > sys.float_info.max / 2:
+                raise NumericOverflowError(
+                    "the sampled Luxemburg norm overflows the float range"
+                )
             lo = hi
             hi *= 2.0
-            if hi > 1e300:
-                return math.inf, math.inf
+    # halving each end before adding keeps lo + hi from overflowing near
+    # the top of the float range; above the subnormals it rounds the same
     for _ in range(200):
         if hi - lo <= rel_tol * hi:
             break
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if modular_at(mid) > 1.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return 0.5 * lo + 0.5 * hi, 0.5 * (hi - lo)
 
 
 def _values_at(f: RadialStepFunction, shells: list[int | None]) -> list[float]:
@@ -240,16 +251,14 @@ def mc_integrate(
         )
 
     lo = min(config.truncation_window[0], f.window[0])
-    measures, counts, values = _stratify(
+    measures, sampled, levels, total = _stratify(
         f, min(lo - 1, gamma), range(lo, gamma + 1), config
     )
+    mean, var = _stratum_stats(sampled)
     value = 0.0
-    variance = 0.0
-    for measure, count, stratum in zip(measures, counts, values):
-        mean, var = _stratum_stats(stratum)
-        value += measure * mean
-        variance += measure**2 * var / count
-    return MCEstimate(value, math.sqrt(variance), sum(counts))
+    for measure, level in zip(measures, [mean, *levels]):
+        value += measure * level
+    return MCEstimate(value, math.sqrt(measures[0] ** 2 * var / len(sampled)), total)
 
 
 def mc_luxemburg(
@@ -268,7 +277,8 @@ def mc_luxemburg(
 
     Functions with a nonzero outer tail get an analytic bias bound for the
     mass above the truncation window folded into the standard error; the
-    inner tail is covered by the residual ball stratum itself.
+    inner tail is covered by the residual ball stratum itself. A norm
+    outside the normal float range raises a typed error.
     """
     if f.ctx != u.ctx:
         raise DomainError("function and exponent live in different contexts")
@@ -277,26 +287,32 @@ def mc_luxemburg(
     hi = max(config.truncation_window[1], f.window[1], u.window[1])
     mass = float(1 - (1 / p) ** n)
     spheres = range(lo, hi + 1)
-    measures, counts, values = _stratify(f, lo - 1, spheres, config)
-    exponents = [u.u_inner] + [u.evaluate(j) for j in spheres]
-    total = sum(counts)
-    drawn: list[tuple[float, float, list[float], Counter[float]]] = []
-    for measure, exponent, stratum in zip(measures, exponents, values):
-        magnitudes = [abs(v) for v in stratum]
-        drawn.append((measure, exponent, magnitudes, Counter(magnitudes)))
+    measures, sampled, levels, total = _stratify(f, lo - 1, spheres, config)
+    ball, u_ball = measures[0], u.u_inner
+    magnitudes = [abs(v) for v in sampled]
+    multiplicity = Counter(magnitudes)
+    sphere_terms = [
+        (measure, u.evaluate(j), abs(level))
+        for measure, j, level in zip(measures[1:], spheres, levels)
+    ]
+    if not any(magnitudes) and not any(levels):
+        return MCEstimate(0.0, 0.0, total)
 
     def modular_hat(lam: float) -> float:
-        """The sampled modular: each stratum's mean of (a / lam) ** exponent,
-        one term per distinct magnitude a, weighted by how often it was drawn."""
+        """The sampled modular: the ball's mean of (a / lam) ** exponent, one
+        term per distinct magnitude a weighted by how often it was drawn, then
+        one term per sphere. A term past the float range makes it inf: the
+        modular exceeds 1 at this lam."""
         acc = 0.0
-        for measure, exponent, magnitudes, multiplicity in drawn:
-            acc += measure * sum(
-                c * (a / lam) ** exponent for a, c in multiplicity.items()
+        try:
+            acc += ball * sum(
+                c * (a / lam) ** u_ball for a, c in multiplicity.items()
             ) / len(magnitudes)
+            for measure, exponent, a in sphere_terms:
+                acc += measure * (a / lam) ** exponent
+        except OverflowError:
+            return math.inf
         return acc
-
-    if modular_hat(1.0) == 0.0:
-        return MCEstimate(0.0, 0.0, total)
 
     bias_at = None
     amplitude, rate = f.outer_tail
@@ -316,12 +332,9 @@ def mc_luxemburg(
             )
 
     root, half = _bisect_luxemburg(modular_hat, rel_tol)
-    variance = 0.0
-    for measure, exponent, magnitudes, multiplicity in drawn:
-        term = {a: (a / root) ** exponent for a in multiplicity}
-        _, var = _stratum_stats([term[a] for a in magnitudes])
-        variance += measure**2 * var / len(magnitudes)
-    sigma_mod = math.sqrt(variance)
+    term = {a: (a / root) ** u_ball for a in multiplicity}
+    _, var = _stratum_stats([term[a] for a in magnitudes])
+    sigma_mod = math.sqrt(ball**2 * var / len(magnitudes))
     if bias_at is not None:
         sigma_mod += bias_at(root)
 
@@ -361,20 +374,18 @@ def mc_operator_probe(
                     f"defining integral divergent (needs rate + alpha < 0)"
                 )
             bias = abs(amplitude) * mass * ppow(p, s * (hi + 1)) / (1.0 - ppow(p, s))
-        # a shell where f vanishes adds exactly 0, so it gets no stratum
-        shells = [j for j in range(shell + 1, hi + 1) if f.evaluate(j) != 0.0]
+        # a shell where f vanishes adds exactly 0, so it gets no stratum;
+        # every other stratum is a sphere, exact with variance 0
+        levels = {j: f.evaluate(j) for j in range(shell + 1, hi + 1)}
+        shells = [j for j, level in levels.items() if level != 0.0]
         if not shells:
             return MCEstimate(0.0, bias, 0)
         weights = [_scaled(mass, p, n * j, f"|S_{j}|") for j in shells]
-        counts = _allocate(config.samples, weights)
         value = 0.0
-        variance = 0.0
-        for j, weight, count in zip(shells, weights, counts):
+        for j, weight in zip(shells, weights):
             factor = _scaled(1.0, p, j * (alpha - n), f"the scale of shell {j}")
-            mean, var = _stratum_stats([f.evaluate(j) * factor] * count)
-            value += weight * mean
-            variance += weight**2 * var / count
-        return MCEstimate(value, math.sqrt(variance) + bias, sum(counts))
+            value += weight * (levels[j] * factor)
+        return MCEstimate(value, bias, sum(_allocate(config.samples, weights)))
 
     scale = _scaled(1.0, p, shell * (alpha - n), f"the scale of shell {shell}")
     if spec.kind == "hardy":

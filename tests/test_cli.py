@@ -458,6 +458,40 @@ def test_oracle_past_the_float_range_exits_one(files, tmp_path, capsys, shell, t
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    ("coefficient", "shell", "exponent", "norm"),
+    [
+        (1e160, 0, 2.0, 1e160 * math.sqrt(0.5)),
+        (1e-299, 0, 2.0, 1e-299 * math.sqrt(0.5)),
+        (1e-301, 0, 1.0, 5e-302),
+        (1.7e308, 0, 1.0, 8.5e307),
+        (1e-310, 0, 1.0, None),
+        (1.7e308, 2, 1.0, None),
+    ],
+    ids=[
+        "modular-overflow", "modular-underflow", "norm-near-min", "norm-near-max",
+        "norm-underflow", "norm-overflow",
+    ],
+)
+def test_oracle_norm_at_the_float_range(tmp_path, capsys, coefficient, shell, exponent, norm):
+    """The oracle's Luxemburg norm of c chi(S_shell) near an end of the float
+    range prints a finite estimate; past it, it exits 1 with a typed error.
+    The first four used to end in a traceback, 0.0, a traceback and inf."""
+    f, u = tmp_path / "f.json", tmp_path / "u.json"
+    save_function(RadialStepFunction(CTX, (shell, shell), (coefficient,)), str(f))
+    save_exponent(ExponentFunction.constant(CTX, exponent), str(u))
+    code = main(["oracle", "-i", str(f), "-u", str(u), "--task", "norm", "--samples", "1000"])
+    if norm is None:
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "float range" in captured.err
+        assert "Traceback" not in captured.err
+    else:
+        assert code == 0
+        assert float(_json_out(capsys)["value"]) == pytest.approx(norm, rel=1e-9, abs=0.0)
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

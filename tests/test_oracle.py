@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from ultraherz import (
     DomainError,
     ExponentFunction,
+    NumericOverflowError,
+    NumericUnderflowError,
     OperatorSpec,
     OracleConfig,
     PadicContext,
@@ -46,8 +48,9 @@ def test_config_validation():
 
 
 def test_stratified_integral_is_nearly_exact_for_radial_integrands():
-    """Per-sphere strata have zero variance when f is radial, so the
-    stratified estimate collapses onto the analytic value."""
+    """Per-sphere strata carry one exact value when f is radial, so the
+    stratified estimate collapses onto the analytic value with a standard
+    error of exactly 0."""
     rng = random.Random(12)
     for _ in range(10):
         lo = rng.randint(-4, 0)
@@ -58,7 +61,16 @@ def test_stratified_integral_is_nearly_exact_for_radial_integrands():
         gamma = hi + rng.randint(0, 2)
         est = mc_integrate(f, gamma, OracleConfig(samples=1000, seed=3))
         assert est.value == pytest.approx(ball_integral(f, gamma), rel=1e-9, abs=1e-12)
-        assert est.std_error == pytest.approx(0.0, abs=1e-12)
+        assert est.std_error == 0.0
+
+
+def test_stratified_integral_of_a_ball_far_from_the_origin():
+    """Sphere strata add no variance term, so a ball whose sphere measures
+    square past the float range still integrates exactly. Squaring |S_600|
+    for a zero variance used to raise a bare OverflowError."""
+    f = RadialStepFunction.indicator_sphere(CTX, 0)
+    est = mc_integrate(f, 600, OracleConfig(samples=1000))
+    assert (est.value, est.std_error) == (0.5, 0.0)
 
 
 def test_naive_integral_covers_truth_within_sigma():
@@ -83,6 +95,93 @@ def test_mc_luxemburg_brackets_the_bisection_value():
     est = mc_luxemburg(f, u, OracleConfig(samples=2000, seed=8))
     exact = luxemburg_norm(f, u).value
     assert abs(est.value - exact) <= max(3.0 * est.std_error, 1e-8 * exact)
+
+
+#: (c, e) for f = c chi(S_0) and u = e at p = 2, n = 1, whose Luxemburg norm
+#: c * 2**(-1/e) sits near an end of the float range. Before the oracle's
+#: bisection reached the whole normal range these raised a bare
+#: OverflowError, printed 0.0 +- 0.0, raised a bare ZeroDivisionError and
+#: printed inf +- inf.
+FLOAT_RANGE_NORMS = {
+    "modular-overflow": (1e160, 2.0),
+    "modular-underflow": (1e-299, 2.0),
+    "norm-near-min": (1e-301, 1.0),
+    "norm-near-max": (1.7e308, 1.0),
+}
+
+#: (c, shell, e, error) for f = c chi(S_shell): a norm past the normal float
+#: range, and the typed error it raises.
+PAST_FLOAT_RANGE_NORMS = {
+    "norm-underflow": (1e-310, 0, 1.0, NumericUnderflowError),
+    "norm-overflow": (1.7e308, 2, 1.0, NumericOverflowError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_RANGE_NORMS))
+def test_mc_luxemburg_reaches_both_ends_of_the_float_range(name):
+    c, e = FLOAT_RANGE_NORMS[name]
+    f = RadialStepFunction(CTX, (0, 0), (c,))
+    est = mc_luxemburg(f, ExponentFunction.constant(CTX, e), OracleConfig(samples=1000))
+    exact = c * 0.5 ** (1.0 / e)
+    assert math.isfinite(est.value) and math.isfinite(est.std_error)
+    assert est.value == pytest.approx(exact, rel=1e-9, abs=0.0)
+    assert abs(est.value - exact) <= est.std_error
+
+
+@pytest.mark.parametrize("name", sorted(PAST_FLOAT_RANGE_NORMS))
+def test_mc_luxemburg_past_the_float_range_raises_a_typed_error(name):
+    c, shell, e, error = PAST_FLOAT_RANGE_NORMS[name]
+    f = RadialStepFunction(CTX, (shell, shell), (c,))
+    with pytest.raises(error, match="sampled Luxemburg norm"):
+        mc_luxemburg(f, ExponentFunction.constant(CTX, e), OracleConfig(samples=1000))
+
+
+def test_mc_luxemburg_of_zero_is_exactly_zero():
+    """Only a function that vanishes on every stratum has norm 0.0 +- 0.0; a
+    modular that rounds to 0.0 at lam = 1 does not."""
+    f = RadialStepFunction(CTX, (-1, 1), (0.0, 0.0, 0.0))
+    est = mc_luxemburg(f, ExponentFunction.constant(CTX, 2.0), OracleConfig(samples=1000))
+    assert (est.value, est.std_error) == (0.0, 0.0)
+
+
+def test_stratified_cost_does_not_grow_with_samples(monkeypatch):
+    """Each sphere stratum carries one exact value, so stratified estimates
+    hand ``_stratum_stats`` as many values at 10**6 samples as at 10**3.
+    ``samples`` still reports every allocated point."""
+    handed: list[int] = []
+    allocated: list[int] = []
+    stats, allocate = oracle._stratum_stats, oracle._allocate
+
+    def counting_stats(values):
+        handed.append(len(values))
+        return stats(values)
+
+    def recording_allocate(total, weights):
+        counts = allocate(total, weights)
+        allocated.append(sum(counts))
+        return counts
+
+    monkeypatch.setattr(oracle, "_stratum_stats", counting_stats)
+    monkeypatch.setattr(oracle, "_allocate", recording_allocate)
+    f = RadialStepFunction(
+        CTX, (-1, 1), (1.0, -2.0, 0.5),
+        inner_tail=Tail(1.0, 0.5), outer_tail=Tail(1.0, -2.5),
+    )
+    u = ExponentFunction(CTX, (-1, 1), (2.0, 2.5, 3.0), 2.0, 2.0)
+    runs = {
+        "integral": lambda config: mc_integrate(f, 1, config),
+        "norm": lambda config: mc_luxemburg(f, u, config),
+        "adjoint": lambda config: mc_operator_probe(OperatorSpec("adjoint", 0.5), f, -2, config),
+    }
+    for name, run in runs.items():
+        work = []
+        for samples in (10**3, 10**6):
+            handed.clear()
+            allocated.clear()
+            est = run(OracleConfig(samples=samples, seed=5, truncation_window=(-40, 8)))
+            assert est.samples == sum(allocated) >= samples, name
+            work.append(sum(handed))
+        assert work[0] == work[1], name
 
 
 def test_oracle_shares_no_solver_with_norms():
@@ -134,7 +233,7 @@ def test_operator_probe_adjoint_accounts_for_truncation_bias():
     g = RadialStepFunction(CTX, (0, 1), (1.0, 0.5))
     exact = mc_operator_probe(OperatorSpec("adjoint", 0.5), g, 0, OracleConfig(samples=1000, seed=21))
     assert exact.value == pytest.approx(hardy_adjoint(g, 0.5).evaluate(0), rel=1e-12)
-    assert exact.std_error == pytest.approx(0.0, abs=1e-15)
+    assert exact.std_error == 0.0
     # shells where f vanishes get no stratum, so a probe far below the
     # window needs no sphere measure below the float range
     sphere = RadialStepFunction.indicator_sphere(CTX, 0)
@@ -386,7 +485,7 @@ GOLDEN = {
             _ex(2, 3, 0, [2.0, 3.0], 2.5, 2.0),
             OracleConfig(2000, seed=17, truncation_window=(-4, 4)),
         ),
-        MCEstimate(value=3.911737204878591, std_error=9.917352988490534e-05, samples=2005),
+        MCEstimate(value=3.911737204878591, std_error=9.917352988677962e-05, samples=2005),
     ),
     "hardy naive p=2 n=3": (
         lambda: mc_operator_probe(
@@ -400,7 +499,7 @@ GOLDEN = {
             OperatorSpec("hardy", 0.25), _fn(7, 1, -1, [2.0, 1.0, -0.5], (1.0, 0.5)), 0,
             OracleConfig(1000, seed=19, truncation_window=(-3, 3)),
         ),
-        MCEstimate(value=1.1046832060439646, std_error=1.177559629185964e-19, samples=1001),
+        MCEstimate(value=1.1046832060439646, std_error=0.0, samples=1001),
     ),
     "adjoint p=2 n=1": (
         lambda: mc_operator_probe(
@@ -414,7 +513,7 @@ GOLDEN = {
             OperatorSpec("adjoint", 1.0), _fn(7, 3, 0, [1.0, -0.5, 2.0], outer=(1.0, -4.5)), -1,
             OracleConfig(1000, seed=22, truncation_window=(-4, 4)),
         ),
-        MCEstimate(value=95.22157434535895, std_error=1.6217918547402109e-15, samples=1003),
+        MCEstimate(value=95.22157434535895, std_error=1.6217918547397585e-15, samples=1003),
     ),
     "commutator p=2 n=1": (
         lambda: mc_operator_probe(
