@@ -6,7 +6,6 @@ Subcommands:
     oracle    Monte Carlo estimates for integrals, norms and operator values
     validate  check the hypotheses of a boundedness claim
     sweep     ratio sweeps (and sharpness probes) for a boundedness claim
-    check     run the structural lemma checks
 
 Exit codes: 0 on success, 2 when a claim's hypotheses are violated, 1 for
 any other error (bad input files, divergent norms requested strictly,
@@ -21,14 +20,7 @@ import json
 import sys
 
 from .errors import DomainError, HypothesisViolationError, UltraherzError
-from .harness import (
-    LEMMA_IDS,
-    check_lemmas,
-    require_hypotheses,
-    sharpness_probe,
-    sweep,
-    validate_hypotheses,
-)
+from .harness import require_hypotheses, sharpness_probe, sweep, validate_hypotheses
 from .norms import (
     HerzParams,
     MorreyHerzParams,
@@ -151,6 +143,7 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_theorem_config(args.config)
+    result = None
     if args.probe:
         require_hypotheses(config)
         shells = range(1, args.probe_shells + 1)
@@ -158,34 +151,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for k, ratio in sharpness_probe(config, tuple(shells)):
             lines.append(f"{k},{ratio!r}")
         text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+    else:
+        result = sweep(config, sizes=_parse_sizes(args.sizes), count=args.count, seed=args.seed)
+        text = result.to_csv()
+    if not args.out:
+        sys.stdout.write(text)
         return 0
-    result = sweep(config, sizes=_parse_sizes(args.sizes), count=args.count, seed=args.seed)
-    text = result.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    # a sweep written to a file reports its suprema on the console
+    if result is not None:
         if not result.rows:
             print("no samples drawn; supremum undefined")
         for size in result.sizes():
             print(f"N={size}: sup ratio {result.sup_ratio(size)!r}")
-    else:
-        sys.stdout.write(text)
     return 0
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    reports = check_lemmas(args.which, args.trials, args.seed)
-    failed = False
-    for report in reports:
-        verdict = "pass" if report.satisfied else "FAIL"
-        print(f"{report.check}: {verdict} ({report.cases} cases) {report.detail}")
-        failed = failed or not report.satisfied
-    return 1 if failed else 0
 
 
 def _add_function_arg(parser: argparse.ArgumentParser) -> None:
@@ -296,23 +276,6 @@ def _sweep_args(sweep_parser: argparse.ArgumentParser) -> None:
     sweep_parser.set_defaults(handler=_cmd_sweep)
 
 
-def _check_args(check: argparse.ArgumentParser) -> None:
-    check.add_argument(
-        "--which",
-        choices=(*LEMMA_IDS, "all"),
-        default="all",
-        help="which structural check to run",
-    )
-    check.add_argument(
-        "--trials",
-        type=int,
-        default=None,
-        help="override the per-check default case count",
-    )
-    check.add_argument("--seed", type=int, default=0)
-    check.set_defaults(handler=_cmd_check)
-
-
 #: subcommand name -> (help line, function that adds its arguments)
 _SUBCOMMANDS = {
     "norm": ("evaluate a space norm", _norm_args),
@@ -320,7 +283,6 @@ _SUBCOMMANDS = {
     "oracle": ("Monte Carlo estimates", _oracle_args),
     "validate": ("check a claim's hypotheses", _validate_args),
     "sweep": ("ratio sweep for a claim", _sweep_args),
-    "check": ("run the structural lemma checks", _check_args),
 }
 
 
@@ -349,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         # a subcommand name first is parsed by that subcommand's parser
-        # alone: building the other five and the subparsers level would cost
+        # alone: building the other four and the subparsers level would cost
         # more than the parse, and a usage error then shows this
         # subcommand's usage; anything else gets the full parser
         if argv and argv[0] in _SUBCOMMANDS:

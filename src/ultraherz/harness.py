@@ -26,15 +26,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, HypothesisViolationError
 from .norms import (
     HerzParams,
     MorreyHerzParams,
     NormResult,
-    ball_indicator_norm,
-    cmo_norm,
     herz_norm,
     morrey_herz_norm,
 )
@@ -44,7 +42,6 @@ from .radial import (
     ExponentFunction,
     RadialStepFunction,
     Tail,
-    ball_mean,
     conjugate,
     sobolev_shift,
 )
@@ -500,156 +497,3 @@ def sharpness_probe(
         denominator = herz_norm(bump, v, bump_space).value
         samples.append((k, numerator / denominator))
     return tuple(samples)
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    """Outcome of one structural check: id token, verdict, worst deviation."""
-
-    check: str
-    satisfied: bool
-    cases: int
-    worst: float
-    detail: str
-
-
-def _random_exponent(ctx: PadicContext, rng: random.Random) -> ExponentFunction:
-    """A moderate random exponent law: values in [1.2, 4] with at most 3 jumps."""
-    jumps = rng.randint(0, 3)
-    if jumps == 0:
-        return ExponentFunction.constant(ctx, rng.uniform(1.2, 4.0))
-    start = rng.randint(-3, 1)
-    window = (start, start + jumps - 1)
-    values = tuple([rng.uniform(1.2, 4.0) for _ in range(jumps)])
-    return ExponentFunction(
-        ctx, window, values, rng.uniform(1.2, 4.0), rng.uniform(1.2, 4.0)
-    )
-
-
-def _random_symbol(ctx: PadicContext, rng: random.Random) -> RadialStepFunction:
-    """A bounded random symbol with frozen tails (values in [-2, 2])."""
-    lo = rng.randint(-4, 1)
-    hi = lo + rng.randint(0, 4)
-    coeffs = tuple([rng.uniform(-2.0, 2.0) for _ in range(hi - lo + 1)])
-    return RadialStepFunction(
-        ctx,
-        (lo, hi),
-        coeffs,
-        inner_tail=Tail(rng.uniform(-2.0, 2.0), 0.0),
-        outer_tail=Tail(rng.uniform(-2.0, 2.0), 0.0),
-    )
-
-
-def _random_ctx(rng: random.Random) -> PadicContext:
-    return PadicContext(rng.choice((2, 3, 5)), rng.choice((1, 2)))
-
-
-def _lemma_mean_drift(rng: random.Random, cases: int) -> LemmaReport:
-    """Changing the averaging ball moves the mean by at most the oscillation norm.
-
-    For shells l <= m and any point x in the smaller ball,
-    |b(x) - mean(b, B_m)| <= |b(x) - mean(b, B_l)| + p**n * (m - l) * osc(b),
-    where osc is the mean-oscillation norm in a random moderate exponent.
-    """
-    worst = -math.inf
-    violations = 0
-    for _ in range(cases):
-        ctx = _random_ctx(rng)
-        b = _random_symbol(ctx, rng)
-        u = _random_exponent(ctx, rng)
-        norm = cmo_norm(b, u).value
-        x_shell = rng.randint(-5, 5)
-        l = rng.randint(x_shell, 6)
-        m = rng.randint(l, 6)
-        gx = b.evaluate(x_shell)
-        lhs = abs(gx - ball_mean(b, m))
-        rhs = abs(gx - ball_mean(b, l)) + ppow(ctx.p, ctx.n) * (m - l) * norm
-        gap = lhs - rhs
-        worst = max(worst, gap)
-        if gap > 1e-9 * (1.0 + abs(lhs)):
-            violations += 1
-    return LemmaReport(
-        "L3",
-        violations == 0,
-        cases,
-        worst,
-        f"{violations} violations; worst slack gap {worst:.3g}",
-    )
-
-
-def _ball_exponent(u: ExponentFunction, k: int) -> float:
-    """The extremal exponent seen by the ball B_k: inf over the ball for
-    small balls, the value at infinity for large ones."""
-    if k >= 0:
-        return u.u_infinity
-    j_min, j_max = u.window
-    values = [u.u_inner]
-    values.extend(u.values[: max(0, min(k, j_max) - j_min + 1)])
-    return min(values)
-
-
-def _lemma_ball_norm(rng: random.Random, cases: int) -> LemmaReport:
-    """Ball-indicator norms grow like p**(k n / u) with the extremal exponent.
-
-    The ratio of the computed norm to that model must have a stable
-    supremum: widening the shell range from [-12, 12] to [-16, 16] may not
-    move it by 1 percent.
-    """
-    worst = 0.0
-    ok = True
-    for _ in range(cases):
-        ctx = _random_ctx(rng)
-        u = _random_exponent(ctx, rng)
-
-        def ratio(k: int) -> float:
-            norm = ball_indicator_norm(u, k).value
-            model = ppow(ctx.p, k * ctx.n / _ball_exponent(u, k))
-            return norm / model
-
-        sup_narrow = max(ratio(k) for k in range(-12, 13))
-        sup_wide = max(ratio(k) for k in range(-16, 17))
-        drift = abs(sup_wide - sup_narrow) / sup_wide
-        worst = max(worst, drift)
-        ok = ok and drift < 0.01
-    return LemmaReport(
-        "L5",
-        ok,
-        cases,
-        worst,
-        f"supremum drift {worst:.3g} when widening the shell range",
-    )
-
-
-#: lemma id -> (seed offset, default case count, check). The offsets are
-#: fixed, so retiring one check moves no other check's random stream.
-_LEMMAS: dict[str, tuple[int, int, Callable[[random.Random, int], LemmaReport]]] = {
-    "L3": (1, 500, _lemma_mean_drift),
-    "L5": (2, 20, _lemma_ball_norm),
-}
-LEMMA_IDS = tuple(_LEMMAS)
-
-
-def check_lemmas(
-    which: str = "all", trials: int | None = None, seed: int = 0
-) -> tuple[LemmaReport, ...]:
-    """Run structural lemma checks with a seeded generator.
-
-    ``which`` selects a single check by its id token (L3 or L5) or all of
-    them. ``trials`` overrides the per-check default case count (500 and 20
-    respectively). Each check derives its generator from the seed and its
-    own fixed offset, so a single check reproduces exactly the report it
-    would get inside a full run.
-    """
-    if which != "all" and which not in _LEMMAS:
-        raise DomainError(
-            f"unknown lemma id {which!r}; supported: {', '.join(LEMMA_IDS)}, all"
-        )
-    if trials is not None and trials < 1:
-        raise DomainError(f"trials must be positive, got {trials}")
-    reports = []
-    for token, (offset, default_cases, runner) in _LEMMAS.items():
-        if which not in ("all", token):
-            continue
-        cases = default_cases if trials is None else trials
-        reports.append(runner(random.Random(seed * 1_000_003 + offset), cases))
-    return tuple(reports)

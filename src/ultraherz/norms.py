@@ -28,6 +28,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import count
+from typing import Sequence
 
 from .errors import DomainError, NumericOverflowError, NumericUnderflowError
 from .padic import PadicContext, ppow
@@ -134,6 +135,7 @@ def _modular_terms(
     u: ExponentFunction,
     shift: float = 0.0,
     top: int | None = None,
+    lost: list[tuple[float, float]] | None = None,
 ) -> list[tuple[float, float]] | None:
     """The modular of (f - shift) restricted to B_top, as power-sum terms.
 
@@ -147,6 +149,8 @@ def _modular_terms(
     function gets a term, even one whose weight rounded to 0.0, so the
     solver can tell an underflow from the zero function. A power that
     overflows raises NumericOverflowError; a product that does is left inf.
+    ``lost``, when given, collects (log w, e) for each window shell whose
+    weight fell below the normal float range, for the solver to weigh.
     """
     ctx = f.ctx
     p, n = ctx.p, ctx.n
@@ -166,6 +170,8 @@ def _modular_terms(
                     if log_weight >= _LOG_MIN_NORMAL:
                         terms.append((math.exp(log_weight), e))
                         continue
+                    if lost is not None:
+                        lost.append((log_weight, e))
                 terms.append((power * mass * ppow(p, n * k), e))
 
         amplitude, rate = f.inner_tail
@@ -247,7 +253,9 @@ def _check_rel_tol(rel_tol: float) -> None:
 
 
 def _solve_luxemburg(
-    terms: list[tuple[float, float]], rel_tol: float
+    terms: list[tuple[float, float]],
+    rel_tol: float,
+    lost: Sequence[tuple[float, float]] = (),
 ) -> tuple[float, float]:
     """Solve sum w * lam**(-e) = 1 over the (w, e) terms for lam.
 
@@ -266,7 +274,8 @@ def _solve_luxemburg(
     Raises NumericOverflowError when a weight or the root exceeds the float
     range, and NumericUnderflowError when every weight rounded to 0.0, the
     root lies below the smallest normal float, or a subnormal weight carries
-    more than rel_tol of the modular at the root.
+    more than rel_tol of the modular at the root; ``lost`` adds (log w, e)
+    for weights that may have rounded to 0.0, which no group shows.
     """
     if not terms:
         return 0.0, 0.0
@@ -290,11 +299,18 @@ def _solve_luxemburg(
             slope += e * x
         return total, slope
 
-    subnormal = [(w, e) for w, e, _ in groups if w < _MIN_NORMAL]
+    lost = [*lost, *((math.log(w), e) for w, e, _ in groups if w < _MIN_NORMAL)]
+
+    def refuse_lost_weights(root: float) -> None:
+        """Raise when a weight below the normal range carries more than
+        rel_tol of the modular at the root; in logs, as its power may overflow."""
+        bar = math.log(rel_tol * modular_at(root)[0])
+        if any(log_w - e * math.log(root) > bar for log_w, e in lost):
+            raise _weight_underflow()
 
     if len(groups) == 1:
         w, e, _ = groups[0]
-        if subnormal:
+        if w < _MIN_NORMAL:
             raise _weight_underflow()
         lam = math.pow(w, 1.0 / e)
         lam *= math.exp(math.log(modular_at(lam)[0]) / e)
@@ -302,6 +318,8 @@ def _solve_luxemburg(
             raise _norm_underflow()
         if lam == math.inf:
             raise _norm_overflow()
+        if lost:
+            refuse_lost_weights(lam)
         return lam, 0.0
 
     log_n = math.log(len(groups))
@@ -350,12 +368,8 @@ def _solve_luxemburg(
             hi = probe
     half = 0.5 * (hi - lo)
     root = lo + half
-    if subnormal:
-        rho = modular_at(root)[0]
-        for w, e in subnormal:
-            h = math.pow(root, -0.5 * e)
-            if w * h * h > rel_tol * rho:
-                raise _weight_underflow()
+    if lost:
+        refuse_lost_weights(root)
     return root, half
 
 
@@ -374,10 +388,11 @@ def luxemburg_norm(
     _require_same_ctx(f, u)
     _check_rel_tol(rel_tol)
     window = _union_window(f, u)
-    terms = _modular_terms(f, u)
+    lost: list[tuple[float, float]] = []
+    terms = _modular_terms(f, u, lost=lost)
     if terms is None:
         return NormResult(math.inf, False, 0.0, window)
-    value, half = _solve_luxemburg(terms, rel_tol)
+    value, half = _solve_luxemburg(terms, rel_tol, lost)
     return NormResult(value, True, half, window)
 
 
@@ -735,7 +750,9 @@ def _shifted_norm(
     envelope, after returning for a decaying inner tail, so no tail sum of
     the modular diverges.
     """
-    return _solve_luxemburg(_modular_terms(b, u, shift, gamma), rel_tol)[0]
+    lost: list[tuple[float, float]] = []
+    terms = _modular_terms(b, u, shift, gamma, lost)
+    return _solve_luxemburg(terms, rel_tol, lost)[0]
 
 
 def _cmo_envelope_terms(

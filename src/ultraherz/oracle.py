@@ -150,13 +150,19 @@ def _stratum_stats(
     their variance 0.
 
     Each squared deviation is computed once per distinct value and summed
-    in sample order: a stratum holds only a few distinct values.
+    in sample order: a stratum holds only a few distinct values. A square
+    past the float range raises a typed error.
     """
     k = len(values)
     mean = sum(values) / k
     if k < 2:
         return mean, 0.0
-    squares = {v: (v - mean) ** 2 for v in set(values)}
+    try:
+        squares = {v: (v - mean) ** 2 for v in set(values)}
+    except OverflowError:
+        raise NumericOverflowError(
+            "the sampled variance overflows the float range"
+        ) from None
     var = sum(map(squares.__getitem__, values)) / (k - 1)
     return mean, var
 
@@ -340,7 +346,8 @@ def mc_luxemburg(
 
     h = 1e-6
     slope = (modular_hat(root * (1 + h)) - modular_hat(root * (1 - h))) / (2 * root * h)
-    sigma_root = sigma_mod / max(abs(slope), 1e-300) + half
+    # a flat sampled modular cannot place the root: its error is unbounded
+    sigma_root = (sigma_mod / abs(slope) if slope else math.inf) + half
     return MCEstimate(root, sigma_root, total)
 
 

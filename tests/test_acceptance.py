@@ -25,7 +25,8 @@ from ultraherz import (
     Tail,
     TheoremConfig,
     ball_measure,
-    check_lemmas,
+    ball_mean,
+    cmo_norm,
     combine,
     conjugate,
     hardy,
@@ -227,16 +228,39 @@ def test_criterion_6_space_identities():
     _report(6, "degenerate shell spaces collapse onto the classical norms", started)
 
 
+def _random_symbol(rng: random.Random, ctx: PadicContext) -> RadialStepFunction:
+    """A bounded symbol with frozen tails, values in [-2, 2]."""
+    lo = rng.randint(-4, 1)
+    hi = lo + rng.randint(0, 4)
+    coeffs = tuple(rng.uniform(-2.0, 2.0) for _ in range(hi - lo + 1))
+    return RadialStepFunction(
+        ctx,
+        (lo, hi),
+        coeffs,
+        inner_tail=Tail(rng.uniform(-2.0, 2.0), 0.0),
+        outer_tail=Tail(rng.uniform(-2.0, 2.0), 0.0),
+    )
+
+
 def test_criterion_7_structural_lemma_checks():
+    """At a constant exponent u the ball means of b move by at most
+    p**n * ||b||_CMO per level: the step from B_k to B_(k+1) is at most
+    |B_k|**-1 times the integral of |b - mean(b, B_(k+1))| over B_(k+1), and
+    Holder with constant 1 and ||chi_B||_u * ||chi_B||_u' = |B| bounds that
+    integral by |B_(k+1)| * ||b||_CMO."""
     started = time.perf_counter()
-    drift = check_lemmas("L3", trials=500, seed=0)[0]
-    assert drift.satisfied
-    assert drift.cases == 500
-    stability = check_lemmas("L5", trials=20, seed=0)[0]
-    assert stability.satisfied
-    assert stability.cases == 20
-    assert stability.worst < 0.01
-    _report(7, "mean-drift bound and ball-norm ratio stability", started)
+    rng = random.Random(70_707)
+    shells = range(-6, 7)
+    for _ in range(400):
+        ctx = PadicContext(rng.choice((2, 3, 5)), rng.choice((1, 2)))
+        b = _random_symbol(rng, ctx)
+        u = ExponentFunction.constant(ctx, rng.uniform(1.2, 4.0))
+        step = ppow(ctx.p, ctx.n) * cmo_norm(b, u).value
+        means = [ball_mean(b, k) for k in shells]
+        for l in range(len(shells)):
+            for m in range(l, len(shells)):
+                assert abs(means[m] - means[l]) <= step * (m - l) * (1 + 1e-9)
+    _report(7, "ball means drift by at most p**n * ||b||_CMO per level", started)
 
 
 def test_criterion_8_theorem_sweeps_and_sharpness_probe():

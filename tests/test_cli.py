@@ -240,18 +240,15 @@ def test_probe_mode_emits_shell_ratios(files, capsys):
     assert ratios == sorted(ratios)
 
 
-def test_check_single_lemma(capsys):
-    assert main(["check", "--which", "L3", "--trials", "3", "--seed", "2"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("L3: pass (3 cases)")
-
-
-def test_check_all_lemmas_prints_one_line_each(capsys):
-    assert main(["check", "--seed", "0"]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "L3: pass (500 cases) 0 violations; worst slack gap 0",
-        "L5: pass (20 cases) supremum drift 7.95e-12 when widening the shell range",
-    ]
+def test_probe_mode_to_file_writes_the_same_csv(files, tmp_path, capsys):
+    """The probe writes to a file the bytes it prints, and prints nothing."""
+    argv = ["sweep", "--config", files["tc"], "--probe", "--probe-shells", "4"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "probe.csv"
+    assert main([*argv, "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("utf-8")
 
 
 def _readme_usage(block_index: int = 1) -> dict[str, str]:
@@ -322,7 +319,7 @@ def test_usage_errors_exit_one(files, capsys):
     assert main(["no-such-command"]) == 1
     assert main(["norm"]) == 1
     assert main(["norm", "-i", files["f"], "-u", files["u"], "--literal"]) == 1
-    assert main(["check", "--which", "L1"]) == 1  # a retired lemma id
+    assert main(["check"]) == 1  # a removed subcommand
     capsys.readouterr()
 
 
@@ -490,6 +487,18 @@ def test_oracle_norm_at_the_float_range(tmp_path, capsys, coefficient, shell, ex
     else:
         assert code == 0
         assert float(_json_out(capsys)["value"]) == pytest.approx(norm, rel=1e-9, abs=0.0)
+
+
+def test_oracle_naive_variance_past_the_float_range_exits_one(tmp_path, capsys):
+    """Plain sampling of values +-1e200 used to end in a traceback."""
+    path = tmp_path / "f.json"
+    save_function(RadialStepFunction(CTX, (0, 1), (1e200, -1e200)), str(path))
+    argv = ["oracle", "-i", str(path), "--gamma", "1", "--naive", "--samples", "1000"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "float range" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_help_exits_zero(capsys):

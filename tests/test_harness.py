@@ -1,4 +1,4 @@
-"""Hypothesis validation, boundedness ratios, sweeps, and lemma checks."""
+"""Hypothesis validation, boundedness ratios, sweeps, and sharpness probes."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from ultraherz import (
     Tail,
     TheoremConfig,
     boundedness_ratio,
-    check_lemmas,
     conjugate,
     random_family,
     require_hypotheses,
@@ -25,7 +24,6 @@ from ultraherz import (
     sweep,
     validate_hypotheses,
 )
-from ultraherz.harness import LEMMA_IDS
 
 CTX = PadicContext(2, 1)
 U2 = ExponentFunction.constant(CTX, 2.0)
@@ -375,33 +373,6 @@ def test_random_family_is_reproducible():
     one = random_family(CTX, 3, 10, random.Random(5))
     two = random_family(CTX, 3, 10, random.Random(5))
     assert one == two
-
-
-# --- lemma checks ------------------------------------------------------------
-
-
-def test_full_lemma_run_covers_every_check():
-    """Each check seeds its generator with a fixed offset, so the pinned
-    reports stay the same when another check is added or retired."""
-    reports = check_lemmas()
-    assert [r.check for r in reports] == list(LEMMA_IDS) == ["L3", "L5"]
-    assert [r.cases for r in reports] == [500, 20]
-    assert all(r.satisfied for r in reports)
-    assert [r.worst for r in reports] == [0.0, 7.951417302168418e-12]
-
-
-def test_single_lemma_selection_matches_its_slot_in_a_full_run():
-    full = check_lemmas(trials=10, seed=5)
-    assert [r.worst for r in full] == [0.0, 2.468469872890639e-11]
-    for slot, token in enumerate(LEMMA_IDS):
-        assert check_lemmas(token, trials=10, seed=5) == (full[slot],)
-
-
-def test_lemma_arguments_are_validated():
-    with pytest.raises(DomainError):
-        check_lemmas("L1")
-    with pytest.raises(DomainError):
-        check_lemmas("L3", trials=0)
 
 
 # --- configuration validation ------------------------------------------------

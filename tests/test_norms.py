@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -263,6 +264,14 @@ def test_a_subnormal_weight_that_carries_the_modular_is_refused():
     # a subnormal weight far below rel_tol of the modular does not count
     result = luxemburg_norm(RadialStepFunction(CTX, (0, 1), (1.0, 1e-110)), u2)
     assert result.value == pytest.approx(math.sqrt(0.5), rel=1e-10)
+    # c chi(B_1), c the smallest normal float, u = 1 up to shell 0 and 1.5
+    # above: shell 1's weight c**1.5 rounds to 0.0 and its group vanishes, so
+    # the solver returned c with a zero certificate, where the modular is 2
+    c = sys.float_info.min
+    f = RadialStepFunction(CTX, (2, 2), (0.0,), inner_tail=Tail(c, 0.0))
+    u = ExponentFunction(CTX, (0, 0), (1.0,), 1.0, 1.5)
+    with pytest.raises(NumericUnderflowError, match="normal float range"):
+        luxemburg_norm(f, u)
 
 
 def test_partial_underflow_keeps_the_norm():
@@ -401,6 +410,10 @@ def test_morrey_herz_reports_divergence_at_either_end():
 
 
 def test_ball_indicator_norm_matches_bisection():
+    """Also the growth law ||chi(B_k)|| ~ |B_k|**(1/u): exact with u_inner
+    below u's window, where the ball sees one exponent, and with
+    u_infinity in the limit above it, where the part of B_k past the window
+    takes all but p**(-n d) of the measure d shells out."""
     rng = random.Random(6006)
     for _ in range(25):
         u = _random_exponent(rng, CTX)
@@ -410,6 +423,13 @@ def test_ball_indicator_norm_matches_bisection():
             RadialStepFunction.indicator_ball(CTX, gamma), u, rel_tol=1e-12
         ).value
         assert solved == pytest.approx(closed, rel=1e-8)
+        j_min, j_max = u.window
+        for k in range(j_min - 40, j_min):
+            exact = ppow(CTX.p, CTX.n * k / u.u_inner)
+            assert ball_indicator_norm(u, k).value == pytest.approx(exact, rel=1e-14, abs=0.0)
+        k = j_max + 60
+        limit = ppow(CTX.p, CTX.n * k / u.u_infinity)
+        assert ball_indicator_norm(u, k).value / limit == pytest.approx(1.0, abs=1e-7)
 
 
 def test_cmo_ball_indicator_half():

@@ -144,6 +144,27 @@ def test_mc_luxemburg_of_zero_is_exactly_zero():
     assert (est.value, est.std_error) == (0.0, 0.0)
 
 
+def test_mc_luxemburg_error_bar_scales_with_the_function():
+    """Scaling f by a power of 2 scales the sampled modular's root and its
+    error bar exactly. The modular's slope at a root near 1e301 is below
+    1e-300; a clamp there shrank the bar 4.4-fold."""
+    u = ExponentFunction.constant(CTX, 2.0)
+    config = OracleConfig(samples=2000, truncation_window=(-2, 2), seed=3)
+    relative = []
+    for s in (2.0**990, 2.0**1000):
+        f = RadialStepFunction(CTX, (0, 0), (s,), inner_tail=Tail(s, 0.5))
+        est = mc_luxemburg(f, u, config)
+        relative.append((est.value / s, est.std_error / s))
+    assert relative[0] == relative[1]
+
+
+def test_plain_sampling_variance_past_the_float_range_raises_a_typed_error():
+    """Values +-1e200 on two shells square past the float range."""
+    f = RadialStepFunction(CTX, (0, 1), (1e200, -1e200))
+    with pytest.raises(NumericOverflowError, match="sampled variance"):
+        mc_integrate(f, 1, OracleConfig(samples=1000, stratified=False))
+
+
 def test_stratified_cost_does_not_grow_with_samples(monkeypatch):
     """Each sphere stratum carries one exact value, so stratified estimates
     hand ``_stratum_stats`` as many values at 10**6 samples as at 10**3.

@@ -5,6 +5,7 @@ norm laws written out here."""
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -32,7 +33,7 @@ from ultraherz import (
     morrey_herz_norm,
     ppow,
 )
-from ultraherz.norms import _mixed_inner_sum, _shifted_norm
+from ultraherz.norms import _mixed_inner_sum, _modular_terms, _shifted_norm
 from ultraherz.radial import _float_value, _geometric_tail, _running_parts
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
@@ -293,12 +294,14 @@ def norm_inputs(draw):
 
 
 def _solved(f, u, rel_tol=1e-10):
-    """luxemburg_norm, or None when every modular term of f rounds to 0.0
-    (a tiny coefficient to a large power), the one case it refuses."""
+    """luxemburg_norm, or None when it refuses, which it may do only when a
+    modular weight of f lies below the normal float range: every weight
+    rounded to 0.0, a weight kept few bits or none, or the root is below
+    that range (at the root each weight is at most root**e <= root)."""
     try:
         return luxemburg_norm(f, u, rel_tol)
     except NumericUnderflowError:
-        assert modular(f, u).value == 0.0
+        assert min(w for w, _ in _modular_terms(f, u)) < sys.float_info.min
         return None
 
 
