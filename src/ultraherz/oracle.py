@@ -19,8 +19,10 @@ or not. Plain uniform sampling over the ball (``stratified=False``) has
 honest 1/sqrt(N) statistics and is what the 3-sigma comparisons in the
 test-suite use.
 
-Standard errors come from the ball stratum's sample variance (zero below two
-points), plus an analytic bound for mass above the window where one applies.
+A drawn ball keeps only its points' shells; f is evaluated once per
+distinct shell, and the sample mean and variance are read off that table.
+Standard errors come from this sample variance (zero below two points),
+plus an analytic bound for mass above the window where one applies.
 """
 
 from __future__ import annotations
@@ -118,15 +120,30 @@ def _allocate(total: int, weights: list[float]) -> list[int]:
     return [max(1, c) for c in counts]
 
 
+def _sample_ball(
+    f: RadialStepFunction, gamma: int, count: int, config: OracleConfig
+) -> tuple[dict[int | None, float], list[int | None]]:
+    """f at each distinct shell of ``count`` points of B_gamma drawn on a
+    fresh ``Random(config.seed)``, and the shells in draw order. The origin
+    (None), of measure zero, takes the inner tail's limit: its amplitude
+    when the inner rate is 0, else 0."""
+    rng = random.Random(config.seed)
+    shells = sample_shells(gamma, count, f.ctx, config.resolution, rng)
+    amplitude, rate = f.inner_tail
+    origin = amplitude if rate == 0.0 else 0.0
+    table = {k: origin if k is None else f.evaluate(k) for k in set(shells)}
+    return table, shells
+
+
 def _stratify(
     f: RadialStepFunction, top: int, spheres: range, config: OracleConfig
-) -> tuple[list[float], list[float], list[float], int]:
+) -> tuple[list[float], dict[int | None, float], list[int | None], list[float], int]:
     """The residual ball B_top and the spheres S_j, j in ``spheres``: their
-    measures, in that order; f at the points drawn from the ball; f on each
-    sphere; and the number of points allocated to them all.
+    measures, in that order; the table and shells of the ball's draws; f on
+    each sphere; and the number of points allocated to them all.
 
-    ``_allocate`` sizes every stratum, but only the ball is sampled, on a
-    fresh ``Random(config.seed)``. A sphere's points all lie on its shell,
+    ``_allocate`` sizes every stratum, but only the ball is sampled. A
+    sphere's points all lie on its shell,
     where f is constant, so the sphere carries one exact value: its mean is
     f(j) and its variance 0. The work is one value per sphere plus the ball
     draws, whatever ``config.samples`` allocates to the spheres.
@@ -136,35 +153,46 @@ def _stratify(
     measures = [_scaled(1.0, p, n * top, f"|B_{top}|")]
     measures += [_scaled(mass, p, n * j, f"|S_{j}|") for j in spheres]
     counts = _allocate(config.samples, measures)
-    rng = random.Random(config.seed)
-    sampled = sample_shells(top, counts[0], f.ctx, config.resolution, rng)
+    table, sampled = _sample_ball(f, top, counts[0], config)
     levels = [f.evaluate(j) for j in spheres]
-    return measures, _values_at(f, sampled), levels, sum(counts)
+    return measures, table, sampled, levels, sum(counts)
 
 
-def _stratum_stats(
-    values: list[float],
+def _shell_stats(
+    table: dict[int | None, float], shells: list[int | None]
 ) -> tuple[float, float]:
-    """Sample mean and variance of a sampled stratum (zero variance below
-    two points). Sphere strata never come here: their mean is exact and
-    their variance 0.
+    """Sample mean and variance (zero below two points) of drawn points on
+    ``shells`` that read ``table[k]`` on shell k. Sphere strata never come
+    here: their mean is exact and their variance 0.
 
-    Each squared deviation is computed once per distinct value and summed
-    in sample order: a stratum holds only a few distinct values. A square
-    past the float range raises a typed error.
+    Values and squared deviations are summed in sample order; a deviation is
+    squared once per distinct sampled shell, never for a table entry that no
+    point drew. A square past the float range raises a typed error.
     """
-    k = len(values)
-    mean = sum(values) / k
+    k = len(shells)
+    value = table.__getitem__
+    mean = sum(map(value, shells)) / k
     if k < 2:
         return mean, 0.0
     try:
-        squares = {v: (v - mean) ** 2 for v in set(values)}
+        squares = {j: (value(j) - mean) ** 2 for j in set(shells)}
     except OverflowError:
         raise NumericOverflowError(
             "the sampled variance overflows the float range"
         ) from None
-    var = sum(map(squares.__getitem__, values)) / (k - 1)
+    var = sum(map(squares.__getitem__, shells)) / (k - 1)
     return mean, var
+
+
+def _ball_error(measure: float, var: float, count: int) -> float:
+    """Standard error of ``measure`` times a mean of ``count`` draws of
+    variance ``var``, as sqrt(measure**2 * var / count) unless that leaves
+    the float range."""
+    try:
+        error = math.sqrt(measure**2 * var / count)
+    except OverflowError:
+        error = math.inf
+    return error if error < math.inf else measure * math.sqrt(var / count)
 
 
 def _bisect_luxemburg(
@@ -213,22 +241,6 @@ def _bisect_luxemburg(
     return 0.5 * lo + 0.5 * hi, 0.5 * (hi - lo)
 
 
-def _values_at(f: RadialStepFunction, shells: list[int | None]) -> list[float]:
-    """f at sampled points given their shells; None marks the origin.
-
-    f is evaluated once per distinct shell: a tail value costs an exact
-    power of p, which would otherwise dominate the sampling itself. The
-    origin, a point of measure zero, takes the inner tail's limit: its
-    amplitude when the inner rate is 0, else 0.
-    """
-    table: dict[int | None, float] = {
-        k: f.evaluate(k) for k in set(shells) if k is not None
-    }
-    amplitude, rate = f.inner_tail
-    table[None] = amplitude if rate == 0.0 else 0.0
-    return [table[k] for k in shells]
-
-
 def mc_integrate(
     f: RadialStepFunction, gamma: int, config: OracleConfig
 ) -> MCEstimate:
@@ -247,9 +259,7 @@ def mc_integrate(
 
     if not config.stratified:
         measure = _scaled(1.0, p, n * gamma, f"|B_{gamma}|")
-        rng = random.Random(config.seed)
-        sampled = sample_shells(gamma, config.samples, ctx, config.resolution, rng)
-        mean, var = _stratum_stats(_values_at(f, sampled))
+        mean, var = _shell_stats(*_sample_ball(f, gamma, config.samples, config))
         return MCEstimate(
             measure * mean,
             measure * math.sqrt(var / config.samples),
@@ -257,14 +267,14 @@ def mc_integrate(
         )
 
     lo = min(config.truncation_window[0], f.window[0])
-    measures, sampled, levels, total = _stratify(
+    measures, table, sampled, levels, total = _stratify(
         f, min(lo - 1, gamma), range(lo, gamma + 1), config
     )
-    mean, var = _stratum_stats(sampled)
+    mean, var = _shell_stats(table, sampled)
     value = 0.0
     for measure, level in zip(measures, [mean, *levels]):
         value += measure * level
-    return MCEstimate(value, math.sqrt(measures[0] ** 2 * var / len(sampled)), total)
+    return MCEstimate(value, _ball_error(measures[0], var, len(sampled)), total)
 
 
 def mc_luxemburg(
@@ -293,15 +303,15 @@ def mc_luxemburg(
     hi = max(config.truncation_window[1], f.window[1], u.window[1])
     mass = float(1 - (1 / p) ** n)
     spheres = range(lo, hi + 1)
-    measures, sampled, levels, total = _stratify(f, lo - 1, spheres, config)
+    measures, table, sampled, levels, total = _stratify(f, lo - 1, spheres, config)
     ball, u_ball = measures[0], u.u_inner
-    magnitudes = [abs(v) for v in sampled]
-    multiplicity = Counter(magnitudes)
+    magnitude = {k: abs(v) for k, v in table.items()}
+    multiplicity = Counter(map(magnitude.__getitem__, sampled))
     sphere_terms = [
         (measure, u.evaluate(j), abs(level))
         for measure, j, level in zip(measures[1:], spheres, levels)
     ]
-    if not any(magnitudes) and not any(levels):
+    if not any(multiplicity) and not any(levels):
         return MCEstimate(0.0, 0.0, total)
 
     def modular_hat(lam: float) -> float:
@@ -313,7 +323,7 @@ def mc_luxemburg(
         try:
             acc += ball * sum(
                 c * (a / lam) ** u_ball for a, c in multiplicity.items()
-            ) / len(magnitudes)
+            ) / len(sampled)
             for measure, exponent, a in sphere_terms:
                 acc += measure * (a / lam) ** exponent
         except OverflowError:
@@ -338,9 +348,9 @@ def mc_luxemburg(
             )
 
     root, half = _bisect_luxemburg(modular_hat, rel_tol)
-    term = {a: (a / root) ** u_ball for a in multiplicity}
-    _, var = _stratum_stats([term[a] for a in magnitudes])
-    sigma_mod = math.sqrt(ball**2 * var / len(magnitudes))
+    term = {k: (a / root) ** u_ball for k, a in magnitude.items()}
+    _, var = _shell_stats(term, sampled)
+    sigma_mod = _ball_error(ball, var, len(sampled))
     if bias_at is not None:
         sigma_mod += bias_at(root)
 

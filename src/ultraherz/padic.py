@@ -174,8 +174,9 @@ def sample_shells(
     so the stream and the generator's final state are those of n
     ``randrange`` calls per point. Each point is classified on integers: it
     lies on shell gamma - min_i v_p(z_i) = gamma - v_p(gcd(z)), and None
-    marks the origin (every z_i = 0). A sphere needs no sampler: every point
-    of S_gamma lies on shell gamma.
+    marks the origin (every z_i = 0). The gcd starts at z_1 and stops once
+    it is a unit (shell gamma): later coordinates are drawn but not read. A
+    sphere needs no sampler: every point of S_gamma lies on shell gamma.
 
     Example:
         >>> ctx = PadicContext(2, 1)
@@ -188,20 +189,27 @@ def sample_shells(
     bits = limit.bit_length()
     getrandbits = rng.getrandbits
     gcd = math.gcd
-    coords = range(n)
+    rest = range(n - 1)
     shells: list[int | None] = []
     append = shells.append
     for _ in range(count):
-        g = 0
-        for _ in coords:
+        g = getrandbits(bits)
+        while g >= limit:
+            g = getrandbits(bits)
+        for _ in rest:
             z = getrandbits(bits)
             while z >= limit:
                 z = getrandbits(bits)
-            g = gcd(g, z)
+            if not g % p:
+                g = gcd(g, z)
         if g % p:
             append(gamma)
         elif g:
-            append(gamma - _int_valuation(g, p))
+            v = 0
+            while not g % p:
+                g //= p
+                v += 1
+            append(gamma - v)
         else:
             append(None)
     return shells

@@ -23,6 +23,7 @@ from ultraherz import (
     RadialStepFunction,
     Tail,
     TheoremConfig,
+    ball_integral,
     conjugate,
     exponent_to_dict,
     function_from_dict,
@@ -499,6 +500,23 @@ def test_oracle_naive_variance_past_the_float_range_exits_one(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:") and "float range" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_oracle_integral_over_a_ball_whose_measure_squares_past_the_float_range(
+    tmp_path, capsys
+):
+    """The residual ball B_599 has a measure whose square leaves the float
+    range; the integral over B_601 used to end in a traceback."""
+    path = tmp_path / "f.json"
+    f = RadialStepFunction(CTX, (600, 601), (1.0, 2.0))
+    save_function(f, str(path))
+    argv = ["oracle", "-i", str(path), "--gamma", "601", "--window", "600", "601",
+            "--samples", "1000"]
+    assert main(argv) == 0
+    payload = _json_out(capsys)
+    assert float(payload["value"]) == pytest.approx(ball_integral(f, 601), rel=1e-12)
+    assert float(payload["value"]) == pytest.approx(1.04e181, rel=0.01)
+    assert math.isfinite(float(payload["std_error"]))
 
 
 def test_help_exits_zero(capsys):

@@ -10,7 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ultraherz import (
@@ -33,7 +33,7 @@ from ultraherz import (
 )
 from ultraherz import norms, oracle
 from ultraherz.oracle import MCEstimate
-from ultraherz.padic import sample_shells
+from ultraherz.padic import ppow, sample_shells
 
 CTX = PadicContext(2, 1)
 
@@ -71,6 +71,50 @@ def test_stratified_integral_of_a_ball_far_from_the_origin():
     f = RadialStepFunction.indicator_sphere(CTX, 0)
     est = mc_integrate(f, 600, OracleConfig(samples=1000))
     assert (est.value, est.std_error) == (0.5, 0.0)
+
+
+def _shifted(f: RadialStepFunction, shift: int) -> RadialStepFunction:
+    """f moved up by ``shift`` shells: the result reads f(k) on shell k + shift."""
+    (lo, hi), (amplitude, rate) = f.window, f.inner_tail
+    inner = Tail(amplitude * ppow(f.ctx.p, -shift * rate), rate)
+    return RadialStepFunction(f.ctx, (lo + shift, hi + shift), f.coeffs, inner)
+
+
+def test_stratified_integral_over_a_ball_whose_measure_squares_past_the_float_range():
+    """The residual ball's measure used to be squared for its error bar,
+    a bare OverflowError once it passed about 1.3e154. Moving f up 600
+    shells scales the estimate by 2^600: the value exactly, the error bar to
+    rounding, here also where the squared bar overflowed to inf."""
+    f = RadialStepFunction(CTX, (600, 601), (1.0, 2.0))
+    est = mc_integrate(f, 601, OracleConfig(samples=1000, truncation_window=(600, 601)))
+    assert est.value == pytest.approx(ball_integral(f, 601), rel=1e-12)
+    assert est.std_error == 0.0
+    near = RadialStepFunction(CTX, (-1, 0), (1.0, 2.0), inner_tail=Tail(4e5, 1.0))
+    config = OracleConfig(samples=1000, truncation_window=(-1, 0), seed=6)
+    base = mc_integrate(near, 0, config)
+    far = mc_integrate(
+        _shifted(near, 500), 500, replace(config, truncation_window=(499, 500))
+    )
+    assert base.std_error > 0.0
+    assert far.value == 2.0**500 * base.value
+    assert far.std_error == pytest.approx(2.0**500 * base.std_error, rel=1e-15)
+
+
+def test_mc_luxemburg_over_a_ball_whose_measure_squares_past_the_float_range():
+    """The sampled modular's error bar squared the ball's measure too. At
+    u = 2, moving f and u up 600 shells scales the norm and its error bar by
+    2^300 exactly; the norm stays within its bar of the closed form."""
+    f = RadialStepFunction(CTX, (0, 1), (1.0, 2.0))
+    config = OracleConfig(samples=1000, truncation_window=(0, 1), seed=2)
+    base = mc_luxemburg(f, ExponentFunction(CTX, (0, 0), (2.0,), 2.0, 2.0), config)
+    far = mc_luxemburg(
+        _shifted(f, 600),
+        ExponentFunction(CTX, (600, 600), (2.0,), 2.0, 2.0),
+        replace(config, truncation_window=(600, 601)),
+    )
+    assert far == MCEstimate(2.0**300 * base.value, 2.0**300 * base.std_error, base.samples)
+    closed = luxemburg_norm(_shifted(f, 600), ExponentFunction.constant(CTX, 2.0)).value
+    assert 0.0 < abs(far.value - closed) <= far.std_error
 
 
 def test_naive_integral_covers_truth_within_sigma():
@@ -167,22 +211,22 @@ def test_plain_sampling_variance_past_the_float_range_raises_a_typed_error():
 
 def test_stratified_cost_does_not_grow_with_samples(monkeypatch):
     """Each sphere stratum carries one exact value, so stratified estimates
-    hand ``_stratum_stats`` as many values at 10**6 samples as at 10**3.
+    hand ``_shell_stats`` as many shells at 10**6 samples as at 10**3.
     ``samples`` still reports every allocated point."""
     handed: list[int] = []
     allocated: list[int] = []
-    stats, allocate = oracle._stratum_stats, oracle._allocate
+    stats, allocate = oracle._shell_stats, oracle._allocate
 
-    def counting_stats(values):
-        handed.append(len(values))
-        return stats(values)
+    def counting_stats(table, shells):
+        handed.append(len(shells))
+        return stats(table, shells)
 
     def recording_allocate(total, weights):
         counts = allocate(total, weights)
         allocated.append(sum(counts))
         return counts
 
-    monkeypatch.setattr(oracle, "_stratum_stats", counting_stats)
+    monkeypatch.setattr(oracle, "_shell_stats", counting_stats)
     monkeypatch.setattr(oracle, "_allocate", recording_allocate)
     f = RadialStepFunction(
         CTX, (-1, 1), (1.0, -2.0, 0.5),
@@ -304,14 +348,89 @@ def test_only_ball_strata_draw_points(monkeypatch):
     assert calls == [(1, 2000)]
 
 
-def test_an_origin_draw_takes_the_inner_tail_limit():
+def test_an_origin_draw_takes_the_inner_tail_limit(monkeypatch):
     """A point drawn at the origin (shell None) reads the inner tail's
     amplitude when the inner rate is 0, and 0.0 for any other inner tail."""
+    read: list[list[float]] = []
+    stats = oracle._shell_stats
+
+    def reading_stats(table, shells):
+        read.append([table[k] for k in shells])
+        return stats(table, shells)
+
+    def values_at(f, shells):
+        monkeypatch.setattr(oracle, "sample_shells", lambda *args: list(shells))
+        mc_integrate(f, 0, OracleConfig(samples=1000, stratified=False))
+        return read.pop()
+
+    monkeypatch.setattr(oracle, "_shell_stats", reading_stats)
     flat = RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(3.0, 0.0))
-    assert oracle._values_at(flat, [None, 0, -2]) == [3.0, 1.0, 3.0]
+    assert values_at(flat, [None, 0, -2]) == [3.0, 1.0, 3.0]
     for inner in (Tail(3.0, 1.0), Tail(3.0, -0.5), Tail(0.0, 0.0)):
         f = RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=inner)
-        assert oracle._values_at(f, [None]) == [0.0]
+        assert values_at(f, [None]) == [0.0]
+
+
+def _reference_stats(values: list[float]) -> tuple[float, float]:
+    """Sample mean and variance of a list of values, each squared deviation
+    computed once per distinct value and summed in sample order: the
+    value-list statistics the oracle kept before it read them off a shell
+    table."""
+    k = len(values)
+    mean = sum(values) / k
+    if k < 2:
+        return mean, 0.0
+    try:
+        squares = {v: (v - mean) ** 2 for v in set(values)}
+    except OverflowError:
+        raise NumericOverflowError(
+            "the sampled variance overflows the float range"
+        ) from None
+    var = sum(map(squares.__getitem__, values)) / (k - 1)
+    return mean, var
+
+
+_STAT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e154, -1e154, 1.4e154, -1.4e154]),
+    st.floats(-1e3, 1e3),
+    st.floats(9e153, 1.5e154),
+    st.floats(-1.5e154, -9e153),
+)
+
+
+@settings(max_examples=200)
+@given(
+    shells=st.lists(st.one_of(st.none(), st.integers(-6, 6)), min_size=1, max_size=40),
+    values=st.lists(_STAT_VALUES, min_size=14, max_size=14),
+    unsampled=st.floats(-1e300, 1e300),
+)
+@example(shells=[3], values=[1e154] * 14, unsampled=1e300)
+@example(shells=[0, 1, 0], values=[1.4e154, -1.4e154] * 7, unsampled=-1e300)
+def test_shell_stats_match_the_value_list_statistics(shells, values, unsampled):
+    """Read off a shell table, the mean and variance keep the bits of the
+    value-list statistics, also where distinct shells carry equal values, for
+    a single point and for values near +-1e154, whose deviations square past
+    the float range. Only a sampled value can make the variance overflow: a
+    table entry no point drew, here shell 99, is never squared."""
+    table = dict(zip([None, *range(-6, 7)], values))
+    table[99] = unsampled
+    try:
+        want = repr(_reference_stats([table[k] for k in shells]))
+    except NumericOverflowError:
+        with pytest.raises(NumericOverflowError, match="sampled variance"):
+            oracle._shell_stats(table, shells)
+    else:
+        assert repr(oracle._shell_stats(table, shells)) == want
+
+
+def test_shell_stats_square_only_what_was_drawn():
+    """An origin whose inner-tail value deviates past the float range raises
+    only once a point is drawn there."""
+    table = {None: 1e300, 0: 1.0, 1: 2.0}
+    assert oracle._shell_stats(table, [0, 1, 0]) == (4.0 / 3.0, 1.0 / 3.0)
+    assert oracle._shell_stats(table, [None]) == (1e300, 0.0)
+    with pytest.raises(NumericOverflowError, match="sampled variance"):
+        oracle._shell_stats(table, [0, None, 1])
 
 
 def test_naive_and_stratified_share_the_target():
@@ -325,14 +444,16 @@ def test_naive_and_stratified_share_the_target():
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("region", ["ball", "sphere"])
-@pytest.mark.parametrize("resolution", [1, 24])
+@pytest.mark.parametrize("resolution", [1, 2, 24])
 def test_shell_sampler_matches_the_point_sampler(p, n, region, resolution):
     """The integer shell classification, gamma - v_p(gcd(z)), agrees with the
     shell of the point p^(-gamma) * z read off its exact rational coordinates
     (the largest coordinate norm, written out here); at resolution 1 whole
-    vectors collapse to the origin (None). Every point of a sphere lies on
+    vectors collapse to the origin (None). At resolutions 1 and 2 points off
+    shell gamma are common, so the gcd often runs past the first coordinate
+    and the valuation past its first factor of p. Every point of a sphere lies on
     its shell, which is why the oracle gives sphere strata f(gamma) without
     drawing them."""
     ctx = PadicContext(p, n)
