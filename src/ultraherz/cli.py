@@ -38,6 +38,7 @@ from .serialize import (
     load_exponent,
     load_function,
     load_theorem_config,
+    save_function,
 )
 
 
@@ -82,13 +83,10 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     symbol = load_function(args.symbol) if args.symbol else None
     spec = OperatorSpec(args.operator, alpha=args.alpha, symbol=symbol)
     image = apply_operator(spec, f)
-    payload = function_to_dict(image)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        save_function(image, args.out)
     else:
-        _print_json(payload)
+        _print_json(function_to_dict(image))
     return 0
 
 
@@ -96,7 +94,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     f = load_function(args.function)
     config = OracleConfig(
         samples=args.samples,
-        resolution=args.resolution,
         truncation_window=(args.window[0], args.window[1]),
         seed=args.seed,
         stratified=not args.naive,
@@ -226,7 +223,6 @@ def _oracle_args(oracle: argparse.ArgumentParser) -> None:
     oracle.add_argument("--symbol", help="commutator symbol JSON file")
     oracle.add_argument("--shell", type=int, help="evaluation shell for the operator task")
     oracle.add_argument("--samples", type=int, default=10_000)
-    oracle.add_argument("--resolution", type=int, default=24)
     oracle.add_argument(
         "--window",
         type=int,
@@ -238,7 +234,8 @@ def _oracle_args(oracle: argparse.ArgumentParser) -> None:
     oracle.add_argument(
         "--naive",
         action="store_true",
-        help="plain uniform sampling instead of per-shell stratification",
+        help="plain uniform sampling instead of per-shell stratification "
+        "(integral task and hardy or commutator probes only)",
     )
     oracle.add_argument("--seed", type=int, default=0)
     oracle.add_argument("--rel-tol", type=float, default=1e-10)

@@ -30,20 +30,10 @@ class NumericUnderflowError(UltraherzError):
 class TailCombinationError(UltraherzError):
     """Two tails with different power-law rates cannot be added exactly.
 
-    Carries both rates so callers can see what clashed. The usual fix is to
-    widen the explicit windows until the offending region is materialized as
-    plain shell coefficients.
+    The message names the side and both rates. The usual fix is to widen the
+    explicit windows until the offending region is materialized as plain
+    shell coefficients.
     """
-
-    def __init__(self, side: str, rate_a: float, rate_b: float):
-        self.side = side
-        self.rate_a = rate_a
-        self.rate_b = rate_b
-        super().__init__(
-            f"{side} tails have different rates ({rate_a} vs {rate_b}) and both "
-            "amplitudes are nonzero; the sum is not a single power law. Widen the "
-            "explicit windows so the clashing region is covered by shell coefficients."
-        )
 
 
 class ClassClosureError(UltraherzError):

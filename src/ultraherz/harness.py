@@ -386,7 +386,7 @@ def _sup_ignoring_skips(ratios: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class RatioReport:
-    """All rows of one ratio sweep, with the swept parameters echoed back.
+    """All rows of one ratio sweep, in sample-id order.
 
     The CSV uses repr() for the floating-point columns, so a fixed seed
     reproduces the file byte for byte. ``supremum`` is the running maximum
@@ -394,9 +394,7 @@ class RatioReport:
     all skipped) leaves it nan, the undefined-supremum flag.
     """
 
-    theorem: str
     rows: tuple[SweepRow, ...]
-    params: dict[str, object]
 
     @property
     def supremum(self) -> float:
@@ -452,21 +450,7 @@ def sweep(
             sample = _ratio(config, spec, v, f)
             rows.append(SweepRow(sample_id, size_bound, *sample))
             sample_id += 1
-    params: dict[str, object] = {
-        "theorem": config.theorem,
-        "p": config.ctx.p,
-        "n": config.ctx.n,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "m1": config.m1,
-        "m2": config.m2,
-        "lambda": config.lam,
-        "target": config.shape.target,
-        "sizes": tuple(sizes),
-        "count": count,
-        "seed": seed,
-    }
-    return RatioReport(config.theorem, tuple(rows), params)
+    return RatioReport(tuple(rows))
 
 
 def sharpness_probe(

@@ -323,11 +323,10 @@ def _solve_luxemburg(
         return lam, 0.0
 
     log_n = math.log(len(groups))
+    # finite weights and exponents >= 1 keep t_lo within log(float max)
     t_lo = max(math.log(w) / e for w, e, _ in groups)
     # the margin keeps this unchecked end from ever being returned
     t_hi = max((math.log(w) + log_n) / e for w, e, _ in groups) + 2e-3
-    if t_lo > _LOG_MAX:
-        raise _norm_overflow()
     if t_hi < _LOG_MIN_NORMAL:
         raise _norm_underflow()
     lo = math.exp(t_lo) if t_lo > _LOG_MIN_NORMAL else _MIN_NORMAL
@@ -710,12 +709,11 @@ def _mixed_inner_sum(
     mass = _unit_mass(ctx)
     if amplitude == 0.0 and shift == 0.0:
         return 0.0, 0.0
-    if amplitude == 0.0:
-        return abs(shift) ** exponent * ppow(p, n * upto), 0.0
     if shift == 0.0:
         coef = abs(amplitude) ** exponent * mass
         tail = _geometric_tail(coef, p, rate * exponent + n, upto + 1, below=True)
         return None if tail is None else (tail, 0.0)
+    # a flat tail, or a zero one: every zero tail has rate 0
     if rate == 0.0:
         return abs(amplitude - shift) ** exponent * ppow(p, n * upto), 0.0
 

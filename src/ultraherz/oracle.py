@@ -41,6 +41,9 @@ from .radial import ExponentFunction, RadialStepFunction, combine
 
 _SEED_STRIDE = 1_000_003
 
+#: The sampler's digit resolution: each coordinate keeps 25 base-p digits.
+_RESOLUTION = 24
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -50,11 +53,12 @@ class OracleConfig:
     resolve individually; everything below its lower edge is pooled into a
     single residual ball stratum, and analytic bias bounds cover mass above
     the upper edge where applicable. ``seed`` seeds the sampler, so equal
-    configurations give equal estimates.
+    configurations give equal estimates. ``stratified=False`` samples the
+    ball plainly; only integrals and Hardy and commutator probes, whose
+    region is a ball, admit it.
     """
 
     samples: int = 10_000
-    resolution: int = 24
     truncation_window: tuple[int, int] = (-32, 32)
     seed: int = 0
     stratified: bool = True
@@ -64,8 +68,6 @@ class OracleConfig:
             raise DomainError(
                 f"oracle estimates need at least 1000 samples, got {self.samples}"
             )
-        if self.resolution < 1:
-            raise DomainError("resolution must be a positive digit count")
         lo, hi = self.truncation_window
         check_shell(lo, "truncation_window[0]")
         check_shell(hi, "truncation_window[1]")
@@ -128,7 +130,7 @@ def _sample_ball(
     (None), of measure zero, takes the inner tail's limit: its amplitude
     when the inner rate is 0, else 0."""
     rng = random.Random(config.seed)
-    shells = sample_shells(gamma, count, f.ctx, config.resolution, rng)
+    shells = sample_shells(gamma, count, f.ctx, _RESOLUTION, rng)
     amplitude, rate = f.inner_tail
     origin = amplitude if rate == 0.0 else 0.0
     table = {k: origin if k is None else f.evaluate(k) for k in set(shells)}
@@ -186,13 +188,23 @@ def _shell_stats(
 
 def _ball_error(measure: float, var: float, count: int) -> float:
     """Standard error of ``measure`` times a mean of ``count`` draws of
-    variance ``var``, as sqrt(measure**2 * var / count) unless that leaves
-    the float range."""
+    variance ``var``: sqrt(measure**2 * var / count) while the square is a
+    normal float and the result finite, else measure * sqrt(var / count)."""
     try:
-        error = math.sqrt(measure**2 * var / count)
+        square = measure**2
     except OverflowError:
-        error = math.inf
-    return error if error < math.inf else measure * math.sqrt(var / count)
+        square = math.inf
+    if sys.float_info.min <= square < math.inf:
+        error = math.sqrt(square * var / count)
+        if error < math.inf:
+            return error
+    return measure * math.sqrt(var / count)
+
+
+def _outer_bias(coef: float, mass: float, p: int, s: float, hi: int) -> float:
+    """coef * mass times the sum of p**(s*k) over the shells k > hi, for s < 0:
+    the bias bound of an outer tail cut off above the window."""
+    return coef * mass * ppow(p, s * (hi + 1)) / (1.0 - ppow(p, s))
 
 
 def _bisect_luxemburg(
@@ -294,10 +306,13 @@ def mc_luxemburg(
     Functions with a nonzero outer tail get an analytic bias bound for the
     mass above the truncation window folded into the standard error; the
     inner tail is covered by the residual ball stratum itself. A norm
-    outside the normal float range raises a typed error.
+    outside the normal float range raises a typed error. The norm's region,
+    all of Q_p^n, is unbounded, so plain sampling is refused.
     """
     if f.ctx != u.ctx:
         raise DomainError("function and exponent live in different contexts")
+    if not config.stratified:
+        raise DomainError("the norm task has no plain sampling: its region is unbounded")
     p, n = f.ctx.p, f.ctx.n
     lo = min(config.truncation_window[0], f.window[0], u.window[0])
     hi = max(config.truncation_window[1], f.window[1], u.window[1])
@@ -330,29 +345,20 @@ def mc_luxemburg(
             return math.inf
         return acc
 
-    bias_at = None
     amplitude, rate = f.outer_tail
-    if amplitude != 0.0:
-        s = rate * u.u_infinity + n
-        if s >= 0:
-            raise DomainError(
-                "sampled modular cannot converge: outer tail makes the norm infinite"
-            )
-
-        def bias_at(lam: float) -> float:
-            return (
-                (abs(amplitude) / lam) ** u.u_infinity
-                * mass
-                * ppow(p, s * (hi + 1))
-                / (1.0 - ppow(p, s))
-            )
+    s = rate * u.u_infinity + n
+    if amplitude != 0.0 and s >= 0:
+        raise DomainError(
+            "sampled modular cannot converge: outer tail makes the norm infinite"
+        )
 
     root, half = _bisect_luxemburg(modular_hat, rel_tol)
     term = {k: (a / root) ** u_ball for k, a in magnitude.items()}
     _, var = _shell_stats(term, sampled)
     sigma_mod = _ball_error(ball, var, len(sampled))
-    if bias_at is not None:
-        sigma_mod += bias_at(root)
+    if amplitude != 0.0:
+        coef = (abs(amplitude) / root) ** u.u_infinity
+        sigma_mod += _outer_bias(coef, mass, p, s, hi)
 
     h = 1e-6
     slope = (modular_hat(root * (1 + h)) - modular_hat(root * (1 - h))) / (2 * root * h)
@@ -371,7 +377,8 @@ def mc_operator_probe(
 
     Supports the hardy, adjoint, and commutator kinds. The commutator runs
     two sub-estimates with derived seeds and merges their errors in
-    quadrature.
+    quadrature. The adjoint's region, |y| > p**shell, is unbounded, so it
+    refuses plain sampling.
     """
     ctx = f.ctx
     check_shell(shell, "probe shell")
@@ -379,6 +386,8 @@ def mc_operator_probe(
     alpha = spec.alpha
 
     if spec.kind == "adjoint":
+        if not config.stratified:
+            raise DomainError("the adjoint task has no plain sampling: its region is unbounded")
         hi = max(config.truncation_window[1], f.window[1])
         mass = float(1 - (1 / p) ** n)
         amplitude, rate = f.outer_tail
@@ -390,7 +399,7 @@ def mc_operator_probe(
                     f"outer tail rate {rate} with order {alpha} makes the "
                     f"defining integral divergent (needs rate + alpha < 0)"
                 )
-            bias = abs(amplitude) * mass * ppow(p, s * (hi + 1)) / (1.0 - ppow(p, s))
+            bias = _outer_bias(abs(amplitude), mass, p, s, hi)
         # a shell where f vanishes adds exactly 0, so it gets no stratum;
         # every other stratum is a sphere, exact with variance 0
         levels = {j: f.evaluate(j) for j in range(shell + 1, hi + 1)}

@@ -99,33 +99,6 @@ class PadicContext:
             raise DomainError(f"dimension n must be >= 1, got {self.n}")
 
 
-def _int_valuation(m: int, p: int) -> int:
-    """Exponent of p in a nonzero integer |m|."""
-    m = abs(m)
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
-
-
-def padic_valuation(numerator: int, denominator: int, ctx: PadicContext) -> int | float:
-    """Valuation v_p(numerator / denominator); ``math.inf`` for zero.
-
-    Examples:
-        >>> ctx = PadicContext(2, 1)
-        >>> padic_valuation(24, 1, ctx)
-        3
-        >>> padic_valuation(5, 6, PadicContext(3, 1))
-        -1
-    """
-    if denominator == 0:
-        raise DomainError("denominator must be nonzero")
-    if numerator == 0:
-        return math.inf
-    return _int_valuation(numerator, ctx.p) - _int_valuation(denominator, ctx.p)
-
-
 def ball_measure(gamma: int, ctx: PadicContext) -> Fraction:
     """Haar measure of the ball B_gamma, exactly p^(n gamma).
 

@@ -174,7 +174,11 @@ def _combined_tail(a: Tail, b: Tail, op: str, side: str) -> Tail:
     if b.amplitude == 0.0:
         return a
     if a.rate != b.rate:
-        raise TailCombinationError(side, a.rate, b.rate)
+        raise TailCombinationError(
+            f"{side} tails have different rates ({a.rate} vs {b.rate}) and both "
+            "amplitudes are nonzero; the sum is not a single power law. Widen the "
+            "explicit windows so the clashing region is covered by shell coefficients."
+        )
     return Tail(a.amplitude + b.amplitude, a.rate)
 
 

@@ -502,6 +502,22 @@ def test_oracle_naive_variance_past_the_float_range_exits_one(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "task",
+    [["--task", "norm"], ["--task", "operator", "--operator", "adjoint", "--shell", "0"]],
+    ids=["norm", "adjoint"],
+)
+def test_oracle_naive_over_an_unbounded_region_exits_one(files, capsys, task):
+    """``--naive`` used to be ignored by these tasks, which printed the
+    stratified estimate; they integrate over unbounded regions, which plain
+    ball sampling cannot cover."""
+    argv = ["oracle", "-i", files["f2"], "-u", files["u"], "--naive", *task]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "no plain sampling" in captured.err
+
+
 def test_oracle_integral_over_a_ball_whose_measure_squares_past_the_float_range(
     tmp_path, capsys
 ):

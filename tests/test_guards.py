@@ -1,0 +1,92 @@
+"""Input guards that no other test reaches, each with the typed error it raises."""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from ultraherz import (
+    DomainError,
+    ExponentFunction,
+    HerzParams,
+    MorreyHerzParams,
+    NumericOverflowError,
+    OperatorSpec,
+    OracleConfig,
+    PadicContext,
+    RadialStepFunction,
+    Tail,
+    TheoremConfig,
+    cmo_norm,
+    combine,
+    herz_norm,
+    luxemburg_norm,
+    mc_luxemburg,
+    mc_operator_probe,
+    random_family,
+    sweep,
+)
+from ultraherz.cli import _parse_sizes
+from ultraherz.operators import shell_diagonal
+from ultraherz.radial import sobolev_shift
+
+C2, C3 = PadicContext(2), PadicContext(3)
+F2 = RadialStepFunction.indicator_sphere(C2, 0)
+F3 = RadialStepFunction.indicator_sphere(C3, 0)
+U2 = ExponentFunction.constant(C2, 2.0)
+U3 = ExponentFunction.constant(C3, 2.0)
+ONE = RadialStepFunction.constant(C2, 1.0)
+FLAT_OUTER = RadialStepFunction(C2, (0, 0), (1.0,), outer_tail=Tail(1.0, 0.0))
+# three shells of 1e308: a finite Herz sum at m = 0.5 whose square overflows
+HUGE = RadialStepFunction(C2, (0, 2), (1e308,) * 3)
+CONFIG = OracleConfig(samples=1000)
+
+GUARDS = {
+    "p=1 is not prime": (lambda: PadicContext(1), DomainError),
+    "p=9 is an odd composite": (lambda: PadicContext(9), DomainError),
+    "Morrey-Herz m=0": (lambda: MorreyHerzParams(0.0, 0.0, 0.0), DomainError),
+    "Morrey-Herz lambda<0": (lambda: MorreyHerzParams(0.0, 1.0, -0.5), DomainError),
+    "norm across contexts": (lambda: luxemburg_norm(F2, U3), DomainError),
+    "shell_diagonal across contexts": (lambda: shell_diagonal(F2, F3, 0.0), DomainError),
+    "mc_luxemburg across contexts": (lambda: mc_luxemburg(F2, U3, CONFIG), DomainError),
+    "combine across contexts": (lambda: combine(F2, F3, "add"), DomainError),
+    "combine with an unknown op": (lambda: combine(F2, F2, "divide"), DomainError),
+    "Herz m=0.5 past the float range": (
+        lambda: herz_norm(HUGE, U2, HerzParams(0.0, 0.5)),
+        NumericOverflowError,
+    ),
+    "cmo_norm of a non-integrable inner tail": (
+        lambda: cmo_norm(RadialStepFunction(C2, (0, 0), (1.0,), Tail(1.0, -1.0)), U2),
+        DomainError,
+    ),
+    "operator order nan": (lambda: OperatorSpec("hardy", math.nan), DomainError),
+    "divergent shell_diagonal": (lambda: shell_diagonal(ONE, ONE, 0.0), DomainError),
+    "oracle norm of a divergent outer tail": (
+        lambda: mc_luxemburg(FLAT_OUTER, U2, CONFIG),
+        DomainError,
+    ),
+    "oracle adjoint of a divergent outer tail": (
+        lambda: mc_operator_probe(OperatorSpec("adjoint"), FLAT_OUTER, 0, CONFIG),
+        DomainError,
+    ),
+    "sobolev_shift alpha<0": (lambda: sobolev_shift(U2, -0.5), DomainError),
+    "random_family of negative size": (
+        lambda: random_family(C2, -1, 3, random.Random(0)),
+        DomainError,
+    ),
+    "sweep of negative count": (
+        lambda: sweep(TheoremConfig("T31", U2, alpha=0.25), count=-1),
+        DomainError,
+    ),
+    # what `ultraherz sweep --sizes a,b` runs; the CLI maps it to exit 1
+    "--sizes a,b": (lambda: _parse_sizes("a,b"), DomainError),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARDS))
+def test_guard_raises_its_typed_error(name):
+    call, error = GUARDS[name]
+    with pytest.raises(error):
+        call()

@@ -258,10 +258,6 @@ def test_sweep_report_contents():
     by_size = max(r.ratio for r in report.rows if r.size_bound == 3)
     assert report.sup_ratio(3) == by_size
     assert report.supremum == max(r.ratio for r in report.rows)
-    assert report.params["theorem"] == "T31"
-    assert report.params["p"] == 2 and report.params["n"] == 1
-    assert report.params["alpha"] == 0.25
-    assert report.params["sizes"] == (3, 5) and report.params["count"] == 6
     header = report.to_csv().splitlines()[0]
     assert header == "sample_id,N,source_norm,target_norm,ratio"
 

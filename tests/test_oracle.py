@@ -117,6 +117,50 @@ def test_mc_luxemburg_over_a_ball_whose_measure_squares_past_the_float_range():
     assert 0.0 < abs(far.value - closed) <= far.std_error
 
 
+def test_stratified_integral_over_a_ball_whose_measure_squares_below_the_float_range():
+    """Squaring |B_-601| = 2^-601 underflows to 0.0, which used to erase a
+    sampled variance: the error bar read 0.0. Moving f down 600 shells
+    scales the estimate and its error bar by 2^-600."""
+    near = RadialStepFunction(CTX, (-1, 0), (1.0, 2.0), inner_tail=Tail(4e5, 1.0))
+    config = OracleConfig(samples=1000, truncation_window=(-1, 0), seed=6)
+    base = mc_integrate(near, 0, config)
+    far_f = _shifted(near, -600)
+    far = mc_integrate(far_f, -600, replace(config, truncation_window=(-601, -600)))
+    assert far.value == 2.0**-600 * base.value
+    assert far.std_error == pytest.approx(2.0**-600 * base.std_error, rel=1e-15)
+    assert abs(far.value - ball_integral(far_f, -600)) <= 3 * far.std_error
+
+
+def test_mc_luxemburg_over_a_ball_whose_measure_squares_below_the_float_range():
+    """The sampled modular's error bar squared |B_-539| = 2^-539 to 0.0 and
+    kept only the bisection half-width, 15% of the bar here. At u = 2,
+    moving f and u down 538 shells scales the norm and its bar by 2^-269."""
+    f = RadialStepFunction(CTX, (0, 1), (1.0, 2.0), inner_tail=Tail(2e-5, 1.0))
+    config = OracleConfig(samples=1000, truncation_window=(0, 1), seed=2)
+    u = ExponentFunction(CTX, (0, 0), (2.0,), 2.0, 2.0)
+    base = mc_luxemburg(f, u, config, rel_tol=1e-13)
+    far = mc_luxemburg(
+        _shifted(f, -538),
+        ExponentFunction(CTX, (-538, -538), (2.0,), 2.0, 2.0),
+        replace(config, truncation_window=(-538, -537)),
+        rel_tol=1e-13,
+    )
+    assert far.value == 2.0**-269 * base.value
+    assert far.std_error == pytest.approx(2.0**-269 * base.std_error, rel=1e-15)
+
+
+def test_unbounded_regions_refuse_plain_sampling():
+    """The norm integrates over all of Q_p^n and the adjoint over |y| > |x|;
+    no ball sample covers either. With stratified=False both used to return
+    the stratified estimate bit for bit."""
+    naive = OracleConfig(samples=1000, stratified=False)
+    f = RadialStepFunction(CTX, (0, 1), (1.0, 2.0))
+    with pytest.raises(DomainError, match="norm task"):
+        mc_luxemburg(f, ExponentFunction.constant(CTX, 2.0), naive)
+    with pytest.raises(DomainError, match="adjoint task"):
+        mc_operator_probe(OperatorSpec("adjoint", 0.5), f, 0, naive)
+
+
 def test_naive_integral_covers_truth_within_sigma():
     f = RadialStepFunction(CTX, (-2, 1), (1.0, -0.5, 2.0, 0.25))
     est = mc_integrate(f, 1, OracleConfig(samples=20_000, seed=99, stratified=False))

@@ -20,7 +20,6 @@ from ultraherz import (
     ball_measure,
     mc_integrate,
     mc_operator_probe,
-    padic_valuation,
     ppow,
     random_family,
     sphere_measure,
@@ -38,14 +37,6 @@ def test_ppow_integer_exponents_are_exact():
 def test_ppow_saturates_instead_of_overflowing():
     assert ppow(2, 5000) == math.inf
     assert ppow(2, -5000) == 0.0
-
-
-def test_padic_valuation_basics():
-    ctx = PadicContext(2, 1)
-    assert padic_valuation(12, 1, ctx) == 2
-    assert padic_valuation(1, 8, ctx) == -3
-    assert padic_valuation(0, 1, ctx) == math.inf
-    assert padic_valuation(9, 2, PadicContext(3, 1)) == 2
 
 
 def test_measures_are_exact_fractions():
