@@ -413,31 +413,35 @@ def single_shell_norm(coefficient: float, shell: int, u: ExponentFunction) -> fl
     )
 
 
-def ball_indicator_norm(
-    u: ExponentFunction, gamma: int, rel_tol: float = 1e-10
-) -> NormResult:
-    """Norm of the ball indicator chi(B_gamma) in the variable Lebesgue space.
-
-    The modular is one measure-weighted term per exponent piece: the
-    inner ball, each window shell of B_gamma and the rest of B_gamma beyond
-    the window. The solver groups them by exponent, so a constant exponent
-    gives |B_gamma|**(1/u) in closed form.
-    """
-    _check_rel_tol(rel_tol)
+def _indicator_pieces(u: ExponentFunction, gamma: int) -> list[tuple[float, float]]:
+    """The modular of chi(B_gamma) as (measure, exponent) terms, one per
+    exponent piece: the inner ball, each window shell of B_gamma and the
+    rest of B_gamma beyond the window."""
     ctx = u.ctx
     p, n = ctx.p, ctx.n
     j_min, j_max = u.window
     mass = _unit_mass(ctx)
 
-    pieces: list[tuple[float, float]] = []
-    inner_top = min(gamma, j_min - 1)
-    pieces.append((ppow(p, n * inner_top), u.u_inner))
+    pieces = [(ppow(p, n * min(gamma, j_min - 1)), u.u_inner)]
     for k in range(j_min, min(gamma, j_max) + 1):
         pieces.append((mass * ppow(p, n * k), u.evaluate(k)))
     if gamma > j_max:
         pieces.append((ppow(p, n * gamma) - ppow(p, n * j_max), u.u_infinity))
-    value, half = _solve_luxemburg(pieces, rel_tol)
-    return NormResult(value, True, half, (inner_top, gamma))
+    return pieces
+
+
+def ball_indicator_norm(
+    u: ExponentFunction, gamma: int, rel_tol: float = 1e-10
+) -> NormResult:
+    """Norm of the ball indicator chi(B_gamma) in the variable Lebesgue space.
+
+    The modular is one measure-weighted term per exponent piece (see
+    :func:`_indicator_pieces`). The solver groups them by exponent, so a
+    constant exponent gives |B_gamma|**(1/u) in closed form.
+    """
+    _check_rel_tol(rel_tol)
+    value, half = _solve_luxemburg(_indicator_pieces(u, gamma), rel_tol)
+    return NormResult(value, True, half, (min(gamma, u.window[0] - 1), gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +702,8 @@ def _mixed_inner_sum(
     """Certified sum of |amplitude * p**(k*rate) - shift|**exponent * |S_k| over k <= upto.
 
     Pure-power and pure-constant cases have closed forms. A nonzero shift
-    comes only from :func:`_shifted_norm`, whose caller :func:`cmo_norm` has
-    returned for a decaying inner tail, so the mixed case has rate > 0: walk
+    comes only from the CMO scan, and :func:`cmo_norm` has returned for a
+    decaying inner tail, so the mixed case has rate > 0: walk
     shells downward until the power is negligible against the shift, then
     bound the remainder between the two extreme readings of the dominated
     term; the returned pair is (midpoint value, half-width bound). Returns
@@ -744,13 +748,107 @@ def _shifted_norm(
 ) -> float:
     """Luxemburg norm of (b - shift) restricted to B_gamma.
 
-    Only :func:`cmo_norm` calls it, for a candidate ball and for its
-    envelope, after returning for a decaying inner tail, so no tail sum of
-    the modular diverges.
+    Only the CMO envelope (:func:`_cmo_envelope_terms`) calls it, after
+    :func:`cmo_norm` has returned for a decaying inner tail, so no tail sum
+    of the modular diverges.
     """
     lost: list[tuple[float, float]] = []
     terms = _modular_terms(b, u, shift, gamma, lost)
     return _solve_luxemburg(terms, rel_tol, lost)[0]
+
+
+def _last_constant_radius(b: RadialStepFunction, scan_lo: int) -> int:
+    """The last radius gamma >= scan_lo - 1 such that b is constant on B_gamma.
+
+    That needs a flat inner tail (rate 0, as every zero tail has) equal to
+    the first window coefficients. The mean over such a ball is the
+    constant exactly, so the modular of b minus it has no term and the
+    candidate is 0.0. A nonzero tail whose inner ball measure
+    p**(n*scan_lo) saturates gets no radius here: its inner modular term
+    is 0.0 * inf, and the scan raises the overflow error on it.
+    """
+    amplitude, rate = b.inner_tail
+    ctx = b.ctx
+    if rate != 0.0 or (amplitude != 0.0 and ppow(ctx.p, ctx.n * scan_lo) == math.inf):
+        return scan_lo - 1
+    flat = next((i for i, c in enumerate(b.coeffs) if c != amplitude), len(b.coeffs))
+    return b.window[0] - 1 + flat
+
+
+def _solves_quietly(terms: list[tuple[float, float]]) -> bool:
+    """True when :func:`_solve_luxemburg` cannot raise on these (w, e) terms
+    with nothing lost.
+
+    Each weight is at least four times the smallest normal float and their
+    sum at most a quarter of the largest. The root lies between the largest
+    w**(1/e) and max(1, sum of the weights), so no group weight and no root
+    leaves the normal range, rounding included. No terms solve to 0.0.
+    """
+    weights = [w for w, _ in terms]
+    return all(w >= 4.0 * _MIN_NORMAL for w in weights) and (
+        sum(weights) <= 0.25 * sys.float_info.max
+    )
+
+
+def _norm_at_most(terms: list[tuple[float, float]], lam: float) -> bool:
+    """True when rho(terms / lam) <= 1, so the norm of the terms is at most
+    lam up to the rounding of that sum. False where lam is not a positive
+    float or a power overflows."""
+    if not 0.0 < lam < math.inf:
+        return False
+    try:
+        return _modular_value(terms, lam) <= 1.0
+    except OverflowError:
+        return False
+
+
+def _cmo_candidate(
+    b: RadialStepFunction,
+    u: ExponentFunction,
+    shift: float,
+    gamma: int,
+    best: float,
+    rel_tol: float,
+) -> float:
+    """The CMO ratio N / D at B_gamma, N = ||(b - shift) chi_{B_gamma}|| and
+    D = ||chi_{B_gamma}||, or 0.0 where it cannot exceed ``best``.
+
+    Each solve returns its bracket's midpoint, within rel_tol / 2 of the
+    root, so the solved N / D lies within about rel_tol of N / D, well
+    inside 4 * rel_tol. The modular sums and powers add their rounding:
+    1e-12, plus 8 ulps per summed term for sums of any length. So once
+    N <= s * D with s = best * (1 - that slack), the solved ratio is at most
+    ``best`` and max(best, ratio) is ``best`` bit for bit. Two tests, in
+    order:
+
+    - D_lo, the largest w**(1/e) over the indicator's pieces, is at most D,
+      since each piece is at most its exponent group. rho(terms / (s*D_lo))
+      <= 1 skips both solves.
+    - Otherwise D is solved; rho(terms / (s*D)) <= 1 skips N.
+
+    Neither runs unless both solves provably raise nothing (see
+    :func:`_solves_quietly`; a lost weight may raise), so every error of
+    the full computation still reaches the caller.
+    """
+    lost: list[tuple[float, float]] = []
+    terms = _modular_terms(b, u, shift, gamma, lost)
+    pieces = _indicator_pieces(u, gamma)
+    denominator = None
+    if best > 0.0 and not lost and _solves_quietly(terms) and _solves_quietly(pieces):
+        slack = 4.0 * rel_tol + 1e-12 + 2.0**-50 * (len(terms) + len(pieces))
+        s = best * (1.0 - slack)
+        d_lo = max(math.pow(w, 1.0 / e) for w, e in pieces)
+        if _norm_at_most(terms, s * d_lo):
+            return 0.0
+        denominator = _solve_luxemburg(pieces, rel_tol)[0]
+        if _norm_at_most(terms, s * denominator):
+            return 0.0
+    numerator = _solve_luxemburg(terms, rel_tol, lost)[0]
+    if numerator == 0.0:
+        return 0.0
+    if denominator is None:
+        denominator = _solve_luxemburg(pieces, rel_tol)[0]
+    return numerator / denominator
 
 
 def _cmo_envelope_terms(
@@ -821,6 +919,21 @@ def cmo_norm(
     they are dominated by monotone geometric envelopes, built once at the
     first radius past the window and checked before each later candidate.
 
+    Each radius costs only what can change the result, by two rules:
+
+    - Constant balls: the scan starts past the last radius on whose ball b
+      equals its flat inner tail (:func:`_last_constant_radius`). There the
+      mean is that constant exactly, so the modular has no term and the
+      candidate is 0.0 with no modular built and no solve.
+    - Dominated radii: once the supremum is positive, a radius whose ratio
+      provably stays at or below it skips its solves
+      (:func:`_cmo_candidate`), with a margin that covers both solves'
+      tolerance and the float rounding.
+
+    The value is a max over exactly the candidates that can reach it, so
+    every bit of the result, and every error raised, is that of the scan
+    that solves each radius in full.
+
     Examples:
         >>> ctx = PadicContext(2, 1)
         >>> u2 = ExponentFunction.constant(ctx, 2.0)
@@ -857,8 +970,9 @@ def cmo_norm(
         return sum(coef * math.pow(rho, d) * (d if linear else 1) for coef, rho, linear in terms)
 
     best = tail_bound = 0.0
-    integrals = _running_parts(b, scan_lo)
-    for gamma in count(scan_lo):
+    start = _last_constant_radius(b, scan_lo) + 1
+    integrals = _running_parts(b, start)
+    for gamma in count(start):
         if gamma > ref:
             bound = envelope(gamma)
             if gamma >= gamma_mono and (bound <= best or bound <= floor):
@@ -868,9 +982,8 @@ def cmo_norm(
                 tail_bound = bound
                 break
         parts = next(integrals)
-        candidate = _shifted_norm(b, u, _mean_of_parts(parts, gamma, b.ctx), gamma, rel_tol)
-        if candidate != 0.0:
-            candidate /= ball_indicator_norm(u, gamma, rel_tol).value
+        shift = _mean_of_parts(parts, gamma, b.ctx)
+        candidate = _cmo_candidate(b, u, shift, gamma, best, rel_tol)
         if not math.isfinite(candidate):
             return NormResult(math.inf, False, 0.0, (scan_lo, gamma))
         best = max(best, candidate)

@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -755,6 +756,24 @@ def test_cmo_scan_past_the_float_range_exits_one(tmp_path):
     assert result.stderr.startswith("error:")
     assert "overflow" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_cmo_at_the_shell_limit_exits_one_in_bounded_time(files, tmp_path, capsys):
+    """chi(S_SHELL_LIMIT) at p = 2, u = 2 has ball measures past the float
+    range. Every ball inside the sphere has zero oscillation and costs
+    nothing, so the refusal comes after a few radii, not after a scan over
+    all of them."""
+    path = tmp_path / "far.json"
+    save_function(RadialStepFunction.indicator_sphere(CTX, SHELL_LIMIT), str(path))
+    started = time.perf_counter()
+    code = main(["norm", "-i", str(path), "-u", files["u"], "--space", "cmo"])
+    elapsed = time.perf_counter() - started
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert elapsed < 5.0
 
 
 def test_validate_passes_a_bounded_symbol_with_an_exponent_next_to_one(tmp_path, capsys):

@@ -23,6 +23,7 @@ from ultraherz import (
     Tail,
     ball_indicator_norm,
     ball_integral,
+    ball_mean,
     cmo_norm,
     combine,
     conjugate,
@@ -35,6 +36,8 @@ from ultraherz import (
     single_shell_norm,
     total_integral,
 )
+from ultraherz import norms
+from ultraherz.norms import _shifted_norm
 
 CTX = PadicContext(2, 1)
 U2 = ExponentFunction.constant(CTX, 2.0)
@@ -567,3 +570,53 @@ NORMS_GOLDEN = {
 def test_norm_results_are_pinned(name):
     run, expected = NORMS_GOLDEN[name]
     assert repr(run()) == expected
+
+
+def test_cmo_scan_of_a_sphere_indicator_is_linear_in_its_shell(monkeypatch):
+    """chi(S_K) vanishes on every ball inside S_K, so those radii cost
+    nothing: the shells that the modular builder visits grow linearly in K
+    (like K**2 / 2 for a scan that builds every radius), and the result
+    keeps its bits."""
+    build = norms._modular_terms
+    shells = []
+
+    def counting(f, u, shift=0.0, top=None, lost=None):
+        w_lo, w_hi = norms._union_window(f, u)
+        shells.append(max(0, (w_hi if top is None else top) - w_lo + 1))
+        return build(f, u, shift, top, lost)
+
+    monkeypatch.setattr(norms, "_modular_terms", counting)
+    visited = {}
+    for k in (150, 200, 300, 400, 600):
+        shells.clear()
+        result = cmo_norm(RadialStepFunction.indicator_sphere(CTX, k), U2)
+        visited[k] = sum(shells)
+        assert repr(result) == (
+            "NormResult(value=0.5, convergent=True, tail_remainder_bound=0.0, "
+            f"work_window=(-1, {k + 3}))"
+        )
+    assert visited[400] <= 2.2 * visited[200]
+
+
+def test_cmo_pruning_skips_solves_and_keeps_the_pinned_bits(monkeypatch):
+    """A scan that solves every radius solves its numerator, its denominator
+    when the numerator is nonzero, and the envelope's norm once. On the
+    golden symbol the constant ball below the window and the radii that
+    cannot raise the supremum take fewer solves, with the same NormResult."""
+    b, u = _symbol(_MIXED, (0.5, 0.0), (1.5, 0.0)), U_WIN
+    run, expected = NORMS_GOLDEN["cmo flat tails, windowed u"]
+    scan_lo, scan_end = run().work_window
+    full = 1 + sum(
+        2 if _shifted_norm(b, u, ball_mean(b, gamma), gamma, 1e-10) != 0.0 else 1
+        for gamma in range(scan_lo, scan_end)
+    )
+    solve = norms._solve_luxemburg
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "_solve_luxemburg", counting)
+    assert repr(cmo_norm(b, u)) == expected
+    assert len(solves) < full

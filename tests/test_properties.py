@@ -235,13 +235,15 @@ def test_cmo_norm_equals_a_per_ball_mean_recomputation(data):
         data.draw(st.floats(1.1, 4.0)),
         data.draw(st.floats(1.1, 4.0)),
     )
-    result = cmo_norm(b, u)
+    # the pruned radii must stay below the supremum at every solver tolerance
+    rel_tol = data.draw(st.sampled_from([1e-13, 1e-10, 1e-4]))
+    result = cmo_norm(b, u, rel_tol)
     scan_lo, scan_end = result.work_window
     if not result.convergent:
         return
     # every shell below the end of the reported work window was scanned
     candidates = [
-        _cmo_candidate_by_ball_mean(b, u, gamma, 1e-10) for gamma in range(scan_lo, scan_end)
+        _cmo_candidate_by_ball_mean(b, u, gamma, rel_tol) for gamma in range(scan_lo, scan_end)
     ]
     assert result.value == max([0.0, *candidates])
 
@@ -526,9 +528,13 @@ def test_morrey_herz_equals_a_log_space_scan_over_cutoffs(data):
     m = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
     lam = data.draw(st.floats(0.2, 1.5))
     critical_slope = lam
-    tiny = st.floats(-1e-12, 1e-12)
+    # a drift (s - lam) * log p inside the 1e-12 band, away from its edge by
+    # more than the rounding of s = lam + d / log p and of the drift itself
+    tiny = st.floats(-0.99e-12, 0.99e-12)
 
-    s_in = critical_slope + data.draw(st.one_of(tiny, st.floats(0.05, 1.5)))
+    s_in = critical_slope + data.draw(
+        st.one_of(tiny.map(lambda d: d / log_p), st.floats(0.05, 1.5))
+    )
     s_out = data.draw(
         st.one_of(
             tiny.map(lambda d: d / (m * log_p)),
