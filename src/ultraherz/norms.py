@@ -31,7 +31,7 @@ from itertools import count
 from typing import Sequence
 
 from .errors import DomainError, NumericOverflowError, NumericUnderflowError
-from .padic import PadicContext, ppow
+from .padic import PadicContext, check_shell, ppow
 from .radial import (
     ExponentFunction,
     RadialStepFunction,
@@ -50,10 +50,6 @@ _CRITICAL_BAND = 1e-12
 #: Relative threshold below which one tail summand is dominated by the other
 #: in mixed power-plus-constant sums.
 _MIXED_TOL = 1e-13
-
-#: Most shells a shell-by-shell walk (a mixed tail sum, the CMO supremum
-#: scan) takes before it stops.
-_SCAN_CAP = 400_000
 
 _MIN_NORMAL = sys.float_info.min
 _LOG_MIN_NORMAL = math.log(_MIN_NORMAL)
@@ -706,8 +702,11 @@ def _mixed_inner_sum(
     decaying inner tail, so the mixed case has rate > 0: walk
     shells downward until the power is negligible against the shift, then
     bound the remainder between the two extreme readings of the dominated
-    term; the returned pair is (midpoint value, half-width bound). Returns
-    None when the sum diverges; an infinite value is an overflow.
+    term; the returned pair is (midpoint value, half-width bound). The walk
+    ends after the first shell of float measure 0.0, whose term it still
+    forms (an overflow raises): below it every term is 0.0, so it takes
+    about upto + 1100 / n steps at most. Returns None when the sum
+    diverges; an infinite value is an overflow.
     """
     p, n = ctx.p, ctx.n
     mass = _unit_mass(ctx)
@@ -723,17 +722,12 @@ def _mixed_inner_sum(
 
     total = 0.0
     k = upto
-    steps = 0
     while abs(amplitude) * ppow(p, k * rate) > _MIXED_TOL * abs(shift):
-        total += (
-            abs(amplitude * ppow(p, k * rate) - shift) ** exponent
-            * mass
-            * ppow(p, n * k)
-        )
+        measure = ppow(p, n * k)
+        total += abs(amplitude * ppow(p, k * rate) - shift) ** exponent * mass * measure
         k -= 1
-        steps += 1
-        if steps > _SCAN_CAP:
-            raise DomainError("mixed tail sum failed to localize (rate too small)")
+        if measure == 0.0:
+            break
     hi = (abs(shift) * (1.0 + _MIXED_TOL)) ** exponent * ppow(p, n * k)
     lo = (abs(shift) * (1.0 - _MIXED_TOL)) ** exponent * ppow(p, n * k)
     return total + 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -902,6 +896,11 @@ def _cmo_envelope_terms(
             else:
                 grown = _geometric_tail(c, p, s, 1, below=True) * ppow(p, ref * rate)
                 terms.append((grown / unit, ppow(p, rate), False))
+    for coef, rho, linear in terms:
+        if not math.isfinite(coef):
+            raise NumericOverflowError(f"a CMO envelope term at radius {ref} overflows")
+        if linear and coef != 0.0 and rho >= 1.0:
+            raise NumericUnderflowError("p**(-n/u_infinity) rounds to 1 in the CMO envelope")
     return terms
 
 
@@ -918,6 +917,8 @@ def cmo_norm(
     (zero for constant-limit tails, divergent for growing ones); above it
     they are dominated by monotone geometric envelopes, built once at the
     first radius past the window and checked before each later candidate.
+    Past ``padic.SHELL_LIMIT`` the scan raises DomainError, and an envelope
+    that overflows or cannot decay in floats raises a float-range error.
 
     Each radius costs only what can change the result, by two rules:
 
@@ -978,9 +979,7 @@ def cmo_norm(
             if gamma >= gamma_mono and (bound <= best or bound <= floor):
                 tail_bound = bound if bound > best else 0.0
                 break
-            if gamma - ref > _SCAN_CAP:
-                tail_bound = bound
-                break
+            check_shell(gamma, "CMO scan radius")
         parts = next(integrals)
         shift = _mean_of_parts(parts, gamma, b.ctx)
         candidate = _cmo_candidate(b, u, shift, gamma, best, rel_tol)

@@ -290,11 +290,12 @@ def _running_parts(f: RadialStepFunction, gamma: int) -> Iterator[tuple[int, int
     largest power-of-2 denominator of the coefficients (and of an
     integer-rate outer amplitude) times the power of p that clears the
     measure of the lowest window shell, so each window shell adds an
-    integer and no gcd is taken. Above the window an integer-rate outer tail
-    scales numerator and denominator by p**-(rate + n) per shell, so each of
-    its shells adds the same integer. Non-integer-rate outer-tail terms
-    enter the float slot left to right, so every triple equals a fresh
-    shell sum bit for bit.
+    integer and no gcd is taken. Above the window each shell of an
+    integer-rate outer tail adds p**(rate + n) times the last one's integer;
+    where rate + n < 0, numerator and denominator are scaled by
+    p**-(rate + n) instead, so each of its shells adds the same integer.
+    Non-integer-rate outer-tail terms enter the float slot left to right, so
+    every triple equals a fresh shell sum bit for bit.
     """
     ctx = f.ctx
     p, n = ctx.p, ctx.n
@@ -334,13 +335,16 @@ def _running_parts(f: RadialStepFunction, gamma: int) -> Iterator[tuple[int, int
         else:
             num *= p**-e
             den *= p**-e
-        ratio = p ** -(int(rate) + n)
+        step = int(rate) + n
         for j in count(j_max + 1):
             num += term
             if j >= k:
                 yield num, den, inexact
-            num *= ratio
-            den *= ratio
+            if step >= 0:
+                term *= p**step
+            else:
+                num *= p**-step
+                den *= p**-step
     for j in count(j_max + 1):
         try:
             inexact += amplitude * ppow(p, j * rate) * (unit / den)

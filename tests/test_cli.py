@@ -762,18 +762,26 @@ def test_cmo_at_the_shell_limit_exits_one_in_bounded_time(files, tmp_path, capsy
     """chi(S_SHELL_LIMIT) at p = 2, u = 2 has ball measures past the float
     range. Every ball inside the sphere has zero oscillation and costs
     nothing, so the refusal comes after a few radii, not after a scan over
-    all of them."""
-    path = tmp_path / "far.json"
-    save_function(RadialStepFunction.indicator_sphere(CTX, SHELL_LIMIT), str(path))
-    started = time.perf_counter()
-    code = main(["norm", "-i", str(path), "-u", files["u"], "--space", "cmo"])
-    elapsed = time.perf_counter() - started
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
-    assert "Traceback" not in captured.err
-    assert elapsed < 5.0
+    all of them. A flat outer tail under u_infinity = 1e17 has an envelope
+    that never decays, so its scan ends where the ball measures leave the
+    float range."""
+    far = tmp_path / "far.json"
+    save_function(RadialStepFunction.indicator_sphere(CTX, SHELL_LIMIT), str(far))
+    flat = tmp_path / "flat.json"
+    b = RadialStepFunction(CTX, (0, 1), (1.0, 0.0), outer_tail=Tail(0.5, 0.0))
+    save_function(b, str(flat))
+    steep = tmp_path / "steep.json"
+    save_exponent(ExponentFunction(CTX, (0, 1), (2.0, 2.0), 2.0, 1e17), str(steep))
+    for function, exponent in ((far, files["u"]), (flat, steep)):
+        started = time.perf_counter()
+        code = main(["norm", "-i", str(function), "-u", str(exponent), "--space", "cmo"])
+        elapsed = time.perf_counter() - started
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert elapsed < 5.0
 
 
 def test_validate_passes_a_bounded_symbol_with_an_exponent_next_to_one(tmp_path, capsys):

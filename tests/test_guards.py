@@ -13,6 +13,7 @@ from ultraherz import (
     HerzParams,
     MorreyHerzParams,
     NumericOverflowError,
+    NumericUnderflowError,
     OperatorSpec,
     OracleConfig,
     PadicContext,
@@ -42,6 +43,13 @@ FLAT_OUTER = RadialStepFunction(C2, (0, 0), (1.0,), outer_tail=Tail(1.0, 0.0))
 # three shells of 1e308: a finite Herz sum at m = 0.5 whose square overflows
 HUGE = RadialStepFunction(C2, (0, 2), (1e308,) * 3)
 CONFIG = OracleConfig(samples=1000)
+C72 = PadicContext(7, 2)
+# |B_399| overflows, so the CMO envelope term near that ball reads 0.0 * inf
+NAN_ENVELOPE = RadialStepFunction(C72, (398, 398), (0.0,), outer_tail=Tail(-1e-3, -3.0))
+# 2**(-1/u_infinity) rounds to 1.0 at u_infinity = 1e17
+STEEP = ExponentFunction(C2, (0, 1), (2.0, 2.0), 2.0, 1e17)
+CRITICAL_OUTER = RadialStepFunction(C2, (0, 0), (1.0,), outer_tail=Tail(0.5, -1e-17))
+FLAT_STEP = RadialStepFunction(C2, (0, 1), (1.0, 0.0), outer_tail=Tail(0.5, 0.0))
 
 GUARDS = {
     "p=1 is not prime": (lambda: PadicContext(1), DomainError),
@@ -60,6 +68,18 @@ GUARDS = {
     "cmo_norm of a non-integrable inner tail": (
         lambda: cmo_norm(RadialStepFunction(C2, (0, 0), (1.0,), Tail(1.0, -1.0)), U2),
         DomainError,
+    ),
+    "cmo_norm with a NaN envelope": (
+        lambda: cmo_norm(NAN_ENVELOPE, ExponentFunction.constant(C72, 2.0)),
+        NumericOverflowError,
+    ),
+    "cmo_norm with a linear envelope that cannot decay": (
+        lambda: cmo_norm(CRITICAL_OUTER, STEEP),
+        NumericUnderflowError,
+    ),
+    "cmo_norm with an envelope that never decays": (
+        lambda: cmo_norm(FLAT_STEP, STEEP),
+        NumericOverflowError,
     ),
     "operator order nan": (lambda: OperatorSpec("hardy", math.nan), DomainError),
     "divergent shell_diagonal": (lambda: shell_diagonal(ONE, ONE, 0.0), DomainError),

@@ -453,7 +453,7 @@ def test_dilation_scales_the_lebesgue_and_herz_norms(data, j, u_value, beta, m):
 @given(
     ctx=contexts(),
     amplitude=st.floats(0.1, 10.0).flatmap(lambda a: st.sampled_from([a, -a])),
-    rate=st.floats(0.25, 3.0),
+    rate=st.floats(math.log(1e-9), math.log(3.0)).map(math.exp),
     shift=st.floats(0.1, 10.0).flatmap(lambda c: st.sampled_from([c, -c])),
     exponent=st.floats(1.0, 4.0),
     upto=st.integers(-10, 10),
@@ -462,17 +462,19 @@ def test_mixed_inner_walk_matches_an_explicit_shell_sum(
     ctx, amplitude, rate, shift, exponent, upto
 ):
     """The CMO walk over |amplitude * p**(k*rate) - shift|**exponent * |S_k|
-    (rising tail, nonzero shift) against every shell down to 400 below
-    ``upto``, where the power is far below the shift, plus |shift|**exponent
-    times the measure of the ball left under them."""
+    (rising tail, nonzero shift, rate log-uniform down to 1e-9) against
+    every shell from ``upto`` down to the last whose float measure is
+    nonzero; below it every term and the measure of the ball left are
+    0.0."""
     p, n = ctx.p, ctx.n
     value, bound = _mixed_inner_sum(ctx, amplitude, rate, shift, exponent, upto)
     mass = 1.0 - float(p) ** -n
-    shells = [
-        abs(amplitude * float(p) ** (k * rate) - shift) ** exponent * mass * float(p) ** (n * k)
-        for k in range(upto - 400, upto + 1)
-    ]
-    explicit = math.fsum(shells) + abs(shift) ** exponent * float(p) ** (n * (upto - 401))
+    shells = []
+    k = upto
+    while (measure := float(p) ** (n * k)) > 0.0:
+        shells.append(abs(amplitude * float(p) ** (k * rate) - shift) ** exponent * mass * measure)
+        k -= 1
+    explicit = math.fsum(shells)
     assert abs(value - explicit) <= bound + 1e-11 * explicit
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -140,6 +141,23 @@ def test_integrals_match_hand_sums():
     one = RadialStepFunction.constant(CTX, 1.0)
     for gamma in (-6, 0, 9):
         assert ball_mean(one, gamma) == 1.0
+
+
+def test_ball_mean_of_an_integer_rate_outer_tail_is_exact():
+    """2 chi(S_0) plus an integer-rate outer tail, summed shell by shell in
+    rationals: the mean over B_gamma is that sum over p**(n*gamma), rounded
+    once, out to gamma = 700."""
+    for p in (2, 3, 7):
+        for n in (1, 2):
+            ctx = PadicContext(p, n)
+            q = Fraction(p) ** n
+            for rate in range(0, -n - 3, -1):
+                f = RadialStepFunction(ctx, (0, 0), (2.0,), outer_tail=Tail(0.75, float(rate)))
+                integral = 2 * (1 - 1 / q)
+                for gamma in range(1, 701):
+                    integral += Fraction(3, 4) * Fraction(p) ** (gamma * rate) * q**gamma * (1 - 1 / q)
+                    if gamma in (1, 2, 50, 300, 700):
+                        assert ball_mean(f, gamma) == float(integral / q**gamma)
 
 
 def test_total_integral_rejects_fat_outer_tails():
