@@ -286,10 +286,15 @@ def _solve_luxemburg(
 
     def modular_at(lam: float) -> tuple[float, float]:
         """rho(lam) and sum e * W_e * lam**(-e); lam**(-e/2) squared keeps a
-        dominant term's power inside the float range."""
+        dominant term's power inside the float range. A power past the float
+        range gives (inf, inf): the modular exceeds 1 there, and the Newton
+        step, which reads inf / inf, bisects."""
         total = slope = 0.0
         for w, e, half_e in groups:
-            h = math.pow(lam, half_e)
+            try:
+                h = math.pow(lam, half_e)
+            except OverflowError:
+                return math.inf, math.inf
             x = w * h * h
             total += x
             slope += e * x

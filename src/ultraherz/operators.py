@@ -27,7 +27,12 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 
-from .errors import ClassClosureError, DomainError, NumericOverflowError
+from .errors import (
+    ClassClosureError,
+    DomainError,
+    NumericOverflowError,
+    NumericUnderflowError,
+)
 from .padic import ppow
 from .radial import (
     RadialStepFunction,
@@ -78,8 +83,12 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
     integral of f over B_k. Below the input window that integral is a pure
     geometric tail, so the output tail has rate e_in + alpha; above it the
     integral is the constant total (the outer tail of f must vanish, or the
-    output would carry two growth rates at once). An image coefficient that
-    leaves the float range raises NumericOverflowError.
+    output would carry two growth rates at once). Where p**(k*(alpha - n))
+    saturates to inf, the exact integral is scaled by it before rounding
+    (an exactly zero integral gives 0.0); an image coefficient that still
+    leaves the float range raises NumericOverflowError, and a nonzero exact
+    total integral, the outer tail's amplitude, that rounds to 0.0 raises
+    NumericUnderflowError.
 
     Examples:
         >>> from .padic import PadicContext
@@ -99,15 +108,20 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
     j_min, j_max = f.window
 
     lo, hi = j_min - 1, j_max + 1
-    parts = islice(_running_parts(f, lo), hi - lo + 1)
+    parts = list(islice(_running_parts(f, lo), hi - lo + 1))
     integrals = [_float_value(*part) for part in parts]
     coeffs = tuple([ppow(p, k * (alpha - n)) * v for k, v in enumerate(integrals, lo)])
-    for k, c in enumerate(coeffs, lo):
-        if not math.isfinite(c):
-            raise NumericOverflowError(
-                f"the hardy image coefficient on shell {k} overflows the float "
-                f"range: p**{k * (alpha - n)} times the integral over B_{k} is {c}"
-            )
+    if not all(map(math.isfinite, coeffs)):
+        coeffs = tuple([
+            c if math.isfinite(c) else _scaled_exactly(p, k * (alpha - n), part)
+            for k, (c, part) in enumerate(zip(coeffs, parts), lo)
+        ])
+        for k, c in enumerate(coeffs, lo):
+            if not math.isfinite(c):
+                raise NumericOverflowError(
+                    f"the hardy image coefficient on shell {k} overflows the float "
+                    f"range: p**{k * (alpha - n)} times the integral over B_{k} is {c}"
+                )
 
     amplitude, rate = f.inner_tail
     if amplitude == 0.0:
@@ -117,8 +131,42 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
         scale = _geometric_tail(_unit_mass(ctx), p, -(rate + n), 0, below=False)
         inner = Tail(amplitude * scale, rate + alpha)
     # The outer tail vanishes, so B_hi already holds the total integral.
+    num, _, inexact = parts[-1]
+    if integrals[-1] == 0.0 and num and not inexact:
+        raise NumericUnderflowError(
+            f"the outer tail amplitude of the hardy image, the integral over "
+            f"B_{hi}, is not zero but rounds to 0.0"
+        )
     outer = Tail(integrals[-1], alpha - n)
     return RadialStepFunction(ctx, (lo, hi), coeffs, inner, outer)
+
+
+def _scaled_exactly(p: int, e: float, part: tuple[int, int, float]) -> float:
+    """p**e times the ball integral held by the triple ``part``, for a hardy
+    coefficient whose float product is not finite (p**e saturated to inf, or
+    the product left the float range).
+
+    An exactly zero integral gives 0.0. For an integer e the exact pair is
+    scaled by p**e before its one rounding, so an integral that rounds to
+    0.0 keeps its value; a value past the float range gives inf. A
+    non-integer e has no exact form and gives nan.
+    """
+    num, den, inexact = part
+    if not num and not inexact:
+        return 0.0
+    if not float(e).is_integer():
+        return math.nan
+    # e > 0 here: p**e <= 1 times a finite integral is finite. Past the
+    # float range by the log2 of the exact value, known to within a bit,
+    # the answer is inf without forming p**e
+    e = int(e)
+    if num.bit_length() - den.bit_length() + e * math.log2(p) > 1100:
+        return math.inf
+    try:
+        exact = num * p**e / den
+    except OverflowError:
+        return math.inf
+    return exact + inexact * ppow(p, e) if inexact else exact
 
 
 def hardy_adjoint(f: RadialStepFunction, alpha: float) -> RadialStepFunction:

@@ -19,8 +19,9 @@ or not. Plain uniform sampling over the ball (``stratified=False``) has
 honest 1/sqrt(N) statistics and is what the 3-sigma comparisons in the
 test-suite use.
 
-A drawn ball keeps only its points' shells; f is evaluated once per
-distinct shell, and the sample mean and variance are read off that table.
+A drawn ball keeps only how many of its points lie on each shell; f is
+evaluated once per drawn shell, and the sample mean and variance are
+count-weighted sums over those shells, so no per-point list is built.
 Standard errors come from this sample variance (zero below two points),
 plus an analytic bound for mass above the window where one applies.
 """
@@ -124,25 +125,25 @@ def _allocate(total: int, weights: list[float]) -> list[int]:
 
 def _sample_ball(
     f: RadialStepFunction, gamma: int, count: int, config: OracleConfig
-) -> tuple[dict[int | None, float], list[int | None]]:
-    """f at each distinct shell of ``count`` points of B_gamma drawn on a
-    fresh ``Random(config.seed)``, and the shells in draw order. The origin
+) -> tuple[dict[int | None, float], dict[int | None, int]]:
+    """f at each shell drawn by ``count`` points of B_gamma on a fresh
+    ``Random(config.seed)``, and how many points each shell drew. The origin
     (None), of measure zero, takes the inner tail's limit: its amplitude
     when the inner rate is 0, else 0."""
     rng = random.Random(config.seed)
-    shells = sample_shells(gamma, count, f.ctx, _RESOLUTION, rng)
+    counts = sample_shells(gamma, count, f.ctx, _RESOLUTION, rng)
     amplitude, rate = f.inner_tail
     origin = amplitude if rate == 0.0 else 0.0
-    table = {k: origin if k is None else f.evaluate(k) for k in set(shells)}
-    return table, shells
+    table = {k: origin if k is None else f.evaluate(k) for k in counts}
+    return table, counts
 
 
 def _stratify(
     f: RadialStepFunction, top: int, spheres: range, config: OracleConfig
-) -> tuple[list[float], dict[int | None, float], list[int | None], list[float], int]:
+) -> tuple[list[float], dict[int | None, float], dict[int | None, int], list[float], int]:
     """The residual ball B_top and the spheres S_j, j in ``spheres``: their
-    measures, in that order; the table and shells of the ball's draws; f on
-    each sphere; and the number of points allocated to them all.
+    measures, in that order; the table and shell counts of the ball's draws;
+    f on each sphere; and the number of points allocated to them all.
 
     ``_allocate`` sizes every stratum, but only the ball is sampled. A
     sphere's points all lie on its shell,
@@ -161,28 +162,28 @@ def _stratify(
 
 
 def _shell_stats(
-    table: dict[int | None, float], shells: list[int | None]
+    table: dict[int | None, float], counts: dict[int | None, int]
 ) -> tuple[float, float]:
-    """Sample mean and variance (zero below two points) of drawn points on
-    ``shells`` that read ``table[k]`` on shell k. Sphere strata never come
-    here: their mean is exact and their variance 0.
+    """Sample mean and variance (zero below two points) of the drawn points,
+    ``counts[j]`` of them on shell j, each reading ``table[j]``. Sphere
+    strata never come here: their mean is exact and their variance 0.
 
-    Values and squared deviations are summed in sample order; a deviation is
-    squared once per distinct sampled shell, never for a table entry that no
-    point drew. A square past the float range raises a typed error.
+    With k points in all, mean = sum c * f(j) / k and variance = sum c *
+    (f(j) - mean)**2 / (k - 1), summed over ``counts`` in its order; a
+    deviation is squared once per drawn shell, never for a table entry that
+    no point drew. A square past the float range raises a typed error.
     """
-    k = len(shells)
+    k = sum(counts.values())
     value = table.__getitem__
-    mean = sum(map(value, shells)) / k
+    mean = sum([c * value(j) for j, c in counts.items()]) / k
     if k < 2:
         return mean, 0.0
     try:
-        squares = {j: (value(j) - mean) ** 2 for j in set(shells)}
+        var = sum([c * (value(j) - mean) ** 2 for j, c in counts.items()]) / (k - 1)
     except OverflowError:
         raise NumericOverflowError(
             "the sampled variance overflows the float range"
         ) from None
-    var = sum(map(squares.__getitem__, shells)) / (k - 1)
     return mean, var
 
 
@@ -286,7 +287,8 @@ def mc_integrate(
     value = 0.0
     for measure, level in zip(measures, [mean, *levels]):
         value += measure * level
-    return MCEstimate(value, _ball_error(measures[0], var, len(sampled)), total)
+    draws = sum(sampled.values())
+    return MCEstimate(value, _ball_error(measures[0], var, draws), total)
 
 
 def mc_luxemburg(
@@ -320,8 +322,11 @@ def mc_luxemburg(
     spheres = range(lo, hi + 1)
     measures, table, sampled, levels, total = _stratify(f, lo - 1, spheres, config)
     ball, u_ball = measures[0], u.u_inner
+    draws = sum(sampled.values())
     magnitude = {k: abs(v) for k, v in table.items()}
-    multiplicity = Counter(map(magnitude.__getitem__, sampled))
+    multiplicity: Counter[float] = Counter()
+    for k, c in sampled.items():
+        multiplicity[magnitude[k]] += c
     sphere_terms = [
         (measure, u.evaluate(j), abs(level))
         for measure, j, level in zip(measures[1:], spheres, levels)
@@ -338,7 +343,7 @@ def mc_luxemburg(
         try:
             acc += ball * sum(
                 c * (a / lam) ** u_ball for a, c in multiplicity.items()
-            ) / len(sampled)
+            ) / draws
             for measure, exponent, a in sphere_terms:
                 acc += measure * (a / lam) ** exponent
         except OverflowError:
@@ -355,7 +360,7 @@ def mc_luxemburg(
     root, half = _bisect_luxemburg(modular_hat, rel_tol)
     term = {k: (a / root) ** u_ball for k, a in magnitude.items()}
     _, var = _shell_stats(term, sampled)
-    sigma_mod = _ball_error(ball, var, len(sampled))
+    sigma_mod = _ball_error(ball, var, draws)
     if amplitude != 0.0:
         coef = (abs(amplitude) / root) ** u.u_infinity
         sigma_mod += _outer_bias(coef, mass, p, s, hi)

@@ -13,8 +13,10 @@ Conventions used throughout the package:
   ``fractions.Fraction`` values.
 
 The sampler draws Haar-uniform points of a ball as integer digit vectors
-truncated to a digit resolution and returns only their shells, which it
-reads off the vectors exactly in integer arithmetic.
+truncated to a digit resolution and returns only how many points lie on each
+shell, which it reads off the vectors exactly in integer arithmetic. It draws
+a later coordinate of a point only while that coordinate can still move the
+point's shell.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import DomainError
 
@@ -127,8 +130,9 @@ def sample_shells(
     ctx: PadicContext,
     resolution: int,
     rng: random.Random,
-) -> list[int | None]:
-    """Shell indices of ``count`` Haar-uniform points of the ball B_gamma.
+) -> dict[int | None, int]:
+    """How many of ``count`` Haar-uniform points of the ball B_gamma lie on
+    each shell, as a mapping from shell index to count.
 
     Args:
         gamma: shell index of the ball.
@@ -141,48 +145,56 @@ def sample_shells(
         rng: generator state; advancing it across calls gives an i.i.d.
             stream.
 
-    A point is p^(-gamma) * z for a digit vector z in [0, p^(resolution+1))^n.
-    Each coordinate is drawn as ``rng.randrange(limit)`` draws it
-    (``getrandbits`` of the limit's bit length, redrawn while out of range),
-    so the stream and the generator's final state are those of n
-    ``randrange`` calls per point. Each point is classified on integers: it
-    lies on shell gamma - min_i v_p(z_i) = gamma - v_p(gcd(z)), and None
-    marks the origin (every z_i = 0). The gcd starts at z_1 and stops once
-    it is a unit (shell gamma): later coordinates are drawn but not read. A
-    sphere needs no sampler: every point of S_gamma lies on shell gamma.
+    A point is p^(-gamma) * z for a digit vector z in [0, p^(resolution+1))^n
+    and lies on shell gamma - min_i v_p(z_i) = gamma - v_p(gcd(z)); None
+    marks the origin (every z_i = 0). A coordinate is drawn as
+    ``rng.randrange(limit)`` draws it: ``getrandbits`` of the limit's bit
+    length, redrawn while out of range. The points are drawn in rounds.
+    Round 1 draws the first coordinate of every point; round i draws
+    coordinate i, in point order, only for the points whose first i - 1
+    coordinates are all divisible by p. A unit coordinate already puts its
+    point on shell gamma, so its later coordinates are never drawn. At n = 1
+    the stream and the generator's final state are those of ``count``
+    ``randrange`` calls. The few points left after round n, whose gcd g is
+    divisible by p, are peeled by valuation: those with p^(v+1) not dividing
+    g lie on shell gamma - v, and g = 0 (divisible by the limit) marks the
+    origin. The mapping lists gamma first, then the lower shells downwards,
+    and the origin last; only drawn shells appear.
+    A sphere needs no sampler: every point of S_gamma lies on shell gamma.
 
     Example:
         >>> ctx = PadicContext(2, 1)
         >>> sample_shells(0, 6, ctx, 24, random.Random(1))
-        [0, 0, -4, -1, 0, -1]
+        {0: 3, -1: 2, -4: 1}
     """
     check_shell(gamma, "ball index")
     p, n = ctx.p, ctx.n
     limit = p ** (resolution + 1)  # size of the truncated digit space of Z_p
     bits = limit.bit_length()
     getrandbits = rng.getrandbits
-    gcd = math.gcd
-    rest = range(n - 1)
-    shells: list[int | None] = []
-    append = shells.append
-    for _ in range(count):
-        g = getrandbits(bits)
-        while g >= limit:
-            g = getrandbits(bits)
-        for _ in rest:
-            z = getrandbits(bits)
-            while z >= limit:
-                z = getrandbits(bits)
-            if not g % p:
-                g = gcd(g, z)
-        if g % p:
-            append(gamma)
-        elif g:
-            v = 0
-            while not g % p:
-                g //= p
-                v += 1
-            append(gamma - v)
-        else:
-            append(None)
+
+    def draw(k: int) -> list[int]:
+        """k coordinates below limit, in the order k randrange calls give them."""
+        out: list[int] = []
+        while len(out) < k:
+            out += [z for z in map(getrandbits, repeat(bits, k - len(out))) if z < limit]
+        return out
+
+    # gcd of each undecided point's coordinates so far, all divisible by p
+    rest = [g for g in draw(count) if not g % p]
+    for _ in range(n - 1):
+        if not rest:
+            break
+        rest = [g for g in map(math.gcd, rest, draw(len(rest))) if not g % p]
+    shells: dict[int | None, int] = {gamma: count - len(rest)} if len(rest) < count else {}
+    # rest holds the gcds with v_p >= v; those not divisible by p**(v + 1)
+    # lie on shell gamma - v, and a gcd divisible by limit is 0, the origin
+    shell, q = gamma - 1, p * p
+    while rest and q <= limit:
+        deeper = [g for g in rest if not g % q]
+        if len(deeper) < len(rest):
+            shells[shell] = len(rest) - len(deeper)
+        rest, shell, q = deeper, shell - 1, q * p
+    if rest:
+        shells[None] = len(rest)
     return shells

@@ -728,10 +728,14 @@ def test_hardy_of_an_overflowing_ball_integral_exits_one(tmp_path):
 
 
 def test_hardy_of_an_overflowing_image_coefficient_exits_one(tmp_path):
-    """Out of process, so a traceback on stderr would show."""
+    """Out of process, so a traceback on stderr would show. At alpha = -1
+    the image coefficient on S_-1100 is 2**2200 times the integral 2**-1101,
+    past the float range even when scaled exactly."""
     path = tmp_path / "near.json"
     save_function(RadialStepFunction(CTX, (-1100, -1100), (1.0,)), str(path))
-    result = _run_module(["apply", "-i", str(path), "--operator", "hardy"], tmp_path)
+    result = _run_module(
+        ["apply", "-i", str(path), "--operator", "hardy", "--alpha=-1"], tmp_path
+    )
     assert result.returncode == 1
     assert result.stderr.startswith("error:")
     assert "overflow" in result.stderr

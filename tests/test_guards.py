@@ -20,6 +20,7 @@ from ultraherz import (
     RadialStepFunction,
     Tail,
     TheoremConfig,
+    ball_indicator_norm,
     cmo_norm,
     combine,
     herz_norm,
@@ -110,3 +111,16 @@ def test_guard_raises_its_typed_error(name):
     call, error = GUARDS[name]
     with pytest.raises(error):
         call()
+
+
+def test_a_steep_exponent_piece_gives_the_ball_indicator_norm():
+    """At p = 7 with u_infinity = 1e17, lam**(-u_infinity/2) overflows just
+    below lam = 1, where the solver probes the modular of chi(B_0). Such a
+    power counts as a modular above 1, so the norm comes back: the pieces'
+    measures sum to |B_0| = 1, so the modular at lam = 1 is 1 and the norm is
+    1 (it was a bare OverflowError at gamma = 0)."""
+    u = ExponentFunction(PadicContext(7, 1), (-3, -1), (1.17, 3.15, 2.43), 1.52, 1e17)
+    for gamma in (0, 1):
+        result = ball_indicator_norm(u, gamma)
+        assert abs(result.value - 1.0) <= 1e-10
+        assert abs(result.value - 1.0) <= result.tail_remainder_bound + 1e-12

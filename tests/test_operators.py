@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from ultraherz import (
     ClassClosureError,
     DomainError,
     NumericOverflowError,
+    NumericUnderflowError,
     OperatorSpec,
     PadicContext,
     RadialStepFunction,
@@ -218,15 +220,42 @@ def test_ball_integrals_beyond_the_float_range_raise_a_typed_error(call):
         call(RadialStepFunction(CTX, (1100, 1100), (1.0,)))
 
 
-def test_a_hardy_image_coefficient_beyond_the_float_range_raises_a_typed_error():
+def _exact_hardy(coeffs: dict[int, Fraction], k: int, alpha: int) -> Fraction:
+    """(H_alpha f) on S_k at p = 2, n = 1 for f = sum c_j chi(S_j), in exact
+    rationals: 2**(k*(alpha - 1)) times the sum of c_j |S_j| over j <= k."""
+    integral = sum(c * Fraction(2) ** (j - 1) for j, c in coeffs.items() if j <= k)
+    return Fraction(2) ** (k * (alpha - 1)) * integral
+
+
+def test_a_hardy_image_factor_past_the_float_range_scales_the_exact_integral():
     """Below shell -1022 at p = 2 the image factor p**(k*(alpha - n)) on the
-    shell under the window is 2**1024 or more, so the coefficient there is
-    inf times an integral of 0.0, although the input is finite."""
-    for k in (-1023, -1100):
-        with pytest.raises(NumericOverflowError, match=f"shell {k - 1} overflows"):
-            hardy(RadialStepFunction(CTX, (k, k), (1.0,)), 0.0)
+    shell under the window is 2**1024 or more, and saturates to inf. An
+    exactly zero integral there gives 0.0, and a nonzero one is scaled
+    exactly before it rounds, so the image equals the rational values. A
+    coefficient past the float range, or a total integral (the outer tail's
+    amplitude) that rounds to 0.0, raises a typed error."""
     # the last shell whose factor fits keeps its bits
     assert hardy(RadialStepFunction(CTX, (-1022, -1022), (1.0,)), 0.0).coeffs == (0.0, 0.5, 0.25)
+    cases = {
+        -1023: {-1023: Fraction(1)},
+        # the total integral is exactly 0, so no outer tail is needed
+        -1100: {-1101: Fraction(-2), -1100: Fraction(1)},
+    }
+    for k, coeffs in cases.items():
+        lo = min(coeffs)
+        window = tuple(float(coeffs.get(j, 0)) for j in range(lo, k + 1))
+        f = RadialStepFunction(CTX, (lo, k), window)
+        image = hardy(f, 0.0)
+        assert image.window == (lo - 1, k + 1)
+        for j in range(lo - 3, k + 6):
+            assert image.evaluate(j) == float(_exact_hardy(coeffs, j, 0)), (k, j)
+    assert image.coeffs == (0.0, -1.0, 0.0, 0.0)
+    # 2**-1101 lies below the smallest subnormal, so the outer tail is lost
+    with pytest.raises(NumericUnderflowError, match="outer tail amplitude"):
+        hardy(RadialStepFunction.indicator_sphere(CTX, -1100), 0.0)
+    # 2**2200 times the integral 2**-1101 over B_-1100 overflows
+    with pytest.raises(NumericOverflowError, match="shell -1100 overflows"):
+        hardy(RadialStepFunction(CTX, (-1100, -1100), (1.0,)), -1.0)
 
 
 def test_a_ball_mean_over_an_overflowing_integral_raises_a_typed_error():

@@ -71,7 +71,9 @@ def test_sample_shells_respects_the_region():
     rng = random.Random(101)
     for _ in range(200):
         gamma = rng.randint(-5, 5)
-        (in_ball,) = sample_shells(gamma, 1, ctx, 24, rng)
+        shells = sample_shells(gamma, 1, ctx, 24, rng)
+        assert sum(shells.values()) == 1
+        (in_ball,) = shells
         assert in_ball is None or in_ball <= gamma
 
 
@@ -79,8 +81,9 @@ def test_sample_shells_seed_reproducibility():
     ctx = PadicContext(2, 1)
     a = sample_shells(0, 50, ctx, 24, random.Random(42))
     b = sample_shells(0, 50, ctx, 24, random.Random(42))
-    assert a == b
-    assert len(set(a)) > 1
+    assert list(a.items()) == list(b.items())
+    assert sum(a.values()) == 50
+    assert len(a) > 1
 
 
 def test_sphere_mass_split_between_shells_inside_ball():
@@ -89,7 +92,8 @@ def test_sphere_mass_split_between_shells_inside_ball():
     draws = 4000
     gamma = 0
     shells = sample_shells(gamma, draws, ctx, 24, random.Random(7))
-    hits = shells.count(gamma)
+    assert sum(shells.values()) == draws
+    hits = shells.get(gamma, 0)
     expect = float(sphere_measure(gamma, ctx) / ball_measure(gamma, ctx))
     observed = hits / draws
     sigma = math.sqrt(expect * (1 - expect) / draws)
