@@ -40,6 +40,7 @@ from .radial import (
     _geometric_tail,
     _mean_of_parts,
     _running_parts,
+    _shell_values,
     _unit_mass,
 )
 
@@ -476,13 +477,18 @@ def _herz_terms(
     0.0; the caller has ruled out a divergent one. A power that overflows
     raises OverflowError.
     """
-    p = f.ctx.p
+    p, n = f.ctx.p, f.ctx.n
     mass = _unit_mass(f.ctx)
     w_lo = _union_window(f, u)[0]
     s_in, s_out = _herz_slopes(f, u, beta)
+    # single_shell_norm of each value, read by slices: w_lo <= u.window[0]
+    j_min, j_max = u.window
+    exponents = [u.u_inner] * (j_min - w_lo) + [*u.values] + [u.u_infinity] * (top - j_max)
+    roots = {e: math.pow(mass, 1.0 / e) for e in set(exponents)}
     terms = []
-    for shell in range(w_lo, top + 1):
-        t = ppow(p, shell * beta) * single_shell_norm(f.evaluate(shell), shell, u)
+    for shell, c, e in zip(count(w_lo), _shell_values(f, w_lo, top), exponents):
+        weight = ppow(p, shell * beta) if beta else 1.0  # p**(l * 0.0) is 1.0
+        t = weight * (abs(c) * roots[e] * ppow(p, n * shell / e) if c else 0.0)
         terms.append(t**m if t != 0.0 else 0.0)
 
     def block(amplitude: float, exponent: float, s: float, start: int, below: bool) -> float:
@@ -623,7 +629,9 @@ def morrey_herz_norm(
         # Window region: explicit partial sums.
         for k0, t in zip(range(w_lo, w_hi + 1), terms):
             partial += t
-            best_gm = max(best_gm, prefactor_m(k0) * partial)
+            candidate = math.exp(-k0 * lam * m * log_p) * partial  # prefactor_m(k0)
+            if candidate > best_gm:
+                best_gm = candidate
         if not math.isfinite(partial):
             raise _herz_overflow("Morrey-Herz", m, (w_lo, w_hi))
 

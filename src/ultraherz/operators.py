@@ -16,16 +16,17 @@ constant), the operator raises ClassClosureError instead of silently
 leaving the class; widening the explicit window of the input restores
 applicability in practice.
 
-The commutator [b, H_a] f = b * H_a f - H_a (b f) is assembled from the
-pointwise algebra in :mod:`ultraherz.radial`, so tail-mismatch errors from
-there propagate unchanged.
+The commutator [b, H_a] f = b * H_a f - H_a (b f) is formed in one pass
+per Hardy image, with the bits and errors of its composition through the
+pointwise algebra in :mod:`ultraherz.radial`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 
 from .errors import (
     ClassClosureError,
@@ -33,16 +34,22 @@ from .errors import (
     NumericOverflowError,
     NumericUnderflowError,
 )
-from .padic import ppow
+from .padic import check_shell, ppow
 from .radial import (
     RadialStepFunction,
     Tail,
+    _combined,
+    _combined_tail,
+    _Fields,
     _float_value,
     _geometric_tail,
+    _normalize_tail,
     _running_parts,
+    _shell_values,
     _unit_mass,
-    combine,
 )
+
+_MIN_NORMAL = sys.float_info.min
 
 _KINDS = ("hardy", "adjoint", "commutator")
 
@@ -83,12 +90,12 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
     integral of f over B_k. Below the input window that integral is a pure
     geometric tail, so the output tail has rate e_in + alpha; above it the
     integral is the constant total (the outer tail of f must vanish, or the
-    output would carry two growth rates at once). Where p**(k*(alpha - n))
-    saturates to inf, the exact integral is scaled by it before rounding
-    (an exactly zero integral gives 0.0); an image coefficient that still
-    leaves the float range raises NumericOverflowError, and a nonzero exact
-    total integral, the outer tail's amplitude, that rounds to 0.0 raises
-    NumericUnderflowError.
+    output would carry two growth rates at once). Where an integral's float
+    is subnormal or p**(k*(alpha - n)) saturates to inf, the exact integral
+    is scaled before rounding (see :func:`_scaled`); an image coefficient
+    that still leaves the float range raises NumericOverflowError, and a
+    nonzero exact total integral, the outer tail's amplitude, that rounds to
+    0.0 raises NumericUnderflowError.
 
     Examples:
         >>> from .padic import PadicContext
@@ -97,6 +104,11 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
         >>> g.evaluate(-3), g.evaluate(0), g.evaluate(2)
         (1.0, 1.0, 0.25)
     """
+    return RadialStepFunction(*_hardy_pass(f, alpha))
+
+
+def _hardy_pass(f: RadialStepFunction, alpha: float) -> _Fields:
+    """The fields of ``hardy(f, alpha)``, raising what building it raises."""
     ctx = f.ctx
     p, n = ctx.p, ctx.n
     if f.outer_tail.amplitude != 0.0:
@@ -109,18 +121,27 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
 
     lo, hi = j_min - 1, j_max + 1
     parts = list(islice(_running_parts(f, lo), hi - lo + 1))
-    integrals = [_float_value(*part) for part in parts]
-    coeffs = tuple([ppow(p, k * (alpha - n)) * v for k, v in enumerate(integrals, lo)])
+    try:
+        integrals = [num / den + inexact for num, den, inexact in parts]
+    except OverflowError:
+        integrals = [math.inf]
+    if not all(map(math.isfinite, integrals)):
+        integrals = [_float_value(*part) for part in parts]
+    e = alpha - n
+    coeffs = [
+        ppow(p, k * e) * v if abs(v) >= _MIN_NORMAL or not part[0] else _scaled(p, k * e, v, part)
+        for k, v, part in zip(count(lo), integrals, parts)
+    ]
     if not all(map(math.isfinite, coeffs)):
-        coeffs = tuple([
-            c if math.isfinite(c) else _scaled_exactly(p, k * (alpha - n), part)
-            for k, (c, part) in enumerate(zip(coeffs, parts), lo)
-        ])
+        coeffs = [
+            c if math.isfinite(c) else _scaled(p, k * e, v, part)
+            for k, c, v, part in zip(count(lo), coeffs, integrals, parts)
+        ]
         for k, c in enumerate(coeffs, lo):
             if not math.isfinite(c):
                 raise NumericOverflowError(
                     f"the hardy image coefficient on shell {k} overflows the float "
-                    f"range: p**{k * (alpha - n)} times the integral over B_{k} is {c}"
+                    f"range: p**{k * e} times the integral over B_{k} is {c}"
                 )
 
     amplitude, rate = f.inner_tail
@@ -137,23 +158,33 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
             f"the outer tail amplitude of the hardy image, the integral over "
             f"B_{hi}, is not zero but rounds to 0.0"
         )
-    outer = Tail(integrals[-1], alpha - n)
-    return RadialStepFunction(ctx, (lo, hi), coeffs, inner, outer)
+    # the constructor's window check, made here so commutator raises it first
+    check_shell(lo, "window[0]")
+    check_shell(hi, "window[1]")
+    outer = Tail(integrals[-1], e)
+    return _Fields(ctx, (lo, hi), coeffs, _normalize_tail(inner), _normalize_tail(outer))
 
 
-def _scaled_exactly(p: int, e: float, part: tuple[int, int, float]) -> float:
-    """p**e times the ball integral held by the triple ``part``, for a hardy
-    coefficient whose float product is not finite (p**e saturated to inf, or
-    the product left the float range).
-
-    An exactly zero integral gives 0.0. For an integer e the exact pair is
-    scaled by p**e before its one rounding, so an integral that rounds to
-    0.0 keeps its value; a value past the float range gives inf. A
-    non-integer e has no exact form and gives nan.
+def _scaled(p: int, e: float, value: float, part: tuple[int, int, float]) -> float:
+    """p**e times the ball integral held by ``part``, whose float ``value`` is
+    0.0 or subnormal though its exact part is not, or whose float product
+    is not finite: an exact zero gives 0.0, else the integral is scaled by
+    2**s into the normal range before rounding and the product by 2**-s.
+    If that is not finite, an integer e scales the exact pair by p**e before
+    its one rounding (inf past the float range); a non-integer e gives nan.
     """
     num, den, inexact = part
     if not num and not inexact:
         return 0.0
+    coefficient = ppow(p, e) * value
+    # 2**s * |num / den| and 2**s * |inexact| lie below 2**min_exp
+    s = den.bit_length() - abs(num).bit_length() + sys.float_info.min_exp
+    if inexact:
+        s = min(s, sys.float_info.min_exp - math.frexp(inexact)[1])
+    if num and s > 0 and abs(value) < _MIN_NORMAL:
+        coefficient = math.ldexp(ppow(p, e) * ((num << s) / den + math.ldexp(inexact, s)), -s)
+    if math.isfinite(coefficient):
+        return coefficient
     if not float(e).is_integer():
         return math.nan
     # e > 0 here: p**e <= 1 times a finite integral is finite. Past the
@@ -211,13 +242,12 @@ def hardy_adjoint(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
         outer = Tail(outer_amp, s)
         value = outer_amp * ppow(p, hi * s)
 
-    values: dict[int, float] = {hi: value}
-    for k in range(hi - 1, lo - 1, -1):
-        value = value + mass * f.evaluate(k + 1) * ppow(p, (k + 1) * alpha)
-        values[k] = value
-    coeffs = tuple([values[k] for k in range(lo, hi + 1)])
-    inner = Tail(values[lo], 0.0)
-    return RadialStepFunction(ctx, (lo, hi), coeffs, inner, outer)
+    coeffs = [value]  # from shell hi down: shell k adds the mass of S_(k+1)
+    for j, c in zip(range(hi, lo, -1), reversed(_shell_values(f, lo + 1, hi))):
+        value = value + mass * c * ppow(p, j * alpha)
+        coeffs.append(value)
+    coeffs.reverse()
+    return RadialStepFunction(ctx, (lo, hi), coeffs, Tail(coeffs[0], 0.0), outer)
 
 
 def commutator(
@@ -225,13 +255,18 @@ def commutator(
 ) -> RadialStepFunction:
     """The commutator [b, H_alpha] f = b * (H_alpha f) - H_alpha (b * f).
 
-    Both products and the difference are computed in the closed class, so
-    tail-combination and class-closure errors from the building blocks
-    propagate to the caller.
+    One Hardy pass on f and one on b * f, with no intermediate function
+    built, give the bits and errors of that composition through ``combine``:
+    b(k) * (H f)(k) + (-(H(b f))(k)), with the intermediates' tail laws.
     """
-    left = combine(b, hardy(f, alpha), "multiply")
-    right = hardy(combine(b, f, "multiply"), alpha)
-    return combine(left, right.scale(-1.0), "add")
+    left = _combined(b, _hardy_pass(f, alpha), "multiply")
+    right = _hardy_pass(_combined(b, f, "multiply"), alpha)
+    (a_in, e_in), (a_out, e_out) = right.inner_tail, right.outer_tail
+    inner = _combined_tail(left.inner_tail, Tail(-a_in, e_in), "add", "inner")
+    outer = _combined_tail(left.outer_tail, Tail(-a_out, e_out), "add", "outer")
+    values = _shell_values(left, *right.window)
+    coeffs = [x + -y for x, y in zip(values, right.coeffs)]
+    return RadialStepFunction(f.ctx, right.window, coeffs, inner, outer)
 
 
 def shell_diagonal(f: RadialStepFunction, g: RadialStepFunction, alpha: float) -> float:

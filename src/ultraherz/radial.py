@@ -16,6 +16,7 @@ above it. Derived exponents (conjugate, Sobolev shift) live here as well.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Iterator, NamedTuple
@@ -83,8 +84,7 @@ class RadialStepFunction:
     def __post_init__(self) -> None:
         _set_window(self, self.coeffs, "coefficients")
         object.__setattr__(self, "coeffs", tuple([float(c) for c in self.coeffs]))
-        if not all(map(math.isfinite, self.coeffs)):
-            raise DomainError("shell coefficients must be finite (not NaN or inf)")
+        _check_coeffs(self.coeffs)
         inner = _normalize_tail(self.inner_tail)
         outer = _normalize_tail(self.outer_tail)
         object.__setattr__(self, "inner_tail", inner)
@@ -153,6 +153,11 @@ class RadialStepFunction:
         )
 
 
+def _check_coeffs(coeffs) -> None:
+    if not all(map(math.isfinite, coeffs)):
+        raise DomainError("shell coefficients must be finite (not NaN or inf)")
+
+
 def _normalize_tail(tail) -> Tail:
     amplitude, rate = tail
     amplitude = float(amplitude)
@@ -194,6 +199,16 @@ def combine(
     raises :class:`TailCombinationError`; widening one operand's window so
     the mismatch sits inside it resolves the conflict.
     """
+    return RadialStepFunction(*_combined(f, g, op))
+
+
+#: The fields of a function, checked as :class:`RadialStepFunction` checks
+#: them, for a caller that only reads them (through :func:`_shell_values`).
+_Fields = namedtuple("_Fields", "ctx window coeffs inner_tail outer_tail")
+
+
+def _combined(f, g, op: str) -> _Fields:
+    """The fields of ``combine(f, g, op)``, raising what building it raises."""
     if f.ctx != g.ctx:
         raise DomainError("cannot combine functions from different contexts")
     if op not in ("add", "multiply"):
@@ -202,11 +217,32 @@ def combine(
     outer = _combined_tail(f.outer_tail, g.outer_tail, op, "outer")
     j_min = min(f.window[0], g.window[0])
     j_max = max(f.window[1], g.window[1])
+    pairs = zip(_shell_values(f, j_min, j_max), _shell_values(g, j_min, j_max))
     if op == "add":
-        coeffs = tuple([f.evaluate(k) + g.evaluate(k) for k in range(j_min, j_max + 1)])
+        coeffs = [x + y for x, y in pairs]
     else:
-        coeffs = tuple([f.evaluate(k) * g.evaluate(k) for k in range(j_min, j_max + 1)])
-    return RadialStepFunction(f.ctx, (j_min, j_max), coeffs, inner, outer)
+        coeffs = [x * y for x, y in pairs]
+    _check_coeffs(coeffs)
+    inner, outer = _normalize_tail(inner), _normalize_tail(outer)
+    return _Fields(f.ctx, (j_min, j_max), coeffs, inner, outer)
+
+
+def _shell_values(f, lo: int, hi: int) -> list[float]:
+    """``[f.evaluate(k) for k in range(lo, hi + 1)]`` by slices, each value
+    formed as evaluate forms it. ``f`` may be :class:`_Fields`."""
+    p = f.ctx.p
+    j_min, j_max = f.window
+    values = [*f.coeffs[max(lo - j_min, 0) : max(hi - j_min + 1, 0)]]
+    # a zero amplitude has rate 0.0, and a * p**(k * 0.0) is a * 1.0, which is a
+    if lo < j_min:
+        a, e = f.inner_tail
+        below = range(lo, min(hi + 1, j_min))
+        values[:0] = [a * ppow(p, k * e) for k in below] if e else [a] * len(below)
+    if hi > j_max:
+        a, e = f.outer_tail
+        above = range(max(lo, j_max + 1), hi + 1)
+        values += [a * ppow(p, k * e) for k in above] if e else [a] * len(above)
+    return values
 
 
 def _unit_mass(ctx: PadicContext) -> float:
@@ -295,7 +331,10 @@ def _running_parts(f: RadialStepFunction, gamma: int) -> Iterator[tuple[int, int
     where rate + n < 0, numerator and denominator are scaled by
     p**-(rate + n) instead, so each of its shells adds the same integer.
     Non-integer-rate outer-tail terms enter the float slot left to right, so
-    every triple equals a fresh shell sum bit for bit.
+    every triple equals a fresh shell sum bit for bit; where |S_j| leaves
+    the float range the term is amplitude * |S_0| * p**(j*(rate + n)). An
+    inexact part past the float range is inf, which :func:`_float_value`
+    and :func:`_mean_of_parts` raise as NumericOverflowError.
     """
     ctx = f.ctx
     p, n = ctx.p, ctx.n
@@ -349,10 +388,8 @@ def _running_parts(f: RadialStepFunction, gamma: int) -> Iterator[tuple[int, int
         try:
             inexact += amplitude * ppow(p, j * rate) * (unit / den)
         except OverflowError:
-            raise NumericOverflowError(
-                f"the measure of shell {j} overflows the float range in an "
-                "outer-tail integral"
-            ) from None
+            # |S_j| leaves the float range, but a decaying tail's term need not
+            inexact += amplitude * _unit_mass(ctx) * ppow(p, j * (rate + n))
         unit *= q
         if j >= k:
             yield num, den, inexact

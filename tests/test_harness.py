@@ -27,6 +27,8 @@ from ultraherz import (
 
 CTX = PadicContext(2, 1)
 U2 = ExponentFunction.constant(CTX, 2.0)
+CTX3 = PadicContext(3, 1)
+U2_3 = ExponentFunction.constant(CTX3, 2.0)
 
 
 def _t31(alpha: float = 0.25, **kwargs) -> TheoremConfig:
@@ -305,6 +307,25 @@ SWEEP_DIGESTS = {
             m2=2.0,
         ),
         "9eff876843eefc8caba79b2043d3dbf1917856d0c6e71ac4b9a88974732fc757",
+    ),
+    # the commutator claims on Morrey-Herz spaces, at p = 3
+    "T42 u=2 p=3": (
+        lambda: TheoremConfig(
+            "T42", U2_3, alpha=0.25, beta=0.375, m1=1.0, m2=2.0, lam=0.25
+        ),
+        "da44178b899a4ec0e40f47e9f710bf5944616665365c99ac71a04bb2d0f43f3b",
+    ),
+    "C42 piecewise p=3": (
+        lambda: TheoremConfig(
+            "C42",
+            ExponentFunction(CTX3, (-1, 1), (2.0, 2.5, 3.0), 2.0, 2.5),
+            alpha=0.0,
+            beta=0.25,
+            m1=2.0,
+            m2=2.0,
+            lam=0.25,
+        ),
+        "39f1eed81be173ee7ea3809c7d97b8afc7e3c05f418d994abbdcb22c40747cb1",
     ),
 }
 

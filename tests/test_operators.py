@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultraherz import (
     ClassClosureError,
@@ -16,6 +19,7 @@ from ultraherz import (
     PadicContext,
     RadialStepFunction,
     Tail,
+    UltraherzError,
     apply_operator,
     ball_integral,
     ball_mean,
@@ -118,24 +122,70 @@ def test_adjoint_handles_decaying_outer_tails():
     assert ratio == pytest.approx(ppow(2, -1.5), rel=1e-9)
 
 
-def test_commutator_definition_and_constant_symbol():
-    rng = random.Random(55)
-    b = RadialStepFunction(CTX, (-1, 1), (0.5, -1.0, 2.0))
-    for _ in range(10):
-        f = _random_compact(rng, reach=3)
-        image = commutator(b, f, 0.25)
-        direct = combine(
-            combine(b, hardy(f, 0.25), "multiply"),
-            hardy(combine(b, f, "multiply"), 0.25).scale(-1.0),
-            "add",
-        )
-        for k in range(-5, 6):
-            assert image.evaluate(k) == pytest.approx(direct.evaluate(k), rel=1e-12, abs=1e-12)
-    flat = RadialStepFunction.constant(CTX, 7.0)
-    f = _random_compact(rng, reach=3)
-    image = commutator(flat, f, 0.25)
-    for k in range(-5, 6):
-        assert image.evaluate(k) == pytest.approx(0.0, abs=1e-12)
+def _outcome(call):
+    """repr of what ``call()`` returns, or the type and message it raises."""
+    try:
+        return repr(call())
+    except Exception as exc:  # the composition's errors are part of its result
+        return type(exc), str(exc)
+
+
+#: Everyday coefficients and ones whose products and integrals leave the
+#: float range, so the property reaches the error paths as well.
+_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, -2.0, 0.5, 1e300, -1e300, 1e-300, 5e-324]),
+    st.floats(-10.0, 10.0),
+)
+
+
+@st.composite
+def _windowed(draw, ctx, inner_rates, outer_rates):
+    """A function with a window in [-12, 12] and tails at the given rates."""
+    lo = draw(st.integers(-12, 12))
+    coeffs = draw(st.lists(_VALUES, min_size=1, max_size=13 - max(lo, 0)))
+    inner = Tail(draw(_VALUES), draw(inner_rates)) if draw(st.booleans()) else Tail(0.0, 0.0)
+    outer = Tail(draw(_VALUES), draw(outer_rates)) if draw(st.booleans()) else Tail(0.0, 0.0)
+    return RadialStepFunction(ctx, (lo, lo + len(coeffs) - 1), coeffs, inner, outer)
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_commutator_definition_and_constant_symbol(data):
+    """The commutator equals b * H f - H(b f) built through ``combine``, bit
+    for bit, or raises what that composition raises, with its message. A
+    constant symbol commutes with H up to rounding."""
+    ctx = PadicContext(data.draw(st.sampled_from([2, 3, 7])), data.draw(st.integers(1, 2)))
+    n = ctx.n
+    # b: flat or decaying tails; f: integrable inner tails at integer and
+    # non-integer rates, and sometimes an outer tail, which hardy refuses
+    b = data.draw(_windowed(
+        ctx,
+        st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.05, 3.0),
+        st.sampled_from([0.0, -1.0, -2.0]) | st.floats(-3.0, -0.05),
+    ))
+    f = data.draw(_windowed(
+        ctx,
+        st.integers(1 - n, 3).map(float) | st.floats(0.05 - n, 3.0),
+        st.floats(-n - 3.0, -n - 0.05),
+    ))
+    alpha = data.draw(st.floats(0.0, 0.9, exclude_max=True))
+    got = _outcome(lambda: commutator(b, f, alpha))
+    assert got == _outcome(lambda: combine(
+        combine(b, hardy(f, alpha), "multiply"),
+        hardy(combine(b, f, "multiply"), alpha).scale(-1.0),
+        "add",
+    ))
+    if f.outer_tail.amplitude != 0.0:
+        assert got[0] is ClassClosureError
+    try:
+        image = commutator(RadialStepFunction.constant(ctx, 7.0), f, alpha)
+    except UltraherzError:
+        return  # an outer tail, or a product or integral past the float range
+    reference = hardy(f, alpha)
+    for k in range(image.window[0] - 1, image.window[1] + 2):
+        # relative to b * H f, and absolute in the subnormal range
+        bound = 1e-12 * abs(7.0 * reference.evaluate(k)) + sys.float_info.min
+        assert abs(image.evaluate(k)) <= bound
 
 
 def test_commutator_spec_requires_symbol():
@@ -270,3 +320,28 @@ def test_a_ball_mean_over_an_overflowing_integral_raises_a_typed_error():
     g = RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(1e300, -0.5))
     with pytest.raises(NumericOverflowError, match="overflow"):
         ball_mean(g, -64)
+
+
+def test_a_hardy_coefficient_whose_ball_integral_underflows_keeps_its_value():
+    """At p = 2, n = 1 the integral of f = chi(S_-1100) + chi(S_0) over
+    B_-1100 and B_-1099 is 2**-1101, below the smallest subnormal, but the
+    image coefficient 2**(0.1 * 1100) * 2**-1101 is a normal float: the
+    exact integral is scaled by a power of two before it rounds."""
+    f = RadialStepFunction(CTX, (-1100, 0), (1.0,) + (0.0,) * 1099 + (1.0,))
+    image = hardy(f, 0.9)
+    for k in (-1100, -1099):
+        exact = Fraction(ppow(2, k * (0.9 - 1))) * Fraction(1, 2**1101)
+        assert image.evaluate(k) == float(exact) > sys.float_info.min, k
+    assert image.evaluate(-1101) == 0.0
+    assert image.evaluate(0) == 0.5
+
+
+def test_a_commutator_whose_hardy_image_passes_the_shell_limit_raises_first():
+    """H f of f on shells -10000..0 needs shell -10001, past the shell limit.
+    The commutator raises that error before the product b * H f, whose
+    coefficient 1e300 * 5e299 on shell -10000 is not finite."""
+    f = RadialStepFunction(CTX, (-10000, 0), (1e300,) + (0.0,) * 9999 + (1.0,))
+    b = RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(1e300, 0.0))
+    for call in (lambda: hardy(f, 0.0), lambda: commutator(b, f, 0.0)):
+        with pytest.raises(DomainError, match="window\\[0\\] -10001 lies beyond the shell limit"):
+            call()

@@ -1,6 +1,7 @@
 """Property tests: the running ball-integral sum, the geometric tail kernel,
-the exact powers of p, the Luxemburg solver, the CMO mixed tail walk and the Morrey-Herz supremum against direct references and
-norm laws written out here."""
+the exact powers of p, the Luxemburg solver, the CMO mixed tail walk, the
+Herz terms and the Morrey-Herz supremum against direct references and norm
+laws written out here."""
 
 from __future__ import annotations
 
@@ -32,8 +33,9 @@ from ultraherz import (
     modular,
     morrey_herz_norm,
     ppow,
+    single_shell_norm,
 )
-from ultraherz.norms import _mixed_inner_sum, _modular_terms, _shifted_norm
+from ultraherz.norms import _herz_terms, _mixed_inner_sum, _modular_terms, _shifted_norm
 from ultraherz.radial import _float_value, _geometric_tail, _running_parts
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
@@ -561,3 +563,42 @@ def test_morrey_herz_equals_a_log_space_scan_over_cutoffs(data):
     above = math.ceil(60.0 / (lam * m * log_p)) + 10
     scan = _log_morrey_scan(f, u, beta, m, lam, w_lo - below, w_hi + above)
     assert abs(math.log(result.value) - scan / m) <= 1e-8
+
+
+def _herz_terms_by_shell(f, u, beta, m, top):
+    """The window terms of ``_herz_terms`` as a shell-by-shell loop forms
+    them: p**(l*beta) times the single-shell norm of f on S_l, to the m."""
+    p = f.ctx.p
+    terms = []
+    for shell in range(min(f.window[0], u.window[0]), top + 1):
+        t = ppow(p, shell * beta) * single_shell_norm(f.evaluate(shell), shell, u)
+        terms.append(t**m if t != 0.0 else 0.0)
+    return terms
+
+
+@settings(max_examples=200)
+@given(data=st.data(), beta=st.floats(-1.0, 1.0), m=st.sampled_from([1.0, 2.0]))
+def test_herz_terms_match_a_shell_by_shell_loop(data, beta, m):
+    """Bit for bit, for constant and piecewise exponents with integer and
+    non-integer values, and a top shell at or just past both windows. Wide
+    window coefficients reach the overflow of a term; the tails stay
+    everyday ones, so the closed-form tail sums do not overflow first."""
+    ctx = data.draw(contexts())
+    g = data.draw(step_functions(ctx))
+    coeffs = data.draw(st.lists(WIDE_COEFF, min_size=1, max_size=8))
+    lo = g.window[0]
+    f = RadialStepFunction(ctx, (lo, lo + len(coeffs) - 1), coeffs, g.inner_tail, g.outer_tail)
+    u = data.draw(
+        EXPONENT.map(lambda v: ExponentFunction.constant(ctx, v)) | exponents(ctx)
+    )
+    top = max(f.window[1], u.window[1]) + data.draw(st.integers(0, 1))
+
+    def outcome(call):
+        try:
+            return repr(call())
+        except OverflowError:
+            return "overflow"
+
+    assert outcome(lambda: _herz_terms(f, u, beta, m, top, False)[0]) == outcome(
+        lambda: _herz_terms_by_shell(f, u, beta, m, top)
+    )

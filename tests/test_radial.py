@@ -218,3 +218,13 @@ def test_map_pieces_applies_everywhere():
     w = u.map_pieces(lambda t: t * 2.0)
     assert w.evaluate(0) == 4.0 and w.evaluate(1) == 6.0
     assert w.u_inner == 3.0 and w.u_infinity == 5.0
+
+
+def test_a_decaying_outer_tail_integrates_past_the_float_range_of_its_measures():
+    """|S_j| overflows a float from j = 1025 at p = 2, but the terms of the
+    tail 2**(-1.5 j) on it decay: the integral over B_2000 is
+    0.5 + 0.5 * r * (1 - r**2000) / (1 - r) with r = 2**-0.5."""
+    f = RadialStepFunction(CTX, (0, 0), (1.0,), outer_tail=Tail(1.0, -1.5))
+    r = 2**-0.5
+    closed_form = 0.5 + 0.5 * r * (1 - r**2000) / (1 - r)
+    assert ball_integral(f, 2000) == pytest.approx(closed_form, rel=1e-15)
