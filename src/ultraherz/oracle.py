@@ -1,8 +1,9 @@
 """Monte Carlo cross-checks for shell integrals, norms, and operators.
 
 This module deliberately avoids the closed-form shell sums used everywhere
-else: it draws actual points of a ball (exact integer digit vectors, scaled
-by a power of p), classifies each one's shell exactly, evaluates functions
+else: it draws actual points of a ball, digit by digit (whether each base-p
+digit of a coordinate is 0, an event of probability exactly 1/p decided
+from random bytes), classifies each one's shell exactly, evaluates functions
 there, and aggregates. Agreement with the analytic code is then a genuine
 end-to-end check of the geometry (shell classification, measures, sampling)
 rather than a reprint of the same formulas.
@@ -187,21 +188,6 @@ def _shell_stats(
     return mean, var
 
 
-def _ball_error(measure: float, var: float, count: int) -> float:
-    """Standard error of ``measure`` times a mean of ``count`` draws of
-    variance ``var``: sqrt(measure**2 * var / count) while the square is a
-    normal float and the result finite, else measure * sqrt(var / count)."""
-    try:
-        square = measure**2
-    except OverflowError:
-        square = math.inf
-    if sys.float_info.min <= square < math.inf:
-        error = math.sqrt(square * var / count)
-        if error < math.inf:
-            return error
-    return measure * math.sqrt(var / count)
-
-
 def _outer_bias(coef: float, mass: float, p: int, s: float, hi: int) -> float:
     """coef * mass times the sum of p**(s*k) over the shells k > hi, for s < 0:
     the bias bound of an outer tail cut off above the window."""
@@ -288,7 +274,7 @@ def mc_integrate(
     for measure, level in zip(measures, [mean, *levels]):
         value += measure * level
     draws = sum(sampled.values())
-    return MCEstimate(value, _ball_error(measures[0], var, draws), total)
+    return MCEstimate(value, measures[0] * math.sqrt(var / draws), total)
 
 
 def mc_luxemburg(
@@ -358,9 +344,11 @@ def mc_luxemburg(
         )
 
     root, half = _bisect_luxemburg(modular_hat, rel_tol)
-    term = {k: (a / root) ** u_ball for k, a in magnitude.items()}
+    # each term carries the ball's measure, so its spread keeps the scale
+    # of the modular near 1 however far the ball lies from the origin
+    term = {k: ball * (a / root) ** u_ball for k, a in magnitude.items()}
     _, var = _shell_stats(term, sampled)
-    sigma_mod = _ball_error(ball, var, draws)
+    sigma_mod = math.sqrt(var / draws)
     if amplitude != 0.0:
         coef = (abs(amplitude) / root) ** u.u_infinity
         sigma_mod += _outer_bias(coef, mass, p, s, hi)

@@ -12,11 +12,12 @@ Conventions used throughout the package:
   ``|B_k| = p^(n k)`` and ``|S_k| = p^(n k) (1 - p^(-n))``, returned as exact
   ``fractions.Fraction`` values.
 
-The sampler draws Haar-uniform points of a ball as integer digit vectors
-truncated to a digit resolution and returns only how many points lie on each
-shell, which it reads off the vectors exactly in integer arithmetic. It draws
-a later coordinate of a point only while that coordinate can still move the
-point's shell.
+The sampler draws Haar-uniform points of a ball digit by digit, truncated to
+a digit resolution, and returns only how many points lie on each shell. A
+point's shell is fixed by the first base-p digit position at which some
+coordinate is nonzero, and each digit is 0 with probability exactly 1/p, so
+the sampler draws only these events, one round per digit position for the
+points still undecided, from bulk random bytes compared with 1/p.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 from .errors import DomainError
 
@@ -145,56 +145,61 @@ def sample_shells(
         rng: generator state; advancing it across calls gives an i.i.d.
             stream.
 
-    A point is p^(-gamma) * z for a digit vector z in [0, p^(resolution+1))^n
-    and lies on shell gamma - min_i v_p(z_i) = gamma - v_p(gcd(z)); None
-    marks the origin (every z_i = 0). A coordinate is drawn as
-    ``rng.randrange(limit)`` draws it: ``getrandbits`` of the limit's bit
-    length, redrawn while out of range. The points are drawn in rounds.
-    Round 1 draws the first coordinate of every point; round i draws
-    coordinate i, in point order, only for the points whose first i - 1
-    coordinates are all divisible by p. A unit coordinate already puts its
-    point on shell gamma, so its later coordinates are never drawn. At n = 1
-    the stream and the generator's final state are those of ``count``
-    ``randrange`` calls. The few points left after round n, whose gcd g is
-    divisible by p, are peeled by valuation: those with p^(v+1) not dividing
-    g lie on shell gamma - v, and g = 0 (divisible by the limit) marks the
-    origin. The mapping lists gamma first, then the lower shells downwards,
-    and the origin last; only drawn shells appear.
+    A point p^(-gamma) * z lies on shell gamma - v, where v is the first
+    digit position at which some coordinate z_i has a nonzero base-p digit;
+    None marks the origin (every digit 0). The base-p digits of a uniform
+    z_i are independent, each 0 with probability exactly 1/p, so only these
+    events are drawn, one digit round at a time. Round v takes the m points
+    whose digits below v are all 0 and draws ``rng.randbytes(m * n)``, one
+    byte per coordinate, point after point. A byte b_0 read with its
+    successors as U = 0.b_0 b_1 ... in base 256 makes the digit 0 when
+    U < 1/p: b_0 below c_0, the first base-256 digit of 1/p, says so, b_0
+    above it says not, and the rare b_0 equal to it is settled by
+    ``rng.getrandbits(8)`` bytes compared in turn with the next digits of
+    1/p, in byte order. A point with a nonzero digit lies on shell
+    gamma - v; the others go on to round v + 1, and those left after round
+    ``resolution`` are the origin. The mapping lists gamma first, then the
+    lower shells downwards, and the origin last; only drawn shells appear.
     A sphere needs no sampler: every point of S_gamma lies on shell gamma.
 
     Example:
         >>> ctx = PadicContext(2, 1)
         >>> sample_shells(0, 6, ctx, 24, random.Random(1))
-        {0: 3, -1: 2, -4: 1}
+        {0: 4, -1: 2}
     """
     check_shell(gamma, "ball index")
     p, n = ctx.p, ctx.n
-    limit = p ** (resolution + 1)  # size of the truncated digit space of Z_p
-    bits = limit.bit_length()
-    getrandbits = rng.getrandbits
-
-    def draw(k: int) -> list[int]:
-        """k coordinates below limit, in the order k randrange calls give them."""
-        out: list[int] = []
-        while len(out) < k:
-            out += [z for z in map(getrandbits, repeat(bits, k - len(out))) if z < limit]
-        return out
-
-    # gcd of each undecided point's coordinates so far, all divisible by p
-    rest = [g for g in draw(count) if not g % p]
-    for _ in range(n - 1):
-        if not rest:
+    c0, rest = divmod(256, p)  # first base-256 digit of 1/p and its remainder
+    # a byte below c0 makes the digit 0 (1), one above it nonzero (0); 2 ties
+    table = bytes([1] * c0 + [2] + [0] * (255 - c0))
+    shells: dict[int | None, int] = {}
+    m = count
+    for v in range(resolution + 1):
+        if not m:
             break
-        rest = [g for g in map(math.gcd, rest, draw(len(rest))) if not g % p]
-    shells: dict[int | None, int] = {gamma: count - len(rest)} if len(rest) < count else {}
-    # rest holds the gcds with v_p >= v; those not divisible by p**(v + 1)
-    # lie on shell gamma - v, and a gcd divisible by limit is 0, the origin
-    shell, q = gamma - 1, p * p
-    while rest and q <= limit:
-        deeper = [g for g in rest if not g % q]
-        if len(deeper) < len(rest):
-            shells[shell] = len(rest) - len(deeper)
-        rest, shell, q = deeper, shell - 1, q * p
-    if rest:
-        shells[None] = len(rest)
+        zero = rng.randbytes(m * n).translate(table)
+        if 2 in zero:
+            zero = bytearray(zero)
+            i = zero.find(2)
+            while i >= 0:
+                r = rest
+                while True:
+                    c, r = divmod(r * 256, p)
+                    b = rng.getrandbits(8)
+                    if b != c:
+                        break
+                zero[i] = b < c
+                i = zero.find(2, i + 1)
+        if n == 1:
+            left = zero.count(1)
+        else:
+            flags = int.from_bytes(zero[::n], "little")
+            for i in range(1, n):
+                flags &= int.from_bytes(zero[i::n], "little")
+            left = flags.bit_count()
+        if left < m:
+            shells[gamma - v] = m - left
+        m = left
+    if m:
+        shells[None] = m
     return shells

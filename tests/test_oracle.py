@@ -7,6 +7,7 @@ import inspect
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -149,6 +150,36 @@ def test_mc_luxemburg_over_a_ball_whose_measure_squares_below_the_float_range():
     )
     assert far.value == 2.0**-269 * base.value
     assert far.std_error == pytest.approx(2.0**-269 * base.std_error, rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [-600, -538, -300, 300, 600])
+def test_oracle_error_bars_keep_their_scale_far_from_the_origin(s):
+    """Moving f and u up s shells scales an integral by 2^s and, at u = 2, a
+    norm by 2^(s/2), so every estimate and its relative error bar must stay
+    those of s = 0. The modular's ball terms (a/lam)^u are about 1/|ball|:
+    their squared spread used to underflow far above the origin (at
+    s = 600 the bar fell to the bisection half-width, 2.7e-11 relative
+    against 9.4e-5) and overflow far below it (s = -538 and -600 raised
+    NumericOverflowError). Each term now carries the ball's measure."""
+
+    def estimates(shift):
+        f = _shifted(RadialStepFunction(CTX, (0, 1), (1.0, 2.0), inner_tail=Tail(0.5, 1.0)), shift)
+        u = ExponentFunction(CTX, (shift, shift), (2.0,), 2.0, 2.0)
+        config = OracleConfig(samples=1000, truncation_window=(shift, shift + 1), seed=2)
+        return {
+            "luxemburg": (mc_luxemburg(f, u, config), shift / 2),
+            "stratified": (mc_integrate(f, shift + 1, config), shift),
+            "plain": (mc_integrate(f, shift + 1, replace(config, stratified=False)), shift),
+        }
+
+    base, far = estimates(0), estimates(s)
+    for name, (est, power) in far.items():
+        ref = base[name][0]
+        assert ref.std_error > 0.0
+        assert est.value * 2.0**-power == pytest.approx(ref.value, rel=1e-12), name
+        assert est.std_error / est.value == pytest.approx(
+            ref.std_error / ref.value, rel=1e-12
+        ), name
 
 
 def test_unbounded_regions_refuse_plain_sampling():
@@ -505,19 +536,21 @@ def test_naive_and_stratified_share_the_target():
     assert abs(layered.value - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
-@pytest.mark.parametrize("p", [2, 3, 7])
+@pytest.mark.parametrize("p", [2, 3, 7, 257])
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("region", ["ball", "sphere"])
 @pytest.mark.parametrize("resolution", [1, 2, 24])
 def test_shell_sampler_matches_the_point_sampler(p, n, region, resolution):
-    """The integer shell classification, gamma - v_p(gcd(z)), agrees with the
-    shell of the point p^(-gamma) * z read off its exact rational coordinates
-    (the largest coordinate norm, written out here); at resolution 1 whole
-    vectors collapse to the origin (None). At resolutions 1 and 2 points off
-    shell gamma are common, so later rounds draw often and many points are
-    left after round n, to be classified by valuation. Every point of a
-    sphere lies on its shell, which is why the oracle gives sphere strata
-    f(gamma) without drawing them."""
+    """The digit-round classification, gamma - v at the first digit v some
+    coordinate has nonzero, agrees with the shell of a representative point
+    p^(-gamma) * z read off its exact rational coordinates (the largest
+    coordinate norm, written out here); at resolution 1 whole vectors
+    collapse to the origin (None). At resolutions 1 and 2 points off shell
+    gamma are common, so later rounds draw often and many points reach the
+    origin. At p = 257 the first base-256 digit of 1/p is 0, so every digit
+    is 0 only through the tie path. Every point of a sphere lies on its
+    shell, which is why the oracle gives sphere strata f(gamma) without
+    drawing them."""
     ctx = PadicContext(p, n)
     gamma, count, seed = 2, 400, 1000 * p + 10 * n + resolution
     shell_rng, point_rng = random.Random(seed), random.Random(seed)
@@ -574,28 +607,44 @@ def _draw_shells(region, gamma, count, ctx, resolution, rng):
 
 
 def _reference_draws(region, gamma, count, ctx, resolution, rng):
-    """The coordinates drawn for ``count`` accepted points, written out with
-    ``rng.randrange(p^(resolution+1))`` in n rounds: round i draws coordinate
-    i, in point order, for each point whose coordinates so far are all
-    divisible by p. A sphere point runs its rounds alone and is redrawn
-    while every coordinate is divisible by p. A coordinate is left undrawn
-    only after a unit one, which already gives the point the largest norm
-    p^gamma, so the drawn coordinates fix its max-norm shell."""
+    """Representative digit vectors of ``count`` accepted points, read from
+    the sampler's stream. Round v draws ``rng.randbytes(m * n)`` for the m
+    points whose digits so far are all 0, n bytes per point in point order.
+    Each byte b_0 opens a uniform U = 0.b_0 b_1 ... in base 256, and digit v
+    of its coordinate is 0 exactly when U < 1/p: while the bytes drawn so
+    far leave 1/p inside [prefix, prefix + 256^-k), the next byte is drawn
+    with ``rng.getrandbits(8)``, byte after byte in round order, and the
+    comparison is exact in ``Fraction``. A nonzero digit is represented by
+    1; it already gives its point the largest norm p^(gamma - v), so the
+    point draws nothing more. A sphere point runs its rounds alone and is
+    redrawn while every coordinate is divisible by p."""
     p, n = ctx.p, ctx.n
-    limit = p ** (resolution + 1)
+    inverse = Fraction(1, p)
+
+    def digit_is_zero(first):
+        prefix, width = Fraction(first, 256), Fraction(1, 256)
+        while prefix <= inverse < prefix + width:
+            width /= 256
+            prefix += rng.getrandbits(8) * width
+        return prefix < inverse
 
     def rounds(points):
-        for _ in range(n):
-            for zs in points:
-                if all(z % p == 0 for z in zs):
-                    zs.append(rng.randrange(limit))
+        undecided = points
+        for v in range(resolution + 1):
+            if not undecided:
+                break
+            zero = [digit_is_zero(b) for b in rng.randbytes(len(undecided) * n)]
+            for j, zs in enumerate(undecided):
+                for i in range(n):
+                    zs[i] += 0 if zero[j * n + i] else p**v
+            undecided = [zs for j, zs in enumerate(undecided) if all(zero[j * n:(j + 1) * n])]
         return points
 
     if region == "ball":
-        return rounds([[] for _ in range(count)])
+        return rounds([[0] * n for _ in range(count)])
     draws = []
     while len(draws) < count:
-        (zs,) = rounds([[]])
+        (zs,) = rounds([[0] * n])
         if any(z % p for z in zs):
             draws.append(zs)
     return draws
@@ -609,12 +658,12 @@ def _reference_counts(region, gamma, count, ctx, resolution, rng):
     return dict(Counter(_point_shell([z * scale for z in zs], ctx.p) for zs in draws))
 
 
-@pytest.mark.parametrize("p", [2, 3, 7])
+@pytest.mark.parametrize("p", [2, 3, 7, 257])
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("region", ["ball", "sphere"])
 @pytest.mark.parametrize("resolution", [1, 24])
 def test_samplers_match_a_randrange_reference(p, n, region, resolution):
-    """The shell sampler draws the stream of the round-by-round ``randrange``
+    """The shell sampler draws the stream of the round-by-round ``Fraction``
     reference and leaves the generator in the same state; conditioned on
     shell gamma, it accepts exactly the draws a sphere reference accepts."""
     ctx = PadicContext(p, n)
@@ -630,7 +679,7 @@ def test_samplers_match_a_randrange_reference(p, n, region, resolution):
 
 @settings(max_examples=80)
 @given(
-    p=st.sampled_from([2, 3, 5, 7]),
+    p=st.sampled_from([2, 3, 5, 7, 257]),
     n=st.integers(1, 3),
     seed=st.integers(0, 2**64),
     count=st.integers(0, 60),
@@ -648,25 +697,35 @@ def test_shell_sampler_matches_the_reference_for_any_seed(
     assert shell_rng.getstate() == ref_rng.getstate()
 
 
-@pytest.mark.parametrize("p", [2, 3, 7])
-@pytest.mark.parametrize("resolution", [1, 24])
-def test_one_dimensional_draws_keep_the_randrange_stream(p, resolution):
-    """At n = 1 every point draws exactly one coordinate, so the sampler
-    consumes the stream of ``count`` plain ``randrange`` calls, point by
-    point, and leaves the generator in the same state."""
-    ctx = PadicContext(p, 1)
-    limit = p ** (resolution + 1)
-    gamma, count, seed = 1, 2000, 300 + 10 * p + resolution
-    ref_rng, shell_rng = random.Random(seed), random.Random(seed)
-    zs = [ref_rng.randrange(limit) for _ in range(count)]
-    want = Counter(_point_shell([Fraction(z, p**gamma)], p) for z in zs)
-    assert sample_shells(gamma, count, ctx, resolution, shell_rng) == dict(want)
-    assert shell_rng.getstate() == ref_rng.getstate()
-    # the draws behind the sampler's docstring example, in draw order
-    rng = random.Random(1)
-    assert [
-        _point_shell([Fraction(rng.randrange(2**25))], 2) for _ in range(6)
-    ] == [0, 0, -4, -1, 0, -1]
+class _TiedRandom(random.Random):
+    """A generator whose ``randbytes`` returns only 256 // p, the first
+    base-256 digit of 1/p, so every digit event takes the tie path and is
+    settled by the ``getrandbits`` bytes that follow."""
+
+    def __init__(self, seed: int, p: int) -> None:
+        super().__init__(seed)
+        self.tie = bytes([256 // p])
+
+    def randbytes(self, k: int) -> bytes:
+        return self.tie * k
+
+
+@pytest.mark.parametrize("p", [2, 3, 257])
+@pytest.mark.parametrize("n", [1, 3])
+def test_a_tied_byte_is_settled_by_the_later_digits_of_one_over_p(p, n):
+    """A first byte equal to the first base-256 digit of 1/p leaves the
+    digit undecided; the sampler settles it with later bytes compared with
+    the later digits of 1/p, as the exact ``Fraction`` comparison does. At
+    p = 2 the tie is U in [1/2, 1/2 + 1/256), never below 1/2; at p = 3 a
+    tied digit is 0 with probability 1/3, and at p = 257 with 256/257."""
+    ctx = PadicContext(p, n)
+    gamma, count, resolution, seed = 1, 300, 24, 500 + p + n
+    shell_rng, ref_rng = _TiedRandom(seed, p), _TiedRandom(seed, p)
+    shells = sample_shells(gamma, count, ctx, resolution, shell_rng)
+    assert shells == _reference_counts("ball", gamma, count, ctx, resolution, ref_rng)
+    assert shell_rng.getstate() == ref_rng.getstate() != random.Random(seed).getstate()
+    if p == 2:
+        assert shells == {gamma: count}
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
@@ -696,37 +755,51 @@ def test_ball_shells_follow_the_haar_law(p, n):
 
 
 class _CountingRandom(random.Random):
-    """A generator that counts the ``getrandbits`` results below ``limit``,
-    that is, how many coordinates were drawn."""
+    """A generator that counts the bytes ``randbytes`` draws, one per
+    coordinate of every point still undecided in a digit round."""
 
-    def __init__(self, seed: int, limit: int) -> None:
+    def __init__(self, seed: int) -> None:
         super().__init__(seed)
-        self.limit = limit
-        self.accepted = 0
+        self.drawn = 0
 
-    def getrandbits(self, k: int) -> int:
-        z = super().getrandbits(k)
-        self.accepted += z < self.limit
-        return z
+    def randbytes(self, k: int) -> bytes:
+        self.drawn += k
+        return super().randbytes(k)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_a_later_coordinate_is_drawn_only_while_it_can_move_the_shell(p):
-    """A point draws coordinate i + 1 only when its first i coordinates are
-    all divisible by p, each with probability 1/p, so 10**4 points at n = 3
-    draw about count * (1 + 1/p + 1/p**2) coordinates, not 3 * count. The
-    count is exact for a seed, so the bound is checked without timing."""
-    ctx = PadicContext(p, 3)
-    count, resolution = 10_000, 24
-    limit = p ** (resolution + 1)
-    rng = _CountingRandom(60 + p, limit)
-    shells = sample_shells(0, count, ctx, resolution, rng)
+    """A point draws digit round v + 1, n bytes, only when all its digits
+    at v are 0, with probability q = p^-n, so its rounds are geometric and
+    10**4 points at n = 3 draw about n * count / (1 - q) bytes, not
+    n * count * (resolution + 1). The count is exact for a seed, so the
+    bound is checked without timing."""
+    n, count, resolution = 3, 10_000, 24
+    rng = _CountingRandom(60 + p)
+    shells = sample_shells(0, count, PadicContext(p, n), resolution, rng)
     assert sum(shells.values()) == count
-    per_point = 1 + 1 / p + 1 / p**2
-    # X = B1 + B1 * B2 for independent Bernoulli(1/p): E X^2 = 1/p + 3/p^2
-    variance = 1 / p + 3 / p**2 - (1 / p + 1 / p**2) ** 2
-    assert abs(rng.accepted - per_point * count) <= 4 * math.sqrt(variance * count)
-    assert rng.accepted < 2 * count
+    q = p**-n
+    # rounds R >= 1 with P(R > k) = q^k: E R = 1 / (1 - q), Var R = q / (1 - q)^2
+    per_point, variance = n / (1 - q), n * n * q / (1 - q) ** 2
+    assert abs(rng.drawn - per_point * count) <= 4 * math.sqrt(variance * count)
+    assert rng.drawn < 2 * n * count
+
+
+@pytest.mark.parametrize("p", [2, 7])
+def test_the_sampler_keeps_no_per_point_list(p):
+    """A digit round holds its bytes and one integer per coordinate slice,
+    never a Python object per point: 10**4 points at n = 3 peak below
+    128 KiB of traced allocations."""
+    rng = random.Random(80 + p)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        shells = sample_shells(0, 10_000, PadicContext(p, 3), 24, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(shells.values()) == 10_000
+    assert peak < 128 * 1024
 
 
 def _fn(p, n, lo, coeffs, inner=(0.0, 0.0), outer=(0.0, 0.0)):
@@ -749,21 +822,21 @@ GOLDEN = {
             _fn(2, 3, -2, [1.0, -0.5, 2.0, 0.25], (1.5, 0.5)), 1,
             OracleConfig(2000, seed=11, stratified=False),
         ),
-        MCEstimate(value=3.544, std_error=0.10166218372531596, samples=2000),
+        MCEstimate(value=3.2213639610306792, std_error=0.09317858251447093, samples=2000),
     ),
     "integrate naive p=7 n=1": (
         lambda: mc_integrate(
             _fn(7, 1, -1, [0.5, 2.0, -1.0], (1.0, -0.5)), 1,
             OracleConfig(2000, seed=12, stratified=False),
         ),
-        MCEstimate(value=-4.06, std_error=0.17267160374934465, samples=2000),
+        MCEstimate(value=-4.298, std_error=0.16234808730233125, samples=2000),
     ),
     "integrate stratified p=2 n=1": (
         lambda: mc_integrate(
             _fn(2, 1, -1, [2.0, 1.0], (1.0, 0.5)), 1,
             OracleConfig(1000, seed=13, truncation_window=(0, 3)),
         ),
-        MCEstimate(value=1.0969406790797707, std_error=0.002902845589513093, samples=1000),
+        MCEstimate(value=1.0988219606462324, std_error=0.0026973536075473956, samples=1000),
     ),
     "integrate stratified p=7 n=3": (
         lambda: mc_integrate(
@@ -780,7 +853,7 @@ GOLDEN = {
             _ex(2, 1, 2, [2.0], 1.5, 2.0),
             OracleConfig(2000, seed=15, truncation_window=(2, 3)),
         ),
-        MCEstimate(value=1.8263610097928904, std_error=0.022964507830548115, samples=2000),
+        MCEstimate(value=1.7637021535192616, std_error=0.024308740233756024, samples=2000),
     ),
     "luxemburg p=7 n=3": (
         lambda: mc_luxemburg(
@@ -796,14 +869,14 @@ GOLDEN = {
             _ex(2, 3, 0, [2.0, 3.0], 2.5, 2.0),
             OracleConfig(2000, seed=17, truncation_window=(-4, 4)),
         ),
-        MCEstimate(value=3.911737204878591, std_error=9.917352988677962e-05, samples=2005),
+        MCEstimate(value=3.9117372588953003, std_error=9.91735291321534e-05, samples=2005),
     ),
     "hardy naive p=2 n=3": (
         lambda: mc_operator_probe(
             OperatorSpec("hardy", 0.5), _fn(2, 3, -1, [2.0, 1.0, -0.5], (1.0, 0.5)), 1,
             OracleConfig(2000, seed=18, stratified=False),
         ),
-        MCEstimate(value=-0.4426488450227788, std_error=0.016542908871083055, samples=2000),
+        MCEstimate(value=-0.42673894244608146, std_error=0.016962187223282816, samples=2000),
     ),
     "hardy stratified p=7 n=1": (
         lambda: mc_operator_probe(
@@ -832,7 +905,7 @@ GOLDEN = {
             _fn(2, 1, -1, [0.5, 2.0, 1.0], (1.0, 0.5)), 1,
             OracleConfig(2000, seed=23, stratified=False),
         ),
-        MCEstimate(value=1.9848106275790032, std_error=0.05274104311068775, samples=4000),
+        MCEstimate(value=1.9361119134898213, std_error=0.05313376212660318, samples=4000),
     ),
     "commutator p=7 n=3": (
         lambda: mc_operator_probe(
