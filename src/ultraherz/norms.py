@@ -28,7 +28,6 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import count
-from typing import Sequence
 
 from .errors import DomainError, NumericOverflowError, NumericUnderflowError
 from .padic import PadicContext, check_shell, ppow
@@ -55,6 +54,11 @@ _MIXED_TOL = 1e-13
 _MIN_NORMAL = sys.float_info.min
 _LOG_MIN_NORMAL = math.log(_MIN_NORMAL)
 _LOG_MAX = math.log(sys.float_info.max)
+
+#: A modular as (terms, lost): rho(f/lam) is the sum of w * lam**(-e) over
+#: the (w, e) terms, and lost holds (log w, e) for each weight that fell
+#: below the normal float range before it could be formed.
+_Modular = tuple[list[tuple[float, float]], list[tuple[float, float]]]
 
 
 @dataclass(frozen=True)
@@ -132,12 +136,11 @@ def _modular_terms(
     u: ExponentFunction,
     shift: float = 0.0,
     top: int | None = None,
-    lost: list[tuple[float, float]] | None = None,
-) -> list[tuple[float, float]] | None:
-    """The modular of (f - shift) restricted to B_top, as power-sum terms.
+) -> _Modular | None:
+    """The modular of (f - shift) restricted to B_top, as (terms, lost).
 
     rho((f - shift) chi_{B_top} / lam) is the sum of w * lam**(-e) over the
-    returned (w, e) terms (a mixed inner sum is its midpoint, see
+    (w, e) terms (a mixed inner sum is its midpoint, see
     :func:`_mixed_inner_sum`): one term per shell of the window and one
     closed-form term per tail. ``top`` None means the whole space and needs
     shift 0 (the outer-tail term ignores the shift).
@@ -146,14 +149,15 @@ def _modular_terms(
     function gets a term, even one whose weight rounded to 0.0, so the
     solver can tell an underflow from the zero function. A power that
     overflows raises NumericOverflowError; a product that does is left inf.
-    ``lost``, when given, collects (log w, e) for each window shell whose
-    weight fell below the normal float range, for the solver to weigh.
+    ``lost`` holds (log w, e) for each window shell whose weight fell below
+    the normal float range, for the solver to weigh.
     """
     ctx = f.ctx
     p, n = ctx.p, ctx.n
     mass = _unit_mass(ctx)
     w_lo, w_hi = _union_window(f, u)
     terms: list[tuple[float, float]] = []
+    lost: list[tuple[float, float]] = []
     try:
         for k in range(w_lo, (w_hi if top is None else top) + 1):
             v = abs(f.evaluate(k) - shift)
@@ -167,8 +171,7 @@ def _modular_terms(
                     if log_weight >= _LOG_MIN_NORMAL:
                         terms.append((math.exp(log_weight), e))
                         continue
-                    if lost is not None:
-                        lost.append((log_weight, e))
+                    lost.append((log_weight, e))
                 terms.append((power * mass * ppow(p, n * k), e))
 
         amplitude, rate = f.inner_tail
@@ -193,7 +196,7 @@ def _modular_terms(
             terms.append((outer, c))
     except OverflowError as exc:
         raise _norm_overflow() from exc
-    return terms
+    return terms, lost
 
 
 def _norm_overflow() -> NumericOverflowError:
@@ -235,10 +238,10 @@ def modular(f: RadialStepFunction, u: ExponentFunction) -> NormResult:
     """
     _require_same_ctx(f, u)
     window = _union_window(f, u)
-    terms = _modular_terms(f, u)
-    if terms is None:
+    built = _modular_terms(f, u)
+    if built is None:
         return NormResult(math.inf, False, 0.0, window)
-    value = _modular_value(terms, 1.0)
+    value = _modular_value(built[0], 1.0)
     if not math.isfinite(value):
         raise _norm_overflow()
     return NormResult(value, True, 0.0, window)
@@ -249,12 +252,8 @@ def _check_rel_tol(rel_tol: float) -> None:
         raise DomainError(f"rel_tol must lie in (1e-14, 1e-3), got {rel_tol}")
 
 
-def _solve_luxemburg(
-    terms: list[tuple[float, float]],
-    rel_tol: float,
-    lost: Sequence[tuple[float, float]] = (),
-) -> tuple[float, float]:
-    """Solve sum w * lam**(-e) = 1 over the (w, e) terms for lam.
+def _solve_luxemburg(modular: _Modular, rel_tol: float) -> tuple[float, float]:
+    """Solve sum w * lam**(-e) = 1 over the (w, e) terms of a modular for lam.
 
     Returns (root estimate, bracket half-width); no terms is the zero
     function, (0.0, 0.0). The weights are summed per distinct exponent
@@ -270,10 +269,11 @@ def _solve_luxemburg(
 
     Raises NumericOverflowError when a weight or the root exceeds the float
     range, and NumericUnderflowError when every weight rounded to 0.0, the
-    root lies below the smallest normal float, or a subnormal weight carries
-    more than rel_tol of the modular at the root; ``lost`` adds (log w, e)
-    for weights that may have rounded to 0.0, which no group shows.
+    root lies below the smallest normal float, or a weight below the normal
+    range carries more than rel_tol of the modular at the root: a subnormal
+    group, or one of the modular's lost weights, which no group shows.
     """
+    terms, lost = modular
     if not terms:
         return 0.0, 0.0
     weights: dict[float, float] = {}
@@ -389,11 +389,10 @@ def luxemburg_norm(
     _require_same_ctx(f, u)
     _check_rel_tol(rel_tol)
     window = _union_window(f, u)
-    lost: list[tuple[float, float]] = []
-    terms = _modular_terms(f, u, lost=lost)
-    if terms is None:
+    built = _modular_terms(f, u)
+    if built is None:
         return NormResult(math.inf, False, 0.0, window)
-    value, half = _solve_luxemburg(terms, rel_tol, lost)
+    value, half = _solve_luxemburg(built, rel_tol)
     return NormResult(value, True, half, window)
 
 
@@ -415,10 +414,10 @@ def single_shell_norm(coefficient: float, shell: int, u: ExponentFunction) -> fl
     )
 
 
-def _indicator_pieces(u: ExponentFunction, gamma: int) -> list[tuple[float, float]]:
+def _indicator_pieces(u: ExponentFunction, gamma: int) -> _Modular:
     """The modular of chi(B_gamma) as (measure, exponent) terms, one per
     exponent piece: the inner ball, each window shell of B_gamma and the
-    rest of B_gamma beyond the window."""
+    rest of B_gamma beyond the window. No weight is lost."""
     ctx = u.ctx
     p, n = ctx.p, ctx.n
     j_min, j_max = u.window
@@ -429,7 +428,7 @@ def _indicator_pieces(u: ExponentFunction, gamma: int) -> list[tuple[float, floa
         pieces.append((mass * ppow(p, n * k), u.evaluate(k)))
     if gamma > j_max:
         pieces.append((ppow(p, n * gamma) - ppow(p, n * j_max), u.u_infinity))
-    return pieces
+    return pieces, []
 
 
 def ball_indicator_norm(
@@ -746,24 +745,6 @@ def _mixed_inner_sum(
     return total + 0.5 * (hi + lo), 0.5 * (hi - lo)
 
 
-def _shifted_norm(
-    b: RadialStepFunction,
-    u: ExponentFunction,
-    shift: float,
-    gamma: int,
-    rel_tol: float,
-) -> float:
-    """Luxemburg norm of (b - shift) restricted to B_gamma.
-
-    Only the CMO envelope (:func:`_cmo_envelope_terms`) calls it, after
-    :func:`cmo_norm` has returned for a decaying inner tail, so no tail sum
-    of the modular diverges.
-    """
-    lost: list[tuple[float, float]] = []
-    terms = _modular_terms(b, u, shift, gamma, lost)
-    return _solve_luxemburg(terms, rel_tol, lost)[0]
-
-
 def _last_constant_radius(b: RadialStepFunction, scan_lo: int) -> int:
     """The last radius gamma >= scan_lo - 1 such that b is constant on B_gamma.
 
@@ -837,9 +818,10 @@ def _cmo_candidate(
     :func:`_solves_quietly`; a lost weight may raise), so every error of
     the full computation still reaches the caller.
     """
-    lost: list[tuple[float, float]] = []
-    terms = _modular_terms(b, u, shift, gamma, lost)
-    pieces = _indicator_pieces(u, gamma)
+    # cmo_norm has returned for a decaying inner tail, so no tail diverges
+    shifted = _modular_terms(b, u, shift, gamma)
+    indicator = _indicator_pieces(u, gamma)
+    (terms, lost), (pieces, _) = shifted, indicator
     denominator = None
     if best > 0.0 and not lost and _solves_quietly(terms) and _solves_quietly(pieces):
         slack = 4.0 * rel_tol + 1e-12 + 2.0**-50 * (len(terms) + len(pieces))
@@ -847,14 +829,14 @@ def _cmo_candidate(
         d_lo = max(math.pow(w, 1.0 / e) for w, e in pieces)
         if _norm_at_most(terms, s * d_lo):
             return 0.0
-        denominator = _solve_luxemburg(pieces, rel_tol)[0]
+        denominator = _solve_luxemburg(indicator, rel_tol)[0]
         if _norm_at_most(terms, s * denominator):
             return 0.0
-    numerator = _solve_luxemburg(terms, rel_tol, lost)[0]
+    numerator = _solve_luxemburg(shifted, rel_tol)[0]
     if numerator == 0.0:
         return 0.0
     if denominator is None:
-        denominator = _solve_luxemburg(pieces, rel_tol)[0]
+        denominator = _solve_luxemburg(indicator, rel_tol)[0]
     return numerator / denominator
 
 
@@ -882,7 +864,7 @@ def _cmo_envelope_terms(
     amplitude, rate = b.outer_tail
     limit = amplitude if (amplitude != 0.0 and rate == 0.0) else 0.0
 
-    near_norm = _shifted_norm(b, u, limit, ref, rel_tol)
+    near_norm = _solve_luxemburg(_modular_terms(b, u, limit, ref), rel_tol)[0]
     near_integral = abs(ref_integral - limit * ppow(p, n * ref))
 
     rho_chi = ppow(p, -n / u_inf)

@@ -170,8 +170,8 @@ def _scaled(p: int, e: float, value: float, part: tuple[int, int, float]) -> flo
     0.0 or subnormal though its exact part is not, or whose float product
     is not finite: an exact zero gives 0.0, else the integral is scaled by
     2**s into the normal range before rounding and the product by 2**-s.
-    If that is not finite, an integer e scales the exact pair by p**e before
-    its one rounding (inf past the float range); a non-integer e gives nan.
+    If that is not finite, the exact pair is scaled by p**floor(e) before its
+    one rounding (inf past the float range), then by p**(e - floor(e)).
     """
     num, den, inexact = part
     if not num and not inexact:
@@ -185,19 +185,19 @@ def _scaled(p: int, e: float, value: float, part: tuple[int, int, float]) -> flo
         coefficient = math.ldexp(ppow(p, e) * ((num << s) / den + math.ldexp(inexact, s)), -s)
     if math.isfinite(coefficient):
         return coefficient
-    if not float(e).is_integer():
-        return math.nan
     # e > 0 here: p**e <= 1 times a finite integral is finite. Past the
     # float range by the log2 of the exact value, known to within a bit,
-    # the answer is inf without forming p**e
-    e = int(e)
-    if num.bit_length() - den.bit_length() + e * math.log2(p) > 1100:
+    # the answer is inf without forming p**whole; p**0.0 is 1.0 exactly
+    whole = math.floor(e)
+    if num.bit_length() - den.bit_length() + whole * math.log2(p) > 1100:
         return math.inf
     try:
-        exact = num * p**e / den
+        exact = num * p**whole / den
     except OverflowError:
         return math.inf
-    return exact + inexact * ppow(p, e) if inexact else exact
+    if inexact:
+        exact += inexact * ppow(p, whole)
+    return exact * ppow(p, e - whole)
 
 
 def hardy_adjoint(f: RadialStepFunction, alpha: float) -> RadialStepFunction:

@@ -295,10 +295,13 @@ def mc_luxemburg(
     mass above the truncation window folded into the standard error; the
     inner tail is covered by the residual ball stratum itself. A norm
     outside the normal float range raises a typed error. The norm's region,
-    all of Q_p^n, is unbounded, so plain sampling is refused.
+    all of Q_p^n, is unbounded, so plain sampling is refused. ``rel_tol``
+    must lie in (1e-14, 1e-3), as for the closed-form norms.
     """
     if f.ctx != u.ctx:
         raise DomainError("function and exponent live in different contexts")
+    if not (1e-14 < rel_tol < 1e-3):
+        raise DomainError(f"rel_tol must lie in (1e-14, 1e-3), got {rel_tol}")
     if not config.stratified:
         raise DomainError("the norm task has no plain sampling: its region is unbounded")
     p, n = f.ctx.p, f.ctx.n

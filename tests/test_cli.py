@@ -325,6 +325,20 @@ def test_usage_errors_exit_one(files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["norm"], ["oracle", "--task", "norm", "--samples", "1000"]],
+    ids=["norm", "oracle"],
+)
+def test_a_rel_tol_out_of_range_exits_one(files, capsys, command):
+    """--rel-tol 5 is refused by the closed-form norm and the oracle alike."""
+    argv = [*command, "-i", files["f2"], "-u", files["u"], "--rel-tol", "5"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: rel_tol must lie in (1e-14, 1e-3)")
+
+
 def test_norm_rejects_a_nan_coefficient(files, tmp_path, capsys):
     payload = json.loads(Path(files["f"]).read_text())
     payload["coeffs"] = ["nan"]
@@ -796,6 +810,18 @@ def test_validate_passes_a_bounded_symbol_with_an_exponent_next_to_one(tmp_path,
     out = capsys.readouterr().out
     assert "ok   symbol-oscillation" in out
     assert out.strip().endswith("claim C32: hypotheses satisfied")
+
+
+def test_validate_an_exponent_reaching_one_exits_two(tmp_path, capsys):
+    """u = 1 fails the exponent check, and validate reports it as a
+    violated hypothesis rather than a conjugate-exponent error."""
+    path = tmp_path / "c31.json"
+    save_theorem_config(TheoremConfig("C31", ExponentFunction.constant(CTX, 1.0)), str(path))
+    assert main(["validate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("FAIL exponent-admissible: ")
+    assert captured.out.strip().endswith("claim C31: hypotheses violated")
 
 
 @pytest.mark.skipif(

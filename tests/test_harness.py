@@ -12,8 +12,10 @@ from ultraherz import (
     DomainError,
     ExponentFunction,
     HypothesisViolationError,
+    OperatorSpec,
     PadicContext,
     RadialStepFunction,
+    THEOREM_IDS,
     Tail,
     TheoremConfig,
     boundedness_ratio,
@@ -165,6 +167,21 @@ def test_a_bounded_symbol_passes_with_an_exponent_next_to_one():
     report = validate_hypotheses(TheoremConfig("C32", u))
     assert report.check("symbol-oscillation").satisfied
     assert report.satisfied
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_an_exponent_reaching_one_stops_the_checks_before_the_conjugate(theorem):
+    """At u = 1 the conjugate exponent is unbounded, so the report holds the
+    failed exponent check and the index order only, and no check past them
+    reaches ``conjugate``, which would raise DomainError."""
+    u = ExponentFunction.constant(CTX, 1.0)
+    report = validate_hypotheses(TheoremConfig(theorem, u))
+    assert [(c.name, c.satisfied) for c in report.checks] == [
+        ("exponent-admissible", False),
+        ("index-order", True),
+    ]
+    with pytest.raises(DomainError, match="conjugate exponent is unbounded"):
+        conjugate(u)
 
 
 @pytest.mark.parametrize(
@@ -327,7 +344,32 @@ SWEEP_DIGESTS = {
         ),
         "39f1eed81be173ee7ea3809c7d97b8afc7e3c05f418d994abbdcb22c40747cb1",
     ),
+    # the ball-average claims whose target exponent is u itself
+    "C31 u=2": (
+        lambda: TheoremConfig("C31", U2, alpha=0.0, beta=0.25, m1=1.0, m2=2.0),
+        "19c85bbf13edf0436a3b746b28d195ca59f715bc7a217378972ca3c9bcd3c05f",
+    ),
+    "C41 piecewise": (
+        lambda: TheoremConfig(
+            "C41",
+            ExponentFunction(CTX, (-1, 1), (2.0, 2.5, 3.0), 2.0, 2.5),
+            alpha=0.0,
+            beta=0.25,
+            m1=2.0,
+            m2=2.0,
+            lam=0.25,
+        ),
+        "4ae9855f07d0a6b5a01ad7bdc5efb4eef8aad07f2ed4e4e965c7051b451c955f",
+    ),
 }
+
+
+@pytest.mark.parametrize("name", ["C31 u=2", "C41 piecewise"])
+def test_ball_average_claims_keep_u_and_take_no_symbol(name):
+    config = SWEEP_DIGESTS[name][0]()
+    assert config.target_exponent() is config.u
+    assert config.effective_symbol() is None
+    assert config.operator_spec() == OperatorSpec("hardy", 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))

@@ -37,7 +37,7 @@ from ultraherz import (
     total_integral,
 )
 from ultraherz import norms
-from ultraherz.norms import _shifted_norm
+from ultraherz.norms import _modular_terms, _solve_luxemburg
 
 CTX = PadicContext(2, 1)
 U2 = ExponentFunction.constant(CTX, 2.0)
@@ -580,10 +580,10 @@ def test_cmo_scan_of_a_sphere_indicator_is_linear_in_its_shell(monkeypatch):
     build = norms._modular_terms
     shells = []
 
-    def counting(f, u, shift=0.0, top=None, lost=None):
+    def counting(f, u, shift=0.0, top=None):
         w_lo, w_hi = norms._union_window(f, u)
         shells.append(max(0, (w_hi if top is None else top) - w_lo + 1))
-        return build(f, u, shift, top, lost)
+        return build(f, u, shift, top)
 
     monkeypatch.setattr(norms, "_modular_terms", counting)
     visited = {}
@@ -606,10 +606,11 @@ def test_cmo_pruning_skips_solves_and_keeps_the_pinned_bits(monkeypatch):
     b, u = _symbol(_MIXED, (0.5, 0.0), (1.5, 0.0)), U_WIN
     run, expected = NORMS_GOLDEN["cmo flat tails, windowed u"]
     scan_lo, scan_end = run().work_window
-    full = 1 + sum(
-        2 if _shifted_norm(b, u, ball_mean(b, gamma), gamma, 1e-10) != 0.0 else 1
+    numerators = [
+        _solve_luxemburg(_modular_terms(b, u, ball_mean(b, gamma), gamma), 1e-10)[0]
         for gamma in range(scan_lo, scan_end)
-    )
+    ]
+    full = 1 + sum(2 if numerator != 0.0 else 1 for numerator in numerators)
     solve = norms._solve_luxemburg
     solves = []
 

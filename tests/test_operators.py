@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -334,6 +335,43 @@ def test_a_hardy_coefficient_whose_ball_integral_underflows_keeps_its_value():
         assert image.evaluate(k) == float(exact) > sys.float_info.min, k
     assert image.evaluate(-1101) == 0.0
     assert image.evaluate(0) == 0.5
+
+
+def test_a_hardy_factor_past_the_float_range_at_a_non_integer_order():
+    """At p = 2, n = 1 and alpha = 0.3 the image factor on shell -1601 is
+    2**1120.7, past the float range, and the integral of chi(S_-1601) +
+    chi(S_0) over B_-1601 is 2**-1602, below it. The exact integral is
+    scaled by 2**1120 before it rounds and then by 2**0.7, so the normal
+    coefficient, about 1.3e-145, comes back. chi(S_-1601) alone has a total
+    integral that rounds to 0.0 and raises as it does at alpha = 0."""
+    f = RadialStepFunction(CTX, (-1601, 0), (1.0,) + (0.0,) * 1600 + (1.0,))
+    e = -1601 * (0.3 - 1)
+    expected = math.ldexp(math.pow(2.0, e - 1120), 1120 - 1602)
+    assert hardy(f, 0.3).evaluate(-1601) == pytest.approx(expected, rel=1e-15)
+    for alpha in (0.0, 0.3):
+        with pytest.raises(NumericUnderflowError, match="outer tail amplitude"):
+            hardy(RadialStepFunction.indicator_sphere(CTX, -1601), alpha)
+
+
+def test_no_hardy_error_names_a_nan():
+    """Far from the origin, at integer and non-integer image factors alike,
+    a refused hardy image names a value or an inf, never a nan."""
+    for shell in (-1601, -1100, -1023, 1100):
+        lo, hi = min(shell, 0), max(shell, 0)
+        pair = tuple(1.0 if j in (shell, 0) else 0.0 for j in range(lo, hi + 1))
+        for f in (
+            RadialStepFunction.indicator_sphere(CTX, shell),
+            RadialStepFunction(CTX, (lo, hi), pair),
+        ):
+            for alpha in (-1.5, -0.25, 0.0, 0.3, 0.9, 1.7):
+                try:
+                    hardy(f, alpha)
+                except UltraherzError as exc:
+                    assert "nan" not in str(exc), (shell, f.window, alpha)
+    # at alpha = -1.5 the factor on shell -1601 is 2**4002.5: the
+    # coefficient leaves the float range and reads inf
+    with pytest.raises(NumericOverflowError, match="is inf"):
+        hardy(RadialStepFunction.indicator_sphere(CTX, -1601), -1.5)
 
 
 def test_a_commutator_whose_hardy_image_passes_the_shell_limit_raises_first():

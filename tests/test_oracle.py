@@ -194,6 +194,20 @@ def test_unbounded_regions_refuse_plain_sampling():
         mc_operator_probe(OperatorSpec("adjoint", 0.5), f, 0, naive)
 
 
+@pytest.mark.parametrize("rel_tol", [5.0, 1e-3, 0.0, -1.0, math.nan, 1e-14])
+def test_mc_luxemburg_refuses_a_rel_tol_the_norms_refuse(rel_tol):
+    """The sampled norm takes the closed-form norms' range (1e-14, 1e-3):
+    a rel_tol outside it, or nan, would otherwise bisect 200 times or stop
+    at once on a bracket as wide as the norm."""
+    f = RadialStepFunction(CTX, (0, 1), (1.0, 2.0))
+    u = ExponentFunction.constant(CTX, 2.0)
+    with pytest.raises(DomainError) as caught:
+        mc_luxemburg(f, u, OracleConfig(samples=1000), rel_tol=rel_tol)
+    with pytest.raises(DomainError) as expected:
+        luxemburg_norm(f, u, rel_tol=rel_tol)
+    assert str(caught.value) == str(expected.value)
+
+
 def test_naive_integral_covers_truth_within_sigma():
     f = RadialStepFunction(CTX, (-2, 1), (1.0, -0.5, 2.0, 0.25))
     est = mc_integrate(f, 1, OracleConfig(samples=20_000, seed=99, stratified=False))

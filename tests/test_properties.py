@@ -35,7 +35,7 @@ from ultraherz import (
     ppow,
     single_shell_norm,
 )
-from ultraherz.norms import _herz_terms, _mixed_inner_sum, _modular_terms, _shifted_norm
+from ultraherz.norms import _herz_terms, _mixed_inner_sum, _modular_terms, _solve_luxemburg
 from ultraherz.radial import _float_value, _geometric_tail, _running_parts
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
@@ -207,7 +207,8 @@ def test_geometric_tail_is_none_exactly_when_it_diverges(size, below):
 
 def _cmo_candidate_by_ball_mean(b, u, gamma, rel_tol):
     """The CMO ratio at B_gamma, with the mean recomputed by ``ball_mean``."""
-    numerator = _shifted_norm(b, u, ball_mean(b, gamma), gamma, rel_tol)
+    shifted = _modular_terms(b, u, ball_mean(b, gamma), gamma)
+    numerator = _solve_luxemburg(shifted, rel_tol)[0]
     if not math.isfinite(numerator):
         return math.inf
     if numerator == 0.0:
@@ -305,7 +306,7 @@ def _solved(f, u, rel_tol=1e-10):
     try:
         return luxemburg_norm(f, u, rel_tol)
     except NumericUnderflowError:
-        assert min(w for w, _ in _modular_terms(f, u)) < sys.float_info.min
+        assert min(w for w, _ in _modular_terms(f, u)[0]) < sys.float_info.min
         return None
 
 
