@@ -1,7 +1,12 @@
 """Property tests: the running ball-integral sum, the geometric tail kernel,
 the exact powers of p, the Luxemburg solver, the CMO mixed tail walk, the
 Herz terms and the Morrey-Herz supremum against direct references and norm
-laws written out here."""
+laws written out here.
+
+``conftest.py`` keeps hypothesis from drawing the package's own literals,
+so each strategy names the edges that matter to it: the smallest normal
+float, the shell limit, the tolerance ends, the exponent guards of ``ppow``,
+the critical tail rates -n, 0 and -n/u and the Morrey-Herz critical band."""
 
 from __future__ import annotations
 
@@ -13,6 +18,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.internal.conjecture import providers
 
 from ultraherz import (
     ExponentFunction,
@@ -35,14 +41,31 @@ from ultraherz import (
     ppow,
     single_shell_norm,
 )
-from ultraherz.norms import _herz_terms, _mixed_inner_sum, _modular_terms, _solve_luxemburg
+from ultraherz.norms import (
+    _CRITICAL_BAND,
+    _herz_terms,
+    _mixed_inner_sum,
+    _modular_terms,
+    _solve_luxemburg,
+)
+from ultraherz.padic import SHELL_LIMIT
 from ultraherz.radial import _float_value, _geometric_tail, _running_parts
+
+MIN_NORMAL = sys.float_info.min
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 COEFF = st.one_of(
     st.sampled_from([0.0, 1.0, -2.0, 0.5]),
     st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
 )
+
+
+def test_hypothesis_draws_no_literal_of_the_modules_under_test():
+    """``conftest.py`` swaps the private miner hypothesis's provider calls
+    for the empty pool; a renamed name would silently undo that."""
+    assert "_get_local_constants" in providers.HypothesisProvider._local_constants.func.__code__.co_names
+    assert providers._get_local_constants() is providers._local_constants
+    assert len(providers._local_constants) == 0
 
 
 @st.composite
@@ -54,18 +77,26 @@ def contexts(draw):
 #: numerators reach 2**997, besides the everyday ones of COEFF.
 WIDE_COEFF = st.one_of(
     COEFF,
-    st.sampled_from([5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]),
+    st.sampled_from(
+        [5e-324, -5e-324, MIN_NORMAL, -MIN_NORMAL, 1e-300, -1e-300, 1e300, -1e300]
+    ),
     st.floats(-1e300, 1e300),
 )
 
 
 @st.composite
-def step_functions(draw, ctx, outer=True, coeff=COEFF, reach=6, int_rates=3):
-    """A radial step function with optional integrable tails at integer or
-    non-integer rates: j_min within ``reach`` of the origin, integer inner
-    rates up to ``int_rates`` and outer ones down to -n - 1 - int_rates."""
+def step_functions(draw, ctx, outer=True, coeff=COEFF, reach=6, int_rates=3, far=()):
+    """A radial step function with optional tails at integer or non-integer
+    rates: j_min within ``reach`` of the origin or one of ``far``, integer
+    inner rates up to ``int_rates`` and outer ones down to -n - 1 -
+    int_rates. Inner tails are integrable; they and outer tails also take
+    the rates -n/u where a modular turns divergent, and outer tails the
+    flat rate 0 and the rate -n where the integral does."""
     n = ctx.n
-    j_min = draw(st.integers(-reach, reach))
+    critical = [-n / u for u in (1.5, 2.0, 3.0)]
+    j_min = draw(st.integers(-reach, reach + len(far)))
+    if j_min > reach:  # a far window, drawn as often as any one start near 0
+        j_min = far[j_min - reach - 1]
     coeffs = draw(st.lists(coeff, min_size=1, max_size=8))
     inner = outer_tail = Tail(0.0, 0.0)
     if draw(st.booleans()):
@@ -73,6 +104,7 @@ def step_functions(draw, ctx, outer=True, coeff=COEFF, reach=6, int_rates=3):
             st.one_of(
                 st.integers(1 - n, int_rates).map(float),
                 st.floats(0.05 - n, 3.0, allow_nan=False),
+                st.sampled_from(critical),
             )
         )
         inner = Tail(draw(coeff), rate)
@@ -81,6 +113,7 @@ def step_functions(draw, ctx, outer=True, coeff=COEFF, reach=6, int_rates=3):
             st.one_of(
                 st.integers(-n - 1 - int_rates, -n - 1).map(float),
                 st.floats(-n - 4.0, -n - 0.05, allow_nan=False),
+                st.sampled_from([0.0, -float(n), *critical]),
             )
         )
         outer_tail = Tail(draw(coeff), rate)
@@ -89,10 +122,13 @@ def step_functions(draw, ctx, outer=True, coeff=COEFF, reach=6, int_rates=3):
 
 def wide_step_functions(ctx):
     """Step functions for the running-sum kernel: windows up to 60 shells
-    from the origin, so the measures carry large powers of p, coefficients
-    from 5e-324 to 1e300, and integer-rate tails up to 6 (the inner divisor
-    p**s - 1, the outer denominator growing by p**-(rate + n) per shell)."""
-    return step_functions(ctx, coeff=WIDE_COEFF, reach=60, int_rates=6)
+    from the origin or at either shell limit, so the measures carry large
+    powers of p, coefficients from 5e-324 to 1e300, and integer-rate tails
+    up to 6 (the inner divisor p**s - 1, the outer denominator growing by
+    p**-(rate + n) per shell). The far windows leave room for the radii the
+    test walks, which stay within the limit."""
+    far = [5 - SHELL_LIMIT, SHELL_LIMIT - 24]
+    return step_functions(ctx, coeff=WIDE_COEFF, reach=60, int_rates=6, far=far)
 
 
 def _direct_parts(f: RadialStepFunction, gamma: int) -> tuple[Fraction, float]:
@@ -154,14 +190,25 @@ def test_running_parts_match_a_direct_shell_sum_at_every_step(data):
 @settings(max_examples=100)
 @given(data=st.data(), alpha=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
 def test_hardy_coefficients_are_weighted_ball_integrals(data, alpha):
+    """Bit for bit p**(k(alpha - n)) times the ball integral, where that
+    integral is a normal float. A subnormal integral has lost bits that the
+    image scales back from the exact integral: at an integer order the
+    coefficient is then the correctly rounded exact product, and at any
+    order within the integral's rounding of the float product."""
     f = data.draw(contexts().flatmap(lambda ctx: step_functions(ctx, outer=False)))
     p, n = f.ctx.p, f.ctx.n
     image = hardy(f, alpha)
     lo, hi = image.window
     assert (lo, hi) == (f.window[0] - 1, f.window[1] + 1)
-    assert image.coeffs == tuple(
-        ppow(p, k * (alpha - n)) * ball_integral(f, k) for k in range(lo, hi + 1)
-    )
+    for k, got in zip(range(lo, hi + 1), image.coeffs):
+        factor, integral = ppow(p, k * (alpha - n)), ball_integral(f, k)
+        num, den, inexact = next(_running_parts(f, k))
+        if abs(integral) >= MIN_NORMAL or not num:
+            assert got == factor * integral
+        elif alpha.is_integer() and not inexact:
+            assert got == float(Fraction(p) ** (k * int(alpha - n)) * Fraction(num, den))
+        else:
+            assert abs(got - factor * integral) <= factor * 2.0**-1072 + 1e-15 * abs(got)
     total = ball_integral(f, f.window[1])
     assert image.outer_tail == (Tail(total, alpha - n) if total else Tail(0.0, 0.0))
 
@@ -169,7 +216,7 @@ def test_hardy_coefficients_are_weighted_ball_integrals(data, alpha):
 @settings(max_examples=150)
 @given(
     p=PRIMES,
-    s=st.one_of(st.sampled_from([1.0, 2.0, 0.5]), st.floats(1e-3, 4.0)),
+    s=st.one_of(st.sampled_from([1.0, 2.0, 0.5, 1e-3, 4.0]), st.floats(1e-3, 4.0)),
     start=st.integers(-30, 30),
     terms=st.integers(1, 40),
     coef=st.floats(-10.0, 10.0, allow_nan=False),
@@ -190,7 +237,9 @@ def test_geometric_tail_is_a_partial_sum_plus_its_remainder(p, s, start, terms, 
 
 
 @given(
-    size=st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.0]), st.floats(1e-3, 4.0)),
+    size=st.one_of(
+        st.sampled_from([0.0, 5e-324, MIN_NORMAL, 1e-300, 1e-3, 1.0]), st.floats(1e-3, 4.0)
+    ),
     below=st.booleans(),
 )
 def test_geometric_tail_is_none_exactly_when_it_diverges(size, below):
@@ -220,13 +269,6 @@ def _cmo_candidate_by_ball_mean(b, u, gamma, rel_tol):
 @given(data=st.data())
 def test_cmo_norm_equals_a_per_ball_mean_recomputation(data):
     ctx = data.draw(contexts())
-    j_min = data.draw(st.integers(-4, 4))
-    coeffs = data.draw(st.lists(COEFF, min_size=1, max_size=5))
-    limit = data.draw(COEFF)
-    outer = Tail(data.draw(COEFF), data.draw(st.sampled_from([0.0, -1.5, -3.0])))
-    b = RadialStepFunction(
-        ctx, (j_min, j_min + len(coeffs) - 1), coeffs, Tail(limit, 0.0), outer
-    )
     values = data.draw(
         st.lists(st.floats(1.1, 4.0, allow_nan=False), min_size=1, max_size=3)
     )
@@ -238,8 +280,21 @@ def test_cmo_norm_equals_a_per_ball_mean_recomputation(data):
         data.draw(st.floats(1.1, 4.0)),
         data.draw(st.floats(1.1, 4.0)),
     )
-    # the pruned radii must stay below the supremum at every solver tolerance
-    rel_tol = data.draw(st.sampled_from([1e-13, 1e-10, 1e-4]))
+    j_min = data.draw(st.integers(-4, 4))
+    coeffs = data.draw(st.lists(COEFF, min_size=1, max_size=5))
+    limit = data.draw(COEFF)
+    # decaying outer tails, with the rates -n and -n/u_infinity at which the
+    # envelope's integral or norm term turns linear
+    rates = [0.0, -1.5, -3.0, -float(ctx.n), -ctx.n / u.u_infinity]
+    outer = Tail(data.draw(COEFF), data.draw(st.sampled_from(rates)))
+    b = RadialStepFunction(
+        ctx, (j_min, j_min + len(coeffs) - 1), coeffs, Tail(limit, 0.0), outer
+    )
+    # the pruned radii must stay below the supremum at every solver
+    # tolerance, the ends of (1e-14, 1e-3) included
+    rel_tol = data.draw(
+        st.sampled_from([math.nextafter(1e-14, 1.0), 1e-13, 1e-10, 1e-4, math.nextafter(1e-3, 0.0)])
+    )
     result = cmo_norm(b, u, rel_tol)
     scan_lo, scan_end = result.work_window
     if not result.convergent:
@@ -258,6 +313,8 @@ def test_cmo_norm_equals_a_per_ball_mean_recomputation(data):
 @example(p=2, e=-1075).via("underflow to zero")
 @example(p=997, e=-1099)
 @example(p=997, e=1099)
+@example(p=2, e=1100).via("ppow's saturation guard")
+@example(p=2, e=-1100).via("ppow's underflow guard")
 def test_integer_ppow_is_the_correctly_rounded_fraction(p, e):
     try:
         expected = float(Fraction(p) ** e)
@@ -270,8 +327,11 @@ def test_integer_ppow_is_the_correctly_rounded_fraction(p, e):
 # ---------------------------------------------------------------------------
 # The Luxemburg solver
 
-#: Tolerances from the coarsest to the finest admissible one.
-REL_TOLS = st.sampled_from([1e-4, 1e-10, math.nextafter(1e-14, 1.0)])
+#: Tolerances from the coarsest to the finest admissible one: the ends of
+#: the open interval (1e-14, 1e-3) and two inside it.
+REL_TOLS = st.sampled_from(
+    [math.nextafter(1e-3, 0.0), 1e-4, 1e-10, math.nextafter(1e-14, 1.0)]
+)
 
 #: Float rounding allowed when a modular is recomputed at a bracket end.
 MODULAR_SLACK = 1e-13
@@ -535,7 +595,8 @@ def test_morrey_herz_equals_a_log_space_scan_over_cutoffs(data):
     critical_slope = lam
     # a drift (s - lam) * log p inside the 1e-12 band, away from its edge by
     # more than the rounding of s = lam + d / log p and of the drift itself
-    tiny = st.floats(-0.99e-12, 0.99e-12)
+    edge = 0.99 * _CRITICAL_BAND
+    tiny = st.sampled_from([0.0, -edge, edge]) | st.floats(-edge, edge)
 
     s_in = critical_slope + data.draw(
         st.one_of(tiny.map(lambda d: d / log_p), st.floats(0.05, 1.5))
