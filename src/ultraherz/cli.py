@@ -262,7 +262,7 @@ def _sweep_args(sweep_parser: argparse.ArgumentParser) -> None:
     sweep_parser.add_argument(
         "--probe",
         action="store_true",
-        help="emit the out-of-range sharpness probe instead of the sweep",
+        help="emit adjoint ratios of sphere bumps at beta* = n/u'- + 1/2 instead of the sweep",
     )
     sweep_parser.add_argument(
         "--probe-shells",
@@ -332,7 +332,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

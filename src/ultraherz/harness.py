@@ -11,9 +11,10 @@ spaces. A claim is exercised numerically in three ways:
 * ``sweep`` draws random compactly-supported functions of growing window
   size and records target-norm/source-norm ratios, whose suprema should
   stabilize when the claimed bound holds;
-* ``sharpness_probe`` evaluates single-sphere bumps under the adjoint at a
-  weight exponent just beyond the admissible range, where the ratios must
-  grow without bound.
+* ``sharpness_probe`` evaluates single-sphere bumps under the adjoint at the
+  weight exponent beta* = n/u'- + 1/2 (u'- the infimum of the conjugate
+  exponent), where growing ratios show that beta* lies outside the range on
+  which the adjoint is bounded; they say nothing about where that range ends.
 
 The claim ids are opaque tokens; the mapping below records, for each one,
 which operator it exercises, which space family it lives in, how the
@@ -456,13 +457,15 @@ def sweep(
 def sharpness_probe(
     config: TheoremConfig, shells: Sequence[int] = tuple(range(1, 16))
 ) -> tuple[tuple[int, float], ...]:
-    """Adjoint ratios at a weight exponent just beyond the admissible range.
+    """Adjoint ratios at the weight exponent beta* = n/u'- + 1/2.
 
     Evaluates single-sphere bumps under the adjoint operator and measures
-    them at beta* = n/inf(u') + 1/2, half a unit past the upper endpoint of
-    the beta interval. When the claim's alpha is positive these ratios grow
-    geometrically in the bump shell, which is the numerical signature that
-    the stated endpoint cannot be improved.
+    them at beta*, where u'- is the infimum of the conjugate exponent u'.
+    When the claim's alpha is positive these ratios grow geometrically in
+    the bump shell, which shows only that beta* lies outside the range of
+    beta on which the adjoint is bounded. For constant u, beta* is half a
+    unit past the Herz claims' upper endpoint n/u'+; for non-constant u,
+    u'- < u'+ puts it farther out, and the growth says nothing about n/u'+.
 
     The bump at shell k is measured in the derived exponent with index m2;
     its image is measured in the source exponent u with index m1.

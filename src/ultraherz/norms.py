@@ -257,15 +257,15 @@ def _solve_luxemburg(modular: _Modular, rel_tol: float) -> tuple[float, float]:
 
     Returns (root estimate, bracket half-width); no terms is the zero
     function, (0.0, 0.0). The weights are summed per distinct exponent
-    first. One exponent has the closed form lam = W**(1/e), polished by one
-    correction step in lam. Otherwise phi(t) = log sum W_e * exp(-e*t) is
-    convex and decreasing in t = log lam, so a Newton step from the lower
-    end never passes the root, and the root lies at most phi / min(e) above
-    it. The bracket comes straight from the weights, [max log(W_e)/e,
-    max log(N*W_e)/e] for N groups; a step that would leave it bisects
-    instead. Every returned bracket end is a point where the modular was
-    evaluated in lam (above 1 at the lower end, at most 1 at the upper), and
-    the solve stops once hi - lo <= rel_tol * hi.
+    first. One exponent has the closed form lam = W**(1/e): W itself at
+    e = 1, else polished by one correction step in lam. Otherwise phi(t) =
+    log sum W_e * exp(-e*t) is convex and decreasing in t = log lam, so a
+    Newton step from the lower end never passes the root, and the root lies
+    at most phi / min(e) above it. The bracket comes straight from the
+    weights, [max log(W_e)/e, max log(N*W_e)/e] for N groups; a step that
+    would leave it bisects instead. Every returned bracket end is a point where the modular
+    was evaluated in lam (above 1 at the lower end, at most 1 at the upper),
+    and the solve stops once hi - lo <= rel_tol * hi.
 
     Raises NumericOverflowError when a weight or the root exceeds the float
     range, and NumericUnderflowError when every weight rounded to 0.0, the
@@ -314,12 +314,12 @@ def _solve_luxemburg(modular: _Modular, rel_tol: float) -> tuple[float, float]:
         w, e, _ = groups[0]
         if w < _MIN_NORMAL:
             raise _weight_underflow()
-        lam = math.pow(w, 1.0 / e)
-        lam *= math.exp(math.log(modular_at(lam)[0]) / e)
-        if lam < _MIN_NORMAL:
-            raise _norm_underflow()
-        if lam == math.inf:
-            raise _norm_overflow()
+        # the root is w at e = 1, else inside the normal range by a factor
+        # exp(708 * (e - 1) / e) >= 1 + 1.5e-13, far past the step's few ulps
+        lam = w
+        if e != 1.0:
+            lam = math.pow(w, 1.0 / e)
+            lam *= math.exp(math.log(modular_at(lam)[0]) / e)
         if lost:
             refuse_lost_weights(lam)
         return lam, 0.0
@@ -912,8 +912,9 @@ def cmo_norm(
     (zero for constant-limit tails, divergent for growing ones); above it
     they are dominated by monotone geometric envelopes, built once at the
     first radius past the window and checked before each later candidate.
-    Past ``padic.SHELL_LIMIT`` the scan raises DomainError, and an envelope
-    that overflows or cannot decay in floats raises a float-range error.
+    Past ``padic.SHELL_LIMIT`` the scan raises DomainError, and a ratio
+    past the float range or an envelope that overflows or cannot decay in
+    floats raises a float-range error.
 
     Each radius costs only what can change the result, by two rules:
 
@@ -979,7 +980,7 @@ def cmo_norm(
         shift = _mean_of_parts(parts, gamma, b.ctx)
         candidate = _cmo_candidate(b, u, shift, gamma, best, rel_tol)
         if not math.isfinite(candidate):
-            return NormResult(math.inf, False, 0.0, (scan_lo, gamma))
+            raise NumericOverflowError(f"the CMO ratio at radius {gamma} overflows")
         best = max(best, candidate)
         if gamma == ref:
             terms = _cmo_envelope_terms(b, u, ref, _float_value(*parts), rel_tol)

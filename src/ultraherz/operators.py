@@ -170,8 +170,8 @@ def _scaled(p: int, e: float, value: float, part: tuple[int, int, float]) -> flo
     0.0 or subnormal though its exact part is not, or whose float product
     is not finite: an exact zero gives 0.0, else the integral is scaled by
     2**s into the normal range before rounding and the product by 2**-s.
-    If that is not finite, the exact pair is scaled by p**floor(e) before its
-    one rounding (inf past the float range), then by p**(e - floor(e)).
+    If that is not finite, the exact integral is scaled by p**floor(e)
+    before its one rounding (inf past the float range), then by p**(e - floor(e)).
     """
     num, den, inexact = part
     if not num and not inexact:
@@ -189,14 +189,14 @@ def _scaled(p: int, e: float, value: float, part: tuple[int, int, float]) -> flo
     # float range by the log2 of the exact value, known to within a bit,
     # the answer is inf without forming p**whole; p**0.0 is 1.0 exactly
     whole = math.floor(e)
-    if num.bit_length() - den.bit_length() + whole * math.log2(p) > 1100:
+    top, bottom = inexact.as_integer_ratio()
+    top, bottom = num * bottom + top * den, den * bottom
+    if top.bit_length() - bottom.bit_length() + whole * math.log2(p) > 1100:
         return math.inf
     try:
-        exact = num * p**whole / den
+        exact = top * p**whole / bottom
     except OverflowError:
         return math.inf
-    if inexact:
-        exact += inexact * ppow(p, whole)
     return exact * ppow(p, e - whole)
 
 

@@ -107,10 +107,9 @@ def _scaled(coef: float, p: int, exponent: float, what: str) -> float:
 
 
 def _allocate(total: int, weights: list[float]) -> list[int]:
-    """Largest-remainder allocation of ``total`` draws, at least one each."""
+    """Largest-remainder allocation of ``total`` draws, at least one each,
+    over weights that :func:`_scaled` made normal floats (one or more)."""
     mass = sum(weights)
-    if mass <= 0.0:
-        raise DomainError("stratified allocation needs positive total measure")
     if mass > sys.float_info.max or total * max(weights) > sys.float_info.max:
         raise NumericOverflowError("the stratum draw quotas overflow the float range")
     quotas = [total * w / mass for w in weights]

@@ -326,6 +326,29 @@ def test_usage_errors_exit_one(files, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracle", "-i", "{f}", "--task", "integral"], "oracle integral task needs --gamma"),
+        (["apply", "-i", "{f}", "--operator", "hardy", "-o", "{missing}/image.json"],
+         "No such file or directory"),
+        (["sweep", "--config", "{tc}", "--count", "1", "-o", "{missing}/sweep.csv"],
+         "No such file or directory"),
+    ],
+    ids=["oracle-integral-without-gamma", "apply-into-a-missing-directory",
+         "sweep-into-a-missing-directory"],
+)
+def test_a_refused_command_exits_one_with_one_error_line(files, tmp_path, capsys, argv, message):
+    """A domain error or an output file that cannot be opened exits 1 with
+    an ``error:`` line, no traceback and nothing on stdout."""
+    names = {**files, "missing": str(tmp_path / "missing")}
+    assert main([arg.format(**names) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
     "command",
     [["norm"], ["oracle", "--task", "norm", "--samples", "1000"]],
     ids=["norm", "oracle"],

@@ -1,9 +1,11 @@
-"""Input guards that no other test reaches, each with the typed error it raises."""
+"""Input guards that no other test reaches, each with the typed error it
+raises, and the numeric guards of the package, each reached by an input."""
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -23,13 +25,16 @@ from ultraherz import (
     ball_indicator_norm,
     cmo_norm,
     combine,
+    hardy,
     herz_norm,
     luxemburg_norm,
     mc_luxemburg,
     mc_operator_probe,
+    morrey_herz_norm,
     random_family,
     sweep,
 )
+from ultraherz import norms
 from ultraherz.cli import _parse_sizes
 from ultraherz.operators import shell_diagonal
 from ultraherz.radial import sobolev_shift
@@ -51,6 +56,17 @@ NAN_ENVELOPE = RadialStepFunction(C72, (398, 398), (0.0,), outer_tail=Tail(-1e-3
 STEEP = ExponentFunction(C2, (0, 1), (2.0, 2.0), 2.0, 1e17)
 CRITICAL_OUTER = RadialStepFunction(C2, (0, 0), (1.0,), outer_tail=Tail(0.5, -1e-17))
 FLAT_STEP = RadialStepFunction(C2, (0, 1), (1.0, 0.0), outer_tail=Tail(0.5, 0.0))
+MIN_NORMAL, MAX = sys.float_info.min, sys.float_info.max
+# u = 1 on S_0 (|S_0| = 1/2) and just above 1 on S_1 (|S_1| = 1): two exponent
+# groups, so the Luxemburg solve brackets its root instead of taking a power
+TWO_GROUPS = ExponentFunction(C2, (0, 1), (1.0, 1.0 + 1e-12), 1.0, 2.0)
+# the first outer-tail term, on S_11, is past the float range: about 1.5e309
+FAR_OUTER = RadialStepFunction(C2, (0, 10), (1.0,) + (0.0,) * 10, outer_tail=Tail(1e308, -0.1))
+# b = -c on B_-41 and c on S_-40: mean 0 and |b| = c on B_-40, so the CMO
+# ratio is c up to the solver's tolerance, which a c next to the largest
+# float does not leave room for
+NEAR_MAX = MAX * (1 - 1e-6)
+ALTERNATING = RadialStepFunction(C2, (-40, -40), (NEAR_MAX,), inner_tail=Tail(-NEAR_MAX, 0.0))
 
 GUARDS = {
     "p=1 is not prime": (lambda: PadicContext(1), DomainError),
@@ -103,6 +119,37 @@ GUARDS = {
     ),
     # what `ultraherz sweep --sizes a,b` runs; the CLI maps it to exit 1
     "--sizes a,b": (lambda: _parse_sizes("a,b"), DomainError),
+    "oracle probe at a non-integer shell": (
+        lambda: mc_operator_probe(OperatorSpec("hardy"), F2, 0.5, CONFIG),
+        DomainError,
+    ),
+    # the Luxemburg solver's bracket: both ends below the normal range, the
+    # lower end held at the smallest normal float, the root past the largest
+    "Luxemburg bracket below the normal range": (
+        lambda: luxemburg_norm(RadialStepFunction(C2, (0, 1), (1e-310, 1e-310)), TWO_GROUPS),
+        NumericUnderflowError,
+    ),
+    "Luxemburg root below the smallest normal float": (
+        lambda: luxemburg_norm(
+            RadialStepFunction(C2, (0, 1), (0.999 * MIN_NORMAL, 0.4995 * MIN_NORMAL)),
+            TWO_GROUPS,
+        ),
+        NumericUnderflowError,
+    ),
+    "Luxemburg root past the float range": (
+        lambda: luxemburg_norm(RadialStepFunction(C2, (0, 1), (1.5e308, 1.5e308)), TWO_GROUPS),
+        NumericOverflowError,
+    ),
+    "Morrey-Herz first outer term past the float range": (
+        lambda: morrey_herz_norm(FAR_OUTER, U2, MorreyHerzParams(0.0, 2.0, 0.5)),
+        NumericOverflowError,
+    ),
+    "cmo_norm ratio past the float range": (
+        lambda: cmo_norm(
+            ALTERNATING, ExponentFunction(C2, (-40, -40), (1.0,), 1.0 + 1e-9, 1.0), 1e-4
+        ),
+        NumericOverflowError,
+    ),
 }
 
 
@@ -124,3 +171,56 @@ def test_a_steep_exponent_piece_gives_the_ball_indicator_norm():
         result = ball_indicator_norm(u, gamma)
         assert abs(result.value - 1.0) <= 1e-10
         assert abs(result.value - 1.0) <= result.tail_remainder_bound + 1e-12
+
+
+@pytest.mark.parametrize(
+    "b, u",
+    [
+        # from radius 5 on, s * D_lo is past the float range: 2e307 * 2**4
+        (
+            RadialStepFunction.indicator_sphere(C2, 0).scale(4e307),
+            ExponentFunction(C2, (0, 6), (1.0,) * 7, 1.0, 1.0),
+        ),
+        # the supremum 2**-19 of B_-1000 against the u = 4 piece of B_-999:
+        # s * D_lo is about 1e-81, and its (-4)th power overflows
+        (
+            RadialStepFunction(C2, (-1000, -999), (2.0**-18, 1.0)),
+            ExponentFunction(C2, (-999, -999), (4.0,), 1.0, 1.0),
+        ),
+    ],
+    ids=["pruning-bound-past-max", "pruning-power-overflows"],
+)
+def test_a_cmo_pruning_test_out_of_range_solves_the_radius(b, u, monkeypatch):
+    """Where the pruning test's lam leaves the float range or its power
+    overflows, the radius is solved in full: the same NormResult as a scan
+    that never prunes."""
+    pruned = cmo_norm(b, u)
+    monkeypatch.setattr(norms, "_norm_at_most", lambda terms, lam: False)
+    assert pruned == cmo_norm(b, u)
+
+
+def test_a_saturated_hardy_factor_scales_the_float_part_of_the_integral_exactly():
+    """At p = 2, alpha = 0.3, f = chi(S_-1601) + chi(S_0) with inner tail
+    2**(-k/2): below S_-1601 the integral is the tail's float sum alone,
+    2**-801 / (2 - sqrt 2), and p**(0.7 * 1602) is past the float range, but
+    the coefficient, about 2**321.2, is not (it used to raise). On S_-1601
+    the exact window part joins the float part before the one rounding."""
+    f = RadialStepFunction(
+        C2, (-1601, 0), (1.0,) + (0.0,) * 1600 + (1.0,), inner_tail=Tail(1.0, -0.5)
+    )
+    image = hardy(f, 0.3)
+    for k in (-1602, -1601):
+        # the window's 2**-1602 is below the tail's last bit
+        expected = 2.0 ** (-0.7 * k - 801) / (2.0 - math.sqrt(2.0))
+        assert image.evaluate(k) == pytest.approx(expected, rel=1e-13)
+
+
+def test_the_oracle_adjoint_with_no_nonzero_shell_above_is_exactly_zero():
+    """chi(S_0) vanishes above S_0, so H* of it there is 0.0 with no draws."""
+    estimate = mc_operator_probe(OperatorSpec("adjoint"), F2, 0, CONFIG)
+    assert (estimate.value, estimate.std_error, estimate.samples) == (0.0, 0.0, 0)
+
+
+def test_sobolev_shift_at_order_zero_is_the_exponent_itself():
+    u = ExponentFunction(C3, (0, 1), (3.0, 1.1), 3.0, 7.0)
+    assert sobolev_shift(u, 0.0) is u

@@ -319,6 +319,45 @@ def test_finest_tolerance_is_met_at_extreme_magnitudes(c):
     assert result.value / c == pytest.approx(1.2807764064, rel=1e-10)
 
 
+@pytest.mark.parametrize("c", [3.0, 7.5, 1.7976931348623155e308])
+def test_a_one_exponent_norm_at_u_one_is_its_weight(c):
+    """At u = 1 the modular of c chi(S_1) (|S_1| = 1 at p = 2) is c / lam,
+    whose root c is exact, and the solve returns it unmoved. A correction
+    step read 2.9999999999999996 and 7.499999999999998 with a bound of 0.0,
+    and pushed the largest c past the float range, an overflow refusal."""
+    u = ExponentFunction.constant(CTX, 1.0)
+    result = luxemburg_norm(RadialStepFunction(CTX, (1, 1), (c,)), u)
+    assert (result.value, result.convergent, result.tail_remainder_bound) == (c, True, 0.0)
+
+
+def _extreme_coefficients(e: float) -> tuple[float, float]:
+    """The largest c whose c**e is finite and the smallest whose c**e is a
+    normal float: the one weight of c chi(S_1) at either end of the range."""
+    top = math.pow(sys.float_info.max, 1.0 / e)
+    while True:
+        try:
+            top**e
+            break
+        except OverflowError:
+            top = math.nextafter(top, 0.0)
+    bottom = math.pow(sys.float_info.min, 1.0 / e)
+    while bottom**e < sys.float_info.min:
+        bottom = math.nextafter(bottom, 1.0)
+    return top, bottom
+
+
+@pytest.mark.parametrize("e", [math.nextafter(1.0, 2.0), 1.0 + 1e-9, 1.5, 2.0, 3.0])
+def test_a_one_exponent_root_at_either_end_of_the_range_stays_in_it(e):
+    """The norm of c chi(S_1) is c. With the one weight c**e at the largest
+    or the smallest normal float, the power and its correction step land
+    within a few ulps of c, never past either end of the range."""
+    u = ExponentFunction.constant(CTX, e)
+    for c in _extreme_coefficients(e):
+        value = luxemburg_norm(RadialStepFunction(CTX, (1, 1), (c,)), u).value
+        assert sys.float_info.min <= value < math.inf
+        assert abs(value - c) <= 8 * math.ulp(c)
+
+
 def test_morrey_herz_lambda_zero_equals_herz_exactly():
     rng = random.Random(8080)
     for _ in range(50):

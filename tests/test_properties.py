@@ -63,7 +63,8 @@ COEFF = st.one_of(
 def test_hypothesis_draws_no_literal_of_the_modules_under_test():
     """``conftest.py`` swaps the private miner hypothesis's provider calls
     for the empty pool; a renamed name would silently undo that."""
-    assert "_get_local_constants" in providers.HypothesisProvider._local_constants.func.__code__.co_names
+    reader = providers.HypothesisProvider._local_constants.func
+    assert "_get_local_constants" in reader.__code__.co_names
     assert providers._get_local_constants() is providers._local_constants
     assert len(providers._local_constants) == 0
 
@@ -292,9 +293,8 @@ def test_cmo_norm_equals_a_per_ball_mean_recomputation(data):
     )
     # the pruned radii must stay below the supremum at every solver
     # tolerance, the ends of (1e-14, 1e-3) included
-    rel_tol = data.draw(
-        st.sampled_from([math.nextafter(1e-14, 1.0), 1e-13, 1e-10, 1e-4, math.nextafter(1e-3, 0.0)])
-    )
+    ends = [math.nextafter(1e-14, 1.0), math.nextafter(1e-3, 0.0)]
+    rel_tol = data.draw(st.sampled_from([ends[0], 1e-13, 1e-10, 1e-4, ends[1]]))
     result = cmo_norm(b, u, rel_tol)
     scan_lo, scan_end = result.work_window
     if not result.convergent:

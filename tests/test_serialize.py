@@ -250,3 +250,30 @@ def test_theorem_config_file_round_trip(tmp_path):
     path = tmp_path / "tc.json"
     save_theorem_config(config, str(path))
     assert load_theorem_config(str(path)) == config
+
+
+@pytest.mark.parametrize(
+    "decode, data, field, message",
+    [
+        (function_from_dict, {**_F, "coeffs": ["one"]}, "coeffs[0]", "cannot parse 'one'"),
+        (function_from_dict, {**_F, "coeffs": [None]}, "coeffs[0]", "got NoneType"),
+        (function_from_dict, {**_F, "coeffs": "1"}, "coeffs", "expected a list"),
+        (function_from_dict, {**_F, "ctx": [2, 1]}, "ctx", "ctx must be an object"),
+        (function_from_dict, {**_F, "ctx": {"p": 4, "n": 1}}, "ctx", "prime"),
+        (function_from_dict, {**_F, "inner_tail": 0}, "inner_tail", "tail must be an object"),
+        (function_from_dict, [_F], None, "document root must be an object"),
+        (exponent_from_dict, "u.json", None, "document root must be an object"),
+        (theorem_config_from_dict, [_C32], None, "document root must be an object"),
+        (theorem_config_from_dict, {**_C32, "theorem": 32}, "theorem", "must be a string"),
+        (theorem_config_from_dict, {"theorem": "C32"}, "exponent", "missing required"),
+    ],
+    ids=["unparsable-real", "non-real", "non-list-coeffs", "non-object-ctx", "composite-p",
+         "non-object-tail", "function-root", "exponent-root", "config-root",
+         "non-string-theorem", "missing-exponent"],
+)
+def test_a_malformed_document_is_refused_at_its_field(decode, data, field, message):
+    """Each refusal of a malformed value names the field it was found at
+    (none for the document root)."""
+    with pytest.raises(SerializationError, match=message) as err:
+        decode(data)
+    assert err.value.field == field
