@@ -11,10 +11,9 @@ spaces. A claim is exercised numerically in three ways:
 * ``sweep`` draws random compactly-supported functions of growing window
   size and records target-norm/source-norm ratios, whose suprema should
   stabilize when the claimed bound holds;
-* ``sharpness_probe`` evaluates single-sphere bumps under the adjoint at the
-  weight exponent beta* = n/u'- + 1/2 (u'- the infimum of the conjugate
-  exponent), where growing ratios show that beta* lies outside the range on
-  which the adjoint is bounded; they say nothing about where that range ends.
+* ``sharpness_probe`` evaluates single-sphere bumps under the adjoint at
+  beta* = n/u'- + 1/2, where growing ratios show only that beta* lies
+  outside the range on which the adjoint is bounded.
 
 The claim ids are opaque tokens; the mapping below records, for each one,
 which operator it exercises, which space family it lives in, how the
@@ -459,13 +458,11 @@ def sharpness_probe(
 ) -> tuple[tuple[int, float], ...]:
     """Adjoint ratios at the weight exponent beta* = n/u'- + 1/2.
 
-    Evaluates single-sphere bumps under the adjoint operator and measures
-    them at beta*, where u'- is the infimum of the conjugate exponent u'.
-    When the claim's alpha is positive these ratios grow geometrically in
-    the bump shell, which shows only that beta* lies outside the range of
-    beta on which the adjoint is bounded. For constant u, beta* is half a
-    unit past the Herz claims' upper endpoint n/u'+; for non-constant u,
-    u'- < u'+ puts it farther out, and the growth says nothing about n/u'+.
+    Evaluates single-sphere bumps under the adjoint and measures them at
+    beta*, u'- the infimum of the conjugate exponent. For alpha > 0 the
+    ratios grow geometrically in the bump shell, which shows only that beta*
+    lies outside the range of beta on which the adjoint is bounded. Only
+    for constant u is beta* the Herz claims' endpoint n/u'+ plus 1/2.
 
     The bump at shell k is measured in the derived exponent with index m2;
     its image is measured in the source exponent u with index m1.
