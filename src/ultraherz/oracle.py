@@ -25,6 +25,12 @@ evaluated once per drawn shell, and the sample mean and variance are
 count-weighted sums over those shells, so no per-point list is built.
 Standard errors come from this sample variance (zero below two points),
 plus an analytic bound for mass above the window where one applies.
+
+A Luxemburg estimate builds its strata once: the measures in one pass, with
+a range check at the smallest and the largest only, and the ball's draws.
+Once the root is bracketed, the strata are summed into one weight per
+distinct exponent, so each bisection step costs one power per exponent
+group, not one per stratum and drawn magnitude.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import DomainError, NumericOverflowError, NumericUnderflowError
 from .operators import OperatorSpec
@@ -106,6 +112,18 @@ def _scaled(coef: float, p: int, exponent: float, what: str) -> float:
     return value
 
 
+def _sphere_measures(ctx: PadicContext, shells: Sequence[int]) -> list[float]:
+    """|S_j| = (1 - p**-n) * p**(n*j) for the increasing shells j, each with
+    the bits of :func:`_scaled`. The measures rise with j, so only the first
+    and the last need its range check; either raises its typed error."""
+    p, n = ctx.p, ctx.n
+    mass = float(1 - (1 / p) ** n)
+    if shells:
+        _scaled(mass, p, n * shells[0], f"|S_{shells[0]}|")
+        _scaled(mass, p, n * shells[-1], f"|S_{shells[-1]}|")
+    return [mass * ppow(p, n * j) for j in shells]
+
+
 def _allocate(total: int, weights: list[float]) -> list[int]:
     """Largest-remainder allocation of ``total`` draws, at least one each,
     over weights that :func:`_scaled` made normal floats (one or more)."""
@@ -151,10 +169,8 @@ def _stratify(
     f(j) and its variance 0. The work is one value per sphere plus the ball
     draws, whatever ``config.samples`` allocates to the spheres.
     """
-    p, n = f.ctx.p, f.ctx.n
-    mass = float(1 - (1 / p) ** n)
-    measures = [_scaled(1.0, p, n * top, f"|B_{top}|")]
-    measures += [_scaled(mass, p, n * j, f"|S_{j}|") for j in spheres]
+    measures = [_scaled(1.0, f.ctx.p, f.ctx.n * top, f"|B_{top}|")]
+    measures += _sphere_measures(f.ctx, spheres)
     counts = _allocate(config.samples, measures)
     table, sampled = _sample_ball(f, top, counts[0], config)
     levels = [f.evaluate(j) for j in spheres]
@@ -190,21 +206,68 @@ def _shell_stats(
 def _outer_bias(coef: float, mass: float, p: int, s: float, hi: int) -> float:
     """coef * mass times the sum of p**(s*k) over the shells k > hi, for s < 0:
     the bias bound of an outer tail cut off above the window."""
-    return coef * mass * ppow(p, s * (hi + 1)) / (1.0 - ppow(p, s))
+    # 1 - p**s cancels as s nears 0 and -expm1(s ln p) does not; up to
+    # p**s = 1/2 the subtraction cancels nothing, and keeps its bits there
+    ratio = ppow(p, s)
+    den = 1.0 - ratio if ratio <= 0.5 else -math.expm1(s * math.log(p))
+    return coef * mass * ppow(p, s * (hi + 1)) / den
+
+
+def _exponent_groups(
+    strata: list[tuple[float, float, float]], top: float
+) -> list[tuple[float, float]]:
+    """(e, W_e) for each distinct exponent e of the strata (w, e, a), where
+    W_e sums w * (a / top)**e over them; zero weights are dropped.
+
+    At a ``top`` where the modular is at most 1 every term is at most 1, so
+    no weight overflows. Each power is taken in two halves: where
+    (a / top)**e alone is subnormal but w is large, the term keeps its bits.
+    """
+    groups: dict[float, float] = {}
+    for weight, exponent, magnitude in strata:
+        half = (magnitude / top) ** (0.5 * exponent)
+        groups[exponent] = groups.get(exponent, 0.0) + weight * half * half
+    return [(e, w) for e, w in groups.items() if w]
+
+
+def _grouped_modular(
+    groups: list[tuple[float, float]], top: float, lam: float
+) -> tuple[float, float]:
+    """The modular sum of W_e * (top / lam)**e over the groups (e, W_e), and
+    its slope in lam, -sum of e * W_e * (top / lam)**e, over lam: one power
+    per group."""
+    r = top / lam
+    value = slope = 0.0
+    for e, w in groups:
+        term = w * r**e
+        value += term
+        slope += e * term
+    return value, -slope / lam
 
 
 def _bisect_luxemburg(
-    modular_at: Callable[[float], float], rel_tol: float
-) -> tuple[float, float]:
-    """Invert the decreasing map lam -> modular_at(lam) at level 1.
+    modular_at: Callable[[float], float],
+    strata: list[tuple[float, float, float]],
+    rel_tol: float,
+) -> tuple[float, float, float]:
+    """Invert the decreasing map lam -> modular_at(lam) at level 1, where the
+    map is the sum of w * (a / lam)**e over the strata (w, e, a).
 
-    Returns (root estimate, bracket half-width). Brackets by doubling and
-    halving from lam = 1, then bisects; the map is strictly decreasing and
-    continuous wherever it is positive on this class. The map must not be
-    identically 0: a modular that rounds to 0.0 at lam = 1 only says the
-    root lies lower. A root outside the normal float range raises a typed
-    error. The oracle keeps this solver to itself, so it shares no root
-    finder with the closed forms.
+    Returns (root estimate, bracket half-width, slope of the map at the
+    root). Brackets by doubling and halving from lam = 1 on ``modular_at``,
+    then bisects; the map is strictly decreasing and continuous wherever it
+    is positive on this class. The map must not be identically 0: a modular
+    that rounds to 0.0 at lam = 1 only says the root lies lower. A root
+    outside the normal float range raises a typed error.
+
+    Once (hi / lo)**e <= 2**512 for every exponent e (from the start below
+    e = 512), the strata are summed at top = hi into one weight per distinct
+    exponent, and each later step and the slope cost one power per group:
+    on [lo, top] no power passes 2**512, and a weight below the normal
+    range moves the map by less than 2**-510. Where (1 + rel_tol)**e passes
+    2**512, grouping waits for the final bracket, and a slope past the float
+    range reads as infinite. The oracle keeps this solver to itself, so it
+    shares no root finder with the closed forms.
     """
     if modular_at(1.0) <= 1.0:
         hi = 1.0
@@ -226,17 +289,32 @@ def _bisect_luxemburg(
                 )
             lo = hi
             hi *= 2.0
-    # halving each end before adding keeps lo + hi from overflowing near
-    # the top of the float range; above the subnormals it rounds the same
+    widest = max(e for _, e, _ in strata)
+    groups = None
     for _ in range(200):
         if hi - lo <= rel_tol * hi:
             break
+        if groups is None and widest * math.log2(hi / lo) <= 512.0:
+            top, groups = hi, _exponent_groups(strata, hi)
+        # halving each end before adding keeps lo + hi from overflowing near
+        # the top of the float range; above the subnormals it rounds the same
         mid = 0.5 * lo + 0.5 * hi
-        if modular_at(mid) > 1.0:
+        if groups is None:
+            value = modular_at(mid)
+        else:
+            value = _grouped_modular(groups, top, mid)[0]
+        if value > 1.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * lo + 0.5 * hi, 0.5 * (hi - lo)
+    if groups is None:
+        top, groups = hi, _exponent_groups(strata, hi)
+    root = 0.5 * lo + 0.5 * hi
+    try:
+        slope = _grouped_modular(groups, top, root)[1]
+    except OverflowError:
+        slope = -math.inf
+    return root, 0.5 * (hi - lo), slope
 
 
 def mc_integrate(
@@ -287,15 +365,18 @@ def mc_luxemburg(
     Points are drawn once and shared across all trial levels lam (common
     random numbers), so the sampled modular is a smooth decreasing function
     of lam and bisection applies unchanged. The standard error of the root
-    is propagated from the modular's standard error through a central
-    finite-difference derivative at the root.
+    is propagated from the modular's standard error through the modular's
+    analytic derivative at the root, -sum of e * W_e * (top / lam)**e / lam
+    over the exponent groups of :func:`_bisect_luxemburg`.
 
     Functions with a nonzero outer tail get an analytic bias bound for the
     mass above the truncation window folded into the standard error; the
     inner tail is covered by the residual ball stratum itself. A norm
-    outside the normal float range raises a typed error. The norm's region,
-    all of Q_p^n, is unbounded, so plain sampling is refused. ``rel_tol``
-    must lie in (1e-14, 1e-3), as for the closed-form norms.
+    outside the normal float range raises a typed error, and so does an
+    outer tail that makes the norm infinite or, with f 0 on every stratum,
+    carries all of it. The norm's region, all of Q_p^n, is unbounded, so
+    plain sampling is refused. ``rel_tol`` must lie in (1e-14, 1e-3), as for
+    the closed-form norms.
     """
     if f.ctx != u.ctx:
         raise DomainError("function and exponent live in different contexts")
@@ -304,6 +385,12 @@ def mc_luxemburg(
     if not config.stratified:
         raise DomainError("the norm task has no plain sampling: its region is unbounded")
     p, n = f.ctx.p, f.ctx.n
+    amplitude, rate = f.outer_tail
+    s = rate * u.u_infinity + n
+    if amplitude != 0.0 and s >= 0:
+        raise DomainError(
+            "sampled modular cannot converge: outer tail makes the norm infinite"
+        )
     lo = min(config.truncation_window[0], f.window[0], u.window[0])
     hi = max(config.truncation_window[1], f.window[1], u.window[1])
     mass = float(1 - (1 / p) ** n)
@@ -320,6 +407,11 @@ def mc_luxemburg(
         for measure, j, level in zip(measures[1:], spheres, levels)
     ]
     if not any(multiplicity) and not any(levels):
+        if amplitude != 0.0:
+            raise DomainError(
+                f"f reads 0 on every stratum up to shell {hi} but its outer "
+                "tail does not: widen the truncation window into the tail"
+            )
         return MCEstimate(0.0, 0.0, total)
 
     def modular_hat(lam: float) -> float:
@@ -338,14 +430,8 @@ def mc_luxemburg(
             return math.inf
         return acc
 
-    amplitude, rate = f.outer_tail
-    s = rate * u.u_infinity + n
-    if amplitude != 0.0 and s >= 0:
-        raise DomainError(
-            "sampled modular cannot converge: outer tail makes the norm infinite"
-        )
-
-    root, half = _bisect_luxemburg(modular_hat, rel_tol)
+    strata = [(ball * c / draws, u_ball, a) for a, c in multiplicity.items()]
+    root, half, slope = _bisect_luxemburg(modular_hat, strata + sphere_terms, rel_tol)
     # each term carries the ball's measure, so its spread keeps the scale
     # of the modular near 1 however far the ball lies from the origin
     term = {k: ball * (a / root) ** u_ball for k, a in magnitude.items()}
@@ -355,8 +441,6 @@ def mc_luxemburg(
         coef = (abs(amplitude) / root) ** u.u_infinity
         sigma_mod += _outer_bias(coef, mass, p, s, hi)
 
-    h = 1e-6
-    slope = (modular_hat(root * (1 + h)) - modular_hat(root * (1 - h))) / (2 * root * h)
     # a flat sampled modular cannot place the root: its error is unbounded
     sigma_root = (sigma_mod / abs(slope) if slope else math.inf) + half
     return MCEstimate(root, sigma_root, total)
@@ -401,7 +485,7 @@ def mc_operator_probe(
         shells = [j for j, level in levels.items() if level != 0.0]
         if not shells:
             return MCEstimate(0.0, bias, 0)
-        weights = [_scaled(mass, p, n * j, f"|S_{j}|") for j in shells]
+        weights = _sphere_measures(ctx, shells)
         value = 0.0
         for j, weight in zip(shells, weights):
             factor = _scaled(1.0, p, j * (alpha - n), f"the scale of shell {j}")

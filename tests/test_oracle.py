@@ -10,10 +10,11 @@ import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ultraherz import (
@@ -291,6 +292,153 @@ def test_mc_luxemburg_error_bar_scales_with_the_function():
         est = mc_luxemburg(f, u, config)
         relative.append((est.value / s, est.std_error / s))
     assert relative[0] == relative[1]
+
+
+#: Outer tails that the sampled strata cannot carry, for f = 0 on (0, 1) at
+#: p = 2, n = 1, u = 2 and the truncation window (0, 1): the match of the
+#: typed error, and the closed form's (value, convergent). Both estimates
+#: read 0.0 +- 0.0 while the zero shortcut ran before the outer-tail checks.
+TAIL_ONLY_NORMS = {
+    "convergent": (-2.0, "widen the truncation window", (0.0944911182523068, True)),
+    "divergent": (0.5, "cannot converge", (math.inf, False)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_ONLY_NORMS))
+def test_mc_luxemburg_claims_no_zero_norm_that_an_outer_tail_carries(name):
+    rate, match, closed = TAIL_ONLY_NORMS[name]
+    f = RadialStepFunction(CTX, (0, 1), (0.0, 0.0), outer_tail=Tail(1.0, rate))
+    u = ExponentFunction.constant(CTX, 2.0)
+    result = luxemburg_norm(f, u)
+    assert (result.value, result.convergent) == closed
+    with pytest.raises(DomainError, match=match):
+        mc_luxemburg(f, u, OracleConfig(samples=1000, truncation_window=(0, 1)))
+
+
+#: (c, e) for f = c chi(S_0) at p = 2, n = 1 and u = e: steep exponents. At
+#: e = 1100 the root sits near the bracket's low end, where the weight at
+#: its top is subnormal; grouped there at once the estimate read 3.3% high.
+STEEP_NORMS = [
+    (3.0, 1000.0), (4.0 * 0.508 * 2.0 ** (1 / 1100), 1100.0), (3.0, 1e17), (3.0, 1e300),
+]
+
+
+@pytest.mark.parametrize("c, e", STEEP_NORMS)
+def test_mc_luxemburg_of_a_steep_exponent_brackets_the_root(c, e):
+    """Above e = 512 the solver bisects on the per-stratum modular until
+    (hi / lo)**e is at most 2**512; at e = 1e17 and beyond the bracket meets
+    rel_tol first and the slope at the root is past the float range."""
+    f = RadialStepFunction(CTX, (0, 0), (c,))
+    est = mc_luxemburg(f, ExponentFunction.constant(CTX, e), OracleConfig(samples=1000))
+    exact = c * 0.5 ** (1.0 / e)
+    assert abs(est.value - exact) <= est.std_error <= 1e-10 * exact
+
+
+def _reference_modular(strata, lam):
+    """The per-stratum modular sum of m * (a / lam)**e over the strata (m, e,
+    a) and its slope -sum of e * m * (a / lam)**e / lam, each term correctly
+    rounded from 40 digits and summed by ``math.fsum``."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        terms = [
+            Decimal(m) * (Decimal(a) / Decimal(lam)) ** Decimal(e) for m, e, a in strata
+        ]
+        slopes = [float(Decimal(e) * t) for (_, e, _), t in zip(strata, terms)]
+    return math.fsum(float(t) for t in terms), -math.fsum(slopes) / lam
+
+
+#: Measures and magnitudes across the float range, the ends included; a
+#: magnitude of 0 stands for a sphere where f vanishes.
+STRATUM = st.tuples(
+    st.one_of(
+        st.sampled_from([sys.float_info.min, 1.0, sys.float_info.max]),
+        st.floats(sys.float_info.min, sys.float_info.max),
+    ),
+    st.one_of(st.sampled_from([1.0, 2.0, 100.0]), st.floats(1.0, 100.0)),
+    st.one_of(
+        st.sampled_from([0.0, sys.float_info.min, 1.0, sys.float_info.max]),
+        st.floats(0.0, sys.float_info.max),
+    ),
+)
+
+
+@settings(max_examples=300)
+@given(strata=st.lists(STRATUM, min_size=1, max_size=6), t=st.floats(0.5, 1.0))
+@example(strata=[(sys.float_info.max, 50.0, 1.0)], t=0.5)
+@example(strata=[(sys.float_info.min, 100.0, sys.float_info.max)], t=0.5)
+def test_grouped_modular_matches_a_per_stratum_sum(strata, t):
+    """At a power of two ``top`` where every term is at most 1/len(strata)
+    (the root in the normal range, else nothing to compare), the grouped
+    modular and its analytic slope at lam = t * top match the per-stratum
+    reference within (2 * e_max + 2N + 10) * 2**-53 of it, plus an absolute
+    (2N + 2) * 2**(e_max - 1073) for terms that leave the normal range and
+    m * e * 2**(e - 1074) for each quotient a / top below it, which keeps
+    only an absolute 2**-1075 (as it does in the per-stratum modular)."""
+    count = len(strata)
+    reach = max(
+        math.log2(a) + (math.log2(m) + math.log2(count)) / e
+        for m, e, a in strata if a
+    ) if any(a for _, _, a in strata) else 0.0
+    assume(reach < 1022.0)
+    top = 2.0 ** max(math.ceil(reach) + 1, -1020)
+    lam = t * top
+    groups = oracle._exponent_groups(strata, top)
+    value, slope = oracle._grouped_modular(groups, top, lam)
+    want_value, want_slope = _reference_modular(strata, lam)
+    e_max = max(e for _, e, _ in strata)
+    rel = (2 * e_max + 2 * count + 10) * 2.0**-53
+    slack = (2 * count + 2) * 2.0 ** (e_max - 1073) + math.fsum(
+        m * e * 2.0 ** (e - 1074) for m, e, a in strata if a / top < sys.float_info.min
+    )
+    assert abs(value - want_value) <= rel * want_value + slack
+    assert abs(slope - want_slope) <= rel * abs(want_slope) + e_max * slack / lam
+
+
+#: p**(n*j) reaches both ends of the float range within these shells.
+MEASURE_CONTEXTS = [(p, n) for p in (2, 3, 7, 257) for n in (1, 3)]
+
+
+@pytest.mark.parametrize("p, n", MEASURE_CONTEXTS)
+def test_sphere_measures_keep_the_bits_of_the_checked_product(p, n):
+    """Every sphere measure, from the first normal one to the last finite
+    one, has the bits of ``_scaled``; a window one shell past either end
+    raises the typed error that checking each sphere would raise."""
+    ctx = PadicContext(p, n)
+    mass = float(1 - (1 / p) ** n)
+
+    def checked(shells):
+        return [oracle._scaled(mass, p, n * j, f"|S_{j}|") for j in shells]
+
+    inside = []
+    for j in range(-1100, 1100):
+        try:
+            checked([j])
+        except (NumericOverflowError, NumericUnderflowError):
+            continue
+        inside.append(j)
+    first, last = inside[0], inside[-1]
+    assert inside == list(range(first, last + 1))
+    shells = range(first, last + 1)
+    assert oracle._sphere_measures(ctx, shells) == checked(shells)
+    for past in (range(first - 1, last + 1), range(first, last + 2)):
+        with pytest.raises((NumericOverflowError, NumericUnderflowError)) as per_sphere:
+            checked(past)
+        with pytest.raises(per_sphere.type):
+            oracle._sphere_measures(ctx, past)
+
+
+#: Outer tail rates near 0, where 1 - p**s cancels: at -1e-20 it read 0.0
+#: and the probe raised ZeroDivisionError; at -1e-9 the bar fell short of
+#: the closed form's distance by 27 in 7.2e8.
+ADJOINT_TAIL_RATES = [-1e-20, -1e-9, -0.5]
+
+
+@pytest.mark.parametrize("rate", ADJOINT_TAIL_RATES)
+def test_adjoint_bias_covers_the_closed_form_as_the_tail_rate_nears_zero(rate):
+    f = RadialStepFunction(CTX, (0, 1), (1.0, 0.5), outer_tail=Tail(1.0, rate))
+    est = mc_operator_probe(OperatorSpec("adjoint"), f, 0, OracleConfig(samples=1000))
+    gap = abs(est.value - hardy_adjoint(f, 0.0).evaluate(0))
+    assert gap <= est.std_error * (1.0 + 1e-9) + 1e-15
 
 
 def test_plain_sampling_variance_past_the_float_range_raises_a_typed_error():
@@ -867,7 +1015,7 @@ GOLDEN = {
             _ex(2, 1, 2, [2.0], 1.5, 2.0),
             OracleConfig(2000, seed=15, truncation_window=(2, 3)),
         ),
-        MCEstimate(value=1.7637021535192616, std_error=0.024308740233756024, samples=2000),
+        MCEstimate(value=1.7637021535192616, std_error=0.024308740234099662, samples=2000),
     ),
     "luxemburg p=7 n=3": (
         lambda: mc_luxemburg(
@@ -883,7 +1031,7 @@ GOLDEN = {
             _ex(2, 3, 0, [2.0, 3.0], 2.5, 2.0),
             OracleConfig(2000, seed=17, truncation_window=(-4, 4)),
         ),
-        MCEstimate(value=3.9117372588953003, std_error=9.91735291321534e-05, samples=2005),
+        MCEstimate(value=3.9117372588953003, std_error=9.917352913549399e-05, samples=2005),
     ),
     "hardy naive p=2 n=3": (
         lambda: mc_operator_probe(
