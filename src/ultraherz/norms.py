@@ -74,21 +74,18 @@ class HerzParams:
 
 
 @dataclass(frozen=True)
-class MorreyHerzParams:
-    """Morrey-Herz parameters.
+class MorreyHerzParams(HerzParams):
+    """Morrey-Herz parameters: the Herz ones plus ``lam``.
 
     ``lam`` is the Morrey scaling exponent (lambda >= 0; 0 recovers the Herz
     norm exactly) of the cutoff prefactor p**(-k0 * lam), where p is the
     prime of the ambient context.
     """
 
-    beta: float
-    m: float
     lam: float
 
     def __post_init__(self) -> None:
-        if not (self.m > 0 and math.isfinite(self.m)):
-            raise DomainError(f"Herz index m must be positive and finite, got {self.m}")
+        super().__post_init__()
         if self.lam < 0:
             raise DomainError(f"lambda must be nonnegative, got {self.lam}")
 

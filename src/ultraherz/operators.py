@@ -39,7 +39,6 @@ from .radial import (
     RadialStepFunction,
     Tail,
     _combined,
-    _combined_tail,
     _Fields,
     _float_value,
     _geometric_tail,
@@ -47,6 +46,7 @@ from .radial import (
     _running_parts,
     _shell_values,
     _unit_mass,
+    combine,
 )
 
 _MIN_NORMAL = sys.float_info.min
@@ -256,49 +256,13 @@ def commutator(
     """The commutator [b, H_alpha] f = b * (H_alpha f) - H_alpha (b * f).
 
     One Hardy pass on f and one on b * f, with no intermediate function
-    built, give the bits and errors of that composition through ``combine``:
-    b(k) * (H f)(k) + (-(H(b f))(k)), with the intermediates' tail laws.
+    built, then ``combine`` adds b * (H f) to the negated second pass: the
+    bits and errors of that composition through the pointwise algebra.
     """
     left = _combined(b, _hardy_pass(f, alpha), "multiply")
     right = _hardy_pass(_combined(b, f, "multiply"), alpha)
     (a_in, e_in), (a_out, e_out) = right.inner_tail, right.outer_tail
-    inner = _combined_tail(left.inner_tail, Tail(-a_in, e_in), "add", "inner")
-    outer = _combined_tail(left.outer_tail, Tail(-a_out, e_out), "add", "outer")
-    values = _shell_values(left, *right.window)
-    coeffs = [x + -y for x, y in zip(values, right.coeffs)]
-    return RadialStepFunction(f.ctx, right.window, coeffs, inner, outer)
-
-
-def shell_diagonal(f: RadialStepFunction, g: RadialStepFunction, alpha: float) -> float:
-    """The diagonal correction sum_k F(k) G(k) p**(k*(alpha-n)) |S_k|**2.
-
-    Pairing one function against the Hardy image of another double-counts
-    the shell where both arguments live, because that shell has positive
-    measure; this sum is exactly the discrepancy between the two pairings.
-    Tails are summed analytically; a divergent configuration raises
-    DomainError.
-    """
-    if f.ctx != g.ctx:
-        raise DomainError("functions live in different contexts")
-    ctx = f.ctx
-    p, n = ctx.p, ctx.n
-    mass = _unit_mass(ctx)
-    w_lo = min(f.window[0], g.window[0])
-    w_hi = max(f.window[1], g.window[1])
-    total = 0.0
-    for k in range(w_lo, w_hi + 1):
-        term = f.evaluate(k) * g.evaluate(k)
-        if term != 0.0:
-            total += term * ppow(p, k * (alpha - n)) * (mass * ppow(p, n * k)) ** 2
-
-    for (a_f, e_f), (a_g, e_g), start, below, where in (
-        (f.inner_tail, g.inner_tail, w_lo, True, "at the origin"),
-        (f.outer_tail, g.outer_tail, w_hi + 1, False, "at infinity"),
-    ):
-        if a_f != 0.0 and a_g != 0.0:
-            s = e_f + e_g + alpha + n
-            tail = _geometric_tail(a_f * a_g * mass**2, p, s, start, below)
-            if tail is None:
-                raise DomainError(f"shell diagonal diverges {where}")
-            total += tail
-    return total
+    negated = _Fields(
+        right.ctx, right.window, [-y for y in right.coeffs], Tail(-a_in, e_in), Tail(-a_out, e_out)
+    )
+    return combine(left, negated, "add")

@@ -40,7 +40,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, NumericOverflowError, NumericUnderflowError
 from .operators import OperatorSpec
@@ -203,9 +203,11 @@ def _shell_stats(
     return mean, var
 
 
-def _outer_bias(coef: float, mass: float, p: int, s: float, hi: int) -> float:
-    """coef * mass times the sum of p**(s*k) over the shells k > hi, for s < 0:
-    the bias bound of an outer tail cut off above the window."""
+def _outer_bias(coef: float, ctx: PadicContext, s: float, hi: int) -> float:
+    """coef * |S_0| times the sum of p**(s*k) over the shells k > hi, for
+    s < 0: the bias bound of an outer tail cut off above the window."""
+    p, n = ctx.p, ctx.n
+    mass = float(1 - (1 / p) ** n)
     # 1 - p**s cancels as s nears 0 and -expm1(s ln p) does not; up to
     # p**s = 1/2 the subtraction cancels nothing, and keeps its bits there
     ratio = ppow(p, s)
@@ -245,20 +247,29 @@ def _grouped_modular(
     return value, -slope / lam
 
 
+def _strata_modular(strata: list[tuple[float, float, float]], lam: float) -> float:
+    """The sum of w * (a / lam)**e over the strata (w, e, a), one power per
+    stratum. A power past the float range makes it inf: the modular exceeds
+    1 at this lam."""
+    try:
+        return sum([w * (a / lam) ** e for w, e, a in strata])
+    except OverflowError:
+        return math.inf
+
+
 def _bisect_luxemburg(
-    modular_at: Callable[[float], float],
-    strata: list[tuple[float, float, float]],
-    rel_tol: float,
+    strata: list[tuple[float, float, float]], rel_tol: float
 ) -> tuple[float, float, float]:
-    """Invert the decreasing map lam -> modular_at(lam) at level 1, where the
-    map is the sum of w * (a / lam)**e over the strata (w, e, a).
+    """Invert the decreasing map lam -> sum of w * (a / lam)**e over the
+    strata (w, e, a) at level 1.
 
     Returns (root estimate, bracket half-width, slope of the map at the
-    root). Brackets by doubling and halving from lam = 1 on ``modular_at``,
-    then bisects; the map is strictly decreasing and continuous wherever it
-    is positive on this class. The map must not be identically 0: a modular
-    that rounds to 0.0 at lam = 1 only says the root lies lower. A root
-    outside the normal float range raises a typed error.
+    root). Brackets by doubling and halving from lam = 1 on
+    :func:`_strata_modular`, then bisects; the map is strictly decreasing
+    and continuous wherever it is positive on this class. The map must not
+    be identically 0: a modular that rounds to 0.0 at lam = 1 only says the
+    root lies lower. A root outside the normal float range raises a typed
+    error.
 
     Once (hi / lo)**e <= 2**512 for every exponent e (from the start below
     e = 512), the strata are summed at top = hi into one weight per distinct
@@ -269,10 +280,10 @@ def _bisect_luxemburg(
     range reads as infinite. The oracle keeps this solver to itself, so it
     shares no root finder with the closed forms.
     """
-    if modular_at(1.0) <= 1.0:
+    if _strata_modular(strata, 1.0) <= 1.0:
         hi = 1.0
         lo = 0.5
-        while modular_at(lo) <= 1.0:
+        while _strata_modular(strata, lo) <= 1.0:
             if lo * 0.5 < sys.float_info.min:
                 raise NumericUnderflowError(
                     "the sampled Luxemburg norm falls below the normal float range"
@@ -282,7 +293,7 @@ def _bisect_luxemburg(
     else:
         lo = 1.0
         hi = 2.0
-        while modular_at(hi) > 1.0:
+        while _strata_modular(strata, hi) > 1.0:
             if hi > sys.float_info.max / 2:
                 raise NumericOverflowError(
                     "the sampled Luxemburg norm overflows the float range"
@@ -300,7 +311,7 @@ def _bisect_luxemburg(
         # the top of the float range; above the subnormals it rounds the same
         mid = 0.5 * lo + 0.5 * hi
         if groups is None:
-            value = modular_at(mid)
+            value = _strata_modular(strata, mid)
         else:
             value = _grouped_modular(groups, top, mid)[0]
         if value > 1.0:
@@ -384,16 +395,14 @@ def mc_luxemburg(
         raise DomainError(f"rel_tol must lie in (1e-14, 1e-3), got {rel_tol}")
     if not config.stratified:
         raise DomainError("the norm task has no plain sampling: its region is unbounded")
-    p, n = f.ctx.p, f.ctx.n
     amplitude, rate = f.outer_tail
-    s = rate * u.u_infinity + n
+    s = rate * u.u_infinity + f.ctx.n
     if amplitude != 0.0 and s >= 0:
         raise DomainError(
             "sampled modular cannot converge: outer tail makes the norm infinite"
         )
     lo = min(config.truncation_window[0], f.window[0], u.window[0])
     hi = max(config.truncation_window[1], f.window[1], u.window[1])
-    mass = float(1 - (1 / p) ** n)
     spheres = range(lo, hi + 1)
     measures, table, sampled, levels, total = _stratify(f, lo - 1, spheres, config)
     ball, u_ball = measures[0], u.u_inner
@@ -402,10 +411,6 @@ def mc_luxemburg(
     multiplicity: Counter[float] = Counter()
     for k, c in sampled.items():
         multiplicity[magnitude[k]] += c
-    sphere_terms = [
-        (measure, u.evaluate(j), abs(level))
-        for measure, j, level in zip(measures[1:], spheres, levels)
-    ]
     if not any(multiplicity) and not any(levels):
         if amplitude != 0.0:
             raise DomainError(
@@ -414,24 +419,13 @@ def mc_luxemburg(
             )
         return MCEstimate(0.0, 0.0, total)
 
-    def modular_hat(lam: float) -> float:
-        """The sampled modular: the ball's mean of (a / lam) ** exponent, one
-        term per distinct magnitude a weighted by how often it was drawn, then
-        one term per sphere. A term past the float range makes it inf: the
-        modular exceeds 1 at this lam."""
-        acc = 0.0
-        try:
-            acc += ball * sum(
-                c * (a / lam) ** u_ball for a, c in multiplicity.items()
-            ) / draws
-            for measure, exponent, a in sphere_terms:
-                acc += measure * (a / lam) ** exponent
-        except OverflowError:
-            return math.inf
-        return acc
-
+    # the ball's draws, one stratum per distinct magnitude, then the spheres
     strata = [(ball * c / draws, u_ball, a) for a, c in multiplicity.items()]
-    root, half, slope = _bisect_luxemburg(modular_hat, strata + sphere_terms, rel_tol)
+    strata += [
+        (measure, u.evaluate(j), abs(level))
+        for measure, j, level in zip(measures[1:], spheres, levels)
+    ]
+    root, half, slope = _bisect_luxemburg(strata, rel_tol)
     # each term carries the ball's measure, so its spread keeps the scale
     # of the modular near 1 however far the ball lies from the origin
     term = {k: ball * (a / root) ** u_ball for k, a in magnitude.items()}
@@ -439,7 +433,7 @@ def mc_luxemburg(
     sigma_mod = math.sqrt(var / draws)
     if amplitude != 0.0:
         coef = (abs(amplitude) / root) ** u.u_infinity
-        sigma_mod += _outer_bias(coef, mass, p, s, hi)
+        sigma_mod += _outer_bias(coef, f.ctx, s, hi)
 
     # a flat sampled modular cannot place the root: its error is unbounded
     sigma_root = (sigma_mod / abs(slope) if slope else math.inf) + half
@@ -468,7 +462,6 @@ def mc_operator_probe(
         if not config.stratified:
             raise DomainError("the adjoint task has no plain sampling: its region is unbounded")
         hi = max(config.truncation_window[1], f.window[1])
-        mass = float(1 - (1 / p) ** n)
         amplitude, rate = f.outer_tail
         bias = 0.0
         if amplitude != 0.0:
@@ -478,7 +471,7 @@ def mc_operator_probe(
                     f"outer tail rate {rate} with order {alpha} makes the "
                     f"defining integral divergent (needs rate + alpha < 0)"
                 )
-            bias = _outer_bias(abs(amplitude), mass, p, s, hi)
+            bias = _outer_bias(abs(amplitude), ctx, s, hi)
         # a shell where f vanishes adds exactly 0, so it gets no stratum;
         # every other stratum is a sphere, exact with variance 0
         levels = {j: f.evaluate(j) for j in range(shell + 1, hi + 1)}

@@ -127,8 +127,9 @@ class RadialStepFunction:
             amplitude, rate = self.outer_tail
         else:
             return self.coeffs[k - j_min]
-        if amplitude == 0.0:
-            return 0.0
+        # a zero amplitude has rate 0.0, and a * p**(k * 0.0) is a * 1.0, which is a
+        if rate == 0.0:
+            return amplitude
         return amplitude * ppow(self.ctx.p, k * rate)
 
     def scale(self, c: float) -> "RadialStepFunction":

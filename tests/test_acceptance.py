@@ -37,7 +37,6 @@ from ultraherz import (
     modular,
     morrey_herz_norm,
     ppow,
-    shell_diagonal,
     sharpness_probe,
     single_shell_norm,
     sphere_measure,
@@ -45,6 +44,8 @@ from ultraherz import (
     total_integral,
     validate_hypotheses,
 )
+
+from test_operators import diagonal
 
 CTX = PadicContext(2, 1)
 U2 = ExponentFunction.constant(CTX, 2.0)
@@ -199,7 +200,7 @@ def test_criterion_5_operator_closed_forms_against_the_oracle():
         alpha = rng.uniform(0.0, 0.9)
         lhs = total_integral(combine(g, hardy(f, alpha), "multiply"))
         rhs = total_integral(combine(f, hardy_adjoint(g, alpha), "multiply"))
-        rhs += shell_diagonal(f, g, alpha)
+        rhs += diagonal(f, g, alpha)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0

@@ -54,6 +54,7 @@ def test_tracer_names_the_library_lacks_are_pinned():
     assert missing == [
         "harness.check_lemmas",
         "operators.maximal",
+        "operators.shell_diagonal",
         "radial.check_regularity",
         "radial.exponent_at",
         "padic.sample_uniform",

@@ -36,7 +36,6 @@ from ultraherz import (
 )
 from ultraherz import norms
 from ultraherz.cli import _parse_sizes
-from ultraherz.operators import shell_diagonal
 from ultraherz.radial import sobolev_shift
 
 C2, C3 = PadicContext(2), PadicContext(3)
@@ -44,7 +43,6 @@ F2 = RadialStepFunction.indicator_sphere(C2, 0)
 F3 = RadialStepFunction.indicator_sphere(C3, 0)
 U2 = ExponentFunction.constant(C2, 2.0)
 U3 = ExponentFunction.constant(C3, 2.0)
-ONE = RadialStepFunction.constant(C2, 1.0)
 FLAT_OUTER = RadialStepFunction(C2, (0, 0), (1.0,), outer_tail=Tail(1.0, 0.0))
 # three shells of 1e308: a finite Herz sum at m = 0.5 whose square overflows
 HUGE = RadialStepFunction(C2, (0, 2), (1e308,) * 3)
@@ -74,7 +72,6 @@ GUARDS = {
     "Morrey-Herz m=0": (lambda: MorreyHerzParams(0.0, 0.0, 0.0), DomainError),
     "Morrey-Herz lambda<0": (lambda: MorreyHerzParams(0.0, 1.0, -0.5), DomainError),
     "norm across contexts": (lambda: luxemburg_norm(F2, U3), DomainError),
-    "shell_diagonal across contexts": (lambda: shell_diagonal(F2, F3, 0.0), DomainError),
     "mc_luxemburg across contexts": (lambda: mc_luxemburg(F2, U3, CONFIG), DomainError),
     "combine across contexts": (lambda: combine(F2, F3, "add"), DomainError),
     "combine with an unknown op": (lambda: combine(F2, F2, "divide"), DomainError),
@@ -99,7 +96,6 @@ GUARDS = {
         NumericOverflowError,
     ),
     "operator order nan": (lambda: OperatorSpec("hardy", math.nan), DomainError),
-    "divergent shell_diagonal": (lambda: shell_diagonal(ONE, ONE, 0.0), DomainError),
     "oracle norm of a divergent outer tail": (
         lambda: mc_luxemburg(FLAT_OUTER, U2, CONFIG),
         DomainError,

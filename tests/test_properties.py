@@ -49,7 +49,13 @@ from ultraherz.norms import (
     _solve_luxemburg,
 )
 from ultraherz.padic import SHELL_LIMIT
-from ultraherz.radial import _float_value, _geometric_tail, _running_parts
+from ultraherz.radial import (
+    _Fields,
+    _float_value,
+    _geometric_tail,
+    _running_parts,
+    _shell_values,
+)
 
 MIN_NORMAL = sys.float_info.min
 
@@ -186,6 +192,41 @@ def test_running_parts_match_a_direct_shell_sum_at_every_step(data):
         else:
             with pytest.raises(NumericOverflowError):
                 _float_value(*part)
+
+
+#: Tails that vanish (a 0.0 amplitude), stay flat (rate 0.0, also -0.0) or
+#: follow a power law at an integer or a non-integer rate.
+TAILS = st.builds(
+    Tail,
+    COEFF,
+    st.one_of(st.sampled_from([0.0, -0.0]), st.integers(-4, 4).map(float), st.floats(-4.0, 4.0)),
+)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_shell_values_read_each_shell_as_evaluate_does(data):
+    """``_shell_values`` reads a range of shells by slices, ``evaluate`` one
+    shell at a time; the lists agree, for the function and for its fields,
+    on ranges that start and end below, inside or above the window, shells
+    1100 away included, where a power law leaves the float range."""
+    ctx = data.draw(contexts())
+    j_min = data.draw(st.integers(-6, 6))
+    coeffs = data.draw(st.lists(COEFF, min_size=1, max_size=6))
+    j_max = j_min + len(coeffs) - 1
+    f = RadialStepFunction(ctx, (j_min, j_max), coeffs, data.draw(TAILS), data.draw(TAILS))
+    shell = st.one_of(
+        st.integers(j_min - 3, j_max + 3),
+        st.sampled_from([j_min - 1100, j_min - 40, j_max + 40, j_max + 1100]),
+    )
+    lo, hi = sorted([data.draw(shell), data.draw(shell)])
+    expected = [f.evaluate(k) for k in range(lo, hi + 1)]
+    fields = _Fields(f.ctx, f.window, list(f.coeffs), f.inner_tail, f.outer_tail)
+    for source in (f, fields):
+        values = _shell_values(source, lo, hi)
+        assert values == expected
+        # repr also tells -0.0 from 0.0
+        assert [repr(x) for x in values] == [repr(x) for x in expected]
 
 
 @settings(max_examples=100)
