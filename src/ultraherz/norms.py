@@ -71,6 +71,8 @@ class HerzParams:
     def __post_init__(self) -> None:
         if not (self.m > 0 and math.isfinite(self.m)):
             raise DomainError(f"Herz index m must be positive and finite, got {self.m}")
+        if not math.isfinite(self.beta):
+            raise DomainError(f"Herz weight beta must be finite, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,8 @@ class MorreyHerzParams(HerzParams):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.lam < 0:
-            raise DomainError(f"lambda must be nonnegative, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise DomainError(f"lambda must be nonnegative and finite, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -397,18 +399,11 @@ def single_shell_norm(coefficient: float, shell: int, u: ExponentFunction) -> fl
     """Closed-form norm of coefficient * indicator(S_shell): |c| * |S_shell|**(1/u(shell)).
 
     The modular of c*chi/lam is a single term (|c|/lam)**u(shell) * |S_shell|,
-    so the Luxemburg infimum solves in closed form.
+    so the Luxemburg infimum solves in closed form: it is the Herz norm with
+    beta = 0 and m = 1 of that one-shell function, and raises what that raises.
     """
-    if coefficient == 0.0:
-        return 0.0
-    ctx = u.ctx
-    exponent = u.evaluate(shell)
-    mass = _unit_mass(ctx)
-    return (
-        abs(coefficient)
-        * math.pow(mass, 1.0 / exponent)
-        * ppow(ctx.p, ctx.n * shell / exponent)
-    )
+    f = RadialStepFunction(u.ctx, (shell, shell), (coefficient,))
+    return herz_norm(f, u, HerzParams(0.0, 1.0)).value
 
 
 def _indicator_pieces(u: ExponentFunction, gamma: int) -> _Modular:
@@ -437,6 +432,7 @@ def ball_indicator_norm(
     :func:`_indicator_pieces`). The solver groups them by exponent, so a
     constant exponent gives |B_gamma|**(1/u) in closed form.
     """
+    check_shell(gamma, "ball index")
     _check_rel_tol(rel_tol)
     value, half = _solve_luxemburg(_indicator_pieces(u, gamma), rel_tol)
     return NormResult(value, True, half, (min(gamma, u.window[0] - 1), gamma))

@@ -16,9 +16,8 @@ constant), the operator raises ClassClosureError instead of silently
 leaving the class; widening the explicit window of the input restores
 applicability in practice.
 
-The commutator [b, H_a] f = b * H_a f - H_a (b f) is formed in one pass
-per Hardy image, with the bits and errors of its composition through the
-pointwise algebra in :mod:`ultraherz.radial`.
+The commutator [b, H_a] f = b * H_a f - H_a (b f) is that composition
+through the pointwise algebra of :mod:`ultraherz.radial`.
 """
 
 from __future__ import annotations
@@ -34,15 +33,13 @@ from .errors import (
     NumericOverflowError,
     NumericUnderflowError,
 )
-from .padic import check_shell, ppow
+from .padic import ppow
 from .radial import (
     RadialStepFunction,
     Tail,
-    _combined,
-    _Fields,
+    _built,
     _float_value,
     _geometric_tail,
-    _normalize_tail,
     _running_parts,
     _shell_values,
     _unit_mass,
@@ -67,10 +64,14 @@ class OperatorSpec:
             raise DomainError(
                 f"unknown operator kind {self.kind!r}, expected one of {_KINDS}"
             )
-        if not math.isfinite(self.alpha):
-            raise DomainError(f"operator order must be finite, got {self.alpha}")
+        _check_order(self.alpha)
         if self.kind == "commutator" and self.symbol is None:
             raise DomainError("commutator requires a symbol function")
+
+
+def _check_order(alpha: float) -> None:
+    if not math.isfinite(alpha):
+        raise DomainError(f"operator order must be finite, got {alpha}")
 
 
 def apply_operator(spec: OperatorSpec, f: RadialStepFunction) -> RadialStepFunction:
@@ -104,11 +105,7 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
         >>> g.evaluate(-3), g.evaluate(0), g.evaluate(2)
         (1.0, 1.0, 0.25)
     """
-    return RadialStepFunction(*_hardy_pass(f, alpha))
-
-
-def _hardy_pass(f: RadialStepFunction, alpha: float) -> _Fields:
-    """The fields of ``hardy(f, alpha)``, raising what building it raises."""
+    _check_order(alpha)
     ctx = f.ctx
     p, n = ctx.p, ctx.n
     if f.outer_tail.amplitude != 0.0:
@@ -158,11 +155,7 @@ def _hardy_pass(f: RadialStepFunction, alpha: float) -> _Fields:
             f"the outer tail amplitude of the hardy image, the integral over "
             f"B_{hi}, is not zero but rounds to 0.0"
         )
-    # the constructor's window check, made here so commutator raises it first
-    check_shell(lo, "window[0]")
-    check_shell(hi, "window[1]")
-    outer = Tail(integrals[-1], e)
-    return _Fields(ctx, (lo, hi), coeffs, _normalize_tail(inner), _normalize_tail(outer))
+    return _built(ctx, (lo, hi), coeffs, inner, Tail(integrals[-1], e))
 
 
 def _scaled(p: int, e: float, value: float, part: tuple[int, int, float]) -> float:
@@ -215,6 +208,7 @@ def hardy_adjoint(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
         >>> g.evaluate(-1), g.evaluate(0)
         (0.5, 0.0)
     """
+    _check_order(alpha)
     ctx = f.ctx
     p, n = ctx.p, ctx.n
     if f.inner_tail.amplitude != 0.0:
@@ -247,7 +241,7 @@ def hardy_adjoint(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
         value = value + mass * c * ppow(p, j * alpha)
         coeffs.append(value)
     coeffs.reverse()
-    return RadialStepFunction(ctx, (lo, hi), coeffs, Tail(coeffs[0], 0.0), outer)
+    return _built(ctx, (lo, hi), coeffs, Tail(coeffs[0], 0.0), outer)
 
 
 def commutator(
@@ -255,14 +249,13 @@ def commutator(
 ) -> RadialStepFunction:
     """The commutator [b, H_alpha] f = b * (H_alpha f) - H_alpha (b * f).
 
-    One Hardy pass on f and one on b * f, with no intermediate function
-    built, then ``combine`` adds b * (H f) to the negated second pass: the
-    bits and errors of that composition through the pointwise algebra.
+    Formed as written, through ``combine``, ``hardy`` and ``scale``: the
+    product b * (H f), then H(b f), negated, added to it. Each step checks
+    only what it computes, so the image has the bits of that composition
+    and raises what it raises, in its order.
     """
-    left = _combined(b, _hardy_pass(f, alpha), "multiply")
-    right = _hardy_pass(_combined(b, f, "multiply"), alpha)
-    (a_in, e_in), (a_out, e_out) = right.inner_tail, right.outer_tail
-    negated = _Fields(
-        right.ctx, right.window, [-y for y in right.coeffs], Tail(-a_in, e_in), Tail(-a_out, e_out)
+    return combine(
+        combine(b, hardy(f, alpha), "multiply"),
+        hardy(combine(b, f, "multiply"), alpha).scale(-1.0),
+        "add",
     )
-    return combine(left, negated, "add")

@@ -16,7 +16,6 @@ above it. Derived exponents (conjugate, Sobolev shift) live here as well.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Iterator, NamedTuple
@@ -27,16 +26,16 @@ from .errors import (
     NumericOverflowError,
     TailCombinationError,
 )
-from .padic import SHELL_LIMIT, PadicContext, check_shell, ppow
+from .padic import PadicContext, check_shell, ppow
 
 
 def _set_window(obj, entries: tuple, what: str) -> None:
     """Store obj.window as two ints once it is ordered, lies within
     ``SHELL_LIMIT`` of the origin and carries one of ``entries`` per shell."""
     j_min, j_max = obj.window
-    if not -SHELL_LIMIT <= j_min <= j_max <= SHELL_LIMIT:
-        check_shell(j_min, "window[0]")
-        check_shell(j_max, "window[1]")
+    check_shell(j_min, "window[0]")
+    check_shell(j_max, "window[1]")
+    if j_min > j_max:
         raise DomainError(f"empty shell window [{j_min}, {j_max}]")
     if len(entries) != j_max - j_min + 1:
         raise DomainError(
@@ -84,7 +83,8 @@ class RadialStepFunction:
     def __post_init__(self) -> None:
         _set_window(self, self.coeffs, "coefficients")
         object.__setattr__(self, "coeffs", tuple([float(c) for c in self.coeffs]))
-        _check_coeffs(self.coeffs)
+        if not all(map(math.isfinite, self.coeffs)):
+            raise DomainError("shell coefficients must be finite (not NaN or inf)")
         inner = _normalize_tail(self.inner_tail)
         outer = _normalize_tail(self.outer_tail)
         object.__setattr__(self, "inner_tail", inner)
@@ -133,30 +133,43 @@ class RadialStepFunction:
         return amplitude * ppow(self.ctx.p, k * rate)
 
     def scale(self, c: float) -> "RadialStepFunction":
-        """Pointwise scalar multiple c * f."""
+        """Pointwise scalar multiple c * f, for a finite c."""
         c = float(c)
-        return RadialStepFunction(
-            self.ctx,
-            self.window,
-            tuple([c * v for v in self.coeffs]),
-            Tail(c * self.inner_tail.amplitude, self.inner_tail.rate),
-            Tail(c * self.outer_tail.amplitude, self.outer_tail.rate),
-        )
+        if not math.isfinite(c):
+            raise DomainError(f"scale factor must be finite, got {c}")
+        coeffs = [c * v for v in self.coeffs]
+        (a_in, e_in), (a_out, e_out) = self.inner_tail, self.outer_tail
+        return _built(self.ctx, self.window, coeffs, Tail(c * a_in, e_in), Tail(c * a_out, e_out))
 
     def absolute(self) -> "RadialStepFunction":
         """Pointwise absolute value |f|; tail rates are unchanged."""
-        return RadialStepFunction(
-            self.ctx,
-            self.window,
-            tuple([abs(v) for v in self.coeffs]),
-            Tail(abs(self.inner_tail.amplitude), self.inner_tail.rate),
-            Tail(abs(self.outer_tail.amplitude), self.outer_tail.rate),
-        )
+        (a_in, e_in), (a_out, e_out) = self.inner_tail, self.outer_tail
+        coeffs = [abs(v) for v in self.coeffs]
+        return _built(self.ctx, self.window, coeffs, Tail(abs(a_in), e_in), Tail(abs(a_out), e_out))
 
 
-def _check_coeffs(coeffs) -> None:
+def _built(ctx, window, coeffs: list[float], inner: Tail, outer: Tail) -> RadialStepFunction:
+    """A function from the fields that a kernel (``hardy``, ``hardy_adjoint``,
+    ``combine``, ``scale``, ``absolute``) computed from checked functions.
+
+    Only what a kernel computes is checked: the window ends against
+    ``SHELL_LIMIT``, and the coefficients, one float per shell by
+    construction, for a float overflow, which raises NumericOverflowError
+    since the inputs were finite. The tails are normalized.
+    """
+    check_shell(window[0], "window[0]")
+    check_shell(window[1], "window[1]")
     if not all(map(math.isfinite, coeffs)):
-        raise DomainError("shell coefficients must be finite (not NaN or inf)")
+        raise NumericOverflowError("an image coefficient of finite inputs leaves the float range")
+    f = object.__new__(RadialStepFunction)
+    f.__dict__.update(
+        ctx=ctx,
+        window=window,
+        coeffs=tuple(coeffs),
+        inner_tail=_normalize_tail(inner),
+        outer_tail=_normalize_tail(outer),
+    )
+    return f
 
 
 def _normalize_tail(tail) -> Tail:
@@ -200,16 +213,6 @@ def combine(
     raises :class:`TailCombinationError`; widening one operand's window so
     the mismatch sits inside it resolves the conflict.
     """
-    return RadialStepFunction(*_combined(f, g, op))
-
-
-#: The fields of a function, checked as :class:`RadialStepFunction` checks
-#: them, for a caller that only reads them (through :func:`_shell_values`).
-_Fields = namedtuple("_Fields", "ctx window coeffs inner_tail outer_tail")
-
-
-def _combined(f, g, op: str) -> _Fields:
-    """The fields of ``combine(f, g, op)``, raising what building it raises."""
     if f.ctx != g.ctx:
         raise DomainError("cannot combine functions from different contexts")
     if op not in ("add", "multiply"):
@@ -223,14 +226,12 @@ def _combined(f, g, op: str) -> _Fields:
         coeffs = [x + y for x, y in pairs]
     else:
         coeffs = [x * y for x, y in pairs]
-    _check_coeffs(coeffs)
-    inner, outer = _normalize_tail(inner), _normalize_tail(outer)
-    return _Fields(f.ctx, (j_min, j_max), coeffs, inner, outer)
+    return _built(f.ctx, (j_min, j_max), coeffs, inner, outer)
 
 
-def _shell_values(f, lo: int, hi: int) -> list[float]:
+def _shell_values(f: RadialStepFunction, lo: int, hi: int) -> list[float]:
     """``[f.evaluate(k) for k in range(lo, hi + 1)]`` by slices, each value
-    formed as evaluate forms it. ``f`` may be :class:`_Fields`."""
+    formed as evaluate forms it."""
     p = f.ctx.p
     j_min, j_max = f.window
     values = [*f.coeffs[max(lo - j_min, 0) : max(hi - j_min + 1, 0)]]

@@ -25,13 +25,16 @@ from ultraherz import (
     ball_indicator_norm,
     cmo_norm,
     combine,
+    commutator,
     hardy,
+    hardy_adjoint,
     herz_norm,
     luxemburg_norm,
     mc_luxemburg,
     mc_operator_probe,
     morrey_herz_norm,
     random_family,
+    single_shell_norm,
     sweep,
 )
 from ultraherz import norms
@@ -65,6 +68,12 @@ FAR_OUTER = RadialStepFunction(C2, (0, 10), (1.0,) + (0.0,) * 10, outer_tail=Tai
 # float does not leave room for
 NEAR_MAX = MAX * (1 - 1e-6)
 ALTERNATING = RadialStepFunction(C2, (-40, -40), (NEAR_MAX,), inner_tail=Tail(-NEAR_MAX, 0.0))
+U1 = ExponentFunction.constant(C2, 1.0)
+# finite inputs whose sum, product or weighted mass leaves the float range
+CANCELLING = RadialStepFunction(C2, (0, 1), (1e308, -1e308))
+SYMBOL_1E300 = RadialStepFunction(C2, (0, 1), (1e300, -1e300))
+F_1E300 = RadialStepFunction(C2, (0, 1), (1e300, 1e300))
+ONES = RadialStepFunction(C2, (0, 3), (1.0,) * 4)
 
 GUARDS = {
     "p=1 is not prime": (lambda: PadicContext(1), DomainError),
@@ -140,6 +149,64 @@ GUARDS = {
         lambda: morrey_herz_norm(FAR_OUTER, U2, MorreyHerzParams(0.0, 2.0, 0.5)),
         NumericOverflowError,
     ),
+    # a coefficient computed from finite inputs past the float range is the
+    # kernel's overflow, as in hardy, not the constructor's input error
+    "combine sum past the float range": (
+        lambda: combine(CANCELLING, CANCELLING, "add"),
+        NumericOverflowError,
+    ),
+    "commutator past the float range": (
+        lambda: commutator(SYMBOL_1E300, F_1E300, 0.0),
+        NumericOverflowError,
+    ),
+    "adjoint at order 1100 past the float range": (
+        lambda: hardy_adjoint(ONES, 1100.0),
+        NumericOverflowError,
+    ),
+    "scale past the float range": (
+        lambda: RadialStepFunction(C2, (0, 0), (1e300,)).scale(1e10),
+        NumericOverflowError,
+    ),
+    "scale by inf": (lambda: F2.scale(math.inf), DomainError),
+    "hardy order nan": (lambda: hardy(F2, math.nan), DomainError),
+    "hardy order inf": (lambda: hardy(F2, math.inf), DomainError),
+    "hardy order -inf": (lambda: hardy(F2, -math.inf), DomainError),
+    "adjoint order nan": (lambda: hardy_adjoint(F2, math.nan), DomainError),
+    "commutator order nan": (lambda: commutator(F2, F2, math.nan), DomainError),
+    "Herz beta nan": (lambda: HerzParams(math.nan, 1.0), DomainError),
+    "Herz beta inf": (lambda: HerzParams(math.inf, 1.0), DomainError),
+    "Herz beta -inf": (lambda: HerzParams(-math.inf, 1.0), DomainError),
+    "Morrey-Herz lambda nan": (lambda: MorreyHerzParams(0.0, 1.0, math.nan), DomainError),
+    "Morrey-Herz lambda inf": (lambda: MorreyHerzParams(0.0, 1.0, math.inf), DomainError),
+    "function window at half shells": (
+        lambda: RadialStepFunction(C2, (0.5, 1.5), (1.0, 2.0)),
+        DomainError,
+    ),
+    "exponent window at a non-integer shell": (
+        lambda: ExponentFunction(C2, (0.7, 0.7), (2.0,), 2.0, 2.0),
+        DomainError,
+    ),
+    "ball_indicator_norm past the shell limit": (
+        lambda: ball_indicator_norm(U2, 10**6),
+        DomainError,
+    ),
+    "ball_indicator_norm below the shell limit": (
+        lambda: ball_indicator_norm(U2, -20000),
+        DomainError,
+    ),
+    # the Herz norm of the one-shell function, which single_shell_norm reads
+    "single_shell_norm past the float range": (
+        lambda: single_shell_norm(1.0, 2000, U1),
+        NumericOverflowError,
+    ),
+    "single_shell_norm below the float range": (
+        lambda: single_shell_norm(1.0, -2000, U1),
+        NumericUnderflowError,
+    ),
+    "single_shell_norm past the shell limit": (
+        lambda: single_shell_norm(1.0, 10**6, U1),
+        DomainError,
+    ),
     "cmo_norm ratio past the float range": (
         lambda: cmo_norm(
             ALTERNATING, ExponentFunction(C2, (-40, -40), (1.0,), 1.0 + 1e-9, 1.0), 1e-4
@@ -154,6 +221,13 @@ def test_guard_raises_its_typed_error(name):
     call, error = GUARDS[name]
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_the_adjoint_refuses_a_non_finite_order_as_an_order(alpha):
+    """As OperatorSpec does, not as the non-finite coefficients it would give."""
+    with pytest.raises(DomainError, match="operator order must be finite"):
+        hardy_adjoint(F2, alpha)
 
 
 def test_a_steep_exponent_piece_gives_the_ball_indicator_norm():

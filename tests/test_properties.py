@@ -29,17 +29,20 @@ from ultraherz import (
     PadicContext,
     RadialStepFunction,
     Tail,
+    UltraherzError,
     ball_indicator_norm,
     ball_integral,
     ball_mean,
     cmo_norm,
+    combine,
+    commutator,
     hardy,
+    hardy_adjoint,
     herz_norm,
     luxemburg_norm,
     modular,
     morrey_herz_norm,
     ppow,
-    single_shell_norm,
 )
 from ultraherz.norms import (
     _CRITICAL_BAND,
@@ -50,7 +53,6 @@ from ultraherz.norms import (
 )
 from ultraherz.padic import SHELL_LIMIT
 from ultraherz.radial import (
-    _Fields,
     _float_value,
     _geometric_tail,
     _running_parts,
@@ -207,9 +209,9 @@ TAILS = st.builds(
 @given(data=st.data())
 def test_shell_values_read_each_shell_as_evaluate_does(data):
     """``_shell_values`` reads a range of shells by slices, ``evaluate`` one
-    shell at a time; the lists agree, for the function and for its fields,
-    on ranges that start and end below, inside or above the window, shells
-    1100 away included, where a power law leaves the float range."""
+    shell at a time; the lists agree on ranges that start and end below,
+    inside or above the window, shells 1100 away included, where a power
+    law leaves the float range."""
     ctx = data.draw(contexts())
     j_min = data.draw(st.integers(-6, 6))
     coeffs = data.draw(st.lists(COEFF, min_size=1, max_size=6))
@@ -221,12 +223,53 @@ def test_shell_values_read_each_shell_as_evaluate_does(data):
     )
     lo, hi = sorted([data.draw(shell), data.draw(shell)])
     expected = [f.evaluate(k) for k in range(lo, hi + 1)]
-    fields = _Fields(f.ctx, f.window, list(f.coeffs), f.inner_tail, f.outer_tail)
-    for source in (f, fields):
-        values = _shell_values(source, lo, hi)
-        assert values == expected
-        # repr also tells -0.0 from 0.0
-        assert [repr(x) for x in values] == [repr(x) for x in expected]
+    values = _shell_values(f, lo, hi)
+    assert values == expected
+    # repr also tells -0.0 from 0.0
+    assert [repr(x) for x in values] == [repr(x) for x in expected]
+
+
+@settings(max_examples=200)
+@given(
+    data=st.data(),
+    alpha=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 2.0),
+    c=WIDE_COEFF,
+)
+def test_each_kernel_builds_what_the_public_constructor_builds(data, alpha, c):
+    """``hardy``, ``hardy_adjoint``, ``combine``, ``commutator``, ``scale``
+    and ``absolute`` build their images through one private path that
+    checks only what each computed. Rebuilt from its fields by the public
+    constructor, every image is equal, prints and hashes the same, holds
+    its coefficients as a tuple of floats and each zero tail as
+    Tail(0.0, 0.0). An image that a kernel refuses with a typed error is
+    skipped."""
+    ctx = data.draw(contexts())
+    f = data.draw(step_functions(ctx))
+    g = data.draw(step_functions(ctx, outer=False))
+    no_inner = RadialStepFunction(ctx, f.window, f.coeffs, outer_tail=f.outer_tail)
+    kernels = {
+        "hardy": lambda: hardy(g, alpha),
+        "hardy_adjoint": lambda: hardy_adjoint(no_inner, alpha),
+        "add": lambda: combine(f, g, "add"),
+        "multiply": lambda: combine(f, g, "multiply"),
+        "commutator": lambda: commutator(f, g, alpha),
+        "scale": lambda: f.scale(c),
+        "absolute": f.absolute,
+    }
+    for name, kernel in kernels.items():
+        try:
+            image = kernel()
+        except UltraherzError:
+            continue
+        fields = (image.ctx, image.window, image.coeffs, image.inner_tail, image.outer_tail)
+        rebuilt = RadialStepFunction(*fields)
+        assert rebuilt == image, name
+        assert repr(rebuilt) == repr(image) and hash(rebuilt) == hash(image), name
+        assert type(image.coeffs) is tuple, name
+        assert all(type(v) is float for v in image.coeffs), name
+        for tail in (image.inner_tail, image.outer_tail):
+            if tail.amplitude == 0.0:
+                assert repr(tail) == repr(Tail(0.0, 0.0)), name
 
 
 @settings(max_examples=100)
@@ -670,11 +713,16 @@ def test_morrey_herz_equals_a_log_space_scan_over_cutoffs(data):
 
 def _herz_terms_by_shell(f, u, beta, m, top):
     """The window terms of ``_herz_terms`` as a shell-by-shell loop forms
-    them: p**(l*beta) times the single-shell norm of f on S_l, to the m."""
-    p = f.ctx.p
+    them: p**(l*beta) times the single-shell norm of f on S_l, to the m.
+    That norm is written out, |F(l)| * |S_0|**(1/u(l)) * p**(n*l/u(l)), inf
+    past the float range."""
+    p, n = f.ctx.p, f.ctx.n
+    mass = (p**n - 1) / p**n
     terms = []
     for shell in range(min(f.window[0], u.window[0]), top + 1):
-        t = ppow(p, shell * beta) * single_shell_norm(f.evaluate(shell), shell, u)
+        c, e = f.evaluate(shell), u.evaluate(shell)
+        norm = abs(c) * math.pow(mass, 1.0 / e) * ppow(p, n * shell / e) if c else 0.0
+        t = ppow(p, shell * beta) * norm
         terms.append(t**m if t != 0.0 else 0.0)
     return terms
 
