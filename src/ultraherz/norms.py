@@ -171,7 +171,8 @@ def _modular_terms(
                         terms.append((math.exp(log_weight), e))
                         continue
                     lost.append((log_weight, e))
-                terms.append((power * mass * ppow(p, n * k), e))
+                # a power that rounded to 0.0 weighs 0.0, even where |S_k| is inf
+                terms.append((power * mass * ppow(p, n * k) if power else 0.0, e))
 
         amplitude, rate = f.inner_tail
         upto = w_lo - 1 if top is None else min(top, w_lo - 1)
@@ -479,8 +480,11 @@ def _herz_terms(
     roots = {e: math.pow(mass, 1.0 / e) for e in set(exponents)}
     terms = []
     for shell, c, e in zip(count(w_lo), _shell_values(f, w_lo, top), exponents):
+        if not c:
+            terms.append(0.0)  # read before p**(l * beta), which may be inf
+            continue
         weight = ppow(p, shell * beta) if beta else 1.0  # p**(l * 0.0) is 1.0
-        t = weight * (abs(c) * roots[e] * ppow(p, n * shell / e) if c else 0.0)
+        t = weight * (abs(c) * roots[e] * ppow(p, n * shell / e))
         terms.append(t**m if t != 0.0 else 0.0)
 
     def block(amplitude: float, exponent: float, s: float, start: int, below: bool) -> float:
@@ -621,6 +625,8 @@ def morrey_herz_norm(
         # Window region: explicit partial sums.
         for k0, t in zip(range(w_lo, w_hi + 1), terms):
             partial += t
+            if not partial:
+                continue  # read before p**(-k0 * lam * m), which may overflow
             candidate = math.exp(-k0 * lam * m * log_p) * partial  # prefactor_m(k0)
             if candidate > best_gm:
                 best_gm = candidate

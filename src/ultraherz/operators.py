@@ -27,15 +27,11 @@ import sys
 from dataclasses import dataclass
 from itertools import count, islice
 
-from .errors import (
-    ClassClosureError,
-    DomainError,
-    NumericOverflowError,
-    NumericUnderflowError,
-)
+from .errors import ClassClosureError, DomainError, NumericUnderflowError
 from .padic import ppow
 from .radial import (
     RadialStepFunction,
+    ZERO_TAIL,
     Tail,
     _built,
     _float_value,
@@ -93,10 +89,11 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
     integral is the constant total (the outer tail of f must vanish, or the
     output would carry two growth rates at once). Where an integral's float
     is subnormal or p**(k*(alpha - n)) saturates to inf, the exact integral
-    is scaled before rounding (see :func:`_scaled`); an image coefficient
-    that still leaves the float range raises NumericOverflowError, and a
-    nonzero exact total integral, the outer tail's amplitude, that rounds to
-    0.0 raises NumericUnderflowError.
+    is scaled before rounding (see :func:`_scaled`). The built image is
+    judged first (a coefficient still past the float range raises
+    NumericOverflowError, a window end past the shell limit DomainError);
+    then a nonzero exact total integral, the outer tail's amplitude, that
+    rounds to 0.0 raises NumericUnderflowError.
 
     Examples:
         >>> from .padic import PadicContext
@@ -126,36 +123,28 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
         integrals = [_float_value(*part) for part in parts]
     e = alpha - n
     coeffs = [
-        ppow(p, k * e) * v if abs(v) >= _MIN_NORMAL or not part[0] else _scaled(p, k * e, v, part)
+        c if (abs(v) >= _MIN_NORMAL or not part[0]) and math.isfinite(c := ppow(p, k * e) * v)
+        else _scaled(p, k * e, v, part)
         for k, v, part in zip(count(lo), integrals, parts)
     ]
-    if not all(map(math.isfinite, coeffs)):
-        coeffs = [
-            c if math.isfinite(c) else _scaled(p, k * e, v, part)
-            for k, c, v, part in zip(count(lo), coeffs, integrals, parts)
-        ]
-        for k, c in enumerate(coeffs, lo):
-            if not math.isfinite(c):
-                raise NumericOverflowError(
-                    f"the hardy image coefficient on shell {k} overflows the float "
-                    f"range: p**{k * e} times the integral over B_{k} is {c}"
-                )
 
     amplitude, rate = f.inner_tail
     if amplitude == 0.0:
-        inner = Tail(0.0, 0.0)
+        inner = ZERO_TAIL
     else:
         # the tail integrates to amplitude * scale * p**(k*(rate + n)) over B_k
         scale = _geometric_tail(_unit_mass(ctx), p, -(rate + n), 0, below=False)
         inner = Tail(amplitude * scale, rate + alpha)
-    # The outer tail vanishes, so B_hi already holds the total integral.
+    # The outer tail vanishes, so B_hi already holds the total integral; an
+    # int order makes e an int, which the tail holds as a float.
+    image = _built(ctx, (lo, hi), coeffs, inner, Tail(integrals[-1], float(e)))
     num, _, inexact = parts[-1]
     if integrals[-1] == 0.0 and num and not inexact:
         raise NumericUnderflowError(
             f"the outer tail amplitude of the hardy image, the integral over "
             f"B_{hi}, is not zero but rounds to 0.0"
         )
-    return _built(ctx, (lo, hi), coeffs, inner, Tail(integrals[-1], e))
+    return image
 
 
 def _scaled(p: int, e: float, value: float, part: tuple[int, int, float]) -> float:
@@ -222,7 +211,7 @@ def hardy_adjoint(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
     lo, hi = j_min - 1, j_max + 1
 
     amplitude, rate = f.outer_tail
-    outer, value = Tail(0.0, 0.0), 0.0
+    outer, value = ZERO_TAIL, 0.0
     if amplitude != 0.0:
         s = rate + alpha
         # above the window the image is outer_amp * p**(k*s): the tail's
@@ -238,7 +227,8 @@ def hardy_adjoint(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
 
     coeffs = [value]  # from shell hi down: shell k adds the mass of S_(k+1)
     for j, c in zip(range(hi, lo, -1), reversed(_shell_values(f, lo + 1, hi))):
-        value = value + mass * c * ppow(p, j * alpha)
+        # a zero shell adds its signed zero, even where p**(j*alpha) is inf
+        value = value + mass * c * (ppow(p, j * alpha) if c else 1.0)
         coeffs.append(value)
     coeffs.reverse()
     return _built(ctx, (lo, hi), coeffs, Tail(coeffs[0], 0.0), outer)

@@ -152,22 +152,31 @@ def _built(ctx, window, coeffs: list[float], inner: Tail, outer: Tail) -> Radial
     """A function from the fields that a kernel (``hardy``, ``hardy_adjoint``,
     ``combine``, ``scale``, ``absolute``) computed from checked functions.
 
-    Only what a kernel computes is checked: the window ends against
-    ``SHELL_LIMIT``, and the coefficients, one float per shell by
-    construction, for a float overflow, which raises NumericOverflowError
-    since the inputs were finite. The tails are normalized.
+    Judged in this order: the first non-finite coefficient, with its shell,
+    then both window ends against ``SHELL_LIMIT`` (DomainError), then each
+    tail's amplitude and rate, by side. The inputs were finite, so a
+    non-finite value is a float overflow: NumericOverflowError. A zero tail
+    becomes ``ZERO_TAIL``; the kernels give float amplitudes and rates.
     """
+    if not all(map(math.isfinite, coeffs)):
+        k, c = next((k, c) for k, c in enumerate(coeffs, window[0]) if not math.isfinite(c))
+        raise NumericOverflowError(
+            f"the image coefficient on shell {k} overflows the float range: it is {c}"
+        )
     check_shell(window[0], "window[0]")
     check_shell(window[1], "window[1]")
-    if not all(map(math.isfinite, coeffs)):
-        raise NumericOverflowError("an image coefficient of finite inputs leaves the float range")
+    for side, (amplitude, rate) in (("inner", inner), ("outer", outer)):
+        if not (math.isfinite(amplitude) and math.isfinite(rate)):
+            raise NumericOverflowError(
+                f"the {side} tail (amplitude {amplitude}, rate {rate}) overflows the float range"
+            )
     f = object.__new__(RadialStepFunction)
     f.__dict__.update(
         ctx=ctx,
         window=window,
         coeffs=tuple(coeffs),
-        inner_tail=_normalize_tail(inner),
-        outer_tail=_normalize_tail(outer),
+        inner_tail=inner if inner.amplitude else ZERO_TAIL,
+        outer_tail=outer if outer.amplitude else ZERO_TAIL,
     )
     return f
 
@@ -397,11 +406,6 @@ def _running_parts(f: RadialStepFunction, gamma: int) -> Iterator[tuple[int, int
             yield num, den, inexact
 
 
-def _integral_parts(f: RadialStepFunction, gamma: int) -> tuple[int, int, float]:
-    """Integral of f over B_gamma as a (numerator, denominator, inexact) triple."""
-    return next(_running_parts(f, gamma))
-
-
 def _float_value(num: int, den: int, *inexact: float) -> float:
     """num / den plus the inexact terms, added left to right.
 
@@ -426,12 +430,12 @@ def _float_value(num: int, den: int, *inexact: float) -> float:
 def ball_integral(f: RadialStepFunction, gamma: int) -> float:
     """Integral of f over the ball B_gamma, with the inner tail summed analytically."""
     check_shell(gamma, "ball index")
-    return _float_value(*_integral_parts(f, gamma))
+    return _float_value(*next(_running_parts(f, gamma)))
 
 
 def total_integral(f: RadialStepFunction) -> float:
     """Integral of f over the whole space; both tails summed analytically."""
-    num, den, inexact = _integral_parts(f, f.window[1])
+    num, den, inexact = next(_running_parts(f, f.window[1]))
     num2, den2, inexact2 = _tail_integral(f, f.window[1] + 1, below=False)
     return _float_value(num * den2 + num2 * den, den * den2, inexact, inexact2)
 
@@ -451,7 +455,7 @@ def ball_mean(f: RadialStepFunction, gamma: int) -> float:
         0.5
     """
     check_shell(gamma, "ball index")
-    return _mean_of_parts(_integral_parts(f, gamma), gamma, f.ctx)
+    return _mean_of_parts(next(_running_parts(f, gamma)), gamma, f.ctx)
 
 
 def _mean_of_parts(parts: tuple[int, int, float], gamma: int, ctx: PadicContext) -> float:

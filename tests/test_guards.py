@@ -32,6 +32,7 @@ from ultraherz import (
     luxemburg_norm,
     mc_luxemburg,
     mc_operator_probe,
+    modular,
     morrey_herz_norm,
     random_family,
     single_shell_norm,
@@ -39,6 +40,7 @@ from ultraherz import (
 )
 from ultraherz import norms
 from ultraherz.cli import _parse_sizes
+from ultraherz.padic import SHELL_LIMIT
 from ultraherz.radial import sobolev_shift
 
 C2, C3 = PadicContext(2), PadicContext(3)
@@ -74,6 +76,11 @@ CANCELLING = RadialStepFunction(C2, (0, 1), (1e308, -1e308))
 SYMBOL_1E300 = RadialStepFunction(C2, (0, 1), (1e300, -1e300))
 F_1E300 = RadialStepFunction(C2, (0, 1), (1e300, 1e300))
 ONES = RadialStepFunction(C2, (0, 3), (1.0,) * 4)
+# finite tails whose sum, product or multiple leaves the float range
+BIG_INNER = RadialStepFunction(C2, (0, 0), (1.0,), inner_tail=Tail(1e308, 0.0))
+STEEP_INNER = RadialStepFunction(C2, (0, 0), (1.0,), inner_tail=Tail(1.0, 1e308))
+# chi(S_0) with zero shells up to S_600, where p**(2 * 600) saturates
+FAR_ZEROS = RadialStepFunction(C2, (0, 600), (1.0,) + (0.0,) * 600)
 
 GUARDS = {
     "p=1 is not prime": (lambda: PadicContext(1), DomainError),
@@ -168,6 +175,23 @@ GUARDS = {
         NumericOverflowError,
     ),
     "scale by inf": (lambda: F2.scale(math.inf), DomainError),
+    # a computed tail past the float range is the kernel's overflow too
+    "combine sum of tails past the float range": (
+        lambda: combine(BIG_INNER, BIG_INNER, "add"),
+        NumericOverflowError,
+    ),
+    "combine product of tails past the float range": (
+        lambda: combine(BIG_INNER, BIG_INNER, "multiply"),
+        NumericOverflowError,
+    ),
+    "scale of a tail past the float range": (
+        lambda: BIG_INNER.scale(10.0),
+        NumericOverflowError,
+    ),
+    "combine product of tail rates past the float range": (
+        lambda: combine(STEEP_INNER, STEEP_INNER, "multiply"),
+        NumericOverflowError,
+    ),
     "hardy order nan": (lambda: hardy(F2, math.nan), DomainError),
     "hardy order inf": (lambda: hardy(F2, math.inf), DomainError),
     "hardy order -inf": (lambda: hardy(F2, -math.inf), DomainError),
@@ -228,6 +252,69 @@ def test_the_adjoint_refuses_a_non_finite_order_as_an_order(alpha):
     """As OperatorSpec does, not as the non-finite coefficients it would give."""
     with pytest.raises(DomainError, match="operator order must be finite"):
         hardy_adjoint(F2, alpha)
+
+
+def test_a_computed_function_names_the_coefficient_or_tail_that_overflows():
+    """The first non-finite coefficient, with its shell, before the tails;
+    a tail by its side."""
+    far = RadialStepFunction(C2, (-1100, -1100), (1.0,))
+    with pytest.raises(NumericOverflowError, match="on shell -1100 overflows .*: it is inf"):
+        hardy(far, -1.0)
+    both = RadialStepFunction(C2, (0, 0), (1e308,), inner_tail=Tail(1e308, 0.0))
+    with pytest.raises(NumericOverflowError, match="on shell 0 overflows"):
+        combine(both, both, "add")
+    with pytest.raises(NumericOverflowError, match="inner tail .*rate inf"):
+        combine(STEEP_INNER, STEEP_INNER, "multiply")
+
+
+def test_a_hardy_image_past_the_shell_limit_is_refused_before_its_underflow():
+    """H chi(S_-10000) has its window end on S_-10001, past the shell limit,
+    and its outer amplitude 2**-10001 rounds to 0.0: the window is judged
+    first, with every other verdict on the built image."""
+    f = RadialStepFunction.indicator_sphere(C2, -SHELL_LIMIT)
+    with pytest.raises(DomainError, match=f"window\\[0\\] {-SHELL_LIMIT - 1} lies beyond"):
+        hardy(f, 0.0)
+
+
+def test_hardy_at_an_int_order_gives_a_float_rate():
+    """An int order makes alpha - n an int; the built tail holds it as a float."""
+    assert repr(hardy(F2, 0).outer_tail) == "Tail(amplitude=0.5, rate=-1.0)"
+
+
+def test_a_zero_shell_adds_nothing_to_a_herz_sum_under_a_saturated_weight():
+    """p**(2 * l) is inf on the zero shells near S_600; the norm is that of
+    chi(S_0) alone, |S_0|**(1/2)."""
+    assert herz_norm(FAR_ZEROS, U2, HerzParams(2.0, 1.0)).value == 0.7071067811865476
+    params = MorreyHerzParams(2.0, 1.0, 3.0)
+    assert morrey_herz_norm(FAR_ZEROS, U2, params).value == 0.7071067811865476
+
+
+def test_a_zero_partial_sum_takes_no_morrey_prefactor():
+    """On the zero shells from S_-1100 the Morrey-Herz prefactor
+    p**(-k0 * lam * m) is past the float range, but the partial sum it
+    would weigh is 0."""
+    f = RadialStepFunction(C2, (-1100, 0), (0.0,) * 1100 + (1.0,))
+    assert morrey_herz_norm(f, U2, MorreyHerzParams(0.0, 1.0, 1.0)).value == 0.7071067811865476
+
+
+def test_a_zero_shell_adds_nothing_to_the_adjoint_under_a_saturated_weight():
+    """p**(j * 2) is inf on the zero shells near S_600: the image is
+    |S_0| = 0.5 below S_0 and 0.0 from S_0 up."""
+    image = hardy_adjoint(FAR_ZEROS, 2.0)
+    assert image.window == (-1, 601)
+    assert image.coeffs == (0.5,) + (0.0,) * 602
+    assert all(repr(c) == "0.0" for c in image.coeffs[1:])
+    assert (image.inner_tail, image.outer_tail) == (Tail(0.5, 0.0), Tail(0.0, 0.0))
+
+
+def test_a_lost_modular_weight_under_a_saturated_measure_weighs_nothing():
+    """1e-300 ** 5 rounds to 0.0 on S_1030, whose measure is inf: that
+    shell's weight is 0.0 (and its log weight is lost), so the modular is
+    |S_0| = 0.5 and the norm 0.5 ** (1/5)."""
+    f = RadialStepFunction(C2, (0, 1030), (1.0,) + (0.0,) * 1029 + (1e-300,))
+    u5 = ExponentFunction.constant(C2, 5.0)
+    assert modular(f, u5).value == 0.5
+    assert luxemburg_norm(f, u5).value == 0.8705505632961241
 
 
 def test_a_steep_exponent_piece_gives_the_ball_indicator_norm():

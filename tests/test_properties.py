@@ -721,7 +721,10 @@ def _herz_terms_by_shell(f, u, beta, m, top):
     terms = []
     for shell in range(min(f.window[0], u.window[0]), top + 1):
         c, e = f.evaluate(shell), u.evaluate(shell)
-        norm = abs(c) * math.pow(mass, 1.0 / e) * ppow(p, n * shell / e) if c else 0.0
+        if not c:
+            terms.append(0.0)  # whatever p**(l*beta) is
+            continue
+        norm = abs(c) * math.pow(mass, 1.0 / e) * ppow(p, n * shell / e)
         t = ppow(p, shell * beta) * norm
         terms.append(t**m if t != 0.0 else 0.0)
     return terms
@@ -753,3 +756,70 @@ def test_herz_terms_match_a_shell_by_shell_loop(data, beta, m):
     assert outcome(lambda: _herz_terms(f, u, beta, m, top, False)[0]) == outcome(
         lambda: _herz_terms_by_shell(f, u, beta, m, top)
     )
+
+
+#: Far shells: at the named ones p**(3 l), p**(3 j) and the Morrey-Herz
+#: prefactor p**(-k0 * lam * m) pass the float range for small p.
+PAD = st.integers(1, 8) | st.sampled_from([600, 1100])
+
+
+@settings(max_examples=120)
+@given(
+    data=st.data(),
+    beta=st.floats(-1.0, 1.0) | st.sampled_from([-3.0, 3.0]),
+    alpha=st.sampled_from([0.0, 0.5, 3.0]) | st.floats(0.0, 2.0),
+    m=st.sampled_from([0.5, 1.0, 2.0]),
+    lam=st.floats(0.2, 1.5),
+    above=PAD,
+    below=PAD,
+)
+def test_zero_shells_change_nothing(data, beta, alpha, m, lam, above, below):
+    """Padding f with zero shells out to a far shell, above its window and,
+    when its inner tail vanishes, below it, leaves its Herz and Morrey-Herz
+    values and its Hardy and adjoint images on the original shells as they
+    were, bit for bit, or the error each raises. The named edges beta = +-3
+    and alpha = 3 saturate the weights of the far zero shells. The one
+    refusal padding may add is a Hardy image whose own outer tail leaves the
+    float range on the padded top shell, now a coefficient."""
+    ctx = data.draw(contexts())
+    f = data.draw(step_functions(ctx, outer=False))
+    u = data.draw(EXPONENT.map(lambda v: ExponentFunction.constant(ctx, v)) | exponents(ctx))
+    j_min, j_max = f.window
+
+    def padded(g):
+        low = 0 if g.inner_tail.amplitude else below
+        coeffs = (0.0,) * low + g.coeffs + (0.0,) * above
+        return RadialStepFunction(ctx, (j_min - low, j_max + above), coeffs, g.inner_tail)
+
+    def outcome(call):
+        try:
+            return repr(call())
+        except UltraherzError as exc:
+            return type(exc).__name__
+
+    for norm, params in (
+        (herz_norm, HerzParams(beta, m)),
+        (morrey_herz_norm, MorreyHerzParams(beta, m, lam)),
+    ):
+        def value(g):
+            result = norm(g, u, params)
+            return result.value, result.convergent
+
+        assert outcome(lambda: value(padded(f))) == outcome(lambda: value(f))
+
+    no_inner = RadialStepFunction(ctx, f.window, f.coeffs)
+    for operator, g in ((hardy, f), (hardy_adjoint, no_inner)):
+        try:
+            image = operator(g, alpha)
+        except UltraherzError as exc:
+            with pytest.raises(type(exc)):
+                operator(padded(g), alpha)
+            continue
+        try:
+            grown = operator(padded(g), alpha)
+        except NumericOverflowError:
+            assert operator is hardy
+            assert not math.isfinite(image.evaluate(j_max + above + 1))
+            continue
+        shells = range(image.window[0], image.window[1] + 1)
+        assert [repr(grown.evaluate(k)) for k in shells] == [repr(c) for c in image.coeffs]
