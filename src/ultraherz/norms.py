@@ -16,6 +16,12 @@ with analytic tails; the Morrey-Herz supremum over the cutoff index is
 found in closed form. The central mean-oscillation norm runs a certified
 scan over ball radii.
 
+Window shells are read as rows, one list per quantity from the first shell
+of the union window on: f's values (``evaluate_range``), u's exponents
+(the exponent's ``evaluate_range``) and the measures p**(n k)
+(``padic.ppow_range``, one running integer power). A modular reads each row
+once; the CMO scan builds its rows once and every radius reads a prefix.
+
 Divergence is reported through ``NormResult.convergent`` rather than
 exceptions: an infinite norm is a meaningful answer here, not a bug. A
 finite norm whose terms leave the float range raises NumericOverflowError,
@@ -27,10 +33,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import count
+from fractions import Fraction
+from itertools import count, islice
 
 from .errors import DomainError, NumericOverflowError, NumericUnderflowError
-from .padic import PadicContext, check_shell, ppow
+from .padic import PadicContext, check_shell, ppow, ppow_range
 from .radial import (
     ExponentFunction,
     RadialStepFunction,
@@ -39,7 +46,6 @@ from .radial import (
     _geometric_tail,
     _mean_of_parts,
     _running_parts,
-    _shell_values,
     _unit_mass,
 )
 
@@ -59,6 +65,10 @@ _LOG_MAX = math.log(sys.float_info.max)
 #: the (w, e) terms, and lost holds (log w, e) for each weight that fell
 #: below the normal float range before it could be formed.
 _Modular = tuple[list[tuple[float, float]], list[tuple[float, float]]]
+
+#: Shell rows from the first shell of a union window on: f's values, u's
+#: exponents and the measures p**(n k), each a list with one entry per shell.
+_Rows = tuple[list[float], list[float], list[float]]
 
 
 @dataclass(frozen=True)
@@ -130,11 +140,19 @@ def _union_window(
 # Modular and Luxemburg norm
 
 
+def _shell_rows(f: RadialStepFunction, u: ExponentFunction, lo: int, hi: int) -> _Rows:
+    """The rows of f and u on shells lo..hi; lo is the first shell of their
+    union window."""
+    p, n = f.ctx.p, f.ctx.n
+    return f.evaluate_range(lo, hi), u.evaluate_range(lo, hi), ppow_range(p, n, lo, hi)
+
+
 def _modular_terms(
     f: RadialStepFunction,
     u: ExponentFunction,
     shift: float = 0.0,
     top: int | None = None,
+    rows: _Rows | None = None,
 ) -> _Modular | None:
     """The modular of (f - shift) restricted to B_top, as (terms, lost).
 
@@ -149,19 +167,24 @@ def _modular_terms(
     solver can tell an underflow from the zero function. A power that
     overflows raises NumericOverflowError; a product that does is left inf.
     ``lost`` holds (log w, e) for each window shell whose weight fell below
-    the normal float range, for the solver to weigh.
+    the normal float range, for the solver to weigh. The window shells are
+    read from ``rows`` (see :func:`_shell_rows`), which must reach the last
+    of them; None builds them.
     """
     ctx = f.ctx
     p, n = ctx.p, ctx.n
     mass = _unit_mass(ctx)
     w_lo, w_hi = _union_window(f, u)
+    hi = w_hi if top is None else top
+    if rows is None:
+        rows = _shell_rows(f, u, w_lo, hi)
     terms: list[tuple[float, float]] = []
     lost: list[tuple[float, float]] = []
     try:
-        for k in range(w_lo, (w_hi if top is None else top) + 1):
-            v = abs(f.evaluate(k) - shift)
+        # zip stops at the range: the rows may reach further
+        for k, v, e, measure in zip(range(w_lo, hi + 1), *rows):
+            v = abs(v - shift)
             if v != 0.0:
-                e = u.evaluate(k)
                 power = v**e
                 if power < _MIN_NORMAL:
                     # a subnormal power has lost bits that the measure scales
@@ -172,7 +195,7 @@ def _modular_terms(
                         continue
                     lost.append((log_weight, e))
                 # a power that rounded to 0.0 weighs 0.0, even where |S_k| is inf
-                terms.append((power * mass * ppow(p, n * k) if power else 0.0, e))
+                terms.append((power * mass * measure if power else 0.0, e))
 
         amplitude, rate = f.inner_tail
         upto = w_lo - 1 if top is None else min(top, w_lo - 1)
@@ -258,7 +281,9 @@ def _solve_luxemburg(modular: _Modular, rel_tol: float) -> tuple[float, float]:
     Returns (root estimate, bracket half-width); no terms is the zero
     function, (0.0, 0.0). The weights are summed per distinct exponent
     first. One exponent has the closed form lam = W**(1/e): W itself at
-    e = 1, else polished by one correction step in lam. Otherwise phi(t) =
+    e = 1 and ``math.sqrt(W)`` at e = 2, both correctly rounded; else
+    polished by one correction step in lam, and at an integer e rounded
+    correctly by :func:`_nearest_root`. Otherwise phi(t) =
     log sum W_e * exp(-e*t) is convex and decreasing in t = log lam, so a
     Newton step from the lower end never passes the root, and the root lies
     at most phi / min(e) above it. The bracket comes straight from the
@@ -279,9 +304,27 @@ def _solve_luxemburg(modular: _Modular, rel_tol: float) -> tuple[float, float]:
     weights: dict[float, float] = {}
     for w, e in terms:
         weights[e] = weights.get(e, 0.0) + w
-    if not all(w < math.inf for w in weights.values()):
-        raise _norm_overflow()
-    groups = [(w, e, -0.5 * e) for e, w in weights.items() if w > 0.0]
+    # one pass over the groups: the overflow check, the groups and their
+    # logarithms, the weights below the normal range, t_lo and e_min
+    groups = []
+    logs = []
+    lost = [*lost]
+    t_lo = -math.inf
+    e_min = math.inf
+    for e, w in weights.items():
+        if not w < math.inf:
+            raise _norm_overflow()
+        if w > 0.0:
+            groups.append((w, e, -0.5 * e))
+            log_w = math.log(w)
+            logs.append((log_w, e))
+            if w < _MIN_NORMAL:
+                lost.append((log_w, e))
+            # finite weights and exponents >= 1 keep t_lo within log(float max)
+            if log_w / e > t_lo:
+                t_lo = log_w / e
+            if e < e_min:
+                e_min = e
     if not groups:
         raise _norm_underflow()
 
@@ -301,8 +344,6 @@ def _solve_luxemburg(modular: _Modular, rel_tol: float) -> tuple[float, float]:
             slope += e * x
         return total, slope
 
-    lost = [*lost, *((math.log(w), e) for w, e, _ in groups if w < _MIN_NORMAL)]
-
     def refuse_lost_weights(root: float) -> None:
         """Raise when a weight below the normal range carries more than
         rel_tol of the modular at the root; in logs, as its power may overflow."""
@@ -316,19 +357,22 @@ def _solve_luxemburg(modular: _Modular, rel_tol: float) -> tuple[float, float]:
             raise _weight_underflow()
         # the root is w at e = 1, else inside the normal range by a factor
         # exp(708 * (e - 1) / e) >= 1 + 1.5e-13, far past the step's few ulps
-        lam = w
-        if e != 1.0:
+        if e == 1.0:
+            lam = w
+        elif e == 2.0:
+            lam = math.sqrt(w)
+        else:
             lam = math.pow(w, 1.0 / e)
             lam *= math.exp(math.log(modular_at(lam)[0]) / e)
+            if e.is_integer():
+                lam = _nearest_root(w, int(e), lam)
         if lost:
             refuse_lost_weights(lam)
         return lam, 0.0
 
     log_n = math.log(len(groups))
-    # finite weights and exponents >= 1 keep t_lo within log(float max)
-    t_lo = max(math.log(w) / e for w, e, _ in groups)
     # the margin keeps this unchecked end from ever being returned
-    t_hi = max((math.log(w) + log_n) / e for w, e, _ in groups) + 2e-3
+    t_hi = max((log_w + log_n) / e for log_w, e in logs) + 2e-3
     if t_hi < _LOG_MIN_NORMAL:
         raise _norm_underflow()
     lo = math.exp(t_lo) if t_lo > _LOG_MIN_NORMAL else _MIN_NORMAL
@@ -350,7 +394,6 @@ def _solve_luxemburg(modular: _Modular, rel_tol: float) -> tuple[float, float]:
         shrink *= 2.0
         rho_lo, slope_lo = modular_at(lo)
 
-    e_min = min(e for _, e, _ in groups)
     for _ in range(200):
         if hi - lo <= rel_tol * hi:
             break
@@ -372,6 +415,22 @@ def _solve_luxemburg(modular: _Modular, rel_tol: float) -> tuple[float, float]:
     if lost:
         refuse_lost_weights(root)
     return root, half
+
+
+def _nearest_root(w: float, e: int, lam: float) -> float:
+    """Of lam and its two neighbouring floats, the one nearest the exact
+    root w**(1/e), for positive normal floats: lam moves one float down
+    when w lies below the e-th power of the midpoint under lam, one up when
+    it lies above the one over lam, both compared exactly in Fraction. No
+    float w is the e-th power of a midpoint (its odd part has over 53
+    bits), so there is no tie."""
+    below, above = math.nextafter(lam, 0.0), math.nextafter(lam, math.inf)
+    exact = Fraction(w)
+    if exact < ((Fraction(below) + Fraction(lam)) / 2) ** e:
+        return below
+    if exact > ((Fraction(lam) + Fraction(above)) / 2) ** e:
+        return above
+    return lam
 
 
 def luxemburg_norm(
@@ -407,20 +466,24 @@ def single_shell_norm(coefficient: float, shell: int, u: ExponentFunction) -> fl
     return herz_norm(f, u, HerzParams(0.0, 1.0)).value
 
 
-def _indicator_pieces(u: ExponentFunction, gamma: int) -> _Modular:
+def _indicator_pieces(
+    u: ExponentFunction, gamma: int, measures: list[float], lo: int
+) -> _Modular:
     """The modular of chi(B_gamma) as (measure, exponent) terms, one per
     exponent piece: the inner ball, each window shell of B_gamma and the
-    rest of B_gamma beyond the window. No weight is lost."""
+    rest of B_gamma beyond the window. No weight is lost. ``measures[k -
+    lo]`` is p**(n k) for each window shell k of u up to gamma."""
     ctx = u.ctx
     p, n = ctx.p, ctx.n
     j_min, j_max = u.window
     mass = _unit_mass(ctx)
+    top = min(gamma, j_max)
 
     pieces = [(ppow(p, n * min(gamma, j_min - 1)), u.u_inner)]
-    for k in range(j_min, min(gamma, j_max) + 1):
-        pieces.append((mass * ppow(p, n * k), u.evaluate(k)))
+    shells = islice(measures, j_min - lo, max(top + 1, j_min) - lo)  # j_min..top
+    pieces += [(mass * measure, e) for measure, e in zip(shells, u.values)]
     if gamma > j_max:
-        pieces.append((ppow(p, n * gamma) - ppow(p, n * j_max), u.u_infinity))
+        pieces.append((ppow(p, n * gamma) - measures[j_max - lo], u.u_infinity))
     return pieces, []
 
 
@@ -435,7 +498,9 @@ def ball_indicator_norm(
     """
     check_shell(gamma, "ball index")
     _check_rel_tol(rel_tol)
-    value, half = _solve_luxemburg(_indicator_pieces(u, gamma), rel_tol)
+    j_min, j_max = u.window
+    measures = ppow_range(u.ctx.p, u.ctx.n, j_min, min(gamma, j_max))
+    value, half = _solve_luxemburg(_indicator_pieces(u, gamma, measures, j_min), rel_tol)
     return NormResult(value, True, half, (min(gamma, u.window[0] - 1), gamma))
 
 
@@ -474,12 +539,10 @@ def _herz_terms(
     mass = _unit_mass(f.ctx)
     w_lo = _union_window(f, u)[0]
     s_in, s_out = _herz_slopes(f, u, beta)
-    # single_shell_norm of each value, read by slices: w_lo <= u.window[0]
-    j_min, j_max = u.window
-    exponents = [u.u_inner] * (j_min - w_lo) + [*u.values] + [u.u_infinity] * (top - j_max)
+    exponents = u.evaluate_range(w_lo, top)
     roots = {e: math.pow(mass, 1.0 / e) for e in set(exponents)}
     terms = []
-    for shell, c, e in zip(count(w_lo), _shell_values(f, w_lo, top), exponents):
+    for shell, c, e in zip(count(w_lo), f.evaluate_range(w_lo, top), exponents):
         if not c:
             terms.append(0.0)  # read before p**(l * beta), which may be inf
             continue
@@ -796,9 +859,11 @@ def _cmo_candidate(
     gamma: int,
     best: float,
     rel_tol: float,
+    rows: _Rows,
 ) -> float:
     """The CMO ratio N / D at B_gamma, N = ||(b - shift) chi_{B_gamma}|| and
-    D = ||chi_{B_gamma}||, or 0.0 where it cannot exceed ``best``.
+    D = ||chi_{B_gamma}||, or 0.0 where it cannot exceed ``best``. Both
+    modulars read ``rows``, which reach shell gamma.
 
     Each solve returns its bracket's midpoint, within rel_tol / 2 of the
     root, so the solved N / D lies within about rel_tol of N / D, well
@@ -818,8 +883,8 @@ def _cmo_candidate(
     the full computation still reaches the caller.
     """
     # cmo_norm has returned for a decaying inner tail, so no tail diverges
-    shifted = _modular_terms(b, u, shift, gamma)
-    indicator = _indicator_pieces(u, gamma)
+    shifted = _modular_terms(b, u, shift, gamma, rows)
+    indicator = _indicator_pieces(u, gamma, rows[2], _union_window(b, u)[0])
     (terms, lost), (pieces, _) = shifted, indicator
     denominator = None
     if best > 0.0 and not lost and _solves_quietly(terms) and _solves_quietly(pieces):
@@ -845,6 +910,7 @@ def _cmo_envelope_terms(
     ref: int,
     ref_integral: float,
     rel_tol: float,
+    rows: _Rows,
 ) -> list[tuple[float, float, bool]]:
     """Closed-form bounds on the CMO candidates above the scan window.
 
@@ -852,7 +918,8 @@ def _cmo_envelope_terms(
     ||(b - L) chi_{B_gamma}|| / ||chi_{B_gamma}|| + |mean_gamma - L|, where L
     is the value of b at infinity. Each piece of that bound is a term
     (coef, rho, linear) worth coef * rho**(gamma - ref), times gamma - ref
-    if linear. ``ref_integral`` is the integral of b over B_ref.
+    if linear. ``ref_integral`` is the integral of b over B_ref, and
+    ``rows`` reach shell ref.
     """
     ctx = b.ctx
     p, n = ctx.p, ctx.n
@@ -863,13 +930,13 @@ def _cmo_envelope_terms(
     amplitude, rate = b.outer_tail
     limit = amplitude if (amplitude != 0.0 and rate == 0.0) else 0.0
 
-    near_norm = _solve_luxemburg(_modular_terms(b, u, limit, ref), rel_tol)[0]
-    near_integral = abs(ref_integral - limit * ppow(p, n * ref))
+    mass_at_ref = ppow(p, n * ref)
+    near_norm = _solve_luxemburg(_modular_terms(b, u, limit, ref, rows), rel_tol)[0]
+    near_integral = abs(ref_integral - limit * mass_at_ref)
 
     rho_chi = ppow(p, -n / u_inf)
     rho_mass = ppow(p, -n)
     chi_at_ref = chi_unit * ppow(p, ref * n / u_inf)
-    mass_at_ref = ppow(p, n * ref)
     terms = [
         (near_norm / chi_at_ref, rho_chi, False),
         (near_integral / mass_at_ref, rho_mass, False),
@@ -911,6 +978,9 @@ def cmo_norm(
     (zero for constant-limit tails, divergent for growing ones); above it
     they are dominated by monotone geometric envelopes, built once at the
     first radius past the window and checked before each later candidate.
+    The shell rows of b and u (see :func:`_shell_rows`) are built once, up
+    to that first radius, and grow by one shell per later radius; every
+    candidate and the envelope read a prefix of them.
     Past ``padic.SHELL_LIMIT`` the scan raises DomainError, and a ratio
     past the float range or an envelope that overflows or cannot decay in
     floats raises a float-range error.
@@ -968,6 +1038,8 @@ def cmo_norm(
     best = tail_bound = 0.0
     start = _last_constant_radius(b, scan_lo) + 1
     integrals = _running_parts(b, start)
+    rows = _shell_rows(b, u, w_lo, ref)
+    values, exponents, measures = rows
     for gamma in count(start):
         if gamma > ref:
             bound = envelope(gamma)
@@ -975,14 +1047,17 @@ def cmo_norm(
                 tail_bound = bound if bound > best else 0.0
                 break
             check_shell(gamma, "CMO scan radius")
+            values.append(b.evaluate(gamma))
+            exponents.append(u.u_infinity)
+            measures.append(ppow(b.ctx.p, n * gamma))
         parts = next(integrals)
         shift = _mean_of_parts(parts, gamma, b.ctx)
-        candidate = _cmo_candidate(b, u, shift, gamma, best, rel_tol)
+        candidate = _cmo_candidate(b, u, shift, gamma, best, rel_tol, rows)
         if not math.isfinite(candidate):
             raise NumericOverflowError(f"the CMO ratio at radius {gamma} overflows")
         best = max(best, candidate)
         if gamma == ref:
-            terms = _cmo_envelope_terms(b, u, ref, _float_value(*parts), rel_tol)
+            terms = _cmo_envelope_terms(b, u, ref, _float_value(*parts), rel_tol, rows)
             gamma_mono = max(
                 ref + math.ceil(1.0 / math.log(1.0 / rho)) + 1 if linear and coef != 0.0 else ref
                 for coef, rho, linear in terms

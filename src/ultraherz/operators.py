@@ -37,7 +37,6 @@ from .radial import (
     _float_value,
     _geometric_tail,
     _running_parts,
-    _shell_values,
     _unit_mass,
     combine,
 )
@@ -226,7 +225,7 @@ def hardy_adjoint(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
         value = outer_amp * ppow(p, hi * s)
 
     coeffs = [value]  # from shell hi down: shell k adds the mass of S_(k+1)
-    for j, c in zip(range(hi, lo, -1), reversed(_shell_values(f, lo + 1, hi))):
+    for j, c in zip(range(hi, lo, -1), reversed(f.evaluate_range(lo + 1, hi))):
         # a zero shell adds its signed zero, even where p**(j*alpha) is inf
         value = value + mass * c * (ppow(p, j * alpha) if c else 1.0)
         coeffs.append(value)

@@ -40,12 +40,15 @@ import random
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from .errors import DomainError, NumericOverflowError, NumericUnderflowError
 from .operators import OperatorSpec
-from .padic import PadicContext, check_shell, ppow, sample_shells
-from .radial import ExponentFunction, RadialStepFunction, combine
+from .padic import PadicContext, check_shell, ppow, ppow_range, sample_shells
+from .radial import (
+    ExponentFunction,
+    RadialStepFunction,
+    combine,
+)
 
 _SEED_STRIDE = 1_000_003
 
@@ -112,16 +115,16 @@ def _scaled(coef: float, p: int, exponent: float, what: str) -> float:
     return value
 
 
-def _sphere_measures(ctx: PadicContext, shells: Sequence[int]) -> list[float]:
-    """|S_j| = (1 - p**-n) * p**(n*j) for the increasing shells j, each with
-    the bits of :func:`_scaled`. The measures rise with j, so only the first
-    and the last need its range check; either raises its typed error."""
+def _sphere_measures(ctx: PadicContext, shells: range) -> list[float]:
+    """|S_j| = (1 - p**-n) * p**(n*j) for the shells j of a step-1 range,
+    each with the bits of :func:`_scaled`. The measures rise with j, so only
+    the first and the last need its range check; either raises its typed
+    error."""
     p, n = ctx.p, ctx.n
     mass = float(1 - (1 / p) ** n)
-    if shells:
-        _scaled(mass, p, n * shells[0], f"|S_{shells[0]}|")
-        _scaled(mass, p, n * shells[-1], f"|S_{shells[-1]}|")
-    return [mass * ppow(p, n * j) for j in shells]
+    for j in (*shells[:1], *shells[-1:]):
+        _scaled(mass, p, n * j, f"|S_{j}|")
+    return [mass * power for power in ppow_range(p, n, shells.start, shells.stop - 1)]
 
 
 def _allocate(total: int, weights: list[float]) -> list[int]:
@@ -173,7 +176,7 @@ def _stratify(
     measures += _sphere_measures(f.ctx, spheres)
     counts = _allocate(config.samples, measures)
     table, sampled = _sample_ball(f, top, counts[0], config)
-    levels = [f.evaluate(j) for j in spheres]
+    levels = f.evaluate_range(spheres.start, spheres.stop - 1)
     return measures, table, sampled, levels, sum(counts)
 
 
@@ -421,9 +424,9 @@ def mc_luxemburg(
 
     # the ball's draws, one stratum per distinct magnitude, then the spheres
     strata = [(ball * c / draws, u_ball, a) for a, c in multiplicity.items()]
+    exponents = u.evaluate_range(lo, hi)
     strata += [
-        (measure, u.evaluate(j), abs(level))
-        for measure, j, level in zip(measures[1:], spheres, levels)
+        (measure, e, abs(level)) for measure, e, level in zip(measures[1:], exponents, levels)
     ]
     root, half, slope = _bisect_luxemburg(strata, rel_tol)
     # each term carries the ball's measure, so its spread keeps the scale
@@ -478,7 +481,8 @@ def mc_operator_probe(
         shells = [j for j, level in levels.items() if level != 0.0]
         if not shells:
             return MCEstimate(0.0, bias, 0)
-        weights = _sphere_measures(ctx, shells)
+        span = _sphere_measures(ctx, range(shells[0], shells[-1] + 1))
+        weights = [span[j - shells[0]] for j in shells]
         value = 0.0
         for j, weight in zip(shells, weights):
             factor = _scaled(1.0, p, j * (alpha - n), f"the scale of shell {j}")

@@ -68,6 +68,44 @@ def ppow(p: int, exponent: float) -> float:
         return math.inf
 
 
+#: The least integer whose float conversion overflows: 2**1024 less half an
+#: ulp of the largest float, a tie that rounds to even, up to 2**1024.
+_FLOAT_CEILING = 2**1024 - 2**970
+
+
+def ppow_range(p: int, n: int, lo: int, hi: int) -> list[float]:
+    """``[ppow(p, n * k) for k in range(lo, hi + 1)]``, bit for bit.
+
+    Each side of k = 0 is one running integer power of p**n, converted as
+    ppow converts it: 1 / p**(-n k) below 0, float(p**(n k)) from 0 on. As
+    in ppow, n k <= -1100 reads 0.0, and n k >= 1100 or a power past the
+    float range reads inf.
+
+    Example:
+        >>> ppow_range(2, 1, -2, 2)
+        [0.25, 0.5, 1.0, 2.0, 4.0]
+    """
+    q = p**n
+    reach = -(-1100 // n)  # the least k > 0 with n k >= 1100
+    first = max(lo, 1 - reach)
+    row = [0.0] * (min(hi + 1, first) - lo)
+    if first < 0:
+        denominator = q**-first
+        for _ in range(min(hi, -1) - first + 1):
+            row.append(1 / denominator)
+            denominator //= q
+    first = max(lo, 0)
+    if first <= hi:
+        power = q**first
+        for _ in range(min(hi, reach - 1) - first + 1):
+            if power >= _FLOAT_CEILING:
+                break
+            row.append(float(power))
+            power *= q
+    row += [math.inf] * (hi - lo + 1 - len(row))
+    return row
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False

@@ -132,6 +132,29 @@ class RadialStepFunction:
             return amplitude
         return amplitude * ppow(self.ctx.p, k * rate)
 
+    def evaluate_range(self, lo: int, hi: int) -> list[float]:
+        """``[self.evaluate(k) for k in range(lo, hi + 1)]`` by slices, each
+        value formed as evaluate forms it.
+
+        Examples:
+            >>> ctx = PadicContext(2, 1)
+            >>> RadialStepFunction.indicator_ball(ctx, 0).evaluate_range(-1, 1)
+            [1.0, 1.0, 0.0]
+        """
+        p = self.ctx.p
+        j_min, j_max = self.window
+        values = [*self.coeffs[max(lo - j_min, 0) : max(hi - j_min + 1, 0)]]
+        # a zero amplitude has rate 0.0, and a * p**(k * 0.0) is a * 1.0, which is a
+        if lo < j_min:
+            a, e = self.inner_tail
+            below = range(lo, min(hi + 1, j_min))
+            values[:0] = [a * ppow(p, k * e) for k in below] if e else [a] * len(below)
+        if hi > j_max:
+            a, e = self.outer_tail
+            above = range(max(lo, j_max + 1), hi + 1)
+            values += [a * ppow(p, k * e) for k in above] if e else [a] * len(above)
+        return values
+
     def scale(self, c: float) -> "RadialStepFunction":
         """Pointwise scalar multiple c * f, for a finite c."""
         c = float(c)
@@ -230,30 +253,12 @@ def combine(
     outer = _combined_tail(f.outer_tail, g.outer_tail, op, "outer")
     j_min = min(f.window[0], g.window[0])
     j_max = max(f.window[1], g.window[1])
-    pairs = zip(_shell_values(f, j_min, j_max), _shell_values(g, j_min, j_max))
+    pairs = zip(f.evaluate_range(j_min, j_max), g.evaluate_range(j_min, j_max))
     if op == "add":
         coeffs = [x + y for x, y in pairs]
     else:
         coeffs = [x * y for x, y in pairs]
     return _built(f.ctx, (j_min, j_max), coeffs, inner, outer)
-
-
-def _shell_values(f: RadialStepFunction, lo: int, hi: int) -> list[float]:
-    """``[f.evaluate(k) for k in range(lo, hi + 1)]`` by slices, each value
-    formed as evaluate forms it."""
-    p = f.ctx.p
-    j_min, j_max = f.window
-    values = [*f.coeffs[max(lo - j_min, 0) : max(hi - j_min + 1, 0)]]
-    # a zero amplitude has rate 0.0, and a * p**(k * 0.0) is a * 1.0, which is a
-    if lo < j_min:
-        a, e = f.inner_tail
-        below = range(lo, min(hi + 1, j_min))
-        values[:0] = [a * ppow(p, k * e) for k in below] if e else [a] * len(below)
-    if hi > j_max:
-        a, e = f.outer_tail
-        above = range(max(lo, j_max + 1), hi + 1)
-        values += [a * ppow(p, k * e) for k in above] if e else [a] * len(above)
-    return values
 
 
 def _unit_mass(ctx: PadicContext) -> float:
@@ -530,6 +535,15 @@ class ExponentFunction:
         if k > j_max:
             return self.u_infinity
         return self.values[k - j_min]
+
+    def evaluate_range(self, lo: int, hi: int) -> list[float]:
+        """``[self.evaluate(k) for k in range(lo, hi + 1)]`` by slices."""
+        j_min, j_max = self.window
+        return [
+            *[self.u_inner] * (min(hi + 1, j_min) - lo),
+            *self.values[max(lo - j_min, 0) : max(hi - j_min + 1, 0)],
+            *[self.u_infinity] * (hi - max(lo, j_max + 1) + 1),
+        ]
 
     @property
     def u_minus(self) -> float:

@@ -619,10 +619,10 @@ def test_cmo_scan_of_a_sphere_indicator_is_linear_in_its_shell(monkeypatch):
     build = norms._modular_terms
     shells = []
 
-    def counting(f, u, shift=0.0, top=None):
+    def counting(f, u, shift=0.0, top=None, rows=None):
         w_lo, w_hi = norms._union_window(f, u)
         shells.append(max(0, (w_hi if top is None else top) - w_lo + 1))
-        return build(f, u, shift, top)
+        return build(f, u, shift, top, rows)
 
     monkeypatch.setattr(norms, "_modular_terms", counting)
     visited = {}

@@ -51,12 +51,11 @@ from ultraherz.norms import (
     _modular_terms,
     _solve_luxemburg,
 )
-from ultraherz.padic import SHELL_LIMIT
+from ultraherz.padic import SHELL_LIMIT, ppow_range
 from ultraherz.radial import (
     _float_value,
     _geometric_tail,
     _running_parts,
-    _shell_values,
 )
 
 MIN_NORMAL = sys.float_info.min
@@ -208,25 +207,56 @@ TAILS = st.builds(
 @settings(max_examples=300)
 @given(data=st.data())
 def test_shell_values_read_each_shell_as_evaluate_does(data):
-    """``_shell_values`` reads a range of shells by slices, ``evaluate`` one
-    shell at a time; the lists agree on ranges that start and end below,
-    inside or above the window, shells 1100 away included, where a power
-    law leaves the float range."""
+    """``evaluate_range`` reads a range of shells by slices, ``evaluate`` one
+    shell at a time; the lists agree, for a function and for an exponent on
+    the same window, on ranges that start and end below, inside or above
+    the window, shells 1100 away included, where a power law leaves the
+    float range, and on the empty range."""
     ctx = data.draw(contexts())
     j_min = data.draw(st.integers(-6, 6))
     coeffs = data.draw(st.lists(COEFF, min_size=1, max_size=6))
     j_max = j_min + len(coeffs) - 1
     f = RadialStepFunction(ctx, (j_min, j_max), coeffs, data.draw(TAILS), data.draw(TAILS))
+    exponents = data.draw(st.lists(EXPONENT, min_size=len(coeffs), max_size=len(coeffs)))
+    u = ExponentFunction(ctx, (j_min, j_max), exponents, data.draw(EXPONENT), data.draw(EXPONENT))
     shell = st.one_of(
         st.integers(j_min - 3, j_max + 3),
         st.sampled_from([j_min - 1100, j_min - 40, j_max + 40, j_max + 1100]),
     )
     lo, hi = sorted([data.draw(shell), data.draw(shell)])
-    expected = [f.evaluate(k) for k in range(lo, hi + 1)]
-    values = _shell_values(f, lo, hi)
-    assert values == expected
-    # repr also tells -0.0 from 0.0
-    assert [repr(x) for x in values] == [repr(x) for x in expected]
+    hi -= data.draw(st.sampled_from([0, hi - lo + 1]))  # or the empty range
+    for g in (f, u):
+        expected = [g.evaluate(k) for k in range(lo, hi + 1)]
+        values = g.evaluate_range(lo, hi)
+        assert values == expected
+        # repr also tells -0.0 from 0.0
+        assert [repr(x) for x in values] == [repr(x) for x in expected]
+
+
+@st.composite
+def power_ranges(draw):
+    """(p, n, lo, hi) for ``ppow_range``: ranges that are empty, cross 0, or
+    cross a clamp of ppow (n k = -1100 or 1100) or the first k whose power
+    passes the float range."""
+    p = draw(st.sampled_from([2, 3, 7, 257]))
+    n = draw(st.integers(1, 4))
+    reach = -(-1100 // n)
+    overflow = next(k for k in range(reach + 1) if ppow(p, n * k) == math.inf)
+    lo = draw(st.sampled_from([0, -reach, reach, overflow])) + draw(st.integers(-12, 12))
+    return p, n, lo, lo + draw(st.integers(-1, 30))
+
+
+@settings(max_examples=300)
+@given(args=power_ranges())
+@example(args=(7, 4, 85, 100))  # 7**368 is the first power past the float range
+@example(args=(2, 3, 5, 4))
+def test_the_power_range_kernel_is_ppow_shell_by_shell(args):
+    """``ppow_range`` keeps every bit of ``ppow(p, n * k)``, its 0.0 and inf
+    clamps and its inf on float overflow included."""
+    p, n, lo, hi = args
+    row = ppow_range(p, n, lo, hi)
+    assert row == [ppow(p, n * k) for k in range(lo, hi + 1)]
+    assert [repr(x) for x in row] == [repr(ppow(p, n * k)) for k in range(lo, hi + 1)]
 
 
 @settings(max_examples=200)
@@ -543,6 +573,36 @@ def test_quadratic_norm_matches_an_exact_square_root(data):
     reference = _fraction_sqrt(rho)
     error = abs(Fraction(result.value) - reference)
     assert error <= Fraction(result.tail_remainder_bound) + 32 * Fraction(math.ulp(float(reference)))
+
+
+def _rounded_root(w: float, e: int) -> float:
+    """The float nearest w**(1/e): from math.pow's estimate, step one float
+    at a time while w lies outside the e-th powers of the midpoints around
+    it, compared exactly in Fraction."""
+    lam = math.pow(w, 1.0 / e)
+    while True:
+        below, above = math.nextafter(lam, 0.0), math.nextafter(lam, math.inf)
+        if Fraction(w) < ((Fraction(below) + Fraction(lam)) / 2) ** e:
+            lam = below
+        elif Fraction(w) > ((Fraction(lam) + Fraction(above)) / 2) ** e:
+            lam = above
+        else:
+            return lam
+
+
+@settings(max_examples=400)
+@given(
+    w=st.floats(MIN_NORMAL, sys.float_info.max, allow_nan=False, allow_infinity=False),
+    e=st.integers(2, 9),
+)
+@example(w=3.5195188575048095e-15, e=2)  # math.sqrt gives 5.932553293064302e-08
+def test_a_one_exponent_root_is_correctly_rounded(w, e):
+    """One exponent group W at an integer e >= 2 solves to the float nearest
+    W**(1/e), which is ``math.sqrt(W)`` at e = 2."""
+    root, half = _solve_luxemburg(([(w, float(e))], []), 1e-10)
+    assert (root, half) == (_rounded_root(w, e), 0.0)
+    if e == 2:
+        assert root == math.sqrt(w)
 
 
 def _dilated(f: RadialStepFunction, j: int) -> RadialStepFunction:
