@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 from .errors import DomainError, NumericOverflowError, NumericUnderflowError
 from .operators import OperatorSpec
-from .padic import PadicContext, check_shell, ppow, ppow_range, sample_shells
+from .padic import PadicContext, check_shell, ppow, ppow_range, sample_shells, sphere_measure
 from .radial import (
     ExponentFunction,
     RadialStepFunction,
@@ -116,12 +116,12 @@ def _scaled(coef: float, p: int, exponent: float, what: str) -> float:
 
 
 def _sphere_measures(ctx: PadicContext, shells: range) -> list[float]:
-    """|S_j| = (1 - p**-n) * p**(n*j) for the shells j of a step-1 range,
-    each with the bits of :func:`_scaled`. The measures rise with j, so only
-    the first and the last need its range check; either raises its typed
-    error."""
+    """|S_j| = |S_0| * p**(n*j) for the shells j of a step-1 range, with
+    |S_0| = 1 - p**-n correctly rounded, each with the bits of
+    :func:`_scaled`. The measures rise with j, so only the first and the
+    last need its range check; either raises its typed error."""
     p, n = ctx.p, ctx.n
-    mass = float(1 - (1 / p) ** n)
+    mass = float(sphere_measure(0, ctx))
     for j in (*shells[:1], *shells[-1:]):
         _scaled(mass, p, n * j, f"|S_{j}|")
     return [mass * power for power in ppow_range(p, n, shells.start, shells.stop - 1)]
@@ -209,8 +209,8 @@ def _shell_stats(
 def _outer_bias(coef: float, ctx: PadicContext, s: float, hi: int) -> float:
     """coef * |S_0| times the sum of p**(s*k) over the shells k > hi, for
     s < 0: the bias bound of an outer tail cut off above the window."""
-    p, n = ctx.p, ctx.n
-    mass = float(1 - (1 / p) ** n)
+    p = ctx.p
+    mass = float(sphere_measure(0, ctx))
     # 1 - p**s cancels as s nears 0 and -expm1(s ln p) does not; up to
     # p**s = 1/2 the subtraction cancels nothing, and keeps its bits there
     ratio = ppow(p, s)
