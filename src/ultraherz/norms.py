@@ -61,6 +61,10 @@ _MIN_NORMAL = sys.float_info.min
 _LOG_MIN_NORMAL = math.log(_MIN_NORMAL)
 _LOG_MAX = math.log(sys.float_info.max)
 
+#: Largest integer exponent e whose one-group Luxemburg root is rounded by
+#: exact midpoint tests: their Fraction powers carry about 54 * e bits.
+_EXACT_ROOT_MAX = 64
+
 #: A modular as (terms, lost): rho(f/lam) is the sum of w * lam**(-e) over
 #: the (w, e) terms, and lost holds (log w, e) for each weight that fell
 #: below the normal float range before it could be formed.
@@ -169,7 +173,7 @@ def _modular_terms(
     ``lost`` holds (log w, e) for each window shell whose weight fell below
     the normal float range, for the solver to weigh. The window shells are
     read from ``rows`` (see :func:`_shell_rows`), which must reach the last
-    of them; None builds them.
+    of them (ValueError otherwise); None builds them.
     """
     ctx = f.ctx
     p, n = ctx.p, ctx.n
@@ -178,6 +182,8 @@ def _modular_terms(
     hi = w_hi if top is None else top
     if rows is None:
         rows = _shell_rows(f, u, w_lo, hi)
+    elif min(map(len, rows)) <= hi - w_lo:
+        raise ValueError(f"the shell rows stop before shell {hi}")
     terms: list[tuple[float, float]] = []
     lost: list[tuple[float, float]] = []
     try:
@@ -282,8 +288,9 @@ def _solve_luxemburg(modular: _Modular, rel_tol: float) -> tuple[float, float]:
     function, (0.0, 0.0). The weights are summed per distinct exponent
     first. One exponent has the closed form lam = W**(1/e): W itself at
     e = 1 and ``math.sqrt(W)`` at e = 2, both correctly rounded; else
-    polished by one correction step in lam, and at an integer e rounded
-    correctly by :func:`_nearest_root`. Otherwise phi(t) =
+    polished by one correction step in lam, and at an integer e up to
+    ``_EXACT_ROOT_MAX`` rounded correctly by :func:`_nearest_root`.
+    Otherwise phi(t) =
     log sum W_e * exp(-e*t) is convex and decreasing in t = log lam, so a
     Newton step from the lower end never passes the root, and the root lies
     at most phi / min(e) above it. The bracket comes straight from the
@@ -364,7 +371,7 @@ def _solve_luxemburg(modular: _Modular, rel_tol: float) -> tuple[float, float]:
         else:
             lam = math.pow(w, 1.0 / e)
             lam *= math.exp(math.log(modular_at(lam)[0]) / e)
-            if e.is_integer():
+            if e <= _EXACT_ROOT_MAX and e.is_integer():
                 lam = _nearest_root(w, int(e), lam)
         if lost:
             refuse_lost_weights(lam)

@@ -68,11 +68,6 @@ def ppow(p: int, exponent: float) -> float:
         return math.inf
 
 
-#: The least integer whose float conversion overflows: 2**1024 less half an
-#: ulp of the largest float, a tie that rounds to even, up to 2**1024.
-_FLOAT_CEILING = 2**1024 - 2**970
-
-
 def ppow_range(p: int, n: int, lo: int, hi: int) -> list[float]:
     """``[ppow(p, n * k) for k in range(lo, hi + 1)]``, bit for bit.
 
@@ -98,9 +93,10 @@ def ppow_range(p: int, n: int, lo: int, hi: int) -> list[float]:
     if first <= hi:
         power = q**first
         for _ in range(min(hi, reach - 1) - first + 1):
-            if power >= _FLOAT_CEILING:
+            try:
+                row.append(float(power))
+            except OverflowError:
                 break
-            row.append(float(power))
             power *= q
     row += [math.inf] * (hi - lo + 1 - len(row))
     return row

@@ -451,6 +451,34 @@ def test_morrey_herz_reports_divergence_at_either_end():
         assert result.value == math.inf and not result.convergent
 
 
+@pytest.mark.parametrize("e", [65.0, 1000.0, 2.0**60, 1e17])
+def test_a_steep_integer_exponent_solves_one_group_at_once(e):
+    """Past ``_EXACT_ROOT_MAX`` an integer exponent keeps the power and its
+    correction step: an exact midpoint test raises a 54-bit numerator to
+    the e-th power, which at e = 1e17 never finishes. The norm of
+    chi(S_0) (|S_0| = 1/2 at p = 2) is 2**(-1/e) and that of chi(B_3) is
+    8**(1/e), each one exponent group; both land within a few ulps."""
+    u = ExponentFunction.constant(CTX, e)
+    cases = (
+        (luxemburg_norm(RadialStepFunction.indicator_sphere(CTX, 0), u), -math.log(2.0) / e),
+        (ball_indicator_norm(u, 3), 3.0 * math.log(2.0) / e),
+    )
+    for result, log_root in cases:
+        root = math.exp(log_root)
+        assert result.tail_remainder_bound == 0.0
+        assert abs(result.value - root) <= 4 * math.ulp(root)
+
+
+def test_shell_rows_that_stop_short_are_refused():
+    """A modular reads one row entry per window shell: rows that stop before
+    its last shell raise rather than drop the shells past their end, and
+    rows that reach it give the modular that builds its own."""
+    f = RadialStepFunction(CTX, (0, 3), (1.0, -2.0, 3.0, 0.5))
+    with pytest.raises(ValueError, match="stop before shell 3"):
+        _modular_terms(f, U2, rows=norms._shell_rows(f, U2, 0, 2))
+    assert _modular_terms(f, U2, rows=norms._shell_rows(f, U2, 0, 5)) == _modular_terms(f, U2)
+
+
 def test_ball_indicator_norm_matches_bisection():
     """Also the growth law ||chi(B_k)|| ~ |B_k|**(1/u): exact with u_inner
     below u's window, where the ball sees one exponent, and with
