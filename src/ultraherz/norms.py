@@ -780,14 +780,16 @@ def _mixed_inner_sum(
 
     Pure-power and pure-constant cases have closed forms. A nonzero shift
     comes only from the CMO scan, and :func:`cmo_norm` has returned for a
-    decaying inner tail, so the mixed case has rate > 0: walk
-    shells downward until the power is negligible against the shift, then
-    bound the remainder between the two extreme readings of the dominated
-    term; the returned pair is (midpoint value, half-width bound). The walk
-    ends after the first shell of float measure 0.0, whose term it still
-    forms (an overflow raises): below it every term is 0.0, so it takes
-    about upto + 1100 / n steps at most. Returns None when the sum
-    diverges; an infinite value is an overflow.
+    decaying inner tail, so the mixed case has rate > 0: walk shells k
+    downward. Every shell j <= k reads within level = |amplitude| *
+    p**(k*rate) of |shift|, so the rest lies in [max(|shift| - level,
+    0)**exponent, (|shift| + level)**exponent] * |B_k|; the walk stops once
+    that bracket is at most ``_MIXED_TOL`` times the sum so far, or once
+    level is at most ``_MIXED_TOL`` * |shift|, which then stands for level.
+    The returned pair is (midpoint value, half-width bound). A shell of
+    float measure 0.0 has a bracket of width 0.0, so the walk takes about
+    upto + 1100 / n steps at most. Returns None when the sum diverges; an
+    infinite value is an overflow.
     """
     p, n = ctx.p, ctx.n
     mass = _unit_mass(ctx)
@@ -803,14 +805,17 @@ def _mixed_inner_sum(
 
     total = 0.0
     k = upto
-    while abs(amplitude) * ppow(p, k * rate) > _MIXED_TOL * abs(shift):
-        measure = ppow(p, n * k)
-        total += abs(amplitude * ppow(p, k * rate) - shift) ** exponent * mass * measure
+    gap = abs(shift)
+    while abs(value := amplitude * ppow(p, k * rate)) > _MIXED_TOL * gap:
+        ball = ppow(p, n * k)
+        hi = (gap + abs(value)) ** exponent * ball
+        lo = max(gap - abs(value), 0.0) ** exponent * ball
+        if hi - lo <= _MIXED_TOL * total:
+            return total + 0.5 * (hi + lo), 0.5 * (hi - lo)
+        total += abs(value - shift) ** exponent * mass * ball
         k -= 1
-        if measure == 0.0:
-            break
-    hi = (abs(shift) * (1.0 + _MIXED_TOL)) ** exponent * ppow(p, n * k)
-    lo = (abs(shift) * (1.0 - _MIXED_TOL)) ** exponent * ppow(p, n * k)
+    hi = (gap * (1.0 + _MIXED_TOL)) ** exponent * ppow(p, n * k)
+    lo = (gap * (1.0 - _MIXED_TOL)) ** exponent * ppow(p, n * k)
     return total + 0.5 * (hi + lo), 0.5 * (hi - lo)
 
 

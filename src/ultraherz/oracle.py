@@ -155,7 +155,9 @@ def _sample_ball(
     counts = sample_shells(gamma, count, f.ctx, _RESOLUTION, rng)
     amplitude, rate = f.inner_tail
     origin = amplitude if rate == 0.0 else 0.0
-    table = {k: origin if k is None else f.evaluate(k) for k in counts}
+    low = min([k for k in counts if k is not None], default=gamma)
+    values = f.evaluate_range(low, gamma)
+    table = {k: origin if k is None else values[k - low] for k in counts}
     return table, counts
 
 
@@ -477,8 +479,8 @@ def mc_operator_probe(
             bias = _outer_bias(abs(amplitude), ctx, s, hi)
         # a shell where f vanishes adds exactly 0, so it gets no stratum;
         # every other stratum is a sphere, exact with variance 0
-        levels = {j: f.evaluate(j) for j in range(shell + 1, hi + 1)}
-        shells = [j for j, level in levels.items() if level != 0.0]
+        levels = f.evaluate_range(shell + 1, hi)
+        shells = [j for j, level in enumerate(levels, shell + 1) if level != 0.0]
         if not shells:
             return MCEstimate(0.0, bias, 0)
         span = _sphere_measures(ctx, range(shells[0], shells[-1] + 1))
@@ -486,7 +488,7 @@ def mc_operator_probe(
         value = 0.0
         for j, weight in zip(shells, weights):
             factor = _scaled(1.0, p, j * (alpha - n), f"the scale of shell {j}")
-            value += weight * (levels[j] * factor)
+            value += weight * (levels[j - shell - 1] * factor)
         return MCEstimate(value, bias, sum(_allocate(config.samples, weights)))
 
     scale = _scaled(1.0, p, shell * (alpha - n), f"the scale of shell {shell}")

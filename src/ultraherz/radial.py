@@ -120,21 +120,11 @@ class RadialStepFunction:
             >>> RadialStepFunction.indicator_ball(ctx, 0).evaluate(1)
             0.0
         """
-        j_min, j_max = self.window
-        if k < j_min:
-            amplitude, rate = self.inner_tail
-        elif k > j_max:
-            amplitude, rate = self.outer_tail
-        else:
-            return self.coeffs[k - j_min]
-        # a zero amplitude has rate 0.0, and a * p**(k * 0.0) is a * 1.0, which is a
-        if rate == 0.0:
-            return amplitude
-        return amplitude * ppow(self.ctx.p, k * rate)
+        return self.evaluate_range(k, k)[0]
 
     def evaluate_range(self, lo: int, hi: int) -> list[float]:
-        """``[self.evaluate(k) for k in range(lo, hi + 1)]`` by slices, each
-        value formed as evaluate forms it.
+        """Values on the spheres S_lo, ..., S_hi: the window coefficients,
+        and on each tail's shells amplitude * p**(k * rate).
 
         Examples:
             >>> ctx = PadicContext(2, 1)
@@ -529,15 +519,11 @@ class ExponentFunction:
 
     def evaluate(self, k: int) -> float:
         """Exponent value on the sphere S_k."""
-        j_min, j_max = self.window
-        if k < j_min:
-            return self.u_inner
-        if k > j_max:
-            return self.u_infinity
-        return self.values[k - j_min]
+        return self.evaluate_range(k, k)[0]
 
     def evaluate_range(self, lo: int, hi: int) -> list[float]:
-        """``[self.evaluate(k) for k in range(lo, hi + 1)]`` by slices."""
+        """Exponent values on the spheres S_lo, ..., S_hi: ``u_inner`` below
+        the window, its values, ``u_infinity`` above."""
         j_min, j_max = self.window
         return [
             *[self.u_inner] * (min(hi + 1, j_min) - lo),

@@ -590,7 +590,7 @@ NORMS_GOLDEN = {
     ),
     "cmo rising inner tail": (
         lambda: cmo_norm(_symbol(_MIXED, inner=(1.0, 0.5)), U_WIN),
-        "NormResult(value=1.0016613317904113, convergent=True, "
+        "NormResult(value=1.0016613317904124, convergent=True, "
         "tail_remainder_bound=0.0, work_window=(-3, 3))",
     ),
     "cmo growing outer tail": (
@@ -663,6 +663,23 @@ def test_cmo_scan_of_a_sphere_indicator_is_linear_in_its_shell(monkeypatch):
             f"work_window=(-1, {k + 3}))"
         )
     assert visited[400] <= 2.2 * visited[200]
+
+
+@pytest.mark.parametrize("shift", [1.0, -3.0, 0.25])
+def test_mixed_inner_walk_stops_where_the_ball_bounds_the_rest(monkeypatch, shift):
+    """At rate 5e-4 the tail's power falls below 1e-13 of the shift only
+    about 1100 shells down, but within 50 shells the ball left holds under
+    1e-13 of the sum: the walk stops there, at two powers a shell."""
+    power = norms.ppow
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return power(*args)
+
+    monkeypatch.setattr(norms, "ppow", counting)
+    norms._mixed_inner_sum(PadicContext(2, 1), -4.48, 5e-4, shift, 2.06, 0)
+    assert len(calls) <= 200
 
 
 def test_cmo_pruning_skips_solves_and_keeps_the_pinned_bits(monkeypatch):
