@@ -16,8 +16,9 @@ constant), the operator raises ClassClosureError instead of silently
 leaving the class; widening the explicit window of the input restores
 applicability in practice.
 
-The commutator [b, H_a] f = b * H_a f - H_a (b f) is that composition
-through the pointwise algebra of :mod:`ultraherz.radial`.
+The commutator [b, H_a] f = b * H_a f - H_a (b f) is formed from its exact
+bracket, sum over j <= k of (b(k) - b(j)) f(j) |S_j| on S_k, rounded once
+on the symbol's window.
 """
 
 from __future__ import annotations
@@ -25,9 +26,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import accumulate, count, islice
 
-from .errors import ClassClosureError, DomainError, NumericUnderflowError
+from .errors import (
+    ClassClosureError,
+    DomainError,
+    NumericOverflowError,
+    NumericUnderflowError,
+    TailCombinationError,
+)
 from .padic import ppow
 from .radial import (
     RadialStepFunction,
@@ -38,7 +45,6 @@ from .radial import (
     _geometric_tail,
     _running_parts,
     _unit_mass,
-    combine,
 )
 
 _MIN_NORMAL = sys.float_info.min
@@ -227,7 +233,12 @@ def hardy_adjoint(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
     coeffs = [value]  # from shell hi down: shell k adds the mass of S_(k+1)
     for j, c in zip(range(hi, lo, -1), reversed(f.evaluate_range(lo + 1, hi))):
         # a zero shell adds its signed zero, even where p**(j*alpha) is inf
-        value = value + mass * c * (ppow(p, j * alpha) if c else 1.0)
+        term = mass * c * (ppow(p, j * alpha) if c else 1.0)
+        if not math.isfinite(term) and c:
+            # p**(j*alpha) saturated before it met c: take it in two halves
+            half = j * alpha / 2
+            term = mass * c * ppow(p, half) * ppow(p, j * alpha - half)
+        value = value + term
         coeffs.append(value)
     coeffs.reverse()
     return _built(ctx, (lo, hi), coeffs, Tail(coeffs[0], 0.0), outer)
@@ -238,13 +249,196 @@ def commutator(
 ) -> RadialStepFunction:
     """The commutator [b, H_alpha] f = b * (H_alpha f) - H_alpha (b * f).
 
-    Formed as written, through ``combine``, ``hardy`` and ``scale``: the
-    product b * (H f), then H(b f), negated, added to it. Each step checks
-    only what it computes, so the image has the bits of that composition
-    and raises what it raises, in its order.
+    On the sphere S_k the image is p**(k*(alpha - n)) times the bracket
+
+        B(k) = sum over j <= k of (b(k) - b(j)) * f(j) * |S_j|.
+
+    Summed by parts, B(k) - B(k - 1) = (b(k) - b(k - 1)) * I(k - 1), with
+    I(k) the integral of f over B_k: each step is a jump of the symbol times
+    one ball integral of a single ``_running_parts`` pass of f. The jumps
+    and integrals are exact ratios (see :func:`_tail_ratio`), so each
+    B(k) is rounded once and then scaled as ``hardy`` scales its integrals,
+    ``ppow(p, k*(alpha - n)) * B(k)`` with the :func:`_scaled` fallback.
+
+    The symbol's tails fix the window. A flat inner tail (rate 0, a zero
+    tail included) makes B vanish below b's window: the image starts there,
+    with a zero inner tail. A flat outer tail makes B constant above b's
+    window: the image ends there, its outer tail is (B(j_max + 1),
+    alpha - n), and f above the window is never read. A tail at another
+    rate keeps the union of both windows widened by one shell. Below it B
+    is the power law of :func:`_inner_bracket`; above it B(k) = b(k) * I - J,
+    with I and J the total integrals of f and b * f, which mixes two rates
+    (TailCombinationError) unless I or J is 0.
+
+    Raises ClassClosureError for an outer tail on f; DomainError for a
+    non-finite order, functions from different contexts or a divergent
+    tail integral; NumericOverflowError for a bracket or symbol value past
+    the float range, besides the verdicts of ``_built`` on the image; and
+    NumericUnderflowError when a nonzero outer amplitude rounds to 0.0.
+
+    Examples:
+        >>> from .padic import PadicContext
+        >>> ctx = PadicContext(2, 1)
+        >>> b = RadialStepFunction(ctx, (0, 1), (0.0, 1.0), outer_tail=Tail(1.0, 0.0))
+        >>> g = commutator(b, RadialStepFunction.indicator_sphere(ctx, 0), 0.0)
+        >>> g.window, g.coeffs, g.outer_tail
+        ((0, 1), (0.0, 0.25), Tail(amplitude=0.5, rate=-1.0))
     """
-    return combine(
-        combine(b, hardy(f, alpha), "multiply"),
-        hardy(combine(b, f, "multiply"), alpha).scale(-1.0),
-        "add",
-    )
+    _check_order(alpha)
+    if f.outer_tail.amplitude != 0.0:
+        raise ClassClosureError(
+            "the commutator needs a vanishing outer tail on f: above the "
+            "window its ball integral would mix a constant with the tail's "
+            "own growth; widen the explicit window instead"
+        )
+    if b.ctx != f.ctx:
+        raise DomainError("the symbol and the function live in different contexts")
+    ctx = f.ctx
+    p = ctx.p
+    e = alpha - ctx.n
+    r_in, (a_out, r_out) = b.inner_tail.rate, b.outer_tail
+    lo = b.window[0] if r_in == 0.0 else min(b.window[0], f.window[0]) - 1
+    hi = b.window[1] if r_out == 0.0 else max(b.window[1], f.window[1]) + 1
+
+    # I(lo - 1), ..., I(hi), b(lo - 1), ..., b(hi + 1) and B(lo - 1), exactly
+    integrals = [
+        _exact(num, den, inexact) if inexact else (num, den)
+        for num, den, inexact in islice(_running_parts(f, lo - 1), hi - lo + 2)
+    ]
+    symbol = _symbol_ratios(b, lo - 1, hi + 1)
+    inner, (start, start_den) = _inner_bracket(ctx, b.inner_tail, f.inner_tail, lo - 1)
+    den_b = math.lcm(*[d for _, d in symbol])
+    den_f = math.lcm(*[d for _, d in integrals])
+    levels = [num * (den_b // d) for num, d in symbol]
+    masses = [num * (den_f // d) * start_den for num, d in integrals]
+    den = den_b * den_f * start_den
+    # the numerators of B(lo - 1), ..., B(hi + 1) over den
+    brackets = list(accumulate(
+        [(b1 - b0) * mass for b0, b1, mass in zip(levels, levels[1:], masses)],
+        initial=start * den_b * den_f,
+    ))
+
+    top, bottom, rate = brackets[-1], den, float(e)
+    total = integrals[-1]
+    if r_out != 0.0 and total[0]:
+        # J = b(hi + 1) * I - B(hi + 1) must vanish, leaving b(k) * I
+        if brackets[-1] != levels[-1] * masses[-1]:
+            raise TailCombinationError(
+                f"the outer tail would mix rates {r_out + e} and {rate}: both "
+                "the integral of f and that of b * f are nonzero. Widen the "
+                "symbol's window so that its tail is flat from there on."
+            )
+        a, d = a_out.as_integer_ratio()
+        top, bottom, rate = a * total[0], d * total[1], r_out + e
+    try:
+        values = [num / den for num in brackets[1:-1]]
+        amplitude = top / bottom
+    except OverflowError:
+        raise NumericOverflowError("a commutator bracket overflows the float range") from None
+    coeffs = [
+        c if (abs(v) >= _MIN_NORMAL or not num) and math.isfinite(c := ppow(p, k * e) * v)
+        else _scaled(p, k * e, v, (num, den, 0.0))
+        for k, v, num in zip(count(lo), values, brackets[1:])
+    ]
+    rate_in = r_in + f.inner_tail.rate + alpha
+    image = _built(ctx, (lo, hi), coeffs, Tail(inner, rate_in), Tail(amplitude, rate))
+    if amplitude == 0.0 and top:
+        raise NumericUnderflowError(
+            f"the outer tail amplitude of the commutator image, the bracket "
+            f"above shell {hi}, is not zero but rounds to 0.0"
+        )
+    return image
+
+
+def _exact(num: int, den: int, inexact: float) -> tuple[int, int]:
+    """num / den + inexact as one exact ratio. An infinite inexact part is an
+    integral past the float range: NumericOverflowError."""
+    if not math.isfinite(inexact):
+        raise NumericOverflowError("a ball integral overflows the float range")
+    a, d = inexact.as_integer_ratio()
+    return num * d + a * den, den * d
+
+
+def _symbol_ratios(b: RadialStepFunction, lo: int, hi: int) -> list[tuple[int, int]]:
+    """b on the shells lo, ..., hi as exact ratios: the window coefficients
+    and, on each tail's shells, :func:`_tail_ratio`."""
+    p = b.ctx.p
+    j_min, j_max = b.window
+    return [
+        *[_tail_ratio(p, *b.inner_tail, k) for k in range(lo, min(hi + 1, j_min))],
+        *[c.as_integer_ratio() for c in b.coeffs[max(lo - j_min, 0) : max(hi - j_min + 1, 0)]],
+        *[_tail_ratio(p, *b.outer_tail, k) for k in range(max(lo, j_max + 1), hi + 1)],
+    ]
+
+
+def _tail_ratio(p: int, amplitude: float, rate: float, k: int) -> tuple[int, int]:
+    """amplitude * p**(k*rate) as an exact ratio where k*rate is an integer
+    below 1100 in size, else the amplitude times the float ``ppow(p,
+    k*rate)`` with the product left unrounded. A power past the float range
+    raises NumericOverflowError."""
+    power = k * rate
+    if power.is_integer() and abs(power) < 1100:
+        a, d = amplitude.as_integer_ratio()
+        power = int(power)
+        return (a * p**power, d) if power >= 0 else (a, d * p**-power)
+    return _product(amplitude, ppow(p, power), f"the symbol on shell {k}")
+
+
+def _inner_bracket(
+    ctx, symbol: Tail, f_tail: Tail, m: int
+) -> tuple[float, tuple[int, int]]:
+    """The bracket below both windows, where b and f follow their inner
+    tails: B(k) = C * p**(k*s) with s = r_b + r_f + n and
+
+        C = a_b * a_f * |S_0| * (1 / (1 - p**-(r_f + n)) - 1 / (1 - p**-s)),
+
+    which vanishes at r_b = 0. Returns C as a float and B(m) as an exact
+    ratio. At integer rates both are exact before C's one rounding; at
+    other rates C is formed without cancellation through expm1, from the
+    amplitudes' mantissas and scaled by their exponents once, and B(m) is
+    that times ``ppow(p, m*s)``, unrounded. A divergent s <= 0 raises
+    DomainError.
+    """
+    (a_b, r_b), (a_f, r_f) = symbol, f_tail
+    if a_f == 0.0:
+        return 0.0, (0, 1)
+    p, n = ctx.p, ctx.n
+    s_f, s = r_f + n, r_b + r_f + n
+    if s <= 0:
+        raise DomainError(
+            f"the inner tail of b * f, at rate {r_b + r_f}, is not integrable "
+            f"in dimension {n} (needs rate > {-n})"
+        )
+    if r_b.is_integer() and r_f.is_integer():
+        s_f, s = int(s_f), int(s)
+        (nb, db), (nf, df) = a_b.as_integer_ratio(), a_f.as_integer_ratio()
+        q = p**n
+        num = nb * nf * (q - 1) * (p**s - p**s_f)
+        den = db * df * q * (p**s_f - 1) * (p**s - 1)
+        c = _float_value(num, den)
+        return c, ((num * p ** (m * s), den) if m * s >= 0 else (num, den * p ** -(m * s)))
+    log_p = math.log(p)
+    # p**-s_f - p**-s, with the smaller power factored out
+    rise = ppow(p, -min(s_f, s)) * -math.expm1(-abs(r_b) * log_p)
+    if r_b < 0:
+        rise = -rise
+    # the amplitudes' mantissas, so that no product leaves the normal range
+    # before the one scaling by 2**scale
+    (m_b, e_b), (m_f, e_f) = math.frexp(a_b), math.frexp(a_f)
+    scale = e_b + e_f
+    c = m_b * m_f * _unit_mass(ctx) * rise / (math.expm1(-s_f * log_p) * math.expm1(-s * log_p))
+    num, den = _product(c, ppow(p, m * s), f"the bracket on shell {m}")
+    try:
+        c = math.ldexp(c, scale)
+    except OverflowError:
+        c = math.inf
+    return c, ((num << scale, den) if scale >= 0 else (num, den << -scale))
+
+
+def _product(x: float, y: float, what: str) -> tuple[int, int]:
+    """x * y as an exact ratio, with no rounding of the product. A factor
+    past the float range raises NumericOverflowError, naming ``what``."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise NumericOverflowError(f"{what} overflows the float range")
+    (a, d), (b, e) = x.as_integer_ratio(), y.as_integer_ratio()
+    return a * b, d * e

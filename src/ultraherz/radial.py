@@ -16,6 +16,7 @@ above it. Derived exponents (conjugate, Sobolev shift) live here as well.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Iterator, NamedTuple
@@ -300,7 +301,13 @@ def _tail_integral(
         return 0, 1, 0.0
     p, n = f.ctx.p, f.ctx.n
     s = rate + n
-    tail = _geometric_tail(amplitude * _unit_mass(f.ctx), p, s, start, below)
+    coef, scale = amplitude * _unit_mass(f.ctx), 0
+    if abs(coef) < sys.float_info.min:
+        # a subnormal coefficient keeps few bits: sum the tail of the
+        # amplitude's mantissa and apply its exponent last
+        mantissa, scale = math.frexp(amplitude)
+        coef = mantissa * _unit_mass(f.ctx)
+    tail = _geometric_tail(coef, p, s, start, below)
     if tail is None:
         side, bound = ("inner", ">") if below else ("outer", "<")
         raise DomainError(
@@ -308,7 +315,7 @@ def _tail_integral(
             f"(needs rate {bound} {-n})"
         )
     if not float(s).is_integer():
-        return 0, 1, tail
+        return 0, 1, math.ldexp(tail, scale)
     # amplitude * (p**n - 1) * p**e / (p**|s| - 1): the ratio p**s is > 1
     # below and < 1 above, where p**-s clears it from the divisor
     s = int(s)

@@ -323,14 +323,14 @@ SWEEP_DIGESTS = {
             m1=2.0,
             m2=2.0,
         ),
-        "9eff876843eefc8caba79b2043d3dbf1917856d0c6e71ac4b9a88974732fc757",
+        "01949ba1238772bd75d3ac1ba44d3324bf8a23bd74d4e7e4f32a2e09f9f37c9e",
     ),
     # the commutator claims on Morrey-Herz spaces, at p = 3
     "T42 u=2 p=3": (
         lambda: TheoremConfig(
             "T42", U2_3, alpha=0.25, beta=0.375, m1=1.0, m2=2.0, lam=0.25
         ),
-        "da44178b899a4ec0e40f47e9f710bf5944616665365c99ac71a04bb2d0f43f3b",
+        "17eb18bf89a71c0d7f4d73f0473e2fb49a20fe09a0649472158d36f447728fea",
     ),
     "C42 piecewise p=3": (
         lambda: TheoremConfig(
@@ -342,7 +342,7 @@ SWEEP_DIGESTS = {
             m2=2.0,
             lam=0.25,
         ),
-        "39f1eed81be173ee7ea3809c7d97b8afc7e3c05f418d994abbdcb22c40747cb1",
+        "229220acad5b9d4c96ad8c2be2097b4e40d489744083c0edebc00001d9fb15a8",
     ),
     # the ball-average claims whose target exponent is u itself
     "C31 u=2": (

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from ultraherz import (
     PadicContext,
     RadialStepFunction,
     Tail,
+    TailCombinationError,
     UltraherzError,
     apply_operator,
     ball_integral,
@@ -34,6 +36,7 @@ from ultraherz import (
 )
 
 CTX = PadicContext(2, 1)
+MIN_NORMAL = sys.float_info.min
 
 
 def diagonal(f: RadialStepFunction, g: RadialStepFunction, alpha: float) -> float:
@@ -133,14 +136,6 @@ def test_adjoint_handles_decaying_outer_tails():
     assert ratio == pytest.approx(ppow(2, -1.5), rel=1e-9)
 
 
-def _outcome(call):
-    """repr of what ``call()`` returns, or the type and message it raises."""
-    try:
-        return repr(call())
-    except Exception as exc:  # the composition's errors are part of its result
-        return type(exc), str(exc)
-
-
 #: Everyday coefficients and ones whose products and integrals leave the
 #: float range, so the property reaches the error paths as well.
 _VALUES = st.one_of(
@@ -159,16 +154,131 @@ def _windowed(draw, ctx, inner_rates, outer_rates):
     return RadialStepFunction(ctx, (lo, lo + len(coeffs) - 1), coeffs, inner, outer)
 
 
+def _bracket(b, f, k):
+    """The commutator's bracket on S_k, B(k) = b(k) I(k) - J(k), where I and
+    J integrate f and b f over B_k, with I(k), J(k) and the sum of the
+    absolute values of their terms, |b(k)| |f|(B_k) + |b f|(B_k), as a float.
+
+    Exact (``Fraction``) when every tail rate is an integer, else in
+    60-digit decimals; below both windows the tails are summed in closed
+    form, sum over j < m of a p**(j r) |S_j| = a |S_0| p**(m s) / (p**s - 1)
+    with s = r + n. f must have no outer tail."""
+    with localcontext() as context:
+        context.prec = 60
+        return _bracket_sums(b, f, k)
+
+
+def _bracket_sums(b, f, k):
+    p, n = f.ctx.p, f.ctx.n
+    exact = all(r.is_integer() for r in (b.inner_tail.rate, b.outer_tail.rate, f.inner_tail.rate))
+    number = Fraction if exact else Decimal
+
+    def power(e):
+        return Fraction(p) ** int(e) if exact else Decimal(p) ** e
+
+    def value(g, j):
+        lo, hi = g.window
+        if lo <= j <= hi:
+            return number(g.coeffs[j - lo])
+        a, r = g.inner_tail if j < lo else g.outer_tail
+        return number(a) * power(j * number(r))
+
+    unit = number(p**n - 1) / number(p**n)
+
+    def below(r, m):
+        return unit * power(m * (r + n)) / (power(r + n) - 1)
+
+    (a_b, r_b), (a_f, r_f) = b.inner_tail, f.inner_tail
+    m = min(b.window[0], f.window[0], k + 1)
+    level = value(b, k)
+    i = number(a_f) * below(number(r_f), m)
+    j_bf = number(a_b) * number(a_f) * below(number(r_b) + number(r_f), m)
+    i_abs, j_abs = abs(i), abs(j_bf)
+    # B from the differences b(k) - b(j), so that no digit cancels
+    bracket = level * i - j_bf
+    for j in range(m, k + 1):
+        mass = value(f, j) * unit * power(number(j * n))
+        i += mass
+        j_bf += value(b, j) * mass
+        bracket += (level - value(b, j)) * mass
+        i_abs += abs(mass)
+        j_abs += abs(value(b, j) * mass)
+    scale = min(abs(level) * i_abs + j_abs, number(sys.float_info.max))
+    return bracket, i, j_bf, float(scale)
+
+
+#: At rates that are not integers the image may differ from its exact
+#: bracket by this many units of 2**-52 of the bracket's absolute terms:
+#: the float tail integrals of f, the float powers p**(k*rate) on b's tail
+#: shells and the bracket's tail amplitude each carry a rounding. 4000
+#: examples of the property below reached 34.
+_BRACKET_ULPS = 64
+
+
+def _window(b, f):
+    """The commutator image's window: b's window at a flat end, the union
+    window widened by one shell at a decaying end."""
+    lo = b.window[0] if b.inner_tail.rate == 0.0 else min(b.window[0], f.window[0]) - 1
+    hi = b.window[1] if b.outer_tail.rate == 0.0 else max(b.window[1], f.window[1]) + 1
+    return lo, hi
+
+
+def _assert_the_bracket(image, b, f, alpha, brackets=None):
+    """``image`` is commutator(b, f, alpha) read against ``_bracket`` on its
+    window widened by two shells, as ``test_commutator_definition_and_constant_symbol``
+    states."""
+    p, e = f.ctx.p, alpha - f.ctx.n
+    lo, hi = _window(b, f)
+    flat_in, flat_out = b.inner_tail.rate == 0.0, b.outer_tail.rate == 0.0
+    if brackets is None:
+        brackets = {k: _bracket(b, f, k) for k in range(lo - 2, hi + 3)}
+    assert image.window == (lo, hi)
+    exact = isinstance(brackets[lo][0], Fraction)
+    for k, (bracket, _, _, scale) in brackets.items():
+        factor, got = ppow(p, k * e), image.evaluate(k)
+        want = factor * float(bracket)
+        rounded_once = lo <= k <= hi or (flat_in if k < lo else flat_out)
+        if exact and rounded_once and (abs(float(bracket)) >= MIN_NORMAL or not bracket):
+            assert got == want, k
+        elif exact and rounded_once and lo <= k <= hi:
+            assert abs(got - want) <= factor * 2.0**-1072 + 1e-15 * abs(got), k
+        else:
+            # a decaying tail's shells also carry the rounding of its float
+            # rate and of its amplitude, in the subnormal range as well; each
+            # float ball integral is off by up to half a subnormal ulp, which
+            # every jump of b multiplies, and so is float(bracket) itself
+            rate = 0.0 if lo <= k <= hi else image.outer_tail.rate
+            if k < lo:  # the rate of an inner amplitude that may round to 0.0
+                rate = b.inner_tail.rate + f.inner_tail.rate + alpha
+            slack = (abs(k * rate) * math.log(p) + 2.0) * abs(want) * 2.0**-52
+            slack += ppow(p, k * rate) * 2.0**-1074 + 2.0**-1060
+            levels = b.evaluate_range(lo - 1, max(k, lo))
+            variation = sum(abs(y - x) for x, y in zip(levels, levels[1:]))
+            slack += factor * (1.0 + variation) * 2.0**-1074
+            assert abs(got - want) <= _BRACKET_ULPS * 2.0**-52 * factor * scale + slack, k
+
+
 @settings(max_examples=400)
 @given(data=st.data())
 def test_commutator_definition_and_constant_symbol(data):
-    """The commutator equals b * H f - H(b f) built through ``combine``, bit
-    for bit, or raises what that composition raises, with its message. A
-    constant symbol commutes with H up to rounding."""
+    """On S_k the commutator is p**(k*(alpha - n)) times the exact bracket
+    B(k) = sum over j <= k of (b(k) - b(j)) f(j) |S_j|, rounded once.
+
+    With every tail rate an integer the image equals
+    ``ppow(p, k*(alpha - n)) * float(B(k))`` bit for bit on its window and on
+    the shells of a flat tail (a subnormal bracket is scaled exactly, as in
+    ``hardy``); on the shells of a decaying tail, and at other rates, it lies
+    within ``_BRACKET_ULPS`` ulps of the bracket's absolute terms. The window
+    is the symbol's window at a flat end and the union window widened by
+    one shell at a decaying end. An outer tail on f raises
+    ClassClosureError, a decaying outer symbol tail with nonzero integrals
+    of f and b f TailCombinationError, and a bracket past the float range
+    NumericOverflowError (here only with a value of size 1e300 drawn). A
+    constant symbol commutes with H exactly."""
     ctx = PadicContext(data.draw(st.sampled_from([2, 3, 7])), data.draw(st.integers(1, 2)))
     n = ctx.n
     # b: flat or decaying tails; f: integrable inner tails at integer and
-    # non-integer rates, and sometimes an outer tail, which hardy refuses
+    # non-integer rates, and sometimes an outer tail, which is refused
     b = data.draw(_windowed(
         ctx,
         st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.05, 3.0),
@@ -180,23 +290,167 @@ def test_commutator_definition_and_constant_symbol(data):
         st.floats(-n - 3.0, -n - 0.05),
     ))
     alpha = data.draw(st.floats(0.0, 0.9, exclude_max=True))
-    got = _outcome(lambda: commutator(b, f, alpha))
-    assert got == _outcome(lambda: combine(
-        combine(b, hardy(f, alpha), "multiply"),
-        hardy(combine(b, f, "multiply"), alpha).scale(-1.0),
-        "add",
-    ))
-    if f.outer_tail.amplitude != 0.0:
-        assert got[0] is ClassClosureError
     try:
-        image = commutator(RadialStepFunction.constant(ctx, 7.0), f, alpha)
-    except UltraherzError:
-        return  # an outer tail, or a product or integral past the float range
-    reference = hardy(f, alpha)
-    for k in range(image.window[0] - 1, image.window[1] + 2):
-        # relative to b * H f, and absolute in the subnormal range
-        bound = 1e-12 * abs(7.0 * reference.evaluate(k)) + sys.float_info.min
-        assert abs(image.evaluate(k)) <= bound
+        image, error = commutator(b, f, alpha), None
+    except UltraherzError as exc:
+        image, error = None, type(exc)
+    if f.outer_tail.amplitude != 0.0:
+        assert error is ClassClosureError
+        return
+    lo, hi = _window(b, f)
+    flat_out = b.outer_tail.rate == 0.0
+    if error is NumericOverflowError:
+        # the other factors are at most 7**28 in size
+        wide = [*b.coeffs, *f.coeffs, b.inner_tail[0], b.outer_tail[0], f.inner_tail[0]]
+        assert max(map(abs, wide)) >= 1e300
+        return
+    brackets = {k: _bracket(b, f, k) for k in range(lo - 2, hi + 3)}
+    _, total_f, total_bf, _ = brackets[hi + 2]
+    if not flat_out and total_f and total_bf:
+        assert error is TailCombinationError
+        return
+    if error is NumericUnderflowError:
+        tail = brackets[hi + 1][0]
+        if not flat_out and total_f:
+            tail = total_f * type(total_f)(b.outer_tail.amplitude)
+        assert tail and float(tail) == 0.0
+        return
+    assert error is None
+    _assert_the_bracket(image, b, f, alpha, brackets)
+    # a constant symbol has no jump, so it commutes with H exactly, even
+    # where H f itself is past the float range
+    assert commutator(RadialStepFunction.constant(ctx, 7.0), f, alpha) == RadialStepFunction.zero(ctx)
+
+
+#: Flat symbol tails: a zero tail or one at rate 0.
+_FLAT = st.just(0.0)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_a_flat_tailed_symbol_fixes_the_image_window(data):
+    """With flat symbol tails the image lives on the symbol's window: its
+    inner tail is zero and its outer tail has rate alpha - n. f above the
+    window is never read, so adding any compact function supported above it
+    leaves the image unchanged bit for bit."""
+    ctx = PadicContext(data.draw(st.sampled_from([2, 3, 7])), data.draw(st.integers(1, 2)))
+    n = ctx.n
+    b = data.draw(_windowed(ctx, _FLAT, _FLAT))
+    f = data.draw(_windowed(ctx, st.integers(1 - n, 3).map(float) | st.floats(0.05 - n, 3.0), _FLAT))
+    f = RadialStepFunction(ctx, f.window, f.coeffs, f.inner_tail)
+    above = data.draw(st.integers(b.window[1] + 1, b.window[1] + 6))
+    g = RadialStepFunction(
+        ctx, (above, above + 2), data.draw(st.lists(_VALUES, min_size=3, max_size=3))
+    )
+    alpha = data.draw(st.floats(0.0, 0.9, exclude_max=True))
+    try:
+        image = commutator(b, f, alpha)
+    except UltraherzError as exc:
+        assert isinstance(exc, (NumericOverflowError, NumericUnderflowError))
+        return
+    assert image.window == b.window
+    assert image.inner_tail == Tail(0.0, 0.0)
+    assert image.outer_tail.amplitude == 0.0 or image.outer_tail.rate == alpha - n
+    try:
+        wider = combine(f, g, "add")
+    except NumericOverflowError:
+        return  # two coefficients whose sum leaves the float range
+    assert repr(commutator(b, wider, alpha)) == repr(image)
+
+
+def test_the_worked_commutator_example():
+    """p = 3, b = (-1, 0, 1) on (-1, 1) with flat tails -1 and 1, alpha =
+    0.25: the image lives on b's window, and above it the bracket is the
+    constant 34/27 (the composition it replaces read 1.2592592592592666,
+    on the window (-3, 5))."""
+    ctx = PadicContext(3, 1)
+    b = RadialStepFunction(ctx, (-1, 1), (-1.0, 0.0, 1.0), Tail(-1.0, 0.0), Tail(1.0, 0.0))
+    f = RadialStepFunction(ctx, (-2, 4), (1.0, -0.5, 2.0, 0.3, -1.1, 0.7, 1.9))
+    image = commutator(b, f, 0.25)
+    assert image.window == (-1, 1)
+    assert image.inner_tail == Tail(0.0, 0.0)
+    assert image.outer_tail == Tail(1.2592592592592593, -0.75)
+    assert image.outer_tail.amplitude == float(Fraction(34, 27))
+    for k in (-1, 0, 1):
+        assert image.evaluate(k) == ppow(3, k * -0.75) * float(_bracket(b, f, k)[0])
+
+
+def test_each_end_of_the_commutator_kernel():
+    """Each way the kernel ends a window or refuses an image, one case each,
+    at p = 2, n = 1: a decaying inner symbol tail at integer and at other
+    rates, a decaying outer one whose image tail keeps the rate of f's
+    integral or of b's, a subnormal bracket scaled before it rounds, and the
+    typed refusals."""
+    f = RadialStepFunction(CTX, (0, 1), (1.0, 2.0), inner_tail=Tail(1.0, 0.0))
+    for rate in (1.0, 0.5):
+        b = RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(3.0, rate))
+        g = RadialStepFunction(CTX, (0, 1), (1.0, 2.0), inner_tail=Tail(1.0, rate))
+        image = commutator(b, g, 0.25)
+        assert image.window == (-1, 0) and image.inner_tail.rate == 2 * rate + 0.25
+        _assert_the_bracket(image, b, g, 0.25)
+    # the integral of f is 0: the image tail is minus that of b f, at rate -1
+    b = RadialStepFunction(CTX, (0, 1), (1.0, 3.0), outer_tail=Tail(1.0, -1.0))
+    image = commutator(b, RadialStepFunction(CTX, (0, 1), (2.0, -1.0)), 0.0)
+    assert image.window == (0, 2) and image.outer_tail == Tail(2.0, -1.0)
+    # b vanishes where f lives: b(k) times the integral of f, at rate -2
+    b = RadialStepFunction(CTX, (0, 0), (0.0,), outer_tail=Tail(1.0, -1.0))
+    image = commutator(b, RadialStepFunction.indicator_sphere(CTX, 0), 0.0)
+    assert image.window == (0, 1) and image.outer_tail == Tail(0.5, -2.0)
+    with pytest.raises(TailCombinationError, match="mix rates"):
+        commutator(
+            RadialStepFunction(CTX, (0, 0), (1.0,), outer_tail=Tail(1.0, -1.0)),
+            RadialStepFunction.indicator_sphere(CTX, 0),
+            0.0,
+        )
+    # the bracket 2**-1061 on shell -1059 is subnormal; scaled by 2**1059 it is 0.25
+    b = RadialStepFunction(CTX, (-1060, -1059), (0.0, 1.0))
+    image = commutator(b, RadialStepFunction.indicator_sphere(CTX, -1060), 0.0)
+    assert image.coeffs == (0.0, 0.25)
+    with pytest.raises(NumericUnderflowError, match="outer tail amplitude"):
+        commutator(
+            RadialStepFunction.indicator_sphere(CTX, 0),
+            RadialStepFunction(CTX, (0, 0), (5e-324,)),
+            0.0,
+        )
+    refusals = {
+        # b * f grows toward the origin: its inner tail is not integrable
+        "not integrable": (RadialStepFunction(CTX, (0, 0), (1.0,), Tail(1.0, -1.5)), f),
+        "different contexts": (RadialStepFunction.indicator_sphere(PadicContext(3, 1), 0), f),
+    }
+    for message, (b, g) in refusals.items():
+        with pytest.raises(DomainError, match=message):
+            commutator(b, g, 0.0)
+    overflows = {
+        # f's inner tail integral below shell 1999 is past the float range
+        "ball integral": (
+            RadialStepFunction(CTX, (1999, 2000), (0.0, 1.0)),
+            RadialStepFunction(CTX, (2000, 2000), (1.0,), Tail(1.0, 0.5)),
+        ),
+        # b on shell 2101 is 2**1155.55
+        "symbol on shell 2101": (
+            RadialStepFunction(CTX, (2100, 2100), (1.0,), outer_tail=Tail(1.0, 0.55)),
+            RadialStepFunction.indicator_sphere(CTX, 0),
+        ),
+        # the inner amplitudes multiply to about 1e600
+        "bracket": (
+            RadialStepFunction(CTX, (0, 0), (1.0,), Tail(1e300, 0.5)),
+            RadialStepFunction(CTX, (0, 0), (1.0,), Tail(1e300, 0.5)),
+        ),
+    }
+    for message, (b, g) in overflows.items():
+        with pytest.raises(NumericOverflowError, match=message):
+            commutator(b, g, 0.0)
+
+
+def test_an_adjoint_term_past_a_saturated_power_keeps_its_value():
+    """At p = 2 the adjoint of 1e-300 chi(S_550) at order 2 weighs the shell
+    by 2**1100, which saturates to inf, though the term, 1e-300 * |S_0| *
+    2**1100 = 1e-300 * 2**1099, is about 6.79e30. The term is formed in two
+    half powers, and here it is exact."""
+    f = RadialStepFunction.indicator_sphere(CTX, 550).scale(1e-300)
+    image = hardy_adjoint(f, 2.0)
+    assert image.coeffs[0] == float(Fraction(1e-300) * 2**1099) == pytest.approx(6.79e30, rel=1e-3)
+    assert image.inner_tail == Tail(image.coeffs[0], 0.0)
 
 
 def test_commutator_spec_requires_symbol():
@@ -384,12 +638,16 @@ def test_no_hardy_error_names_a_nan():
         hardy(RadialStepFunction.indicator_sphere(CTX, -1601), -1.5)
 
 
-def test_a_commutator_whose_hardy_image_passes_the_shell_limit_raises_first():
-    """H f of f on shells -10000..0 needs shell -10001, past the shell limit.
-    The commutator raises that error before the product b * H f, whose
-    coefficient 1e300 * 5e299 on shell -10000 is not finite."""
+def test_a_commutator_reads_f_only_where_its_symbol_jumps():
+    """H f of f on shells -10000..0 needs shell -10001, past the shell
+    limit, so hardy raises. The commutator with a flat-tailed symbol on
+    shell 0 never forms H f: its image lives on shell 0, where the bracket
+    (1 - 1e300) * 1e300 * |S_-10000|, about -1e-2411, lies below the float
+    range and reads -0.0, and its outer tail is minus the integral of b f
+    over B_0, -0.5 to the nearest float."""
     f = RadialStepFunction(CTX, (-10000, 0), (1e300,) + (0.0,) * 9999 + (1.0,))
     b = RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(1e300, 0.0))
-    for call in (lambda: hardy(f, 0.0), lambda: commutator(b, f, 0.0)):
-        with pytest.raises(DomainError, match="window\\[0\\] -10001 lies beyond the shell limit"):
-            call()
+    with pytest.raises(DomainError, match="window\\[0\\] -10001 lies beyond the shell limit"):
+        hardy(f, 0.0)
+    image = commutator(b, f, 0.0)
+    assert repr(image) == repr(RadialStepFunction(CTX, (0, 0), (-0.0,), outer_tail=Tail(-0.5, -1.0)))

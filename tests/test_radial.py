@@ -228,3 +228,15 @@ def test_a_decaying_outer_tail_integrates_past_the_float_range_of_its_measures()
     r = 2**-0.5
     closed_form = 0.5 + 0.5 * r * (1 - r**2000) / (1 - r)
     assert ball_integral(f, 2000) == pytest.approx(closed_form, rel=1e-15)
+
+
+def test_a_subnormal_tail_amplitude_keeps_its_bits_in_a_ball_integral():
+    """The tail's coefficient amplitude * |S_0| = 5e-324 * 0.5 is half the
+    smallest subnormal and would round to 0.0; the tail of the amplitude's
+    mantissa is summed instead and its exponent applied last, so the
+    integral over B_20, 5e-324 * 0.5 * 2**30 / (1 - 2**-1.5), about 4e-315,
+    keeps all but the last rounding."""
+    f = RadialStepFunction(CTX, (21, 21), (0.0,), inner_tail=Tail(5e-324, 0.5))
+    exact = float(Fraction(5e-324) * Fraction(0.5 * 2**30 / (1 - 2**-1.5)))
+    assert 0.0 < exact < 2.3e-308
+    assert abs(ball_integral(f, 20) - exact) <= 2 * 5e-324
