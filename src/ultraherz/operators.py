@@ -40,14 +40,14 @@ from .radial import (
     RadialStepFunction,
     ZERO_TAIL,
     Tail,
+    _MIN_NORMAL,
     _built,
     _float_value,
     _geometric_tail,
     _running_parts,
+    _times_power,
     _unit_mass,
 )
-
-_MIN_NORMAL = sys.float_info.min
 
 _KINDS = ("hardy", "adjoint", "commutator")
 
@@ -75,6 +75,16 @@ def _check_order(alpha: float) -> None:
         raise DomainError(f"operator order must be finite, got {alpha}")
 
 
+def _check_ball_input(name: str, f: RadialStepFunction, alpha: float) -> None:
+    _check_order(alpha)
+    if f.outer_tail.amplitude != 0.0:
+        raise ClassClosureError(
+            f"{name} needs a vanishing outer tail on f: above the window its "
+            "ball integral would mix a constant with the tail's own growth; "
+            "widen the explicit window instead"
+        )
+
+
 def apply_operator(spec: OperatorSpec, f: RadialStepFunction) -> RadialStepFunction:
     """Apply the operator described by ``spec`` to ``f``."""
     if spec.kind == "hardy":
@@ -92,13 +102,9 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
     integral of f over B_k. Below the input window that integral is a pure
     geometric tail, so the output tail has rate e_in + alpha; above it the
     integral is the constant total (the outer tail of f must vanish, or the
-    output would carry two growth rates at once). Where an integral's float
-    is subnormal or p**(k*(alpha - n)) saturates to inf, the exact integral
-    is scaled before rounding (see :func:`_scaled`). The built image is
-    judged first (a coefficient still past the float range raises
-    NumericOverflowError, a window end past the shell limit DomainError);
-    then a nonzero exact total integral, the outer tail's amplitude, that
-    rounds to 0.0 raises NumericUnderflowError.
+    output would carry two growth rates at once). Each exact integral is
+    rounded once and scaled by :func:`_image`, as the commutator's brackets
+    are.
 
     Examples:
         >>> from .padic import PadicContext
@@ -107,81 +113,76 @@ def hardy(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
         >>> g.evaluate(-3), g.evaluate(0), g.evaluate(2)
         (1.0, 1.0, 0.25)
     """
-    _check_order(alpha)
+    _check_ball_input("hardy", f, alpha)
     ctx = f.ctx
     p, n = ctx.p, ctx.n
-    if f.outer_tail.amplitude != 0.0:
-        raise ClassClosureError(
-            "hardy needs a vanishing outer tail: above the window the ball "
-            "integral would mix a constant with the tail's own growth; widen "
-            "the explicit window instead"
-        )
-    j_min, j_max = f.window
+    lo = f.window[0] - 1
+    integrals = list(islice(_running_parts(f, lo), f.window[1] - lo + 2))
+    # the inner tail integrates to amplitude * scale * p**(k*(rate + n)) over
+    # B_k (a divergent one raised in _running_parts, a zero one gives
+    # ZERO_TAIL); the outer tail vanishes, so B_hi holds the total integral
+    amplitude, rate = f.inner_tail
+    scale = _geometric_tail(_unit_mass(ctx), p, -(rate + n), 0, below=False)
+    inner, e = Tail(amplitude * scale, rate + alpha), alpha - n
+    return _image("hardy", "ball integral", ctx, lo, e, integrals, inner, integrals[-1], e)
 
-    lo, hi = j_min - 1, j_max + 1
-    parts = list(islice(_running_parts(f, lo), hi - lo + 1))
+
+def _image(name, row, ctx, lo: int, e: float, rows, inner: Tail, outer, rate) -> RadialStepFunction:
+    """The ``name`` image: on shell lo + i, p**((lo + i)*e) times rows[i],
+    an exact (numerator, denominator) ``row`` rounded once; the tails are
+    ``inner`` and (the exact ``outer`` rounded once, rate). A row past the
+    float range raises NumericOverflowError; where its float is subnormal or
+    the product is not finite, the exact row is scaled before it rounds (see
+    :func:`_scaled`). After the verdicts of ``_built``, a nonzero outer
+    amplitude that rounds to 0.0 raises NumericUnderflowError.
+    """
+    p = ctx.p
     try:
-        integrals = [num / den + inexact for num, den, inexact in parts]
+        values = [num / den for num, den in rows]
+        amplitude = outer[0] / outer[1]
     except OverflowError:
-        integrals = [math.inf]
-    if not all(map(math.isfinite, integrals)):
-        integrals = [_float_value(*part) for part in parts]
-    e = alpha - n
+        message = f"a {row} of the {name} image overflows the float range"
+        raise NumericOverflowError(message) from None
     coeffs = [
         c if (abs(v) >= _MIN_NORMAL or not part[0]) and math.isfinite(c := ppow(p, k * e) * v)
         else _scaled(p, k * e, v, part)
-        for k, v, part in zip(count(lo), integrals, parts)
+        for k, v, part in zip(count(lo), values, rows)
     ]
-
-    amplitude, rate = f.inner_tail
-    if amplitude == 0.0:
-        inner = ZERO_TAIL
-    else:
-        # the tail integrates to amplitude * scale * p**(k*(rate + n)) over B_k
-        scale = _geometric_tail(_unit_mass(ctx), p, -(rate + n), 0, below=False)
-        inner = Tail(amplitude * scale, rate + alpha)
-    # The outer tail vanishes, so B_hi already holds the total integral; an
-    # int order makes e an int, which the tail holds as a float.
-    image = _built(ctx, (lo, hi), coeffs, inner, Tail(integrals[-1], float(e)))
-    num, _, inexact = parts[-1]
-    if integrals[-1] == 0.0 and num and not inexact:
+    image = _built(ctx, (lo, lo + len(rows) - 1), coeffs, inner, Tail(amplitude, float(rate)))
+    if amplitude == 0.0 and outer[0]:
         raise NumericUnderflowError(
-            f"the outer tail amplitude of the hardy image, the integral over "
-            f"B_{hi}, is not zero but rounds to 0.0"
+            f"the outer tail amplitude of the {name} image, a {row}, is not zero "
+            "but rounds to 0.0"
         )
     return image
 
 
-def _scaled(p: int, e: float, value: float, part: tuple[int, int, float]) -> float:
-    """p**e times the ball integral held by ``part``, whose float ``value`` is
-    0.0 or subnormal though its exact part is not, or whose float product
-    is not finite: an exact zero gives 0.0, else the integral is scaled by
-    2**s into the normal range before rounding and the product by 2**-s.
-    If that is not finite, the exact integral is scaled by p**floor(e)
-    before its one rounding (inf past the float range), then by p**(e - floor(e)).
+def _scaled(p: int, e: float, value: float, row: tuple[int, int]) -> float:
+    """p**e times the exact ``row`` (numerator, denominator), whose float
+    ``value`` is 0.0 or subnormal though the row is not, or whose float
+    product is not finite: an exact zero gives 0.0, else the row is scaled
+    by 2**s into the normal range before rounding and the product by 2**-s.
+    If that is not finite, the row is scaled by p**floor(e) before its one
+    rounding (inf past the float range), then by p**(e - floor(e)).
     """
-    num, den, inexact = part
-    if not num and not inexact:
+    num, den = row
+    if not num:
         return 0.0
     coefficient = ppow(p, e) * value
-    # 2**s * |num / den| and 2**s * |inexact| lie below 2**min_exp
+    # 2**s * |num / den| lies below 2**min_exp
     s = den.bit_length() - abs(num).bit_length() + sys.float_info.min_exp
-    if inexact:
-        s = min(s, sys.float_info.min_exp - math.frexp(inexact)[1])
-    if num and s > 0 and abs(value) < _MIN_NORMAL:
-        coefficient = math.ldexp(ppow(p, e) * ((num << s) / den + math.ldexp(inexact, s)), -s)
+    if s > 0 and abs(value) < _MIN_NORMAL:
+        coefficient = math.ldexp(ppow(p, e) * ((num << s) / den), -s)
     if math.isfinite(coefficient):
         return coefficient
-    # e > 0 here: p**e <= 1 times a finite integral is finite. Past the
-    # float range by the log2 of the exact value, known to within a bit,
-    # the answer is inf without forming p**whole; p**0.0 is 1.0 exactly
+    # e > 0 here: p**e <= 1 times a finite row is finite. Past the float
+    # range by the log2 of the exact value, known to within a bit, the
+    # answer is inf without forming p**whole; p**0.0 is 1.0 exactly
     whole = math.floor(e)
-    top, bottom = inexact.as_integer_ratio()
-    top, bottom = num * bottom + top * den, den * bottom
-    if top.bit_length() - bottom.bit_length() + whole * math.log2(p) > 1100:
+    if num.bit_length() - den.bit_length() + whole * math.log2(p) > 1100:
         return math.inf
     try:
-        exact = top * p**whole / bottom
+        exact = num * p**whole / den
     except OverflowError:
         return math.inf
     return exact * ppow(p, e - whole)
@@ -233,12 +234,7 @@ def hardy_adjoint(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
     coeffs = [value]  # from shell hi down: shell k adds the mass of S_(k+1)
     for j, c in zip(range(hi, lo, -1), reversed(f.evaluate_range(lo + 1, hi))):
         # a zero shell adds its signed zero, even where p**(j*alpha) is inf
-        term = mass * c * (ppow(p, j * alpha) if c else 1.0)
-        if not math.isfinite(term) and c:
-            # p**(j*alpha) saturated before it met c: take it in two halves
-            half = j * alpha / 2
-            term = mass * c * ppow(p, half) * ppow(p, j * alpha - half)
-        value = value + term
+        value = value + (_times_power(mass * c, p, j * alpha) if c else mass * c)
         coeffs.append(value)
     coeffs.reverse()
     return _built(ctx, (lo, hi), coeffs, Tail(coeffs[0], 0.0), outer)
@@ -257,8 +253,8 @@ def commutator(
     I(k) the integral of f over B_k: each step is a jump of the symbol times
     one ball integral of a single ``_running_parts`` pass of f. The jumps
     and integrals are exact ratios (see :func:`_tail_ratio`), so each
-    B(k) is rounded once and then scaled as ``hardy`` scales its integrals,
-    ``ppow(p, k*(alpha - n)) * B(k)`` with the :func:`_scaled` fallback.
+    B(k) is rounded once and then scaled by :func:`_image`, as ``hardy``
+    scales its integrals.
 
     The symbol's tails fix the window. A flat inner tail (rate 0, a zero
     tail included) makes B vanish below b's window: the image starts there,
@@ -284,27 +280,17 @@ def commutator(
         >>> g.window, g.coeffs, g.outer_tail
         ((0, 1), (0.0, 0.25), Tail(amplitude=0.5, rate=-1.0))
     """
-    _check_order(alpha)
-    if f.outer_tail.amplitude != 0.0:
-        raise ClassClosureError(
-            "the commutator needs a vanishing outer tail on f: above the "
-            "window its ball integral would mix a constant with the tail's "
-            "own growth; widen the explicit window instead"
-        )
+    _check_ball_input("the commutator", f, alpha)
     if b.ctx != f.ctx:
         raise DomainError("the symbol and the function live in different contexts")
     ctx = f.ctx
-    p = ctx.p
     e = alpha - ctx.n
     r_in, (a_out, r_out) = b.inner_tail.rate, b.outer_tail
     lo = b.window[0] if r_in == 0.0 else min(b.window[0], f.window[0]) - 1
     hi = b.window[1] if r_out == 0.0 else max(b.window[1], f.window[1]) + 1
 
     # I(lo - 1), ..., I(hi), b(lo - 1), ..., b(hi + 1) and B(lo - 1), exactly
-    integrals = [
-        _exact(num, den, inexact) if inexact else (num, den)
-        for num, den, inexact in islice(_running_parts(f, lo - 1), hi - lo + 2)
-    ]
+    integrals = list(islice(_running_parts(f, lo - 1), hi - lo + 2))
     symbol = _symbol_ratios(b, lo - 1, hi + 1)
     inner, (start, start_den) = _inner_bracket(ctx, b.inner_tail, f.inner_tail, lo - 1)
     den_b = math.lcm(*[d for _, d in symbol])
@@ -318,7 +304,7 @@ def commutator(
         initial=start * den_b * den_f,
     ))
 
-    top, bottom, rate = brackets[-1], den, float(e)
+    outer, rate = (brackets[-1], den), float(e)
     total = integrals[-1]
     if r_out != 0.0 and total[0]:
         # J = b(hi + 1) * I - B(hi + 1) must vanish, leaving b(k) * I
@@ -329,34 +315,10 @@ def commutator(
                 "symbol's window so that its tail is flat from there on."
             )
         a, d = a_out.as_integer_ratio()
-        top, bottom, rate = a * total[0], d * total[1], r_out + e
-    try:
-        values = [num / den for num in brackets[1:-1]]
-        amplitude = top / bottom
-    except OverflowError:
-        raise NumericOverflowError("a commutator bracket overflows the float range") from None
-    coeffs = [
-        c if (abs(v) >= _MIN_NORMAL or not num) and math.isfinite(c := ppow(p, k * e) * v)
-        else _scaled(p, k * e, v, (num, den, 0.0))
-        for k, v, num in zip(count(lo), values, brackets[1:])
-    ]
-    rate_in = r_in + f.inner_tail.rate + alpha
-    image = _built(ctx, (lo, hi), coeffs, Tail(inner, rate_in), Tail(amplitude, rate))
-    if amplitude == 0.0 and top:
-        raise NumericUnderflowError(
-            f"the outer tail amplitude of the commutator image, the bracket "
-            f"above shell {hi}, is not zero but rounds to 0.0"
-        )
-    return image
-
-
-def _exact(num: int, den: int, inexact: float) -> tuple[int, int]:
-    """num / den + inexact as one exact ratio. An infinite inexact part is an
-    integral past the float range: NumericOverflowError."""
-    if not math.isfinite(inexact):
-        raise NumericOverflowError("a ball integral overflows the float range")
-    a, d = inexact.as_integer_ratio()
-    return num * d + a * den, den * d
+        outer, rate = (a * total[0], d * total[1]), r_out + e
+    rows = [(num, den) for num in brackets[1:-1]]
+    inner_tail = Tail(inner, r_in + f.inner_tail.rate + alpha)
+    return _image("commutator", "bracket", ctx, lo, e, rows, inner_tail, outer, rate)
 
 
 def _symbol_ratios(b: RadialStepFunction, lo: int, hi: int) -> list[tuple[int, int]]:

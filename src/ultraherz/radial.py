@@ -29,6 +29,8 @@ from .errors import (
 )
 from .padic import PadicContext, check_shell, ppow
 
+_MIN_NORMAL, _MAX = sys.float_info.min, sys.float_info.max
+
 
 def _set_window(obj, entries: tuple, what: str) -> None:
     """Store obj.window as two ints once it is ordered, lies within
@@ -132,18 +134,28 @@ class RadialStepFunction:
             >>> RadialStepFunction.indicator_ball(ctx, 0).evaluate_range(-1, 1)
             [1.0, 1.0, 0.0]
         """
-        p = self.ctx.p
         j_min, j_max = self.window
         values = [*self.coeffs[max(lo - j_min, 0) : max(hi - j_min + 1, 0)]]
-        # a zero amplitude has rate 0.0, and a * p**(k * 0.0) is a * 1.0, which is a
         if lo < j_min:
-            a, e = self.inner_tail
-            below = range(lo, min(hi + 1, j_min))
-            values[:0] = [a * ppow(p, k * e) for k in below] if e else [a] * len(below)
+            values[:0] = self._tail_values(self.inner_tail, range(lo, min(hi + 1, j_min)))
         if hi > j_max:
-            a, e = self.outer_tail
-            above = range(max(lo, j_max + 1), hi + 1)
-            values += [a * ppow(p, k * e) for k in above] if e else [a] * len(above)
+            values += self._tail_values(self.outer_tail, range(max(lo, j_max + 1), hi + 1))
+        return values
+
+    def _tail_values(self, tail: Tail, shells: range) -> list[float]:
+        """amplitude * p**(k * rate) on the shells, by :func:`_times_power`
+        where the plain product is not a normal float. The values are
+        monotone in k, so only the two ends need checking."""
+        a, e = tail
+        if not e:
+            # a zero amplitude has rate 0.0, and a * p**(k * 0.0) is a * 1.0, which is a
+            return [a] * len(shells)
+        p = self.ctx.p
+        values = [a * ppow(p, k * e) for k in shells]
+        if values and not (
+            _MIN_NORMAL <= abs(values[0]) <= _MAX and _MIN_NORMAL <= abs(values[-1]) <= _MAX
+        ):
+            values = [_times_power(a, p, k * e) for k in shells]
         return values
 
     def scale(self, c: float) -> "RadialStepFunction":
@@ -160,6 +172,18 @@ class RadialStepFunction:
         (a_in, e_in), (a_out, e_out) = self.inner_tail, self.outer_tail
         coeffs = [abs(v) for v in self.coeffs]
         return _built(self.ctx, self.window, coeffs, Tail(abs(a_in), e_in), Tail(abs(a_out), e_out))
+
+
+def _times_power(c: float, p: int, x: float) -> float:
+    """c * p**x for a nonzero c. Where the plain product is not a normal
+    float (p**x saturated to inf or 0.0, or the product left the normal
+    range), it is formed again from two half powers, so a value that fits
+    is not read as inf or 0.0."""
+    value = c * ppow(p, x)
+    if _MIN_NORMAL <= abs(value) <= _MAX:
+        return value
+    half = x / 2
+    return c * ppow(p, half) * ppow(p, x - half)
 
 
 def _built(ctx, window, coeffs: list[float], inner: Tail, outer: Tail) -> RadialStepFunction:
@@ -285,24 +309,21 @@ def _geometric_tail(
     return coef * ppow(p, s * start) / (-divisor if below else divisor)
 
 
-def _tail_integral(
-    f: RadialStepFunction, start: int, below: bool
-) -> tuple[int, int, float]:
+def _tail_integral(f: RadialStepFunction, start: int, below: bool) -> tuple[int, int]:
     """Sum of tail_value(k) * |S_k| over shells k < start of the inner law
-    (below) or k >= start of the outer law.
-
-    Returns a (numerator, denominator, inexact) triple: the value is
-    numerator / denominator exactly when the geometric ratio is an integer
-    power of p (integer rate), else the float inexact over an exact 0 / 1.
-    Raises :class:`DomainError` for a non-integrable tail.
+    (below) or k >= start of the outer law, as a (numerator, denominator)
+    pair: the exact sum where the geometric ratio is an integer power of p
+    (integer rate), else the float :func:`_geometric_tail` as its own exact
+    ratio (see :func:`_ratio`). Raises :class:`DomainError` for a
+    non-integrable tail.
     """
     amplitude, rate = f.inner_tail if below else f.outer_tail
     if amplitude == 0.0:
-        return 0, 1, 0.0
+        return 0, 1
     p, n = f.ctx.p, f.ctx.n
     s = rate + n
     coef, scale = amplitude * _unit_mass(f.ctx), 0
-    if abs(coef) < sys.float_info.min:
+    if abs(coef) < _MIN_NORMAL:
         # a subnormal coefficient keeps few bits: sum the tail of the
         # amplitude's mantissa and apply its exponent last
         mantissa, scale = math.frexp(amplitude)
@@ -315,7 +336,7 @@ def _tail_integral(
             f"(needs rate {bound} {-n})"
         )
     if not float(s).is_integer():
-        return 0, 1, math.ldexp(tail, scale)
+        return _ratio(math.ldexp(tail, scale))
     # amplitude * (p**n - 1) * p**e / (p**|s| - 1): the ratio p**s is > 1
     # below and < 1 above, where p**-s clears it from the divisor
     s = int(s)
@@ -324,18 +345,32 @@ def _tail_integral(
     num *= p**n - 1
     den *= p ** abs(s) - 1
     if e >= 0:
-        return num * p**e, den, 0.0
-    return num, den * p**-e, 0.0
+        return num * p**e, den
+    return num, den * p**-e
 
 
-def _running_parts(f: RadialStepFunction, gamma: int) -> Iterator[tuple[int, int, float]]:
-    """Integrals of f over B_k for k = gamma, gamma + 1, ... as (numerator,
-    denominator, inexact) triples: numerator / denominator, never reduced,
-    is the exact part and inexact a float.
+_OVERFLOW = (
+    "a ball integral overflows the float range: a finite integral too "
+    "large for this computation, not a divergent one"
+)
 
-    Each step adds one shell, so n triples cost O(n + W) for a window of W
-    shells. From the window on, the exact part is an integer numerator over
-    a denominator fixed for the pass: the inner tail's denominator times the
+
+def _ratio(x: float) -> tuple[int, int]:
+    """A float sum as its own exact (numerator, denominator) pair. The
+    integrals these sums add to are finite, so an infinite sum is one past
+    the float range: NumericOverflowError."""
+    if not math.isfinite(x):
+        raise NumericOverflowError(_OVERFLOW)
+    return x.as_integer_ratio()
+
+
+def _running_parts(f: RadialStepFunction, gamma: int) -> Iterator[tuple[int, int]]:
+    """Integrals of f over B_k for k = gamma, gamma + 1, ... as exact
+    (numerator, denominator) pairs, never reduced.
+
+    Each step adds one shell, so n pairs cost O(n + W) for a window of W
+    shells. From the window on, the numerator is an integer over a
+    denominator fixed for the pass: the inner tail's denominator times the
     largest power-of-2 denominator of the coefficients (and of an
     integer-rate outer amplitude) times the power of p that clears the
     measure of the lowest window shell, so each window shell adds an
@@ -343,11 +378,10 @@ def _running_parts(f: RadialStepFunction, gamma: int) -> Iterator[tuple[int, int
     integer-rate outer tail adds p**(rate + n) times the last one's integer;
     where rate + n < 0, numerator and denominator are scaled by
     p**-(rate + n) instead, so each of its shells adds the same integer.
-    Non-integer-rate outer-tail terms enter the float slot left to right, so
-    every triple equals a fresh shell sum bit for bit; where |S_j| leaves
-    the float range the term is amplitude * |S_0| * p**(j*(rate + n)). An
-    inexact part past the float range is inf, which :func:`_float_value`
-    and :func:`_mean_of_parts` raise as NumericOverflowError.
+    Non-integer-rate outer-tail terms are summed left to right in one float,
+    added to the pair exactly at each step by :func:`_ratio` (an infinite
+    sum raises NumericOverflowError); where |S_j| leaves the float range the
+    term is amplitude * |S_0| * p**(j*(rate + n)).
     """
     ctx = f.ctx
     p, n = ctx.p, ctx.n
@@ -357,7 +391,7 @@ def _running_parts(f: RadialStepFunction, gamma: int) -> Iterator[tuple[int, int
     while k < j_min:
         yield _tail_integral(f, k + 1, below=True)
         k += 1
-    num, den, inexact = _tail_integral(f, j_min, below=True)
+    num, den = _tail_integral(f, j_min, below=True)
     ratios = [c.as_integer_ratio() for c in f.coeffs]
     amplitude, rate = f.outer_tail
     integer_rate = float(rate).is_integer()
@@ -374,10 +408,10 @@ def _running_parts(f: RadialStepFunction, gamma: int) -> Iterator[tuple[int, int
         num += a * (unit // d)
         unit *= q
         if j >= k:
-            yield num, den, inexact
+            yield num, den
     if amplitude == 0.0:
         while True:
-            yield num, den, inexact
+            yield num, den
     if integer_rate:
         a, d = amplitude.as_integer_ratio()
         term = a * (unit // d)
@@ -391,42 +425,35 @@ def _running_parts(f: RadialStepFunction, gamma: int) -> Iterator[tuple[int, int
         for j in count(j_max + 1):
             num += term
             if j >= k:
-                yield num, den, inexact
+                yield num, den
             if step >= 0:
                 term *= p**step
             else:
                 num *= p**-step
                 den *= p**-step
+    terms = 0.0
     for j in count(j_max + 1):
         try:
-            inexact += amplitude * ppow(p, j * rate) * (unit / den)
+            terms += amplitude * ppow(p, j * rate) * (unit / den)
         except OverflowError:
             # |S_j| leaves the float range, but a decaying tail's term need not
-            inexact += amplitude * _unit_mass(ctx) * ppow(p, j * (rate + n))
+            terms += amplitude * _unit_mass(ctx) * ppow(p, j * (rate + n))
         unit *= q
         if j >= k:
-            yield num, den, inexact
+            a, d = _ratio(terms)
+            yield num * d + a * den, den * d
 
 
-def _float_value(num: int, den: int, *inexact: float) -> float:
-    """num / den plus the inexact terms, added left to right.
-
-    int / int true division rounds the exact rational once, correctly, as
-    ``float(Fraction(num, den))`` does. Raises :class:`NumericOverflowError`
-    when the exact part does not fit in a float or the sum is not finite:
-    the integrals these triples hold are finite, so an infinite float can
-    only be an overflow.
+def _float_value(num: int, den: int) -> float:
+    """num / den, rounded once, correctly, as ``float(Fraction(num, den))``
+    rounds it. A quotient past the float range raises
+    :class:`NumericOverflowError`: the integrals these pairs hold are
+    finite, so it can only be an overflow.
     """
     try:
-        value = sum(inexact, num / den)
+        return num / den
     except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise NumericOverflowError(
-            "a ball integral overflows the float range: a finite integral too "
-            "large for this computation, not a divergent one"
-        )
-    return value
+        raise NumericOverflowError(_OVERFLOW) from None
 
 
 def ball_integral(f: RadialStepFunction, gamma: int) -> float:
@@ -437,17 +464,16 @@ def ball_integral(f: RadialStepFunction, gamma: int) -> float:
 
 def total_integral(f: RadialStepFunction) -> float:
     """Integral of f over the whole space; both tails summed analytically."""
-    num, den, inexact = next(_running_parts(f, f.window[1]))
-    num2, den2, inexact2 = _tail_integral(f, f.window[1] + 1, below=False)
-    return _float_value(num * den2 + num2 * den, den * den2, inexact, inexact2)
+    num, den = next(_running_parts(f, f.window[1]))
+    num2, den2 = _tail_integral(f, f.window[1] + 1, below=False)
+    return _float_value(num * den2 + num2 * den, den * den2)
 
 
 def ball_mean(f: RadialStepFunction, gamma: int) -> float:
     """Mean of f over B_gamma: (integral over B_gamma) / |B_gamma|.
 
-    The window part and integer-rate tail parts are computed in exact
-    rational arithmetic, so e.g. the mean of the constant-1 function is
-    exactly 1.0 at every gamma.
+    The integral and the measure are exact, so the mean is rounded once:
+    e.g. the mean of the constant-1 function is exactly 1.0 at every gamma.
 
     Examples:
         >>> ctx = PadicContext(2, 1)
@@ -460,29 +486,13 @@ def ball_mean(f: RadialStepFunction, gamma: int) -> float:
     return _mean_of_parts(next(_running_parts(f, gamma)), gamma, f.ctx)
 
 
-def _mean_of_parts(parts: tuple[int, int, float], gamma: int, ctx: PadicContext) -> float:
-    """Mean over B_gamma from the (numerator, denominator, inexact) integral
-    of f over it.
-
-    Both parts are divided by the exact measure p**(n*gamma), which scales
-    the denominator for gamma >= 0 and the numerator below, so any radius
-    works. An infinite inexact part is an overflowed integral and raises
-    NumericOverflowError, as does a finite one whose quotient leaves the
-    float range.
-    """
-    num, den, inexact = parts
+def _mean_of_parts(parts: tuple[int, int], gamma: int, ctx: PadicContext) -> float:
+    """Mean over B_gamma from the (numerator, denominator) integral of f
+    over it, divided by the exact measure p**(n*gamma) and rounded once: a
+    quotient past the float range raises NumericOverflowError."""
+    num, den = parts
     measure = ctx.p ** (ctx.n * abs(gamma))
-    if inexact and math.isfinite(inexact):
-        a, d = inexact.as_integer_ratio()
-        try:
-            inexact = a / (d * measure) if gamma >= 0 else a * measure / d
-        except OverflowError:
-            inexact = math.inf
-    if gamma >= 0:
-        den *= measure
-    else:
-        num *= measure
-    return _float_value(num, den, inexact)
+    return _float_value(num, den * measure) if gamma >= 0 else _float_value(num * measure, den)
 
 
 @dataclass(frozen=True)

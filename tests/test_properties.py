@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.internal.conjecture import providers
 
 from ultraherz import (
+    DomainError,
     ExponentFunction,
     HerzParams,
     MorreyHerzParams,
@@ -43,6 +43,7 @@ from ultraherz import (
     modular,
     morrey_herz_norm,
     ppow,
+    total_integral,
 )
 from ultraherz.norms import (
     _CRITICAL_BAND,
@@ -139,24 +140,41 @@ def wide_step_functions(ctx):
     return step_functions(ctx, coeff=WIDE_COEFF, reach=60, int_rates=6, far=far)
 
 
-def _direct_parts(f: RadialStepFunction, gamma: int) -> tuple[Fraction, float]:
-    """Integral of f over B_gamma from a fresh shell-by-shell sum: the inner
-    tail in closed form (as a Fraction at an integer rate), then every shell
-    of B_gamma above it, with the non-integer-rate outer terms added left
-    to right as floats."""
+def _tail_sum(f: RadialStepFunction, start: int, below: bool) -> Fraction | None:
+    """The inner tail's integral below shell ``start`` (below) or the outer
+    tail's from ``start`` on, in closed form: a Fraction of the geometric
+    series at an integer rate, else the float of ``_geometric_tail`` (from
+    the amplitude's mantissa where amplitude * |S_0| is subnormal, scaled
+    by its exponent last) as a Fraction. None where that float is inf."""
+    p, n = f.ctx.p, f.ctx.n
+    mass = 1 - Fraction(p) ** -n
+    amplitude, rate = f.inner_tail if below else f.outer_tail
+    s = rate + n
+    if amplitude == 0.0:
+        return Fraction(0)
+    if s.is_integer():
+        r = Fraction(p) ** int(s)
+        return Fraction(amplitude) * mass * r**start / ((r - 1) if below else (1 - r))
+    mantissa, scale = amplitude, 0
+    if abs(amplitude * float(mass)) < MIN_NORMAL:
+        mantissa, scale = math.frexp(amplitude)
+    tail = math.ldexp(_geometric_tail(mantissa * float(mass), p, s, start, below), scale)
+    return Fraction(tail) if math.isfinite(tail) else None
+
+
+def _direct_parts(f: RadialStepFunction, gamma: int) -> tuple[Fraction | None, float]:
+    """Integral of f over B_gamma from a fresh shell-by-shell sum, as an
+    exact part and a float: the inner tail by ``_tail_sum``, then every
+    shell of B_gamma above it exactly, but for the non-integer-rate outer
+    terms, added left to right as floats (where |S_k| leaves the float
+    range, amplitude * |S_0| * p**(k*(rate + n))). An infinite inner tail
+    sum gives None."""
     p, n = f.ctx.p, f.ctx.n
     j_min, j_max = f.window
     mass = 1 - Fraction(p) ** -n
-    exact, inexact = Fraction(0), 0.0
-    start = min(gamma, j_min - 1) + 1
-    amplitude, rate = f.inner_tail
-    if amplitude != 0.0:
-        s = rate + n
-        if s.is_integer():
-            r = Fraction(p) ** int(s)
-            exact = Fraction(amplitude) * mass * r**start / (r - 1)
-        else:
-            inexact = _geometric_tail(amplitude * float(mass), p, s, start, below=True)
+    exact, inexact = _tail_sum(f, min(gamma, j_min - 1) + 1, below=True), 0.0
+    if exact is None:
+        return None, 0.0
     amplitude, rate = f.outer_tail
     for k in range(j_min, gamma + 1):
         sphere = Fraction(p) ** (n * k) * mass
@@ -167,32 +185,86 @@ def _direct_parts(f: RadialStepFunction, gamma: int) -> tuple[Fraction, float]:
         elif rate.is_integer():
             exact += Fraction(amplitude) * Fraction(p) ** (k * int(rate)) * sphere
         else:
-            inexact += amplitude * ppow(p, k * rate) * float(sphere)
+            try:
+                inexact += amplitude * ppow(p, k * rate) * float(sphere)
+            except OverflowError:
+                inexact += amplitude * float(mass) * ppow(p, k * (rate + n))
     return exact, inexact
+
+
+def _rounded(x: Fraction) -> float | None:
+    """x correctly rounded to a float, or None past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
 
 
 @settings(max_examples=300)
 @given(data=st.data())
 def test_running_parts_match_a_direct_shell_sum_at_every_step(data):
+    """Each pair is the exact sum of the direct reference, and rounds to it
+    once; where that sum is infinite, or its float past the float range,
+    the pass or the rounding raises NumericOverflowError."""
     f = data.draw(contexts().flatmap(wide_step_functions))
     j_min, j_max = f.window
     gamma = data.draw(st.integers(j_min - 5, j_max + 5))
     steps = data.draw(st.integers(1, 12))
-    running = list(islice(_running_parts(f, gamma), steps))
-    expected = [_direct_parts(f, gamma + i) for i in range(steps)]
-    assert [Fraction(num, den) for num, den, _ in running] == [e for e, _ in expected]
-    # repr also tells -0.0 from 0.0 in the float slot
-    assert [repr(x) for *_, x in running] == [repr(x) for _, x in expected]
-    for part, (exact, inexact) in zip(running, expected):
-        try:
-            want = float(exact) + inexact
-        except OverflowError:
-            want = math.inf
-        if math.isfinite(want):
-            assert repr(_float_value(*part)) == repr(want)
-        else:
+    running = _running_parts(f, gamma)
+    for k in range(gamma, gamma + steps):
+        exact, inexact = _direct_parts(f, k)
+        if exact is None or not math.isfinite(inexact):
             with pytest.raises(NumericOverflowError):
-                _float_value(*part)
+                next(running)
+            break
+        num, den = next(running)
+        assert Fraction(num, den) == exact + Fraction(inexact)
+        want = _rounded(exact + Fraction(inexact))
+        if want is None:
+            with pytest.raises(NumericOverflowError):
+                _float_value(num, den)
+        else:
+            assert repr(_float_value(num, den)) == repr(want)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_integrals_and_means_are_the_exact_sums_rounded_once(data):
+    """``ball_integral``, ``ball_mean`` and ``total_integral`` round the
+    exact sum of the direct reference once, at zero, integer and
+    non-integer tail rates, or raise NumericOverflowError where it does not
+    fit (DomainError for a total with a non-integrable outer tail)."""
+    f = data.draw(contexts().flatmap(wide_step_functions))
+    p, n = f.ctx.p, f.ctx.n
+    j_min, j_max = f.window
+    gamma = data.draw(st.integers(j_min - 5, j_max + 5))
+    exact, inexact = _direct_parts(f, gamma)
+    integral = None
+    if exact is not None and math.isfinite(inexact):
+        integral = exact + Fraction(inexact)
+    measure = Fraction(p) ** (n * gamma)
+    checks = [
+        (lambda: ball_integral(f, gamma), integral),
+        (lambda: ball_mean(f, gamma), None if integral is None else integral / measure),
+    ]
+    amplitude, rate = f.outer_tail
+    if amplitude == 0.0 or rate < -n:
+        exact, inexact = _direct_parts(f, j_max)
+        outer = _tail_sum(f, j_max + 1, below=False)
+        total = None
+        if exact is not None and outer is not None:
+            total = exact + outer
+        checks.append((lambda: total_integral(f), total))
+    else:
+        with pytest.raises(DomainError):
+            total_integral(f)
+    for call, value in checks:
+        want = None if value is None else _rounded(value)
+        if want is None:
+            with pytest.raises(NumericOverflowError):
+                call()
+        else:
+            assert repr(call()) == repr(want)
 
 
 #: Tails that vanish (a 0.0 amplitude), stay flat (rate 0.0, also -0.0) or
@@ -308,8 +380,9 @@ def test_hardy_coefficients_are_weighted_ball_integrals(data, alpha):
     """Bit for bit p**(k(alpha - n)) times the ball integral, where that
     integral is a normal float. A subnormal integral has lost bits that the
     image scales back from the exact integral: at an integer order the
-    coefficient is then the correctly rounded exact product, and at any
-    order within the integral's rounding of the float product."""
+    coefficient is then the correctly rounded exact product, at any tail
+    rate, and at any order within the integral's rounding of the float
+    product."""
     f = data.draw(contexts().flatmap(lambda ctx: step_functions(ctx, outer=False)))
     p, n = f.ctx.p, f.ctx.n
     image = hardy(f, alpha)
@@ -317,10 +390,10 @@ def test_hardy_coefficients_are_weighted_ball_integrals(data, alpha):
     assert (lo, hi) == (f.window[0] - 1, f.window[1] + 1)
     for k, got in zip(range(lo, hi + 1), image.coeffs):
         factor, integral = ppow(p, k * (alpha - n)), ball_integral(f, k)
-        num, den, inexact = next(_running_parts(f, k))
+        num, den = next(_running_parts(f, k))
         if abs(integral) >= MIN_NORMAL or not num:
             assert got == factor * integral
-        elif alpha.is_integer() and not inexact:
+        elif alpha.is_integer():
             assert got == float(Fraction(p) ** (k * int(alpha - n)) * Fraction(num, den))
         else:
             assert abs(got - factor * integral) <= factor * 2.0**-1072 + 1e-15 * abs(got)

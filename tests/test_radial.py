@@ -240,3 +240,20 @@ def test_a_subnormal_tail_amplitude_keeps_its_bits_in_a_ball_integral():
     exact = float(Fraction(5e-324) * Fraction(0.5 * 2**30 / (1 - 2**-1.5)))
     assert 0.0 < exact < 2.3e-308
     assert abs(ball_integral(f, 20) - exact) <= 2 * 5e-324
+
+
+def test_a_tail_value_that_fits_is_read_past_a_saturated_power():
+    """At p = 2 the values 1e-300 * 2**1100 and 1e300 * 2**-1100 on shell
+    -1100 fit in a float, though 2**1100 saturates to inf and 2**-1100 to
+    0.0: each is formed from two half powers, here exactly. A range read
+    keeps each shell's value, and a normal value keeps the plain product."""
+    rising = RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(1e-300, -1.0))
+    falling = RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(1e300, 1.0))
+    assert rising.evaluate(-1100) == float(Fraction(1e-300) * 2**1100) == 1.3582985290493859e31
+    assert falling.evaluate(-1100) == float(Fraction(1e300) / 2**1100) == 7.362151829022863e-32
+    for f in (rising, falling):
+        assert f.evaluate_range(-1102, -2) == [f.evaluate(k) for k in range(-1102, -1)]
+    assert rising.evaluate(-3) == 1e-300 * ppow(2, 3.0)
+    # the outer tail's values past 2**1024 read the same way
+    outer = RadialStepFunction(CTX, (0, 0), (1.0,), outer_tail=Tail(1e-300, 1.0))
+    assert outer.evaluate(1100) == rising.evaluate(-1100)
