@@ -46,6 +46,7 @@ from .radial import (
     _geometric_tail,
     _mean_of_parts,
     _running_parts,
+    _times_power,
     _unit_mass,
 )
 
@@ -57,9 +58,9 @@ _CRITICAL_BAND = 1e-12
 #: in mixed power-plus-constant sums.
 _MIXED_TOL = 1e-13
 
-_MIN_NORMAL = sys.float_info.min
+_MIN_NORMAL, _MAX = sys.float_info.min, sys.float_info.max
 _LOG_MIN_NORMAL = math.log(_MIN_NORMAL)
-_LOG_MAX = math.log(sys.float_info.max)
+_LOG_MAX = math.log(_MAX)
 
 #: Largest integer exponent e whose one-group Luxemburg root is rounded by
 #: exact midpoint tests: their Fraction powers carry about 54 * e bits.
@@ -539,8 +540,10 @@ def _herz_terms(
     the window up to ``top`` (0.0 where f vanishes), the closed-form sum over
     the shells below the window and, if ``outer``, the one over the
     shells above ``top``. A vanishing tail (or an unwanted outer one) gives
-    0.0; the caller has ruled out a divergent one. A power that overflows
-    raises OverflowError.
+    0.0; the caller has ruled out a divergent one. Where the product t_l is
+    not a normal float, it is :func:`_times_power` of |F(l)| * |S_0|**(1/u(l))
+    and one summed exponent, so a weight that saturates on its own does not
+    lose a term that fits. A power that overflows raises OverflowError.
     """
     p, n = f.ctx.p, f.ctx.n
     mass = _unit_mass(f.ctx)
@@ -555,6 +558,8 @@ def _herz_terms(
             continue
         weight = ppow(p, shell * beta) if beta else 1.0  # p**(l * 0.0) is 1.0
         t = weight * (abs(c) * roots[e] * ppow(p, n * shell / e))
+        if not _MIN_NORMAL <= t <= _MAX:
+            t = _times_power(abs(c) * roots[e], p, shell * beta + n * shell / e)
         terms.append(t**m if t != 0.0 else 0.0)
 
     def block(amplitude: float, exponent: float, s: float, start: int, below: bool) -> float:

@@ -24,7 +24,6 @@ on the symbol's window.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import accumulate, count, islice
 
@@ -40,6 +39,7 @@ from .radial import (
     RadialStepFunction,
     ZERO_TAIL,
     Tail,
+    _MAX,
     _MIN_NORMAL,
     _built,
     _float_value,
@@ -131,10 +131,10 @@ def _image(name, row, ctx, lo: int, e: float, rows, inner: Tail, outer, rate) ->
     """The ``name`` image: on shell lo + i, p**((lo + i)*e) times rows[i],
     an exact (numerator, denominator) ``row`` rounded once; the tails are
     ``inner`` and (the exact ``outer`` rounded once, rate). A row past the
-    float range raises NumericOverflowError; where its float is subnormal or
-    the product is not finite, the exact row is scaled before it rounds (see
-    :func:`_scaled`). After the verdicts of ``_built``, a nonzero outer
-    amplitude that rounds to 0.0 raises NumericUnderflowError.
+    float range raises NumericOverflowError; where its float or the product
+    is not a normal float, the coefficient is :func:`_times_power` of the
+    exact row. After the verdicts of ``_built``, a nonzero outer amplitude
+    that rounds to 0.0 raises NumericUnderflowError.
     """
     p = ctx.p
     try:
@@ -144,8 +144,8 @@ def _image(name, row, ctx, lo: int, e: float, rows, inner: Tail, outer, rate) ->
         message = f"a {row} of the {name} image overflows the float range"
         raise NumericOverflowError(message) from None
     coeffs = [
-        c if (abs(v) >= _MIN_NORMAL or not part[0]) and math.isfinite(c := ppow(p, k * e) * v)
-        else _scaled(p, k * e, v, part)
+        c if abs(v) >= _MIN_NORMAL and _MIN_NORMAL <= abs(c := ppow(p, k * e) * v) <= _MAX
+        else _times_power(part, p, k * e)
         for k, v, part in zip(count(lo), values, rows)
     ]
     image = _built(ctx, (lo, lo + len(rows) - 1), coeffs, inner, Tail(amplitude, float(rate)))
@@ -155,37 +155,6 @@ def _image(name, row, ctx, lo: int, e: float, rows, inner: Tail, outer, rate) ->
             "but rounds to 0.0"
         )
     return image
-
-
-def _scaled(p: int, e: float, value: float, row: tuple[int, int]) -> float:
-    """p**e times the exact ``row`` (numerator, denominator), whose float
-    ``value`` is 0.0 or subnormal though the row is not, or whose float
-    product is not finite: an exact zero gives 0.0, else the row is scaled
-    by 2**s into the normal range before rounding and the product by 2**-s.
-    If that is not finite, the row is scaled by p**floor(e) before its one
-    rounding (inf past the float range), then by p**(e - floor(e)).
-    """
-    num, den = row
-    if not num:
-        return 0.0
-    coefficient = ppow(p, e) * value
-    # 2**s * |num / den| lies below 2**min_exp
-    s = den.bit_length() - abs(num).bit_length() + sys.float_info.min_exp
-    if s > 0 and abs(value) < _MIN_NORMAL:
-        coefficient = math.ldexp(ppow(p, e) * ((num << s) / den), -s)
-    if math.isfinite(coefficient):
-        return coefficient
-    # e > 0 here: p**e <= 1 times a finite row is finite. Past the float
-    # range by the log2 of the exact value, known to within a bit, the
-    # answer is inf without forming p**whole; p**0.0 is 1.0 exactly
-    whole = math.floor(e)
-    if num.bit_length() - den.bit_length() + whole * math.log2(p) > 1100:
-        return math.inf
-    try:
-        exact = num * p**whole / den
-    except OverflowError:
-        return math.inf
-    return exact * ppow(p, e - whole)
 
 
 def hardy_adjoint(f: RadialStepFunction, alpha: float) -> RadialStepFunction:

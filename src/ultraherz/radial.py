@@ -143,20 +143,13 @@ class RadialStepFunction:
         return values
 
     def _tail_values(self, tail: Tail, shells: range) -> list[float]:
-        """amplitude * p**(k * rate) on the shells, by :func:`_times_power`
-        where the plain product is not a normal float. The values are
-        monotone in k, so only the two ends need checking."""
+        """amplitude * p**(k * rate) on the shells, each by :func:`_times_power`."""
         a, e = tail
         if not e:
             # a zero amplitude has rate 0.0, and a * p**(k * 0.0) is a * 1.0, which is a
             return [a] * len(shells)
         p = self.ctx.p
-        values = [a * ppow(p, k * e) for k in shells]
-        if values and not (
-            _MIN_NORMAL <= abs(values[0]) <= _MAX and _MIN_NORMAL <= abs(values[-1]) <= _MAX
-        ):
-            values = [_times_power(a, p, k * e) for k in shells]
-        return values
+        return [_times_power(a, p, k * e) for k in shells]
 
     def scale(self, c: float) -> "RadialStepFunction":
         """Pointwise scalar multiple c * f, for a finite c."""
@@ -174,16 +167,45 @@ class RadialStepFunction:
         return _built(self.ctx, self.window, coeffs, Tail(abs(a_in), e_in), Tail(abs(a_out), e_out))
 
 
-def _times_power(c: float, p: int, x: float) -> float:
-    """c * p**x for a nonzero c. Where the plain product is not a normal
-    float (p**x saturated to inf or 0.0, or the product left the normal
-    range), it is formed again from two half powers, so a value that fits
-    is not read as inf or 0.0."""
-    value = c * ppow(p, x)
-    if _MIN_NORMAL <= abs(value) <= _MAX:
-        return value
-    half = x / 2
-    return c * ppow(p, half) * ppow(p, x - half)
+def _times_power(c: float | tuple[int, int], p: int, x: float) -> float:
+    """c * p**x, for a float c or an exact (numerator, denominator) row c.
+
+    For a float c, the plain product ``c * ppow(p, x)`` is returned where it
+    is a normal float. Otherwise (and always for a row, which a caller passes
+    once its own plain product is not normal) an exact zero gives 0.0, and
+    any other c is multiplied exactly by p**floor(x), rounded once to a
+    mantissa and a binary exponent, then scaled by p**(x - floor(x)); at an
+    integer x that one rounding is the answer. A value past the float range
+    reads signed inf or 0.0, for any x, +-inf included: its size is judged
+    from bit lengths first, so no huge power of p is built.
+
+    Example:
+        >>> _times_power(1e-300, 2, 1100.0) == 1e-300 * 2.0**1000 * 2.0**100
+        True
+    """
+    if not isinstance(c, tuple):
+        value = c * ppow(p, x)
+        if _MIN_NORMAL <= abs(value) <= _MAX:
+            return value
+        c = c.as_integer_ratio()
+    num, den = c
+    if not num:
+        return 0.0
+    sign = 1 if num > 0 else -1
+    # log2 |c * p**x| lies within 1 of size; a margin of 2 covers the float error
+    size = num.bit_length() - den.bit_length() + x * math.log2(p)
+    if not -1077 <= size <= 1026:
+        return sign * (math.inf if size > 0 else 0.0)
+    whole = math.floor(x)
+    num, den = (num * p**whole, den) if whole >= 0 else (num, den * p**-whole)
+    try:
+        if x == whole:
+            return num / den
+        shift = den.bit_length() - num.bit_length()
+        mantissa = (num << shift) / den if shift >= 0 else num / (den << -shift)
+        return math.ldexp(mantissa * ppow(p, x - whole), -shift)
+    except OverflowError:
+        return sign * math.inf
 
 
 def _built(ctx, window, coeffs: list[float], inner: Tail, outer: Tail) -> RadialStepFunction:
@@ -295,8 +317,9 @@ def _geometric_tail(
     Returns None when the series diverges: s <= 0 below, s >= 0 above.
     Evaluated as coef * p**(s*start) / (1 - p**s), with the divisor negated
     below, in that order, so callers that pass their coefficient already
-    multiplied out keep their bits. A divisor that :func:`_cancels` is
-    replaced by -expm1(s * log p).
+    multiplied out keep their bits; the first term is :func:`_times_power`,
+    so it keeps a value that fits where p**(s*start) alone saturates. A
+    divisor that :func:`_cancels` is replaced by -expm1(s * log p).
 
     Example:
         >>> _geometric_tail(3.0, 2, -1.0, 1, below=False)
@@ -306,7 +329,7 @@ def _geometric_tail(
         return None
     ratio = ppow(p, s)
     divisor = -math.expm1(s * math.log(p)) if _cancels(ratio) else 1.0 - ratio
-    return coef * ppow(p, s * start) / (-divisor if below else divisor)
+    return _times_power(coef, p, s * start) / (-divisor if below else divisor)
 
 
 def _tail_integral(f: RadialStepFunction, start: int, below: bool) -> tuple[int, int]:

@@ -10,6 +10,8 @@ executable line of the package that no test ran in the pytest process. Lines
 that run only in a subprocess (``python -m ultraherz``) are counted as
 unreached. A line is executable when the compiler attributes bytecode to it,
 so a function's ``def`` line counts as reached once its module is imported.
+An unreached line outside ``__main__.py``, which runs only in a subprocess,
+fails a run whose tests passed: it exits with status 1.
 """
 
 from __future__ import annotations
@@ -103,7 +105,13 @@ class LineReach:
         return missed
 
 
+def blocking(missed: list[str]) -> list[str]:
+    """The entries of ``missed`` that fail the run: all but ``__main__.py``'s."""
+    return [entry for entry in missed if not entry.startswith("__main__.py:")]
+
+
 _REACH = pytest.StashKey[LineReach]()
+_MISSED = pytest.StashKey[list]()
 
 
 def pytest_configure(config):
@@ -111,10 +119,16 @@ def pytest_configure(config):
     reach.start()
 
 
-def pytest_terminal_summary(terminalreporter, config):
-    reach = config.stash[_REACH]
+def pytest_sessionfinish(session):
+    reach = session.config.stash[_REACH]
     reach.stop()
-    missed = reach.unreached()
+    missed = session.config.stash[_MISSED] = reach.unreached()
+    if blocking(missed) and session.exitstatus == pytest.ExitCode.OK:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    missed = config.stash[_MISSED]
     terminalreporter.write_sep("-", "line reach of src/ultraherz")
     terminalreporter.write_line(f"unreached: {len(missed)}")
     for entry in missed:

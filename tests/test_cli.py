@@ -779,6 +779,20 @@ def test_hardy_of_an_overflowing_image_coefficient_exits_one(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_hardy_at_an_order_of_1e308_exits_one(tmp_path):
+    """Out of process, so a traceback on stderr would show. The image factor
+    on S_2, 2**(2 * (1e308 - 1)), has an infinite exponent."""
+    path = tmp_path / "f.json"
+    save_function(RadialStepFunction.indicator_sphere(CTX, 2), str(path))
+    result = _run_module(
+        ["apply", "-i", str(path), "--operator", "hardy", "--alpha", "1e308"], tmp_path
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "on shell 2 overflows the float range: it is inf" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_cmo_scan_past_the_float_range_exits_one(tmp_path):
     """Out of process, so a traceback on stderr would show."""
     ctx = PadicContext(2, 3)

@@ -204,6 +204,19 @@ def test_herz_overflow_is_a_typed_error_not_a_divergence():
     assert not herz_norm(heavy, U2, HerzParams(0.0, 2.0)).convergent
 
 
+def test_a_herz_weight_past_the_float_range_keeps_a_term_that_fits():
+    """At p = 2 the weight p**(l*beta) saturates on its own: 2**1140 to inf
+    on S_-600 at beta = -1.9, and 2**-1500 to 0.0 on S_1500 at beta = -1.
+    The terms, 2**1140 * 2**-601 at u = 1 and 2**-1500 * 0.5**0.5 * 2**750
+    at u = 2, fit: each is formed with its coefficient, so the norm is
+    returned, not refused."""
+    u1 = ExponentFunction.constant(CTX, 1.0)
+    near = RadialStepFunction.indicator_sphere(CTX, -600)
+    assert herz_norm(near, u1, HerzParams(-1.9, 1.0)).value == 2.0**539
+    far = RadialStepFunction.indicator_sphere(CTX, 1500)
+    assert herz_norm(far, U2, HerzParams(-1.0, 1.0)).value == math.pow(0.5, 0.5) * 2.0**-750
+
+
 def test_extreme_shell_norms_raise_typed_errors():
     """At p = 2 and u = 2, chi(S_-1100) has norm about 1.9e-166 but a modular
     weight 2**-1101 that rounds to 0.0, and chi(S_1100) has norm about

@@ -445,8 +445,8 @@ def test_each_end_of_the_commutator_kernel():
 def test_an_adjoint_term_past_a_saturated_power_keeps_its_value():
     """At p = 2 the adjoint of 1e-300 chi(S_550) at order 2 weighs the shell
     by 2**1100, which saturates to inf, though the term, 1e-300 * |S_0| *
-    2**1100 = 1e-300 * 2**1099, is about 6.79e30. The term is formed in two
-    half powers, and here it is exact."""
+    2**1100 = 1e-300 * 2**1099, is about 6.79e30. The exact coefficient
+    times 2**1100 is rounded once, so here the term is exact."""
     f = RadialStepFunction.indicator_sphere(CTX, 550).scale(1e-300)
     image = hardy_adjoint(f, 2.0)
     assert image.coeffs[0] == float(Fraction(1e-300) * 2**1099) == pytest.approx(6.79e30, rel=1e-3)
@@ -619,23 +619,36 @@ def test_a_hardy_factor_past_the_float_range_at_a_non_integer_order():
 
 def test_no_hardy_error_names_a_nan():
     """Far from the origin, at integer and non-integer image factors alike,
-    a refused hardy image names a value or an inf, never a nan."""
-    for shell in (-1601, -1100, -1023, 1100):
+    and at orders whose weights have infinite exponents, a refused hardy or
+    adjoint image names a value or an inf, never a nan."""
+    for shell in (-1601, -1100, -1023, 1100, 3000):
         lo, hi = min(shell, 0), max(shell, 0)
         pair = tuple(1.0 if j in (shell, 0) else 0.0 for j in range(lo, hi + 1))
         for f in (
             RadialStepFunction.indicator_sphere(CTX, shell),
             RadialStepFunction(CTX, (lo, hi), pair),
         ):
-            for alpha in (-1.5, -0.25, 0.0, 0.3, 0.9, 1.7):
-                try:
-                    hardy(f, alpha)
-                except UltraherzError as exc:
-                    assert "nan" not in str(exc), (shell, f.window, alpha)
+            for alpha in (-1e305, -1.5, -0.25, 0.0, 0.3, 0.9, 1.7, 1e305):
+                for operator in (hardy, hardy_adjoint):
+                    try:
+                        operator(f, alpha)
+                    except UltraherzError as exc:
+                        assert "nan" not in str(exc), (operator, shell, f.window, alpha)
     # at alpha = -1.5 the factor on shell -1601 is 2**4002.5: the
     # coefficient leaves the float range and reads inf
     with pytest.raises(NumericOverflowError, match="is inf"):
         hardy(RadialStepFunction.indicator_sphere(CTX, -1601), -1.5)
+    # at the orders 1e308 and -1e308 the factor's exponent on shell 2 (-3) is inf
+    for shell, alpha in ((2, 1e308), (-3, -1e308)):
+        with pytest.raises(
+            NumericOverflowError, match=f"on shell {shell} overflows the float range: it is inf"
+        ):
+            hardy(RadialStepFunction.indicator_sphere(CTX, shell), alpha)
+    # 3000 * 1e305 is inf: the weight of S_3000, added on shell 2999, reads inf
+    with pytest.raises(
+        NumericOverflowError, match="on shell 2999 overflows the float range: it is inf"
+    ):
+        hardy_adjoint(RadialStepFunction.indicator_sphere(CTX, 3000), 1e305)
 
 
 def test_a_commutator_reads_f_only_where_its_symbol_jumps():

@@ -1,5 +1,5 @@
 """Property tests: the running ball-integral sum, the geometric tail kernel,
-the exact powers of p, the Luxemburg solver, the CMO mixed tail walk, the
+the exact powers of p, the c * p**x kernel, the Luxemburg solver, the CMO mixed tail walk, the
 Herz terms and the Morrey-Herz supremum against direct references and norm
 laws written out here.
 
@@ -11,7 +11,9 @@ the critical tail rates -n, 0 and -n/u and the Morrey-Herz critical band."""
 from __future__ import annotations
 
 import math
+import struct
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -57,6 +59,7 @@ from ultraherz.radial import (
     _float_value,
     _geometric_tail,
     _running_parts,
+    _times_power,
 )
 
 MIN_NORMAL = sys.float_info.min
@@ -511,6 +514,95 @@ def test_integer_ppow_is_the_correctly_rounded_fraction(p, e):
     assert ppow(p, float(e)) == expected
 
 
+#: Coefficients of the c * p**x kernel: finite floats of either sign, with
+#: the smallest subnormal, the smallest normal and the largest float named,
+#: and exact (numerator, denominator) rows from 2**-3000 to 2**1260 whose
+#: denominators carry odd powers of p as a ball integral's do.
+KERNEL_COEFFS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.5, 5e-324, -5e-324, MIN_NORMAL, -MIN_NORMAL]),
+    st.sampled_from([sys.float_info.max, -sys.float_info.max, (0, 7), (1, 3), (-(2**1200), 1)]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.tuples(
+        st.integers(-(2**60), 2**60).flatmap(lambda a: st.integers(0, 1200).map(lambda s: a << s)),
+        st.integers(1, 2**60).flatmap(
+            lambda d: st.sampled_from([2, 3, 7, 257]).flatmap(
+                lambda q: st.integers(0, 370).map(lambda e: d * q**e)
+            )
+        ),
+    ),
+)
+#: Exponents: integers and non-integers within 25,000 of 0, more often
+#: within 1,200, where most products stay in the float range; the range's
+#: ends 1024 and -1074 as powers of 2, ppow's saturation at 1100, the
+#: infinities, and +-1e300, whose powers the kernel must never build.
+KERNEL_EXPONENTS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1024.0, -1074.0, 1100.0, -1100.0, 1099.5, -1099.5]),
+    st.sampled_from([math.inf, -math.inf, 1e300, -1e300]),
+    st.integers(-1200, 1200).map(float),
+    st.floats(-1200.0, 1200.0),
+    st.integers(-25_000, 25_000).map(float),
+    st.floats(-25_000.0, 25_000.0),
+)
+
+
+def _ordinal(x: float) -> int:
+    """x's place among the floats: neighbours differ by 1, and inf follows
+    the largest float."""
+    place = struct.unpack("<q", struct.pack("<d", abs(x)))[0]
+    return place if x >= 0 else -place
+
+
+@settings(max_examples=600)
+@given(p=st.sampled_from([2, 3, 7, 257]), c=KERNEL_COEFFS, x=KERNEL_EXPONENTS)
+@example(p=2, c=1e-300, x=1100.0).via("a saturated power under a value that fits")
+@example(p=3, c=(1, 3**2000), x=1999.5).via("a row far below the float range")
+@example(p=257, c=-5e-324, x=math.inf).via("a subnormal under an infinite power")
+@example(p=2, c=(3, 2), x=1023.0).via("a row just below the top of the float range")
+@example(p=7, c=(-1, 1), x=364.5).via("7**364.5 is about 2**1023.3")
+@example(p=2, c=(7 * 2**60 - 1, 1), x=-1135.0).via("3.5 - e subnormal steps: one rounding")
+def test_the_power_kernel_is_the_plain_product_or_the_exact_value(p, c, x):
+    """``_times_power(c, p, x)`` keeps a normal plain product's bits. Else it
+    is within 2 ulps of the exact value at an integer x (exactly it at
+    p = 2) and within 1e-13 (or one subnormal step) of a 40-digit value at
+    any other x; past the float range it is signed inf or 0.0, and it is
+    never nan."""
+    got = _times_power(c, p, x)
+    assert not math.isnan(got)
+    if isinstance(c, float):
+        plain = c * ppow(p, x)
+        if MIN_NORMAL <= abs(plain) <= sys.float_info.max:
+            assert repr(got) == repr(plain)
+            return
+        c = c.as_integer_ratio()
+    num, den = c
+    if not num:
+        assert got == 0.0
+        return
+    sign = 1 if num > 0 else -1
+    size = num.bit_length() - den.bit_length() + x * math.log2(p)
+    if size > 1030:
+        assert got == sign * math.inf
+    elif size < -1080:
+        assert got == 0.0
+    elif x.is_integer():
+        exact = Fraction(num, den) * Fraction(p) ** int(x)
+        expected = _rounded(exact)
+        expected = sign * math.inf if expected is None else expected
+        assert abs(_ordinal(got) - _ordinal(expected)) <= (0 if p == 2 else 2)
+    else:
+        with localcontext() as decimal:
+            decimal.prec = 40
+            exact = Decimal(num) / Decimal(den) * Decimal(p) ** Decimal(x)
+            largest = Decimal(sys.float_info.max)
+            if abs(exact) > largest * (1 + Decimal("1e-13")):
+                assert got == sign * math.inf
+            elif math.isinf(got):
+                assert got == sign * math.inf and abs(exact) >= largest * (1 - Decimal("1e-13"))
+            else:
+                tolerance = max(Decimal("1e-13") * abs(exact), Decimal(2.0**-1074))
+                assert abs(Decimal(got) - exact) <= tolerance
+
+
 # ---------------------------------------------------------------------------
 # The Luxemburg solver
 
@@ -848,7 +940,8 @@ def _herz_terms_by_shell(f, u, beta, m, top):
     """The window terms of ``_herz_terms`` as a shell-by-shell loop forms
     them: p**(l*beta) times the single-shell norm of f on S_l, to the m.
     That norm is written out, |F(l)| * |S_0|**(1/u(l)) * p**(n*l/u(l)), inf
-    past the float range."""
+    past the float range; where the product is not a normal float, the term
+    is ``_times_power`` of the norm's coefficient and the summed exponent."""
     p, n = f.ctx.p, f.ctx.n
     mass = (p**n - 1) / p**n
     terms = []
@@ -859,6 +952,8 @@ def _herz_terms_by_shell(f, u, beta, m, top):
             continue
         norm = abs(c) * math.pow(mass, 1.0 / e) * ppow(p, n * shell / e)
         t = ppow(p, shell * beta) * norm
+        if not sys.float_info.min <= t <= sys.float_info.max:
+            t = _times_power(abs(c) * math.pow(mass, 1.0 / e), p, shell * beta + n * shell / e)
         terms.append(t**m if t != 0.0 else 0.0)
     return terms
 

@@ -245,8 +245,9 @@ def test_a_subnormal_tail_amplitude_keeps_its_bits_in_a_ball_integral():
 def test_a_tail_value_that_fits_is_read_past_a_saturated_power():
     """At p = 2 the values 1e-300 * 2**1100 and 1e300 * 2**-1100 on shell
     -1100 fit in a float, though 2**1100 saturates to inf and 2**-1100 to
-    0.0: each is formed from two half powers, here exactly. A range read
-    keeps each shell's value, and a normal value keeps the plain product."""
+    0.0: each is formed from the exact amplitude, here exactly. A range read
+    keeps each shell's value, and a normal value keeps the plain product.
+    A value past the float range reads 0.0 even where k * rate is -inf."""
     rising = RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(1e-300, -1.0))
     falling = RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(1e300, 1.0))
     assert rising.evaluate(-1100) == float(Fraction(1e-300) * 2**1100) == 1.3582985290493859e31
@@ -257,3 +258,8 @@ def test_a_tail_value_that_fits_is_read_past_a_saturated_power():
     # the outer tail's values past 2**1024 read the same way
     outer = RadialStepFunction(CTX, (0, 0), (1.0,), outer_tail=Tail(1e-300, 1.0))
     assert outer.evaluate(1100) == rising.evaluate(-1100)
+    # k * 1e308 is -inf on S_-3 and S_-2, and k * -1e308 on S_5
+    steep = RadialStepFunction(CTX, (0, 0), (1.0,), inner_tail=Tail(1.0, 1e308))
+    assert steep.evaluate_range(-3, 0) == [0.0, 0.0, 0.0, 1.0]
+    steep = RadialStepFunction(CTX, (0, 0), (1.0,), outer_tail=Tail(1.0, -1e308))
+    assert steep.evaluate(5) == 0.0
