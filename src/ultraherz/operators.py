@@ -37,13 +37,12 @@ from .errors import (
 from .padic import ppow
 from .radial import (
     RadialStepFunction,
-    ZERO_TAIL,
     Tail,
     _MAX,
     _MIN_NORMAL,
     _built,
-    _float_value,
     _geometric_tail,
+    _power_row,
     _running_parts,
     _times_power,
     _unit_mass,
@@ -182,11 +181,9 @@ def hardy_adjoint(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
             "the explicit window instead"
         )
     mass = _unit_mass(ctx)
-    j_min, j_max = f.window
-    lo, hi = j_min - 1, j_max + 1
-
+    lo, hi = f.window[0] - 1, f.window[1] + 1
     amplitude, rate = f.outer_tail
-    outer, value = ZERO_TAIL, 0.0
+    outer_amp, s = 0.0, 0.0
     if amplitude != 0.0:
         s = rate + alpha
         # above the window the image is outer_amp * p**(k*s): the tail's
@@ -197,16 +194,22 @@ def hardy_adjoint(f: RadialStepFunction, alpha: float) -> RadialStepFunction:
                 f"outer tail rate {rate} with order {alpha} makes the defining "
                 f"integral divergent (needs rate + alpha < 0)"
             )
-        outer = Tail(outer_amp, s)
-        value = outer_amp * ppow(p, hi * s)
-
-    coeffs = [value]  # from shell hi down: shell k adds the mass of S_(k+1)
-    for j, c in zip(range(hi, lo, -1), reversed(f.evaluate_range(lo + 1, hi))):
-        # a zero shell adds its signed zero, even where p**(j*alpha) is inf
-        value = value + (_times_power(mass * c, p, j * alpha) if c else mass * c)
-        coeffs.append(value)
-    coeffs.reverse()
-    return _built(ctx, (lo, hi), coeffs, Tail(coeffs[0], 0.0), outer)
+    # from shell hi down: the image on S_hi, then each shell k adds the
+    # weighted mass of S_(k+1); a zero shell adds 0.0 whatever its weight
+    shells = zip(range(hi, lo, -1), reversed(f.evaluate_range(lo + 1, hi)))
+    terms = [_times_power(outer_amp, p, hi * s)]
+    terms += [_times_power(mass * c, p, j * alpha) for j, c in shells]
+    for k, term in zip(count(hi, -1), terms):
+        if math.isinf(term):
+            raise NumericOverflowError(
+                f"the image coefficient on shell {k} overflows the float range: it is {term}"
+            )
+    # exact sums over the largest power-of-2 denominator, a multiple of every other
+    ratios = [term.as_integer_ratio() for term in terms]
+    den = max([d for _, d in ratios])
+    rows = [(num, den) for num in accumulate([a * (den // d) for a, d in ratios])][::-1]
+    inner = Tail(_times_power(rows[0], p, 0.0), 0.0)
+    return _image("adjoint", "shell sum", ctx, lo, 0.0, rows, inner, outer_amp.as_integer_ratio(), s)
 
 
 def commutator(
@@ -221,7 +224,7 @@ def commutator(
     Summed by parts, B(k) - B(k - 1) = (b(k) - b(k - 1)) * I(k - 1), with
     I(k) the integral of f over B_k: each step is a jump of the symbol times
     one ball integral of a single ``_running_parts`` pass of f. The jumps
-    and integrals are exact ratios (see :func:`_tail_ratio`), so each
+    and integrals are exact ratios (see :func:`_symbol_ratios`), so each
     B(k) is rounded once and then scaled by :func:`_image`, as ``hardy``
     scales its integrals.
 
@@ -291,28 +294,20 @@ def commutator(
 
 
 def _symbol_ratios(b: RadialStepFunction, lo: int, hi: int) -> list[tuple[int, int]]:
-    """b on the shells lo, ..., hi as exact ratios: the window coefficients
-    and, on each tail's shells, :func:`_tail_ratio`."""
+    """b on the shells lo, ..., hi as exact ratios, each tail's by
+    :func:`_power_row`; one past the float range raises NumericOverflowError."""
     p = b.ctx.p
+    (a_in, r_in), (a_out, r_out) = b.inner_tail, b.outer_tail
     j_min, j_max = b.window
-    return [
-        *[_tail_ratio(p, *b.inner_tail, k) for k in range(lo, min(hi + 1, j_min))],
+    rows = [
+        *[_power_row(a_in, p, k * r_in) for k in range(lo, min(hi + 1, j_min))],
         *[c.as_integer_ratio() for c in b.coeffs[max(lo - j_min, 0) : max(hi - j_min + 1, 0)]],
-        *[_tail_ratio(p, *b.outer_tail, k) for k in range(max(lo, j_max + 1), hi + 1)],
+        *[_power_row(a_out, p, k * r_out) for k in range(max(lo, j_max + 1), hi + 1)],
     ]
-
-
-def _tail_ratio(p: int, amplitude: float, rate: float, k: int) -> tuple[int, int]:
-    """amplitude * p**(k*rate) as an exact ratio where k*rate is an integer
-    below 1100 in size, else the amplitude times the float ``ppow(p,
-    k*rate)`` with the product left unrounded. A power past the float range
-    raises NumericOverflowError."""
-    power = k * rate
-    if power.is_integer() and abs(power) < 1100:
-        a, d = amplitude.as_integer_ratio()
-        power = int(power)
-        return (a * p**power, d) if power >= 0 else (a, d * p**-power)
-    return _product(amplitude, ppow(p, power), f"the symbol on shell {k}")
+    for k, (_, den) in enumerate(rows, lo):
+        if not den:
+            raise NumericOverflowError(f"the symbol on shell {k} overflows the float range")
+    return rows
 
 
 def _inner_bracket(
@@ -323,12 +318,11 @@ def _inner_bracket(
 
         C = a_b * a_f * |S_0| * (1 / (1 - p**-(r_f + n)) - 1 / (1 - p**-s)),
 
-    which vanishes at r_b = 0. Returns C as a float and B(m) as an exact
-    ratio. At integer rates both are exact before C's one rounding; at
-    other rates C is formed without cancellation through expm1, from the
-    amplitudes' mantissas and scaled by their exponents once, and B(m) is
-    that times ``ppow(p, m*s)``, unrounded. A divergent s <= 0 raises
-    DomainError.
+    which vanishes at r_b = 0. Returns C rounded once and B(m) as the exact
+    :func:`_power_row` of C. At integer rates C is exact; at other rates it
+    is the exact product of the amplitudes and a float factor formed
+    without cancellation through expm1. A divergent s <= 0 raises
+    DomainError, and a B(m) past the float range NumericOverflowError.
     """
     (a_b, r_b), (a_f, r_f) = symbol, f_tail
     if a_f == 0.0:
@@ -340,36 +334,21 @@ def _inner_bracket(
             f"the inner tail of b * f, at rate {r_b + r_f}, is not integrable "
             f"in dimension {n} (needs rate > {-n})"
         )
+    (nb, db), (nf, df) = a_b.as_integer_ratio(), a_f.as_integer_ratio()
     if r_b.is_integer() and r_f.is_integer():
         s_f, s = int(s_f), int(s)
-        (nb, db), (nf, df) = a_b.as_integer_ratio(), a_f.as_integer_ratio()
         q = p**n
-        num = nb * nf * (q - 1) * (p**s - p**s_f)
-        den = db * df * q * (p**s_f - 1) * (p**s - 1)
-        c = _float_value(num, den)
-        return c, ((num * p ** (m * s), den) if m * s >= 0 else (num, den * p ** -(m * s)))
-    log_p = math.log(p)
-    # p**-s_f - p**-s, with the smaller power factored out
-    rise = ppow(p, -min(s_f, s)) * -math.expm1(-abs(r_b) * log_p)
-    if r_b < 0:
-        rise = -rise
-    # the amplitudes' mantissas, so that no product leaves the normal range
-    # before the one scaling by 2**scale
-    (m_b, e_b), (m_f, e_f) = math.frexp(a_b), math.frexp(a_f)
-    scale = e_b + e_f
-    c = m_b * m_f * _unit_mass(ctx) * rise / (math.expm1(-s_f * log_p) * math.expm1(-s * log_p))
-    num, den = _product(c, ppow(p, m * s), f"the bracket on shell {m}")
-    try:
-        c = math.ldexp(c, scale)
-    except OverflowError:
-        c = math.inf
-    return c, ((num << scale, den) if scale >= 0 else (num, den << -scale))
-
-
-def _product(x: float, y: float, what: str) -> tuple[int, int]:
-    """x * y as an exact ratio, with no rounding of the product. A factor
-    past the float range raises NumericOverflowError, naming ``what``."""
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise NumericOverflowError(f"{what} overflows the float range")
-    (a, d), (b, e) = x.as_integer_ratio(), y.as_integer_ratio()
-    return a * b, d * e
+        row = nb * nf * (q - 1) * (p**s - p**s_f), db * df * q * (p**s_f - 1) * (p**s - 1)
+    else:
+        log_p = math.log(p)
+        # p**-s_f - p**-s, with the smaller power factored out
+        rise = ppow(p, -min(s_f, s)) * -math.expm1(-abs(r_b) * log_p)
+        if r_b < 0:
+            rise = -rise
+        factor = _unit_mass(ctx) * rise / (math.expm1(-s_f * log_p) * math.expm1(-s * log_p))
+        a, d = factor.as_integer_ratio()
+        row = nb * nf * a, db * df * d
+    start = _power_row(row, p, m * s)
+    if not start[1]:
+        raise NumericOverflowError(f"the bracket on shell {m} overflows the float range")
+    return _times_power(row, p, 0.0), start

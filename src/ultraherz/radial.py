@@ -171,13 +171,10 @@ def _times_power(c: float | tuple[int, int], p: int, x: float) -> float:
     """c * p**x, for a float c or an exact (numerator, denominator) row c.
 
     For a float c, the plain product ``c * ppow(p, x)`` is returned where it
-    is a normal float. Otherwise (and always for a row, which a caller passes
-    once its own plain product is not normal) an exact zero gives 0.0, and
-    any other c is multiplied exactly by p**floor(x), rounded once to a
-    mantissa and a binary exponent, then scaled by p**(x - floor(x)); at an
-    integer x that one rounding is the answer. A value past the float range
-    reads signed inf or 0.0, for any x, +-inf included: its size is judged
-    from bit lengths first, so no huge power of p is built.
+    is a normal float, and an infinite c is returned as it is. Otherwise (and
+    always for a row) an exact zero gives 0.0, a value past the float range
+    reads signed inf or 0.0, for any x, +-inf included, judged from bit
+    lengths first, and any other c is :func:`_power_row` rounded once.
 
     Example:
         >>> _times_power(1e-300, 2, 1100.0) == 1e-300 * 2.0**1000 * 2.0**100
@@ -187,6 +184,8 @@ def _times_power(c: float | tuple[int, int], p: int, x: float) -> float:
         value = c * ppow(p, x)
         if _MIN_NORMAL <= abs(value) <= _MAX:
             return value
+        if math.isinf(c):
+            return c
         c = c.as_integer_ratio()
     num, den = c
     if not num:
@@ -196,16 +195,38 @@ def _times_power(c: float | tuple[int, int], p: int, x: float) -> float:
     size = num.bit_length() - den.bit_length() + x * math.log2(p)
     if not -1077 <= size <= 1026:
         return sign * (math.inf if size > 0 else 0.0)
-    whole = math.floor(x)
-    num, den = (num * p**whole, den) if whole >= 0 else (num, den * p**-whole)
+    num, den = _power_row(c, p, x)
     try:
-        if x == whole:
-            return num / den
-        shift = den.bit_length() - num.bit_length()
-        mantissa = (num << shift) / den if shift >= 0 else num / (den << -shift)
-        return math.ldexp(mantissa * ppow(p, x - whole), -shift)
+        return num / den
     except OverflowError:
         return sign * math.inf
+
+
+def _power_row(c: float | tuple[int, int], p: int, x: float) -> tuple[int, int]:
+    """c * p**x as an exact row, the twin of :func:`_times_power`: c (a
+    float or a row) times p**floor(x) times the float ``ppow(p, x -
+    floor(x))``, held exactly; at x = 0, c's own ratio. Judged from bit
+    lengths before any power is built, past the top of the float range it
+    is (sign, 0), and below 2**-65536, which bounds the bits it builds, (0, 1).
+
+    Example:
+        >>> _power_row(0.75, 2, -1100) == (3, 2**1102)
+        True
+    """
+    num, den = c if isinstance(c, tuple) else c.as_integer_ratio()
+    if not (x and num):
+        return num, den
+    size = num.bit_length() - den.bit_length() + x * math.log2(p)
+    if size > 1026:
+        return (1 if num > 0 else -1), 0
+    if size < -65536:
+        return 0, 1
+    whole = math.floor(x)
+    num, den = (num * p**whole, den) if whole >= 0 else (num, den * p**-whole)
+    if x == whole:
+        return num, den
+    a, d = ppow(p, x - whole).as_integer_ratio()
+    return num * a, den * d
 
 
 def _built(ctx, window, coeffs: list[float], inner: Tail, outer: Tail) -> RadialStepFunction:
@@ -460,7 +481,7 @@ def _running_parts(f: RadialStepFunction, gamma: int) -> Iterator[tuple[int, int
             terms += amplitude * ppow(p, j * rate) * (unit / den)
         except OverflowError:
             # |S_j| leaves the float range, but a decaying tail's term need not
-            terms += amplitude * _unit_mass(ctx) * ppow(p, j * (rate + n))
+            terms += _times_power(amplitude * _unit_mass(ctx), p, j * (rate + n))
         unit *= q
         if j >= k:
             a, d = _ratio(terms)

@@ -45,6 +45,7 @@ from ultraherz import (
     validate_hypotheses,
 )
 
+from draws import random_exponent, random_function
 from test_operators import diagonal
 
 CTX = PadicContext(2, 1)
@@ -53,25 +54,6 @@ U2 = ExponentFunction.constant(CTX, 2.0)
 
 def _report(number: int, label: str, started: float) -> None:
     print(f"criterion {number}: PASS  {label} ({time.perf_counter() - started:.2f} s)")
-
-
-def _random_function(rng: random.Random, ctx: PadicContext, reach: int = 5) -> RadialStepFunction:
-    lo = rng.randint(-reach, reach)
-    hi = rng.randint(lo, reach)
-    coeffs = tuple(
-        (1.0 if rng.random() < 0.5 else -1.0) * ppow(ctx.p, rng.uniform(-3.0, 3.0))
-        for _ in range(hi - lo + 1)
-    )
-    return RadialStepFunction(ctx, (lo, hi), coeffs)
-
-
-def _random_exponent(rng: random.Random, ctx: PadicContext) -> ExponentFunction:
-    pieces = rng.randint(1, 4)
-    lo = rng.randint(-3, 1)
-    values = tuple(rng.uniform(1.2, 4.0) for _ in range(pieces))
-    return ExponentFunction(
-        ctx, (lo, lo + pieces - 1), values, rng.uniform(1.2, 4.0), rng.uniform(1.2, 4.0)
-    )
 
 
 def test_criterion_1_exact_measure_identities():
@@ -97,13 +79,13 @@ def test_criterion_2_luxemburg_correctness():
     for _ in range(300):
         c = (1.0 if rng.random() < 0.5 else -1.0) * ppow(CTX.p, rng.uniform(-3.0, 3.0))
         shell = rng.randint(-6, 6)
-        u = _random_exponent(rng, CTX)
+        u = random_exponent(rng, CTX)
         f = RadialStepFunction(CTX, (shell, shell), (c,))
         closed = single_shell_norm(c, shell, u)
         assert luxemburg_norm(f, u).value == pytest.approx(closed, rel=1e-9)
     for _ in range(1000):
-        f = _random_function(rng, CTX)
-        u = _random_exponent(rng, CTX)
+        f = random_function(rng, CTX)
+        u = random_exponent(rng, CTX)
         norm = luxemburg_norm(f, u).value
         assert norm > 0.0
         assert modular(f.scale(1.0 / norm), u).value == pytest.approx(1.0, abs=1e-8)
@@ -116,8 +98,8 @@ def test_criterion_3_norm_modular_bracketing_and_power_rule():
     started = time.perf_counter()
     rng = random.Random(21_404)
     for _ in range(1000):
-        f = _random_function(rng, CTX)
-        u = _random_exponent(rng, CTX)
+        f = random_function(rng, CTX)
+        u = random_exponent(rng, CTX)
         norm = luxemburg_norm(f, u, rel_tol=1e-12).value
         rho = modular(f, u).value
         assert norm <= rho + 1.0 + 1e-9
@@ -136,9 +118,9 @@ def test_criterion_4_holder_inequality():
     rng = random.Random(24_017)
     violations = 0
     for _ in range(1000):
-        f = _random_function(rng, CTX)
-        g = _random_function(rng, CTX)
-        u = _random_exponent(rng, CTX)
+        f = random_function(rng, CTX)
+        g = random_function(rng, CTX)
+        u = random_exponent(rng, CTX)
         lhs = total_integral(combine(f, g, "multiply").absolute())
         rhs = 2.0 * luxemburg_norm(f, u).value * luxemburg_norm(g, conjugate(u)).value
         if lhs > rhs * (1.0 + 1e-9):
@@ -211,8 +193,8 @@ def test_criterion_6_space_identities():
     started = time.perf_counter()
     rng = random.Random(60_606)
     for _ in range(100):
-        f = _random_function(rng, CTX)
-        u = _random_exponent(rng, CTX)
+        f = random_function(rng, CTX)
+        u = random_exponent(rng, CTX)
         beta = rng.uniform(-1.0, 1.0)
         m = rng.uniform(0.5, 4.0)
         plain = herz_norm(f, u, HerzParams(beta, m))
@@ -220,7 +202,7 @@ def test_criterion_6_space_identities():
         assert weighted.value == plain.value
         assert weighted.convergent == plain.convergent
     for _ in range(100):
-        f = _random_function(rng, CTX)
+        f = random_function(rng, CTX)
         value = rng.uniform(1.2, 4.0)
         u = ExponentFunction.constant(CTX, value)
         herz = herz_norm(f, u, HerzParams(0.0, value)).value

@@ -39,27 +39,10 @@ from ultraherz import (
 from ultraherz import norms
 from ultraherz.norms import _modular_terms, _solve_luxemburg
 
+from draws import random_exponent, random_function
+
 CTX = PadicContext(2, 1)
 U2 = ExponentFunction.constant(CTX, 2.0)
-
-
-def _random_function(rng: random.Random, ctx: PadicContext, reach: int = 5) -> RadialStepFunction:
-    lo = rng.randint(-reach, reach)
-    hi = rng.randint(lo, reach)
-    coeffs = tuple(
-        (1.0 if rng.random() < 0.5 else -1.0) * ppow(ctx.p, rng.uniform(-3.0, 3.0))
-        for _ in range(hi - lo + 1)
-    )
-    return RadialStepFunction(ctx, (lo, hi), coeffs)
-
-
-def _random_exponent(rng: random.Random, ctx: PadicContext) -> ExponentFunction:
-    pieces = rng.randint(1, 4)
-    lo = rng.randint(-3, 1)
-    values = tuple(rng.uniform(1.2, 4.0) for _ in range(pieces))
-    return ExponentFunction(
-        ctx, (lo, lo + pieces - 1), values, rng.uniform(1.2, 4.0), rng.uniform(1.2, 4.0)
-    )
 
 
 def test_modular_single_sphere_value():
@@ -103,7 +86,7 @@ def test_luxemburg_rel_tol_validation():
 def test_single_shell_norm_matches_bisection():
     rng = random.Random(77)
     for _ in range(40):
-        u = _random_exponent(rng, CTX)
+        u = random_exponent(rng, CTX)
         shell = rng.randint(-6, 6)
         c = rng.uniform(0.1, 8.0)
         f = RadialStepFunction(CTX, (shell, shell), (c,))
@@ -116,8 +99,8 @@ def test_unit_modular_property():
     """Dividing by the norm puts the modular exactly at one."""
     rng = random.Random(5150)
     for _ in range(150):
-        f = _random_function(rng, CTX)
-        u = _random_exponent(rng, CTX)
+        f = random_function(rng, CTX)
+        u = random_exponent(rng, CTX)
         norm = luxemburg_norm(f, u).value
         assert norm > 0.0
         unit = modular(f.scale(1.0 / norm), u)
@@ -127,8 +110,8 @@ def test_unit_modular_property():
 def test_norm_modular_bracketing_inequalities():
     rng = random.Random(99)
     for _ in range(120):
-        f = _random_function(rng, CTX)
-        u = _random_exponent(rng, CTX)
+        f = random_function(rng, CTX)
+        u = random_exponent(rng, CTX)
         norm = luxemburg_norm(f, u).value
         rho = modular(f, u).value
         assert norm <= rho + 1.0 + 1e-9
@@ -139,8 +122,8 @@ def test_power_rule_identity():
     """||f||_u equals || |f|^s ||_{u/s}^{1/s} for any 0 < s <= inf u."""
     rng = random.Random(31337)
     for _ in range(60):
-        f = _random_function(rng, CTX)
-        u = _random_exponent(rng, CTX)
+        f = random_function(rng, CTX)
+        u = random_exponent(rng, CTX)
         s = rng.uniform(0.2, u.u_minus)
         powered = RadialStepFunction(
             f.ctx, f.window, tuple(abs(c) ** s for c in f.coeffs)
@@ -153,9 +136,9 @@ def test_power_rule_identity():
 def test_holder_inequality_with_doubled_constant():
     rng = random.Random(404)
     for _ in range(120):
-        f = _random_function(rng, CTX)
-        g = _random_function(rng, CTX)
-        u = _random_exponent(rng, CTX)
+        f = random_function(rng, CTX)
+        g = random_function(rng, CTX)
+        u = random_exponent(rng, CTX)
         lhs = total_integral(combine(f, g, "multiply").absolute())
         rhs = 2.0 * luxemburg_norm(f, u).value * luxemburg_norm(g, conjugate(u)).value
         assert lhs <= rhs * (1.0 + 1e-9)
@@ -374,8 +357,8 @@ def test_a_one_exponent_root_at_either_end_of_the_range_stays_in_it(e):
 def test_morrey_herz_lambda_zero_equals_herz_exactly():
     rng = random.Random(8080)
     for _ in range(50):
-        f = _random_function(rng, CTX)
-        u = _random_exponent(rng, CTX)
+        f = random_function(rng, CTX)
+        u = random_exponent(rng, CTX)
         beta = rng.uniform(-1.0, 1.0)
         m = rng.choice((0.5, 1.0, 2.0))
         a = herz_norm(f, u, HerzParams(beta, m)).value
@@ -499,7 +482,7 @@ def test_ball_indicator_norm_matches_bisection():
     takes all but p**(-n d) of the measure d shells out."""
     rng = random.Random(6006)
     for _ in range(25):
-        u = _random_exponent(rng, CTX)
+        u = random_exponent(rng, CTX)
         gamma = rng.randint(-8, 8)
         closed = ball_indicator_norm(u, gamma).value
         solved = luxemburg_norm(
@@ -552,7 +535,7 @@ def test_cmo_shift_invariance():
     """Adding a constant to the symbol leaves its oscillation unchanged."""
     rng = random.Random(1221)
     for _ in range(20):
-        b = _random_function(rng, CTX, reach=3)
+        b = random_function(rng, CTX, reach=3)
         base = cmo_norm(b, U2).value
         shifted = cmo_norm(combine(b, RadialStepFunction.constant(CTX, 4.2), "add"), U2).value
         assert shifted == pytest.approx(base, rel=1e-8, abs=1e-10)

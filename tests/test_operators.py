@@ -453,6 +453,64 @@ def test_an_adjoint_term_past_a_saturated_power_keeps_its_value():
     assert image.inner_tail == Tail(image.coeffs[0], 0.0)
 
 
+def test_a_symbol_tail_past_a_saturated_power_is_read_exactly():
+    """b = 1e300 * 2**k on shells k < -1099, 0 from shell -1099 on, and f =
+    1e300 chi(S_-1101): b's tail values, near 1e300 * 2**-1100, fit though
+    2**k alone reads 0.0. Each bracket is the exact sum over j <= k of
+    (b(k) - b(j)) f(j) |S_j|, times 2**-k, rounded once; the outer tail is
+    -b(-1101) f(-1101) |S_-1101| at rate -1."""
+    b = RadialStepFunction(CTX, (-1099, -1099), (0.0,), Tail(1e300, 1.0))
+    f = RadialStepFunction(CTX, (-1101, -1101), (1e300,))
+    image = commutator(b, f, 0.0)
+
+    def symbol(k: int) -> Fraction:
+        return Fraction(1e300) * Fraction(2) ** k if k < -1099 else Fraction(0)
+
+    mass = Fraction(1e300) * Fraction(2) ** -1102  # f(-1101) |S_-1101|
+    exact = [
+        Fraction(2) ** -k * (symbol(k) - symbol(-1101)) * mass if k >= -1101 else Fraction(0)
+        for k in range(-1102, -1098)
+    ]
+    assert image.window == (-1102, -1099)
+    assert image.coeffs == tuple([float(x) for x in exact])
+    assert image.coeffs[2:] == (9.20268978627858e267, -4.60134489313929e267)
+    assert image.outer_tail == Tail(float(-symbol(-1101) * mass), -1.0)
+    assert image.outer_tail.amplitude == -6.775159944198086e-64
+
+
+def test_an_adjoint_above_a_saturated_power_keeps_its_value():
+    """The adjoint of the tail 1e300 * 2**-k above shell 1099 at order 0 is
+    1e300 |S_0| * 2**-k / (1 - 1/2) = 1e300 * 2**-k on shell k >= 1099,
+    constant below: it fits on shell 1100, though 2**-1100 alone is 0.0."""
+    f = RadialStepFunction(CTX, (1099, 1099), (0.0,), outer_tail=Tail(1e300, -1.0))
+    image = hardy_adjoint(f, 0.0)
+    exact = [Fraction(1e300) * Fraction(2) ** -max(k, 1099) / 2 for k in range(1098, 1101)]
+    assert image.window == (1098, 1100)
+    assert image.coeffs == tuple([float(x) for x in exact])
+    assert image.coeffs == (7.362151829022863e-32, 7.362151829022863e-32, 3.6810759145114315e-32)
+
+
+def test_an_adjoint_past_the_float_range_names_inf():
+    """f = -chi(S_2999) + chi(S_3000): the weight of S_3000, 2**(3000 * alpha),
+    is past the float range at orders 2 and 1e305, so the coefficient on
+    shell 2999 is +inf, and with it every one below. A tail amplitude past
+    the float range reads inf on shell 1, and a sum of finite terms past it
+    is refused as a sum."""
+    f = RadialStepFunction(CTX, (2999, 3000), (-1.0, 1.0))
+    for alpha in (2.0, 1e305):
+        with pytest.raises(
+            NumericOverflowError, match="on shell 2999 overflows the float range: it is inf$"
+        ):
+            hardy_adjoint(f, alpha)
+    f = RadialStepFunction(CTX, (0, 0), (0.0,), outer_tail=Tail(1e300, -1e-10))
+    with pytest.raises(NumericOverflowError, match="on shell 1 overflows the float range: it is inf$"):
+        hardy_adjoint(f, 0.0)
+    # at p = 3 each term is 2/3 * 1.7e308, and the two sum past the float range
+    f = RadialStepFunction(PadicContext(3, 1), (0, 1), (1.7e308, 1.7e308))
+    with pytest.raises(NumericOverflowError, match="a shell sum of the adjoint image overflows"):
+        hardy_adjoint(f, 0.0)
+
+
 def test_commutator_spec_requires_symbol():
     with pytest.raises(DomainError):
         apply_operator(OperatorSpec("commutator", 0.2), RadialStepFunction.indicator_ball(CTX, 0))

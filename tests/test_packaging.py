@@ -192,3 +192,49 @@ def test_no_tuple_is_built_from_a_generator():
     reuses a free one.
     """
     assert [entry for path in SOURCES for entry in _tuple_of_generator_calls(path)] == []
+
+
+#: Functions that multiply a ``ppow(...)`` call directly, each with its
+#: reason. Any other c * p**x goes through ``radial._times_power`` (a float)
+#: or ``radial._power_row`` (an exact row), which keep a value that fits
+#: where the power alone leaves the float range.
+PLAIN_POWER_PRODUCTS = {
+    "radial._times_power": "the kernel's own fast path",
+    "radial._running_parts": "outer-tail terms; |S_j| past the float range takes the kernel",
+    "operators._image": "the hot image loop; a product that is not normal takes the kernel",
+    "operators._inner_bracket": "p**-min(s_f, s) <= 1 times an expm1 factor below 1",
+    "norms._herz_terms": "the hot Herz loop; a term that is not normal takes the kernel",
+    "norms._mixed_inner_sum": "left for ROADMAP direction 3",
+    "norms._cmo_envelope_terms": "left for ROADMAP direction 3",
+    "oracle._scaled": "the oracle shares no helper with the library and only refuses",
+    "oracle._outer_bias": "the oracle shares no helper with the library",
+}
+
+
+def _plain_power_products(path: Path) -> set[str]:
+    """``module.function`` for each function of the file, nested ones by
+    their own name, in which a ``ppow(...)`` call is an operand of ``*``."""
+    found = set()
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mult):
+            operands = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.value,)
+            if any(
+                isinstance(x, ast.Call) and isinstance(x.func, ast.Name) and x.func.id == "ppow"
+                for x in operands
+            ):
+                found.add(f"{path.stem}.{function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_every_plain_power_product_is_pinned():
+    """A new plain product ``c * ppow(p, x)`` fails here until it goes
+    through the kernel or joins ``PLAIN_POWER_PRODUCTS`` with its reason."""
+    found = set().union(*map(_plain_power_products, SOURCES))
+    assert sorted(found) == sorted(PLAIN_POWER_PRODUCTS)

@@ -58,8 +58,10 @@ from ultraherz.padic import SHELL_LIMIT, ppow_range
 from ultraherz.radial import (
     _float_value,
     _geometric_tail,
+    _power_row,
     _running_parts,
     _times_power,
+    _unit_mass,
 )
 
 MIN_NORMAL = sys.float_info.min
@@ -404,6 +406,56 @@ def test_hardy_coefficients_are_weighted_ball_integrals(data, alpha):
     assert image.outer_tail == (Tail(total, alpha - n) if total else Tail(0.0, 0.0))
 
 
+#: Orders of the adjoint: everyday ones, and +-1e305, whose weights
+#: p**(j * alpha) leave the float range on every shell but 0.
+ADJOINT_ORDERS = st.one_of(
+    st.sampled_from([0.0, 0.5, 2.0, -2.0, 1e305, -1e305]),
+    st.floats(-4.0, 4.0),
+)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), alpha=ADJOINT_ORDERS)
+def test_adjoint_coefficients_are_exact_sums_of_kernel_terms(data, alpha):
+    """On shell k the adjoint is the exact sum of its terms from shell hi
+    down, rounded once: the value on S_hi, ``_times_power`` of the outer
+    amplitude at hi * s, then ``_times_power(|S_0| f(j), p, j * alpha)``
+    for each shell j > k. An infinite term refuses the image naming the
+    shell where it enters and inf, and a sum past the float range refuses
+    it too. Windows reach +-3000, zero shells included."""
+    ctx = data.draw(contexts())
+    drawn = data.draw(step_functions(ctx, coeff=WIDE_COEFF, far=(-3000, -1101, 1100, 2993)))
+    f = RadialStepFunction(ctx, drawn.window, drawn.coeffs, outer_tail=drawn.outer_tail)
+    p, mass = ctx.p, _unit_mass(ctx)
+    lo, hi = f.window[0] - 1, f.window[1] + 1
+    amplitude, rate = f.outer_tail
+    outer_amp = _geometric_tail(amplitude * mass, p, rate + alpha, 1, below=False)
+    if amplitude and outer_amp is None:
+        with pytest.raises(DomainError, match="divergent"):
+            hardy_adjoint(f, alpha)
+        return
+    s = rate + alpha if amplitude else 0.0
+    terms = [_times_power(outer_amp if amplitude else 0.0, p, hi * s)]
+    terms += [_times_power(mass * f.evaluate(j), p, j * alpha) for j in range(hi, lo, -1)]
+    infinite = [(k, t) for k, t in zip(range(hi, lo - 1, -1), terms) if math.isinf(t)]
+    if infinite:
+        k, t = infinite[0]
+        with pytest.raises(NumericOverflowError, match=f"on shell {k} .*: it is {t}$"):
+            hardy_adjoint(f, alpha)
+        return
+    sums = [sum(map(Fraction, terms[: hi - k + 1])) for k in range(lo, hi + 1)]
+    expected = [_rounded(x) for x in sums]
+    if None in expected:
+        with pytest.raises(NumericOverflowError, match="a shell sum of the adjoint image"):
+            hardy_adjoint(f, alpha)
+        return
+    image = hardy_adjoint(f, alpha)
+    assert image.window == (lo, hi)
+    assert repr(image.coeffs) == repr(tuple(expected))
+    assert image.inner_tail == (Tail(expected[0], 0.0) if expected[0] else Tail(0.0, 0.0))
+    assert image.outer_tail == (Tail(outer_amp, s) if amplitude and outer_amp else Tail(0.0, 0.0))
+
+
 @settings(max_examples=150)
 @given(
     p=PRIMES,
@@ -565,7 +617,8 @@ def test_the_power_kernel_is_the_plain_product_or_the_exact_value(p, c, x):
     is within 2 ulps of the exact value at an integer x (exactly it at
     p = 2) and within 1e-13 (or one subnormal step) of a 40-digit value at
     any other x; past the float range it is signed inf or 0.0, and it is
-    never nan."""
+    never nan. Its exact twin ``_power_row`` meets :func:`_check_power_row`."""
+    _check_power_row(c, p, x)
     got = _times_power(c, p, x)
     assert not math.isnan(got)
     if isinstance(c, float):
@@ -601,6 +654,33 @@ def test_the_power_kernel_is_the_plain_product_or_the_exact_value(p, c, x):
             else:
                 tolerance = max(Decimal("1e-13") * abs(exact), Decimal(2.0**-1074))
                 assert abs(Decimal(got) - exact) <= tolerance
+
+
+def _check_power_row(c, p: int, x: float) -> None:
+    """``_power_row(c, p, x)`` is c's own ratio at x = 0 or for a zero c.
+    Else it is (sign, 0) past the top of the float range and (0, 1) below
+    2**-65536, judged before any power is built (so it answers at once at
+    x = +-inf and +-1e300); between, it is Fraction(c) * p**x exactly at an
+    integer x, and within 1e-13 of a 40-digit value at any other x."""
+    num, den = c if isinstance(c, tuple) else c.as_integer_ratio()
+    row = _power_row(c, p, x)
+    if not (x and num):
+        assert row == (num, den)
+        return
+    sign = 1 if num > 0 else -1
+    size = num.bit_length() - den.bit_length() + x * math.log2(p)
+    if row in ((sign, 0), (0, 1)):
+        # a bound, judged from the size within its margin of 2
+        assert size > 1024 if row[1] == 0 else size < -65534
+        return
+    assert size <= 1028 and size >= -65538
+    if x.is_integer():
+        assert Fraction(*row) == Fraction(num, den) * Fraction(p) ** int(x)
+    else:
+        with localcontext() as decimal:
+            decimal.prec = 40
+            exact = Decimal(num) / Decimal(den) * Decimal(p) ** Decimal(x)
+            assert abs(Decimal(row[0]) / Decimal(row[1]) - exact) <= Decimal("1e-13") * abs(exact)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -228,6 +229,20 @@ def test_a_decaying_outer_tail_integrates_past_the_float_range_of_its_measures()
     r = 2**-0.5
     closed_form = 0.5 + 0.5 * r * (1 - r**2000) / (1 - r)
     assert ball_integral(f, 2000) == pytest.approx(closed_form, rel=1e-15)
+
+
+def test_a_rising_outer_tail_integrates_past_the_float_range_of_its_measures():
+    """The terms 1e-300 * 2**(-j/2) * |S_j| = 5e-301 * 2**(j/2) of the tail
+    above shell 0 grow: past shell 2046 the factor 2**(j/2) alone leaves
+    the float range, but the term does not. The integrals over B_2200 and
+    B_3000 match a 60-digit sum of the terms."""
+    f = RadialStepFunction(CTX, (0, 0), (0.0,), outer_tail=Tail(1e-300, -0.5))
+    with localcontext() as decimal:
+        decimal.prec = 60
+        for gamma, value in ((2200, 2.3187606298159194e31), (3000, 5.987619353654881e151)):
+            exact = sum(Decimal(5e-301) * Decimal(2) ** (Decimal(j) / 2) for j in range(1, gamma + 1))
+            assert abs(Decimal(ball_integral(f, gamma)) - exact) <= Decimal("1e-15") * exact
+            assert ball_integral(f, gamma) == pytest.approx(value, rel=1e-15)
 
 
 def test_a_subnormal_tail_amplitude_keeps_its_bits_in_a_ball_integral():
